@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 from repro.compression import TopKCompressor
-from repro.core.recovery import parallel_recover
+from repro.core.recovery import parallel_recover, serial_recover
 from repro.optim import Adam
 from repro.sim import LowDiffStrategy, TrainingSim, Workload
 from repro.sim.cluster import A100_CLUSTER
@@ -43,10 +43,6 @@ from repro.storage import (
     CheckpointStore,
     LocalDiskBackend,
     ShardedCheckpointStore,
-)
-from repro.storage.sharded import (
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -208,10 +204,9 @@ def measure_recovery(tmpdir: str) -> dict:
         LocalDiskBackend(os.path.join(tmpdir, "recover-plain")))
     populate_training(reference)
 
-    serial_s, serial_result, _ = time_recover(
-        sharded_serial_recover, store)
+    serial_s, serial_result, _ = time_recover(serial_recover, store)
     parallel_s, parallel_result, parallel_states = time_recover(
-        sharded_parallel_recover, store)
+        parallel_recover, store)
     _, _, ref_states = time_recover(parallel_recover, reference, repeats=1)
 
     bit_exact = all(

@@ -1,11 +1,12 @@
-"""Real two-process checkpointing, like the paper's spawned process.
+"""Real multi-process checkpointing, like the paper's spawned process.
 
-The training process ships synchronized compressed gradients to an
-actual child process over a multiprocessing queue; the child batches and
-persists them to a shared directory, entirely off the training critical
-path. A third, completely fresh process context then recovers from that
-directory — the full production topology of the paper's design, executed
-for real.
+The training process hands synchronized compressed gradients to a spawned
+persist-worker process through a shared-memory ring
+(``CheckpointConfig(async_persist=True, persist_mode="process")``); the
+worker encodes and writes them to a shared directory, entirely off the
+training critical path. A completely fresh store handle then recovers
+from that directory — the full production topology of the paper's
+design, executed for real.
 
 Run: ``python examples/multiprocess_checkpointing.py``
 """
@@ -16,14 +17,15 @@ import numpy as np
 
 from repro import (
     Adam,
+    CheckpointConfig,
     CrossEntropyLoss,
     DataParallelTrainer,
+    LowDiffCheckpointer,
     MLP,
     Rng,
     SyntheticClassification,
     TopKCompressor,
 )
-from repro.core.mp_transport import MultiprocessCheckpointSink
 from repro.core.recovery import serial_recover
 from repro.storage import CheckpointStore, LocalDiskBackend
 
@@ -41,26 +43,28 @@ def build_trainer():
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as ckpt_dir:
-        # --- Process 1: training; process 2: checkpointing child. -------
+        # --- Process 1: training; process 2: the persist worker. --------
         trainer = build_trainer()
-        with MultiprocessCheckpointSink(ckpt_dir, batch_size=2) as sink:
-            sink.save_full(0, trainer.model_state(), trainer.optimizer_state())
-            trainer.register_synced_gradient_hook(
-                lambda iteration, payload: sink.submit_payload(iteration + 1,
-                                                               payload))
-            records = trainer.run(24)
-            # Periodic full snapshot, also shipped to the child (FIFO
-            # guarantees diffs land first).
-            sink.save_full(24, trainer.model_state(),
-                           trainer.optimizer_state())
+        checkpointer = LowDiffCheckpointer(
+            CheckpointStore(LocalDiskBackend(ckpt_dir)),
+            CheckpointConfig(full_every_iters=10, batch_size=1,
+                             async_persist=True, persist_mode="process",
+                             writer_threads=1))
+        checkpointer.attach(trainer)
+        records = trainer.run(24)
+        # Drains the ring and joins the worker: every submitted record is
+        # committed (in submission order) before recovery looks.
+        checkpointer.finalize()
+        stats = checkpointer.stats()
         print(f"training process: 24 iterations, loss "
               f"{records[0].loss:.3f} -> {records[-1].loss:.3f}; "
-              f"{sink.submitted} payloads shipped to the child process")
+              f"{stats['engine']['committed']} records committed by the "
+              f"worker process")
 
         # --- Process 3: recovery from the shared directory. -------------
         store = CheckpointStore(LocalDiskBackend(ckpt_dir))
         print(f"storage: {len(store.fulls())} fulls, "
-              f"{len(store.diffs())} batched diffs on disk")
+              f"{len(store.diffs())} diffs on disk")
         model = MLP(8, [32, 32], 4, rng=Rng(0))
         optimizer = Adam(model, lr=1e-3)
         result = serial_recover(store, model, optimizer)

@@ -33,6 +33,11 @@ from repro.core.reusing_queue import QueueClosed, ReusingQueue
 from repro.obs import OBS, span as obs_span
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.sharded import (
+    ShardedChainCompactor,
+    ShardedCheckpointStore,
+    ShardedPersistGroup,
+)
 
 
 @dataclass
@@ -105,22 +110,18 @@ class LowDiffCheckpointer:
         # backend: per-shard diff chains under one intersection-committed
         # manifest set, elastic restore across world sizes.  An
         # already-sharded store passes through (its shard count wins).
-        shards = int(getattr(config, "shards", 1))
-        if shards > 1 and isinstance(store, CheckpointStore):
-            from repro.storage.sharded import ShardedCheckpointStore
+        if config.shards > 1 and isinstance(store, CheckpointStore):
             store = ShardedCheckpointStore(
-                store.backend, shards=shards,
-                codec=store.codec,
-                shard_concurrency=getattr(config, "shard_concurrency", 4),
+                store.backend, shards=config.shards, codec=store.codec,
+                shard_concurrency=config.shard_concurrency,
             )
         self.store = store
         self.config = config
         # Config-selected payload codec: applied store-wide before the
         # engine is built, so sync and async persist paths both encode.
-        if getattr(config, "codec", None):
+        if config.codec:
             store.set_codec(config.codec,
-                            error_bound=getattr(config, "lossy_error_bound",
-                                                None))
+                            error_bound=config.lossy_error_bound)
         self.queue = ReusingQueue(maxsize=queue_maxsize, copy_mode=not zero_copy)
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every
@@ -131,29 +132,23 @@ class LowDiffCheckpointer:
         # serializer CPU run in spawned workers outside the training GIL.
         self.engine = None
         persist_target = store
-        from repro.storage.sharded import (
-            ShardedChainCompactor,
-            ShardedCheckpointStore,
-            ShardedPersistGroup,
-        )
         sharded = isinstance(store, ShardedCheckpointStore)
-        if getattr(config, "async_persist", False):
+        if config.async_persist:
             if sharded:
                 self.engine = ShardedPersistGroup(
                     store,
-                    persist_mode=getattr(config, "persist_mode", "thread"),
+                    persist_mode=config.persist_mode,
                     writer_threads=config.writer_threads,
                     queue_depth=config.queue_depth,
-                    ring_mb=getattr(config, "ring_mb", 64.0),
+                    ring_mb=config.ring_mb,
                 )
-            elif getattr(config, "persist_mode", "thread") == "process":
+            elif config.persist_mode == "process":
                 from repro.storage.mp_engine import MultiprocessCheckpointEngine
                 self.engine = MultiprocessCheckpointEngine(
                     store,
                     num_workers=config.writer_threads,
                     queue_depth=config.queue_depth,
-                    ring_bytes=int(getattr(config, "ring_mb", 64.0)
-                                   * (1 << 20)),
+                    ring_bytes=int(config.ring_mb * (1 << 20)),
                 )
             else:
                 self.engine = AsyncCheckpointEngine(
@@ -350,18 +345,8 @@ class LowDiffCheckpointer:
     # Recovery ----------------------------------------------------------------------
     def recover(self, model, optimizer, parallel: bool = False) -> RecoveryResult:
         """Restore ``model``/``optimizer`` from the persisted series."""
-        from repro.storage.sharded import (
-            ShardedCheckpointStore,
-            sharded_parallel_recover,
-            sharded_serial_recover,
-        )
-        if isinstance(self.store, ShardedCheckpointStore):
-            if parallel:
-                return sharded_parallel_recover(self.store, model, optimizer)
-            return sharded_serial_recover(self.store, model, optimizer)
-        if parallel:
-            return parallel_recover(self.store, model, optimizer)
-        return serial_recover(self.store, model, optimizer)
+        recover = parallel_recover if parallel else serial_recover
+        return recover(self.store, model, optimizer)
 
     # Telemetry -----------------------------------------------------------------------
     def stats(self) -> dict:

@@ -21,7 +21,6 @@ therefore:
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
@@ -93,21 +92,12 @@ class LowDiffPlusCheckpointer:
         Iterations between asynchronous full persists (CheckFreq-style
         cadence; in-memory checkpoints still happen every iteration).
     async_persist:
-        ``True`` persists from a background thread, skipping a cadence
-        tick if the previous persist is still in flight (the paper's
-        non-blocking behaviour).  ``False`` persists inline.
-    use_engine:
-        With ``async_persist=True``, persist through the shared
-        :class:`~repro.storage.async_engine.AsyncCheckpointEngine` (writer
-        pool, pooled zero-copy serialization, ordered commits) instead of
-        an ad-hoc thread per persist.  The skip-when-in-flight semantics
-        are preserved: a cadence tick that would hit engine backpressure
-        is skipped and counted in ``persist_skips``.
-    persist_mode:
-        With ``use_engine=True``, ``"thread"`` (default) uses the
-        in-process writer pool and ``"process"`` the shared-memory
-        multi-process engine (persist CPU leaves the training
-        interpreter; requires a process-safe backend such as local disk).
+        ``True`` persists through an
+        :class:`~repro.storage.async_engine.AsyncCheckpointEngine` with one
+        writer and one queue slot: at most one persist is in flight, and a
+        cadence tick that would block on it is skipped and counted in
+        ``persist_skips`` (the paper's non-blocking behaviour).  ``False``
+        persists inline.
     retention:
         Optional :class:`~repro.storage.compaction.RetentionPolicy`
         applied to the durable store after each persisted full (and at
@@ -117,31 +107,15 @@ class LowDiffPlusCheckpointer:
     """
 
     def __init__(self, store: CheckpointStore, persist_every: int = 10,
-                 async_persist: bool = False, use_engine: bool = False,
-                 writer_threads: int = 2, queue_depth: int = 2,
-                 persist_mode: str = "thread", retention=None):
+                 async_persist: bool = False, retention=None):
         if persist_every < 1:
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
-        if use_engine and not async_persist:
-            raise ValueError("use_engine requires async_persist=True")
-        if persist_mode not in ("thread", "process"):
-            raise ValueError(
-                f"persist_mode must be 'thread' or 'process', "
-                f"got {persist_mode!r}")
         self.store = store
         self.persist_every = int(persist_every)
         self.async_persist = bool(async_persist)
-        self.engine = None
-        if use_engine:
-            if persist_mode == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engine = MultiprocessCheckpointEngine(
-                    store, num_workers=writer_threads,
-                    queue_depth=queue_depth)
-            else:
-                self.engine = AsyncCheckpointEngine(
-                    store, num_writers=writer_threads,
-                    queue_depth=queue_depth)
+        self.engine = AsyncCheckpointEngine(store, num_writers=1,
+                                            queue_depth=1) \
+            if async_persist else None
         self.retention = retention
         self.replica: CpuReplica | None = None
         self._trainer = None
@@ -153,8 +127,6 @@ class LowDiffPlusCheckpointer:
         self.in_memory_checkpoints = 0
         self.persisted_checkpoints = 0
         self.persist_skips = 0
-        self._persist_thread: threading.Thread | None = None
-        self._persist_error: BaseException | None = None
 
     # Wiring -----------------------------------------------------------------
     def attach(self, trainer, model_factory: Callable[[], Module],
@@ -218,36 +190,11 @@ class LowDiffPlusCheckpointer:
         if step % self.persist_every == 0:
             with obs_span("persist", "ckpt", {"step": step}):
                 self._persist(self.replica.snapshot())
-        self._check_persist_error()
+        if self.engine is not None:
+            self.engine.raise_if_failed()
 
     def _persist(self, snapshot: FullSnapshot) -> None:
-        if self.engine is not None:
-            if self.engine.would_block():
-                self.persist_skips += 1  # previous persists still in flight
-                if OBS.enabled:
-                    OBS.registry.counter("ckpt.plus.persist_skips").inc()
-                    OBS.tracer.instant("persist-skip", "ckpt",
-                                       {"step": snapshot.step})
-                return
-            self.engine.save_full(snapshot.step, snapshot.model_state,
-                                  snapshot.optimizer_state)
-            self.persisted_checkpoints += 1
-            # Prunes among already-committed fulls only (the submitted one
-            # becomes visible at its in-order commit) — safe to run while
-            # writers are in flight thanks to the store's mutation lock.
-            self._apply_retention()
-            if OBS.enabled:
-                OBS.registry.counter("ckpt.plus.persisted").inc()
-            return
-        if not self.async_persist:
-            self.store.save_full(snapshot.step, snapshot.model_state,
-                                 snapshot.optimizer_state)
-            self.persisted_checkpoints += 1
-            self._apply_retention()
-            if OBS.enabled:
-                OBS.registry.counter("ckpt.plus.persisted").inc()
-            return
-        if self._persist_thread is not None and self._persist_thread.is_alive():
+        if self.engine is not None and self.engine.would_block():
             self.persist_skips += 1  # previous persist still in flight
             if OBS.enabled:
                 OBS.registry.counter("ckpt.plus.persist_skips").inc()
@@ -255,41 +202,29 @@ class LowDiffPlusCheckpointer:
                                    {"step": snapshot.step})
             return
         # The snapshot dicts are fresh copies (state_dict copies), safe to
-        # hand to the writer thread while training continues.
-        def write():
-            try:
-                self.store.save_full(snapshot.step, snapshot.model_state,
-                                     snapshot.optimizer_state)
-                self.persisted_checkpoints += 1
-                self._apply_retention()
-            except BaseException as error:  # surfaced on training thread
-                self._persist_error = error
-
-        self._persist_thread = threading.Thread(
-            target=write, name="lowdiff-plus-persist", daemon=True
-        )
-        self._persist_thread.start()
+        # hand to the engine's writer while training continues.
+        target = self.store if self.engine is None else self.engine
+        target.save_full(snapshot.step, snapshot.model_state,
+                         snapshot.optimizer_state)
+        self.persisted_checkpoints += 1
+        # With the engine this prunes among already-committed fulls only
+        # (the submitted one becomes visible at its in-order commit) — safe
+        # to run while the writer is in flight thanks to the store's
+        # mutation lock.
+        self._apply_retention()
+        if OBS.enabled:
+            OBS.registry.counter("ckpt.plus.persisted").inc()
 
     def _apply_retention(self) -> None:
         if self.retention is not None:
             self.retention.apply_gc(self.store)
 
-    def _check_persist_error(self) -> None:
-        if self.engine is not None:
-            self.engine.raise_if_failed()
-        if self._persist_error is not None:
-            error, self._persist_error = self._persist_error, None
-            raise RuntimeError("asynchronous persistence failed") from error
-
     def finalize(self) -> None:
-        if self._persist_thread is not None:
-            self._persist_thread.join(timeout=30.0)
         if self.engine is not None:
             self.engine.finalize()
             # The last submitted full is committed now; enforce the bound
             # over the final series too.
             self._apply_retention()
-        self._check_persist_error()
 
     # Recovery (paper §V: software vs hardware failures) ---------------------------
     def recover_software(self, trainer) -> RecoveryResult:

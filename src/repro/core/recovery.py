@@ -9,6 +9,16 @@ deltas) and applies the single merged result — ``n-1`` merge operations
 arranged at critical-path depth ``ceil(log2 n)`` instead of ``n``
 sequential applications (Fig. "Parallel Fast Recovery").
 
+One pipeline serves every store and executor (ARCHITECTURE.md §3).  A
+store is read through a small *reader protocol*: ``fulls()`` and
+``diffs_after(step)`` list the readable views, ``parts(view)`` names the
+``(sub_store, record)`` blobs behind one view (one pair for
+:class:`~repro.storage.checkpoint_store.CheckpointStore`, one per shard
+for :class:`~repro.storage.sharded.ShardedCheckpointStore`), and
+``assemble_full`` / ``assemble_payload`` put the decoded parts back
+together.  Everything below — base walk, chain load, merge tree, apply —
+is written once against that protocol.
+
 Semantics note (also in DESIGN.md): merging ``k`` gradient payloads and
 applying once is exact for linear optimizers (SGD without momentum) and
 for state deltas; for Adam it has gradient-accumulation semantics — the
@@ -30,13 +40,12 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from repro.compression.sparse import DenseScratch
 from repro.core.differential import StateDelta, apply_state_delta
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
-from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.serializer import CorruptCheckpointError
 from repro.tensor.module import Module
 
@@ -66,94 +75,176 @@ def merge_tree_depth(count: int) -> int:
     return math.ceil(math.log2(count)) if count > 1 else 0
 
 
-def _load_base(store: CheckpointStore, model: Module, optimizer: Optimizer):
+# Loading ---------------------------------------------------------------------
+def _readable_prefix(parts, attempts) -> list:
+    """Results of ``attempts`` — one thunk per ``(sub_store, record)`` part,
+    called in order — up to the first unreadable part, which is
+    quarantined in its own sub-store.  A short result means "stop here":
+    the caller falls back (fulls) or truncates (diffs), never skips."""
+    done = []
+    for (sub, record), attempt in zip(parts, attempts):
+        try:
+            done.append(attempt())
+        except _UNREADABLE:
+            sub.quarantine(record)
+            break
+    return done
+
+
+def _load_base(store, model: Module, optimizer: Optimizer):
     """Load the newest *verifiable* full checkpoint.
 
-    Walks fulls newest-first; one that is missing or fails its integrity
-    check is quarantined and the next older tried.  Returns
-    ``(step, skipped)``.
+    Walks fulls newest-first; one with any part missing or failing its
+    integrity check has that part quarantined and the next older full is
+    tried.  Returns ``(step, skipped)``.
     """
     fulls = store.fulls()
     if not fulls:
         raise FileNotFoundError("no full checkpoint available for recovery")
     skipped = 0
-    for record in reversed(fulls):
-        try:
-            model_state, optimizer_state, step = store.load_full(record)
-        except _UNREADABLE:
-            store.quarantine(record)
+    for view in reversed(fulls):
+        parts = store.parts(view)
+        states = _readable_prefix(
+            parts, [partial(sub.load_full, record) for sub, record in parts])
+        if len(states) < len(parts):
             skipped += 1
             continue
+        model_state, optimizer_state = store.assemble_full(
+            [state[:2] for state in states])
         model.load_state_dict(model_state)
         optimizer.load_state_dict(optimizer_state)
-        return step, skipped
+        return view.step, skipped
     raise CorruptCheckpointError(
         f"no verifiable full checkpoint: all {len(fulls)} candidates failed "
         "integrity checks"
     )
 
 
-def _load_chain(store: CheckpointStore, full_step: int, executor=None):
-    """Load the longest intact diff chain after ``full_step``.
-
-    Stops at the first record that is missing or corrupt (quarantining
-    it): replaying past a hole would corrupt the state, so the chain is
-    truncated there.  Returns ``(records, payloads, truncated)``.
+def _load_parts(parts, executor=None, pooled_reads: bool = False) -> list:
+    """Decoded diff payloads of ``parts``, up to the first unreadable one.
 
     With an ``executor``, the CPU-bound verify+decode of each blob fans
     out to the pool.  Backend reads also overlap on the pool — but only
-    when the backend declares ``thread_safe_reads`` (local disk, memory
-    tier); fault-injecting wrappers keep it False, so their seeded RNG
-    draws stay replayable under a deterministic sequential read order.
-    Failures truncate exactly like the serial path: the first failing
-    record is quarantined and everything after it is discarded.
+    with ``pooled_reads``, i.e. when the backend declares
+    ``thread_safe_reads`` (local disk, memory tier); fault-injecting
+    wrappers keep it False, so their seeded RNG draws stay replayable
+    under a deterministic sequential read order.  Failures surface in
+    part order exactly like the inline path.
     """
-    records, payloads, truncated = [], [], 0
     if executor is None:
-        for record in store.diffs_after(full_step):
-            try:
-                payloads.append(store.load_diff(record))
-            except _UNREADABLE:
-                store.quarantine(record)
-                truncated = 1
-                break
-            records.append(record)
-        return records, payloads, truncated
-    chain = store.diffs_after(full_step)
-    candidates, raws = [], []
-    if getattr(store.backend, "thread_safe_reads", False):
-        read_futures = [executor.submit(store.read_raw, record)
-                        for record in chain]
-        for record, future in zip(chain, read_futures):
-            try:
-                raws.append(future.result())
-            except _UNREADABLE:
-                store.quarantine(record)
-                truncated = 1
-                break
-            candidates.append(record)
+        return _readable_prefix(
+            parts, [partial(sub.load_diff, record) for sub, record in parts])
+    if pooled_reads:
+        reads = [executor.submit(sub.read_raw, record).result
+                 for sub, record in parts]
     else:
-        for record in chain:
-            try:
-                raws.append(store.read_raw(record))
-            except _UNREADABLE:
-                store.quarantine(record)
-                truncated = 1
-                break
-            candidates.append(record)
-    futures = [executor.submit(store.decode_diff, record, raw)
-               for record, raw in zip(candidates, raws)]
-    for record, future in zip(candidates, futures):
-        try:
-            payloads.append(future.result())
-        except _UNREADABLE:
-            store.quarantine(record)
-            truncated = 1
-            break
-        records.append(record)
-    return records, payloads, truncated
+        reads = [partial(sub.read_raw, record) for sub, record in parts]
+    raws = _readable_prefix(parts, reads)
+    decodes = [executor.submit(sub.decode_diff, record, raw).result
+               for (sub, record), raw in zip(parts, raws)]
+    # From here each raw blob lives only in its decode's work item and is
+    # released as soon as that decode has run.
+    del reads, raws
+    return _readable_prefix(parts, decodes)
 
 
+def _shard_major(store, chain) -> list[tuple]:
+    """``chain`` transposed: per part (shard), its ``(sub_store, record)``
+    pairs in chain order."""
+    return list(zip(*(store.parts(view) for view in chain)))
+
+
+def _load_chain(store, chain, executor=None):
+    """Load the longest intact prefix of ``chain``, shard-major.
+
+    Every shard is truncated at the first unreadable record of *any*
+    shard (only that shard's blob is quarantined): replaying past a hole
+    would corrupt the state.  Later shards never read past a hole an
+    earlier shard found.  Returns ``(views, columns, truncated)`` with
+    ``columns[part][position]`` the decoded payloads.
+    """
+    pooled_reads = executor is not None \
+        and getattr(store.backend, "thread_safe_reads", False)
+    limit = len(chain)
+    columns = []
+    for parts in _shard_major(store, chain):
+        columns.append(_load_parts(parts[:limit], executor, pooled_reads))
+        limit = len(columns[-1])
+    return (chain[:limit], [payloads[:limit] for payloads in columns],
+            int(limit < len(chain)))
+
+
+# Merging ---------------------------------------------------------------------
+def _add_pair(pair):
+    return pair[0].add(pair[1])
+
+
+def pairwise_merge(chains: list[list], executor=None):
+    """Balanced pairwise reduction of every chain, level-synchronously.
+
+    Merging ``[i, i+1]`` pairs per level with the odd leaf carried means
+    the element at level ``k`` position ``j`` covers exactly leaves
+    ``[j*2**k, min((j+1)*2**k, n))`` and depends only on that subrange —
+    which is why segment workers (segments split at multiples of a power
+    of two, :func:`~repro.storage.mp_engine.recover_chain_segments`)
+    produce exactly the global tree's internal nodes, and the parent's
+    continuation of the same loop is bit-identical to merging the whole
+    chain in one process.  It is also why a sharded store restores
+    bit-equal to an unsharded one: every coordinate lives in exactly one
+    shard, and each shard's tree has the unsharded tree's shape, so the
+    per-coordinate fp32 fold order is identical.
+
+    Each level's pairs of *all* chains form one job list for
+    ``executor.map`` — no pool task ever submits to the pool it runs on —
+    and each pair merges in a fixed order, so the result is independent
+    of thread scheduling.  Returns ``(roots, merge_ops, depth)``, one root
+    per non-empty chain.
+    """
+    levels = [list(chain) for chain in chains]
+    merge_ops = depth = 0
+    while any(len(level) > 1 for level in levels):
+        pairs = [(level[index], level[index + 1]) for level in levels
+                 for index in range(0, len(level) - 1, 2)]
+        with obs_span("recover.merge_level", "recovery",
+                      {"level": depth, "pairs": len(pairs)}):
+            if executor is not None and len(pairs) > 1:
+                merged = list(executor.map(_add_pair, pairs))
+            else:
+                merged = [_add_pair(pair) for pair in pairs]
+        merged = iter(merged)
+        # Each chain takes back its own merges, then its odd leaf (if any).
+        levels = [[next(merged) for _ in range(len(level) // 2)]
+                  + level[len(level) // 2 * 2:] for level in levels]
+        merge_ops += len(pairs)
+        depth += 1
+    return [level[0] for level in levels if level], merge_ops, depth
+
+
+def _merge_in_processes(store, chain, processes: int):
+    """The merge step on spawned worker processes, one shard at a time.
+
+    Workers decode and pairwise-merge power-of-two chain segments; the
+    parent finishes each tree, so the roots are bit-identical to the
+    threaded path's.  ``None`` (backend not process-safe, chain too short
+    to amortize a spawn, worker failure) sends the caller to the thread
+    path, which owns quarantine/truncation.
+    """
+    from repro.storage.mp_engine import recover_chain_segments
+    roots, merge_ops, depth = [], 0, 0
+    with obs_span("recover.mp_segments", "recovery",
+                  {"chain": len(chain), "processes": processes}):
+        for parts in _shard_major(store, chain):
+            merged = recover_chain_segments(
+                parts[0][0], [record for _, record in parts], processes)
+            if merged is None:
+                return None
+            roots.append(merged[0])
+            merge_ops += merged[1]
+            depth = max(depth, merged[2])
+    return roots, merge_ops, depth
+
+
+# Applying --------------------------------------------------------------------
 class _ReplayScratch:
     """Reusable dense buffers threaded through a replay loop.
 
@@ -175,59 +266,67 @@ class _ReplayScratch:
         return self.dense
 
 
-def _apply_payload(model: Module, optimizer: Optimizer, payload,
-                   scratch: _ReplayScratch | None = None) -> None:
-    """Apply one differential payload to the live model/optimizer."""
+def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
+                   scratch: _ReplayScratch) -> None:
+    """Apply one differential payload standing for ``count`` training
+    steps to the live model/optimizer."""
     if isinstance(payload, StateDelta):
         new_model, new_optimizer = apply_state_delta(
             model.state_dict(), optimizer.state_dict(), payload
         )
         model.load_state_dict(new_model)
         optimizer.load_state_dict(new_optimizer)
-    elif scratch is not None and hasattr(payload, "decompress_into"):
+        return
+    if hasattr(payload, "decompress_into"):
         optimizer.step_with(payload.decompress_into(scratch.buffers_for(payload)))
     else:
         optimizer.step_with(payload.decompress())
+    # One optimizer application for `count` gradients (a batched record, or
+    # a whole merged chain): keep the step counter (and thus LR schedules)
+    # aligned with training.
+    optimizer.step_count += count - 1
 
 
-def serial_recover(store: CheckpointStore, model: Module, optimizer: Optimizer,
+def _observe(kind: str, recover_t0: float, loaded: int) -> None:
+    if OBS.enabled:
+        OBS.registry.counter(f"recover.{kind}.runs").inc()
+        OBS.registry.counter("recover.diffs_replayed").inc(loaded)
+        # Restore-path duration histogram: feeds the tail-latency table
+        # (p50/p95/p99) in ``python -m repro.obs.report``.
+        OBS.registry.observe(f"recover.{kind}.s",
+                             time.perf_counter() - recover_t0)
+
+
+# The paper's two algorithms ---------------------------------------------------
+def serial_recover(store, model: Module, optimizer: Optimizer
                    ) -> RecoveryResult:
     """Replay differentials one by one — the traditional recovery process.
 
     Streams records lazily; the first unreadable diff truncates the chain
-    (the state is already bit-exact at the last applied step).
+    (the state is already bit-exact at the last applied step).  On a
+    sharded store each chain position reassembles its shard payloads into
+    the original payload bit-exactly, so the restored state is
+    bit-identical to the unsharded series of the same run.
     """
     recover_t0 = time.perf_counter()
     with obs_span("recover.load_full", "recovery"):
         full_step, fulls_skipped = _load_base(store, model, optimizer)
-    loaded = 0
-    gradients = 0
-    truncated = 0
+    loaded = gradients = truncated = 0
     scratch = _ReplayScratch()
-    for record in store.diffs_after(full_step):
-        try:
-            payload = store.load_diff(record)
-        except _UNREADABLE:
-            store.quarantine(record)
+    for view in store.diffs_after(full_step):
+        parts = store.parts(view)
+        payloads = _load_parts(parts)
+        if len(payloads) < len(parts):
             truncated = 1
             break
         with obs_span("recover.replay_diff", "recovery",
-                      {"start": record.start, "end": record.end,
-                       "count": record.count}):
-            _apply_payload(model, optimizer, payload, scratch)
-        if not isinstance(payload, StateDelta) and record.count > 1:
-            # A batched record represents `count` training steps; keep the
-            # step counter (and thus LR schedules) aligned with training.
-            optimizer.step_count += record.count - 1
-        gradients += record.count
+                      {"start": view.start, "end": view.end,
+                       "count": view.count}):
+            _apply_payload(model, optimizer, store.assemble_payload(payloads),
+                           view.count, scratch)
+        gradients += view.count
         loaded += 1
-    if OBS.enabled:
-        OBS.registry.counter("recover.serial.runs").inc()
-        OBS.registry.counter("recover.diffs_replayed").inc(loaded)
-        # Restore-path duration histogram: feeds the tail-latency table
-        # (p50/p95/p99) in ``python -m repro.obs.report``.
-        OBS.registry.observe("recover.serial.s",
-                             time.perf_counter() - recover_t0)
+    _observe("serial", recover_t0, loaded)
     return RecoveryResult(
         step=optimizer.step_count,
         full_step=full_step,
@@ -241,64 +340,7 @@ def serial_recover(store: CheckpointStore, model: Module, optimizer: Optimizer,
     )
 
 
-def _recover_with_processes(store: CheckpointStore, model: Module,
-                            optimizer: Optimizer, processes: int
-                            ) -> RecoveryResult | None:
-    """Cross-process chain recovery; ``None`` means fall back to threads.
-
-    Worker processes decode and pairwise-merge power-of-two chain
-    segments (:func:`~repro.storage.mp_engine.recover_chain_segments`);
-    the parent finishes the merge, so the restored state is bit-identical
-    to the threaded path.  Any ineligibility (backend not process-safe,
-    short chain) or worker failure returns ``None`` — the threaded path
-    also owns quarantine/truncation for corrupt records, so degraded
-    recovery always goes through it.
-    """
-    from repro.storage.mp_engine import recover_chain_segments
-    if store.backend.process_safe_spec() is None:
-        return None
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full", "recovery"):
-        full_step, fulls_skipped = _load_base(store, model, optimizer)
-    chain = store.diffs_after(full_step)
-    with obs_span("recover.mp_segments", "recovery",
-                  {"chain": len(chain), "processes": processes}):
-        merged_out = recover_chain_segments(store, chain, processes)
-    if merged_out is None:
-        return None
-    merged, merge_ops, depth = merged_out
-    gradients = sum(record.count for record in chain)
-    with obs_span("recover.apply_merged", "recovery",
-                  {"gradients": gradients}):
-        if isinstance(merged, StateDelta):
-            _apply_payload(model, optimizer, merged)
-        else:
-            if hasattr(merged, "decompress_into"):
-                optimizer.step_with(
-                    merged.decompress_into(
-                        _ReplayScratch().buffers_for(merged)))
-            else:
-                optimizer.step_with(merged.decompress())
-            optimizer.step_count += gradients - 1
-    if OBS.enabled:
-        OBS.registry.counter("recover.parallel_mp.runs").inc()
-        OBS.registry.counter("recover.diffs_replayed").inc(len(chain))
-        OBS.registry.observe("recover.parallel_mp.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=len(chain),
-        gradients_replayed=gradients,
-        merge_ops=merge_ops,
-        merge_depth=depth,
-        apply_ops=1,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=0,
-    )
-
-
-def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer,
+def parallel_recover(store, model: Module, optimizer: Optimizer,
                      max_workers: int | None = None,
                      processes: int = 0) -> RecoveryResult:
     """Tree-merge all differentials on a thread pool, then apply once.
@@ -306,11 +348,10 @@ def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer
     Decoding (CRC verify + deserialize) and the pairwise merge tree run
     on a :class:`~concurrent.futures.ThreadPoolExecutor`; the hot kernels
     (CRC32, ``np.unique``/``np.bincount``) release the GIL, so levels
-    genuinely overlap across cores.  The tree shape is the same balanced
-    pairwise reduction as before — ``n-1`` merges at critical-path depth
-    ``ceil(log2 n)`` — and each pair merges in a fixed order, so the
-    result is independent of thread scheduling.  ``max_workers=1`` (or
-    ``0``) forces the single-threaded execution of earlier revisions.
+    genuinely overlap across cores.  The tree is the balanced pairwise
+    reduction of :func:`pairwise_merge` — per shard, ``n-1`` merges at
+    critical-path depth ``ceil(log2 n)``.  ``max_workers=1`` (or ``0``)
+    forces single-threaded execution.
 
     ``processes >= 2`` fans decode + merge out to spawned worker
     *processes* instead (GIL-free; §VI's recovery module at process
@@ -318,89 +359,44 @@ def parallel_recover(store: CheckpointStore, model: Module, optimizer: Optimizer
     whenever the backend is not process-safe, the chain is too short to
     amortize a spawn, or a worker fails.
     """
-    if processes and processes > 1:
-        result = _recover_with_processes(store, model, optimizer, processes)
-        if result is not None:
-            return result
     if max_workers is None:
         max_workers = min(8, os.cpu_count() or 2)
     recover_t0 = time.perf_counter()
     with obs_span("recover.load_full", "recovery"):
         full_step, fulls_skipped = _load_base(store, model, optimizer)
-    executor = ThreadPoolExecutor(max_workers=max_workers) \
-        if max_workers > 1 else None
-    try:
-        with obs_span("recover.load_chain", "recovery"):
-            records, payloads, truncated = _load_chain(store, full_step,
-                                                       executor)
-        if not records:
-            return RecoveryResult(
-                step=optimizer.step_count, full_step=full_step, diffs_loaded=0,
-                gradients_replayed=0, merge_ops=0, merge_depth=0, apply_ops=0,
-                corrupt_fulls_skipped=fulls_skipped,
-                corrupt_diffs_skipped=truncated,
-            )
-        gradients = sum(record.count for record in records)
-        merge_ops = 0
-        depth = 0
-        level = payloads
-        while len(level) > 1:
-            pairs = [(level[index], level[index + 1])
-                     for index in range(0, len(level) - 1, 2)]
-            with obs_span("recover.merge_level", "recovery",
-                          {"level": depth, "pairs": len(pairs)}):
-                if executor is not None and len(pairs) > 1:
-                    next_level = list(executor.map(
-                        lambda pair: pair[0].add(pair[1]), pairs))
-                else:
-                    next_level = [left.add(right) for left, right in pairs]
-            merge_ops += len(pairs)
-            if len(level) % 2:
-                next_level.append(level[-1])
-            level = next_level
-            depth += 1
-        merged = level[0]
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=True)
-    with obs_span("recover.apply_merged", "recovery",
-                  {"gradients": gradients}):
-        if isinstance(merged, StateDelta):
-            _apply_payload(model, optimizer, merged)
-        else:
-            # One accumulated optimizer application; advance the step counter
-            # to reflect the represented gradients so schedules resume
-            # correctly.
-            if hasattr(merged, "decompress_into"):
-                optimizer.step_with(
-                    merged.decompress_into(
-                        _ReplayScratch().buffers_for(merged)))
-            else:
-                optimizer.step_with(merged.decompress())
-            optimizer.step_count += gradients - 1
-    if OBS.enabled:
-        OBS.registry.counter("recover.parallel.runs").inc()
-        OBS.registry.counter("recover.diffs_replayed").inc(len(records))
-        OBS.registry.observe("recover.parallel.s",
-                             time.perf_counter() - recover_t0)
+    views, truncated = store.diffs_after(full_step), 0
+    merged = None
+    if processes and processes > 1 and views:
+        merged = _merge_in_processes(store, views, processes)
+    if merged is None:
+        executor = ThreadPoolExecutor(max_workers=max_workers) \
+            if max_workers > 1 else None
+        try:
+            with obs_span("recover.load_chain", "recovery"):
+                views, columns, truncated = _load_chain(store, views, executor)
+            merged = pairwise_merge(columns, executor)
+        finally:
+            if executor is not None:
+                executor.shutdown(wait=True)
+    roots, merge_ops, depth = merged
+    gradients = sum(view.count for view in views)
+    if views:
+        with obs_span("recover.apply_merged", "recovery",
+                      {"gradients": gradients}):
+            _apply_payload(model, optimizer, store.assemble_payload(roots),
+                           gradients, _ReplayScratch())
+    _observe("parallel", recover_t0, len(views))
     return RecoveryResult(
         step=optimizer.step_count,
         full_step=full_step,
-        diffs_loaded=len(records),
+        diffs_loaded=len(views),
         gradients_replayed=gradients,
         merge_ops=merge_ops,
         merge_depth=depth,
-        apply_ops=1,
+        apply_ops=int(bool(views)),
         corrupt_fulls_skipped=fulls_skipped,
         corrupt_diffs_skipped=truncated,
     )
-
-
-def recover_states(store: CheckpointStore, model: Module, optimizer: Optimizer,
-                   parallel: bool = False) -> RecoveryResult:
-    """Dispatch helper used by the checkpointers."""
-    fn = parallel_recover if parallel else serial_recover
-    return fn(store, model, optimizer)
 
 
 def merge_payloads(payloads: list):

@@ -1,7 +1,7 @@
 """Cross-process telemetry: worker-side shim + parent-side aggregator.
 
 Since the persist/recovery work moved into spawned worker processes
-(``storage/mp_engine.py``, ``core/mp_transport.py``), the process-global
+(``storage/mp_engine.py``), the process-global
 :data:`~repro.obs.OBS` switchboard in the parent cannot see it — a
 spawned child starts with observability disabled and a fresh, empty
 registry.  This module bridges the gap:

@@ -85,9 +85,8 @@ class LowDiffStrategy(CheckpointStrategy):
 
     @classmethod
     def from_config(cls, config: CheckpointConfig, **kwargs) -> "LowDiffStrategy":
-        kwargs.setdefault("shards", getattr(config, "shards", 1))
-        kwargs.setdefault("shard_concurrency",
-                          getattr(config, "shard_concurrency", 4))
+        kwargs.setdefault("shards", config.shards)
+        kwargs.setdefault("shard_concurrency", config.shard_concurrency)
         return cls(full_every=config.full_every_iters,
                    batch_size=config.batch_size, **kwargs)
 

@@ -78,8 +78,6 @@ from repro.storage.sharded import (
     ShardedFullView,
     ShardedPersistGroup,
     elastic_restore,
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
 
 __all__ = [
@@ -136,6 +134,4 @@ __all__ = [
     "ShardedFullView",
     "ShardedPersistGroup",
     "elastic_restore",
-    "sharded_parallel_recover",
-    "sharded_serial_recover",
 ]

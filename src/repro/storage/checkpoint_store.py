@@ -370,18 +370,32 @@ class CheckpointStore:
         this is the commit stage of the async persistence engine, and the
         point at which the record becomes visible in the manifest.
         """
+        return self._commit_full(step, len(data), crc, codec, raw_nbytes, data)
+
+    def _place_blob(self, key: str, data) -> None:
+        """First half of every commit: the blob is written here — or, when
+        a worker process already wrote it (``data is None``), checked to
+        exist — strictly before the manifest that references it."""
+        if data is not None:
+            self.backend.write(key, data)
+        elif not self.backend.exists(key):
+            raise ValueError(
+                f"cannot register {key}: blob not found in backend")
+
+    def _commit_full(self, step: int, nbytes: int, crc: int, codec: str,
+                     raw_nbytes: int, data=None) -> FullCheckpointRecord:
         key = f"full/{step:010d}.ckpt"
         with self._mutation_lock:
-            self.backend.write(key, data)
+            self._place_blob(key, data)
             record = FullCheckpointRecord(step=int(step), key=key,
-                                          nbytes=len(data),
+                                          nbytes=int(nbytes),
                                           crc=crc & 0xFFFFFFFF,
                                           codec=codec,
                                           raw_nbytes=int(raw_nbytes))
             self._fulls = [r for r in self._fulls if r.step != step] + [record]
             self._fulls.sort(key=lambda r: r.step)
             self._commit_manifest()
-        self._count_storage_bytes("full", len(data), raw_nbytes)
+        self._count_storage_bytes("full", int(nbytes), raw_nbytes)
         return record
 
     def save_diff(self, start: int, end: int, payload, count: int | None = None
@@ -412,6 +426,12 @@ class CheckpointStore:
         manifest visibility happen here, after serialization (which may
         have run on a writer thread).
         """
+        return self._commit_diff(start, end, count, len(data), crc, codec,
+                                 raw_nbytes, data)
+
+    def _commit_diff(self, start: int, end: int, count: int, nbytes: int,
+                     crc: int, codec: str, raw_nbytes: int, data=None
+                     ) -> DiffCheckpointRecord:
         if end < start:
             raise ValueError(f"diff range invalid: start={start} end={end}")
         with self._mutation_lock:
@@ -422,19 +442,31 @@ class CheckpointStore:
                         f"diff range [{start},{end}] overlaps existing record "
                         f"[{existing.start},{existing.end}] inconsistently"
                     )
-            key = f"diff/{start:010d}_{end:010d}.ckpt"
-            self.backend.write(key, data)
-            record = DiffCheckpointRecord(
-                start=int(start), end=int(end), key=key, nbytes=len(data),
-                count=int(count), crc=crc & 0xFFFFFFFF,
-                codec=codec, raw_nbytes=int(raw_nbytes),
-            )
-            self._diffs = [
-                r for r in self._diffs if (r.start, r.end) != (start, end)
-            ] + [record]
-            self._diffs.sort(key=lambda r: (r.start, r.end))
-            self._commit_manifest()
-        self._count_storage_bytes("diff", len(data), raw_nbytes)
+            record = self._install_diff(start, end, count, nbytes, crc, codec,
+                                        raw_nbytes, data)
+        self._count_storage_bytes("diff", int(nbytes), raw_nbytes)
+        return record
+
+    def _install_diff(self, start: int, end: int, count: int, nbytes: int,
+                      crc: int, codec: str, raw_nbytes: int, data,
+                      replacing=()) -> DiffCheckpointRecord:
+        """Blob, then record, then the sorted manifest commit — for a diff
+        that supersedes the same-range record and the ``replacing`` ones
+        (caller holds the mutation lock and has validated the range)."""
+        key = f"diff/{start:010d}_{end:010d}.ckpt"
+        self._place_blob(key, data)
+        record = DiffCheckpointRecord(
+            start=int(start), end=int(end), key=key, nbytes=int(nbytes),
+            count=int(count), crc=crc & 0xFFFFFFFF,
+            codec=codec, raw_nbytes=int(raw_nbytes),
+        )
+        dropped = {r.key for r in replacing}
+        self._diffs = [
+            r for r in self._diffs
+            if (r.start, r.end) != (start, end) and r.key not in dropped
+        ] + [record]
+        self._diffs.sort(key=lambda r: (r.start, r.end))
+        self._commit_manifest()
         return record
 
     def register_full_blob(self, step: int, nbytes: int, crc: int,
@@ -451,21 +483,7 @@ class CheckpointStore:
         ``gc(purge_unreferenced=True)`` sweeps, never a manifest entry
         pointing at missing bytes.
         """
-        key = f"full/{step:010d}.ckpt"
-        with self._mutation_lock:
-            if not self.backend.exists(key):
-                raise ValueError(
-                    f"cannot register {key}: blob not found in backend")
-            record = FullCheckpointRecord(step=int(step), key=key,
-                                          nbytes=int(nbytes),
-                                          crc=crc & 0xFFFFFFFF,
-                                          codec=codec,
-                                          raw_nbytes=int(raw_nbytes))
-            self._fulls = [r for r in self._fulls if r.step != step] + [record]
-            self._fulls.sort(key=lambda r: r.step)
-            self._commit_manifest()
-        self._count_storage_bytes("full", int(nbytes), raw_nbytes)
-        return record
+        return self._commit_full(step, nbytes, crc, codec, raw_nbytes)
 
     def register_diff_blob(self, start: int, end: int, count: int, nbytes: int,
                            crc: int, codec: str = "", raw_nbytes: int = 0
@@ -477,32 +495,8 @@ class CheckpointStore:
         the manifest commit, leaving the worker's blob unreferenced —
         debris for gc, never an ambiguous replay chain.
         """
-        if end < start:
-            raise ValueError(f"diff range invalid: start={start} end={end}")
-        key = f"diff/{start:010d}_{end:010d}.ckpt"
-        with self._mutation_lock:
-            for existing in self._diffs:
-                if (existing.start, existing.end) != (start, end) \
-                        and start <= existing.end and end >= existing.start:
-                    raise ValueError(
-                        f"diff range [{start},{end}] overlaps existing record "
-                        f"[{existing.start},{existing.end}] inconsistently"
-                    )
-            if not self.backend.exists(key):
-                raise ValueError(
-                    f"cannot register {key}: blob not found in backend")
-            record = DiffCheckpointRecord(
-                start=int(start), end=int(end), key=key, nbytes=int(nbytes),
-                count=int(count), crc=crc & 0xFFFFFFFF,
-                codec=codec, raw_nbytes=int(raw_nbytes),
-            )
-            self._diffs = [
-                r for r in self._diffs if (r.start, r.end) != (start, end)
-            ] + [record]
-            self._diffs.sort(key=lambda r: (r.start, r.end))
-            self._commit_manifest()
-        self._count_storage_bytes("diff", int(nbytes), raw_nbytes)
-        return record
+        return self._commit_diff(start, end, count, nbytes, crc, codec,
+                                 raw_nbytes)
 
     # Loading -----------------------------------------------------------------
     def latest_full(self) -> FullCheckpointRecord | None:
@@ -600,6 +594,19 @@ class CheckpointStore:
 
     def load_diff(self, record: DiffCheckpointRecord):
         return self.decode_diff(record, self.read_raw(record))
+
+    # The reader protocol of repro.core.recovery, degenerate case: every
+    # view is its own single part (the sharded store has one per shard).
+    def parts(self, record) -> list[tuple]:
+        return [(self, record)]
+
+    @staticmethod
+    def assemble_full(states: list[tuple[dict, dict]]) -> tuple[dict, dict]:
+        return states[0]
+
+    @staticmethod
+    def assemble_payload(payloads: list):
+        return payloads[0]
 
     # Verification -------------------------------------------------------------
     def verify(self, deep: bool = True, repair: bool = False) -> dict:
@@ -731,23 +738,12 @@ class CheckpointStore:
                         f"run is not contiguous at step {record.start} "
                         f"(expected start {next_start})")
                 next_start = record.end + 1
-            start, end = run[0].start, run[-1].end
-            resolved_count = int(count if count is not None
-                                 else sum(r.count for r in run))
-            key = f"diff/{start:010d}_{end:010d}.ckpt"
-            self.backend.write(key, data)
-            record = DiffCheckpointRecord(
-                start=int(start), end=int(end), key=key, nbytes=len(data),
-                count=resolved_count, crc=crc & 0xFFFFFFFF,
-                codec=codec, raw_nbytes=int(raw_nbytes),
-            )
-            replaced = {r.key for r in run}
-            self._diffs = [r for r in self._diffs
-                           if r.key not in replaced] + [record]
-            self._diffs.sort(key=lambda r: (r.start, r.end))
-            self._commit_manifest()
+            record = self._install_diff(
+                run[0].start, run[-1].end,
+                count if count is not None else sum(r.count for r in run),
+                len(data), crc, codec, raw_nbytes, data, replacing=run)
             for old in run:
-                if old.key != key:
+                if old.key != record.key:
                     self.backend.delete(old.key)
         return record
 

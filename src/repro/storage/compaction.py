@@ -197,8 +197,10 @@ class ChainCompactor:
         self.optimizer_factory = optimizer_factory
         self.mode = mode
         self.engine = engine
+        # The thread engine's serialization pool; the process engine (and
+        # no engine) has none, so merges pack into a fresh container.
         self.buffers = buffers if buffers is not None \
-            else getattr(engine, "buffers", None)
+            else getattr(engine, "pool", None)
         self.reports: list[CompactionReport] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None

@@ -1072,29 +1072,10 @@ class MultiprocessCheckpointEngine:
 # Cross-process parallel recovery
 # ---------------------------------------------------------------------------
 
-def _pairwise_merge(level: list):
-    """The balanced pairwise reduction recovery uses, as one function.
-
-    Merging ``[i, i+1]`` pairs per level with the odd leaf carried means
-    the element at level ``k`` position ``j`` covers exactly leaves
-    ``[j*2**k, min((j+1)*2**k, n))`` and depends only on that subrange —
-    which is why segment workers (segments split at multiples of a power
-    of two) produce exactly the global tree's internal nodes, and the
-    parent's continuation of the same loop is bit-identical to merging
-    the whole chain in one process.
-    """
-    while len(level) > 1:
-        merged = [level[index].add(level[index + 1])
-                  for index in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            merged.append(level[-1])
-        level = merged
-    return level[0]
-
-
 def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
                             result_queue, telemetry_spec=None) -> None:
     """Decode + merge one chain segment (runs in a spawned child)."""
+    from repro.core.recovery import pairwise_merge  # circular-safe
     telemetry = WorkerTelemetry.activate(telemetry_spec)
     try:
         backend = backend_from_spec(backend_spec)
@@ -1107,7 +1088,7 @@ def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
             for record in records:
                 payloads.append(CheckpointStore.decode_diff(
                     record, backend.read(record.key)))
-            merged = _pairwise_merge(payloads)
+            (merged,), _, _ = pairwise_merge([payloads])
         if telemetry.enabled:
             OBS.registry.observe("recover.worker.segment.s",
                                  time.perf_counter() - started)
@@ -1139,9 +1120,13 @@ def recover_chain_segments(store: CheckpointStore, records: list,
 
     Segments are split at multiples of a power of two, so each worker's
     pairwise merge produces exactly the internal nodes of the global
-    balanced merge tree (see :func:`_pairwise_merge`) — the final payload
-    is bit-identical to the threaded path's.
+    balanced merge tree (see :func:`repro.core.recovery.pairwise_merge`) —
+    the final payload is bit-identical to the threaded path's.
     """
+    from repro.core.recovery import (  # circular-safe
+        merge_tree_depth,
+        pairwise_merge,
+    )
     n = len(records)
     backend_spec = store.backend.process_safe_spec()
     if backend_spec is None or processes < 2 or n < 4:
@@ -1208,10 +1193,9 @@ def recover_chain_segments(store: CheckpointStore, records: list,
 
     level = [tree_to_payload(unpack_tree(results[index]))
              for index in range(len(segments))]
-    merged = _pairwise_merge(level)
-    merge_ops = n - 1
-    merge_depth = math.ceil(math.log2(n)) if n > 1 else 0
+    (merged,), _, _ = pairwise_merge([level])
     if OBS.enabled:
         OBS.registry.counter("recover.mp.segment_runs").inc()
         OBS.registry.observe("recover.mp.segments", len(segments))
-    return merged, merge_ops, merge_depth
+    # Workers + parent together ran the whole balanced tree over n leaves.
+    return merged, n - 1, merge_tree_depth(n)

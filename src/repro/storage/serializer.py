@@ -41,11 +41,7 @@ import zlib
 import numpy as np
 
 MAGIC = b"LOWDIFF2"
-#: Previous container revision (no total-length/manifest-CRC framing);
-#: still readable so long-lived checkpoint series survive the upgrade.
-LEGACY_MAGIC = b"LOWDIFF1"
 _HEADER = struct.Struct("<8sQQI")
-_LEGACY_HEADER = struct.Struct("<8sQ")
 
 #: dtypes allowed in checkpoints (defensive allow-list for the reader).
 _ALLOWED_DTYPES = {
@@ -303,22 +299,6 @@ def pack_tree(tree) -> bytes:
     return pack_tree_with_crc(tree)[0]
 
 
-def _parse_header(data):
-    """Return ``(header_size, manifest_len, total_len, manifest_crc)``.
-
-    ``total_len``/``manifest_crc`` are ``None`` for the legacy container.
-    """
-    if len(data) >= _LEGACY_HEADER.size and bytes(data[:8]) == LEGACY_MAGIC:
-        _, manifest_len = _LEGACY_HEADER.unpack_from(data, 0)
-        return _LEGACY_HEADER.size, manifest_len, None, None
-    if len(data) < _HEADER.size:
-        raise CorruptCheckpointError("truncated checkpoint: missing header")
-    magic, manifest_len, total_len, manifest_crc = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise CorruptCheckpointError(f"bad checkpoint magic {magic!r}")
-    return _HEADER.size, manifest_len, total_len, manifest_crc
-
-
 def unpack_tree(data, verify: bool = True):
     """Deserialize bytes produced by :func:`pack_tree`.
 
@@ -326,22 +306,23 @@ def unpack_tree(data, verify: bool = True):
     already authenticated the bytes); structural framing (magic, lengths)
     is always enforced.
     """
-    if len(data) < _LEGACY_HEADER.size:
+    if len(data) < _HEADER.size:
         raise CorruptCheckpointError("truncated checkpoint: missing header")
-    header_size, manifest_len, total_len, manifest_crc = _parse_header(data)
-    if total_len is not None and total_len != len(data):
+    magic, manifest_len, total_len, manifest_crc = _HEADER.unpack_from(data, 0)
+    if magic != MAGIC:
+        raise CorruptCheckpointError(f"bad checkpoint magic {magic!r}")
+    if total_len != len(data):
         raise CorruptCheckpointError(
             f"torn checkpoint: framed length {total_len} != actual {len(data)}"
         )
-    manifest_end = header_size + manifest_len
+    manifest_end = _HEADER.size + manifest_len
     if len(data) < manifest_end:
         raise CorruptCheckpointError("truncated checkpoint: manifest cut short")
-    manifest_bytes = bytes(data[header_size:manifest_end])
-    if verify and manifest_crc is not None:
-        if zlib.crc32(manifest_bytes) != manifest_crc:
-            raise CorruptCheckpointError(
-                "checkpoint corruption: manifest failed CRC check"
-            )
+    manifest_bytes = bytes(data[_HEADER.size:manifest_end])
+    if verify and zlib.crc32(manifest_bytes) != manifest_crc:
+        raise CorruptCheckpointError(
+            "checkpoint corruption: manifest failed CRC check"
+        )
     try:
         manifest = json.loads(manifest_bytes.decode())
         blob_sizes = manifest["blob_sizes"]

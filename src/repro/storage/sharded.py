@@ -24,12 +24,15 @@ manifest**:
   crash between shard commits leaves a partial shard set that is simply
   invisible (swept by ``gc``); no root commit marker is needed, and each
   shard store keeps its own blob-before-manifest ordering.
-* :func:`sharded_serial_recover` / :func:`sharded_parallel_recover` —
-  bit-exact equivalents of the unsharded recovery paths: reassembled
-  payloads are bit-identical to the originals (disjoint sorted index
-  ranges concatenate back losslessly) and each shard's pairwise merge
-  tree has the same shape as the unsharded tree, so per-coordinate fold
-  order — and therefore every fp32 rounding — is identical.
+* **The reader protocol of** :mod:`repro.core.recovery` — ``parts`` names
+  the ``S`` per-shard blobs behind one view and ``assemble_full`` /
+  ``assemble_payload`` reunite them, so ``serial_recover`` and
+  ``parallel_recover`` restore a sharded series bit-equal to the
+  unsharded series of the same run: reassembled payloads are
+  bit-identical to the originals (disjoint sorted index ranges
+  concatenate back losslessly) and each shard's pairwise merge tree has
+  the same shape as the unsharded tree, so per-coordinate fold order —
+  and therefore every fp32 rounding — is identical.
 * :func:`elastic_restore` — recover a checkpoint written at world size N
   onto a trainer of world size M: nothing in the store depends on the
   world size, so restore is just recovery plus re-partitioning ownership
@@ -489,31 +492,34 @@ class ShardedCheckpointStore:
                 count=records[0].count, records=records))
         return views
 
-    # Loading ----------------------------------------------------------------
-    def load_full(self, view: ShardedFullView) -> tuple[dict, dict, int]:
-        """Reassemble a committed sharded full checkpoint."""
+    # Loading (the reader protocol of repro.core.recovery) --------------------
+    def parts(self, view) -> list[tuple]:
+        """The ``(shard_store, shard_record)`` pairs behind one view."""
+        return list(zip(self.shard_stores, view.records))
+
+    def _require_layout(self) -> ShardLayout:
         if self._layout is None:
             raise FileNotFoundError(
                 "sharded store has no layout manifest; nothing was written")
-        shard_states = []
-        for shard, record in enumerate(view.records):
-            model_state, opt_state, _ = \
-                self.shard_stores[shard].load_full(record)
-            shard_states.append((model_state, opt_state))
-        model_state, optimizer_state = \
-            self._layout.assemble_full(shard_states)
+        return self._layout
+
+    def assemble_full(self, shard_states: list[tuple[dict, dict]]
+                      ) -> tuple[dict, dict]:
+        return self._require_layout().assemble_full(shard_states)
+
+    def assemble_payload(self, shard_payloads: list) -> SparseGradient:
+        return self._require_layout().assemble_payload(shard_payloads)
+
+    def load_full(self, view: ShardedFullView) -> tuple[dict, dict, int]:
+        """Reassemble a committed sharded full checkpoint."""
+        model_state, optimizer_state = self.assemble_full(
+            [sub.load_full(record)[:2] for sub, record in self.parts(view)])
         return model_state, optimizer_state, view.step
 
     def load_diff(self, view: ShardedDiffView) -> SparseGradient:
         """Reassemble a committed sharded diff payload (bit-exact)."""
-        if self._layout is None:
-            raise FileNotFoundError(
-                "sharded store has no layout manifest; nothing was written")
-        payloads = [
-            self.shard_stores[shard].load_diff(record)
-            for shard, record in enumerate(view.records)
-        ]
-        return self._layout.assemble_payload(payloads)
+        return self.assemble_payload(
+            [sub.load_diff(record) for sub, record in self.parts(view)])
 
     # Maintenance ------------------------------------------------------------
     def gc(self, keep_fulls: int = 2, purge_unreferenced: bool = True) -> int:
@@ -575,209 +581,6 @@ class ShardedCheckpointStore:
 
 
 # Recovery ------------------------------------------------------------------
-def _load_sharded_base(store: ShardedCheckpointStore, model, optimizer):
-    """Load the newest full checkpoint that is committed in every shard
-    *and* verifiable in every shard.
-
-    A shard record failing its integrity check is quarantined (in its
-    shard store) and the next older common step is tried — the sharded
-    analogue of the unsharded newest-verifiable-full walk.
-    """
-    from repro.core.recovery import _UNREADABLE
-    from repro.storage.serializer import CorruptCheckpointError
-    views = store.fulls()
-    if not views:
-        raise FileNotFoundError("no full checkpoint available for recovery")
-    skipped = 0
-    for view in reversed(views):
-        shard_states = []
-        readable = True
-        for shard, record in enumerate(view.records):
-            try:
-                model_state, opt_state, _ = \
-                    store.shard_stores[shard].load_full(record)
-            except _UNREADABLE:
-                store.shard_stores[shard].quarantine(record)
-                skipped += 1
-                readable = False
-                break
-            shard_states.append((model_state, opt_state))
-        if not readable:
-            continue
-        model_state, optimizer_state = store.layout.assemble_full(shard_states)
-        model.load_state_dict(model_state)
-        optimizer.load_state_dict(optimizer_state)
-        return view.step, skipped
-    raise CorruptCheckpointError(
-        f"no verifiable sharded full checkpoint: all {len(views)} committed "
-        "candidates failed integrity checks")
-
-
-def sharded_serial_recover(store: ShardedCheckpointStore, model, optimizer):
-    """Replay the committed sharded chain record by record.
-
-    Each chain position reassembles its ``S`` shard payloads into the
-    original payload bit-exactly, so the restored state is bit-identical
-    to :func:`repro.core.recovery.serial_recover` over the unsharded
-    series of the same run.
-    """
-    from repro.core.recovery import (
-        RecoveryResult,
-        _apply_payload,
-        _ReplayScratch,
-        _UNREADABLE,
-    )
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full_sharded", "recovery",
-                  {"shards": store.shards}):
-        full_step, fulls_skipped = _load_sharded_base(store, model, optimizer)
-    loaded = 0
-    gradients = 0
-    truncated = 0
-    scratch = _ReplayScratch()
-    for view in store.diffs_after(full_step):
-        shard_payloads = []
-        readable = True
-        for shard, record in enumerate(view.records):
-            try:
-                shard_payloads.append(store.shard_stores[shard].load_diff(record))
-            except _UNREADABLE:
-                store.shard_stores[shard].quarantine(record)
-                truncated = 1
-                readable = False
-                break
-        if not readable:
-            break
-        payload = store.layout.assemble_payload(shard_payloads)
-        with obs_span("recover.replay_diff", "recovery",
-                      {"start": view.start, "end": view.end,
-                       "count": view.count}):
-            _apply_payload(model, optimizer, payload, scratch)
-        if view.count > 1:
-            optimizer.step_count += view.count - 1
-        gradients += view.count
-        loaded += 1
-    if OBS.enabled:
-        OBS.registry.counter("ckpt.shard.recover.serial.runs").inc()
-        OBS.registry.observe("ckpt.shard.recover.serial.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=loaded,
-        gradients_replayed=gradients,
-        merge_ops=0,
-        merge_depth=0,
-        apply_ops=loaded,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=truncated,
-    )
-
-
-def _merge_shard_chain(payloads: list[SparseGradient]):
-    """Balanced pairwise merge tree over one shard's chain — the same tree
-    shape as the unsharded :func:`parallel_recover`, so every coordinate's
-    fp32 fold order (and thus rounding) is identical."""
-    level = payloads
-    merge_ops = 0
-    depth = 0
-    while len(level) > 1:
-        pairs = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        next_level = [left.add(right) for left, right in pairs]
-        merge_ops += len(pairs)
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
-        depth += 1
-    return level[0], merge_ops, depth
-
-
-def sharded_parallel_recover(store: ShardedCheckpointStore, model, optimizer,
-                             max_workers: int | None = None):
-    """Per-shard merge trees in parallel, one union, one application.
-
-    Every coordinate lives in exactly one shard, and each shard's tree
-    has the same leaf count (and therefore shape) as the unsharded tree —
-    so the union of the per-shard merge results is bit-identical to the
-    unsharded merged payload, and the single ``step_with`` application
-    restores exactly the same state.  Shard merges fan out over up to
-    ``shard_concurrency`` threads (reads stay sequential per shard store;
-    the union-add kernels release the GIL).
-    """
-    from repro.core.recovery import (
-        RecoveryResult,
-        _apply_payload,
-        _ReplayScratch,
-        _UNREADABLE,
-    )
-    recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full_sharded", "recovery",
-                  {"shards": store.shards}):
-        full_step, fulls_skipped = _load_sharded_base(store, model, optimizer)
-    chain = store.diffs_after(full_step)
-    truncated = 0
-    # Sequential, shard-major reads (deterministic under fault injection);
-    # a shard failing at position i truncates the whole chain there.
-    limit = len(chain)
-    per_shard: list[list[SparseGradient]] = []
-    for shard in range(store.shards):
-        sub = store.shard_stores[shard]
-        payloads: list[SparseGradient] = []
-        for position in range(limit):
-            record = chain[position].records[shard]
-            try:
-                payloads.append(sub.load_diff(record))
-            except _UNREADABLE:
-                sub.quarantine(record)
-                truncated = 1
-                limit = position
-                break
-        per_shard.append(payloads)
-    chain = chain[:limit]
-    per_shard = [payloads[:limit] for payloads in per_shard]
-    if not chain:
-        return RecoveryResult(
-            step=optimizer.step_count, full_step=full_step, diffs_loaded=0,
-            gradients_replayed=0, merge_ops=0, merge_depth=0, apply_ops=0,
-            corrupt_fulls_skipped=fulls_skipped,
-            corrupt_diffs_skipped=truncated,
-        )
-    gradients = sum(view.count for view in chain)
-    if max_workers is None:
-        max_workers = store.shard_concurrency
-    with obs_span("recover.merge_shards", "recovery",
-                  {"shards": store.shards, "chain": len(chain)}):
-        if max_workers > 1 and store.shards > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(max_workers, store.shards)) as pool:
-                merged_shards = list(pool.map(_merge_shard_chain, per_shard))
-        else:
-            merged_shards = [_merge_shard_chain(p) for p in per_shard]
-    merge_ops = sum(ops for _, ops, _ in merged_shards)
-    depth = max(d for _, _, d in merged_shards)
-    merged = store.layout.assemble_payload([m for m, _, _ in merged_shards])
-    with obs_span("recover.apply_merged", "recovery",
-                  {"gradients": gradients}):
-        scratch = _ReplayScratch()
-        optimizer.step_with(merged.decompress_into(scratch.buffers_for(merged)))
-        optimizer.step_count += gradients - 1
-    if OBS.enabled:
-        OBS.registry.counter("ckpt.shard.recover.parallel.runs").inc()
-        OBS.registry.observe("ckpt.shard.recover.parallel.s",
-                             time.perf_counter() - recover_t0)
-    return RecoveryResult(
-        step=optimizer.step_count,
-        full_step=full_step,
-        diffs_loaded=len(chain),
-        gradients_replayed=gradients,
-        merge_ops=merge_ops,
-        merge_depth=depth,
-        apply_ops=1,
-        corrupt_fulls_skipped=fulls_skipped,
-        corrupt_diffs_skipped=truncated,
-    )
-
-
 def elastic_restore(store: ShardedCheckpointStore, trainer,
                     parallel: bool = False,
                     max_workers: int | None = None):
@@ -790,12 +593,13 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
     out to every replica (the ZeRO trainer additionally re-partitions
     parameter ownership over its own active ranks).
     """
+    from repro.core.recovery import parallel_recover, serial_recover  # circular-safe
     model, optimizer = trainer.model, trainer.optimizer
     if parallel:
-        result = sharded_parallel_recover(store, model, optimizer,
-                                          max_workers=max_workers)
+        result = parallel_recover(store, model, optimizer,
+                                  max_workers=max_workers)
     else:
-        result = sharded_serial_recover(store, model, optimizer)
+        result = serial_recover(store, model, optimizer)
     trainer.load_state(model.state_dict(), optimizer.state_dict(),
                        iteration=result.step)
     return result
@@ -897,7 +701,9 @@ class ShardedChainCompactor:
         self.store = store
         self.policy = policy
         self.group = engine
-        buffer_pools = [getattr(e, "buffers", None) for e in engine.engines] \
+        # Thread engines lend their serialization pool; the process engine
+        # has none (its workers pack into the shared-memory ring).
+        buffer_pools = [getattr(e, "pool", None) for e in engine.engines] \
             if engine is not None else [None] * store.shards
         # Sub-compactors get no engine: the group drain above replaces the
         # per-shard drain (draining inside one shard's pass while siblings

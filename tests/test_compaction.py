@@ -185,6 +185,27 @@ class TestMergeMode:
         result, _, _ = recover_fresh(store, sgd_factory)
         assert result.step == 20
 
+    def test_engine_attached_merge_reuses_engine_buffer_pool(self):
+        """Merge passes of an async checkpointer pack into the engine's
+        pooled buffers instead of allocating a container per super-diff:
+        every pool acquisition is one engine record or one merged run."""
+        trainer = make_mlp_trainer(seed=6)
+        ckpt = LowDiffCheckpointer(
+            CheckpointStore(InMemoryBackend()),
+            CheckpointConfig(full_every_iters=100, batch_size=1,
+                             async_persist=True),
+            retention=RetentionPolicy(keep_fulls=1, max_chain_len=6))
+        ckpt.attach(trainer)
+        trainer.run(20)
+        ckpt.finalize()
+        pool = ckpt.engine.pool
+        merged = sum(r.runs_merged for r in ckpt.compactor.reports)
+        assert merged > 0
+        assert pool.created + pool.reused \
+            == ckpt.engine.stats()["submitted"] + merged
+        # Merges run on a drained engine, so each one finds a free buffer.
+        assert pool.reused >= merged
+
     def test_enforce_is_noop_within_budget(self):
         store, _ = build_chain(steps=3)
         compactor = ChainCompactor(store, RetentionPolicy(max_chain_len=4))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.compression import TopKCompressor
+from repro.core import BatchedGradientWriter
 from repro.core.recovery import parallel_recover, serial_recover
 from repro.optim import SGD
 from repro.storage import (
@@ -24,6 +25,7 @@ from repro.storage import (
     InMemoryBackend,
     LocalDiskBackend,
     MultiprocessCheckpointEngine,
+    ShardedCheckpointStore,
     ShmRing,
     WorkerCrashed,
 )
@@ -146,7 +148,47 @@ class TestEndToEnd:
             engine.finalize()
 
 
+    def test_submit_error_surfaces_at_submit(self, tmp_path):
+        """Out-of-order submission through the batched writer is a
+        parent-side typed error at the submit call — not a deferred
+        worker crash discovered at finalize."""
+        store, engine = make_engine(tmp_path)
+        writer = BatchedGradientWriter(engine, batch_size=1)
+        model, _ = fresh_model_opt()
+        payload = make_payload(model, Rng(4), 1)
+        try:
+            writer.submit(5, payload)
+            with pytest.raises(ValueError, match="iteration order"):
+                writer.submit(3, payload)
+        finally:
+            engine.finalize()
+        assert [(r.start, r.end) for r in store.diffs()] == [(5, 5)]
+
+
 class TestWorkerFailure:
+    def test_dead_worker_pool_raises_instead_of_hanging(self, tmp_path):
+        """A SIGKILLed pool must not leave the submitter blocked on a full
+        queue forever: the ``is_alive()`` watchdog (or, at the latest, the
+        ``submit_timeout_s`` bound) surfaces a typed failure."""
+        store, engine = make_engine(tmp_path, submit_timeout_s=10.0)
+        writer = BatchedGradientWriter(engine, batch_size=1)
+        model, _ = fresh_model_opt()
+        payload = make_payload(model, Rng(5), 1)
+        try:
+            for worker in engine._workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError):
+                # The watchdog needs one health-check cycle to see the
+                # corpse; keep submitting until it trips (bounded).
+                deadline = time.monotonic() + 30.0
+                step = 1
+                while time.monotonic() < deadline:
+                    writer.submit(step, payload)
+                    step += 1
+                    time.sleep(0.05)
+        finally:
+            engine.abort()
+
     def test_sigstop_worker_drain_times_out_typed(self, tmp_path):
         """A stuck (not dead) worker pool: drain raises the typed
         DrainTimeout instead of hanging; abort still cleans up."""
@@ -210,37 +252,40 @@ class TestWorkerFailure:
 
 
 class TestCrossProcessRecovery:
-    @pytest.fixture(scope="class")
-    def chain_dir(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("mp-chain")
-        store = CheckpointStore(LocalDiskBackend(str(root)),
-                                codec="lossless")
-        model, opt = fresh_model_opt()
-        store.save_full(0, model.state_dict(), opt.state_dict())
-        rng = Rng(11)
-        for step in range(1, 9):
-            payload = make_payload(model, rng, step)
-            opt.step_with(payload.decompress())
-            store.save_diff(step, step, payload)
-        return root
+    @staticmethod
+    def open_store(root, shards):
+        backend = LocalDiskBackend(str(root))
+        if shards == 1:
+            return CheckpointStore(backend, codec="lossless")
+        return ShardedCheckpointStore(backend, shards, codec="lossless")
 
-    def test_process_recovery_bit_identical_to_threaded(self, chain_dir):
-        threaded_model, threaded_opt = fresh_model_opt(seed=9)
-        threaded = parallel_recover(
-            CheckpointStore(LocalDiskBackend(str(chain_dir)),
-                            codec="lossless"),
-            threaded_model, threaded_opt)
-        process_model, process_opt = fresh_model_opt(seed=10)
-        process = parallel_recover(
-            CheckpointStore(LocalDiskBackend(str(chain_dir)),
-                            codec="lossless"),
-            process_model, process_opt, processes=2)
-        assert_states_equal(process_model.state_dict(),
-                            threaded_model.state_dict())
-        assert process_opt.step_count == threaded_opt.step_count
-        assert (process.step, process.merge_ops, process.merge_depth) \
-            == (threaded.step, threaded.merge_ops, threaded.merge_depth)
-        assert process.apply_ops == 1
+    def test_process_recovery_bit_identical_to_threaded(self, tmp_path):
+        """The process executor is a merge-step substitute: same roots,
+        same counts, for the plain store and per shard chain alike."""
+        for shards in (1, 2):
+            root = tmp_path / f"s{shards}"
+            store = self.open_store(root, shards)
+            model, opt = fresh_model_opt()
+            store.save_full(0, model.state_dict(), opt.state_dict())
+            rng = Rng(11)
+            for step in range(1, 9):
+                payload = make_payload(model, rng, step)
+                opt.step_with(payload.decompress())
+                store.save_diff(step, step, payload)
+            threaded_model, threaded_opt = fresh_model_opt(seed=9)
+            threaded = parallel_recover(self.open_store(root, shards),
+                                        threaded_model, threaded_opt)
+            process_model, process_opt = fresh_model_opt(seed=10)
+            process = parallel_recover(self.open_store(root, shards),
+                                       process_model, process_opt,
+                                       processes=2)
+            assert_states_equal(process_model.state_dict(),
+                                threaded_model.state_dict())
+            assert process_opt.step_count == threaded_opt.step_count
+            assert (process.step, process.merge_ops, process.merge_depth) \
+                == (threaded.step, threaded.merge_ops, threaded.merge_depth) \
+                == (8, 7 * shards, 3)
+            assert process.apply_ops == 1
 
     def test_process_unsafe_backend_falls_back(self, rng):
         """InMemoryBackend has no cross-process spec: processes=N must

@@ -89,6 +89,14 @@ class TestSafety:
         with pytest.raises(ValueError):
             unpack_tree(data)
 
+    def test_rejects_unframed_legacy_container(self, rng):
+        """A ``LOWDIFF1`` blob carries neither the total-length frame nor
+        the manifest CRC; it is corruption, not a format to parse."""
+        from repro.storage.serializer import CorruptCheckpointError
+        data = pack_tree({"w": rng.normal(size=(10,))})
+        with pytest.raises(CorruptCheckpointError, match="magic"):
+            unpack_tree(b"LOWDIFF1" + data[8:])
+
     def test_rejects_truncated_header(self):
         with pytest.raises(ValueError):
             unpack_tree(MAGIC[:4])

@@ -41,8 +41,6 @@ from repro.storage import (
     ShardedCheckpointStore,
     ShardLayout,
     elastic_restore,
-    sharded_parallel_recover,
-    sharded_serial_recover,
 )
 from repro.storage.sharded import ShardedChainCompactor, ShardedPersistGroup
 from repro.tensor.loss import CrossEntropyLoss
@@ -203,7 +201,7 @@ class TestShardedRecoveryEquivalence:
         model, optimizer = fresh_model_opt()
         populate(store, model, optimizer)
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 7
         assert_states_equal(target_model.state_dict(), ref_model.state_dict())
         assert_optimizers_equal(target_opt.state_dict(), ref_opt.state_dict())
@@ -223,7 +221,7 @@ class TestShardedRecoveryEquivalence:
         model, optimizer = fresh_model_opt()
         populate(sharded, model, optimizer, batch=batch)
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_parallel_recover(sharded, target_model, target_opt)
+        result = parallel_recover(sharded, target_model, target_opt)
         assert result.step == ref_result.step
         assert result.gradients_replayed == ref_result.gradients_replayed
         assert_states_equal(target_model.state_dict(), ref_model.state_dict())
@@ -234,7 +232,7 @@ class TestShardedRecoveryEquivalence:
         model, optimizer = fresh_model_opt()
         populate(store, model, optimizer, steps=8)
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_parallel_recover(store, target_model, target_opt)
+        result = parallel_recover(store, target_model, target_opt)
         # 8 leaves per shard → 7 merges per shard × 4 shards, one apply.
         assert result.merge_ops == 7 * 4
         assert result.apply_ops == 1
@@ -324,7 +322,7 @@ class TestPerShardCompaction:
         # The compacted chain still replays to the live state exactly
         # (compaction merges whole runs — same fold recovery performs).
         target_model, target_opt = fresh_model_opt(seed=5)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 12
 
     def test_checkpointer_retention_bounds_sharded_chain(self):
@@ -371,7 +369,7 @@ class TestCrashMidShardCommit:
         assert store.latest_full().step == 0
         # Recovery ignores the torso and lands on the committed state.
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.full_step == 0
         assert result.step == 2
 
@@ -390,7 +388,7 @@ class TestCrashMidShardCommit:
         chain = store.diffs_after(0)
         assert [(v.start, v.end) for v in chain] == [(1, 1), (2, 2), (3, 3)]
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = sharded_serial_recover(store, target_model, target_opt)
+        result = serial_recover(store, target_model, target_opt)
         assert result.step == 3
         assert_states_equal(target_model.state_dict(), committed_model)
 
@@ -446,7 +444,7 @@ class TestCrashMidShardCommit:
 
         reopened = ShardedCheckpointStore(store.backend, shards=shards)
         target_model, target_opt = fresh_model_opt(seed=seed + 1)
-        result = sharded_serial_recover(reopened, target_model, target_opt)
+        result = serial_recover(reopened, target_model, target_opt)
         assert result.step == steps
         assert_states_equal(target_model.state_dict(), snapshots[steps])
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.storage.sharded import EXECUTORS
 from repro.utils.validation import check_positive
 
 
@@ -30,18 +31,18 @@ from repro.utils.validation import check_positive
 class CheckpointConfig:
     """Integer configuration the checkpointer runs with.
 
-    ``async_persist`` switches persistence to the background writer-pool
-    engine (:class:`repro.storage.async_engine.AsyncCheckpointEngine`):
-    serialization and storage I/O leave the training loop, which then only
-    pays for the bounded snapshot handoff plus any backpressure stalls.
-    ``writer_threads``/``queue_depth`` size the pool and the outstanding-
-    record bound; both are ignored in the default synchronous mode, which
-    stays bit-exact-deterministic for tests.
+    ``async_persist`` puts a persist engine between the checkpointer and
+    the store (:mod:`repro.storage.persist_engine`): serialization and
+    storage I/O leave the training loop, which then only pays for the
+    bounded snapshot handoff plus any backpressure stalls.
+    ``writer_threads``/``queue_depth`` size the worker pool and the
+    outstanding-record bound; both are ignored in the default synchronous
+    mode, which stays bit-exact-deterministic for tests.
 
-    ``persist_mode`` picks the engine flavor when ``async_persist`` is on:
-    ``"thread"`` (default) uses the in-process writer pool; ``"process"``
-    uses :class:`repro.storage.mp_engine.MultiprocessCheckpointEngine` —
-    spawned persist-worker processes fed through a shared-memory ring of
+    ``persist_mode`` names the engine's executor, looked up once in
+    :func:`repro.storage.sharded.open_persist_engine`: ``"thread"``
+    (default) is the in-process writer pool; ``"process"`` is spawned
+    persist-worker processes fed through a shared-memory ring of
     ``ring_mb`` MiB, so codec/serializer CPU leaves the training
     interpreter entirely (requires a process-safe backend, e.g. local
     disk).  ``writer_threads`` doubles as the worker-process count.
@@ -88,9 +89,10 @@ class CheckpointConfig:
         if self.lossy_error_bound <= 0:
             raise ValueError(
                 f"lossy_error_bound must be > 0, got {self.lossy_error_bound}")
-        if self.persist_mode not in ("thread", "process"):
+        if self.persist_mode not in EXECUTORS:
             raise ValueError(
-                f"persist_mode must be 'thread' or 'process', "
+                f"persist_mode must be "
+                f"{' or '.join(map(repr, EXECUTORS))}, "
                 f"got {self.persist_mode!r}")
         if self.ring_mb <= 0:
             raise ValueError(f"ring_mb must be > 0, got {self.ring_mb}")

@@ -31,13 +31,9 @@ from repro.core.recovery import (
 )
 from repro.core.reusing_queue import QueueClosed, ReusingQueue
 from repro.obs import OBS, span as obs_span
-from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.sharded import (
-    ShardedChainCompactor,
-    ShardedCheckpointStore,
-    ShardedPersistGroup,
-)
+from repro.storage.compaction import ChainCompactor
+from repro.storage.sharded import ShardedCheckpointStore, open_persist_engine
 
 
 @dataclass
@@ -126,53 +122,30 @@ class LowDiffCheckpointer:
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every
         # record still flows through one FIFO commit order, so the
-        # diff-never-before-its-full invariant holds unchanged.
-        # persist_mode="process" swaps in the shared-memory multi-process
-        # engine — same submit/drain/finalize contract, but codec and
-        # serializer CPU run in spawned workers outside the training GIL.
+        # diff-never-before-its-full invariant holds unchanged.  Which
+        # executor (writer threads, or spawned workers outside the
+        # training GIL) and whether it fans out per shard is the storage
+        # layer's choice from (persist_mode, store).
         self.engine = None
-        persist_target = store
-        sharded = isinstance(store, ShardedCheckpointStore)
         if config.async_persist:
-            if sharded:
-                self.engine = ShardedPersistGroup(
-                    store,
-                    persist_mode=config.persist_mode,
-                    writer_threads=config.writer_threads,
-                    queue_depth=config.queue_depth,
-                    ring_mb=config.ring_mb,
-                )
-            elif config.persist_mode == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engine = MultiprocessCheckpointEngine(
-                    store,
-                    num_workers=config.writer_threads,
-                    queue_depth=config.queue_depth,
-                    ring_bytes=int(config.ring_mb * (1 << 20)),
-                )
-            else:
-                self.engine = AsyncCheckpointEngine(
-                    store,
-                    num_writers=config.writer_threads,
-                    queue_depth=config.queue_depth,
-                )
-            persist_target = self.engine
-        self._persist = persist_target
+            self.engine = open_persist_engine(
+                store,
+                persist_mode=config.persist_mode,
+                writer_threads=config.writer_threads,
+                queue_depth=config.queue_depth,
+                ring_mb=config.ring_mb,
+            )
+        self._persist = store if self.engine is None else self.engine
         self.retention = retention
         self.compactor = None
         if retention is not None:
-            if sharded:
-                self.compactor = ShardedChainCompactor(
-                    store, retention, engine=self.engine)
-            else:
-                from repro.storage.compaction import ChainCompactor
-                self.compactor = ChainCompactor(
-                    store, retention, engine=self.engine,
-                    model_factory=model_factory,
-                    optimizer_factory=optimizer_factory,
-                )
+            self.compactor = ChainCompactor(
+                store, retention, engine=self.engine,
+                model_factory=model_factory,
+                optimizer_factory=optimizer_factory,
+            )
         self.writer = BatchedGradientWriter(
-            persist_target, batch_size=config.batch_size,
+            self._persist, batch_size=config.batch_size,
             offload_to_cpu=offload_to_cpu
         )
         self.async_mode = bool(async_mode)

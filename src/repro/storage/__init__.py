@@ -56,28 +56,29 @@ from repro.storage.compaction import (
     CompactionReport,
     RetentionPolicy,
 )
+from repro.storage.persist_engine import (
+    DrainTimeout,
+    PendingWrite,
+    WriteAborted,
+)
 from repro.storage.async_engine import (
     AsyncCheckpointEngine,
     BufferPool,
-    DrainTimeout,
-    PendingWrite,
     SnapshotStager,
-    WriteAborted,
 )
 from repro.storage.mp_engine import (
     MultiprocessCheckpointEngine,
     ShmRing,
-    SubmitTimeout,
     WorkerCrashed,
 )
 from repro.storage.sharded import (
     ShardLayout,
-    ShardedChainCompactor,
     ShardedCheckpointStore,
     ShardedDiffView,
     ShardedFullView,
     ShardedPersistGroup,
     elastic_restore,
+    open_persist_engine,
 )
 
 __all__ = [
@@ -122,16 +123,15 @@ __all__ = [
     "WriteAborted",
     "MultiprocessCheckpointEngine",
     "ShmRing",
-    "SubmitTimeout",
     "WorkerCrashed",
     "backend_from_spec",
     "pack_tree_into_view",
     "PrefixBackend",
     "ShardLayout",
-    "ShardedChainCompactor",
     "ShardedCheckpointStore",
     "ShardedDiffView",
     "ShardedFullView",
     "ShardedPersistGroup",
     "elastic_restore",
+    "open_persist_engine",
 ]

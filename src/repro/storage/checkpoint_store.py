@@ -69,6 +69,35 @@ _FULL_KEY_RE = re.compile(r"^full/(\d{10})\.ckpt$")
 _DIFF_KEY_RE = re.compile(r"^diff/(\d{10})_(\d{10})\.ckpt$")
 
 
+def full_key(step: int) -> str:
+    return f"full/{step:010d}.ckpt"
+
+
+def diff_key(start: int, end: int) -> str:
+    return f"diff/{start:010d}_{end:010d}.ckpt"
+
+
+def encode_record_tree(codec, tree: dict, kind: str,
+                       pre_encoded: bool = False):
+    """Apply ``codec`` (``None`` = uncoded) to a record tree before packing.
+
+    Store-less, so persist workers in other processes call it too.
+    Returns ``(tree, codec_id, raw_nbytes)``.  ``kind`` is ``"full"`` or
+    ``"diff"``; only diff payloads ever see a lossy codec's stateful
+    quantization stage, and ``pre_encoded=True`` skips it (engine
+    submissions quantize in chain order at submit time; compaction
+    re-encodes already-quantized merges without adding a second round of
+    error).
+    """
+    if codec is None:
+        return tree, "", 0
+    raw_nbytes = logical_nbytes(tree)
+    if kind == "diff" and codec.lossy and not pre_encoded:
+        tree = dict(tree)
+        tree["payload"] = codec.pre_encode_diff_tree(tree["payload"])
+    return codec.encode_tree(tree), codec.codec_id, raw_nbytes
+
+
 @dataclass(frozen=True)
 class FullCheckpointRecord:
     step: int
@@ -166,26 +195,6 @@ class CheckpointStore:
             raise UnknownCodecError(
                 unknown[0],
                 f"manifest references {len(hit)} record(s), e.g. {hit[0]}")
-
-    def encode_record_tree(self, tree: dict, kind: str,
-                            pre_encoded: bool = False):
-        """Apply the store codec to a record tree before packing.
-
-        Returns ``(tree, codec_id, raw_nbytes)``.  ``kind`` is ``"full"``
-        or ``"diff"``; only diff payloads ever see a lossy codec's
-        stateful quantization stage, and ``pre_encoded=True`` skips it
-        (async-engine submissions quantize in chain order at submit time;
-        compaction re-encodes already-quantized merges without adding a
-        second round of error).
-        """
-        codec = self.codec
-        if codec is None:
-            return tree, "", 0
-        raw_nbytes = logical_nbytes(tree)
-        if kind == "diff" and codec.lossy and not pre_encoded:
-            tree = dict(tree)
-            tree["payload"] = codec.pre_encode_diff_tree(tree["payload"])
-        return codec.encode_tree(tree), codec.codec_id, raw_nbytes
 
     @staticmethod
     def _count_storage_bytes(kind: str, encoded_nbytes: int,
@@ -355,7 +364,8 @@ class CheckpointStore:
         ``step`` means: this state is the result of ``step`` optimizer
         updates; replaying diff ``step+1`` on it advances to ``step+1``.
         """
-        tree, codec_id, raw_nbytes = self.encode_record_tree(
+        tree, codec_id, raw_nbytes = encode_record_tree(
+            self.codec,
             self.full_tree(step, model_state, optimizer_state, extra), "full")
         data, crc = pack_tree_with_crc(tree)
         return self.save_full_bytes(step, data, crc, codec=codec_id,
@@ -384,7 +394,7 @@ class CheckpointStore:
 
     def _commit_full(self, step: int, nbytes: int, crc: int, codec: str,
                      raw_nbytes: int, data=None) -> FullCheckpointRecord:
-        key = f"full/{step:010d}.ckpt"
+        key = full_key(step)
         with self._mutation_lock:
             self._place_blob(key, data)
             record = FullCheckpointRecord(step=int(step), key=key,
@@ -410,7 +420,8 @@ class CheckpointStore:
         the previous record (the legitimate retry/resume path).
         """
         resolved_count = int(count if count is not None else end - start + 1)
-        tree, codec_id, raw_nbytes = self.encode_record_tree(
+        tree, codec_id, raw_nbytes = encode_record_tree(
+            self.codec,
             self.diff_tree(start, end, resolved_count,
                            payload_to_tree(payload)), "diff")
         data, crc = pack_tree_with_crc(tree)
@@ -453,7 +464,7 @@ class CheckpointStore:
         """Blob, then record, then the sorted manifest commit — for a diff
         that supersedes the same-range record and the ``replacing`` ones
         (caller holds the mutation lock and has validated the range)."""
-        key = f"diff/{start:010d}_{end:010d}.ckpt"
+        key = diff_key(start, end)
         self._place_blob(key, data)
         record = DiffCheckpointRecord(
             start=int(start), end=int(end), key=key, nbytes=int(nbytes),
@@ -608,6 +619,22 @@ class CheckpointStore:
     def assemble_payload(payloads: list):
         return payloads[0]
 
+    # The writer protocol, its mirror image: which stores a record lands
+    # in and the part each one gets.  Degenerate case again — one part,
+    # this store, nothing sliced (the sharded store cuts one per shard).
+    @property
+    def part_stores(self) -> list["CheckpointStore"]:
+        return [self]
+
+    @staticmethod
+    def split_full(model_state: dict, optimizer_state: dict,
+                   extra: dict | None = None) -> list[tuple]:
+        return [(model_state, optimizer_state, extra)]
+
+    @staticmethod
+    def split_payload(payload) -> list:
+        return [payload]
+
     # Verification -------------------------------------------------------------
     def verify(self, deep: bool = True, repair: bool = False) -> dict:
         """Audit every record against storage.
@@ -746,27 +773,6 @@ class CheckpointStore:
                 if old.key != record.key:
                     self.backend.delete(old.key)
         return record
-
-    def drop_diffs(self, records: list[DiffCheckpointRecord]) -> int:
-        """Remove diff records (manifest-first) and delete their blobs.
-
-        Used by compaction's rebase mode once a new full checkpoint makes
-        a chain prefix redundant.  Returns the number of blobs deleted.
-        """
-        if not records:
-            return 0
-        with self._mutation_lock:
-            doomed = {r.key for r in records}
-            before = len(self._diffs)
-            self._diffs = [r for r in self._diffs if r.key not in doomed]
-            if len(self._diffs) != before:
-                self._commit_manifest()
-            deleted = 0
-            for record in records:
-                if self.backend.exists(record.key):
-                    self.backend.delete(record.key)
-                    deleted += 1
-        return deleted
 
     def compact(self, policy=None, *, model_factory=None,
                 optimizer_factory=None, mode: str = "auto"):

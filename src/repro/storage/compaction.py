@@ -42,7 +42,6 @@ next ``gc``) or the new view; never a manifest entry naming a missing key.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -50,7 +49,7 @@ from repro.compression.sparse import SparseGradient
 from repro.obs import OBS, span as obs_span
 from repro.storage.checkpoint_store import (
     CheckpointStore,
-    DiffCheckpointRecord,
+    encode_record_tree,
 )
 from repro.storage.payload_codec import payload_to_tree
 from repro.storage.serializer import pack_tree_into, pack_tree_with_crc
@@ -155,7 +154,7 @@ class CompactionReport:
 
 
 class ChainCompactor:
-    """Background-capable compactor enforcing a :class:`RetentionPolicy`.
+    """Compactor enforcing a :class:`RetentionPolicy`.
 
     One-shot use (``store.compact(...)`` delegates here)::
 
@@ -165,26 +164,31 @@ class ChainCompactor:
 
         compactor.enforce()       # no-op while the chain is within budget
 
-    Background use::
-
-        compactor.start(interval_s=30.0); ...; compactor.stop()
-
     ``mode="rebase"`` needs ``model_factory``/``optimizer_factory`` —
     the drill-harness convention: ``model_factory()`` builds a blank
     model, ``optimizer_factory(model)`` binds a blank optimizer to it
     (their state is overwritten by the loaded full).  ``mode="auto"``
     picks rebase when factories are available, merge otherwise.
 
-    ``buffers`` may be an :class:`~repro.storage.async_engine.BufferPool`
-    (typically the async engine's) so merge-mode serialization reuses the
-    engine's pooled zero-copy buffers; ``engine`` wires both the pool and
-    a pre-compaction ``drain()`` so compaction never races in-flight
-    writes of the same chain.
+    ``engine`` wires a pre-compaction ``drain()``, so compaction never
+    races in-flight writes of the same chain, and lends the thread
+    executor's :class:`~repro.storage.async_engine.BufferPool` so
+    merge-mode serialization reuses its pooled zero-copy buffers.
+
+    ``store`` may be sharded.  The trigger then reads the **common**
+    chain and ``engine`` is the shard group, so a triggered pass drains
+    *all* shards before merging *every* part of each run — per-shard
+    independent triggers would diverge under async commit skew (shard A
+    commits record *k* before shard B, A compacts one record early, and
+    the merged ranges never line up again, truncating the readable chain
+    at the split).  After the group drain every shard holds the identical
+    record sequence, so each run merges identically on each and the
+    chains stay aligned.
     """
 
     def __init__(self, store: CheckpointStore, policy: RetentionPolicy,
                  *, model_factory=None, optimizer_factory=None,
-                 mode: str = "auto", engine=None, buffers=None):
+                 mode: str = "auto", engine=None):
         if mode not in ("auto", "merge", "rebase"):
             raise ValueError(f"unknown compaction mode: {mode!r}")
         if mode == "rebase" and (model_factory is None
@@ -199,11 +203,8 @@ class ChainCompactor:
         self.engine = engine
         # The thread engine's serialization pool; the process engine (and
         # no engine) has none, so merges pack into a fresh container.
-        self.buffers = buffers if buffers is not None \
-            else getattr(engine, "pool", None)
+        self.buffers = getattr(engine, "pool", None)
         self.reports: list[CompactionReport] = []
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
 
     # Mode selection --------------------------------------------------------
     def _resolved_mode(self) -> str:
@@ -264,29 +265,6 @@ class ChainCompactor:
         self.reports.append(report)
         return report
 
-    # Background thread -----------------------------------------------------
-    def start(self, interval_s: float = 30.0) -> "ChainCompactor":
-        """Run :meth:`enforce` every ``interval_s`` on a daemon thread."""
-        if self._thread is not None:
-            raise RuntimeError("compactor already started")
-        self._stop.clear()
-
-        def loop():
-            while not self._stop.wait(interval_s):
-                self.enforce()
-
-        self._thread = threading.Thread(target=loop, daemon=True,
-                                        name="chain-compactor")
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join()
-        self._thread = None
-
     # Merge mode ------------------------------------------------------------
     @staticmethod
     def merge_payloads_ordered(payloads: list):
@@ -304,14 +282,15 @@ class ChainCompactor:
             return SparseGradient.merge_ordered(payloads)
         return reduce(lambda a, b: a.add(b), payloads)
 
-    def _serialize_diff(self, start: int, end: int, count: int, payload):
+    def _serialize_diff(self, codec, start: int, end: int, count: int,
+                        payload):
         tree = CheckpointStore.diff_tree(start, end, count,
                                          payload_to_tree(payload))
         # pre_encoded=True: merged lossy payloads carry already-quantized
         # values; only the stateless byte stage reruns, so compaction never
         # adds a second quantization error on top of the original one.
-        tree, codec_id, raw_nbytes = self.store.encode_record_tree(
-            tree, "diff", pre_encoded=True)
+        tree, codec_id, raw_nbytes = encode_record_tree(
+            codec, tree, "diff", pre_encoded=True)
         if self.buffers is None:
             return pack_tree_with_crc(tree), None, None, codec_id, raw_nbytes
         buffer = self.buffers.acquire()
@@ -349,27 +328,39 @@ class ChainCompactor:
                 break  # unbounded policy: one consolidation pass is enough
         return report
 
-    def _merge_run(self, run: list[DiffCheckpointRecord]) -> bool:
-        """Merge one contiguous run into a super-diff record; False = skipped."""
-        store = self.store
+    def _merge_run(self, run: list) -> bool:
+        """Merge one contiguous run into a super-diff record, in every part
+        store behind it (the reader protocol's ``parts``); False = skipped.
+
+        Every part's merge is computed before any part is rewritten: a run
+        one shard cannot fold is left alone in all of them, so per-shard
+        chains never come apart."""
         with obs_span("compact.merge_run", "compaction",
                       {"start": run[0].start, "end": run[-1].end,
                        "records": len(run)}):
+            columns = list(zip(*(self.store.parts(view) for view in run)))
             try:
-                payloads = [store.load_diff(r) for r in run]
-                merged = self.merge_payloads_ordered(payloads)
+                merged = [
+                    self.merge_payloads_ordered(
+                        [sub.load_diff(record) for sub, record in column])
+                    for column in columns
+                ]
             except Exception:
                 return False  # unreadable or un-addable payloads: leave run
             count = sum(r.count for r in run)
-            (data, crc), view, buffer, codec_id, raw_nbytes = \
-                self._serialize_diff(run[0].start, run[-1].end, count, merged)
-            try:
-                store.replace_diff_run(run, data, crc, count=count,
-                                       codec=codec_id, raw_nbytes=raw_nbytes)
-            finally:
-                if view is not None:
-                    view.release()
-                    self.buffers.release(buffer)
+            for column, payload in zip(columns, merged):
+                sub = column[0][0]
+                (data, crc), view, buffer, codec_id, raw_nbytes = \
+                    self._serialize_diff(sub.codec, run[0].start, run[-1].end,
+                                         count, payload)
+                try:
+                    sub.replace_diff_run(
+                        [record for _, record in column], data, crc,
+                        count=count, codec=codec_id, raw_nbytes=raw_nbytes)
+                finally:
+                    if view is not None:
+                        view.release()
+                        self.buffers.release(buffer)
         return True
 
     # Rebase mode -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Multi-process persistence engine over a shared-memory ring buffer.
+"""Process executor of the persist-engine core, over a shared-memory ring.
 
 The paper's two-process design (§VI) decouples checkpointing from
 training with ``torch.multiprocessing``.  :class:`AsyncCheckpointEngine`
@@ -21,24 +21,19 @@ through a ``multiprocessing.shared_memory`` ring:
    arrays out), immediately releases the ring region, then runs the codec
    CPU, re-packs, and writes the blob **atomically** (tmp + rename) under
    its final key via its own backend handle.
-3. **Commit (parent collector thread)** — completions are reordered
-   through the same in-order turnstile as the thread engine and recorded
-   in the store manifest via ``register_*_blob``.  The blob-before-
-   manifest crash-ordering invariant holds across the process boundary.
+3. **Commit (parent collector thread)** — completions go through the
+   core's in-order turnstile and are recorded in the store manifest via
+   ``register_*_blob``.  The blob-before-manifest crash-ordering
+   invariant holds across the process boundary.
 
-Failure semantics mirror the thread engine: sticky fail-stop, bounded
-backpressure, typed :class:`DrainTimeout`.  A persist worker dying
-(SIGKILL, OOM) is detected by an ``is_alive()`` watchdog and surfaces as
-a typed :class:`WorkerCrashed` on the training thread — never a silent
-hang, and never a torn blob (the atomic rename means a killed worker
-leaves only ``.tmp`` debris that ``gc`` sweeps).
+Everything else is :class:`~repro.storage.persist_engine.PersistEngine`
+(ARCHITECTURE.md §2).  A persist worker dying (SIGKILL, OOM) is detected
+by an ``is_alive()`` watchdog and surfaces as a typed
+:class:`WorkerCrashed` on the training thread — never a silent hang, and
+never a torn blob (the atomic rename means a killed worker leaves only
+``.tmp`` debris that ``gc`` sweeps).
 
-Recovery reuses the same spawn machinery: :func:`recover_chain_segments`
-splits a diff chain at power-of-two boundaries, each worker process
-decodes and pairwise-merges its segment, and the parent finishes the
-merge.  Splitting at multiples of ``2**m`` makes the per-segment merge
-trees an exact subdivision of the global balanced pairwise tree, so the
-result is **bit-identical** to the threaded path.
+Recovery reuses the same spawn machinery (:func:`recover_chain_segments`).
 """
 
 from __future__ import annotations
@@ -51,23 +46,28 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from functools import partial
 
 from repro.obs import OBS, span as obs_span
 from repro.obs.flight import FLIGHT
 from repro.obs.telemetry import TelemetryChannel, WorkerTelemetry
-from repro.storage.async_engine import (
-    DrainTimeout,
-    PendingWrite,
-    WriteAborted,
-)
 from repro.storage.backends import backend_from_spec
-from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.checkpoint_store import (
+    CheckpointStore,
+    diff_key,
+    encode_record_tree,
+    full_key,
+)
 from repro.storage.payload_codec import (
-    logical_nbytes,
     make_codec,
     payload_to_tree,
     tree_to_payload,
+)
+from repro.storage.persist_engine import (
+    PendingWrite,
+    PersistEngine,
+    PersistTask,
+    WriteAborted,
 )
 from repro.storage.serializer import (
     pack_tree,
@@ -80,10 +80,6 @@ from repro.storage.serializer import (
 
 class WorkerCrashed(RuntimeError):
     """A persist-worker process died (killed/OOM) with work outstanding."""
-
-
-class SubmitTimeout(RuntimeError):
-    """A bounded submission wait expired before queue space appeared."""
 
 
 class ShmRing:
@@ -140,8 +136,8 @@ class ShmRing:
 
     def alloc(self, nbytes: int, abort_check=None) -> tuple[int, int]:
         """Block until ``nbytes`` contiguous bytes are free; return
-        ``(token, offset)``.  ``abort_check()`` may return an exception to
-        raise instead of waiting forever (engine failure, close)."""
+        ``(token, offset)``.  ``abort_check()`` may raise instead of
+        waiting forever (engine failure, close)."""
         if nbytes > self.capacity:
             raise ValueError(
                 f"record of {nbytes} bytes exceeds ring capacity "
@@ -154,9 +150,14 @@ class ShmRing:
                 started = time.perf_counter()
                 while offset is None:
                     if abort_check is not None:
-                        error = abort_check()
-                        if error is not None:
-                            raise error
+                        # Outside the ring lock: the check takes the engine
+                        # lock, which fail-over holds while it releases the
+                        # ring (``release_all``).
+                        self._cond.release()
+                        try:
+                            abort_check()
+                        finally:
+                            self._cond.acquire()
                     self._cond.wait(timeout=0.25)
                     offset = self._place_locked(nbytes)
                 waited = time.perf_counter() - started
@@ -220,22 +221,6 @@ class ShmRing:
                 "ring_stalls": self.stalls,
                 "ring_stall_time_s": self.stall_time_s,
             }
-
-
-def _worker_encode_tree(codec, tree: dict, kind: str, pre_encoded: bool):
-    """Store-less mirror of :meth:`CheckpointStore.encode_record_tree`.
-
-    Lossy pre-encoding is order-dependent, so the *parent* runs it on the
-    submitting thread (``pre_encoded=True`` arrives in the task meta);
-    workers only ever run the stateless byte/entropy stage.
-    """
-    if codec is None:
-        return tree, "", 0
-    raw_nbytes = logical_nbytes(tree)
-    if kind == "diff" and codec.lossy and not pre_encoded:
-        tree = dict(tree)
-        tree["payload"] = codec.pre_encode_diff_tree(tree["payload"])
-    return codec.encode_tree(tree), codec.codec_id, raw_nbytes
 
 
 def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
@@ -302,18 +287,18 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
                 stage_t0 = time.perf_counter() if obs_on else 0.0
                 with obs_span("worker_encode", "ckpt",
                               {"seq": seq, "kind": kind}):
-                    tree, codec_id_used, raw_nbytes = _worker_encode_tree(
+                    # Lossy pre-encoding is order-dependent, so the parent
+                    # ran it at submit (``pre_encoded`` in the meta);
+                    # workers only run the stateless byte/entropy stage.
+                    tree, codec_id_used, raw_nbytes = encode_record_tree(
                         codec, tree, kind, bool(meta.get("pre_encoded")))
                 stage_t1 = time.perf_counter() if obs_on else 0.0
                 with obs_span("worker_pack", "ckpt", {"seq": seq}):
                     view, crc = pack_tree_into(tree, buffer)
                 stage_t2 = time.perf_counter() if obs_on else 0.0
                 try:
-                    if kind == "full":
-                        key = f"full/{meta['step']:010d}.ckpt"
-                    else:
-                        key = f"diff/{meta['start']:010d}_" \
-                              f"{meta['end']:010d}.ckpt"
+                    key = full_key(meta["step"]) if kind == "full" \
+                        else diff_key(meta["start"], meta["end"])
                     with obs_span("worker_write", "ckpt",
                                   {"seq": seq, "key": key}):
                         backend.write(key, view)
@@ -361,24 +346,17 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
                 pass
 
 
-@dataclass
-class _MpTask:
-    seq: int
-    kind: str               # "full" | "diff"
-    meta: dict = field(default_factory=dict)
-    pending: PendingWrite | None = None
-    submitted_at: float = 0.0   # parent perf_counter at submission
-
-
-class MultiprocessCheckpointEngine:
+class MultiprocessCheckpointEngine(PersistEngine):
     """Persist-worker process pool in front of a :class:`CheckpointStore`.
 
-    API-compatible with :class:`AsyncCheckpointEngine` — ``save_full`` /
-    ``save_diff`` return :class:`PendingWrite`, commits happen in
-    submission order, backpressure bounds outstanding records, failures
-    are sticky, ``drain``/``finalize``/``abort`` behave identically — but
-    serialization, codec CPU, and backend writes run in spawned worker
-    processes, outside the training interpreter's GIL.
+    The :class:`~repro.storage.persist_engine.PersistEngine` contract with
+    serialization, codec CPU, and backend writes in spawned worker
+    processes, outside the training interpreter's GIL.  Every submitted
+    record is already in the workers' queue, so a drain deadline has
+    nothing to take back (``DrainTimeout.dropped == 0``); ``finalize`` on
+    an expired deadline and ``abort`` tear the pool down *forcibly*
+    (workers terminated, stuck records resolved as aborted, shared memory
+    unlinked) — a stuck backend never leaks a shared-memory segment.
 
     Parameters
     ----------
@@ -389,9 +367,6 @@ class MultiprocessCheckpointEngine:
         use the thread engine for those.
     num_workers:
         Spawned persist-worker processes.
-    queue_depth:
-        Maximum outstanding (uncommitted) records before submission
-        blocks — the backpressure bound.
     ring_bytes:
         Shared-memory ring capacity.  Must hold at least one packed
         record; sizes it bounds form the second (memory) backpressure.
@@ -401,28 +376,29 @@ class MultiprocessCheckpointEngine:
     worker_nice:
         ``os.nice`` increment applied inside each worker so persist CPU
         yields to the training process on saturated hosts.
-    submit_timeout_s:
-        Optional bound on the backpressure wait; expiry raises the typed
-        :class:`SubmitTimeout` instead of blocking forever (the
-        mp-transport sink's watchdog path).
     telemetry:
         ``None`` (default) creates the cross-process telemetry channel
-        exactly when observability is enabled at construction.  ``True``
-        / ``False`` force it on or off — ``False`` lets the overhead
-        benchmark run a channel-less engine under an open capture to
-        isolate the channel's own cost.
+        exactly when observability is enabled at construction: workers
+        spawned without a spec keep OBS disabled for their whole life
+        (the zero-cost contract).  ``True`` / ``False`` force it on or
+        off — ``False`` lets the overhead benchmark run a channel-less
+        engine under an open capture to isolate the channel's own cost.
     """
+
+    family = "ckpt.mp"
+    label = "multi-process"
+    commit_span = "mp_commit"
+    failure_event = "mp-commit-failed"
+    drain_timeout_event = "mp-drain-timeout"
+    typed_failures = (WorkerCrashed,)
 
     def __init__(self, store: CheckpointStore, num_workers: int = 2,
                  queue_depth: int = 8, ring_bytes: int = 64 << 20,
                  start_method: str = "spawn", worker_nice: int = 10,
-                 submit_timeout_s: float | None = None,
                  ready_timeout_s: float = 120.0,
                  telemetry: bool | None = None):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if queue_depth < 1:
-            raise ValueError(f"queue_depth must be >= 1, got {queue_depth}")
         if start_method == "fork":
             raise ValueError(
                 "fork start method is unsafe here: the parent runs collector "
@@ -433,13 +409,10 @@ class MultiprocessCheckpointEngine:
             raise ValueError(
                 f"{type(store.backend).__name__} cannot be re-opened from a "
                 "worker process; use AsyncCheckpointEngine for this backend")
-        self.store = store
+        super().__init__(store, queue_depth)
         self.num_workers = int(num_workers)
-        self.num_writers = self.num_workers  # thread-engine stats() parity
-        self.queue_depth = int(queue_depth)
         self.start_method = start_method
         self.worker_nice = int(worker_nice)
-        self.submit_timeout_s = submit_timeout_s
         self.ring = ShmRing(int(ring_bytes))
 
         codec = store.codec
@@ -447,41 +420,16 @@ class MultiprocessCheckpointEngine:
             codec.codec_id, getattr(codec, "error_bound", None))
 
         ctx = multiprocessing.get_context(start_method)
-        # The telemetry channel exists only when the capture is already
-        # open at construction: workers spawned without a spec keep OBS
-        # disabled for their whole life (the zero-cost contract).  The
-        # explicit ``telemetry`` knob overrides the auto-detect — e.g. the
-        # overhead benchmark runs a channel-off engine under an open
-        # capture to isolate the channel's own cost.
         if telemetry is None:
             telemetry = OBS.enabled
         self.telemetry = TelemetryChannel(ctx=ctx) if telemetry else None
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
-        self._lock = threading.Lock()
-        self._space = threading.Condition(self._lock)
-        self._drained = threading.Condition(self._lock)
-        self._commit_mutex = threading.Lock()
-        self._pending: dict[int, _MpTask] = {}
         self._tokens: dict[int, int] = {}      # seq -> ring token
-        self._commit_buffer: dict[int, tuple] = {}
-        self._next_seq = 0
-        self._next_commit = 0
-        self._outstanding = 0
-        self._closed = False
+        self._stopping = False          # stop sentinels posted to workers
         self._shutdown_started = False
-        self._failure: BaseException | None = None
-        self._failure_seq: int | None = None
-        self._failure_kind: str | None = None
-        # Telemetry ----------------------------------------------------------
-        self.submitted = 0
-        self.committed = 0
-        self.aborted_writes = 0
-        self.backpressure_stalls = 0
-        self.backpressure_time_s = 0.0
-        self.high_watermark = 0
+        self._ready_workers = 0
         self.pack_time_s = 0.0
-        self.commit_time_s = 0.0
         self.worker_busy_s = 0.0
         self._failure_dump: str | None = None
 
@@ -499,157 +447,54 @@ class MultiprocessCheckpointEngine:
                         name=f"ckpt-persist-{index}", daemon=True)
             for index in range(self.num_workers)
         ]
-        try:
-            for worker in self._workers:
-                worker.start()
-            self._await_ready(ready_timeout_s)
-        except BaseException:
-            self._emergency_cleanup()
-            raise
-        self._stop_event = threading.Event()
         self._collector = threading.Thread(target=self._collect_loop,
                                            name="ckpt-mp-collector",
                                            daemon=True)
-        self._collector.start()
+        try:
+            for worker in self._workers:
+                worker.start()
+            self._collector.start()
+            self._await_ready(ready_timeout_s)
+        except BaseException:
+            self._shutdown(force=True)
+            raise
 
-    # Startup / teardown helpers -------------------------------------------
     def _await_ready(self, timeout: float) -> None:
-        """Block until every worker reports ready (imports + warm done).
+        """Block until every worker has checked in (imports + warm done);
+        a start-up death is the watchdog's usual typed fail-stop.
 
         Pre-warming keeps the interpreter-boot and numpy-import cost of a
         spawned child out of the training loop — without it, the first
         submissions contend with worker start-up for CPU and the process
         engine *loses* to the thread engine on short windows.
         """
-        deadline = time.monotonic() + timeout
-        ready: set[int] = set()
-        while len(ready) < self.num_workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        with self._lock:
+            ready = self._drained.wait_for(
+                lambda: self._ready_workers == self.num_workers
+                or self._failure is not None, timeout)
+            self._raise_if_failed_locked()
+            if not ready:
                 raise RuntimeError(
                     f"persist workers not ready after {timeout}s "
-                    f"({len(ready)}/{self.num_workers})")
-            try:
-                message = self._result_queue.get(timeout=min(remaining, 0.5))
-            except queue_module.Empty:
-                dead = [i for i, w in enumerate(self._workers)
-                        if not w.is_alive()]
-                if dead:
-                    raise WorkerCrashed(
-                        f"persist worker(s) {dead} died during start-up")
-                continue
-            if message[0] == "ready":
-                ready.add(message[1])
-            elif message[0] == "fatal":
-                raise WorkerCrashed(
-                    f"persist worker {message[1]} failed during start-up: "
-                    f"{message[2]}")
-
-    def _emergency_cleanup(self) -> None:
-        started = [w for w in self._workers if w._popen is not None]
-        for worker in started:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in started:
-            worker.join(timeout=5.0)
-        for q in (self._task_queue, self._result_queue):
-            q.cancel_join_thread()
-            q.close()
-        if self.telemetry is not None:
-            self.telemetry.close()
-        self.ring.destroy()
+                    f"({self._ready_workers}/{self.num_workers})")
 
     # Submission (training thread) ------------------------------------------
-    def save_full(self, step: int, model_state: dict, optimizer_state: dict,
-                  extra: dict | None = None) -> PendingWrite:
-        """Pack a full snapshot into the shared ring and queue it.
+    def _abort_check(self) -> None:
+        with self._lock:
+            self._raise_if_failed_locked()
+            if self._stopping:
+                raise WriteAborted("engine shut down during ring wait")
+
+    def _submit(self, task: PersistTask) -> PendingWrite:
+        """Pack the record into the shared ring and queue its descriptor.
 
         The pack *is* the snapshot copy — arrays are memcpy'd once into
         shared memory, so no stager slot and no pickle round-trip.
         """
-        tree = CheckpointStore.full_tree(step, model_state, optimizer_state,
-                                         extra)
-        return self._submit("full", tree, {"step": int(step)})
-
-    def save_diff(self, start: int, end: int, payload,
-                  count: int | None = None) -> PendingWrite:
-        """Queue a differential record.
-
-        A lossy store codec's stateful quantization runs *here*, on the
-        submitting thread (error feedback is chain-order-dependent;
-        workers complete in nondeterministic order) — exactly like the
-        thread engine.  The heavyweight stateless byte/entropy stage runs
-        in the worker process.
-        """
-        meta = {
-            "start": int(start), "end": int(end),
-            "count": int(count if count is not None else end - start + 1),
-        }
-        payload_tree = payload_to_tree(payload)
-        codec = self.store.codec
-        if codec is not None and codec.lossy:
-            payload_tree = codec.pre_encode_diff_tree(payload_tree)
-            meta["pre_encoded"] = True
-        tree = CheckpointStore.diff_tree(meta["start"], meta["end"],
-                                         meta["count"], payload_tree)
-        return self._submit("diff", tree, meta)
-
-    def _abort_check(self) -> BaseException | None:
-        with self._lock:
-            if self._failure is not None:
-                return RuntimeError(
-                    f"multi-process persistence engine failed: {self._failure}"
-                )
-            if self._shutdown_started:
-                return WriteAborted("engine shut down during ring wait")
-        return None
-
-    def _submit(self, kind: str, tree: dict, meta: dict) -> PendingWrite:
-        with self._lock:
-            self._raise_if_failed_locked()
-            if self._closed:
-                raise RuntimeError("submit on finalized persistence engine")
-            if self._outstanding >= self.queue_depth:
-                self.backpressure_stalls += 1
-                started = time.perf_counter()
-                deadline = None if self.submit_timeout_s is None \
-                    else started + float(self.submit_timeout_s)
-                while self._outstanding >= self.queue_depth \
-                        and self._failure is None and not self._closed:
-                    if deadline is not None \
-                            and time.perf_counter() >= deadline:
-                        self.backpressure_time_s += \
-                            time.perf_counter() - started
-                        raise SubmitTimeout(
-                            f"no queue space after {self.submit_timeout_s}s "
-                            f"({self._outstanding} outstanding, depth "
-                            f"{self.queue_depth}) — workers stuck or dead?")
-                    self._space.wait(timeout=0.25)
-                waited = time.perf_counter() - started
-                self.backpressure_time_s += waited
-                if OBS.enabled:
-                    OBS.registry.counter("ckpt.mp.backpressure_stalls").inc()
-                    OBS.registry.observe("ckpt.mp.backpressure_wait.s",
-                                         waited)
-                self._raise_if_failed_locked()
-                if self._closed:
-                    raise RuntimeError(
-                        "submit on finalized persistence engine")
-            seq = self._next_seq
-            self._next_seq += 1
-            pending = PendingWrite(kind, seq)
-            self._pending[seq] = _MpTask(seq=seq, kind=kind, meta=dict(meta),
-                                         pending=pending,
-                                         submitted_at=time.perf_counter())
-            self._outstanding += 1
-            self.submitted += 1
-            self.high_watermark = max(self.high_watermark, self._outstanding)
-            if OBS.enabled:
-                OBS.registry.counter("ckpt.mp.submitted").inc()
-                OBS.registry.set("ckpt.mp.queue_depth", self._outstanding)
-                OBS.registry.set("ckpt.mp.queue_high_watermark",
-                                 self.high_watermark)
-                OBS.tracer.counter("ckpt.mp.queue_depth", self._outstanding)
+        tree = task.record_tree()
+        task.item = None  # the ring holds the only copy the engine needs
+        pending = self._admit(task)
+        seq, kind = task.seq, task.kind
         FLIGHT.record("ckpt", "submit", seq=seq, record_kind=kind)
         try:
             nbytes = serialized_size(tree)
@@ -664,24 +509,28 @@ class MultiprocessCheckpointEngine:
                         pack_tree_into_view(tree, region)
                     finally:
                         region.release()
+                    elapsed = time.perf_counter() - started
+                    with self._lock:
+                        # Under the lock that posts the stop sentinels: the
+                        # task lands ahead of them or not at all.
+                        if self._stopping:
+                            raise WriteAborted(
+                                "engine shut down during submit")
+                        self.pack_time_s += elapsed
+                        self._tokens[seq] = token
+                        self._task_queue.put(("task", seq, kind, offset,
+                                              nbytes, dict(task.meta)))
                 except BaseException:
                     self.ring.free(token)
                     raise
-            elapsed = time.perf_counter() - started
-            self.pack_time_s += elapsed
             if OBS.enabled:
                 OBS.registry.observe("ckpt.mp.pack.s", elapsed)
-            with self._lock:
-                self._tokens[seq] = token
-            self._task_queue.put(("task", seq, kind, offset, nbytes,
-                                  dict(meta)))
         except BaseException as error:
-            with self._lock:
-                if not pending.done:
-                    pending._resolve(error=error)
-                self.aborted_writes += 1
-                self._commit_buffer[seq] = ("aborted", error)
-            self._process_commits()
+            # Failed on this thread before any worker saw it: the record
+            # takes its turn as an abort (no fail-stop — the engine is not
+            # poisoned) and the caller gets the original error.
+            self._complete(seq, WriteAborted(
+                f"{kind} write seq {seq} failed at submit: {error!r}"))
             raise
         return pending
 
@@ -689,70 +538,67 @@ class MultiprocessCheckpointEngine:
     def _collect_loop(self) -> None:
         while True:
             try:
+                # The timeout is the watchdog tick; shutdown does not wait
+                # for it — it posts a "stop" message.
                 message = self._result_queue.get(timeout=0.2)
             except (queue_module.Empty, OSError, EOFError):
                 if self.telemetry is not None:
                     self.telemetry.drain()
-                if self._stop_event.is_set():
+                if self._shutdown_started:
                     return
                 self._check_worker_health()
                 continue
             if self.telemetry is not None:
                 self.telemetry.drain()
             tag = message[0]
-            if tag == "freed":
-                token = None
+            if tag == "stop":
+                return
+            if tag == "ready":
+                with self._lock:
+                    self._ready_workers += 1
+                    self._drained.notify_all()
+            elif tag == "freed":
                 with self._lock:
                     token = self._tokens.pop(message[1], None)
                 if token is not None:
                     self.ring.free(token)
             elif tag == "done":
+                seq, info = message[1], message[2]
                 with self._lock:
-                    if message[1] >= self._next_commit:
-                        self._commit_buffer[message[1]] = ("done", message[2])
-                self._process_commits()
+                    task = self._tasks.get(seq)
+                if task is not None:
+                    self.worker_busy_s += info.get("busy_s", 0.0)
+                    self._complete(seq, partial(self._register, task, info))
             elif tag == "error":
-                with self._lock:
-                    if message[1] >= self._next_commit:
-                        self._commit_buffer[message[1]] = \
-                            ("error", message[2])
-                self._process_commits()
+                self._complete(message[1], RuntimeError(
+                    f"persist worker failed on seq {message[1]}: "
+                    f"{message[2]}"))
             elif tag == "fatal":
                 with self._lock:
                     self._fail_all_locked(WorkerCrashed(
                         f"persist worker {message[1]} broke: {message[2]}"))
-            if self._stop_event.is_set():
-                with self._lock:
-                    idle = self._outstanding == 0
-                if idle:
-                    return
 
     def _check_worker_health(self) -> None:
         """The ``is_alive()`` watchdog: a dead worker with work in flight
         becomes a typed :class:`WorkerCrashed` instead of a silent hang."""
-        if self._shutdown_started:
-            return
-        dead = [(index, worker.exitcode)
-                for index, worker in enumerate(self._workers)
-                if not worker.is_alive()]
-        if not dead:
-            return
         with self._lock:
-            if self._failure is not None:
+            if self._shutdown_started or self._failure is not None:
+                return
+            # Once the stop sentinels are out, a clean exit is a worker
+            # doing as told, not a casualty.
+            dead = [(index, worker.exitcode)
+                    for index, worker in enumerate(self._workers)
+                    if not worker.is_alive()
+                    and not (self._stopping and worker.exitcode == 0)]
+            if not dead:
                 return
             detail = ", ".join(f"worker {i} exitcode {code}"
                                for i, code in dead)
-            error = WorkerCrashed(
+            self._fail_all_locked(WorkerCrashed(
                 f"persist worker process(es) died: {detail}; outstanding "
-                f"records cannot complete")
-            if self._outstanding > 0:
-                self._fail_all_locked(error)
-            else:
-                self._failure = error
-                self._failure_kind = "worker"
-                self._dump_flight_locked(error)
+                f"records cannot complete"))
 
-    def _dump_flight_locked(self, error: BaseException) -> None:
+    def _on_failure_locked(self, error: BaseException) -> None:
         """Write the flight-recorder post-mortem for a latched failure.
 
         One dump per engine failure (the latch is sticky, so so is the
@@ -761,8 +607,6 @@ class MultiprocessCheckpointEngine:
         operator can find the victim's last recorded actions — including
         a SIGKILLed worker's, which could never dump its own.
         """
-        if self._failure_dump is not None:
-            return
         FLIGHT.record("ckpt", "fail-stop", error=repr(error))
         try:
             self._failure_dump = FLIGHT.dump(
@@ -771,32 +615,22 @@ class MultiprocessCheckpointEngine:
                        "submitted": self.submitted,
                        "committed": self.committed})
         except OSError:  # pragma: no cover - dump dir unwritable
-            self._failure_dump = None
+            return
+        self._failure_note = \
+            f" [flight recorder post-mortem: {self._failure_dump}]"
 
     def _fail_all_locked(self, error: BaseException) -> None:
         """Fail-stop after a worker crash: every unresolved record resolves
         with the typed error, the ring is released, waiters wake."""
-        if self._failure is None:
-            self._failure = error
-            self._failure_kind = "worker"
-        self._dump_flight_locked(error)
-        for task in self._pending.values():
-            if not task.pending.done:
-                task.pending._resolve(error=error)
-        self._pending.clear()
-        self._commit_buffer.clear()
-        self._tokens.clear()
-        self._outstanding = 0
-        self._next_commit = self._next_seq
-        self.ring.release_all()
-        if OBS.enabled:
-            OBS.registry.counter("ckpt.mp.failures").inc()
-            OBS.tracer.instant("mp-worker-crash", "ckpt",
-                               {"error": str(error)})
-        self._space.notify_all()
-        self._drained.notify_all()
+        self._latch_locked(error, kind="worker", event="mp-worker-crash")
+        self._release_all_locked(error)
 
-    def _register(self, task: _MpTask, info: dict):
+    def _release_all_locked(self, error: BaseException) -> None:
+        self._resolve_all_locked(error)
+        self._tokens.clear()
+        self.ring.release_all()
+
+    def _register(self, task: PersistTask, info: dict):
         meta = task.meta
         if task.kind == "full":
             return self.store.register_full_blob(
@@ -806,191 +640,43 @@ class MultiprocessCheckpointEngine:
             meta["start"], meta["end"], meta["count"], info["nbytes"],
             info["crc"], codec=info["codec"], raw_nbytes=info["raw_nbytes"])
 
-    def _process_commits(self) -> None:
-        """Advance the in-order commit turnstile as far as possible.
-
-        Single-flight (``_commit_mutex``): called from the collector on
-        every completion and from a submit thread after a local abort.
-        Manifest registration runs outside the engine lock so submissions
-        keep flowing while the manifest write lands.
-        """
-        with self._commit_mutex:
-            while True:
-                with self._lock:
-                    entry = self._commit_buffer.pop(self._next_commit, None)
-                    if entry is None:
-                        return
-                    seq = self._next_commit
-                    task = self._pending.get(seq)
-                record = None
-                error: BaseException | None = None
-                tag = entry[0]
-                if tag == "done" and task is not None:
-                    started = time.perf_counter()
-                    try:
-                        with obs_span("mp_commit", "ckpt",
-                                      {"seq": seq, "kind": task.kind}):
-                            record = self._register(task, entry[1])
-                    except Exception as register_error:
-                        error = register_error
-                    elapsed = time.perf_counter() - started
-                    self.commit_time_s += elapsed
-                    self.worker_busy_s += entry[1].get("busy_s", 0.0)
-                    if OBS.enabled:
-                        OBS.registry.observe("ckpt.mp.commit.s", elapsed)
-                        # Submit-to-commit turnaround as the parent sees
-                        # it (includes queueing).  True worker busy time
-                        # is worker-measured: ``ckpt.mp.worker.busy.s``
-                        # arrives via the telemetry channel.
-                        if task.submitted_at:
-                            OBS.registry.observe(
-                                "ckpt.mp.turnaround.s",
-                                time.perf_counter() - task.submitted_at)
-                elif tag == "error":
-                    error = RuntimeError(
-                        f"persist worker failed on seq {seq}: {entry[1]}")
-                elif tag == "aborted":
-                    error = entry[1]
-                with self._lock:
-                    task = self._pending.pop(seq, None)
-                    if task is not None and not task.pending.done:
-                        task.pending._resolve(record=record, error=error)
-                    if error is not None and tag != "aborted" \
-                            and self._failure is None:
-                        self._failure = error
-                        self._failure_seq = seq
-                        self._failure_kind = task.kind if task else None
-                        self._dump_flight_locked(error)
-                        if OBS.enabled:
-                            OBS.registry.counter("ckpt.mp.failures").inc()
-                            OBS.tracer.instant(
-                                "mp-commit-failed", "ckpt",
-                                {"seq": seq, "error": repr(error)})
-                    if record is not None:
-                        self.committed += 1
-                        if OBS.enabled:
-                            OBS.registry.counter("ckpt.mp.committed").inc()
-                    self._next_commit = seq + 1
-                    self._outstanding -= 1
-                    if OBS.enabled:
-                        OBS.registry.set("ckpt.mp.queue_depth",
-                                         self._outstanding)
-                    self._space.notify_all()
-                    if self._outstanding == 0:
-                        self._drained.notify_all()
-
     # Lifecycle ---------------------------------------------------------------
-    def _await_drained_locked(self, timeout: float | None,
-                              what: str) -> None:
-        """Wait (bounded) for outstanding == 0.  Unlike the thread engine
-        there is no parent-side queue of unstarted tasks to drop — every
-        submitted record is already in the workers' queue — so expiry
-        raises :class:`DrainTimeout` with ``dropped=0`` and in-flight
-        records may still land later (ignored once resolved)."""
-        if timeout is None:
-            while self._outstanding:
-                self._drained.wait(timeout=0.5)
-            return
-        deadline = time.monotonic() + max(0.0, float(timeout))
-        while self._outstanding:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0 or not self._drained.wait(
-                    timeout=min(remaining, 0.5)):
-                if not self._outstanding:
-                    return
-                if time.monotonic() < deadline:
-                    continue
-                stuck = self._outstanding
-                if OBS.enabled:
-                    OBS.registry.counter("ckpt.mp.drain_timeouts").inc()
-                    OBS.tracer.instant("mp-drain-timeout", "ckpt",
-                                       {"what": what, "outstanding": stuck})
-                raise DrainTimeout(
-                    f"{what} deadline ({timeout}s) expired: {stuck} "
-                    f"record(s) still in flight in the worker pool",
-                    outstanding=stuck, dropped=0,
-                )
+    def _on_close_locked(self) -> None:
+        """No record can follow, so the stop sentinels go out now: workers
+        finish what is queued ahead of them and exit while the parent is
+        still draining (and, in a shard group, while its siblings are)."""
+        if not self._stopping:
+            self._stopping = True
+            for _ in self._workers:
+                self._task_queue.put(None)
 
-    def drain(self, timeout: float | None = None) -> None:
-        """Block until every submitted record has committed."""
-        with self._lock:
-            self._await_drained_locked(timeout, "drain")
-        self.raise_if_failed()
-
-    def finalize(self, timeout: float | None = None) -> None:
-        """Drain, stop the worker pool, release the shared segment.
-
-        On a bounded drain's expiry the pool is torn down *forcibly*
-        (workers terminated, stuck records resolved as aborted, shared
-        memory unlinked) and :class:`DrainTimeout` propagates — a stuck
-        backend never leaks a shared-memory segment.
-        """
-        timeout_error: DrainTimeout | None = None
-        with self._lock:
-            self._closed = True
-            try:
-                self._await_drained_locked(timeout, "finalize")
-            except DrainTimeout as caught:
-                timeout_error = caught
-        self._shutdown(force=timeout_error is not None)
-        if timeout_error is not None:
-            raise timeout_error
-        self.raise_if_failed()
-
-    def abort(self) -> None:
-        """Stop without draining: unresolved writes resolve with
-        :class:`WriteAborted`, workers are terminated, the segment is
-        unlinked.  Errors are not re-raised — the dying-process path."""
-        with self._lock:
-            self._closed = True
-            error = WriteAborted("persistence engine aborted")
-            for task in self._pending.values():
-                if not task.pending.done:
-                    self.aborted_writes += 1
-                    task.pending._resolve(error=error)
-            self._pending.clear()
-            self._commit_buffer.clear()
-            self._tokens.clear()
-            self._outstanding = 0
-            self._next_commit = self._next_seq
-            self.ring.release_all()
-            self._space.notify_all()
-            self._drained.notify_all()
-        self._shutdown(force=True)
+    def _abandon_locked(self) -> None:
+        self._release_all_locked(WriteAborted("persistence engine aborted"))
 
     def _shutdown(self, force: bool) -> None:
         with self._lock:
             if self._shutdown_started:
                 return
             self._shutdown_started = True
+        # A constructor that failed part-way shuts down what did start.
+        workers = [w for w in self._workers if w._popen is not None]
         if not force:
-            for _ in self._workers:
-                self._task_queue.put(None)
-            for worker in self._workers:
+            for worker in workers:
                 worker.join(timeout=10.0)
-        for worker in self._workers:
+        for worker in workers:
             if worker.is_alive():
                 worker.terminate()
-        for worker in self._workers:
+        for worker in workers:
             worker.join(timeout=5.0)
-        self._stop_event.set()
         with self._lock:
             # Anything still unresolved after a forced stop can never
             # complete; resolve it so waiters do not hang.
-            if self._pending:
-                error = WriteAborted("engine shut down with work in flight")
-                for task in self._pending.values():
-                    if not task.pending.done:
-                        self.aborted_writes += 1
-                        task.pending._resolve(error=error)
-                self._pending.clear()
-                self._commit_buffer.clear()
-                self._tokens.clear()
-                self._outstanding = 0
-                self._next_commit = self._next_seq
-                self._drained.notify_all()
-                self._space.notify_all()
-        self._collector.join(timeout=10.0)
+            self._release_all_locked(
+                WriteAborted("engine shut down with work in flight"))
+        if self._collector.is_alive():
+            # Wake the collector now, not at its next watchdog tick.
+            self._result_queue.put(("stop",))
+            self._collector.join(timeout=10.0)
         if self.telemetry is not None:
             # Final drain: ship whatever the workers flushed between the
             # collector's last tick and their exit, then drop the queue.
@@ -1001,67 +687,18 @@ class MultiprocessCheckpointEngine:
             q.close()
         self.ring.destroy()
 
-    def raise_if_failed(self) -> None:
-        """Re-raise an engine failure on the calling (training) thread.
-
-        A dead worker raises the typed :class:`WorkerCrashed`; commit and
-        worker-task failures re-raise as ``RuntimeError`` with the
-        original as ``__cause__`` — same contract as the thread engine.
-        """
-        with self._lock:
-            self._raise_if_failed_locked()
-
-    def _raise_if_failed_locked(self) -> None:
-        if self._failure is None:
-            return
-        post_mortem = "" if self._failure_dump is None \
-            else f" [flight recorder post-mortem: {self._failure_dump}]"
-        if isinstance(self._failure, WorkerCrashed):
-            raise WorkerCrashed(
-                f"{self._failure}{post_mortem}") from self._failure
-        raise RuntimeError(
-            f"multi-process persistence engine failed: "
-            f"{self._failure_kind} record seq {self._failure_seq} raised "
-            f"{type(self._failure).__name__}: {self._failure}{post_mortem}"
-        ) from self._failure
-
-    @property
-    def outstanding(self) -> int:
-        with self._lock:
-            return self._outstanding
-
-    def would_block(self) -> bool:
-        """True if a submission right now would hit backpressure."""
-        with self._lock:
-            return self._outstanding >= self.queue_depth
-
     def workers_alive(self) -> int:
         return sum(1 for worker in self._workers if worker.is_alive())
 
     # Telemetry -----------------------------------------------------------------
     def stats(self) -> dict:
+        out = super().stats()
         with self._lock:
-            out = {
-                "num_workers": self.num_workers,
-                "queue_depth": self.queue_depth,
-                "submitted": self.submitted,
-                "committed": self.committed,
-                "aborted_writes": self.aborted_writes,
-                "outstanding": self._outstanding,
-                "high_watermark": self.high_watermark,
-                "backpressure_stalls": self.backpressure_stalls,
-                "backpressure_time_s": self.backpressure_time_s,
-                "pack_time_s": self.pack_time_s,
-                "commit_time_s": self.commit_time_s,
-                "worker_busy_s": self.worker_busy_s,
-                "workers_alive": self.workers_alive(),
-                "flight_dump": self._failure_dump,
-                "failure": None if self._failure is None else {
-                    "seq": self._failure_seq,
-                    "kind": self._failure_kind,
-                    "error": repr(self._failure),
-                },
-            }
+            out.update(num_workers=self.num_workers,
+                       pack_time_s=self.pack_time_s,
+                       worker_busy_s=self.worker_busy_s,
+                       workers_alive=self.workers_alive(),
+                       flight_dump=self._failure_dump)
         out.update(self.ring.stats())
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry.stats()

@@ -38,9 +38,12 @@ manifest**:
   world size, so restore is just recovery plus re-partitioning ownership
   over the stable index space (the ZeRO trainer re-derives ownership
   from its own active ranks).
-* :class:`ShardedPersistGroup` / :class:`ShardedChainCompactor` — the
-  async/multiprocess persistence engines and the retention compactor,
-  fanned out per shard.
+* **The writer protocol**, its mirror image — ``part_stores`` /
+  ``split_full`` / ``split_payload`` cut one record into its ``S``
+  per-shard parts in exactly one place, so the synchronous save path,
+  :class:`ShardedPersistGroup` (one persist engine per part) and the
+  compactor (:class:`~repro.storage.compaction.ChainCompactor` merges
+  every part of a run) never slice on their own.
 """
 
 from __future__ import annotations
@@ -56,12 +59,15 @@ import numpy as np
 
 from repro.compression.sparse import INDEX_DTYPE, VALUE_DTYPE, SparseGradient
 from repro.obs import OBS, span as obs_span
+from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.backends import PrefixBackend, StorageBackend
 from repro.storage.checkpoint_store import (
     CheckpointStore,
     DiffCheckpointRecord,
     FullCheckpointRecord,
 )
+from repro.storage.mp_engine import MultiprocessCheckpointEngine
+from repro.storage.persist_engine import deadline_clock
 
 #: Root manifest: static layout only (shard count + tensor shapes), written
 #: once when the layout is first established.  Deliberately *not* a commit
@@ -396,60 +402,69 @@ class ShardedCheckpointStore:
     def codec(self):
         return self.shard_stores[0].codec
 
-    # Saving -----------------------------------------------------------------
-    def save_full(self, step: int, model_state: dict, optimizer_state: dict,
-                  extra: dict | None = None) -> ShardedFullView:
+    # Saving (the writer protocol) -------------------------------------------
+    @property
+    def part_stores(self) -> list[CheckpointStore]:
+        return self.shard_stores
+
+    def split_full(self, model_state: dict, optimizer_state: dict,
+                   extra: dict | None = None) -> list[tuple]:
+        """Per-shard ``(model, optimizer, extra)`` of one full checkpoint
+        (views, not copies; ``extra`` rides with shard 0 only)."""
         layout = self.ensure_layout(
             {name: np.asarray(v).shape for name, v in model_state.items()})
-        persist_t0 = time.perf_counter()
-        with obs_span("persist_full_sharded", "ckpt",
-                      {"step": step, "shards": self.shards}):
-            def persist(shard: int) -> FullCheckpointRecord:
-                shard_model, shard_opt = layout.slice_full(
-                    model_state, optimizer_state, shard)
-                return self.shard_stores[shard].save_full(
-                    step, shard_model, shard_opt,
-                    extra if shard == 0 else None)
+        return [
+            (*layout.slice_full(model_state, optimizer_state, shard),
+             extra if shard == 0 else None)
+            for shard in range(self.shards)
+        ]
 
-            records = self._map_shards(persist)
-        view = ShardedFullView(step=int(step), records=tuple(records))
-        self._count_shard_persist("full", view.nbytes,
-                                  time.perf_counter() - persist_t0)
-        return view
-
-    def save_diff(self, start: int, end: int, payload,
-                  count: int | None = None) -> ShardedDiffView:
+    def split_payload(self, payload) -> list[SparseGradient]:
+        """Per-shard restrictions of one sparse differential payload."""
         if not isinstance(payload, SparseGradient):
             raise TypeError(
                 "sharded stores persist sparse differential payloads only "
                 f"(got {type(payload).__name__}); dense/state-delta series "
                 "need the unsharded store")
         layout = self.ensure_layout(payload.shapes)
+        return [layout.slice_payload(payload, shard)
+                for shard in range(self.shards)]
+
+    def save_full(self, step: int, model_state: dict, optimizer_state: dict,
+                  extra: dict | None = None) -> ShardedFullView:
+        parts = self.split_full(model_state, optimizer_state, extra)
+        records = self._save_parts(
+            "full", {"step": step},
+            lambda shard: self.shard_stores[shard].save_full(
+                step, *parts[shard]))
+        return ShardedFullView(step=int(step), records=records)
+
+    def save_diff(self, start: int, end: int, payload,
+                  count: int | None = None) -> ShardedDiffView:
+        parts = self.split_payload(payload)
         resolved_count = int(count if count is not None else end - start + 1)
+        records = self._save_parts(
+            "diff", {"start": start, "end": end},
+            lambda shard: self.shard_stores[shard].save_diff(
+                start, end, parts[shard], count=resolved_count))
+        return ShardedDiffView(start=int(start), end=int(end),
+                               count=resolved_count, records=records)
+
+    def _save_parts(self, kind: str, span_args: dict, save_part) -> tuple:
+        """Run ``save_part(shard)`` over every shard; count the persist."""
         persist_t0 = time.perf_counter()
-        with obs_span("persist_diff_sharded", "ckpt",
-                      {"start": start, "end": end, "shards": self.shards}):
-            def persist(shard: int) -> DiffCheckpointRecord:
-                return self.shard_stores[shard].save_diff(
-                    start, end, layout.slice_payload(payload, shard),
-                    count=resolved_count)
-
-            records = self._map_shards(persist)
-        view = ShardedDiffView(start=int(start), end=int(end),
-                               count=resolved_count, records=tuple(records))
-        self._count_shard_persist("diff", view.nbytes,
-                                  time.perf_counter() - persist_t0)
-        return view
-
-    def _count_shard_persist(self, kind: str, nbytes: int,
-                             elapsed_s: float) -> None:
-        if not OBS.enabled:
-            return
-        registry = OBS.registry
-        registry.set("ckpt.shard.count", self.shards)
-        registry.counter(f"ckpt.shard.{kind}_records").inc(self.shards)
-        registry.counter("ckpt.shard.bytes").inc(nbytes)
-        registry.observe(f"ckpt.shard.persist_{kind}.s", elapsed_s)
+        with obs_span(f"persist_{kind}_sharded", "ckpt",
+                      {**span_args, "shards": self.shards}):
+            records = tuple(self._map_shards(save_part))
+        if OBS.enabled:
+            registry = OBS.registry
+            registry.set("ckpt.shard.count", self.shards)
+            registry.counter(f"ckpt.shard.{kind}_records").inc(self.shards)
+            registry.counter("ckpt.shard.bytes").inc(
+                sum(record.nbytes for record in records))
+            registry.observe(f"ckpt.shard.persist_{kind}.s",
+                             time.perf_counter() - persist_t0)
+        return records
 
     # Readable view (manifest intersection) ----------------------------------
     def common_full_steps(self) -> list[int]:
@@ -557,11 +572,16 @@ class ShardedCheckpointStore:
             report["shards"].append(sub_report)
         return report
 
-    def compact(self, policy=None):
-        """Merge-mode compaction + retention gc on every shard chain."""
-        from repro.storage.compaction import RetentionPolicy
-        compactor = ShardedChainCompactor(
-            self, policy if policy is not None else RetentionPolicy())
+    def compact(self, policy=None, *, model_factory=None,
+                optimizer_factory=None, mode: str = "auto"):
+        """Compaction + retention gc over every shard chain: one
+        :class:`~repro.storage.compaction.ChainCompactor` pass, triggered
+        on the common view and merging every part of each run."""
+        from repro.storage.compaction import ChainCompactor, RetentionPolicy
+        compactor = ChainCompactor(
+            self, policy if policy is not None else RetentionPolicy(),
+            model_factory=model_factory, optimizer_factory=optimizer_factory,
+            mode=mode)
         return compactor.run_once()
 
     def storage_bytes(self) -> dict[str, int]:
@@ -605,72 +625,94 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
     return result
 
 
-# Persistence engines, fanned out per shard ---------------------------------
-class ShardedPersistGroup:
-    """One async persistence engine per shard behind the persist-target API.
+# Persist engines: executor selection and shard fan-out -----------------------
+#: ``CheckpointConfig.persist_mode`` → executor over one part store, built
+#: from the config's ``(writer_threads, queue_depth, ring_mb)``.
+EXECUTORS = {
+    "thread": lambda store, writers, depth, ring_mb: AsyncCheckpointEngine(
+        store, num_writers=writers, queue_depth=depth),
+    "process": lambda store, writers, depth, ring_mb:
+        MultiprocessCheckpointEngine(
+            store, num_workers=writers, queue_depth=depth,
+            ring_bytes=int(ring_mb * (1 << 20))),
+}
 
-    ``save_full``/``save_diff`` slice on the submitting thread (both
-    engine flavors copy at submit — stager slots for the thread engine,
-    the shared-memory ring for the process engine — so the slices' view
-    lifetime ends inside the call) and fan the shard records out to the
-    per-shard engines; commit order *within* a shard is the engine's
-    usual submission-order turnstile, and cross-shard skew is harmless
-    because readers only trust the manifest intersection.
+
+def open_persist_engine(store, persist_mode: str = "thread",
+                        writer_threads: int = 2, queue_depth: int = 8,
+                        ring_mb: float = 64.0):
+    """The persist engine for ``store``: the one place an executor is
+    chosen.  A store that is its own single part (the identity writer
+    protocol) gets the bare executor; anything else the group."""
+    if store.part_stores == [store]:
+        return EXECUTORS[persist_mode](store, writer_threads, queue_depth,
+                                       ring_mb)
+    return ShardedPersistGroup(store, persist_mode, writer_threads,
+                               queue_depth, ring_mb)
+
+
+class ShardedPersistGroup:
+    """One persist engine per part of the store's writer protocol.
+
+    A composition, not a driver: ``save_full``/``save_diff`` split on the
+    submitting thread (both executors copy at submit — stager slots or
+    the shared-memory ring — so the slices' view lifetime ends inside the
+    call) and hand each part to its engine; commit order *within* a shard
+    is that engine's turnstile, and cross-shard skew is harmless because
+    readers only trust the manifest intersection.  Lifecycle calls visit
+    **every** engine under one shared deadline and re-raise the first
+    error, so one shard's fail-stop or stuck backend never leaves a
+    sibling's threads, worker processes or shm ring behind.
     """
 
     def __init__(self, store: ShardedCheckpointStore,
                  persist_mode: str = "thread", writer_threads: int = 2,
                  queue_depth: int = 8, ring_mb: float = 64.0):
         self.store = store
-        self.engines = []
-        for sub in store.shard_stores:
-            if persist_mode == "process":
-                from repro.storage.mp_engine import MultiprocessCheckpointEngine
-                self.engines.append(MultiprocessCheckpointEngine(
-                    sub, num_workers=writer_threads, queue_depth=queue_depth,
-                    ring_bytes=int(ring_mb * (1 << 20))))
-            else:
-                from repro.storage.async_engine import AsyncCheckpointEngine
-                self.engines.append(AsyncCheckpointEngine(
-                    sub, num_writers=writer_threads, queue_depth=queue_depth))
+        self.engines = [
+            EXECUTORS[persist_mode](sub, writer_threads, queue_depth, ring_mb)
+            for sub in store.part_stores
+        ]
+
+    @property
+    def pool(self):
+        """A serialization pool compaction may borrow (thread executor)."""
+        return getattr(self.engines[0], "pool", None)
 
     def save_full(self, step: int, model_state: dict, optimizer_state: dict,
                   extra: dict | None = None) -> list:
-        layout = self.store.ensure_layout(
-            {name: np.asarray(v).shape for name, v in model_state.items()})
-        pending = []
-        for shard, engine in enumerate(self.engines):
-            shard_model, shard_opt = layout.slice_full(
-                model_state, optimizer_state, shard)
-            pending.append(engine.save_full(
-                step, shard_model, shard_opt, extra if shard == 0 else None))
-        return pending
+        parts = self.store.split_full(model_state, optimizer_state, extra)
+        return [engine.save_full(step, *part)
+                for engine, part in zip(self.engines, parts)]
 
     def save_diff(self, start: int, end: int, payload,
                   count: int | None = None) -> list:
-        if not isinstance(payload, SparseGradient):
-            raise TypeError(
-                "sharded stores persist sparse differential payloads only "
-                f"(got {type(payload).__name__})")
-        layout = self.store.ensure_layout(payload.shapes)
-        return [
-            engine.save_diff(start, end, layout.slice_payload(payload, shard),
-                             count=count)
-            for shard, engine in enumerate(self.engines)
-        ]
+        parts = self.store.split_payload(payload)
+        return [engine.save_diff(start, end, part, count=count)
+                for engine, part in zip(self.engines, parts)]
 
-    # Lifecycle (fan-out of the engine contract) ----------------------------
-    def drain(self, timeout: float | None = None) -> None:
+    def _each(self, call) -> None:
+        first: BaseException | None = None
         for engine in self.engines:
-            engine.drain(timeout=timeout)
+            try:
+                call(engine)
+            except BaseException as error:
+                first = first or error
+        if first is not None:
+            raise first
+
+    def drain(self, timeout: float | None = None) -> None:
+        remaining = deadline_clock(timeout)
+        self._each(lambda engine: engine.drain(timeout=remaining()))
 
     def finalize(self, timeout: float | None = None) -> None:
-        for engine in self.engines:
-            engine.finalize(timeout=timeout)
+        remaining = deadline_clock(timeout)
+        # Close all first: every shard's workers wind down concurrently.
+        self._each(lambda engine: engine.close())
+        self._each(lambda engine: engine.finalize(timeout=remaining()))
 
     def abort(self) -> None:
-        for engine in self.engines:
-            engine.abort()
+        self._each(lambda engine: engine.abort())
 
     def raise_if_failed(self) -> None:
         for engine in self.engines:
@@ -678,69 +720,3 @@ class ShardedPersistGroup:
 
     def stats(self) -> dict:
         return {"shards": [engine.stats() for engine in self.engines]}
-
-
-class ShardedChainCompactor:
-    """Coordinated per-shard merge compaction.
-
-    Merge mode only: rebase replays the chain through a full optimizer,
-    which no single shard holds.  The trigger is evaluated against the
-    **common** chain, and a triggered pass drains *all* engines before
-    compacting *every* shard — per-shard independent triggers would
-    diverge under async commit skew (shard A's queue commits record *k*
-    before shard B's, A compacts one record early, and the merged ranges
-    never line up again, truncating the readable chain at the split).
-    After a group drain every shard holds the identical record sequence,
-    so the same policy produces the identical merge runs on each and the
-    chains stay aligned.
-    """
-
-    def __init__(self, store: ShardedCheckpointStore, policy,
-                 engine: ShardedPersistGroup | None = None):
-        from repro.storage.compaction import ChainCompactor
-        self.store = store
-        self.policy = policy
-        self.group = engine
-        # Thread engines lend their serialization pool; the process engine
-        # has none (its workers pack into the shared-memory ring).
-        buffer_pools = [getattr(e, "pool", None) for e in engine.engines] \
-            if engine is not None else [None] * store.shards
-        # Sub-compactors get no engine: the group drain above replaces the
-        # per-shard drain (draining inside one shard's pass while siblings
-        # still queue is exactly the skew this class exists to prevent).
-        self.compactors = [
-            ChainCompactor(sub, policy, mode="merge", buffers=pool)
-            for sub, pool in zip(store.shard_stores, buffer_pools)
-        ]
-
-    def _common_chain_records(self) -> int:
-        latest = self.store.latest_full()
-        if latest is None:
-            return 0
-        return len(self.store.diffs_after(latest.step))
-
-    def should_compact(self) -> bool:
-        budget = self.policy.chain_budget()
-        return budget is not None and self._common_chain_records() > budget
-
-    def enforce(self) -> list | None:
-        """Drain all shards, then compact all shards iff over budget."""
-        if self.group is not None:
-            self.group.drain()
-        if not self.should_compact():
-            return None
-        return self.run_once()
-
-    def maybe_enforce(self) -> list | None:
-        """Hot-path trigger: peek the common chain before paying for a
-        group drain (the committed view only undercounts in-flight
-        writes, so this never compacts early)."""
-        if not self.should_compact():
-            return None
-        return self.enforce()
-
-    def run_once(self) -> list:
-        reports = [compactor.run_once() for compactor in self.compactors]
-        if OBS.enabled:
-            OBS.registry.counter("ckpt.shard.compact.passes").inc()
-        return reports

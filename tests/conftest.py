@@ -1,5 +1,8 @@
 """Shared fixtures for the test suite."""
 
+import glob
+import multiprocessing
+
 import pytest
 
 from tests.helpers import make_mlp_trainer  # noqa: F401 (re-export)
@@ -20,3 +23,16 @@ def store():
 @pytest.fixture
 def mlp_trainer():
     return make_mlp_trainer()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_persist_resources():
+    """The session fails if a persist engine outlives it: no child process
+    may still run, and no shared-memory segment created during the session
+    may remain (a leaked worker pool or shm ring is a teardown bug)."""
+    segments_before = set(glob.glob("/dev/shm/psm_*"))
+    yield
+    children = multiprocessing.active_children()
+    segments = sorted(set(glob.glob("/dev/shm/psm_*")) - segments_before)
+    assert not children, f"live child processes at session end: {children}"
+    assert not segments, f"leaked shared-memory segments: {segments}"

@@ -168,9 +168,9 @@ class TestEndToEnd:
 class TestWorkerFailure:
     def test_dead_worker_pool_raises_instead_of_hanging(self, tmp_path):
         """A SIGKILLed pool must not leave the submitter blocked on a full
-        queue forever: the ``is_alive()`` watchdog (or, at the latest, the
-        ``submit_timeout_s`` bound) surfaces a typed failure."""
-        store, engine = make_engine(tmp_path, submit_timeout_s=10.0)
+        queue forever: the ``is_alive()`` watchdog latches a typed failure
+        and its ``notify_all`` wakes the (unbounded) backpressure wait."""
+        store, engine = make_engine(tmp_path)
         writer = BatchedGradientWriter(engine, batch_size=1)
         model, _ = fresh_model_opt()
         payload = make_payload(model, Rng(5), 1)

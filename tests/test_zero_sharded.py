@@ -37,12 +37,13 @@ from repro.storage import (
     CheckpointStore,
     InMemoryBackend,
     LocalDiskBackend,
+    ChainCompactor,
     RetentionPolicy,
     ShardedCheckpointStore,
     ShardLayout,
     elastic_restore,
 )
-from repro.storage.sharded import ShardedChainCompactor, ShardedPersistGroup
+from repro.storage.sharded import ShardedPersistGroup
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -298,7 +299,7 @@ class TestPerShardCompaction:
         store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
         group = ShardedPersistGroup(store, writer_threads=2)
         policy = RetentionPolicy(keep_fulls=2, max_chain_len=4, compact_run=2)
-        compactor = ShardedChainCompactor(store, policy, engine=group)
+        compactor = ChainCompactor(store, policy, engine=group)
 
         model, optimizer = fresh_model_opt()
         compressor = TopKCompressor(0.5)
@@ -324,6 +325,23 @@ class TestPerShardCompaction:
         target_model, target_opt = fresh_model_opt(seed=5)
         result = serial_recover(store, target_model, target_opt)
         assert result.step == 12
+
+    def test_rebase_through_the_sharded_facade_is_bit_exact(self):
+        """The one compactor needs nothing shard-specific: rebase replays
+        through ``serial_recover`` and saves through the writer protocol."""
+        store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
+        model, optimizer = fresh_model_opt()
+        live_model, _ = populate(store, model, optimizer, steps=9)
+        report = store.compact(
+            RetentionPolicy(keep_fulls=1, max_chain_len=4),
+            model_factory=lambda: fresh_model_opt(seed=5)[0],
+            optimizer_factory=lambda m: Adam(m, lr=1e-2))
+        assert (report.mode, report.new_full_step) == ("rebase", 9)
+        assert report.records_after == 0
+        assert [view.step for view in store.fulls()] == [9]
+        target_model, target_opt = fresh_model_opt(seed=7)
+        assert serial_recover(store, target_model, target_opt).step == 9
+        assert_states_equal(target_model.state_dict(), live_model)
 
     def test_checkpointer_retention_bounds_sharded_chain(self):
         trainer = build_zero(num_workers=2)

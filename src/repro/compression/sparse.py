@@ -13,6 +13,8 @@ the wire); ``nbytes`` therefore reports the true serialized size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.obs import OBS
@@ -149,12 +151,10 @@ class SparseGradient:
         Vectorized over the *whole parameter space*: every tensor's
         indices are lifted into one global int64 index space (per-tensor
         offsets), so a merge is a single ``np.unique`` + ``np.bincount``
-        regardless of how many tensors the model has — no per-tensor
-        Python loop doing its own concatenate/unique.  The heavy kernels
-        release the GIL, which is what makes the threaded recovery merge
-        tree actually parallel.  Summation order per coordinate matches
-        the previous per-tensor ``np.add.at`` implementation bit-for-bit
-        (both accumulate in order of appearance, self before other).
+        regardless of how many tensors the model has.  Per coordinate the
+        values accumulate in float64 in order of appearance, self before
+        other, and round to fp32 once.  (The recovery merge tree computes
+        the same bits without the sort: :class:`DenseNode`.)
         """
         if self.shapes != other.shapes:
             raise KeyError("cannot add SparseGradients over different parameter spaces")
@@ -241,6 +241,20 @@ class SparseGradient:
             scratch.mark_touched(name, indices)
             dense[name] = scratch.shaped(name)
         return dense
+
+    def has_duplicates(self) -> bool:
+        """Whether a tensor lists some coordinate twice (illegal for
+        compressor output, tolerated here).  O(nnz), no sort: strictly
+        increasing indices are unique; otherwise each entry stamps its
+        position on its coordinate and an overwritten stamp betrays a
+        repeat — unsorted-but-unique top-k output passes."""
+        for name, (indices, _) in self.entries.items():
+            if indices.size > 1 and not np.all(indices[1:] > indices[:-1]):
+                stamps = np.empty(math.prod(self.shapes[name]), dtype=np.intp)
+                stamps[indices] = position = np.arange(indices.size)
+                if not np.array_equal(stamps[indices], position):
+                    return True
+        return False
 
     def scale(self, factor: float) -> "SparseGradient":
         return SparseGradient(
@@ -334,6 +348,74 @@ class DenseScratch:
         return self._flat[name].reshape(self.shapes[name])
 
 
+def global_offsets(names, shapes: dict[str, tuple]) -> tuple[dict[str, int], int]:
+    """The flat global index space over ``names`` in order: each tensor's
+    offset, and the total size.  The one table behind union-add, the shard
+    layout and the dense merge node."""
+    offsets: dict[str, int] = {}
+    total = 0
+    for name in names:
+        offsets[name] = total
+        total += int(math.prod(shapes[name]))
+    return offsets, total
+
+
+def _split_per_tensor(global_indices: np.ndarray, values: np.ndarray, names,
+                      shapes: dict[str, tuple]) -> "SparseGradient":
+    """Cut sorted global indices (and their values) back into per-tensor
+    entries — the inverse of lifting by :func:`global_offsets`."""
+    offsets, total = global_offsets(names, shapes)
+    cuts = np.searchsorted(
+        global_indices, [offsets[name] for name in names] + [total])
+    return SparseGradient({
+        name: ((global_indices[low:high] - offsets[name]).astype(INDEX_DTYPE),
+               values[low:high])
+        for name, low, high in zip(names, cuts[:-1], cuts[1:])
+    }, shapes)
+
+
+class DenseNode:
+    """Dense fp32 accumulator over global indices ``[lo, lo + buf.size)``:
+    an internal node of the recovery merge tree, where unions of ρ-sparse
+    leaves are dense.  Merging is a gather-add-scatter (node + leaf) or an
+    in-place ``np.add`` (node + node): no sort, and per coordinate
+    bit-identical to :meth:`SparseGradient.add`'s ``fp32(fp64(a) +
+    fp64(b))`` — for two fp32 addends, rounding the fp64 sum (53 >= 2*24+2
+    bits) to fp32 gives the fp32 sum.  Absent coordinates are ``+0.0``,
+    union-add's zero.  Payloads with duplicate indices (three addends on
+    a coordinate) do not fit; the fold merges those with ``add`` itself.
+    """
+
+    __slots__ = ("shapes", "lo", "buf")
+
+    def __init__(self, shapes: dict[str, tuple], lo: int, buf: np.ndarray):
+        self.shapes, self.lo, self.buf = shapes, lo, buf
+
+    def accumulate(self, payload: "SparseGradient") -> None:
+        """``buf[index] += value`` for a duplicate-free payload."""
+        offsets, _ = global_offsets(payload.shapes, payload.shapes)
+        for name, (indices, values) in payload.entries.items():
+            if indices.size:
+                self.buf[indices.astype(np.intp) + (offsets[name] - self.lo)] \
+                    += values
+
+    def to_sparse(self) -> "SparseGradient":
+        """The node as a sorted, duplicate-free payload (exact zeros
+        dropped: apply-equivalent)."""
+        nonzero = np.flatnonzero(self.buf)
+        return _split_per_tensor(nonzero + self.lo, self.buf[nonzero],
+                                 list(self.shapes), self.shapes)
+
+    @staticmethod
+    def tensors(nodes: list["DenseNode"]) -> dict[str, np.ndarray]:
+        """Dense float64 gradients from nodes tiling the index space."""
+        shapes = nodes[0].shapes
+        flat = np.concatenate([node.buf for node in nodes], dtype=np.float64)
+        return {name: flat[offset:offset + math.prod(shapes[name])]
+                .reshape(shapes[name])
+                for name, offset in global_offsets(shapes, shapes)[0].items()}
+
+
 def _union_add_ordered(payloads: list["SparseGradient"]) -> "SparseGradient | None":
     """Vectorized k-way merge with left-fold rounding semantics.
 
@@ -347,13 +429,7 @@ def _union_add_ordered(payloads: list["SparseGradient"]) -> "SparseGradient | No
     """
     first = payloads[0]
     names = list(first.entries)
-    shapes = first.shapes
-    offsets: dict[str, int] = {}
-    total = 0
-    for name in names:
-        shape = shapes[name]
-        offsets[name] = total
-        total += int(np.prod(shape)) if shape else 1
+    offsets, _ = global_offsets(names, first.shapes)
     index_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
     payload_ids: list[np.ndarray] = []
@@ -410,16 +486,7 @@ def _union_add_ordered(payloads: list["SparseGradient"]) -> "SparseGradient | No
     else:
         unique_indices = np.array([], dtype=np.int64)
         acc = np.array([], dtype=VALUE_DTYPE)
-    entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    bounds = np.searchsorted(
-        unique_indices, [offsets[name] for name in names] + [total])
-    for position, name in enumerate(names):
-        low, high = bounds[position], bounds[position + 1]
-        entries[name] = (
-            (unique_indices[low:high] - offsets[name]).astype(INDEX_DTYPE),
-            acc[low:high],
-        )
-    return SparseGradient(entries, shapes)
+    return _split_per_tensor(unique_indices, acc, names, first.shapes)
 
 
 def _union_add(payloads: list["SparseGradient"]) -> "SparseGradient":
@@ -433,13 +500,7 @@ def _union_add(payloads: list["SparseGradient"]) -> "SparseGradient":
     """
     first = payloads[0]
     names = list(first.entries)
-    shapes = first.shapes
-    offsets: dict[str, int] = {}
-    total = 0
-    for name in names:
-        shape = shapes[name]
-        offsets[name] = total
-        total += int(np.prod(shape)) if shape else 1
+    offsets, _ = global_offsets(names, first.shapes)
     index_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
     for payload in payloads:
@@ -456,13 +517,5 @@ def _union_add(payloads: list["SparseGradient"]) -> "SparseGradient":
     unique_indices, inverse = np.unique(global_indices, return_inverse=True)
     summed = np.bincount(inverse, weights=global_values,
                          minlength=unique_indices.shape[0])
-    entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    bounds = np.searchsorted(
-        unique_indices, [offsets[name] for name in names] + [total])
-    for position, name in enumerate(names):
-        low, high = bounds[position], bounds[position + 1]
-        entries[name] = (
-            (unique_indices[low:high] - offsets[name]).astype(INDEX_DTYPE),
-            summed[low:high].astype(VALUE_DTYPE),
-        )
-    return SparseGradient(entries, shapes)
+    return _split_per_tensor(unique_indices, summed.astype(VALUE_DTYPE),
+                             names, first.shapes)

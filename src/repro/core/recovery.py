@@ -7,17 +7,19 @@ payloads pairwise in a binary tree (differential addition is associative:
 sparse union-add for reused gradients, plain addition for Naïve-DC state
 deltas) and applies the single merged result — ``n-1`` merge operations
 arranged at critical-path depth ``ceil(log2 n)`` instead of ``n``
-sequential applications (Fig. "Parallel Fast Recovery").
+sequential applications (Fig. "Parallel Fast Recovery").  The tree is
+computed by one streaming fold, :class:`MergeFold`.
 
 One pipeline serves every store and executor (ARCHITECTURE.md §3).  A
 store is read through a small *reader protocol*: ``fulls()`` and
 ``diffs_after(step)`` list the readable views, ``parts(view)`` names the
 ``(sub_store, record)`` blobs behind one view (one pair for
 :class:`~repro.storage.checkpoint_store.CheckpointStore`, one per shard
-for :class:`~repro.storage.sharded.ShardedCheckpointStore`), and
+for :class:`~repro.storage.sharded.ShardedCheckpointStore`),
+``part_bounds()`` the global index range of each part, and
 ``assemble_full`` / ``assemble_payload`` put the decoded parts back
-together.  Everything below — base walk, chain load, merge tree, apply —
-is written once against that protocol.
+together.  Everything below — base walk, stream and fold, apply — is
+written once against that protocol.
 
 Semantics note (also in DESIGN.md): merging ``k`` gradient payloads and
 applying once is exact for linear optimizers (SGD without momentum) and
@@ -39,10 +41,20 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext, suppress
+from dataclasses import dataclass, field
 from functools import partial, reduce
+from itertools import repeat
 
-from repro.compression.sparse import DenseScratch
+import numpy as np
+
+from repro.compression.sparse import (
+    VALUE_DTYPE,
+    DenseNode,
+    DenseScratch,
+    SparseGradient,
+    global_offsets,
+)
 from repro.core.differential import StateDelta, apply_state_delta
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
@@ -51,6 +63,15 @@ from repro.tensor.module import Module
 
 #: Load failures recovery can route around by falling back/truncating.
 _UNREADABLE = (CorruptCheckpointError, FileNotFoundError, KeyError, TypeError)
+#: Keys of :attr:`RecoveryResult.phase_s`: busy seconds summed over workers
+#: (``load_chain`` = read + CRC + decode).
+PHASES = ("load_full", "load_chain", "merge", "apply")
+#: Mean stored bytes per diff blob from which the default fan-out uses
+#: threads.  Below it decode is many short NumPy calls and the GIL
+#: hand-offs between threads cost more than the overlapping C loops save
+#: (2 threads / inline, 2-core host: 1.06-1.26x at 107-209 KB records,
+#: 0.73-0.84x from 224 KB coded / 774 KB uncoded up).
+FANOUT_MIN_RECORD_BYTES = 256 * 1024
 
 
 @dataclass
@@ -66,13 +87,22 @@ class RecoveryResult:
     apply_ops: int            # optimizer/state applications performed
     corrupt_fulls_skipped: int = 0   # unverifiable fulls passed over
     corrupt_diffs_skipped: int = 0   # chain truncations due to bad diffs
+    workers: int = 1          # fan-out actually used (1 = ran inline)
+    phase_s: dict[str, float] = field(default_factory=dict)  # see PHASES
 
 
 def merge_tree_depth(count: int) -> int:
     """Critical-path depth of a balanced pairwise merge over ``count`` leaves."""
-    if count <= 0:
-        return 0
     return math.ceil(math.log2(count)) if count > 1 else 0
+
+
+@contextmanager
+def _phase(phase_s: dict, phase: str, span: str | None = None, args=None):
+    """Add the block's seconds to ``phase_s[phase]``, under an obs span."""
+    started = time.perf_counter()
+    with obs_span(span, "recovery", args) if span else nullcontext():
+        yield
+    phase_s[phase] += time.perf_counter() - started
 
 
 # Loading ---------------------------------------------------------------------
@@ -120,128 +150,186 @@ def _load_base(store, model: Module, optimizer: Optimizer):
     )
 
 
-def _load_parts(parts, executor=None, pooled_reads: bool = False) -> list:
-    """Decoded diff payloads of ``parts``, up to the first unreadable one.
+# Stream and fold --------------------------------------------------------------
+def as_payload(node):
+    """A fold node in payload form (a dense node turns sparse)."""
+    return node.to_sparse() if isinstance(node, DenseNode) else node
 
-    With an ``executor``, the CPU-bound verify+decode of each blob fans
-    out to the pool.  Backend reads also overlap on the pool — but only
-    with ``pooled_reads``, i.e. when the backend declares
-    ``thread_safe_reads`` (local disk, memory tier); fault-injecting
-    wrappers keep it False, so their seeded RNG draws stay replayable
-    under a deterministic sequential read order.  Failures surface in
-    part order exactly like the inline path.
+
+class MergeFold:
+    """The balanced pairwise merge tree over one chain, as a streaming fold
+    (ARCHITECTURE.md §3).
+
+    Leaves are pushed in chain order onto a binary-counter stack: a leaf
+    enters at level 0 and, while the two top entries have equal level,
+    they merge one level up; :meth:`root` folds the rest right to left.
+    Node ``(k, j)`` thus covers leaves ``[j*2**k, min((j+1)*2**k, n))``,
+    odd leaf carried — the tree a level-by-level pairwise reduction
+    builds — with at most ``ceil(log2 n) + 1`` nodes alive.  The stacks of
+    consecutive :func:`aligned_segments` compose through :meth:`extend`
+    into the same tree, whoever folded them.  Sparse gradients merge into
+    pooled :class:`~repro.compression.sparse.DenseNode` buffers over the
+    part's index range; every other payload type with its own ``add``.
     """
-    if executor is None:
-        return _readable_prefix(
-            parts, [partial(sub.load_diff, record) for sub, record in parts])
-    if pooled_reads:
-        reads = [executor.submit(sub.read_raw, record).result
-                 for sub, record in parts]
-    else:
-        reads = [partial(sub.read_raw, record) for sub, record in parts]
-    raws = _readable_prefix(parts, reads)
-    decodes = [executor.submit(sub.decode_diff, record, raw).result
-               for (sub, record), raw in zip(parts, raws)]
-    # From here each raw blob lives only in its decode's work item and is
-    # released as soon as that decode has run.
-    del reads, raws
-    return _readable_prefix(parts, decodes)
+
+    def __init__(self, bounds=None):
+        self.bounds = bounds    # the part's global index range; None: all
+        self.stack: list[tuple] = []    # (level, node), levels descending
+        # Counters a segment hands on with its stack; seconds are busy time.
+        self.stats = {"merge_ops": 0, "load_chain": 0.0, "merge": 0.0}
+        self.buffers = 0        # node buffers allocated = most alive at once
+        self._free: list = []
+
+    @property
+    def leaves(self) -> int:
+        """Leaves pushed so far: a level-``k`` entry holds ``2**k``."""
+        return sum(1 << level for level, _ in self.stack)
+
+    def push(self, node, level: int = 0) -> None:
+        with _phase(self.stats, "merge"):
+            while self.stack and self.stack[-1][0] == level:
+                node, level = self._merge(self.stack.pop()[1], node), level + 1
+            self.stack.append((level, node))
+
+    def extend(self, stack: list[tuple], stats: dict) -> None:
+        """Continue with the stack (and counters) of the next segment."""
+        for level, node in stack:
+            self.push(node, level)
+        for key, value in stats.items():
+            self.stats[key] += value
+
+    def root(self):
+        """Collapse the stack into the tree's root (``None`` when empty)."""
+        node = None
+        with _phase(self.stats, "merge"):
+            for _, left in reversed(self.stack):
+                node = left if node is None else self._merge(left, node)
+        self.stack = []
+        return node
+
+    def _merge(self, left, right):
+        self.stats["merge_ops"] += 1
+        sparse = [node for node in (left, right)
+                  if isinstance(node, SparseGradient)]
+        nodes = [node for node in (left, right) if isinstance(node, DenseNode)]
+        if len(sparse) + len(nodes) < 2:
+            return left.add(right)
+        if any(payload.has_duplicates() for payload in sparse):
+            # Three or more addends on a coordinate: one float64 sum
+            # rounded once, which only union-add computes.
+            merged = as_payload(left).add(as_payload(right))
+        else:   # fp32 addition commutes: sum into a side that is dense
+            merged = nodes.pop(0) if nodes else self._zero_node(left.shapes)
+            for payload in sparse:
+                merged.accumulate(payload)
+            for node in nodes:
+                np.add(merged.buf, node.buf, out=merged.buf)
+        for node in nodes:      # their sums moved on: back to the pool
+            node.buf.fill(0.0)
+            self._free.append(node.buf)
+        return merged
+
+    def _zero_node(self, shapes) -> DenseNode:
+        lo, hi = self.bounds or (0, global_offsets(shapes, shapes)[1])
+        if self._free:
+            return DenseNode(shapes, lo, self._free.pop())
+        self.buffers += 1
+        return DenseNode(shapes, lo, np.zeros(hi - lo, dtype=VALUE_DTYPE))
 
 
-def _shard_major(store, chain) -> list[tuple]:
-    """``chain`` transposed: per part (shard), its ``(sub_store, record)``
-    pairs in chain order."""
-    return list(zip(*(store.parts(view) for view in chain)))
+def aligned_segments(count: int, workers: int) -> list[slice]:
+    """``range(count)`` cut into at most ``workers`` segments at multiples
+    of a power of two, where a segment's fold is a subtree of the chain's
+    tree; one segment when fan-out cannot pay (< 2 workers, < 4 records)."""
+    if workers < 2 or count < 4:
+        return [slice(0, count)]
+    size = 1 << max(1, math.ceil(math.log2(math.ceil(count / workers))))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
-def _load_chain(store, chain, executor=None):
-    """Load the longest intact prefix of ``chain``, shard-major.
+def fold_segment(parts, bounds=None, raws=None) -> MergeFold:
+    """read → CRC → decode → push over one chain segment; every blob and
+    payload dies as soon as it is pushed.  Stops at the first unreadable
+    part and quarantines nothing: ``fold.leaves < len(parts)`` tells the
+    caller where the hole is.  ``raws``: blobs read beforehand."""
+    fold = MergeFold(bounds)
+    raws = iter(raws) if raws is not None \
+        else (sub.read_raw(record) for sub, record in parts)
+    for sub, record in parts:
+        started = time.perf_counter()
+        try:
+            payload = sub.decode_diff(record, next(raws))
+        except _UNREADABLE:
+            break
+        fold.stats["load_chain"] += time.perf_counter() - started
+        fold.push(payload)
+    return fold
+
+
+def _fold_part(parts, bounds, segments, executor, pooled_reads,
+               spawn: bool) -> MergeFold:
+    """One part's chain: its segments folded — by spawned workers, on the
+    pool, or inline — and their stacks pushed through one fold in order,
+    up to the first hole."""
+    from repro.storage.mp_engine import recover_chain_segments
+    chunks = [parts[segment] for segment in segments]
+    done = None
+    if spawn and parts:
+        done = recover_chain_segments(parts[0][0], [
+            [record for _, record in chunk] for chunk in chunks], bounds)
+    if done is None:    # not asked for, ineligible, or a worker failed
+        raw_chunks = repeat(None)
+        if executor is not None and not pooled_reads:
+            # No ``thread_safe_reads`` (fault-injecting wrappers): read
+            # here, in chain order, so seeded fault draws replay.
+            raws = []
+            with suppress(*_UNREADABLE):
+                for sub, record in parts:
+                    raws.append(sub.read_raw(record))
+            chunks = [parts[:len(raws)][segment] for segment in segments]
+            raw_chunks = [raws[segment] for segment in segments]
+        run = executor.map if executor is not None else map
+        done = ((each.stack, each.stats) for each in
+                run(fold_segment, chunks, repeat(bounds), raw_chunks))
+    fold, expected = MergeFold(bounds), 0
+    for chunk, (stack, stats) in zip(chunks, done):
+        fold.extend(stack, stats)
+        expected += len(chunk)
+        if fold.leaves < expected:      # a hole: the rest is unreachable
+            break
+    return fold
+
+
+def _fold_chain(store, chain, workers: int, processes: int = 0):
+    """Stream the longest intact prefix of ``chain`` through one fold per
+    part, shard-major.  Returns ``(views, folds, truncated, fanout)``.
 
     Every shard is truncated at the first unreadable record of *any*
     shard (only that shard's blob is quarantined): replaying past a hole
-    would corrupt the state.  Later shards never read past a hole an
-    earlier shard found.  Returns ``(views, columns, truncated)`` with
-    ``columns[part][position]`` the decoded payloads.
+    would corrupt the state.  Later shards never read past a known hole;
+    one found later sends the earlier shards through the fold again over
+    the shorter prefix (rare).
     """
-    pooled_reads = executor is not None \
-        and getattr(store.backend, "thread_safe_reads", False)
-    limit = len(chain)
-    columns = []
-    for parts in _shard_major(store, chain):
-        columns.append(_load_parts(parts[:limit], executor, pooled_reads))
-        limit = len(columns[-1])
-    return (chain[:limit], [payloads[:limit] for payloads in columns],
-            int(limit < len(chain)))
-
-
-# Merging ---------------------------------------------------------------------
-def _add_pair(pair):
-    return pair[0].add(pair[1])
-
-
-def pairwise_merge(chains: list[list], executor=None):
-    """Balanced pairwise reduction of every chain, level-synchronously.
-
-    Merging ``[i, i+1]`` pairs per level with the odd leaf carried means
-    the element at level ``k`` position ``j`` covers exactly leaves
-    ``[j*2**k, min((j+1)*2**k, n))`` and depends only on that subrange —
-    which is why segment workers (segments split at multiples of a power
-    of two, :func:`~repro.storage.mp_engine.recover_chain_segments`)
-    produce exactly the global tree's internal nodes, and the parent's
-    continuation of the same loop is bit-identical to merging the whole
-    chain in one process.  It is also why a sharded store restores
-    bit-equal to an unsharded one: every coordinate lives in exactly one
-    shard, and each shard's tree has the unsharded tree's shape, so the
-    per-coordinate fp32 fold order is identical.
-
-    Each level's pairs of *all* chains form one job list for
-    ``executor.map`` — no pool task ever submits to the pool it runs on —
-    and each pair merges in a fixed order, so the result is independent
-    of thread scheduling.  Returns ``(roots, merge_ops, depth)``, one root
-    per non-empty chain.
-    """
-    levels = [list(chain) for chain in chains]
-    merge_ops = depth = 0
-    while any(len(level) > 1 for level in levels):
-        pairs = [(level[index], level[index + 1]) for level in levels
-                 for index in range(0, len(level) - 1, 2)]
-        with obs_span("recover.merge_level", "recovery",
-                      {"level": depth, "pairs": len(pairs)}):
-            if executor is not None and len(pairs) > 1:
-                merged = list(executor.map(_add_pair, pairs))
-            else:
-                merged = [_add_pair(pair) for pair in pairs]
-        merged = iter(merged)
-        # Each chain takes back its own merges, then its odd leaf (if any).
-        levels = [[next(merged) for _ in range(len(level) // 2)]
-                  + level[len(level) // 2 * 2:] for level in levels]
-        merge_ops += len(pairs)
-        depth += 1
-    return [level[0] for level in levels if level], merge_ops, depth
-
-
-def _merge_in_processes(store, chain, processes: int):
-    """The merge step on spawned worker processes, one shard at a time.
-
-    Workers decode and pairwise-merge power-of-two chain segments; the
-    parent finishes each tree, so the roots are bit-identical to the
-    threaded path's.  ``None`` (backend not process-safe, chain too short
-    to amortize a spawn, worker failure) sends the caller to the thread
-    path, which owns quarantine/truncation.
-    """
-    from repro.storage.mp_engine import recover_chain_segments
-    roots, merge_ops, depth = [], 0, 0
-    with obs_span("recover.mp_segments", "recovery",
-                  {"chain": len(chain), "processes": processes}):
-        for parts in _shard_major(store, chain):
-            merged = recover_chain_segments(
-                parts[0][0], [record for _, record in parts], processes)
-            if merged is None:
-                return None
-            roots.append(merged[0])
-            merge_ops += merged[1]
-            depth = max(depth, merged[2])
-    return roots, merge_ops, depth
+    segments = aligned_segments(
+        len(chain), processes if processes > 1 else workers)
+    # Per part (shard): its (sub_store, record) pairs in chain order.
+    columns = list(zip(zip(*(store.parts(view) for view in chain)),
+                       store.part_bounds()))
+    pooled_reads = getattr(store.backend, "thread_safe_reads", False)
+    limit, folds = len(chain), [None] * len(columns)
+    with ThreadPoolExecutor(len(segments)) if len(segments) > 1 \
+            else nullcontext() as executor:
+        while stale := [index for index, fold in enumerate(folds)
+                        if fold is None or fold.leaves != limit]:
+            parts, bounds = columns[stale[0]]
+            fold = folds[stale[0]] = _fold_part(
+                parts[:limit], bounds, segments, executor, pooled_reads,
+                processes > 1)
+            if fold.leaves < limit:
+                limit = fold.leaves
+                sub, record = parts[limit]
+                sub.quarantine(record)
+    return chain[:limit], folds, int(limit < len(chain)), len(segments)
 
 
 # Applying --------------------------------------------------------------------
@@ -268,8 +356,8 @@ class _ReplayScratch:
 
 def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
                    scratch: _ReplayScratch) -> None:
-    """Apply one differential payload standing for ``count`` training
-    steps to the live model/optimizer."""
+    """Apply one differential payload (or the dense gradients it stands
+    for) covering ``count`` training steps to the live model/optimizer."""
     if isinstance(payload, StateDelta):
         new_model, new_optimizer = apply_state_delta(
             model.state_dict(), optimizer.state_dict(), payload
@@ -277,7 +365,9 @@ def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
         model.load_state_dict(new_model)
         optimizer.load_state_dict(new_optimizer)
         return
-    if hasattr(payload, "decompress_into"):
+    if isinstance(payload, dict):     # merge-tree roots, already dense
+        optimizer.step_with(payload)
+    elif hasattr(payload, "decompress_into"):
         optimizer.step_with(payload.decompress_into(scratch.buffers_for(payload)))
     else:
         optimizer.step_with(payload.decompress())
@@ -309,19 +399,23 @@ def serial_recover(store, model: Module, optimizer: Optimizer
     bit-identical to the unsharded series of the same run.
     """
     recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full", "recovery"):
+    phase_s = dict.fromkeys(PHASES, 0.0)
+    with _phase(phase_s, "load_full", "recover.load_full"):
         full_step, fulls_skipped = _load_base(store, model, optimizer)
     loaded = gradients = truncated = 0
     scratch = _ReplayScratch()
     for view in store.diffs_after(full_step):
         parts = store.parts(view)
-        payloads = _load_parts(parts)
+        with _phase(phase_s, "load_chain"):
+            payloads = _readable_prefix(
+                parts,
+                [partial(sub.load_diff, record) for sub, record in parts])
         if len(payloads) < len(parts):
             truncated = 1
             break
-        with obs_span("recover.replay_diff", "recovery",
-                      {"start": view.start, "end": view.end,
-                       "count": view.count}):
+        with _phase(phase_s, "apply", "recover.replay_diff",
+                    {"start": view.start, "end": view.end,
+                     "count": view.count}):
             _apply_payload(model, optimizer, store.assemble_payload(payloads),
                            view.count, scratch)
         gradients += view.count
@@ -337,65 +431,73 @@ def serial_recover(store, model: Module, optimizer: Optimizer
         apply_ops=loaded,
         corrupt_fulls_skipped=fulls_skipped,
         corrupt_diffs_skipped=truncated,
+        phase_s=phase_s,
     )
 
 
 def parallel_recover(store, model: Module, optimizer: Optimizer,
                      max_workers: int | None = None,
                      processes: int = 0) -> RecoveryResult:
-    """Tree-merge all differentials on a thread pool, then apply once.
+    """Tree-merge all differentials, then apply once.
 
-    Decoding (CRC verify + deserialize) and the pairwise merge tree run
-    on a :class:`~concurrent.futures.ThreadPoolExecutor`; the hot kernels
-    (CRC32, ``np.unique``/``np.bincount``) release the GIL, so levels
-    genuinely overlap across cores.  The tree is the balanced pairwise
-    reduction of :func:`pairwise_merge` — per shard, ``n-1`` merges at
-    critical-path depth ``ceil(log2 n)``.  ``max_workers=1`` (or ``0``)
-    forces single-threaded execution.
+    Every shard's chain streams through one :class:`MergeFold`: the
+    balanced pairwise tree, ``n-1`` merges at critical-path depth
+    ``ceil(log2 n)``.  Aligned chain segments fold on a thread pool with a
+    fan-out of ``min(max_workers, usable CPUs, segments)``; at one — a
+    pinned process, ``max_workers <= 1``, under four records — the fold
+    runs inline with no pool.  The default ``max_workers`` is 8 for
+    records of :data:`FANOUT_MIN_RECORD_BYTES` and up, else 1: fan-out
+    must never lose.  The result never depends on the fan-out.
 
-    ``processes >= 2`` fans decode + merge out to spawned worker
-    *processes* instead (GIL-free; §VI's recovery module at process
-    granularity), falling back to the thread path — bit-identically —
-    whenever the backend is not process-safe, the chain is too short to
-    amortize a spawn, or a worker fails.
+    ``processes >= 2`` folds the segments in spawned worker *processes*
+    instead (GIL-free; §VI's recovery module at process granularity),
+    or — bit-identically — on the pool whenever the backend is not
+    process-safe, the chain is too short, or a worker fails.
     """
-    if max_workers is None:
-        max_workers = min(8, os.cpu_count() or 2)
     recover_t0 = time.perf_counter()
-    with obs_span("recover.load_full", "recovery"):
+    phase_s = dict.fromkeys(PHASES, 0.0)
+    with _phase(phase_s, "load_full", "recover.load_full"):
         full_step, fulls_skipped = _load_base(store, model, optimizer)
-    views, truncated = store.diffs_after(full_step), 0
-    merged = None
-    if processes and processes > 1 and views:
-        merged = _merge_in_processes(store, views, processes)
-    if merged is None:
-        executor = ThreadPoolExecutor(max_workers=max_workers) \
-            if max_workers > 1 else None
-        try:
-            with obs_span("recover.load_chain", "recovery"):
-                views, columns, truncated = _load_chain(store, views, executor)
-            merged = pairwise_merge(columns, executor)
-        finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-    roots, merge_ops, depth = merged
+    views = store.diffs_after(full_step)
+    if max_workers is None:     # plan: threads only where they can win
+        blobs = sum(len(store.parts(view)) for view in views)
+        max_workers = 8 if sum(view.nbytes for view in views) \
+            >= max(1, blobs) * FANOUT_MIN_RECORD_BYTES else 1
+    # The affinity mask, not the host count: a taskset or cgroup pin to
+    # one core must not start a pool on it.
+    usable = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with obs_span("recover.load_chain", "recovery"):
+        views, folds, truncated, fanout = _fold_chain(
+            store, views, min(max_workers, usable), processes or 0)
+    roots = [fold.root() for fold in folds]
+    for fold in folds:
+        phase_s["load_chain"] += fold.stats["load_chain"]
+        phase_s["merge"] += fold.stats["merge"]
     gradients = sum(view.count for view in views)
     if views:
-        with obs_span("recover.apply_merged", "recovery",
-                      {"gradients": gradients}):
-            _apply_payload(model, optimizer, store.assemble_payload(roots),
-                           gradients, _ReplayScratch())
+        with _phase(phase_s, "apply", "recover.apply_merged",
+                    {"gradients": gradients}):
+            if all(isinstance(root, DenseNode) for root in roots):
+                merged = DenseNode.tensors(roots)   # roots tile the space
+            else:
+                merged = store.assemble_payload(
+                    [as_payload(root) for root in roots])
+            _apply_payload(model, optimizer, merged, gradients,
+                           _ReplayScratch())
     _observe("parallel", recover_t0, len(views))
     return RecoveryResult(
         step=optimizer.step_count,
         full_step=full_step,
         diffs_loaded=len(views),
         gradients_replayed=gradients,
-        merge_ops=merge_ops,
-        merge_depth=depth,
+        merge_ops=sum(fold.stats["merge_ops"] for fold in folds),
+        merge_depth=merge_tree_depth(len(views)),
         apply_ops=int(bool(views)),
         corrupt_fulls_skipped=fulls_skipped,
         corrupt_diffs_skipped=truncated,
+        workers=fanout,
+        phase_s=phase_s,
     )
 
 

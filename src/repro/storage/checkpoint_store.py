@@ -619,6 +619,10 @@ class CheckpointStore:
     def assemble_payload(payloads: list):
         return payloads[0]
 
+    @staticmethod
+    def part_bounds() -> list:
+        return [None]  # the one part spans the whole index space
+
     # The writer protocol, its mirror image: which stores a record lands
     # in and the part each one gets.  Degenerate case again — one part,
     # this store, nothing sliced (the sharded store cuts one per shard).

@@ -38,7 +38,6 @@ Recovery reuses the same spawn machinery (:func:`recover_chain_segments`).
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import queue as queue_module
@@ -710,9 +709,10 @@ class MultiprocessCheckpointEngine(PersistEngine):
 # ---------------------------------------------------------------------------
 
 def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
-                            result_queue, telemetry_spec=None) -> None:
-    """Decode + merge one chain segment (runs in a spawned child)."""
-    from repro.core.recovery import pairwise_merge  # circular-safe
+                            bounds, result_queue, telemetry_spec=None) -> None:
+    """Fold one chain segment (runs in a spawned child) and ship its
+    stack home, every node as a packed payload."""
+    from repro.core.recovery import as_payload, fold_segment  # circular-safe
     telemetry = WorkerTelemetry.activate(telemetry_spec)
     try:
         backend = backend_from_spec(backend_spec)
@@ -721,18 +721,17 @@ def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
                       records=len(records))
         with obs_span("worker_recover_segment", "recover",
                       {"segment": index, "records": len(records)}):
-            payloads = []
-            for record in records:
-                payloads.append(CheckpointStore.decode_diff(
-                    record, backend.read(record.key)))
-            (merged,), _, _ = pairwise_merge([payloads])
+            fold = fold_segment(
+                [(CheckpointStore, record) for record in records], bounds,
+                (backend.read(record.key) for record in records))
         if telemetry.enabled:
             OBS.registry.observe("recover.worker.segment.s",
                                  time.perf_counter() - started)
             OBS.registry.inc("recover.worker.records", len(records))
         FLIGHT.record("recover", "segment-done", index=index)
-        result_queue.put(
-            ("ok", index, pack_tree(payload_to_tree(merged))))
+        result_queue.put(("ok", index, fold.stats, [
+            (level, pack_tree(payload_to_tree(as_payload(node))))
+            for level, node in fold.stack]))
         telemetry.flush()
     except BaseException as err:
         FLIGHT.record("recover", "segment-error", index=index,
@@ -744,38 +743,21 @@ def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
             pass
 
 
-def recover_chain_segments(store: CheckpointStore, records: list,
-                           processes: int, start_method: str = "spawn",
+def recover_chain_segments(store: CheckpointStore, segments: list[list],
+                           bounds=None, start_method: str = "spawn",
                            timeout_s: float = 300.0):
-    """Decode and merge a diff chain across worker processes.
+    """Fold the aligned ``segments`` (record lists) of one diff chain, each
+    in a worker process.
 
-    Returns ``(merged_payload, merge_ops, merge_depth)`` or ``None`` when
-    the configuration is ineligible (backend not process-safe, chain too
-    short to amortize a process spawn) or any worker fails — the caller
-    falls back to the threaded path, which also owns quarantine/truncation
-    semantics for corrupt records.
-
-    Segments are split at multiples of a power of two, so each worker's
-    pairwise merge produces exactly the internal nodes of the global
-    balanced merge tree (see :func:`repro.core.recovery.pairwise_merge`) —
-    the final payload is bit-identical to the threaded path's.
+    Returns every segment's ``(stack, stats)`` for
+    :meth:`~repro.core.recovery.MergeFold.extend` — exactly what the pool
+    threads compute, holes included, so the root is bit-identical — or
+    ``None`` when the configuration is ineligible (backend not
+    process-safe, one segment: chain too short to amortize a spawn) or a
+    worker fails; the caller then folds on the thread path.
     """
-    from repro.core.recovery import (  # circular-safe
-        merge_tree_depth,
-        pairwise_merge,
-    )
-    n = len(records)
     backend_spec = store.backend.process_safe_spec()
-    if backend_spec is None or processes < 2 or n < 4:
-        return None
-    # Smallest power of two >= ceil(n / processes): power-of-two segment
-    # boundaries are what makes the per-segment merges exact subtrees of
-    # the global balanced merge (bit-identical result).
-    per_worker = math.ceil(n / processes)
-    segment = 1 << max(1, math.ceil(math.log2(per_worker)))
-    segments = [records[start:start + segment]
-                for start in range(0, n, segment)]
-    if len(segments) < 2:
+    if backend_spec is None or len(segments) < 2:
         return None
 
     ctx = multiprocessing.get_context(start_method)
@@ -785,14 +767,15 @@ def recover_chain_segments(store: CheckpointStore, records: list,
     telemetry = TelemetryChannel(ctx=ctx) if OBS.enabled else None
     workers = [
         ctx.Process(target=_recover_segment_worker,
-                    args=(index, backend_spec, list(chunk), result_queue,
+                    args=(index, backend_spec, list(chunk), bounds,
+                          result_queue,
                           telemetry.worker_spec(f"recover-worker-{index}",
                                                 101 + index)
                           if telemetry is not None else None),
                     name=f"ckpt-recover-{index}", daemon=True)
         for index, chunk in enumerate(segments)
     ]
-    results: dict[int, bytes] = {}
+    results: dict[int, tuple] = {}
     try:
         for worker in workers:
             worker.start()
@@ -815,7 +798,7 @@ def recover_chain_segments(store: CheckpointStore, records: list,
                     telemetry.drain()
             if message[0] == "err":
                 return None
-            results[message[1]] = message[2]
+            results[message[1]] = message[2:]
     finally:
         for worker in workers:
             if worker.is_alive():
@@ -828,11 +811,10 @@ def recover_chain_segments(store: CheckpointStore, records: list,
         result_queue.cancel_join_thread()
         result_queue.close()
 
-    level = [tree_to_payload(unpack_tree(results[index]))
-             for index in range(len(segments))]
-    (merged,), _, _ = pairwise_merge([level])
     if OBS.enabled:
         OBS.registry.counter("recover.mp.segment_runs").inc()
         OBS.registry.observe("recover.mp.segments", len(segments))
-    # Workers + parent together ran the whole balanced tree over n leaves.
-    return merged, n - 1, merge_tree_depth(n)
+    return [([(level, tree_to_payload(unpack_tree(blob)))
+              for level, blob in stack], stats)
+            for stats, stack in (results[index]
+                                 for index in range(len(segments)))]

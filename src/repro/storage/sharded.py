@@ -25,12 +25,12 @@ manifest**:
   invisible (swept by ``gc``); no root commit marker is needed, and each
   shard store keeps its own blob-before-manifest ordering.
 * **The reader protocol of** :mod:`repro.core.recovery` — ``parts`` names
-  the ``S`` per-shard blobs behind one view and ``assemble_full`` /
-  ``assemble_payload`` reunite them, so ``serial_recover`` and
-  ``parallel_recover`` restore a sharded series bit-equal to the
-  unsharded series of the same run: reassembled payloads are
-  bit-identical to the originals (disjoint sorted index ranges
-  concatenate back losslessly) and each shard's pairwise merge tree has
+  the ``S`` per-shard blobs behind one view (``part_bounds`` their index
+  ranges), ``assemble_full`` / ``assemble_payload`` reunite them, so
+  ``serial_recover`` and ``parallel_recover`` restore a sharded series
+  bit-equal to the unsharded series of the same run: reassembled
+  payloads are bit-identical to the originals (disjoint sorted index
+  ranges concatenate back losslessly) and each shard's merge tree has
   the same shape as the unsharded tree, so per-coordinate fold order —
   and therefore every fp32 rounding — is identical.
 * :func:`elastic_restore` — recover a checkpoint written at world size N
@@ -57,7 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.compression.sparse import INDEX_DTYPE, VALUE_DTYPE, SparseGradient
+from repro.compression.sparse import (
+    INDEX_DTYPE,
+    VALUE_DTYPE,
+    SparseGradient,
+    global_offsets,
+)
 from repro.obs import OBS, span as obs_span
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.backends import PrefixBackend, StorageBackend
@@ -98,15 +103,10 @@ class ShardLayout:
         self.shapes = {name: tuple(int(d) for d in shape)
                        for name, shape in shapes.items()}
         self.names = list(self.shapes)
-        self.offsets: dict[str, int] = {}
-        total = 0
-        for name in self.names:
-            shape = self.shapes[name]
-            self.offsets[name] = total
-            total += int(np.prod(shape)) if shape else 1
-        self.total = total
+        self.offsets, self.total = global_offsets(self.names, self.shapes)
         self.bounds = [
-            (s * total // self.shards, (s + 1) * total // self.shards)
+            (s * self.total // self.shards,
+             (s + 1) * self.total // self.shards)
             for s in range(self.shards)
         ]
 
@@ -524,6 +524,10 @@ class ShardedCheckpointStore:
 
     def assemble_payload(self, shard_payloads: list) -> SparseGradient:
         return self._require_layout().assemble_payload(shard_payloads)
+
+    def part_bounds(self) -> list[tuple[int, int]]:
+        """Global index range of each part, in :meth:`parts` order."""
+        return self._require_layout().bounds
 
     def load_full(self, view: ShardedFullView) -> tuple[dict, dict, int]:
         """Reassemble a committed sharded full checkpoint."""

@@ -287,6 +287,30 @@ class TestCrossProcessRecovery:
                 == (8, 7 * shards, 3)
             assert process.apply_ops == 1
 
+    def test_process_recovery_truncates_like_threaded(self, tmp_path):
+        """A hole in a worker's segment: the worker ships the stack it
+        got to, the parent cuts every shard there and quarantines the one
+        blob — same state, counts and quarantine as the pool."""
+        outcomes = []
+        for processes in (0, 2):
+            root = tmp_path / f"p{processes}"
+            store = self.open_store(root, 2)
+            model, opt = fresh_model_opt()
+            store.save_full(0, model.state_dict(), opt.state_dict())
+            rng = Rng(17)
+            for step in range(1, 10):
+                store.save_diff(step, step, make_payload(model, rng, step))
+            sub, record = store.parts(store.diffs_after(0)[6])[1]
+            sub.backend.write(record.key, b"\x00" * 16)
+            target_model, target_opt = fresh_model_opt(seed=9)
+            result = parallel_recover(store, target_model, target_opt,
+                                      processes=processes)
+            assert (result.step, result.merge_ops, result.merge_depth,
+                    result.corrupt_diffs_skipped) == (6, 10, 3, 1)
+            assert store.quarantined == ["shard-0001/" + record.key]
+            outcomes.append(target_model.state_dict())
+        assert_states_equal(*outcomes)
+
     def test_process_unsafe_backend_falls_back(self, rng):
         """InMemoryBackend has no cross-process spec: processes=N must
         fall back to the threaded path and still recover."""

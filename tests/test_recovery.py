@@ -8,12 +8,19 @@ bit-equality itself is pinned in ``tests/test_zero_sharded.py``.)
 """
 
 import math
+import os
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.compression import TopKCompressor
+from repro.compression import SparseGradient, TopKCompressor
+from repro.core import recovery
 from repro.core.recovery import (
+    MergeFold,
     merge_payloads,
     merge_tree_depth,
     parallel_recover,
@@ -49,6 +56,12 @@ def blob_at(store, start):
     starts at ``start`` — the one blob a fault drill damages."""
     view = next(v for v in store.diffs_after(0) if v.start == start)
     return store.parts(view)[-1]
+
+
+def pool_threads():
+    """Recovery pool threads still alive (none may outlive a call)."""
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("ThreadPoolExecutor")]
 
 
 def fresh_model_opt(optimizer_cls=Adam, seed=0, **opt_kwargs):
@@ -255,6 +268,7 @@ class TestCorruptionFallback:
         assert result.corrupt_diffs_skipped == 1
         assert_states_equal(target_model.state_dict(), snapshots[4],
                             exact=False, atol=1e-5)
+        assert not pool_threads()
 
 
 class TestParallelRecovery:
@@ -324,6 +338,7 @@ class TestParallelRecovery:
         assert sub.quarantined == [bad.key] and len(store.quarantined) == 1
         assert_states_equal(target_model.state_dict(), snapshots[4],
                             exact=False, atol=1e-5)
+        assert not pool_threads()
 
     def test_threaded_truncates_on_missing_read(self, rng, make_store):
         """A missing key surfacing from a parallel read truncates too."""
@@ -339,6 +354,7 @@ class TestParallelRecovery:
         assert result.corrupt_diffs_skipped == 1
         assert_states_equal(target_model.state_dict(), snapshots[3],
                             exact=False, atol=1e-5)
+        assert not pool_threads()
 
     def test_approximate_for_adam(self, rng, make_store):
         """Adam is nonlinear: parallel recovery has gradient-accumulation
@@ -406,6 +422,424 @@ class TestParallelRecovery:
                             exact=False, atol=1e-5)
         assert serial_opt.step_count == par_opt.step_count == 5
         assert result.merge_depth == math.ceil(math.log2(5))
+
+
+# The streaming fold ------------------------------------------------------------
+SHAPES = {"a": (7, 9), "b": (1,), "c": (130,), "d": (4, 4, 4)}
+LEAF_KINDS = ("sorted", "unsorted", "duplicates", "gaps", "zeros", "cancel")
+
+
+def tree_merge(payloads):
+    """The reference: balanced pairwise ``add``, odd leaf carried (the fold
+    order ``bench/cycle.py`` verifies every parallel restore against)."""
+    level = list(payloads)
+    while len(level) > 1:
+        merged = [level[i].add(level[i + 1])
+                  for i in range(0, len(level) - 1, 2)]
+        if len(level) % 2:
+            merged.append(level[-1])
+        level = merged
+    return level[0]
+
+
+def make_leaf(gen, kind, previous=None):
+    """One chain leaf of the given shape of trouble."""
+    if kind == "cancel" and previous is not None:   # sums to exact zeros
+        return previous.scale(-1.0)
+    entries = {}
+    for name, shape in SHAPES.items():
+        size = math.prod(shape)
+        density = 10 ** gen.uniform(-3, math.log10(0.6))    # 0.1 % .. 60 %
+        count = min(size, int(round(density * size + gen.random())))
+        if kind == "gaps" and gen.random() < 0.5:
+            count = 0                                   # tensor left empty
+        indices = gen.choice(size, count, replace=False)
+        if kind == "sorted":
+            indices = np.sort(indices)
+        if kind == "duplicates" and count:
+            indices = np.concatenate(
+                [indices, gen.choice(indices, gen.integers(1, 4))])
+            gen.shuffle(indices)
+        values = (gen.standard_normal(indices.size)
+                  * 10.0 ** gen.integers(-3, 4, indices.size))
+        if kind == "zeros" and indices.size:
+            values[gen.random(indices.size) < 0.5] = 0.0
+            values[gen.random(indices.size) < 0.3] = -0.0
+        entries[name] = (indices, values)
+    return SparseGradient(entries, SHAPES)
+
+
+def store_of(leaves, shards, backend=None):
+    """Full at 0 (zeros) + one diff per leaf."""
+    backend = InMemoryBackend() if backend is None else backend
+    store = CheckpointStore(backend) if shards == 1 \
+        else ShardedCheckpointStore(backend, shards)
+    store.save_full(0, {name: np.zeros(shape) for name, shape in SHAPES.items()},
+                    {"type": "sgd", "lr": 1.0, "step_count": 0, "slots": {}})
+    for step, leaf in enumerate(leaves, 1):
+        store.save_diff(step, step, leaf)
+    return store
+
+
+class Recorder:
+    """Stands in for model and optimizer: keeps what recovery applies."""
+
+    def __init__(self):
+        self.step_count, self.grads = 0, None
+
+    def load_state_dict(self, state):
+        pass
+
+    def step_with(self, grads):
+        self.grads = {name: np.array(grad) for name, grad in grads.items()}
+        self.step_count += 1
+
+
+def usable_cpus(cpus):
+    """Run the block as on a host with ``cpus`` usable CPUs."""
+    return mock.patch.object(os, "sched_getaffinity",
+                             lambda pid: set(range(cpus)), create=True)
+
+
+def recover_with(store, workers, cpus=8):
+    """``parallel_recover`` at ``max_workers=workers`` on ``cpus`` usable
+    CPUs; returns ``(result, applied gradients)``."""
+    target = Recorder()
+    with usable_cpus(cpus):
+        result = parallel_recover(store, target, target, max_workers=workers)
+    return result, target.grads
+
+
+def assert_bit_equal(grads, reference):
+    """Same bits, signs of zero included (``==`` would pass -0.0 for 0.0)."""
+    assert set(grads) == set(reference)
+    for name in reference:
+        assert grads[name].dtype == reference[name].dtype == np.float64
+        np.testing.assert_array_equal(
+            grads[name].view(np.uint64), reference[name].view(np.uint64),
+            err_msg=name)
+
+
+class TestMergeFold:
+    """The fold is the balanced pairwise ``add`` tree, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(LEAF_KINDS), min_size=1,
+                          max_size=33),
+           shards=st.sampled_from([1, 2, 4]),
+           workers=st.sampled_from([1, 2, 3, 4]))
+    def test_root_is_the_pairwise_add_tree(self, seed, kinds, shards, workers):
+        gen = np.random.default_rng(seed)
+        leaves = []
+        for kind in kinds:
+            leaves.append(make_leaf(gen, kind, leaves[-1] if leaves else None))
+        result, grads = recover_with(store_of(leaves, shards), workers)
+        assert_bit_equal(grads, tree_merge(leaves).decompress())
+        assert result.merge_ops == shards * (len(leaves) - 1)
+        assert result.merge_depth == merge_tree_depth(len(leaves))
+        assert result.diffs_loaded == result.step == len(leaves)
+        assert 1 <= result.workers <= max(1, workers)
+
+    def test_stack_is_a_binary_counter(self):
+        """After n pushes the stack holds one node per set bit of n, and
+        node (k, j) covers leaves [j*2**k, (j+1)*2**k)."""
+
+        class Span:     # a payload that records which leaves it covers
+            def __init__(self, lo, hi):
+                self.lo, self.hi = lo, hi
+
+            def add(self, other):
+                assert self.hi == other.lo      # adjacent, in chain order
+                return Span(self.lo, other.hi)
+
+        fold = MergeFold()
+        for n in range(1, 41):
+            fold.push(Span(n - 1, n))
+            assert [level for level, _ in fold.stack] == [
+                k for k in reversed(range(n.bit_length())) if n >> k & 1]
+            for level, node in fold.stack:
+                assert node.hi - node.lo == 2 ** level
+                assert node.lo % 2 ** level == 0
+            assert fold.leaves == n
+        root = fold.root()
+        assert (root.lo, root.hi) == (0, 40)
+        assert fold.stats["merge_ops"] == 39
+
+    def test_unsorted_unique_leaves_stay_on_the_fast_path(self):
+        """Single-worker top-k output is unsorted but duplicate-free: it
+        must not be mistaken for the duplicate fallback."""
+        gen = np.random.default_rng(5)
+        leaves = [make_leaf(gen, "unsorted") for _ in range(9)]
+        assert not any(leaf.has_duplicates() for leaf in leaves)
+        assert make_leaf(gen, "duplicates").has_duplicates()
+        with mock.patch.object(SparseGradient, "add",
+                               side_effect=AssertionError("slow path")):
+            _, grads = recover_with(store_of(leaves, 2), workers=2)
+        assert_bit_equal(grads, tree_merge(leaves).decompress())
+
+    def test_state_delta_chains_fold_with_their_own_add(self, rng):
+        """Naïve-DC deltas go through the same fold: bit-equal to the
+        pairwise ``add`` tree applied once, at every fan-out."""
+        from repro.core.differential import apply_state_delta, state_delta
+        store = CheckpointStore(InMemoryBackend())
+        model, optimizer = fresh_model_opt(Adam)
+        base = (model.state_dict(), optimizer.state_dict())
+        store.save_full(0, *base)
+        deltas, prev = [], base
+        for step in range(1, 8):
+            optimizer.step_with(
+                {name: rng.child("g", step, name).normal(size=p.shape)
+                 for name, p in model.named_parameters()})
+            cur = (model.state_dict(), optimizer.state_dict())
+            deltas.append(state_delta(*prev, *cur, rho=0.5))
+            store.save_diff(step, step, deltas[-1])
+            prev = cur
+        want_model, want_opt = apply_state_delta(*base, tree_merge(deltas))
+        for workers in (1, 3):
+            got_model, got_opt = fresh_model_opt(Adam, seed=9)
+            with usable_cpus(8):
+                result = parallel_recover(store, got_model, got_opt,
+                                          max_workers=workers)
+            assert_states_equal(got_model.state_dict(), want_model)
+            for name, slots in want_opt["slots"].items():
+                for slot, want in slots.items():
+                    np.testing.assert_array_equal(
+                        got_opt.state_dict()["slots"][name][slot], want)
+            assert (result.merge_ops, result.merge_depth, result.step) \
+                == (6, 3, 7)
+
+
+class TestFoldTruncation:
+    """A hole at position p leaves the tree over ``chain[:p]`` — the same
+    fold, cut short — and quarantines what the load-then-merge pipeline
+    did: per shard, in order, the first unreadable record within the
+    running limit."""
+
+    @staticmethod
+    def damage(store, position, shard=-1):
+        sub, record = store.parts(store.diffs_after(0)[position])[shard]
+        sub.backend.write(record.key, b"\x00" * 16)
+        return sub, record.key
+
+    @pytest.mark.parametrize("shards,workers", [(1, 1), (1, 3), (2, 1), (2, 4)])
+    def test_every_truncation_point(self, shards, workers):
+        gen = np.random.default_rng(shards * 10 + workers)
+        leaves = [make_leaf(gen, "sorted") for _ in range(11)]
+        for position in range(len(leaves)):
+            store = store_of(leaves, shards)
+            sub, key = self.damage(store, position)
+            result, grads = recover_with(store, workers)
+            assert result.diffs_loaded == result.step == position
+            assert result.corrupt_diffs_skipped == 1
+            assert result.merge_ops == shards * max(0, position - 1)
+            assert result.merge_depth == merge_tree_depth(position)
+            assert sub.quarantined == [key] and len(store.quarantined) == 1
+            if position:
+                assert_bit_equal(grads,
+                                 tree_merge(leaves[:position]).decompress())
+            else:
+                assert grads is None and result.apply_ops == 0
+            assert not pool_threads()
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("first,second,limit", [(9, 4, 4), (4, 9, 4)])
+    def test_holes_in_two_shards(self, workers, first, second, limit):
+        """Shard 0 breaks at ``first``, shard 1 at ``second``: the chain
+        ends at the earlier hole; the later one is quarantined only when
+        its shard was read before the limit shrank (shard 0 is)."""
+        gen = np.random.default_rng(7)
+        leaves = [make_leaf(gen, "unsorted") for _ in range(13)]
+        store = store_of(leaves, 2)
+        holes = [self.damage(store, first, shard=0),
+                 self.damage(store, second, shard=1)]
+        result, grads = recover_with(store, workers)
+        assert result.diffs_loaded == limit
+        assert_bit_equal(grads, tree_merge(leaves[:limit]).decompress())
+        assert result.merge_ops == 2 * (limit - 1)
+        expected = holes if second < first else holes[:1]
+        assert [sub.quarantined for sub in store.shard_stores] \
+            == [[key] if (sub, key) in expected else []
+                for sub, key in holes]
+        assert not pool_threads()
+
+    def test_sequential_backend_is_read_in_chain_order(self):
+        """Without ``thread_safe_reads`` the parent reads, shard-major in
+        chain order (seeded fault wrappers replay); the pool only decodes
+        and folds — and a hole still truncates."""
+        class Sequential(InMemoryBackend):
+            thread_safe_reads = False
+
+            def __init__(self):
+                super().__init__()
+                self.reads = []
+
+            def read(self, key):
+                self.reads.append((key, threading.current_thread().name))
+                return super().read(key)
+
+        gen = np.random.default_rng(3)
+        leaves = [make_leaf(gen, "sorted") for _ in range(12)]
+        backend = Sequential()
+        store = store_of(leaves, 2, backend)
+        keys = [[f"shard-{shard:04d}/{store.parts(view)[shard][1].key}"
+                 for view in store.diffs_after(0)] for shard in (0, 1)]
+        sub, bad = self.damage(store, 10)
+        backend.reads.clear()
+        result, grads = recover_with(store, workers=4)
+        assert result.workers == 3 and result.diffs_loaded == 10   # 4+4+4
+        assert_bit_equal(grads, tree_merge(leaves[:10]).decompress())
+        assert sub.quarantined == [bad] and len(store.quarantined) == 1
+        reads = [(key, thread) for key, thread in backend.reads
+                 if "/diff/" in key]
+        assert {thread for _, thread in reads} == {"MainThread"}
+        # Shard 0 whole, shard 1 whole (its hole shows at decode and is
+        # copied to quarantine), shard 0 again over the shorter prefix.
+        assert [key for key, _ in reads] \
+            == keys[0] + keys[1] + [keys[1][10]] + keys[0][:10]
+        assert not pool_threads()
+
+
+class TestFanOut:
+    """workers = min(max_workers, usable CPUs, segments); one means inline;
+    unasked, only large records fan out."""
+
+    @staticmethod
+    def chain_store(count=16):
+        gen = np.random.default_rng(count)
+        return store_of([make_leaf(gen, "sorted") for _ in range(count)], 1)
+
+    def test_pinned_to_one_cpu_runs_inline(self):
+        """Under ``sched_setaffinity`` (or a cgroup pin) to one core the
+        pool is sized from the affinity mask, not ``cpu_count()``: no
+        thread is started."""
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("platform has no CPU affinity")
+        store = self.chain_store()
+        seen = []
+        read_raw = CheckpointStore.read_raw
+
+        def counting_read(self, record):
+            seen.append(threading.active_count())
+            return read_raw(self, record)
+
+        allowed = os.sched_getaffinity(0)
+        before = threading.active_count()
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            with mock.patch.object(CheckpointStore, "read_raw", counting_read), \
+                    mock.patch.object(recovery, "ThreadPoolExecutor",
+                                      side_effect=AssertionError("pool")):
+                target = Recorder()
+                result = parallel_recover(store, target, target)
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert result.workers == 1 and result.merge_ops == 15
+        assert set(seen) == {before} and threading.active_count() == before
+
+    @pytest.mark.parametrize("workers,cpus,count,fanout", [
+        (4, 2, 16, 2), (4, 8, 16, 4),
+        (3, 8, 16, 2),      # segments are powers of two: 8 + 8
+        (1, 8, 16, 1), (0, 8, 16, 1), (8, 8, 3, 1), (8, 1, 16, 1),
+    ])
+    def test_fan_out_rule(self, workers, cpus, count, fanout):
+        result, _ = recover_with(self.chain_store(count), workers, cpus=cpus)
+        assert result.workers == fanout
+        assert result.merge_ops == count - 1
+        assert not pool_threads()
+
+    @pytest.mark.parametrize("cpus,count,fanout", [(2, 16, 2), (16, 64, 8)])
+    def test_default_fans_out_for_large_records_only(self, cpus, count,
+                                                     fanout):
+        """Unasked, threads are used only from the record size up where
+        they win (small records decode GIL-bound: fan-out would lose)."""
+        store = self.chain_store(count)
+        mean = sum(view.nbytes for view in store.diffs_after(0)) / count
+        assert mean < recovery.FANOUT_MIN_RECORD_BYTES
+        result, _ = recover_with(store, None, cpus=cpus)
+        assert result.workers == 1
+        with mock.patch.object(recovery, "FANOUT_MIN_RECORD_BYTES", int(mean)):
+            result, _ = recover_with(store, None, cpus=cpus)
+        assert result.workers == fanout and result.merge_ops == count - 1
+
+    def test_phases_are_reported(self):
+        store = self.chain_store()
+        for recover in (serial_recover,
+                        lambda *a: parallel_recover(*a, max_workers=1)):
+            target = Recorder()
+            result = recover(store, target, target)
+            assert set(result.phase_s) == set(recovery.PHASES)
+            assert all(seconds >= 0.0 for seconds in result.phase_s.values())
+            assert result.phase_s["load_chain"] > 0.0
+            assert result.phase_s["apply"] > 0.0
+        assert result.phase_s["merge"] > 0.0     # the parallel one
+
+
+class TestNoSortGuard:
+    """CI-safe perf guard — counts, not timings: a duplicate-free chain
+    restores without a single sort or ``SparseGradient.add``, in exactly
+    S*(n-1) merges, holding at most ceil(log2 segment) + 1 node buffers
+    per worker."""
+
+    SORTS = {"unique", "argsort", "sort", "lexsort", "searchsorted"}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_no_sort_no_add_bounded_buffers(self, shards):
+        count = 32
+        gen = np.random.default_rng(shards)
+        leaves = [make_leaf(gen, ("sorted", "unsorted")[i % 2])
+                  for i in range(count)]
+        reference = tree_merge(leaves).decompress()
+
+        # Inline, under a profiler that sees Python and C calls alike
+        # (np.unique, np.argsort, ndarray.sort, ndarray.argsort, ...):
+        # nothing sorts, nothing goes through SparseGradient.add.
+        store = store_of(leaves, shards)
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "c_call" and arg.__name__ in self.SORTS:
+                calls.append(arg.__name__)
+            elif event == "call" and frame.f_code.co_name in self.SORTS:
+                calls.append(frame.f_code.co_name)
+
+        merges = []
+        merge = MergeFold._merge
+
+        def counting_merge(self, left, right):
+            merges.append(self)
+            return merge(self, left, right)
+
+        target = Recorder()
+        with mock.patch.object(SparseGradient, "add",
+                               side_effect=AssertionError("add")), \
+                mock.patch.object(MergeFold, "_merge", counting_merge):
+            sys.setprofile(profiler)
+            try:
+                result = parallel_recover(store, target, target, max_workers=1)
+            finally:
+                sys.setprofile(None)
+        assert calls == []
+        assert len(merges) == result.merge_ops == shards * (count - 1)
+        assert_bit_equal(target.grads, reference)
+
+        # Fanned out over 4 segments of 8: every worker's fold stays
+        # within its bound, and so does the fold that joins them.
+        folds = []
+        fold_segment = recovery.fold_segment
+
+        def recording_fold_segment(parts, *args):
+            folds.append((len(parts), fold_segment(parts, *args)))
+            return folds[-1][1]
+
+        with mock.patch.object(recovery, "fold_segment",
+                               recording_fold_segment):
+            result, grads = recover_with(store_of(leaves, shards), workers=4)
+        assert result.workers == 4 and len(folds) == 4 * shards
+        for segment, fold in folds:
+            assert segment == 8 and fold.leaves == 8
+            assert 1 <= fold.buffers <= math.ceil(math.log2(segment)) + 1
+        assert_bit_equal(grads, reference)
 
 
 # The same cases against the sharded facade.

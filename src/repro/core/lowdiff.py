@@ -257,9 +257,17 @@ class LowDiffCheckpointer:
             raise RuntimeError("checkpointing process failed") from error
 
     # Lifecycle -------------------------------------------------------------------
+    def _stop_intake(self) -> None:
+        """First act of every way to end: no record is accepted past here,
+        so the trainer is no longer needed — and must be let go, or it and
+        this object (whose bound hooks it holds) keep each other and the
+        whole training state alive until a full gc."""
+        self.queue.close()
+        self._trainer = None
+
     def finalize(self) -> None:
         """Flush everything; call when training ends (or before recovery)."""
-        self.queue.close()
+        self._stop_intake()
         if self._worker is not None:
             self._worker.join(timeout=30.0)
             if self._worker.is_alive():  # pragma: no cover - defensive
@@ -283,7 +291,7 @@ class LowDiffCheckpointer:
         synchronous run up to the crash point, which is what makes chaos
         drills bit-exactly replayable in async mode.
         """
-        self.queue.close()
+        self._stop_intake()
         if self._worker is not None:
             self._worker.join(timeout=30.0)
         self.writer.discard_pending()
@@ -293,7 +301,7 @@ class LowDiffCheckpointer:
     def abort(self) -> None:
         """Hard-stop the persistence engine without draining (queued writes
         are dropped); used when even the checkpointing side is dying."""
-        self.queue.close()
+        self._stop_intake()
         if self.engine is not None:
             self.engine.abort()
 
@@ -308,7 +316,7 @@ class LowDiffCheckpointer:
         queued writes instead of hanging recovery forever.  The
         checkpointer is dead afterwards; recovery attaches a fresh one.
         """
-        self.queue.close()
+        self._stop_intake()
         if self._worker is not None:
             self._worker.join(timeout=30.0)
         self.writer.discard_pending()

@@ -170,15 +170,19 @@ class DataParallelTrainer:
     def _install_layer_capture(self) -> None:
         self._layer_capture = [[] for _ in range(self.num_workers)]
 
-        def make_capture(rank: int):
+        # The closures hold their rank's list, never ``self``: a hook that
+        # reached the trainer would close the cycle trainer -> worker ->
+        # model -> hook and keep a finished trainer's whole state alive
+        # until a full gc.  ``step`` clears the lists in place.
+        def make_capture(captured: list):
             def capture(layer_name: str, grads: dict) -> None:
-                self._layer_capture[rank].append(
+                captured.append(
                     (layer_name, {k: v.copy() for k, v in grads.items()})
                 )
             return capture
 
-        for rank, worker in enumerate(self.workers):
-            worker.model.register_grad_hook(make_capture(rank))
+        for captured, worker in zip(self._layer_capture, self.workers):
+            worker.model.register_grad_hook(make_capture(captured))
 
     # Training -----------------------------------------------------------------
     def step(self) -> IterationRecord:

@@ -10,7 +10,6 @@ garbage collection and corruption quarantine.
 
 from repro.storage.serializer import (
     CorruptCheckpointError,
-    crc32_combine,
     pack_tree,
     pack_tree_into,
     pack_tree_into_view,
@@ -83,7 +82,6 @@ from repro.storage.sharded import (
 
 __all__ = [
     "CorruptCheckpointError",
-    "crc32_combine",
     "pack_tree",
     "pack_tree_into",
     "pack_tree_with_crc",

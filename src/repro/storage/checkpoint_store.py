@@ -232,10 +232,11 @@ class CheckpointStore:
         self._diffs = diffs
 
     def _commit_manifest(self) -> None:
+        # The CRC covers the body without itself; splicing it on as the
+        # last key spares re-encoding every record on every commit.
         body = self._manifest_body(self._fulls, self._diffs)
-        manifest = json.loads(body.decode())
-        manifest["crc"] = zlib.crc32(body)
-        self.backend.write(MANIFEST_KEY, json.dumps(manifest).encode())
+        self.backend.write(
+            MANIFEST_KEY, body[:-1] + b',"crc":%d}' % zlib.crc32(body))
 
     def _drop_stale_records(self) -> None:
         """Drop manifest entries whose backing key no longer exists.

@@ -12,15 +12,19 @@ steals hot-path cycles whenever a kernel holds the GIL.
 runs writer threads and holds locks fork would duplicate mid-flight), fed
 through a ``multiprocessing.shared_memory`` ring:
 
-1. **Submit (training process)** — the record tree is packed *once*
+1. **Submit (training process)** — the record tree is walked *once*
+   (:func:`~repro.storage.serializer.prepare_transit`) and memcpy'd
    straight into a ring region with
    :func:`~repro.storage.serializer.pack_tree_into_view`; the pack *is*
-   the snapshot copy.  Only a tiny ``(seq, kind, offset, length, meta)``
-   descriptor crosses the queue — no pickle of array data, ever.
+   the snapshot copy, and it carries no checksums — ring bytes are read
+   once, unverified, by a process we spawned.  Only a tiny ``(seq, kind,
+   offset, length, meta)`` descriptor crosses the queue — no pickle of
+   array data, ever.
 2. **Persist (worker process)** — the worker unpacks the region (copying
    arrays out), immediately releases the ring region, then runs the codec
-   CPU, re-packs, and writes the blob **atomically** (tmp + rename) under
-   its final key via its own backend handle.
+   CPU, re-packs (this pack makes every CRC the stored blob carries), and
+   writes the blob **atomically** (tmp + rename) under its final key via
+   its own backend handle.
 3. **Commit (parent collector thread)** — completions go through the
    core's in-order turnstile and are recorded in the store manifest via
    ``register_*_blob``.  The blob-before-manifest crash-ordering
@@ -72,7 +76,7 @@ from repro.storage.serializer import (
     pack_tree,
     pack_tree_into,
     pack_tree_into_view,
-    serialized_size,
+    prepare_transit,
     unpack_tree,
 )
 
@@ -496,7 +500,10 @@ class MultiprocessCheckpointEngine(PersistEngine):
         seq, kind = task.seq, task.kind
         FLIGHT.record("ckpt", "submit", seq=seq, record_kind=kind)
         try:
-            nbytes = serialized_size(tree)
+            # One walk, no checksums: the worker reads the region
+            # unverified and makes the durable CRCs in its own pack.
+            prepared = prepare_transit(tree)
+            nbytes = prepared.total_len
             started = time.perf_counter()
             with obs_span("mp_pack", "ckpt",
                           {"seq": seq, "kind": kind, "nbytes": nbytes}):
@@ -505,7 +512,7 @@ class MultiprocessCheckpointEngine(PersistEngine):
                 try:
                     region = self.ring.view(offset, nbytes)
                     try:
-                        pack_tree_into_view(tree, region)
+                        pack_tree_into_view(prepared, region)
                     finally:
                         region.release()
                     elapsed = time.perf_counter() - started

@@ -23,10 +23,15 @@ Two write paths share the same wire format:
   (pooled) ``bytearray``, with no per-array ``tobytes()`` intermediates
   and no ``b"".join`` concatenation.
 
-Each blob's CRC32 is computed exactly once; the whole-blob checksum the
-store indexes is derived from the per-blob CRCs with
-:func:`crc32_combine` (zlib's GF(2) length-shift), never by re-walking
-the payload bytes.
+Checksums are ``zlib.crc32`` and nothing else: one call per blob (kept
+in the manifest, verified on read), one over the manifest, and one over
+the finished container for the whole-blob checksum the store indexes.
+That last call re-reads bytes the memcpy just left in cache, in C, with
+the GIL released; any cleverness that avoids it in Python costs more
+than the walk it saves.  A tree is walked once per pack
+(:class:`PreparedTree`), and a container that only crosses the
+shared-memory ring (:func:`prepare_transit`) carries no checksums at
+all — nobody reads them there.
 
 Arrays round-trip dtype and shape exactly; the sparse/quantized payload
 classes serialize through their constituent arrays.
@@ -37,6 +42,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,60 +65,6 @@ class CorruptCheckpointError(ValueError):
     broad decode errors keep working; the recovery path catches this
     specifically to quarantine the blob and fall back.
     """
-
-
-# CRC32 combination (zlib's crc32_combine, which the stdlib does not
-# expose).  combine(crcA, crcB, lenB) == crc32(A + B) given crcA=crc32(A)
-# and crcB=crc32(B) — O(log lenB) bit-matrix work instead of re-reading B.
-
-_CRC_POLY = 0xEDB88320
-
-
-def _gf2_matrix_times(matrix: list[int], vector: int) -> int:
-    product = 0
-    index = 0
-    while vector:
-        if vector & 1:
-            product ^= matrix[index]
-        vector >>= 1
-        index += 1
-    return product
-
-
-def _gf2_matrix_square(square: list[int], matrix: list[int]) -> None:
-    for n in range(32):
-        square[n] = _gf2_matrix_times(matrix, matrix[n])
-
-
-def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
-    """CRC32 of the concatenation ``A+B`` from ``crc32(A)``, ``crc32(B)``,
-    ``len(B)`` — without touching the bytes of either part again."""
-    if len2 <= 0:
-        return crc1 & 0xFFFFFFFF
-    even = [0] * 32   # operator for 2^k zero bits
-    odd = [0] * 32
-    # Operator for one zero bit.
-    odd[0] = _CRC_POLY
-    row = 1
-    for n in range(1, 32):
-        odd[n] = row
-        row <<= 1
-    _gf2_matrix_square(even, odd)   # two zero bits
-    _gf2_matrix_square(odd, even)   # four zero bits
-    while True:
-        _gf2_matrix_square(even, odd)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(even, crc1)
-        len2 >>= 1
-        if not len2:
-            break
-        _gf2_matrix_square(odd, even)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(odd, crc1)
-        len2 >>= 1
-        if not len2:
-            break
-    return (crc1 ^ crc2) & 0xFFFFFFFF
 
 
 def _as_byte_view(array: np.ndarray) -> memoryview:
@@ -177,35 +129,37 @@ def _decode(description, blobs: list[memoryview]):
     raise ValueError(f"unknown node kind in checkpoint: {kind}")
 
 
-def _prepare(tree):
-    """Walk the tree once: blob arrays, per-blob CRCs, manifest, total size.
+class PreparedTree(NamedTuple):
+    """One walk of a tree: everything a pack needs except the destination."""
 
-    Returns ``(blobs, manifest_bytes, total_len, blob_crcs)``.  Each
-    blob's CRC32 is computed here, exactly once — the manifest embeds it
-    and :func:`_whole_crc` combines it; nothing downstream re-reads the
-    payload bytes for checksumming.
-    """
+    blobs: list[np.ndarray]   # contiguous views (copies only if they had to be)
+    manifest: bytes
+    total_len: int
+    checksummed: bool
+
+
+def _prepare(tree, checksums: bool = True) -> PreparedTree:
+    """Walk the tree once: blob arrays, manifest, total size — and, for
+    every container that will be stored, one CRC32 per blob."""
     blobs: list[np.ndarray] = []
-    description = _encode(tree, blobs)
-    blob_crcs = [zlib.crc32(_as_byte_view(blob)) for blob in blobs]
-    manifest = json.dumps(
-        {
-            "root": description,
-            "blob_sizes": [blob.nbytes for blob in blobs],
-            "blob_crcs": blob_crcs,
-        },
-        separators=(",", ":"),
-    ).encode()
-    total_len = _HEADER.size + len(manifest) + sum(blob.nbytes for blob in blobs)
-    return blobs, manifest, total_len, blob_crcs
+    index = {"root": _encode(tree, blobs),
+             "blob_sizes": [blob.nbytes for blob in blobs]}
+    if checksums:
+        index["blob_crcs"] = [zlib.crc32(_as_byte_view(blob)) for blob in blobs]
+    manifest = json.dumps(index, separators=(",", ":")).encode()
+    total_len = _HEADER.size + len(manifest) + sum(index["blob_sizes"])
+    return PreparedTree(blobs, manifest, total_len, checksums)
 
 
-def _whole_crc(head_crc: int, blobs: list[np.ndarray], blob_crcs: list[int]) -> int:
-    """CRC32 of header+manifest+blobs from already-known per-blob CRCs."""
-    crc = head_crc
-    for blob, blob_crc in zip(blobs, blob_crcs):
-        crc = crc32_combine(crc, blob_crc, blob.nbytes)
-    return crc
+def prepare_transit(tree) -> PreparedTree:
+    """Prepare ``tree`` for :func:`pack_tree_into_view` with checksums off.
+
+    For bytes whose only reader is ``unpack_tree(verify=False)`` on the
+    other side of the shared-memory ring.  The container omits
+    ``blob_crcs`` and frames a zero manifest CRC, so a verified read of it
+    fails loudly: it cannot pass for a stored checkpoint.
+    """
+    return _prepare(tree, checksums=False)
 
 
 def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
@@ -218,70 +172,65 @@ def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
     intermediate ``bytes`` objects are created.
 
     Returns ``(view, crc)``: a memoryview over the packed bytes inside
-    ``buffer`` and the CRC32 of those bytes (the store-level whole-blob
-    checksum, derived via :func:`crc32_combine` — the payload is never
-    walked a second time).  The buffer must not be resized while the
+    ``buffer`` and ``zlib.crc32`` of exactly those bytes (the store-level
+    whole-blob checksum).  The buffer must not be resized while the
     returned view is alive; call ``view.release()`` when done.
     """
-    blobs, manifest, total_len, blob_crcs = _prepare(tree)
-    if len(buffer) < total_len:
-        buffer.extend(bytes(total_len - len(buffer)))
+    prepared = _prepare(tree)
+    if len(buffer) < prepared.total_len:
+        buffer.extend(bytes(prepared.total_len - len(buffer)))
     view = memoryview(buffer)
-    crc = _pack_prepared(blobs, manifest, total_len, blob_crcs, view)
-    return view[:total_len], crc
+    return view[:prepared.total_len], _pack_prepared(prepared, view)
 
 
-def _pack_prepared(blobs, manifest: bytes, total_len: int,
-                   blob_crcs: list[int], view: memoryview) -> int:
-    """Write an already-:func:`_prepare`'d tree into a writable view.
+def _pack_prepared(prepared: PreparedTree, view: memoryview) -> int | None:
+    """Write a prepared tree into a writable view of sufficient size.
 
     Shared tail of :func:`pack_tree_into` (growable pooled bytearray) and
     :func:`pack_tree_into_view` (fixed-capacity shared-memory region).
-    Returns the whole-blob CRC32.
+    Returns the CRC32 of the written container — the only place that is
+    computed — or ``None`` for a transit container.
     """
+    blobs, manifest, total_len, checksummed = prepared
     manifest_end = _HEADER.size + len(manifest)
     _HEADER.pack_into(view, 0, MAGIC, len(manifest), total_len,
-                      zlib.crc32(manifest))
+                      zlib.crc32(manifest) if checksummed else 0)
     view[_HEADER.size:manifest_end] = manifest
     offset = manifest_end
     for blob in blobs:
         end = offset + blob.nbytes
         view[offset:end] = _as_byte_view(blob)
         offset = end
-    head_crc = zlib.crc32(view[:manifest_end])
-    return _whole_crc(head_crc, blobs, blob_crcs)
+    return zlib.crc32(view[:total_len]) if checksummed else None
 
 
-def pack_tree_into_view(tree, view: memoryview) -> tuple[int, int]:
+def pack_tree_into_view(tree, view: memoryview) -> tuple[int, int | None]:
     """Serialize a checkpoint tree into a fixed-capacity writable view.
 
     The shared-memory variant of :func:`pack_tree_into`: the destination
     (a slice of a ``multiprocessing.shared_memory`` segment) cannot grow,
-    so the caller sizes it with :func:`serialized_size` and this packer
-    raises :class:`ValueError` rather than resize.  Array payloads are
-    memcpy'd straight from their contiguous source views into the shared
-    segment — the pack *is* the snapshot copy; no intermediate ``bytes``
-    objects and no pickle round-trip.
+    so this packer raises :class:`ValueError` rather than resize.  The
+    ring's submit path passes a :func:`prepare_transit` result in place
+    of ``tree``: it sized the region from that same walk, and the bytes
+    cross unchecksummed.  Array payloads are memcpy'd straight from their
+    contiguous source views into the shared segment — the pack *is* the
+    snapshot copy; no intermediate ``bytes`` objects and no pickle
+    round-trip.
 
-    Returns ``(total_len, crc)`` — the packed byte count and the
-    whole-blob CRC32 (derived via :func:`crc32_combine`).
+    Returns ``(total_len, crc)`` — the packed byte count and
+    ``zlib.crc32`` of those bytes (``None`` for a transit container).
     """
-    blobs, manifest, total_len, blob_crcs = _prepare(tree)
-    if len(view) < total_len:
+    prepared = tree if isinstance(tree, PreparedTree) else _prepare(tree)
+    if len(view) < prepared.total_len:
         raise ValueError(
-            f"destination view too small: need {total_len} bytes, "
+            f"destination view too small: need {prepared.total_len} bytes, "
             f"have {len(view)}")
-    crc = _pack_prepared(blobs, manifest, total_len, blob_crcs, view)
-    return total_len, crc
+    return prepared.total_len, _pack_prepared(prepared, view)
 
 
 def pack_tree_with_crc(tree) -> tuple[bytes, int]:
-    """Serialize to fresh ``bytes`` plus the whole-blob CRC32.
-
-    The CRC comes from the single packing pass (per-blob CRCs combined),
-    so callers that index checkpoints by checksum (the store manifest)
-    need no second walk over the data.
-    """
+    """Serialize to fresh ``bytes`` plus ``zlib.crc32`` of them, for
+    callers that index checkpoints by checksum (the store manifest)."""
     buffer = bytearray()
     view, crc = pack_tree_into(tree, buffer)
     data = bytes(view)
@@ -352,7 +301,7 @@ def unpack_tree(data, verify: bool = True):
 def serialized_size(tree) -> int:
     """Size in bytes :func:`pack_tree` would produce — computed from the
     manifest pass alone, without copying any blob bytes."""
-    return _prepare(tree)[2]
+    return _prepare(tree).total_len
 
 
 def checksum(data: bytes) -> int:

@@ -1,5 +1,8 @@
 """End-to-end tests for the LowDiff checkpointer (Algorithm 1)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -217,3 +220,57 @@ class TestFailureDuringCheckpointing:
         optimizer = Adam(model, lr=1e-3)
         result = serial_recover(store, model, optimizer)
         assert result.step >= 0  # no torn data, loadable state
+
+
+class TestFinishedJobIsNotCyclicGarbage:
+    """A finished trainer and checkpointer hold the whole training state
+    (models, gradients, optimizer scratch, engines, stores).  Neither may
+    sit in a reference cycle: a restore allocates too little to trigger
+    the generation-2 collection that would free them."""
+
+    @staticmethod
+    def dies_without_gc(build):
+        """``build()`` returns objects; once it returned and they were
+        dropped, nothing but the cycle collector could still hold them."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = [weakref.ref(obj) for obj in build()]
+            return [ref() is None for ref in refs]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("persist, ending", [
+        ("inline", "finalize"),
+        ("thread", "finalize"),
+        pytest.param("process", "finalize", marks=pytest.mark.shm),
+        ("thread", "crash"),
+        ("thread", "abort"),
+        ("thread", "quiesce"),
+    ])
+    def test_trainer_and_checkpointer_die_with_their_last_name(
+            self, persist, ending, tmp_path):
+        def build():
+            trainer = make_mlp_trainer()
+            config = CheckpointConfig(
+                full_every_iters=3, batch_size=1,
+                async_persist=persist != "inline",
+                persist_mode="thread" if persist == "inline" else persist,
+                writer_threads=1, ring_mb=4.0)
+            checkpointer = LowDiffCheckpointer(
+                CheckpointStore(LocalDiskBackend(str(tmp_path))), config)
+            checkpointer.attach(trainer)
+            trainer.run(5)
+            getattr(checkpointer, ending)()
+            return trainer, checkpointer
+
+        assert self.dies_without_gc(build) == [True, True]
+
+    def test_trainer_without_a_checkpointer_dies_too(self):
+        def build():
+            trainer = make_mlp_trainer()
+            trainer.run(3)
+            return (trainer,)
+
+        assert self.dies_without_gc(build) == [True]

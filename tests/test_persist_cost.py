@@ -1,0 +1,166 @@
+"""What one persisted record costs, as counts — never as timings.
+
+The persist path pays for bytes, not for blobs: every stored byte is
+checksummed by ``zlib.crc32`` only, a record tree is walked once, and
+bytes that only cross the shared-memory ring carry no checksum.  Calls
+made on the submitting thread repeat exactly, so a shared CI host can gate
+them (ROADMAP item 5's rule); the timings they stand for are the
+``bench/run.py`` rows ``stall_ms_per_iter`` and
+``storage.serializer.pack_mb_s``.
+"""
+
+import json
+import pathlib
+import re
+import sys
+import zlib
+from collections import Counter
+
+import pytest
+
+import repro
+from repro.compression import TopKCompressor
+from repro.optim import SGD
+from repro.storage import (
+    CheckpointStore,
+    InMemoryBackend,
+    LocalDiskBackend,
+    ShardedCheckpointStore,
+    open_persist_engine,
+)
+from repro.storage import serializer
+from repro.storage.payload_codec import payload_to_tree
+from repro.tensor.models import MLP
+from repro.utils.rng import Rng
+
+
+class CallCounts:
+    """``sys.setprofile`` over a block: Python-level calls by code object,
+    C-level calls by builtin, on the calling thread only."""
+
+    def __enter__(self):
+        self.python = Counter()
+        self.builtin = Counter()
+        self.roots = Counter()   # entries with no frame of the same code above
+        sys.setprofile(self._event)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+    def _event(self, frame, event, arg):
+        if event == "c_call":
+            self.builtin[arg] += 1
+        elif event == "call":
+            code = frame.f_code
+            self.python[code] += 1
+            back = frame.f_back
+            while back is not None and back.f_code is not code:
+                back = back.f_back
+            if back is None:
+                self.roots[code] += 1
+
+    def calls(self, function) -> int:
+        return self.python[function.__code__]
+
+
+def sparse_payload(seed=1, tensors=6, rows=50, cols=50, rho=0.1):
+    rng = Rng(seed)
+    return TopKCompressor(rho).compress({
+        f"layer{i}.w": rng.child("g", i).normal(size=(rows, cols))
+        for i in range(tensors)})
+
+
+def diff_record_tree(step=3):
+    return CheckpointStore.diff_tree(step, step, 1,
+                                     payload_to_tree(sparse_payload()))
+
+
+def test_packing_a_sparse_diff_costs_bytes_not_blobs():
+    """12 blobs, ~14 KB: a few hundred interpreter calls, and exactly one
+    ``zlib.crc32`` per blob plus the manifest and the whole container."""
+    tree = diff_record_tree()
+    blobs = 12
+    with CallCounts() as counts:
+        data, crc = serializer.pack_tree_with_crc(tree)
+    assert 13_000 < len(data) < 16_000 and crc == zlib.crc32(data)
+    assert counts.builtin[zlib.crc32] == blobs + 2
+    assert sum(counts.python.values()) <= 300
+    assert counts.roots[serializer._encode.__code__] == 1
+    assert counts.calls(json.dumps) == 1
+
+
+def test_store_commit_encodes_the_manifest_once():
+    store = CheckpointStore(InMemoryBackend())
+    model = MLP(6, [8], 3, rng=Rng(0))
+    store.save_full(0, model.state_dict(), SGD(model, lr=1e-2).state_dict())
+    payload = sparse_payload()
+    with CallCounts() as counts:
+        store.save_diff(1, 1, payload)
+    # One dumps for the container manifest, one for the store manifest.
+    assert counts.calls(json.dumps) == 2
+    assert counts.calls(json.loads) == 0
+    with CallCounts() as counts:
+        store._commit_manifest()
+    assert counts.calls(json.dumps) == 1 and counts.calls(json.loads) == 0
+    # ...and what it wrote is what every reader, old or new, verifies.
+    reopened = CheckpointStore(store.backend)
+    assert not reopened.manifest_rebuilt
+    assert reopened.diffs() == store.diffs() and reopened.fulls() == store.fulls()
+
+
+@pytest.mark.shm
+@pytest.mark.parametrize("shards", [1, 2])
+def test_ring_transit_is_one_walk_and_no_checksums_but_stored_blobs_carry_them(
+        shards, tmp_path):
+    backend = LocalDiskBackend(str(tmp_path))
+    store = CheckpointStore(backend) if shards == 1 \
+        else ShardedCheckpointStore(backend, shards)
+    engine = open_persist_engine(store, persist_mode="process",
+                                 writer_threads=1, queue_depth=8, ring_mb=4.0)
+    executors = getattr(engine, "engines", [engine])
+    model = MLP(50, [50], 50, rng=Rng(0))
+    try:
+        engine.save_full(0, model.state_dict(),
+                         SGD(model, lr=1e-2).state_dict())
+        rng = Rng(7)
+        for step in (1, 2, 3):
+            payload = TopKCompressor(0.1).compress({
+                name: rng.child("g", step, name).normal(size=p.shape)
+                for name, p in model.named_parameters()})
+            with CallCounts() as counts:
+                engine.save_diff(step, step, payload)
+            # Per ring: one walk, one manifest encode, nothing checksummed.
+            assert counts.roots[serializer._encode.__code__] == len(executors)
+            assert counts.calls(serializer._prepare) == len(executors)
+            assert counts.calls(json.dumps) == len(executors)
+            assert counts.builtin[zlib.crc32] == 0
+    finally:
+        engine.finalize()
+
+    # The workers' own pack made every checksum a stored blob carries.
+    parts = [store] if shards == 1 else store.part_stores
+    stored = 0
+    for part in parts:
+        for record in part.fulls() + part.diffs():
+            data = part.backend.read(record.key)
+            assert zlib.crc32(data) == record.crc
+            _, manifest_len, _, manifest_crc = serializer._HEADER.unpack_from(data)
+            manifest = data[serializer._HEADER.size:
+                            serializer._HEADER.size + manifest_len]
+            assert zlib.crc32(manifest) == manifest_crc
+            index = json.loads(manifest)
+            assert len(index["blob_crcs"]) == len(index["blob_sizes"]) > 0
+            serializer.unpack_tree(data, verify=True)
+            stored += 1
+    assert stored == 4 * shards
+
+
+def test_no_crc_combine_left_in_src():
+    """Replace, not fork: the pure-Python GF(2) combine is gone, not kept
+    beside the one ``zlib.crc32`` over the finished container."""
+    root = pathlib.Path(repro.__file__).parent
+    pattern = re.compile(r"_gf2_|crc32_combine|_whole_crc")
+    hits = [str(path) for path in root.rglob("*.py")
+            if pattern.search(path.read_text())]
+    assert not hits

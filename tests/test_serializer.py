@@ -1,10 +1,25 @@
 """Tests for the pickle-free checkpoint serializer."""
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.serializer import MAGIC, pack_tree, serialized_size, unpack_tree
+from repro.storage.serializer import (
+    _ALLOWED_DTYPES,
+    _HEADER,
+    MAGIC,
+    CorruptCheckpointError,
+    pack_tree,
+    pack_tree_into,
+    pack_tree_into_view,
+    pack_tree_with_crc,
+    prepare_transit,
+    serialized_size,
+    unpack_tree,
+)
 
 
 def arrays_strategy():
@@ -202,3 +217,123 @@ class TestIntegrity:
         tree = {"w": rng.normal(size=(64,))}
         out = unpack_tree(pack_tree(tree))
         assert np.array_equal(out["w"], tree["w"])
+
+
+def _build_array(spec):
+    dtype, kind, seed = spec
+    dtype = np.dtype(dtype)
+    if kind == "empty":
+        return np.zeros((0, 3) if seed % 2 else (0,), dtype=dtype)
+    if kind == "zero_d":
+        return np.array(seed % 2, dtype=dtype)
+    count = {"small": 1 + seed % 64, "strided": 2 * (2 + seed % 31),
+             "big": (1 << 20) // dtype.itemsize + 1 + seed % 7}[kind]
+    flat = (np.arange(count) * (seed + 1) % 251).astype(dtype)
+    if kind == "strided":
+        flat = flat.reshape(2, -1).T   # F-ordered view: not C-contiguous
+        assert not flat.flags.c_contiguous
+    return flat
+
+
+@st.composite
+def checksum_trees(draw):
+    """0-40 arrays over every allowed dtype — zero-length, 0-d,
+    non-contiguous, and at most two >= 1 MB — plus scalars, folded into
+    nested dicts/lists/tuples."""
+    spec = st.tuples(st.sampled_from(sorted(_ALLOWED_DTYPES)),
+                     st.sampled_from(["empty", "zero_d", "small", "strided"]),
+                     st.integers(0, 1000))
+    big = st.tuples(st.sampled_from(sorted(_ALLOWED_DTYPES)), st.just("big"),
+                    st.integers(0, 1000))
+    count = draw(st.integers(0, 38))   # drawn first: lists alone stay short
+    nodes = [_build_array(one) for one in
+             draw(st.lists(spec, min_size=count, max_size=count))
+             + draw(st.lists(big, max_size=2))]
+    nodes += draw(st.lists(st.one_of(
+        st.none(), st.booleans(), st.integers(-2**40, 2**40),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=12)), max_size=6))
+    while len(nodes) > 1:
+        width = draw(st.integers(2, min(len(nodes), 6)))
+        group, nodes = nodes[:width], nodes[width:]
+        kind = draw(st.sampled_from(["dict", "list", "tuple"]))
+        nodes.append({f"k{i}": node for i, node in enumerate(group)}
+                     if kind == "dict" else
+                     list(group) if kind == "list" else tuple(group))
+    return {"root": nodes[0]} if nodes else {}
+
+
+class TestChecksumIsTheChecksum:
+    """Every pack entry point returns ``zlib.crc32`` of exactly the bytes
+    it produced, and they all produce the same bytes."""
+
+    @given(checksum_trees())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_property_crc_and_bytes_agree_across_entry_points(self, tree):
+        data, crc = pack_tree_with_crc(tree)
+        assert crc == zlib.crc32(data)
+        assert serialized_size(tree) == len(data)
+        assert trees_equal(tree, unpack_tree(data, verify=True))
+
+        view, into_crc = pack_tree_into(tree, bytearray())
+        assert (bytes(view), into_crc) == (data, crc)
+        view.release()
+        # A reused, over-sized pool buffer: the stale tail is not packed,
+        # not checksummed, and the buffer is not resized.
+        pooled = bytearray(b"\xaa" * (len(data) + 4096))
+        view, pooled_crc = pack_tree_into(tree, pooled)
+        assert (bytes(view), pooled_crc) == (data, crc)
+        view.release()
+        assert len(pooled) == len(data) + 4096
+
+        region = memoryview(bytearray(b"\x55" * (len(data) + 100)))
+        nbytes, region_crc = pack_tree_into_view(tree, region)
+        assert (bytes(region[:nbytes]), region_crc) == (data, crc)
+
+    def test_pinned_vector_from_the_combine_era(self):
+        """Bytes and CRC captured at the last commit that derived the
+        whole-container CRC with ``crc32_combine``: the format did not
+        move."""
+        tree = {"step": 3, "w": np.array([1.0, -2.0], dtype=np.float32),
+                "tag": ("a", None)}
+        data, crc = pack_tree_with_crc(tree)
+        assert data == (
+            b'LOWDIFF2#\x01\x00\x00\x00\x00\x00\x00G\x01\x00\x00\x00\x00'
+            b'\x00\x00_\xa8\x81\xb3{"root":{"__kind__":"dict","items":{"step":'
+            b'{"__kind__":"scalar","value":3},"w":{"__kind__":"ndarray","dtype":'
+            b'"float32","shape":[2],"blob":0},"tag":{"__kind__":"tuple","items":'
+            b'[{"__kind__":"scalar","value":"a"},{"__kind__":"scalar","value":'
+            b'null}]}}},"blob_sizes":[8],"blob_crcs":[3280414294]}'
+            b'\x00\x00\x80?\x00\x00\x00\xc0')
+        assert crc == 3546512610
+
+
+class TestTransitContainer:
+    """What crosses the shared-memory ring: same framing, no checksums."""
+
+    def test_packs_without_checksums_and_reads_back_unverified(self, rng):
+        tree = {"step": 5, "g": {"indices": np.arange(40, dtype=np.int64),
+                                 "values": rng.normal(size=(40,))}}
+        prepared = prepare_transit(tree)
+        region = memoryview(bytearray(prepared.total_len + 64))
+        nbytes, crc = pack_tree_into_view(prepared, region)
+        assert nbytes == prepared.total_len and crc is None
+        packed = region[:nbytes]
+        _, manifest_len, total_len, manifest_crc = _HEADER.unpack_from(packed)
+        manifest = json.loads(bytes(packed[_HEADER.size:_HEADER.size + manifest_len]))
+        assert "blob_crcs" not in manifest and manifest_crc == 0
+        assert total_len == nbytes < serialized_size(tree)
+        assert trees_equal(tree, unpack_tree(packed, verify=False))
+
+    def test_cannot_pass_for_a_stored_checkpoint(self, rng):
+        prepared = prepare_transit({"w": rng.normal(size=(16,))})
+        region = memoryview(bytearray(prepared.total_len))
+        pack_tree_into_view(prepared, region)
+        with pytest.raises(CorruptCheckpointError, match="manifest failed CRC"):
+            unpack_tree(region)
+
+    def test_view_too_small_is_refused(self, rng):
+        prepared = prepare_transit({"w": rng.normal(size=(16,))})
+        with pytest.raises(ValueError, match="too small"):
+            pack_tree_into_view(
+                prepared, memoryview(bytearray(prepared.total_len - 1)))

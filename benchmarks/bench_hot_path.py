@@ -8,7 +8,7 @@ Measures the four fast paths this PR introduces and writes them to
    sequential pairwise ``add()`` fold it replaces, at paper-scale payloads
    (8 workers, tens of millions of parameters, rho = 1%).  Also the CI
    perf-regression guard: a k-way merge that silently falls back to the
-   pairwise fold (``KWAY_MERGE_STATS``) fails the run in any mode.
+   pairwise fold (``compress.kway_merge.fallback``) fails the run in any mode.
 2. **Recovery replay of a 64-diff chain** — ``decompress_into`` reusable
    dense scratch + fused allocation-free ``step_with`` vs per-record
    ``decompress()`` + reference optimizer kernels, for both optimizer
@@ -140,7 +140,7 @@ def pairwise_fold(payloads):
 def measure_sparse_allreduce() -> dict:
     payloads = make_worker_payloads()
     # The fallback guard reads the registry counter the k-way merge
-    # maintains (KWAY_MERGE_STATS is a thin view over the same counter).
+    # maintains.
     fallback_before = OBS.registry.counter(KWAY_COUNTER_FALLBACK).value
 
     kway_s = timed_best("bench.kway_merge",

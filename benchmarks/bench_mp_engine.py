@@ -10,9 +10,9 @@ root:
    codec-on large-payload cell is the headline: encode CPU contends with
    the training thread for the GIL under the thread engine but runs in
    separate worker processes under the shared-memory engine.
-2. **Parallel recovery** — threaded merge-tree recovery vs the
-   cross-process segment path (``processes=2``), with bit-exactness of
-   the recovered states asserted, not assumed.
+2. **Parallel recovery** — the threaded merge-tree recovery of a chain
+   the codec encoded, its state asserted bit-identical to the inline
+   fold of the same tree.
 3. **Calibration** — measured persist/recover throughput fed back into
    the simulator via :meth:`ClusterSpec.calibrate_from_bench`, closing
    the loop between the real engine and the performance model.
@@ -203,7 +203,7 @@ def headline_from(sweep: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 2. Recovery: threaded merge tree vs cross-process segments
+# 2. Recovery: the threaded merge tree
 # ---------------------------------------------------------------------------
 
 def build_chain(tmpdir: str):
@@ -224,12 +224,12 @@ def build_chain(tmpdir: str):
     return root
 
 
-def recover_once(root: str, processes: int):
+def recover_once(root: str, max_workers: int | None = None):
     store = CheckpointStore(LocalDiskBackend(root), codec="lossless")
     model = MLP(RECOVERY_SHAPE[0], [RECOVERY_SHAPE[1]], 16, rng=Rng(9))
     optimizer = SGD(model, lr=0.05)
     started = time.perf_counter()
-    result = parallel_recover(store, model, optimizer, processes=processes)
+    result = parallel_recover(store, model, optimizer, max_workers=max_workers)
     elapsed = time.perf_counter() - started
     chain_bytes = sum(r.nbytes for r in store.diffs()) \
         + sum(r.nbytes for r in store.fulls())
@@ -238,26 +238,23 @@ def recover_once(root: str, processes: int):
 
 def measure_recovery(tmpdir: str) -> dict:
     root = build_chain(tmpdir)
-    threaded_s = process_s = float("inf")
-    rounds = 1 if QUICK else 2
-    for _ in range(rounds):
-        threaded_state, threaded_result, elapsed, chain_bytes = \
-            recover_once(root, processes=0)
+    threaded_s = float("inf")
+    for _ in range(1 if QUICK else 2):
+        threaded_state, result, elapsed, chain_bytes = recover_once(root)
         threaded_s = min(threaded_s, elapsed)
-        process_state, process_result, elapsed, _ = \
-            recover_once(root, processes=2)
-        process_s = min(process_s, elapsed)
+    inline_state = recover_once(root, max_workers=1)[0]
+    pooled_state = recover_once(root, max_workers=2)[0]
     bit_exact = all(
-        np.array_equal(threaded_state[name], process_state[name])
+        np.array_equal(threaded_state[name], inline_state[name])
+        and np.array_equal(threaded_state[name], pooled_state[name])
         for name in threaded_state)
-    assert threaded_result.step == process_result.step == CHAIN_LENGTH
+    assert result.step == CHAIN_LENGTH
     return {
         "chain_length": CHAIN_LENGTH,
         "threaded_s": threaded_s,
-        "process_s": process_s,
         "bit_exact": bit_exact,
-        "merge_ops": process_result.merge_ops,
-        "merge_depth": process_result.merge_depth,
+        "merge_ops": result.merge_ops,
+        "merge_depth": result.merge_depth,
         "chain_bytes": chain_bytes,
     }
 

@@ -72,8 +72,7 @@ def main() -> None:
         checkpointer = make_ckpt(store)
         checkpointer.attach(trainer)
         trainer.run(ITERATIONS)
-        if hasattr(checkpointer, "finalize"):
-            checkpointer.finalize()
+        checkpointer.finalize()
         live = trainer.model_state()
 
         model = MLP(8, [32, 32], 4, rng=Rng(99))

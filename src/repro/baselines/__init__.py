@@ -1,8 +1,8 @@
 """Baseline checkpointing strategies the paper evaluates against.
 
-All four share the LowDiff checkpointer's ``attach``/``recover`` surface
-so the examples, integration tests, and storage accounting can swap
-strategies freely:
+All four subclass :class:`~repro.core.checkpointer.Checkpointer`, the
+``attach`` / end / ``recover`` lifecycle LowDiff and LowDiff+ have, so the
+failure drill, the supervisor and the examples swap strategies freely:
 
 * :class:`FullCheckpointer` — ``torch.save``-style periodic full
   checkpoints (the paper's "Baseline");

@@ -11,17 +11,19 @@ large models (Exp. 4).
 
 from __future__ import annotations
 
-import threading
-
-from repro.core.lowdiff import FullSnapshot
-from repro.core.recovery import RecoveryResult, serial_recover
-from repro.optim.optimizer import Optimizer
+from repro.core.checkpointer import Checkpointer
+from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.tensor.module import Module
 
 
-class CheckFreqCheckpointer:
-    """Snapshot every ``every`` iterations; persist asynchronously."""
+class CheckFreqCheckpointer(Checkpointer):
+    """Snapshot every ``every`` iterations; persist asynchronously.
+
+    ``async_persist=True`` persists through the one-writer, one-slot
+    :class:`~repro.storage.async_engine.AsyncCheckpointEngine` LowDiff+
+    uses: at most one persist is in flight, and a cadence tick that would
+    block on it is skipped and counted in ``skipped``.
+    """
 
     def __init__(self, store: CheckpointStore, every: int = 10,
                  async_persist: bool = False):
@@ -29,69 +31,34 @@ class CheckFreqCheckpointer:
             raise ValueError(f"every must be >= 1, got {every}")
         self.store = store
         self.every = int(every)
-        self.async_persist = bool(async_persist)
+        self.engine = AsyncCheckpointEngine(store, num_writers=1,
+                                            queue_depth=1) \
+            if async_persist else None
+        self._persist = store if self.engine is None else self.engine
         self.snapshots_taken = 0
         self.persisted = 0
         self.skipped = 0
-        self._trainer = None
-        self._persist_thread: threading.Thread | None = None
-        self._persist_error: BaseException | None = None
 
-    def attach(self, trainer) -> None:
-        self._trainer = trainer
-        self.store.save_full(0, trainer.model_state(), trainer.optimizer_state())
+    def _save_full(self, step, model_state, optimizer_state) -> None:
+        self._persist.save_full(step, model_state, optimizer_state)
         self.persisted += 1
-        trainer.register_post_update_hook(self._on_post_update)
+
+    _save_base = _save_full     # the base full is one more persist
 
     def _on_post_update(self, iteration: int) -> None:
         step = iteration + 1
         if step % self.every:
             return
-        if (self.async_persist and self._persist_thread is not None
-                and self._persist_thread.is_alive()):
-            self.skipped += 1
-            return
+        if self.engine is not None:
+            self.engine.raise_if_failed()
+            if self.engine.would_block():
+                self.skipped += 1
+                return
         # Snapshot: state_dict() copies — the GPU→CPU copy of the paper.
-        snapshot = FullSnapshot(
-            step=step,
-            model_state=self._trainer.model_state(),
-            optimizer_state=self._trainer.optimizer_state(),
-        )
+        # The persist runs pipelined with the following iterations.
         self.snapshots_taken += 1
-        if self.async_persist:
-            self._persist_thread = threading.Thread(
-                target=self._persist, args=(snapshot,),
-                name="checkfreq-persist", daemon=True,
-            )
-            self._persist_thread.start()
-        else:
-            self._persist(snapshot)
-        self._check_error()
-
-    def _persist(self, snapshot: FullSnapshot) -> None:
-        try:
-            self.store.save_full(snapshot.step, snapshot.model_state,
-                                 snapshot.optimizer_state)
-            self.persisted += 1
-        except BaseException as error:
-            if self.async_persist:
-                self._persist_error = error
-            else:
-                raise
-
-    def _check_error(self) -> None:
-        if self._persist_error is not None:
-            error, self._persist_error = self._persist_error, None
-            raise RuntimeError("CheckFreq persist failed") from error
-
-    def finalize(self) -> None:
-        if self._persist_thread is not None:
-            self._persist_thread.join(timeout=30.0)
-        self._check_error()
-
-    def recover(self, model: Module, optimizer: Optimizer,
-                parallel: bool = False) -> RecoveryResult:
-        return serial_recover(self.store, model, optimizer)
+        self._save_full(step, self._trainer.model_state(),
+                        self._trainer.optimizer_state())
 
     def stats(self) -> dict:
         return {

@@ -7,13 +7,11 @@ effective-ratio experiments compare against.
 
 from __future__ import annotations
 
-from repro.core.recovery import RecoveryResult, serial_recover
-from repro.optim.optimizer import Optimizer
+from repro.core.checkpointer import Checkpointer
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.tensor.module import Module
 
 
-class FullCheckpointer:
+class FullCheckpointer(Checkpointer):
     """Save the complete model+optimizer state every ``every`` iterations."""
 
     def __init__(self, store: CheckpointStore, every: int = 10):
@@ -22,30 +20,20 @@ class FullCheckpointer:
         self.store = store
         self.every = int(every)
         self.full_checkpoints = 0
-        self._trainer = None
 
-    def attach(self, trainer) -> None:
-        self._trainer = trainer
-        self.store.save_full(0, trainer.model_state(), trainer.optimizer_state())
+    def _save_full(self, step, model_state, optimizer_state) -> None:
+        self.store.save_full(step, model_state, optimizer_state)
         self.full_checkpoints += 1
-        trainer.register_post_update_hook(self._on_post_update)
+
+    _save_base = _save_full     # the base full is one more checkpoint
 
     def _on_post_update(self, iteration: int) -> None:
         step = iteration + 1
         if step % self.every == 0:
             # Synchronous: the training loop waits for the write — the
             # stall CheckFreq was designed to remove.
-            self.store.save_full(
-                step, self._trainer.model_state(), self._trainer.optimizer_state()
-            )
-            self.full_checkpoints += 1
-
-    def finalize(self) -> None:
-        pass
-
-    def recover(self, model: Module, optimizer: Optimizer,
-                parallel: bool = False) -> RecoveryResult:
-        return serial_recover(self.store, model, optimizer)
+            self._save_full(step, self._trainer.model_state(),
+                            self._trainer.optimizer_state())
 
     def stats(self) -> dict:
         return {

@@ -9,7 +9,7 @@ split LowDiff+ later exploits with its CPU replica.
 
 from __future__ import annotations
 
-from repro.core.lowdiff import FullSnapshot
+from repro.core.checkpointer import Checkpointer
 from repro.core.recovery import RecoveryResult, serial_recover
 from repro.obs import OBS
 from repro.optim.optimizer import Optimizer
@@ -25,7 +25,7 @@ from repro.tensor.module import Module
 _MEMORY_TIER_FAILURES = (CorruptCheckpointError, FileNotFoundError, KeyError)
 
 
-class GeminiCheckpointer:
+class GeminiCheckpointer(Checkpointer):
     """Snapshot to a memory tier every ``memory_every`` iterations, persist
     to the durable store every ``storage_every``.
 
@@ -50,27 +50,14 @@ class GeminiCheckpointer:
         self.memory_checkpoints = 0
         self.storage_checkpoints = 0
         self.memory_tier_losses = 0
-        self.last_recovery_tier: str | None = None
         self.recoveries_by_tier = {"memory": 0, "storage": 0}
-        self._trainer = None
 
-    def attach(self, trainer, resume_from: int | None = None) -> None:
-        """Write the base full at step 0, or at ``resume_from`` when a
-        recovered job restarts (so both tiers have a base at the resumed
-        step, like the LowDiff checkpointer's chain restart)."""
-        self._trainer = trainer
-        snapshot = FullSnapshot(
-            step=0 if resume_from is None else int(resume_from),
-            model_state=trainer.model_state(),
-            optimizer_state=trainer.optimizer_state(),
-        )
-        self.store.save_full(snapshot.step, snapshot.model_state,
-                             snapshot.optimizer_state)
-        self.memory_tier.save_full(snapshot.step, snapshot.model_state,
-                                   snapshot.optimizer_state)
+    def _save_base(self, step, model_state, optimizer_state) -> None:
+        """Both tiers get a base at the (resumed) step."""
+        self.store.save_full(step, model_state, optimizer_state)
+        self.memory_tier.save_full(step, model_state, optimizer_state)
         self.storage_checkpoints += 1
         self.memory_checkpoints += 1
-        trainer.register_post_update_hook(self._on_post_update)
 
     def _on_post_update(self, iteration: int) -> None:
         step = iteration + 1
@@ -87,9 +74,6 @@ class GeminiCheckpointer:
                 step, self._trainer.model_state(), self._trainer.optimizer_state()
             )
             self.storage_checkpoints += 1
-
-    def finalize(self) -> None:
-        pass
 
     # Two-tier recovery ----------------------------------------------------
     def recover_memory(self, model: Module, optimizer: Optimizer) -> RecoveryResult:

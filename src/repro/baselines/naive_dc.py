@@ -12,18 +12,12 @@ LowDiff's gradient reuse removes.
 
 from __future__ import annotations
 
+from repro.core.checkpointer import Checkpointer
 from repro.core.differential import state_delta
-from repro.core.recovery import (
-    RecoveryResult,
-    parallel_recover,
-    serial_recover,
-)
-from repro.optim.optimizer import Optimizer
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.tensor.module import Module
 
 
-class NaiveDCCheckpointer:
+class NaiveDCCheckpointer(Checkpointer):
     """State-delta differential checkpoints + periodic fulls."""
 
     def __init__(self, store: CheckpointStore, full_every: int = 20,
@@ -38,20 +32,17 @@ class NaiveDCCheckpointer:
         self.rho = float(rho)
         self.full_checkpoints = 0
         self.diff_checkpoints = 0
-        self._trainer = None
         # The retained previous state (the §III-D memory overhead).
         self._prev_model: dict | None = None
         self._prev_optimizer: dict | None = None
         self._prev_step: int = 0
 
-    def attach(self, trainer) -> None:
-        self._trainer = trainer
-        self._prev_model = trainer.model_state()
-        self._prev_optimizer = trainer.optimizer_state()
-        self._prev_step = 0
-        self.store.save_full(0, self._prev_model, self._prev_optimizer)
+    def _save_base(self, step, model_state, optimizer_state) -> None:
+        super()._save_base(step, model_state, optimizer_state)
         self.full_checkpoints += 1
-        trainer.register_post_update_hook(self._on_post_update)
+        self._prev_model = model_state
+        self._prev_optimizer = optimizer_state
+        self._prev_step = step
 
     def _on_post_update(self, iteration: int) -> None:
         step = iteration + 1
@@ -75,15 +66,6 @@ class NaiveDCCheckpointer:
                 step, self._trainer.model_state(), self._trainer.optimizer_state()
             )
             self.full_checkpoints += 1
-
-    def finalize(self) -> None:
-        pass
-
-    def recover(self, model: Module, optimizer: Optimizer,
-                parallel: bool = False) -> RecoveryResult:
-        if parallel:
-            return parallel_recover(self.store, model, optimizer)
-        return serial_recover(self.store, model, optimizer)
 
     def stats(self) -> dict:
         return {

@@ -23,63 +23,14 @@ VALUE_DTYPE = np.float32
 INDEX_DTYPE = np.int32
 
 #: Registry names of the k-way merge route counters (live in the active
-#: obs :class:`~repro.obs.metrics.MetricsRegistry`; always on).
+#: obs :class:`~repro.obs.metrics.MetricsRegistry`; always on; read by the
+#: perf-regression guard in ``benchmarks/bench_hot_path.py``).  ``kway``
+#: counts merges that took the single-pass vectorized route; ``fallback``
+#: counts merges that dropped back to the sequential pairwise fold because
+#: a payload carried duplicate indices (illegal for compressor output, but
+#: the container tolerates them).
 KWAY_COUNTER_KWAY = "compress.kway_merge.kway"
 KWAY_COUNTER_FALLBACK = "compress.kway_merge.fallback"
-
-
-class _KwayMergeStatsView:
-    """Dict-shaped legacy view over the k-way merge route counters.
-
-    The counters themselves were migrated to the obs metrics registry
-    (``compress.kway_merge.kway`` / ``compress.kway_merge.fallback``);
-    this shim keeps the historical ``KWAY_MERGE_STATS["fallback"]`` read
-    API (including ``dict(KWAY_MERGE_STATS)``) working unchanged.  It
-    always reads the *active* registry, so captures that swap in a fresh
-    registry see their own counts.
-    """
-
-    _KEYS = {"kway": KWAY_COUNTER_KWAY, "fallback": KWAY_COUNTER_FALLBACK}
-
-    def __getitem__(self, key: str) -> int:
-        return OBS.registry.counter(self._KEYS[key]).value
-
-    def __setitem__(self, key: str, value: int) -> None:
-        OBS.registry.counter(self._KEYS[key])._set(value)
-
-    def __iter__(self):
-        return iter(self._KEYS)
-
-    def __len__(self) -> int:
-        return len(self._KEYS)
-
-    def __contains__(self, key) -> bool:
-        return key in self._KEYS
-
-    def keys(self):
-        return self._KEYS.keys()
-
-    def items(self):
-        return [(key, self[key]) for key in self._KEYS]
-
-    def values(self):
-        return [self[key] for key in self._KEYS]
-
-    def get(self, key, default=None):
-        return self[key] if key in self._KEYS else default
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return repr(dict(self.items()))
-
-
-#: Telemetry for the k-way merge fast path (read by the perf-regression
-#: guard in ``benchmarks/bench_hot_path.py``).  ``kway`` counts merges that
-#: took the single-pass vectorized route; ``fallback`` counts merges that
-#: had to drop back to the sequential pairwise fold because a payload
-#: carried duplicate indices (illegal for compressor output, but the
-#: container tolerates them).  Since the obs layer landed this is a thin
-#: view over the registry counters ``compress.kway_merge.*``.
-KWAY_MERGE_STATS = _KwayMergeStatsView()
 
 
 class SparseGradient:
@@ -200,8 +151,8 @@ class SparseGradient:
 
         A payload carrying duplicate indices (illegal for compressor
         output) makes per-level rounding ambiguous, so such merges fall
-        back to the sequential fold; :data:`KWAY_MERGE_STATS` records
-        which route each merge took.
+        back to the sequential fold; the ``compress.kway_merge.*``
+        counters record which route each merge took.
         """
         payloads = list(payloads)
         if not payloads:

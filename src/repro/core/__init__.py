@@ -8,6 +8,8 @@
 * :mod:`differential` — differential-checkpoint payloads, incl. the
   Naïve-DC state-delta used by the Check-N-Run baseline;
 * :mod:`recovery` — serial and parallel (log-depth) recovery (§VI);
+* :mod:`checkpointer` — the attach / end / recover lifecycle every
+  strategy (LowDiff, LowDiff+, the baselines) shares;
 * :mod:`lowdiff` — the LowDiff checkpointer (Algorithm 1);
 * :mod:`lowdiff_plus` — LowDiff+ (Algorithm 2): layer-wise reuse, CPU
   model replica, asynchronous persistence, software/hardware recovery.
@@ -28,6 +30,7 @@ from repro.core.recovery import (
     parallel_recover,
     merge_tree_depth,
 )
+from repro.core.checkpointer import Checkpointer
 from repro.core.lowdiff import LowDiffCheckpointer
 from repro.core.lowdiff_plus import LowDiffPlusCheckpointer, CpuReplica
 from repro.core.failure_harness import FailureDrill, FailureDrillReport, default_lowdiff_factory
@@ -47,6 +50,7 @@ __all__ = [
     "serial_recover",
     "parallel_recover",
     "merge_tree_depth",
+    "Checkpointer",
     "LowDiffCheckpointer",
     "LowDiffPlusCheckpointer",
     "CpuReplica",

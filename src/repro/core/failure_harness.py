@@ -59,9 +59,9 @@ class FailureDrill:
         crash (a crash destroys the process, so all live state is lost —
         only the checkpointer's storage survives).
     checkpointer_factory:
-        ``(store) -> checkpointer`` building a fresh checkpointer bound to
-        the surviving store.  The checkpointer must expose
-        ``attach``/``finalize``/``recover``.
+        ``(store) -> checkpointer`` building a fresh
+        :class:`~repro.core.checkpointer.Checkpointer` bound to the
+        surviving store.
     model_factory / optimizer_factory:
         Build the blank model/optimizer that recovery fills.
     """
@@ -119,17 +119,15 @@ class FailureDrill:
             # checkpointing side (async engine threads, if any) outlives
             # it just long enough to commit work already handed off.
             pending_crashes.pop(0)
-            crash = getattr(checkpointer, "crash", None)
-            if crash is not None:
-                crash()
+            checkpointer.crash()
             del trainer, checkpointer
 
-            # A new process starts and recovers from storage.
+            # A new process starts, recovers from storage and resumes.
             model = self.model_factory()
             optimizer = self.optimizer_factory(model)
-            recovery_ckpt = self.checkpointer_factory(self.store)
-            result = recovery_ckpt.recover(model, optimizer,
-                                           parallel=parallel_recovery)
+            checkpointer = self.checkpointer_factory(self.store)
+            result = checkpointer.recover(model, optimizer,
+                                          parallel=parallel_recovery)
             report.recovery_results.append(result)
             recovered_step = result.step
             report.reprocessed_iterations += next_crash - recovered_step
@@ -137,7 +135,6 @@ class FailureDrill:
             trainer = self.trainer_factory()
             trainer.load_state(model.state_dict(), optimizer.state_dict(),
                                iteration=recovered_step)
-            checkpointer = self.checkpointer_factory(self.store)
             checkpointer.attach(trainer, resume_from=recovered_step)
 
         if reference_state is not None:

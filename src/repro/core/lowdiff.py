@@ -23,12 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.batched_writer import BatchedGradientWriter
+from repro.core.checkpointer import Checkpointer
 from repro.core.config import CheckpointConfig
-from repro.core.recovery import (
-    RecoveryResult,
-    parallel_recover,
-    serial_recover,
-)
 from repro.core.reusing_queue import QueueClosed, ReusingQueue
 from repro.obs import OBS, span as obs_span
 from repro.storage.checkpoint_store import CheckpointStore
@@ -72,7 +68,7 @@ def _copy_tree(tree):
     return tree
 
 
-class LowDiffCheckpointer:
+class LowDiffCheckpointer(Checkpointer):
     """Frequent differential checkpointing by compressed-gradient reuse.
 
     Parameters
@@ -126,7 +122,6 @@ class LowDiffCheckpointer:
         # executor (writer threads, or spawned workers outside the
         # training GIL) and whether it fans out per shard is the storage
         # layer's choice from (persist_mode, store).
-        self.engine = None
         if config.async_persist:
             self.engine = open_persist_engine(
                 store,
@@ -153,7 +148,6 @@ class LowDiffCheckpointer:
         self.diff_checkpoints_enqueued = 0
         self._worker: threading.Thread | None = None
         self._worker_error: BaseException | None = None
-        self._trainer = None
         if self.async_mode:
             self._worker = threading.Thread(
                 target=self._drain_loop, name="lowdiff-ckpt", daemon=True
@@ -161,28 +155,13 @@ class LowDiffCheckpointer:
             self._worker.start()
 
     # Training-side wiring ---------------------------------------------------
-    def attach(self, trainer, resume_from: int | None = None) -> None:
-        """Register this checkpointer's hooks on a trainer.
-
-        Fresh jobs (``resume_from=None``) write an initial full checkpoint
-        at step 0 so recovery has a base even before the first periodic
-        full.  A job restarting after recovery passes the recovered
-        optimizer step as ``resume_from``: a fresh full is written *there*
-        (restarting the differential chain cleanly past any diffs lost to
-        the failure) and queue ordering resumes from that step.
-        """
-        self._trainer = trainer
-        base_step = 0 if resume_from is None else int(resume_from)
-        snapshot = FullSnapshot(
-            step=base_step,
-            model_state=trainer.model_state(),
-            optimizer_state=trainer.optimizer_state(),
-        )
-        self._persist.save_full(snapshot.step, snapshot.model_state,
-                                snapshot.optimizer_state)
+    def _save_base(self, step, model_state, optimizer_state) -> None:
+        self._persist.save_full(step, model_state, optimizer_state)
         self.full_checkpoints += 1
-        if resume_from is not None:
-            self.queue._last_put_iteration = base_step
+        # Queue ordering (re)starts from the base step.
+        self.queue._last_put_iteration = step
+
+    def _register_hooks(self, trainer) -> None:
         trainer.register_synced_gradient_hook(self._on_synced_gradient)
         trainer.register_post_update_hook(self._on_post_update)
 
@@ -258,16 +237,10 @@ class LowDiffCheckpointer:
 
     # Lifecycle -------------------------------------------------------------------
     def _stop_intake(self) -> None:
-        """First act of every way to end: no record is accepted past here,
-        so the trainer is no longer needed — and must be let go, or it and
-        this object (whose bound hooks it holds) keep each other and the
-        whole training state alive until a full gc."""
         self.queue.close()
-        self._trainer = None
+        super()._stop_intake()
 
-    def finalize(self) -> None:
-        """Flush everything; call when training ends (or before recovery)."""
-        self._stop_intake()
+    def _flush_pending(self) -> None:
         if self._worker is not None:
             self._worker.join(timeout=30.0)
             if self._worker.is_alive():  # pragma: no cover - defensive
@@ -277,57 +250,13 @@ class LowDiffCheckpointer:
         self.writer.flush()
         if self.compactor is not None:
             self.compactor.enforce()  # drains the engine first if present
-        if self.engine is not None:
-            self.engine.finalize()
 
-    def crash(self) -> None:
-        """Emulate a training-process death for failure drills.
-
-        The paper runs checkpointing in a *separate* process, so records
-        already handed off (submitted to the engine) still persist, while
-        the reusing queue's contents and the batched writer's partial
-        batch die with the training process.  Draining the engine (rather
-        than aborting it) keeps the persisted series identical to a
-        synchronous run up to the crash point, which is what makes chaos
-        drills bit-exactly replayable in async mode.
-        """
-        self._stop_intake()
+    def _discard_pending(self) -> None:
+        """The reusing queue's contents and the batched writer's partial
+        batch die with the training process."""
         if self._worker is not None:
             self._worker.join(timeout=30.0)
         self.writer.discard_pending()
-        if self.engine is not None:
-            self.engine.finalize()
-
-    def abort(self) -> None:
-        """Hard-stop the persistence engine without draining (queued writes
-        are dropped); used when even the checkpointing side is dying."""
-        self._stop_intake()
-        if self.engine is not None:
-            self.engine.abort()
-
-    def quiesce(self, timeout: float | None = None) -> None:
-        """Deadline-bounded stop for supervisor-orchestrated recovery.
-
-        Closes the queue, discards the writer's partial batch (in-flight
-        diffs newer than the last committed record die here — recovery
-        must only see the committed full+chain prefix), and drains the
-        async engine within ``timeout`` seconds.  A stuck backend raises
-        :class:`~repro.storage.async_engine.DrainTimeout` after dropping
-        queued writes instead of hanging recovery forever.  The
-        checkpointer is dead afterwards; recovery attaches a fresh one.
-        """
-        self._stop_intake()
-        if self._worker is not None:
-            self._worker.join(timeout=30.0)
-        self.writer.discard_pending()
-        if self.engine is not None:
-            self.engine.drain(timeout=timeout)
-
-    # Recovery ----------------------------------------------------------------------
-    def recover(self, model, optimizer, parallel: bool = False) -> RecoveryResult:
-        """Restore ``model``/``optimizer`` from the persisted series."""
-        recover = parallel_recover if parallel else serial_recover
-        return recover(self.store, model, optimizer)
 
     # Telemetry -----------------------------------------------------------------------
     def stats(self) -> dict:

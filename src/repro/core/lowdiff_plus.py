@@ -25,8 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.lowdiff import FullSnapshot, _copy_tree
-from repro.core.recovery import RecoveryResult, serial_recover
+from repro.core.checkpointer import Checkpointer
+from repro.core.lowdiff import FullSnapshot
+from repro.core.recovery import RecoveryResult
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
 from repro.storage.async_engine import AsyncCheckpointEngine
@@ -81,7 +82,7 @@ class CpuReplica:
         return True
 
 
-class LowDiffPlusCheckpointer:
+class LowDiffPlusCheckpointer(Checkpointer):
     """Layer-wise gradient reuse + CPU replica + async persistence.
 
     Parameters
@@ -112,13 +113,11 @@ class LowDiffPlusCheckpointer:
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
         self.store = store
         self.persist_every = int(persist_every)
-        self.async_persist = bool(async_persist)
         self.engine = AsyncCheckpointEngine(store, num_writers=1,
                                             queue_depth=1) \
             if async_persist else None
         self.retention = retention
         self.replica: CpuReplica | None = None
-        self._trainer = None
         # Per-iteration gradient assembly buffers ("snapshot to CPU").
         self._assembling: dict[str, np.ndarray] = {}
         self._layer_arrivals: list[str] = []
@@ -130,7 +129,8 @@ class LowDiffPlusCheckpointer:
 
     # Wiring -----------------------------------------------------------------
     def attach(self, trainer, model_factory: Callable[[], Module],
-               optimizer_factory: Callable[[Module], Optimizer]) -> None:
+               optimizer_factory: Callable[[Module], Optimizer],
+               resume_from: int | None = None) -> None:
         if getattr(trainer, "compressors", None) is not None:
             raise ValueError(
                 "LowDiff+ is the non-compression path (paper §V); with a "
@@ -138,15 +138,15 @@ class LowDiffPlusCheckpointer:
                 "payloads and the raw layer-wise gradients would diverge "
                 "from it — use LowDiffCheckpointer instead"
             )
-        self._trainer = trainer
         self.replica = CpuReplica.from_trainer(trainer, model_factory,
                                                optimizer_factory)
-        self.store.save_full(
-            self.replica.optimizer.step_count,
-            self.replica.model.state_dict(),
-            self.replica.optimizer.state_dict(),
-        )
+        super().attach(trainer, resume_from)
+
+    def _save_base(self, step, model_state, optimizer_state) -> None:
+        super()._save_base(step, model_state, optimizer_state)
         self.persisted_checkpoints += 1
+
+    def _register_hooks(self, trainer) -> None:
         trainer.register_layer_gradient_hook(self._on_layer_gradient)
         trainer.register_post_update_hook(self._on_post_update)
 
@@ -220,11 +220,10 @@ class LowDiffPlusCheckpointer:
             self.retention.apply_gc(self.store)
 
     def finalize(self) -> None:
-        if self.engine is not None:
-            self.engine.finalize()
-            # The last submitted full is committed now; enforce the bound
-            # over the final series too.
-            self._apply_retention()
+        super().finalize()
+        # The last submitted full is committed now; enforce the bound
+        # over the final series too.
+        self._apply_retention()
 
     # Recovery (paper §V: software vs hardware failures) ---------------------------
     def recover_software(self, trainer) -> RecoveryResult:
@@ -251,7 +250,7 @@ class LowDiffPlusCheckpointer:
 
     def recover_hardware(self, model: Module, optimizer: Optimizer) -> RecoveryResult:
         """Hardware failure: machine lost — reload from persistent storage."""
-        return serial_recover(self.store, model, optimizer)
+        return self.recover(model, optimizer)
 
     # Telemetry ---------------------------------------------------------------------
     def stats(self) -> dict:

@@ -191,11 +191,11 @@ class MergeFold:
                 node, level = self._merge(self.stack.pop()[1], node), level + 1
             self.stack.append((level, node))
 
-    def extend(self, stack: list[tuple], stats: dict) -> None:
+    def extend(self, segment: "MergeFold") -> None:
         """Continue with the stack (and counters) of the next segment."""
-        for level, node in stack:
+        for level, node in segment.stack:
             self.push(node, level)
-        for key, value in stats.items():
+        for key, value in segment.stats.items():
             self.stats[key] += value
 
     def root(self):
@@ -266,41 +266,32 @@ def fold_segment(parts, bounds=None, raws=None) -> MergeFold:
     return fold
 
 
-def _fold_part(parts, bounds, segments, executor, pooled_reads,
-               spawn: bool) -> MergeFold:
-    """One part's chain: its segments folded — by spawned workers, on the
-    pool, or inline — and their stacks pushed through one fold in order,
-    up to the first hole."""
-    from repro.storage.mp_engine import recover_chain_segments
+def _fold_part(parts, bounds, segments, executor, pooled_reads) -> MergeFold:
+    """One part's chain: its segments folded — on the pool or inline — and
+    their stacks pushed through one fold in order, up to the first hole."""
     chunks = [parts[segment] for segment in segments]
-    done = None
-    if spawn and parts:
-        done = recover_chain_segments(parts[0][0], [
-            [record for _, record in chunk] for chunk in chunks], bounds)
-    if done is None:    # not asked for, ineligible, or a worker failed
-        raw_chunks = repeat(None)
-        if executor is not None and not pooled_reads:
-            # No ``thread_safe_reads`` (fault-injecting wrappers): read
-            # here, in chain order, so seeded fault draws replay.
-            raws = []
-            with suppress(*_UNREADABLE):
-                for sub, record in parts:
-                    raws.append(sub.read_raw(record))
-            chunks = [parts[:len(raws)][segment] for segment in segments]
-            raw_chunks = [raws[segment] for segment in segments]
-        run = executor.map if executor is not None else map
-        done = ((each.stack, each.stats) for each in
-                run(fold_segment, chunks, repeat(bounds), raw_chunks))
+    raw_chunks = repeat(None)
+    if executor is not None and not pooled_reads:
+        # No ``thread_safe_reads`` (fault-injecting wrappers): read
+        # here, in chain order, so seeded fault draws replay.
+        raws = []
+        with suppress(*_UNREADABLE):
+            for sub, record in parts:
+                raws.append(sub.read_raw(record))
+        chunks = [parts[:len(raws)][segment] for segment in segments]
+        raw_chunks = [raws[segment] for segment in segments]
+    run = executor.map if executor is not None else map
     fold, expected = MergeFold(bounds), 0
-    for chunk, (stack, stats) in zip(chunks, done):
-        fold.extend(stack, stats)
+    for chunk, segment in zip(chunks, run(fold_segment, chunks,
+                                          repeat(bounds), raw_chunks)):
+        fold.extend(segment)
         expected += len(chunk)
         if fold.leaves < expected:      # a hole: the rest is unreachable
             break
     return fold
 
 
-def _fold_chain(store, chain, workers: int, processes: int = 0):
+def _fold_chain(store, chain, workers: int):
     """Stream the longest intact prefix of ``chain`` through one fold per
     part, shard-major.  Returns ``(views, folds, truncated, fanout)``.
 
@@ -310,8 +301,7 @@ def _fold_chain(store, chain, workers: int, processes: int = 0):
     one found later sends the earlier shards through the fold again over
     the shorter prefix (rare).
     """
-    segments = aligned_segments(
-        len(chain), processes if processes > 1 else workers)
+    segments = aligned_segments(len(chain), workers)
     # Per part (shard): its (sub_store, record) pairs in chain order.
     columns = list(zip(zip(*(store.parts(view) for view in chain)),
                        store.part_bounds()))
@@ -323,8 +313,7 @@ def _fold_chain(store, chain, workers: int, processes: int = 0):
                         if fold is None or fold.leaves != limit]:
             parts, bounds = columns[stale[0]]
             fold = folds[stale[0]] = _fold_part(
-                parts[:limit], bounds, segments, executor, pooled_reads,
-                processes > 1)
+                parts[:limit], bounds, segments, executor, pooled_reads)
             if fold.leaves < limit:
                 limit = fold.leaves
                 sub, record = parts[limit]
@@ -436,8 +425,7 @@ def serial_recover(store, model: Module, optimizer: Optimizer
 
 
 def parallel_recover(store, model: Module, optimizer: Optimizer,
-                     max_workers: int | None = None,
-                     processes: int = 0) -> RecoveryResult:
+                     max_workers: int | None = None) -> RecoveryResult:
     """Tree-merge all differentials, then apply once.
 
     Every shard's chain streams through one :class:`MergeFold`: the
@@ -448,11 +436,6 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
     runs inline with no pool.  The default ``max_workers`` is 8 for
     records of :data:`FANOUT_MIN_RECORD_BYTES` and up, else 1: fan-out
     must never lose.  The result never depends on the fan-out.
-
-    ``processes >= 2`` folds the segments in spawned worker *processes*
-    instead (GIL-free; §VI's recovery module at process granularity),
-    or — bit-identically — on the pool whenever the backend is not
-    process-safe, the chain is too short, or a worker fails.
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
@@ -469,7 +452,7 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
         if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     with obs_span("recover.load_chain", "recovery"):
         views, folds, truncated, fanout = _fold_chain(
-            store, views, min(max_workers, usable), processes or 0)
+            store, views, min(max_workers, usable))
     roots = [fold.root() for fold in folds]
     for fold in folds:
         phase_s["load_chain"] += fold.stats["load_chain"]

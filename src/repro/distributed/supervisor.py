@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.recovery import parallel_recover, serial_recover
 from repro.distributed.faults import (
     FailureDomainTopology,
     WorkerCrashed,
@@ -313,10 +312,10 @@ class SupervisedTrainingLoop:
         worker membership through ``deactivate_worker`` /
         ``reactivate_worker`` / ``resync_worker``.
     checkpointer_factory:
-        ``(store) -> checkpointer``.  Called at construction and after
-        every orchestrated recovery (recovery quiesces the old instance;
-        chains restart cleanly at the resumed step via
-        ``attach(resume_from=...)``).
+        ``(store) -> Checkpointer`` (:mod:`repro.core.checkpointer`).
+        Called at construction and after every orchestrated recovery
+        (recovery quiesces the old instance; chains restart cleanly at
+        the resumed step via ``attach(resume_from=...)``).
     store:
         The durable :class:`~repro.storage.checkpoint_store.CheckpointStore`
         — the recovery source of last resort.
@@ -504,12 +503,8 @@ class SupervisedTrainingLoop:
         writes were discarded — recovery sees only the committed
         full+chain prefix).
         """
-        quiesce = getattr(self.checkpointer, "quiesce", None)
         try:
-            if quiesce is not None:
-                quiesce(timeout=self.config.drain_timeout_s)
-            else:
-                self.checkpointer.finalize()
+            self.checkpointer.quiesce(timeout=self.config.drain_timeout_s)
             return True
         except DrainTimeout:
             report.drain_timeouts += 1
@@ -529,19 +524,8 @@ class SupervisedTrainingLoop:
             attempt += 1
             event.attempts += 1
             try:
-                recover = getattr(self.checkpointer, "recover", None)
-                if recover is not None:
-                    recover(target.model, target.optimizer,
-                            parallel=self.recovery_parallel)
-                    source = getattr(self.checkpointer,
-                                     "last_recovery_tier", None) or "storage"
-                elif self.recovery_parallel:
-                    parallel_recover(self.store, target.model,
-                                     target.optimizer)
-                    source = "storage"
-                else:
-                    serial_recover(self.store, target.model, target.optimizer)
-                    source = "storage"
+                self.checkpointer.recover(target.model, target.optimizer,
+                                          parallel=self.recovery_parallel)
                 break
             except _TRANSIENT_RECOVERY_ERRORS:
                 if attempt >= config.max_recovery_attempts:
@@ -555,7 +539,7 @@ class SupervisedTrainingLoop:
         # Broadcasting the restored state to every replica costs the same
         # wire time as a peer re-sync.
         self.clock.sleep(config.resync_time_s)
-        return source, step
+        return self.checkpointer.last_recovery_tier, step
 
     def _check_total_loss_restorable(self) -> None:
         """Total-cluster loss: recovery must wait for a machine to return;

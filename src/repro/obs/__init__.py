@@ -14,10 +14,11 @@ so a disabled run pays one attribute load + branch per site — no calls,
 no allocation (pinned by the zero-allocation guard in the obs tests and
 the <3% overhead guard in ``benchmarks/bench_obs_overhead.py``).
 
-Always-on telemetry that predates this layer (``CommStats``,
-``KWAY_MERGE_STATS``) is backed by registries from this package whether
-or not tracing is enabled — counting a few integers per collective is
-free at the scales that matter; emitting trace events is not.
+Always-on telemetry that predates this layer (``CommStats``, the
+``compress.kway_merge.*`` route counters) is backed by registries from
+this package whether or not tracing is enabled — counting a few integers
+per collective is free at the scales that matter; emitting trace events
+is not.
 
 Typical capture::
 

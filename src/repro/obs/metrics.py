@@ -7,9 +7,9 @@ All updates are thread-safe (the async engine's writer pool and the
 threaded recovery merge tree hammer the same counters concurrently);
 reads (``snapshot``/``delta``) see a consistent point-in-time view.
 
-Legacy telemetry (``CommStats`` in ``distributed/collectives.py``,
-``KWAY_MERGE_STATS`` in ``compression/sparse.py``) is backed by instances
-of this registry — their old read APIs survive as thin views.
+Legacy telemetry (``CommStats`` in ``distributed/collectives.py``, the
+k-way merge route counters of ``compression/sparse.py``) is backed by
+instances of this registry.
 """
 
 from __future__ import annotations
@@ -93,13 +93,9 @@ class Counter:
     def value(self) -> int:
         return self._value
 
-    def _set(self, value: int) -> None:
-        """Raw assignment — reserved for legacy dict-shim compatibility."""
-        with self._lock:
-            self._value = int(value)
-
     def _reset(self) -> None:
-        self._set(0)
+        with self._lock:
+            self._value = 0
 
     def _snapshot(self):
         return self._value

@@ -373,7 +373,7 @@ def render_mp_comparison(history: dict) -> str:
     """Thread-vs-process persistence comparison from mp-engine artifacts.
 
     Scans the flattened bench history for artifacts carrying the
-    ``headline.*``/``recovery.*`` keys ``benchmarks/bench_mp_engine.py``
+    ``headline.*``/``calibration.*`` keys ``benchmarks/bench_mp_engine.py``
     emits and renders the thread-engine vs process-engine numbers side by
     side.  Returns ``""`` when no artifact carries them, so callers can
     append the section unconditionally.
@@ -381,40 +381,24 @@ def render_mp_comparison(history: dict) -> str:
     blocks: list[str] = []
     for stem, table in history.items():
         ratio = table.get("headline.stall_ratio_x")
-        process_s = table.get("recovery.process_s")
-        if ratio is None and process_s is None:
+        if ratio is None:
             continue
         lines = [f"  [{stem}]"]
-        if ratio is not None:
-            workers = table.get("headline.workers", "?")
-            payload = table.get("headline.payload_mb")
-            codec = table.get("headline.codec", "?")
-            detail = f"workers={workers} codec={codec}"
-            if payload is not None:
-                detail += f" payload={_format_cell(payload)}MB"
-            lines.append(f"    persist stall ({detail})")
-            thread_ms = table.get("headline.thread_stall_ms")
-            proc_ms = table.get("headline.process_stall_ms")
-            if thread_ms is not None and proc_ms is not None:
-                lines.append(
-                    f"      thread engine:  {_format_cell(thread_ms)} "
-                    f"ms/iter")
-                lines.append(
-                    f"      process engine: {_format_cell(proc_ms)} "
-                    f"ms/iter")
+        workers = table.get("headline.workers", "?")
+        payload = table.get("headline.payload_mb")
+        codec = table.get("headline.codec", "?")
+        detail = f"workers={workers} codec={codec}"
+        if payload is not None:
+            detail += f" payload={_format_cell(payload)}MB"
+        lines.append(f"    persist stall ({detail})")
+        thread_ms = table.get("headline.thread_stall_ms")
+        proc_ms = table.get("headline.process_stall_ms")
+        if thread_ms is not None and proc_ms is not None:
             lines.append(
-                f"      speedup:        {_format_cell(ratio)}x")
-        if process_s is not None:
-            threaded_s = table.get("recovery.threaded_s")
-            bit_exact = table.get("recovery.bit_exact")
-            lines.append("    parallel recovery")
-            if threaded_s is not None:
-                lines.append(
-                    f"      threaded:       {_format_cell(threaded_s)} s")
+                f"      thread engine:  {_format_cell(thread_ms)} ms/iter")
             lines.append(
-                f"      processes:      {_format_cell(process_s)} s")
-            if bit_exact is not None:
-                lines.append(f"      bit-exact:      {bit_exact}")
+                f"      process engine: {_format_cell(proc_ms)} ms/iter")
+        lines.append(f"      speedup:        {_format_cell(ratio)}x")
         persist_mb_s = table.get("calibration.persist_mb_s")
         recover_mb_s = table.get("calibration.recover_mb_s")
         if persist_mb_s is not None or recover_mb_s is not None:

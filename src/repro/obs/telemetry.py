@@ -1,6 +1,6 @@
 """Cross-process telemetry: worker-side shim + parent-side aggregator.
 
-Since the persist/recovery work moved into spawned worker processes
+Since the persist work moved into spawned worker processes
 (``storage/mp_engine.py``), the process-global
 :data:`~repro.obs.OBS` switchboard in the parent cannot see it — a
 spawned child starts with observability disabled and a fresh, empty

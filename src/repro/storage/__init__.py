@@ -15,7 +15,6 @@ from repro.storage.serializer import (
     pack_tree_into_view,
     pack_tree_with_crc,
     unpack_tree,
-    serialized_size,
 )
 from repro.storage.backends import (
     StorageBackend,
@@ -86,7 +85,6 @@ __all__ = [
     "pack_tree_into",
     "pack_tree_with_crc",
     "unpack_tree",
-    "serialized_size",
     "StorageBackend",
     "InMemoryBackend",
     "LocalDiskBackend",

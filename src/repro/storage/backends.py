@@ -276,9 +276,8 @@ class PrefixBackend(StorageBackend):
 def backend_from_spec(spec: tuple) -> StorageBackend:
     """Re-open a backend from a :meth:`StorageBackend.process_safe_spec`.
 
-    Runs in persist-worker and recovery-worker child processes; the child
-    gets its own handle (own accounting, own locks) onto the same durable
-    store.
+    Runs in persist-worker child processes; the child gets its own handle
+    (own accounting, own locks) onto the same durable store.
     """
     kind = spec[0]
     if kind == "local_disk":

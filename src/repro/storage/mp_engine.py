@@ -36,8 +36,6 @@ by an ``is_alive()`` watchdog and surfaces as a typed
 :class:`WorkerCrashed` on the training thread — never a silent hang, and
 never a torn blob (the atomic rename means a killed worker leaves only
 ``.tmp`` debris that ``gc`` sweeps).
-
-Recovery reuses the same spawn machinery (:func:`recover_chain_segments`).
 """
 
 from __future__ import annotations
@@ -61,11 +59,7 @@ from repro.storage.checkpoint_store import (
     encode_record_tree,
     full_key,
 )
-from repro.storage.payload_codec import (
-    make_codec,
-    payload_to_tree,
-    tree_to_payload,
-)
+from repro.storage.payload_codec import make_codec
 from repro.storage.persist_engine import (
     PendingWrite,
     PersistEngine,
@@ -73,7 +67,6 @@ from repro.storage.persist_engine import (
     WriteAborted,
 )
 from repro.storage.serializer import (
-    pack_tree,
     pack_tree_into,
     pack_tree_into_view,
     prepare_transit,
@@ -709,119 +702,3 @@ class MultiprocessCheckpointEngine(PersistEngine):
         if self.telemetry is not None:
             out["telemetry"] = self.telemetry.stats()
         return out
-
-
-# ---------------------------------------------------------------------------
-# Cross-process parallel recovery
-# ---------------------------------------------------------------------------
-
-def _recover_segment_worker(index: int, backend_spec: tuple, records: list,
-                            bounds, result_queue, telemetry_spec=None) -> None:
-    """Fold one chain segment (runs in a spawned child) and ship its
-    stack home, every node as a packed payload."""
-    from repro.core.recovery import as_payload, fold_segment  # circular-safe
-    telemetry = WorkerTelemetry.activate(telemetry_spec)
-    try:
-        backend = backend_from_spec(backend_spec)
-        started = time.perf_counter()
-        FLIGHT.record("recover", "segment-start", index=index,
-                      records=len(records))
-        with obs_span("worker_recover_segment", "recover",
-                      {"segment": index, "records": len(records)}):
-            fold = fold_segment(
-                [(CheckpointStore, record) for record in records], bounds,
-                (backend.read(record.key) for record in records))
-        if telemetry.enabled:
-            OBS.registry.observe("recover.worker.segment.s",
-                                 time.perf_counter() - started)
-            OBS.registry.inc("recover.worker.records", len(records))
-        FLIGHT.record("recover", "segment-done", index=index)
-        result_queue.put(("ok", index, fold.stats, [
-            (level, pack_tree(payload_to_tree(as_payload(node))))
-            for level, node in fold.stack]))
-        telemetry.flush()
-    except BaseException as err:
-        FLIGHT.record("recover", "segment-error", index=index,
-                      error=repr(err))
-        telemetry.flush()
-        try:
-            result_queue.put(("err", index, f"{type(err).__name__}: {err}"))
-        except Exception:  # pragma: no cover - queue already gone
-            pass
-
-
-def recover_chain_segments(store: CheckpointStore, segments: list[list],
-                           bounds=None, start_method: str = "spawn",
-                           timeout_s: float = 300.0):
-    """Fold the aligned ``segments`` (record lists) of one diff chain, each
-    in a worker process.
-
-    Returns every segment's ``(stack, stats)`` for
-    :meth:`~repro.core.recovery.MergeFold.extend` — exactly what the pool
-    threads compute, holes included, so the root is bit-identical — or
-    ``None`` when the configuration is ineligible (backend not
-    process-safe, one segment: chain too short to amortize a spawn) or a
-    worker fails; the caller then folds on the thread path.
-    """
-    backend_spec = store.backend.process_safe_spec()
-    if backend_spec is None or len(segments) < 2:
-        return None
-
-    ctx = multiprocessing.get_context(start_method)
-    result_queue = ctx.Queue()
-    # Recovery workers get logical trace pids 101+ so their tracks never
-    # collide with the persist workers' (1..N) in a merged trace.
-    telemetry = TelemetryChannel(ctx=ctx) if OBS.enabled else None
-    workers = [
-        ctx.Process(target=_recover_segment_worker,
-                    args=(index, backend_spec, list(chunk), bounds,
-                          result_queue,
-                          telemetry.worker_spec(f"recover-worker-{index}",
-                                                101 + index)
-                          if telemetry is not None else None),
-                    name=f"ckpt-recover-{index}", daemon=True)
-        for index, chunk in enumerate(segments)
-    ]
-    results: dict[int, tuple] = {}
-    try:
-        for worker in workers:
-            worker.start()
-        deadline = time.monotonic() + timeout_s
-        while len(results) < len(segments):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            try:
-                message = result_queue.get(timeout=min(remaining, 0.5))
-            except queue_module.Empty:
-                if all(not w.is_alive() for w in workers) \
-                        and result_queue.empty():
-                    # Workers died without reporting; the threaded
-                    # fallback re-reads with proper quarantine handling.
-                    return None
-                continue
-            finally:
-                if telemetry is not None:
-                    telemetry.drain()
-            if message[0] == "err":
-                return None
-            results[message[1]] = message[2:]
-    finally:
-        for worker in workers:
-            if worker.is_alive():
-                worker.terminate()
-        for worker in workers:
-            worker.join(timeout=5.0)
-        if telemetry is not None:
-            telemetry.drain()
-            telemetry.close()
-        result_queue.cancel_join_thread()
-        result_queue.close()
-
-    if OBS.enabled:
-        OBS.registry.counter("recover.mp.segment_runs").inc()
-        OBS.registry.observe("recover.mp.segments", len(segments))
-    return [([(level, tree_to_payload(unpack_tree(blob)))
-              for level, blob in stack], stats)
-            for stats, stack in (results[index]
-                                 for index in range(len(segments)))]

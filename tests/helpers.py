@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+from functools import partialmethod
+
 import numpy as np
 
+from repro.baselines import (
+    CheckFreqCheckpointer,
+    FullCheckpointer,
+    GeminiCheckpointer,
+    NaiveDCCheckpointer,
+)
 from repro.compression import TopKCompressor
+from repro.core import (
+    CheckpointConfig,
+    LowDiffCheckpointer,
+    LowDiffPlusCheckpointer,
+)
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.optim import Adam
 from repro.tensor.loss import CrossEntropyLoss
@@ -53,3 +66,36 @@ def assert_optimizers_equal(a: dict, b: dict, exact: bool = True):
                 np.testing.assert_allclose(
                     a["slots"][name][slot], b["slots"][name][slot], atol=1e-10,
                 )
+
+
+class BoundLowDiffPlus(LowDiffPlusCheckpointer):
+    """LowDiff+ with the replica factories of :func:`make_mlp_trainer`'s
+    job bound, so harnesses can call the bare ``attach(trainer,
+    resume_from=)`` contract."""
+
+    attach = partialmethod(
+        LowDiffPlusCheckpointer.attach,
+        model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
+        optimizer_factory=lambda model: Adam(model, lr=1e-3))
+
+
+#: The six strategies on one cadence: name -> (trainer ``rho``,
+#: ``(store) -> checkpointer``, step a crash at iteration 13 recovers to —
+#: ``None`` where skipped ticks make it timing-dependent —, whether a
+#: resumed run ends bit-equal to the uninterrupted one).
+STRATEGIES = {
+    "lowdiff": (0.1, lambda store: LowDiffCheckpointer(
+        store, CheckpointConfig(full_every_iters=8, batch_size=1)), 13, True),
+    "lowdiff_plus": (None, lambda store: BoundLowDiffPlus(
+        store, persist_every=4), 12, True),
+    "full": (0.1, lambda store: FullCheckpointer(store, every=4), 12, True),
+    "checkfreq": (0.1, lambda store: CheckFreqCheckpointer(
+        store, every=4), 12, True),
+    "checkfreq_async": (0.1, lambda store: CheckFreqCheckpointer(
+        store, every=4, async_persist=True), None, True),
+    "gemini": (0.1, lambda store: GeminiCheckpointer(
+        store, memory_every=1, storage_every=4), 12, True),
+    # Top-k'd state deltas are lossy between fulls.
+    "naive_dc": (0.1, lambda store: NaiveDCCheckpointer(
+        store, full_every=8, diff_every=1, rho=0.5), 13, False),
+}

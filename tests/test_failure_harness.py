@@ -7,7 +7,7 @@ from repro.optim import Adam
 from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import make_mlp_trainer
+from tests.helpers import STRATEGIES, make_mlp_trainer
 
 
 def make_drill(config=None, seed=5):
@@ -105,3 +105,51 @@ class TestFailureDrill:
             make_drill().run(10, crash_at=[5, 3])
         with pytest.raises(ValueError):
             make_drill().run(10, crash_at=[10])
+
+
+class TestEveryStrategyRunsTheDrill:
+    """The lifecycle contract (``repro.core.checkpointer``) end to end:
+    attach → run → crash → recover → re-attach at ``resume_from`` → run →
+    finalize, for all six strategies through the one harness."""
+
+    @staticmethod
+    def newest_persisted(store):
+        fulls = store.fulls()
+        if not fulls:
+            return None
+        chain = store.diffs_after(fulls[-1].step)
+        return chain[-1].end if chain else fulls[-1].step
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_crash_and_resume(self, name):
+        rho, factory, expected_step, exact = STRATEGIES[name]
+        reference = make_mlp_trainer(rho=rho, seed=5)
+        reference.run(20)
+        store = CheckpointStore(InMemoryBackend())
+        persisted_at_open = []
+
+        def checkpointer_factory(store):
+            persisted_at_open.append(self.newest_persisted(store))
+            return factory(store)
+
+        report = FailureDrill(
+            trainer_factory=lambda: make_mlp_trainer(rho=rho, seed=5),
+            checkpointer_factory=checkpointer_factory,
+            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
+            optimizer_factory=lambda m: Adam(m, lr=1e-3),
+            store=store,
+        ).run(20, crash_at=[13], reference_state=reference.model_state())
+
+        # Opened for the fresh job, then for the restarted one — which
+        # recovers to whatever had persisted when it opened.
+        recovered = report.recovery_results[0].step
+        assert persisted_at_open[:2] == [None, recovered]
+        if expected_step is not None:
+            assert recovered == expected_step
+        assert report.total_iterations_executed == 20 + 13 - recovered
+        # The restarted job's base full sits at the resumed step, and its
+        # own cadence ran on to the end.
+        assert recovered in [full.step for full in store.fulls()]
+        assert self.newest_persisted(store) >= 16
+        if exact:
+            assert report.final_matches_reference

@@ -18,17 +18,24 @@ from hypothesis import given, settings, strategies as st
 
 from repro.compression import TopKCompressor
 from repro.compression.sparse import (
-    KWAY_MERGE_STATS,
+    KWAY_COUNTER_FALLBACK,
+    KWAY_COUNTER_KWAY,
     DenseScratch,
     SparseGradient,
 )
 from repro.distributed import DataParallelTrainer, SyntheticClassification
+from repro.obs import OBS
 from repro.optim import Adam, SGD
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.tensor.parameter import Parameter
 from repro.utils.rng import Rng
 from tests.helpers import assert_optimizers_equal, assert_states_equal
+
+
+def kway_counts():
+    return {"kway": OBS.registry.counter(KWAY_COUNTER_KWAY).value,
+            "fallback": OBS.registry.counter(KWAY_COUNTER_FALLBACK).value}
 
 
 def sequential_fold(payloads):
@@ -86,17 +93,17 @@ class TestKWayMerge:
             {"t0": (np.array([2, 2, 5]), np.array([1.0, 2.0, 3.0], np.float32))},
             {"t0": (8,)})
         other = random_payloads(5, 1, [(8,)], 0.5)[0]
-        before = dict(KWAY_MERGE_STATS)
+        before = kway_counts()
         merged = SparseGradient.merge_ordered([dup, other])
-        assert KWAY_MERGE_STATS["fallback"] == before["fallback"] + 1
+        assert kway_counts()["fallback"] == before["fallback"] + 1
         assert_payloads_identical(merged, sequential_fold([dup, other]))
 
     def test_kway_counter_increments(self):
         payloads = random_payloads(9, 4, [(20,)], 0.3)
-        before = dict(KWAY_MERGE_STATS)
+        before = kway_counts()
         SparseGradient.merge_ordered(payloads)
-        assert KWAY_MERGE_STATS["kway"] == before["kway"] + 1
-        assert KWAY_MERGE_STATS["fallback"] == before["fallback"]
+        assert kway_counts() == {"kway": before["kway"] + 1,
+                                 "fallback": before["fallback"]}
 
 
 class TestDecompressInto:

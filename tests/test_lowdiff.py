@@ -17,6 +17,7 @@ from repro.storage import (
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests.helpers import (
+    STRATEGIES,
     assert_optimizers_equal,
     assert_states_equal,
     make_mlp_trainer,
@@ -260,6 +261,23 @@ class TestFinishedJobIsNotCyclicGarbage:
                 writer_threads=1, ring_mb=4.0)
             checkpointer = LowDiffCheckpointer(
                 CheckpointStore(LocalDiskBackend(str(tmp_path))), config)
+            checkpointer.attach(trainer)
+            trainer.run(5)
+            getattr(checkpointer, ending)()
+            return trainer, checkpointer
+
+        assert self.dies_without_gc(build) == [True, True]
+
+    @pytest.mark.parametrize("ending", ["finalize", "crash"])
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_every_strategy_lets_the_trainer_go(self, name, ending):
+        """The cycle is cut once, in ``Checkpointer._stop_intake``: all six
+        strategies release the trainer on every way to end."""
+        rho, factory, _, _ = STRATEGIES[name]
+
+        def build():
+            trainer = make_mlp_trainer(rho=rho)
+            checkpointer = factory(CheckpointStore(InMemoryBackend()))
             checkpointer.attach(trainer)
             trainer.run(5)
             getattr(checkpointer, ending)()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -252,6 +253,11 @@ class TestWorkerFailure:
 
 
 class TestCrossProcessRecovery:
+    """Recovery has one fan-out, the thread pool (the spawned-worker fold
+    is gone): result, counts, hole truncation and quarantine must not
+    depend on whether the fold runs inline or on the pool.  Subsumed by
+    ``tests/test_recovery.py``; kept under the ids the floor pins."""
+
     @staticmethod
     def open_store(root, shards):
         backend = LocalDiskBackend(str(root))
@@ -260,8 +266,8 @@ class TestCrossProcessRecovery:
         return ShardedCheckpointStore(backend, shards, codec="lossless")
 
     def test_process_recovery_bit_identical_to_threaded(self, tmp_path):
-        """The process executor is a merge-step substitute: same roots,
-        same counts, for the plain store and per shard chain alike."""
+        """Inline fold and pooled fold: same roots, same counts, for the
+        plain store and per shard chain alike."""
         for shards in (1, 2):
             root = tmp_path / f"s{shards}"
             store = self.open_store(root, shards)
@@ -272,28 +278,31 @@ class TestCrossProcessRecovery:
                 payload = make_payload(model, rng, step)
                 opt.step_with(payload.decompress())
                 store.save_diff(step, step, payload)
-            threaded_model, threaded_opt = fresh_model_opt(seed=9)
-            threaded = parallel_recover(self.open_store(root, shards),
-                                        threaded_model, threaded_opt)
-            process_model, process_opt = fresh_model_opt(seed=10)
-            process = parallel_recover(self.open_store(root, shards),
-                                       process_model, process_opt,
-                                       processes=2)
-            assert_states_equal(process_model.state_dict(),
-                                threaded_model.state_dict())
-            assert process_opt.step_count == threaded_opt.step_count
-            assert (process.step, process.merge_ops, process.merge_depth) \
-                == (threaded.step, threaded.merge_ops, threaded.merge_depth) \
+            inline_model, inline_opt = fresh_model_opt(seed=9)
+            inline = parallel_recover(self.open_store(root, shards),
+                                      inline_model, inline_opt,
+                                      max_workers=1)
+            pooled_model, pooled_opt = fresh_model_opt(seed=10)
+            pooled = parallel_recover(self.open_store(root, shards),
+                                      pooled_model, pooled_opt,
+                                      max_workers=2)
+            assert_states_equal(pooled_model.state_dict(),
+                                inline_model.state_dict())
+            assert pooled_opt.step_count == inline_opt.step_count
+            assert (pooled.step, pooled.merge_ops, pooled.merge_depth) \
+                == (inline.step, inline.merge_ops, inline.merge_depth) \
                 == (8, 7 * shards, 3)
-            assert process.apply_ops == 1
+            assert pooled.apply_ops == 1
+            assert inline.workers == 1
+            assert pooled.workers == min(2, len(os.sched_getaffinity(0)))
 
     def test_process_recovery_truncates_like_threaded(self, tmp_path):
-        """A hole in a worker's segment: the worker ships the stack it
-        got to, the parent cuts every shard there and quarantines the one
-        blob — same state, counts and quarantine as the pool."""
+        """A hole in a pooled segment: the segment hands on the stack it
+        got to, every shard is cut there and the one blob quarantined —
+        same state, counts and quarantine as the inline fold."""
         outcomes = []
-        for processes in (0, 2):
-            root = tmp_path / f"p{processes}"
+        for max_workers in (1, 2):
+            root = tmp_path / f"w{max_workers}"
             store = self.open_store(root, 2)
             model, opt = fresh_model_opt()
             store.save_full(0, model.state_dict(), opt.state_dict())
@@ -304,7 +313,7 @@ class TestCrossProcessRecovery:
             sub.backend.write(record.key, b"\x00" * 16)
             target_model, target_opt = fresh_model_opt(seed=9)
             result = parallel_recover(store, target_model, target_opt,
-                                      processes=processes)
+                                      max_workers=max_workers)
             assert (result.step, result.merge_ops, result.merge_depth,
                     result.corrupt_diffs_skipped) == (6, 10, 3, 1)
             assert store.quarantined == ["shard-0001/" + record.key]
@@ -312,9 +321,22 @@ class TestCrossProcessRecovery:
         assert_states_equal(*outcomes)
 
     def test_process_unsafe_backend_falls_back(self, rng):
-        """InMemoryBackend has no cross-process spec: processes=N must
-        fall back to the threaded path and still recover."""
-        store = CheckpointStore(InMemoryBackend())
+        """A backend without ``thread_safe_reads`` is never read from the
+        pool: blobs are read on the calling thread in chain order (so
+        seeded fault draws replay) and only the fold fans out."""
+        class OrderedReads(InMemoryBackend):
+            thread_safe_reads = False
+
+            def __init__(self):
+                super().__init__()
+                self.readers = []
+
+            def read(self, key):
+                self.readers.append(threading.get_ident())
+                return super().read(key)
+
+        backend = OrderedReads()
+        store = CheckpointStore(backend)
         model, opt = fresh_model_opt()
         store.save_full(0, model.state_dict(), opt.state_dict())
         local = Rng(13)
@@ -322,10 +344,12 @@ class TestCrossProcessRecovery:
             payload = make_payload(model, local, step)
             opt.step_with(payload.decompress())
             store.save_diff(step, step, payload)
+        backend.readers.clear()
         target_model, target_opt = fresh_model_opt(seed=9)
         result = parallel_recover(store, target_model, target_opt,
-                                  processes=4)
+                                  max_workers=4)
         assert result.step == 6
+        assert set(backend.readers) == {threading.get_ident()}
         assert_states_equal(target_model.state_dict(), model.state_dict(),
                             exact=False, atol=1e-5)
 

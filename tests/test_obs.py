@@ -12,13 +12,14 @@ import json
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro import obs
 from repro.compression.sparse import (
     KWAY_COUNTER_FALLBACK,
     KWAY_COUNTER_KWAY,
-    KWAY_MERGE_STATS,
+    SparseGradient,
 )
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.obs import NOOP_SPAN, OBS, MetricsRegistry, Tracer
@@ -239,17 +240,21 @@ class TestDisabledMode:
 
 
 # ---------------------------------------------------------------------------
-# Legacy shims on the registry
+# Always-on counters on the registry
 # ---------------------------------------------------------------------------
 
 class TestLegacyShims:
     def test_kway_stats_view_reads_active_registry(self):
+        """The merge's route counters land in whichever registry is
+        active, so a capture sees only its own merges."""
+        payloads = [SparseGradient(
+            {"t0": (np.array([1, 4]), np.array([1.0, 2.0], np.float32))},
+            {"t0": (8,)}) for _ in range(3)]
+        SparseGradient.merge_ordered(payloads)      # outside the capture
         with obs.capture():
-            OBS.registry.counter(KWAY_COUNTER_KWAY).inc(3)
-            OBS.registry.counter(KWAY_COUNTER_FALLBACK).inc()
-            assert KWAY_MERGE_STATS["kway"] == 3
-            assert KWAY_MERGE_STATS["fallback"] == 1
-            assert dict(KWAY_MERGE_STATS) == {"kway": 3, "fallback": 1}
+            SparseGradient.merge_ordered(payloads)
+            assert OBS.registry.counter(KWAY_COUNTER_KWAY).value == 1
+            assert OBS.registry.counter(KWAY_COUNTER_FALLBACK).value == 0
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from repro.sim import (
 from repro.sim.cluster import A100_CLUSTER
 from repro.storage import CheckpointStore, InMemoryBackend
 from repro.utils.rng import Rng
-from tests.helpers import assert_states_equal, make_mlp_trainer
+from tests.helpers import STRATEGIES, assert_states_equal, make_mlp_trainer
 
 #: Default seeds exercised on every run; CI's chaos job appends more via
 #: the CHAOS_SEED environment variable.
@@ -255,6 +255,32 @@ class TestEndToEndDrills:
         assert report.reprocessed_iterations == 7 - event.rolled_back_to
         assert trainer.iteration == 20
         assert_states_equal(trainer.model_state(), baseline_state())
+
+    @pytest.mark.parametrize("name", STRATEGIES)
+    def test_total_loss_rolls_back_under_every_strategy(self, name):
+        """Drill (b) through the lifecycle contract alone: quiesce, tier
+        recovery and the re-attach at the rolled-back step work for all
+        six strategies."""
+        rho, factory, _, exact = STRATEGIES[name]
+        trainer = make_mlp_trainer(num_workers=2, rho=rho)
+        injector = WorkerFaultInjector(2, faults=[
+            WorkerFault(kind=FaultKind.CRASH, at_iteration=7,
+                        ranks=(0, 1), down_s=1.0)])
+        loop = SupervisedTrainingLoop(
+            trainer, factory, CheckpointStore(InMemoryBackend()), injector,
+            config=SupervisorConfig(**{**CFG, "recovery_deadline_s": 30.0}))
+        report = loop.run(20)
+        event = report.recoveries[0]
+        # Gemini's peer-memory tier survives an unwiped loss.
+        assert set(event.sources.values()) == \
+            {"memory" if name == "gemini" else "storage"}
+        assert event.rolled_back_to <= 7
+        assert report.reprocessed_iterations == 7 - event.rolled_back_to
+        assert trainer.iteration == 20
+        if exact:
+            straight = make_mlp_trainer(num_workers=2, rho=rho)
+            straight.run(20)
+            assert_states_equal(trainer.model_state(), straight.model_state())
 
     def test_correlated_loss_gemini_serves_from_storage_tier(self):
         """Drill (b), Gemini flavour: a correlated failure wipes the

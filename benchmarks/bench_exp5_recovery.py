@@ -5,40 +5,18 @@ Paper claims: at FCF=10, LowDiff's parallel recovery cuts recovery time
 memory 9.4x-57.1x faster than Baseline across FCF 5-50.
 
 In addition to the analytic table, a *functional* benchmark times real
-parallel recovery (miniature model, in-memory store), and a
-``--compaction`` mode (also run under pytest) that measures how
-chain compaction bounds worst-case recovery from a long diff chain,
-writing ``BENCH_PR5.json`` at the repo root.  ``BENCH_QUICK=1`` shrinks
-the compaction section for CI smoke runs.
+parallel recovery (miniature model, in-memory store).
 """
 
-import argparse
-import json
-import os
-import time
-
-import numpy as np
 import pytest
 
 from repro.compression import TopKCompressor
-from repro.core.recovery import parallel_recover, serial_recover
+from repro.core.recovery import parallel_recover
 from repro.harness import exp5
 from repro.optim import Adam
-from repro.storage import CheckpointStore, InMemoryBackend, RetentionPolicy
+from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-
-QUICK = bool(os.environ.get("BENCH_QUICK"))
-RESULT_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                           "BENCH_PR5.json")
-
-#: Compaction-section scale: a chain long enough that unbounded replay
-#: visibly dominates recovery (the regime RetentionPolicy exists for).
-COMPACTION_CHAIN = 24 if QUICK else 96
-COMPACTION_BUDGET = 8
-#: Emulated per-record fetch latency (SSD/remote GET) so replay count,
-#: not Python overhead, is what the timings resolve.
-COMPACTION_READ_LATENCY_S = 0.001 if QUICK else 0.005
 
 
 def test_exp5_recovery_table(benchmark, persist):
@@ -53,7 +31,6 @@ def test_exp5_recovery_table(benchmark, persist):
 
 @pytest.fixture
 def populated_store():
-    from repro.compression import TopKCompressor
     store = CheckpointStore(InMemoryBackend())
     model = MLP(8, [32, 32], 4, rng=Rng(0))
     optimizer = Adam(model, lr=1e-3)
@@ -77,158 +54,3 @@ def test_functional_parallel_recovery(benchmark, populated_store):
 
     result = benchmark(recover)
     assert result.merge_depth == 5  # ceil(log2(32))
-
-
-# ---------------------------------------------------------------------------
-# --compaction: bounded worst-case recovery from a long diff chain
-# ---------------------------------------------------------------------------
-
-class _SlowReadBackend(InMemoryBackend):
-    """Memory store whose reads pay emulated fetch latency."""
-
-    def __init__(self, read_latency_s: float):
-        super().__init__()
-        self.read_latency_s = read_latency_s
-
-    def _read(self, key: str) -> bytes:
-        time.sleep(self.read_latency_s)
-        return super()._read(key)
-
-
-def _fresh_target(seed=9):
-    model = MLP(8, [32, 32], 4, rng=Rng(seed))
-    return model, Adam(model, lr=1e-3)
-
-
-def _build_long_chain():
-    """Deterministic full@0 + ``COMPACTION_CHAIN`` single-step diffs.
-
-    Returns ``(store, final_model_state)`` — the latter is the
-    uninterrupted run's end state every variant's recovery is compared
-    against.
-    """
-    store = CheckpointStore(_SlowReadBackend(COMPACTION_READ_LATENCY_S))
-    model, optimizer = _fresh_target(seed=0)
-    compressor = TopKCompressor(0.1)
-    store.save_full(0, model.state_dict(), optimizer.state_dict())
-    rng = Rng(1)
-    for step in range(1, COMPACTION_CHAIN + 1):
-        grads = {name: rng.child(step, name).normal(size=p.shape)
-                 for name, p in model.named_parameters()}
-        payload = compressor.compress(grads)
-        optimizer.step_with(payload.decompress())
-        store.save_diff(step, step, payload)
-    return store, model.state_dict()
-
-
-def _time_recovery(store, rounds=3):
-    best = float("inf")
-    for _ in range(rounds):
-        model, optimizer = _fresh_target()
-        started = time.perf_counter()
-        result = serial_recover(store, model, optimizer)
-        best = min(best, time.perf_counter() - started)
-    return best, result, model.state_dict()
-
-
-def _measure_variant(name, reference_state, compact=None):
-    store, _ = _build_long_chain()
-    report = compact(store) if compact else None
-    elapsed, result, state = _time_recovery(store)
-    bit_exact = all(np.array_equal(state[k], reference_state[k])
-                    for k in reference_state)
-    row = {
-        "variant": name,
-        "recovery_s": elapsed,
-        "recovered_step": result.step,
-        "diffs_replayed": result.diffs_loaded,
-        "storage_bytes": sum(store.storage_bytes().values()),
-        "bit_exact": bit_exact,
-    }
-    if report is not None:
-        row["compaction"] = {
-            "mode": report.mode,
-            "records_before": report.records_before,
-            "records_after": report.records_after,
-            "reclaimed_bytes": report.reclaimed_bytes,
-        }
-    return row
-
-
-def run_compaction() -> dict:
-    _, reference_state = _build_long_chain()
-    merge_policy = RetentionPolicy(max_chain_len=COMPACTION_BUDGET,
-                                   compact_run=COMPACTION_BUDGET)
-    rebase_policy = RetentionPolicy(keep_fulls=1,
-                                    max_chain_len=COMPACTION_BUDGET)
-    variants = [
-        _measure_variant("uncompacted", reference_state),
-        _measure_variant(
-            "merge-compacted", reference_state,
-            compact=lambda s: s.compact(merge_policy)),
-        _measure_variant(
-            "rebase-compacted", reference_state,
-            compact=lambda s: s.compact(
-                rebase_policy,
-                model_factory=lambda: _fresh_target(seed=4)[0],
-                optimizer_factory=lambda m: Adam(m, lr=1e-3))),
-    ]
-    by_name = {row["variant"]: row for row in variants}
-    results = {
-        "benchmark": "compaction-bounded-recovery",
-        "quick_mode": QUICK,
-        "chain_length": COMPACTION_CHAIN,
-        "chain_budget": COMPACTION_BUDGET,
-        "read_latency_ms": COMPACTION_READ_LATENCY_S * 1e3,
-        "variants": variants,
-        "bounded_speedup_x": (by_name["uncompacted"]["recovery_s"]
-                              / by_name["rebase-compacted"]["recovery_s"]),
-    }
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(results, handle, indent=2)
-        handle.write("\n")
-    return results
-
-
-@pytest.fixture(scope="module")
-def compaction_results():
-    return run_compaction()
-
-
-def test_compaction_bounds_worst_case_replay(compaction_results):
-    rows = {r["variant"]: r for r in compaction_results["variants"]}
-    budget = compaction_results["chain_budget"]
-    # Every variant recovers to the chain head...
-    assert all(r["recovered_step"] == COMPACTION_CHAIN
-               for r in rows.values())
-    # ...but only the compacted stores within the policy's replay bound.
-    assert rows["uncompacted"]["diffs_replayed"] == COMPACTION_CHAIN
-    assert rows["merge-compacted"]["diffs_replayed"] <= budget
-    assert rows["rebase-compacted"]["diffs_replayed"] <= budget
-    # Rebase replays the real recovery arithmetic: bit-exact end state.
-    assert rows["uncompacted"]["bit_exact"]
-    assert rows["rebase-compacted"]["bit_exact"]
-    if not QUICK:
-        # The whole point: bounded replay means bounded recovery time.
-        assert compaction_results["bounded_speedup_x"] >= 2.0
-
-
-def test_compaction_reclaims_storage(compaction_results):
-    rows = {r["variant"]: r for r in compaction_results["variants"]}
-    for name in ("merge-compacted", "rebase-compacted"):
-        assert rows[name]["compaction"]["records_after"] \
-            <= compaction_results["chain_budget"]
-        assert rows[name]["storage_bytes"] \
-            < rows["uncompacted"]["storage_bytes"]
-
-
-if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compaction", action="store_true",
-                        help="run the compaction-bounded-recovery section "
-                             "and write BENCH_PR5.json")
-    cli = parser.parse_args()
-    if cli.compaction:
-        print(json.dumps(run_compaction(), indent=2))
-    else:
-        print(json.dumps(exp5.run().rows, indent=2))

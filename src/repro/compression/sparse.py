@@ -23,12 +23,12 @@ VALUE_DTYPE = np.float32
 INDEX_DTYPE = np.int32
 
 #: Registry names of the k-way merge route counters (live in the active
-#: obs :class:`~repro.obs.metrics.MetricsRegistry`; always on; read by the
-#: perf-regression guard in ``benchmarks/bench_hot_path.py``).  ``kway``
-#: counts merges that took the single-pass vectorized route; ``fallback``
-#: counts merges that dropped back to the sequential pairwise fold because
-#: a payload carried duplicate indices (illegal for compressor output, but
-#: the container tolerates them).
+#: obs :class:`~repro.obs.metrics.MetricsRegistry`; always on; pinned by
+#: ``tests/test_hot_path.py::TestKWayMerge``).  ``kway`` counts merges
+#: that took the single-pass vectorized route; ``fallback`` counts merges
+#: that dropped back to the sequential pairwise fold because a payload
+#: carried duplicate indices (illegal for compressor output, but the
+#: container tolerates them).
 KWAY_COUNTER_KWAY = "compress.kway_merge.kway"
 KWAY_COUNTER_FALLBACK = "compress.kway_merge.fallback"
 
@@ -112,37 +112,15 @@ class SparseGradient:
         return _union_add([self, other])
 
     @classmethod
-    def merge_many(cls, payloads: list["SparseGradient"]) -> "SparseGradient":
-        """Single-pass k-way union-add over ``payloads``.
-
-        One global ``unique``/``bincount`` over all operands at once.
-        Accumulates in float64 throughout and rounds to the fp32 wire
-        format exactly once at the end, whereas a pairwise merge tree
-        rounds at every level — so for k > 2 the result can differ from
-        folded ``add`` calls in the last fp32 bit (it is the *more*
-        accurate of the two).
-        """
-        payloads = list(payloads)
-        if not payloads:
-            raise ValueError("nothing to merge")
-        for payload in payloads[1:]:
-            if payload.shapes != payloads[0].shapes:
-                raise KeyError(
-                    "cannot merge SparseGradients over different parameter spaces")
-        if len(payloads) == 1:
-            return payloads[0].copy()
-        return _union_add(payloads)
-
-    @classmethod
     def merge_ordered(cls, payloads: list["SparseGradient"]) -> "SparseGradient":
         """Single-pass k-way union-add, **bit-identical to the left fold**
         ``reduce(lambda a, b: a.add(b), payloads)``.
 
-        Unlike :meth:`merge_many` (which accumulates everything in float64
-        and rounds once), this path reproduces the fold's per-level fp32
-        rounding exactly: after one global stable sort, each coordinate's
-        contributions are folded in worker order with the same
-        float64-pair-then-fp32-round step ``add`` performs — ``p``
+        This path reproduces the fold's per-level fp32 rounding exactly
+        (accumulating everything in float64 and rounding once would differ
+        in the last bit for k > 2): after one global stable sort, each
+        coordinate's contributions are folded in worker order with the
+        same float64-pair-then-fp32-round step ``add`` performs — ``p``
         vectorized passes for a maximum per-coordinate multiplicity of
         ``p + 1``, instead of ``k - 1`` full concat+unique merges.  It is
         what :func:`repro.distributed.collectives.sparse_allreduce` and the
@@ -441,7 +419,7 @@ def _union_add_ordered(payloads: list["SparseGradient"]) -> "SparseGradient | No
 
 
 def _union_add(payloads: list["SparseGradient"]) -> "SparseGradient":
-    """Vectorized union-add kernel shared by ``add`` and ``merge_many``.
+    """Vectorized union-add kernel behind ``add``.
 
     Lifts every tensor's indices into one global int64 index space via
     per-tensor offsets, merges with a single ``np.unique`` +

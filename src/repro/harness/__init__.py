@@ -1,8 +1,8 @@
 """Experiment harness: one driver per paper table/figure.
 
 Each module exposes ``run(...) -> ExperimentResult`` returning the rows /
-series the paper reports, plus shared rendering.  The benchmark suite
-(``benchmarks/``) wraps these drivers; ``python -m repro.harness.runall``
+series the paper reports, plus shared rendering.  The paper-figure scripts
+(``benchmarks/``) wrap these drivers; ``python -m repro.harness.runall``
 regenerates every artifact and the EXPERIMENTS.md comparison tables.
 """
 

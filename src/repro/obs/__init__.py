@@ -11,8 +11,9 @@ instrumented hot paths guard every touch with::
         OBS.tracer.begin("allreduce", "train")
 
 so a disabled run pays one attribute load + branch per site — no calls,
-no allocation (pinned by the zero-allocation guard in the obs tests and
-the <3% overhead guard in ``benchmarks/bench_obs_overhead.py``).
+no allocation (pinned by ``tests/test_obs.py::TestDisabledMode``; the
+end-to-end cost is every ``iter_ms`` / ``stall_ms_per_iter`` row of
+``BENCHMARK.json``, which runs with observability off).
 
 Always-on telemetry that predates this layer (``CommStats``, the
 ``compress.kway_merge.*`` route counters) is backed by registries from
@@ -33,8 +34,6 @@ Render either artifact with ``python -m repro.obs.report``.
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.obs.metrics import (
     DEFAULT_QUANTILES,
@@ -64,7 +63,6 @@ __all__ = [
     "tracer",
     "span",
     "capture",
-    "timed",
     # Cross-process telemetry plane (re-exported below, after OBS exists).
     "FLIGHT",
     "FlightRecorder",
@@ -166,39 +164,6 @@ class capture:
     def __exit__(self, *exc) -> None:
         OBS.enabled, OBS.registry, OBS.tracer = self._saved
         self._saved = None
-
-
-class timed:
-    """Time a block into a registry histogram (and a span when tracing).
-
-    ``with obs.timed("bench.kway_merge"): ...`` records the elapsed
-    seconds into histogram ``<name>.s`` on the given registry (default:
-    the active one) and exposes it as ``.elapsed`` — so benchmarks can
-    read their numbers back out of a registry snapshot instead of
-    hand-rolled timing dicts.
-    """
-
-    __slots__ = ("name", "elapsed", "_registry", "_category", "_t0")
-
-    def __init__(self, name: str, registry: MetricsRegistry | None = None,
-                 category: str | None = "bench"):
-        self.name = name
-        self.elapsed = 0.0
-        self._registry = registry
-        self._category = category
-
-    def __enter__(self) -> "timed":
-        if OBS.enabled:
-            OBS.tracer.begin(self.name, self._category)
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._t0
-        if OBS.enabled:
-            OBS.tracer.end()
-        target = self._registry if self._registry is not None else OBS.registry
-        target.observe(f"{self.name}.s", self.elapsed)
 
 
 # Cross-process telemetry plane.  Imported last: these modules read

@@ -8,28 +8,21 @@ per track, and the effective-training-time ratio — the fraction of
 wall-clock not attributed to checkpointing stalls (comparable to the
 Gemini-style metric of Exps. 9-10).
 
-``python -m repro.obs.report --bench-history`` consolidates the per-PR
-``BENCH_*.json`` artifacts the benchmark suite emits into one
-side-by-side trajectory table, so a regression in any headline number is
-visible across PRs without opening each file.
-
 Three more modes ride the same CLI:
 
 * ``--metrics snap.json`` renders the snapshot, now including a
   tail-latency table (p50/p95/p99 interpolated from histogram buckets)
   for the persist and restore paths;
 * ``--slo targets.json --metrics snap.json`` evaluates declarative SLO
-  targets against the snapshot and **exits 1 on any breach** — the CI
-  gate (pass ``--slo default`` for the built-in targets);
+  targets against the snapshot and **exits 1 on any breach** (pass
+  ``--slo default`` for the built-in targets);
 * ``--flight dump.json`` renders a flight-recorder post-mortem.
 """
 
 from __future__ import annotations
 
 import argparse
-import glob
 import json
-import os
 import sys
 
 from repro.obs.metrics import DEFAULT_QUANTILES, quantile_from_snapshot
@@ -285,136 +278,6 @@ def render_flight(dump: dict) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Bench-history consolidation (BENCH_*.json trajectory)
-# ---------------------------------------------------------------------------
-
-def _flatten_bench(node, prefix="", out=None) -> dict:
-    """Flatten one BENCH_*.json to dotted scalar leaves.
-
-    Histogram bucket breakdowns and raw lists add noise at trajectory
-    granularity, so buckets are skipped and lists collapsed to a length.
-    """
-    if out is None:
-        out = {}
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if key == "buckets":
-                continue
-            if isinstance(value, (dict, list)):
-                _flatten_bench(value, f"{prefix}{key}.", out)
-            else:
-                out[f"{prefix}{key}"] = value
-    elif isinstance(node, list):
-        out[prefix.rstrip(".") + ".len"] = len(node)
-        if node and all(isinstance(item, dict) for item in node):
-            for index, item in enumerate(node):
-                _flatten_bench(item, f"{prefix.rstrip('.')}[{index}].", out)
-    return out
-
-
-def collect_bench_history(directory: str, pattern: str = "BENCH_*.json") -> dict:
-    """Load every ``BENCH_*.json`` under ``directory`` into flat tables.
-
-    Returns ``{file_stem: {metric: value}}`` ordered by file name.
-    """
-    history: dict[str, dict] = {}
-    for path in sorted(glob.glob(os.path.join(directory, pattern))):
-        stem = os.path.splitext(os.path.basename(path))[0]
-        stem = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-        try:
-            history[stem] = _flatten_bench(load_json(path))
-        except (json.JSONDecodeError, OSError) as error:
-            history[stem] = {"__error__": str(error)}
-    return history
-
-
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
-
-
-def render_bench_history(history: dict, grep: str | None = None) -> str:
-    """Side-by-side trajectory table: rows = metrics, columns = PRs."""
-    if not history:
-        return "bench history: no BENCH_*.json files found"
-    columns = list(history)
-    rows: list[str] = []
-    seen = set()
-    for table in history.values():
-        for name in table:
-            if name not in seen:
-                seen.add(name)
-                rows.append(name)
-    if grep:
-        needle = grep.lower()
-        rows = [r for r in rows if needle in r.lower()]
-    name_width = max([len(r) for r in rows] + [len("metric")])
-    col_width = max([len(c) for c in columns] + [12])
-    lines = [f"bench history ({len(columns)} artifacts)"]
-    header = f"  {'metric':<{name_width}}"
-    for col in columns:
-        header += f" {col:>{col_width}}"
-    lines.append(header)
-    for row in rows:
-        line = f"  {row:<{name_width}}"
-        for col in columns:
-            value = history[col].get(row)
-            cell = "-" if value is None else _format_cell(value)
-            line += f" {cell:>{col_width}}"
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def render_mp_comparison(history: dict) -> str:
-    """Thread-vs-process persistence comparison from mp-engine artifacts.
-
-    Scans the flattened bench history for artifacts carrying the
-    ``headline.*``/``calibration.*`` keys ``benchmarks/bench_mp_engine.py``
-    emits and renders the thread-engine vs process-engine numbers side by
-    side.  Returns ``""`` when no artifact carries them, so callers can
-    append the section unconditionally.
-    """
-    blocks: list[str] = []
-    for stem, table in history.items():
-        ratio = table.get("headline.stall_ratio_x")
-        if ratio is None:
-            continue
-        lines = [f"  [{stem}]"]
-        workers = table.get("headline.workers", "?")
-        payload = table.get("headline.payload_mb")
-        codec = table.get("headline.codec", "?")
-        detail = f"workers={workers} codec={codec}"
-        if payload is not None:
-            detail += f" payload={_format_cell(payload)}MB"
-        lines.append(f"    persist stall ({detail})")
-        thread_ms = table.get("headline.thread_stall_ms")
-        proc_ms = table.get("headline.process_stall_ms")
-        if thread_ms is not None and proc_ms is not None:
-            lines.append(
-                f"      thread engine:  {_format_cell(thread_ms)} ms/iter")
-            lines.append(
-                f"      process engine: {_format_cell(proc_ms)} ms/iter")
-        lines.append(f"      speedup:        {_format_cell(ratio)}x")
-        persist_mb_s = table.get("calibration.persist_mb_s")
-        recover_mb_s = table.get("calibration.recover_mb_s")
-        if persist_mb_s is not None or recover_mb_s is not None:
-            lines.append("    measured calibration")
-            if persist_mb_s is not None:
-                lines.append(f"      persist:        "
-                             f"{_format_cell(persist_mb_s)} MB/s")
-            if recover_mb_s is not None:
-                lines.append(f"      recover:        "
-                             f"{_format_cell(recover_mb_s)} MB/s")
-        blocks.append("\n".join(lines))
-    if not blocks:
-        return ""
-    return "thread-vs-process persistence\n" + "\n".join(blocks)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.report",
@@ -430,15 +293,6 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit the aggregated summary as JSON instead "
                              "of tables")
-    parser.add_argument("--bench-history", action="store_true",
-                        help="consolidate BENCH_*.json artifacts into one "
-                             "side-by-side per-PR trajectory table")
-    parser.add_argument("--bench-dir", default=".",
-                        help="directory scanned for BENCH_*.json "
-                             "(default: current directory)")
-    parser.add_argument("--grep", default=None,
-                        help="with --bench-history: only show metric rows "
-                             "containing this substring")
     parser.add_argument("--slo", default=None, metavar="CONFIG",
                         help="evaluate SLO targets (JSON config path, or "
                              "'default' for the built-ins) against "
@@ -446,22 +300,13 @@ def main(argv=None) -> int:
     parser.add_argument("--flight", default=None, metavar="DUMP",
                         help="render a flight-recorder post-mortem dump")
     args = parser.parse_args(argv)
-    if args.trace is None and args.metrics is None \
-            and not args.bench_history and args.flight is None:
-        parser.error("provide a trace file, --metrics, --flight, and/or "
-                     "--bench-history")
+    if args.trace is None and args.metrics is None and args.flight is None:
+        parser.error("provide a trace file, --metrics and/or --flight")
     if args.slo is not None and args.metrics is None:
         parser.error("--slo needs --metrics to evaluate against")
 
     out: dict = {}
     sections: list[str] = []
-    if args.bench_history:
-        history = collect_bench_history(args.bench_dir)
-        out["bench_history"] = history
-        sections.append(render_bench_history(history, grep=args.grep))
-        comparison = render_mp_comparison(history)
-        if comparison:
-            sections.append(comparison)
     if args.trace is not None:
         summary = summarize_trace(load_json(args.trace))
         out["trace"] = {

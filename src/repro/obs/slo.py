@@ -15,7 +15,7 @@ Two consumers:
   recorder entries) so a budget violation is visible in every artifact;
 * ``python -m repro.obs.report --slo targets.json --metrics snap.json``
   — the offline gate: renders the scorecard and exits non-zero on any
-  breach (the CI step that fails the build on a blown stall budget).
+  breach (tier-1 runs the same evaluation over a captured run).
 
 Config files are plain JSON::
 
@@ -135,7 +135,8 @@ def evaluate_snapshot(targets, snapshot: dict) -> list[SloResult]:
 
 #: Built-in watchdog targets: the budgets every LowDiff run should hold.
 #: Thresholds are deliberately loose defaults — pin tight ones per
-#: deployment (CI pins its own in ``benchmarks/slo_ci.json``).
+#: deployment (CI pins its own in ``benchmarks/slo_ci.json``, evaluated
+#: over a captured process-mode run by ``tests/test_telemetry.py``).
 DEFAULT_TARGETS = (
     SloTarget("persist-stall-budget", "ckpt.*.backpressure_wait.s", 1.0,
               aggregate="sum",

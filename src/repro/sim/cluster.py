@@ -57,10 +57,10 @@ class ClusterSpec:
     def calibrate_from_bench(self, bench: dict) -> "ClusterSpec":
         """A variant with storage rates measured by a persistence benchmark.
 
-        ``bench`` is a loaded ``BENCH_*.json`` document (or just its
-        ``calibration`` section) carrying ``persist_mb_s`` and/or
-        ``recover_mb_s`` — end-to-end encode+write (resp. read+decode)
-        throughput in MB/s as measured by ``benchmarks/bench_mp_engine.py``.
+        ``bench`` is a dict (or a document whose ``calibration`` section
+        is one) carrying ``persist_mb_s`` and/or ``recover_mb_s`` —
+        measured end-to-end encode+write (resp. read+decode) throughput in
+        MB/s.
         The measured rates replace ``ssd_write_bandwidth`` /
         ``ssd_read_bandwidth``, so a simulation run prices persistence at
         what this machine actually sustains rather than the paper

@@ -141,8 +141,9 @@ class CheckpointStrategy:
 
         ``ratio`` is raw/encoded bytes (>= 1 shrinks persisted volume);
         the encode/decode coefficients are CPU seconds per raw gigabyte
-        (measured by ``benchmarks/bench_payload_codec.py``).  Defaults
-        restore uncoded behaviour exactly.
+        (the ``storage.payload_codec.ratio`` / ``encode_mb_s`` /
+        ``decode_mb_s`` rows of ``bench/run.py``).  Defaults restore
+        uncoded behaviour exactly.
         """
         if ratio <= 0:
             raise ValueError(f"codec ratio must be > 0, got {ratio}")

@@ -73,6 +73,12 @@ from repro.storage.serializer import (
     unpack_tree,
 )
 
+#: ``os.nice`` increment applied inside each worker so persist CPU yields
+#: to the training process on saturated hosts.
+WORKER_NICE = 10
+#: Seconds the constructor waits for every spawned worker to check in.
+READY_TIMEOUT_S = 120.0
+
 
 class WorkerCrashed(RuntimeError):
     """A persist-worker process died (killed/OOM) with work outstanding."""
@@ -221,7 +227,7 @@ class ShmRing:
 
 def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
                     codec_spec: tuple, task_queue, result_queue,
-                    nice_increment: int, telemetry_spec=None) -> None:
+                    telemetry_spec=None) -> None:
     """Persist-worker main (runs in a spawned child process).
 
     Protocol (child -> parent on ``result_queue``):
@@ -241,11 +247,10 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
     """
     shm = None
     try:
-        if nice_increment:
-            try:
-                os.nice(nice_increment)
-            except OSError:  # pragma: no cover - priority change refused
-                pass
+        try:
+            os.nice(WORKER_NICE)
+        except OSError:  # pragma: no cover - priority change refused
+            pass
         telemetry = WorkerTelemetry.activate(telemetry_spec)
         obs_on = telemetry.enabled
         from multiprocessing import shared_memory
@@ -369,16 +374,11 @@ class MultiprocessCheckpointEngine(PersistEngine):
     start_method:
         ``"spawn"`` (default, the only fork-safe choice when the parent
         has threads) or ``"forkserver"``.  ``"fork"`` is rejected.
-    worker_nice:
-        ``os.nice`` increment applied inside each worker so persist CPU
-        yields to the training process on saturated hosts.
-    telemetry:
-        ``None`` (default) creates the cross-process telemetry channel
-        exactly when observability is enabled at construction: workers
-        spawned without a spec keep OBS disabled for their whole life
-        (the zero-cost contract).  ``True`` / ``False`` force it on or
-        off — ``False`` lets the overhead benchmark run a channel-less
-        engine under an open capture to isolate the channel's own cost.
+
+    The cross-process telemetry channel (``self.telemetry``) exists
+    exactly when observability is enabled at construction: workers spawned
+    without a spec keep OBS disabled for their whole life (the zero-cost
+    contract).
     """
 
     family = "ckpt.mp"
@@ -390,9 +390,7 @@ class MultiprocessCheckpointEngine(PersistEngine):
 
     def __init__(self, store: CheckpointStore, num_workers: int = 2,
                  queue_depth: int = 8, ring_bytes: int = 64 << 20,
-                 start_method: str = "spawn", worker_nice: int = 10,
-                 ready_timeout_s: float = 120.0,
-                 telemetry: bool | None = None):
+                 start_method: str = "spawn"):
         if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if start_method == "fork":
@@ -408,7 +406,6 @@ class MultiprocessCheckpointEngine(PersistEngine):
         super().__init__(store, queue_depth)
         self.num_workers = int(num_workers)
         self.start_method = start_method
-        self.worker_nice = int(worker_nice)
         self.ring = ShmRing(int(ring_bytes))
 
         codec = store.codec
@@ -416,9 +413,7 @@ class MultiprocessCheckpointEngine(PersistEngine):
             codec.codec_id, getattr(codec, "error_bound", None))
 
         ctx = multiprocessing.get_context(start_method)
-        if telemetry is None:
-            telemetry = OBS.enabled
-        self.telemetry = TelemetryChannel(ctx=ctx) if telemetry else None
+        self.telemetry = TelemetryChannel(ctx=ctx) if OBS.enabled else None
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
         self._tokens: dict[int, int] = {}      # seq -> ring token
@@ -436,7 +431,6 @@ class MultiprocessCheckpointEngine(PersistEngine):
             ctx.Process(target=_persist_worker,
                         args=(index, self.ring.name, backend_spec, codec_spec,
                               self._task_queue, self._result_queue,
-                              self.worker_nice,
                               self.telemetry.worker_spec(
                                   f"persist-worker-{index}", index + 1)
                               if self.telemetry is not None else None),
@@ -450,12 +444,12 @@ class MultiprocessCheckpointEngine(PersistEngine):
             for worker in self._workers:
                 worker.start()
             self._collector.start()
-            self._await_ready(ready_timeout_s)
+            self._await_ready()
         except BaseException:
             self._shutdown(force=True)
             raise
 
-    def _await_ready(self, timeout: float) -> None:
+    def _await_ready(self) -> None:
         """Block until every worker has checked in (imports + warm done);
         a start-up death is the watchdog's usual typed fail-stop.
 
@@ -467,11 +461,11 @@ class MultiprocessCheckpointEngine(PersistEngine):
         with self._lock:
             ready = self._drained.wait_for(
                 lambda: self._ready_workers == self.num_workers
-                or self._failure is not None, timeout)
+                or self._failure is not None, READY_TIMEOUT_S)
             self._raise_if_failed_locked()
             if not ready:
                 raise RuntimeError(
-                    f"persist workers not ready after {timeout}s "
+                    f"persist workers not ready after {READY_TIMEOUT_S}s "
                     f"({self._ready_workers}/{self.num_workers})")
 
     # Submission (training thread) ------------------------------------------

@@ -24,6 +24,7 @@ from repro.compression.sparse import (
     SparseGradient,
 )
 from repro.distributed import DataParallelTrainer, SyntheticClassification
+from repro.distributed.collectives import sparse_allreduce
 from repro.obs import OBS
 from repro.optim import Adam, SGD
 from repro.tensor.loss import CrossEntropyLoss
@@ -103,6 +104,11 @@ class TestKWayMerge:
         before = kway_counts()
         SparseGradient.merge_ordered(payloads)
         assert kway_counts() == {"kway": before["kway"] + 1,
+                                 "fallback": before["fallback"]}
+        # The collective takes the same route: a fallback to the pairwise
+        # fold is a silent perf regression, not a correctness one.
+        sparse_allreduce(payloads, average=True)
+        assert kway_counts() == {"kway": before["kway"] + 2,
                                  "fallback": before["fallback"]}
 
 

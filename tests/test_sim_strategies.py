@@ -233,6 +233,19 @@ class TestPersistWorkerLanes:
         assert results[1] <= results[0]
         assert results[2] <= results[1]
 
+    def test_shard_lanes_never_hurt_and_one_lane_is_unsharded(self):
+        """A record split over S shards goes out in ceil(S / lanes) waves:
+        four concurrent IO lanes cannot cost more than the unsharded
+        record, and one lane serializes the waves back to exactly it."""
+        def sharded(**knobs):
+            return overhead("gpt2_small", LowDiffStrategy(
+                full_every=10, batch_size=2, async_engine=True, **knobs),
+                iterations=200)
+        unsharded = sharded(shards=1)
+        assert sharded(shards=4) <= unsharded
+        assert sharded(shards=4, shard_concurrency=1) == \
+            pytest.approx(unsharded)
+
     def test_lanes_relieve_saturated_channel(self):
         """When encode CPU saturates a single persist lane, spreading
         records over 4 lanes must strictly reduce overhead."""

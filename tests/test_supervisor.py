@@ -316,6 +316,10 @@ class TestEndToEndDrills:
         report = loop.run(25)
         assert report.degraded_steps > 0
         assert report.degraded_time_s > 0.0
+        # The busiest of three survivors carries ceil(4/3) = 2 shards, so
+        # steps per virtual second (iter_time_s = 1) halve while degraded.
+        assert report.degraded_steps / report.degraded_time_s == \
+            pytest.approx(0.5, rel=0.25)
         assert len(report.degraded_intervals) == 1
         assert report.degraded_intervals[0].ranks == (1,)
         assert report.degraded_intervals[0].end_s is not None

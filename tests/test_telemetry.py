@@ -50,6 +50,9 @@ from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.mp_engine import MultiprocessCheckpointEngine
 from repro.storage.payload_codec import make_codec
 
+CI_SLO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "benchmarks", "slo_ci.json")
+
 
 # ---------------------------------------------------------------------------
 # Interpolated quantiles
@@ -431,9 +434,7 @@ class TestSlo:
         assert "BREACH" in capsys.readouterr().out
 
     def test_ci_config_parses_against_defaults_shape(self):
-        targets = load_slo_config(
-            os.path.join(os.path.dirname(__file__), os.pardir,
-                         "benchmarks", "slo_ci.json"))
+        targets = load_slo_config(CI_SLO_CONFIG)
         assert {t.name for t in targets} >= {
             "persist-stall-budget", "ring-stalls", "telemetry-drops"}
 
@@ -533,6 +534,14 @@ class TestMpEngineCapture:
         assert telemetry["messages"] >= 3  # >= one flush per task
         assert telemetry["merged_events"] > 0
         assert "obs.telemetry.dropped" not in snapshot
+
+    def test_ci_slo_gate_holds_on_captured_run(self, captured_run):
+        """The offline SLO gate: the pinned CI targets (stall budget, ring
+        stalls, breaker trips, telemetry drops) over a real snapshot.  A
+        healthy run emits none of those counters, which is not a breach."""
+        results = evaluate_snapshot(load_slo_config(CI_SLO_CONFIG),
+                                    captured_run[0])
+        assert [r.target.name for r in results if r.breached] == []
 
     def test_identical_seeded_runs_merge_identically(self, captured_run,
                                                      tmp_path):

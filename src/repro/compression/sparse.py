@@ -33,6 +33,13 @@ KWAY_COUNTER_KWAY = "compress.kway_merge.kway"
 KWAY_COUNTER_FALLBACK = "compress.kway_merge.fallback"
 
 
+class SortedIndices(np.ndarray):
+    """An index array its decoder proved sorted — every delta-coded gap was
+    >= 0 — with ``increasing`` telling whether every gap was > 0.  Only the
+    array the decoder returned carries ``increasing``: a slice or a ufunc
+    result of it is checked in full."""
+
+
 class SparseGradient:
     """Named sparse tensors sharing one parameter space.
 
@@ -40,28 +47,37 @@ class SparseGradient:
     ----------
     entries:
         ``{name: (indices, values)}`` with flat int indices into the
-        flattened tensor.
+        flattened tensor.  A :class:`SortedIndices` run is range-checked at
+        its two ends, and has a duplicate exactly when it has a zero gap.
     shapes:
         ``{name: dense_shape}`` for reconstruction.
     """
 
-    __slots__ = ("entries", "shapes")
+    __slots__ = ("entries", "shapes", "_increasing")
 
     def __init__(self, entries: dict[str, tuple], shapes: dict[str, tuple]):
         if set(entries) != set(shapes):
             raise KeyError("entries and shapes must cover the same tensor names")
         self.entries: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.shapes = {name: tuple(shape) for name, shape in shapes.items()}
+        self._increasing: dict[str, bool] = {}   # of each proven-sorted run
         for name, (indices, values) in entries.items():
+            increasing = getattr(indices, "increasing", None)
+            proven = increasing is not None and indices.dtype == INDEX_DTYPE
             indices = np.asarray(indices, dtype=INDEX_DTYPE)
             values = np.asarray(values, dtype=VALUE_DTYPE)
             if indices.shape != values.shape or indices.ndim != 1:
                 raise ValueError(
                     f"indices/values for {name} must be equal-length 1-D arrays"
                 )
-            size = int(np.prod(self.shapes[name])) if self.shapes[name] else 1
-            if indices.size and (indices.min() < 0 or indices.max() >= size):
-                raise IndexError(f"sparse index out of range for tensor {name}")
+            if indices.size:
+                low, high = (indices[0], indices[-1]) if proven \
+                    else (indices.min(), indices.max())
+                if low < 0 or high >= math.prod(self.shapes[name]):
+                    raise IndexError(
+                        f"sparse index out of range for tensor {name}")
+            if proven:
+                self._increasing[name] = increasing
             self.entries[name] = (indices, values)
 
     # Construction helpers ---------------------------------------------------
@@ -173,12 +189,16 @@ class SparseGradient:
 
     def has_duplicates(self) -> bool:
         """Whether a tensor lists some coordinate twice (illegal for
-        compressor output, tolerated here).  O(nnz), no sort: strictly
-        increasing indices are unique; otherwise each entry stamps its
-        position on its coordinate and an overwritten stamp betrays a
-        repeat — unsorted-but-unique top-k output passes."""
+        compressor output, tolerated here).  A proven-sorted run repeats
+        exactly where its decoder saw a zero gap.  Otherwise O(nnz), no
+        sort: strictly increasing indices are unique; else each entry
+        stamps its position on its coordinate and an overwritten stamp
+        betrays a repeat — unsorted-but-unique top-k output passes."""
         for name, (indices, _) in self.entries.items():
-            if indices.size > 1 and not np.all(indices[1:] > indices[:-1]):
+            if name in self._increasing:
+                if not self._increasing[name]:
+                    return True
+            elif indices.size > 1 and not np.all(indices[1:] > indices[:-1]):
                 stamps = np.empty(math.prod(self.shapes[name]), dtype=np.intp)
                 stamps[indices] = position = np.arange(indices.size)
                 if not np.array_equal(stamps[indices], position):

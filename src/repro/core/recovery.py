@@ -58,6 +58,7 @@ from repro.compression.sparse import (
 from repro.core.differential import StateDelta, apply_state_delta
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
+from repro.storage.payload_codec import DECODE_EXECUTOR
 from repro.storage.serializer import CorruptCheckpointError
 from repro.tensor.module import Module
 
@@ -66,12 +67,20 @@ _UNREADABLE = (CorruptCheckpointError, FileNotFoundError, KeyError, TypeError)
 #: Keys of :attr:`RecoveryResult.phase_s`: busy seconds summed over workers
 #: (``load_chain`` = read + CRC + decode).
 PHASES = ("load_full", "load_chain", "merge", "apply")
-#: Mean stored bytes per diff blob from which the default fan-out uses
-#: threads.  Below it decode is many short NumPy calls and the GIL
-#: hand-offs between threads cost more than the overlapping C loops save
-#: (2 threads / inline, 2-core host: 1.06-1.26x at 107-209 KB records,
-#: 0.73-0.84x from 224 KB coded / 774 KB uncoded up).
+#: Mean decode weight per diff blob — stored bytes, ``CODED_DECODE_WEIGHT``
+#: times that for a coded blob — from which the default fan-out uses
+#: threads.  Below it a record is too little GIL-free work (inflate,
+#: copies) to pay the hand-offs between threads.  Paired alternating
+#: restores, 2 threads / inline, 2-core host, 20 pairs per mean blob size
+#: (median time ratio, pairs the threads won):
+#:   uncoded  15 KB 1.08 (0), 62 KB 1.11 (0), 107 KB 1.05 (5),
+#:            180 KB 1.05 (1), 263 KB 0.99 (13), 417 KB 0.90 (20);
+#:   coded    38 KB 1.03 (4), 53 KB 0.95 (17), 69 KB 0.89 (19),
+#:            107 KB 0.84 (19), 283 KB 0.70 (20).
 FANOUT_MIN_RECORD_BYTES = 256 * 1024
+#: Decode cost of a coded blob per stored byte, in uncoded bytes: the
+#: measured crossovers above are ~256 KB uncoded and ~64 KB coded.
+CODED_DECODE_WEIGHT = 4
 
 
 @dataclass
@@ -121,6 +130,27 @@ def _readable_prefix(parts, attempts) -> list:
     return done
 
 
+def _usable_cpus() -> int:
+    """The affinity mask, not the host count: a taskset or cgroup pin to
+    one core must not start a pool on it."""
+    return len(os.sched_getaffinity(0)) \
+        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@contextmanager
+def _full_decode_pool():
+    """A full's encoded tensors decode on a pool of the usable CPUs (zlib
+    and NumPy's copies release the GIL) — none when pinned to one — that
+    is joined on exit."""
+    usable = _usable_cpus()
+    with ThreadPoolExecutor(usable) if usable > 1 else nullcontext() as pool:
+        token = DECODE_EXECUTOR.set(pool)
+        try:
+            yield
+        finally:
+            DECODE_EXECUTOR.reset(token)
+
+
 def _load_base(store, model: Module, optimizer: Optimizer):
     """Load the newest *verifiable* full checkpoint.
 
@@ -134,8 +164,9 @@ def _load_base(store, model: Module, optimizer: Optimizer):
     skipped = 0
     for view in reversed(fulls):
         parts = store.parts(view)
-        states = _readable_prefix(
-            parts, [partial(sub.load_full, record) for sub, record in parts])
+        with _full_decode_pool():
+            states = _readable_prefix(
+                parts, [partial(sub.load_full, record) for sub, record in parts])
         if len(states) < len(parts):
             skipped += 1
             continue
@@ -434,8 +465,8 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
     fan-out of ``min(max_workers, usable CPUs, segments)``; at one — a
     pinned process, ``max_workers <= 1``, under four records — the fold
     runs inline with no pool.  The default ``max_workers`` is 8 for
-    records of :data:`FANOUT_MIN_RECORD_BYTES` and up, else 1: fan-out
-    must never lose.  The result never depends on the fan-out.
+    blobs of :data:`FANOUT_MIN_RECORD_BYTES` decode weight and up, else
+    1: fan-out must never lose.  The result never depends on the fan-out.
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
@@ -443,16 +474,14 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
         full_step, fulls_skipped = _load_base(store, model, optimizer)
     views = store.diffs_after(full_step)
     if max_workers is None:     # plan: threads only where they can win
-        blobs = sum(len(store.parts(view)) for view in views)
-        max_workers = 8 if sum(view.nbytes for view in views) \
-            >= max(1, blobs) * FANOUT_MIN_RECORD_BYTES else 1
-    # The affinity mask, not the host count: a taskset or cgroup pin to
-    # one core must not start a pool on it.
-    usable = len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        blobs = [record for view in views for _, record in store.parts(view)]
+        weight = sum(record.nbytes * (CODED_DECODE_WEIGHT if record.codec
+                                      else 1) for record in blobs)
+        max_workers = 8 if weight \
+            >= max(1, len(blobs)) * FANOUT_MIN_RECORD_BYTES else 1
     with obs_span("recover.load_chain", "recovery"):
         views, folds, truncated, fanout = _fold_chain(
-            store, views, min(max_workers, usable))
+            store, views, min(max_workers, _usable_cpus()))
     roots = [fold.root() for fold in folds]
     for fold in folds:
         phase_s["load_chain"] += fold.stats["load_chain"]

@@ -28,19 +28,15 @@ Registered codecs:
     (all the exponent bytes together, all the mantissa bytes together —
     the compressible structure of training floats) with per-plane
     entropy-gated zlib.  Every array falls back to raw storage when
-    encoding does not shrink it.  The decoder additionally understands
-    the LEB128 ``vz`` scheme for blobs written by earlier revisions.
+    encoding does not shrink it.  Decoding inflates (or views) each plane
+    straight into its byte column of one output buffer.
 
 ``"lossy"`` (:class:`ErrorBoundedLossyCodec`)
-    Opt-in error-bounded mode: diff *values* are uniformly quantized to
-    ``scale = 2·bound·(1-margin)`` with a per-tensor **error-feedback
-    accumulator** — the residual of each quantization is carried into
-    the next diff of the same tensor, so the accumulated divergence of a
-    recovered state stays ≤ ``bound`` per element no matter how long the
-    chain (the residual *is* the divergence, and it is clamped to
-    ``scale/2`` at every step).  Indices, shapes and full checkpoints
-    are never quantized.  The measured max residual is reported
-    (``measured_divergence``) and exported as an obs gauge.
+    Opt-in error-bounded mode: diff *values* are uniformly quantized with
+    a per-tensor **error-feedback accumulator**, so a recovered state
+    stays within ``bound`` per element however long the chain (the class
+    docstring has the argument).  Indices, shapes and full checkpoints
+    are never quantized.
 
 The lossy transform is **stateful and order-dependent** (error feedback
 folds the previous diff's residual into the next), so it is split into a
@@ -52,23 +48,23 @@ writer thread).  For the lossless codec pre-encode is the identity.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import zlib
+from contextvars import ContextVar
 
 import numpy as np
 
 from repro.compression.base import DenseGradient
 from repro.compression.quantization import QuantizedGradient
-from repro.compression.sparse import SparseGradient
+from repro.compression.sparse import SortedIndices, SparseGradient
 from repro.obs import OBS
+from repro.storage.serializer import ENC_KEY
 
 #: Root-tree key carrying the codec id inside encoded blobs, making them
 #: self-describing (manifest rebuilds recover the right decoder).
 CODEC_TAG = "__codec__"
-
-#: Marker key of an encoded array node.
-ENC_KEY = "__enc__"
 
 #: Arrays smaller than this stay raw — encoding overhead (scheme fields,
 #: zlib headers) would dominate.
@@ -81,10 +77,6 @@ MIN_ENCODE_BYTES = 64
 #: margin or the array is stored raw — otherwise tiny-tensor workloads
 #: would grow on disk while nominally "compressed".
 NODE_OVERHEAD_BYTES = 1024
-
-#: zlib level for the entropy stage on varint streams: 6 is the
-#: speed/ratio knee for the short, already-delta-reduced integer bytes.
-ZLIB_LEVEL = 6
 
 #: zlib level for byte-planes that pass the entropy gate.  Level 3 keeps
 #: nearly all of level 6's ratio on the repetitive planes (zero/constant
@@ -184,20 +176,14 @@ def tree_to_payload(tree: dict):
             optimizer_slots=tree["optimizer_slots"],
             step_count_delta=int(tree["step_count_delta"]),
         )
-    if kind == "sparse":
-        shapes = {name: tuple(shape) for name, shape in tree["shapes"].items()}
-        entries = {
-            name: (np.asarray(entry["indices"]), np.asarray(entry["values"]))
-            for name, entry in tree["entries"].items()
-        }
-        return SparseGradient(entries, shapes)
+    shapes = {name: tuple(shape) for name, shape in tree.get("shapes", {}).items()}
+    if kind == "sparse":    # decoded index runs go in as decoded
+        return SparseGradient({name: (entry["indices"], entry["values"])
+                               for name, entry in tree["entries"].items()},
+                              shapes)
     if kind == "quantized":
-        return QuantizedGradient(
-            tree["levels"],
-            tree["scales"],
-            {name: tuple(shape) for name, shape in tree["shapes"].items()},
-            tree["num_levels"],
-        )
+        return QuantizedGradient(tree["levels"], tree["scales"], shapes,
+                                 tree["num_levels"])
     if kind == "dense":
         return DenseGradient(tree["tensors"])
     raise ValueError(f"unknown payload kind in checkpoint: {kind!r}")
@@ -291,31 +277,20 @@ def byteplane_join(planes: np.ndarray, dtype, count: int) -> np.ndarray:
     raw = np.ascontiguousarray(planes, dtype=np.uint8).reshape(-1)
     if raw.size != count * dtype.itemsize:
         raise ValueError("byte-plane stream has the wrong length")
-    if count == 0 or dtype.itemsize == 1:
-        return raw.view(dtype).copy()
-    return np.ascontiguousarray(
-        raw.reshape(dtype.itemsize, count).T).view(dtype).reshape(-1)
+    return raw.reshape(dtype.itemsize, count).T.copy().view(dtype).reshape(-1)
 
 
 def _is_sorted(values: np.ndarray) -> bool:
     return values.size < 2 or bool(np.all(values[1:] >= values[:-1]))
 
 
-def _maybe_zlib(raw: np.ndarray, level: int = ZLIB_LEVEL,
-                keep_fraction: float = 1.0) -> tuple[np.ndarray, bool]:
+def _maybe_zlib(raw: np.ndarray, level: int,
+                keep_fraction: float) -> tuple[np.ndarray, bool]:
     """zlib the byte stream when it helps; returns (data, compressed?)."""
     compressed = zlib.compress(raw.tobytes(), level)
     if len(compressed) < raw.nbytes * keep_fraction:
         return np.frombuffer(compressed, dtype=np.uint8), True
     return raw, False
-
-
-def _unzlib(node_data: np.ndarray, compressed: bool) -> np.ndarray:
-    if not compressed:
-        return np.ascontiguousarray(node_data, dtype=np.uint8)
-    return np.frombuffer(zlib.decompress(
-        np.ascontiguousarray(node_data, dtype=np.uint8).tobytes()),
-        dtype=np.uint8)
 
 
 def _plane_compressible(plane: np.ndarray) -> bool:
@@ -353,18 +328,27 @@ def _encode_planes(planes: np.ndarray):
     return np.concatenate(chunks), plane_lens, plane_zlib
 
 
-def _decode_planes(node: dict) -> np.ndarray:
-    """Inverse of :func:`_encode_planes`: the concatenated raw planes."""
-    lens = [int(n) for n in node["plane_lens"]]
-    flags = list(node["plane_zlib"])
-    blob = np.ascontiguousarray(node["data"], dtype=np.uint8).reshape(-1)
-    if len(lens) != len(flags) or sum(lens) != blob.size:
+def _decode_planes(node: dict, count: int, itemsize: int) -> np.ndarray:
+    """Inverse of :func:`_encode_planes` + :func:`byteplane_split`: each
+    plane, inflated or raw, straight from the blob into its byte column of
+    a ``(count, itemsize)`` matrix (an empty array has one empty plane)."""
+    lens, flags = node["plane_lens"], node["plane_zlib"]
+    blob = np.ravel(node["data"])
+    if blob.dtype != np.uint8 or len(lens) != len(flags) \
+            or len(lens) != (itemsize if count else 1) \
+            or sum(lens) != blob.size:
         raise ValueError("byte-plane container framing mismatch")
-    parts, offset = [], 0
-    for length, compressed in zip(lens, flags):
-        parts.append(_unzlib(blob[offset:offset + length], bool(compressed)))
+    out = np.empty((count, itemsize), dtype=np.uint8)
+    offset = 0
+    for column, (length, compressed) in enumerate(zip(lens, flags)):
+        plane = blob[offset:offset + length]
         offset += length
-    return np.concatenate(parts) if parts else blob
+        if compressed:
+            plane = np.frombuffer(zlib.decompress(plane), dtype=np.uint8)
+        if plane.size != count:
+            raise ValueError("byte plane has the wrong length")
+        out[:, column] = plane
+    return out
 
 
 def encode_array(arr: np.ndarray) -> "np.ndarray | dict":
@@ -417,32 +401,38 @@ def encode_array(arr: np.ndarray) -> "np.ndarray | dict":
 
 
 def decode_array(node: dict) -> np.ndarray:
-    """Decode one encoded array node (``vz``/``bp``/``q``)."""
+    """Decode one encoded array node (``dz``/``bp``/``q``).  A delta-coded
+    ``dz`` run with no negative gap returns as :class:`SortedIndices`."""
     scheme = node[ENC_KEY]
     dtype = np.dtype(node["dtype"])
     shape = tuple(node["shape"])
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    count = math.prod(shape)
     if scheme == "dz":
-        width = int(node["width"])
-        values = count - 1 if node["delta"] else count
-        raw = byteplane_join(_decode_planes(node), f"<u{width}", values)
-        staged = zigzag_decode(raw.astype(np.uint64))
-        if node["delta"]:
-            out = np.empty(count, dtype=np.int64)
-            out[0] = int(node["base"])
-            np.cumsum(staged, out=out[1:])
-            out[1:] += out[0]
-            return out.astype(dtype).reshape(shape)
-        return staged.astype(dtype).reshape(shape)
-    if scheme == "vz":
-        raw = _unzlib(node["data"], node["zlib"])
-        staged = zigzag_decode(varint_decode(raw, count))
-        if node["delta"]:
-            staged = np.cumsum(staged, dtype=np.int64)
-        return staged.astype(dtype).reshape(shape)
+        width, delta = int(node["width"]), bool(node["delta"])
+        zz = _decode_planes(node, count - delta, width) \
+            .view(f"<u{width}").reshape(-1)
+        negative = bool(np.bitwise_or.reduce(zz) & 1)   # any odd value
+        signs = zz & 1 if negative else None
+        staged = np.right_shift(zz, 1, out=zz).view(f"<i{width}")
+        if negative:        # zigzag at the stored width: (u >> 1) ^ -(u & 1)
+            staged ^= np.negative(signs.view(staged.dtype))
+        if not delta:
+            return staged.astype(dtype, copy=False).reshape(shape)
+        out = np.empty(count, dtype=np.int64)
+        out[0] = int(node["base"])
+        np.cumsum(staged, dtype=np.int64, out=out[1:])
+        out[1:] += out[0]
+        decoded = out.astype(dtype, copy=False).reshape(shape)
+        # Under 2**32 gaps in [0, 2**31): the int64 sum wrapped iff it ended
+        # below its start, and with both ends in range the cast is exact.
+        if not negative and width <= 4 and np.iinfo(dtype).min <= out[0] \
+                <= out[-1] <= np.iinfo(dtype).max:
+            decoded = decoded.view(SortedIndices)
+            decoded.increasing = bool(staged.all())     # every gap > 0
+        return decoded
     if scheme == "bp":
-        return byteplane_join(_decode_planes(node), dtype,
-                              count).reshape(shape)
+        return _decode_planes(node, count, dtype.itemsize).view(dtype) \
+            .reshape(shape)
     if scheme == "q":
         levels = node["levels"]
         if isinstance(levels, dict) and ENC_KEY in levels:
@@ -460,9 +450,7 @@ def logical_nbytes(tree) -> int:
         return tree.nbytes
     if isinstance(tree, dict):
         if ENC_KEY in tree:
-            shape = tuple(tree["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            return count * np.dtype(tree["dtype"]).itemsize
+            return math.prod(tree["shape"]) * np.dtype(tree["dtype"]).itemsize
         return sum(logical_nbytes(v) for v in tree.values())
     if isinstance(tree, (list, tuple)):
         return sum(logical_nbytes(v) for v in tree)
@@ -472,6 +460,10 @@ def logical_nbytes(tree) -> int:
 # ---------------------------------------------------------------------------
 # Codecs
 # ---------------------------------------------------------------------------
+
+#: Executor :meth:`PayloadCodec.decode_tree` maps encoded nodes over, if set.
+DECODE_EXECUTOR: ContextVar = ContextVar("decode_executor", default=None)
+
 
 class PayloadCodec:
     """Base codec: transforms serializable trees before/after the container
@@ -505,7 +497,13 @@ class PayloadCodec:
         array leaf.  Stateless — decoding needs no error-feedback state
         (lossy blobs carry their scales inline)."""
         started = time.perf_counter()
-        out = self._walk_decode(tree)
+        decode = decode_array
+        if (executor := DECODE_EXECUTOR.get()) is not None:
+            nodes: list[dict] = []
+            self._walk_decode(tree, nodes.append)     # collect, then map
+            done = dict(zip(map(id, nodes), executor.map(decode_array, nodes)))
+            decode = lambda node: done[id(node)]    # noqa: E731
+        out = self._walk_decode(tree, decode)
         out.pop(CODEC_TAG, None)
         if OBS.enabled:
             OBS.registry.observe("codec.decode.s",
@@ -534,14 +532,14 @@ class PayloadCodec:
             return items if isinstance(node, list) else tuple(items)
         return node
 
-    def _walk_decode(self, node):
+    def _walk_decode(self, node, decode):
         if isinstance(node, dict):
             if ENC_KEY in node:
-                return decode_array(node)
-            return {key: self._walk_decode(value)
+                return decode(node)
+            return {key: self._walk_decode(value, decode)
                     for key, value in node.items()}
         if isinstance(node, (list, tuple)):
-            items = [self._walk_decode(value) for value in node]
+            items = [self._walk_decode(value, decode) for value in node]
             return items if isinstance(node, list) else tuple(items)
         return node
 

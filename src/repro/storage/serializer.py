@@ -49,6 +49,9 @@ import numpy as np
 MAGIC = b"LOWDIFF2"
 _HEADER = struct.Struct("<8sQQI")
 
+#: Marker key of an encoded array node of :mod:`repro.storage.payload_codec`.
+ENC_KEY = "__enc__"
+
 #: dtypes allowed in checkpoints (defensive allow-list for the reader).
 _ALLOWED_DTYPES = {
     "float64", "float32", "float16",
@@ -110,20 +113,28 @@ def _encode(node, blobs: list[np.ndarray]):
     raise TypeError(f"cannot serialize object of type {type(node).__name__}")
 
 
-def _decode(description, blobs: list[memoryview]):
+def _decode(description, blobs: list[memoryview], codec_input: bool = False):
+    """``codec_input``: inside a payload codec's encoded node, whose arrays
+    its decoder reads once and drops — read-only views, no copy, when the
+    container is immutable."""
     kind = description["__kind__"]
     if kind == "ndarray":
         dtype = description["dtype"]
         if dtype not in _ALLOWED_DTYPES:
             raise ValueError(f"refusing to load array dtype {dtype}")
-        array = np.frombuffer(blobs[description["blob"]], dtype=dtype)
-        return array.reshape(description["shape"]).copy()
+        blob = blobs[description["blob"]]
+        array = np.frombuffer(blob, dtype=dtype).reshape(description["shape"])
+        return array if codec_input and blob.readonly else array.copy()
     if kind == "dict":
-        return {key: _decode(val, blobs) for key, val in description["items"].items()}
+        items = description["items"]
+        codec_input = codec_input or ENC_KEY in items
+        return {key: _decode(val, blobs, codec_input)
+                for key, val in items.items()}
     if kind == "list":
-        return [_decode(val, blobs) for val in description["items"]]
+        return [_decode(val, blobs, codec_input) for val in description["items"]]
     if kind == "tuple":
-        return tuple(_decode(val, blobs) for val in description["items"])
+        return tuple(_decode(val, blobs, codec_input)
+                     for val in description["items"])
     if kind in ("scalar", "int", "float"):
         return description["value"]
     raise ValueError(f"unknown node kind in checkpoint: {kind}")

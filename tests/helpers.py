@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from functools import partialmethod
 
 import numpy as np
@@ -37,6 +39,55 @@ def make_mlp_trainer(num_workers: int = 2, rho: float | None = 0.1,
         num_workers=num_workers,
         compressor_builder=(lambda: TopKCompressor(rho)) if rho else None,
     )
+
+
+class CallCounts:
+    """``sys.setprofile`` over a block: Python-level calls by code object,
+    C-level calls by builtin, on the calling thread only."""
+
+    def __enter__(self):
+        self.python = Counter()
+        self.builtin = Counter()
+        self.roots = Counter()   # entries with no frame of the same code above
+        sys.setprofile(self._event)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(None)
+
+    def _event(self, frame, event, arg):
+        if event == "c_call":
+            self.builtin[arg] += 1
+        elif event == "call":
+            code = frame.f_code
+            self.python[code] += 1
+            back = frame.f_back
+            while back is not None and back.f_code is not code:
+                back = back.f_back
+            if back is None:
+                self.roots[code] += 1
+
+    def calls(self, function) -> int:
+        return self.python[function.__code__]
+
+    def builtin_named(self, name: str) -> int:
+        """C calls of any builtin or bound C method called ``name``."""
+        return sum(count for function, count in self.builtin.items()
+                   if getattr(function, "__name__", None) == name)
+
+
+class Recorder:
+    """Stands in for model and optimizer: keeps what recovery applies."""
+
+    def __init__(self):
+        self.step_count, self.grads = 0, None
+
+    def load_state_dict(self, state):
+        pass
+
+    def step_with(self, grads):
+        self.grads = {name: np.array(grad) for name, grad in grads.items()}
+        self.step_count += 1
 
 
 def assert_states_equal(a: dict, b: dict, exact: bool = True, atol: float = 1e-12):

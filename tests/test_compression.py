@@ -20,6 +20,7 @@ from repro.compression import (
     TopKCompressor,
     UniformQuantizer,
 )
+from repro.compression.sparse import SortedIndices
 from repro.compression.topk import topk_indices
 from repro.utils.rng import Rng
 
@@ -197,6 +198,18 @@ class TestSparseGradientContainer:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(IndexError):
             SparseGradient({"w": (np.array([100]), np.array([1.0]))}, {"w": (10,)})
+
+    def test_a_proven_sorted_run_is_range_checked_at_its_ends(self):
+        run = np.arange(0, 20, 2, dtype=np.int32).view(SortedIndices)
+        run.increasing = True           # as a delta decoder leaves it
+        ones, shapes = np.ones(run.size, np.float32), {"w": (20,)}
+        assert not SparseGradient({"w": (run, ones)}, shapes).has_duplicates()
+        derived = run + 0               # a ufunc result: checked in full
+        derived[4] = 99
+        with pytest.raises(IndexError):
+            SparseGradient({"w": (derived, ones)}, shapes)
+        run[5], run.increasing = run[4], False      # a zero gap: a repeat
+        assert SparseGradient({"w": (run, ones)}, shapes).has_duplicates()
 
     def test_mismatched_entry_shapes_rejected(self):
         with pytest.raises(ValueError):

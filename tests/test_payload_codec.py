@@ -16,6 +16,9 @@ Pins the tentpole contracts:
 
 import copy
 import json
+import math
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,20 +32,23 @@ from repro.compression.quantization import QuantizedGradient
 from repro.compression.sparse import SparseGradient
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.core.differential import StateDelta
-from repro.core.recovery import serial_recover
+from repro.core.recovery import parallel_recover, serial_recover
 from repro.optim import SGD, Adam
 from repro.storage import (
     ChainCompactor,
     CheckpointStore,
+    CorruptCheckpointError,
     ErrorBoundedLossyCodec,
     InMemoryBackend,
     LosslessCodec,
     RetentionPolicy,
     UnknownCodecError,
 )
+from repro.storage import serializer
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.payload_codec import (
     CODEC_TAG,
+    ENC_KEY,
     byteplane_join,
     byteplane_split,
     decode_array,
@@ -58,7 +64,12 @@ from repro.storage.payload_codec import (
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import assert_optimizers_equal, assert_states_equal
+from tests.helpers import (
+    CallCounts,
+    Recorder,
+    assert_optimizers_equal,
+    assert_states_equal,
+)
 
 
 def assert_trees_bit_equal(a, b, path=""):
@@ -162,6 +173,88 @@ class TestPrimitives:
         node = encode_array(arr)
         assert logical_nbytes({"x": node}) == arr.nbytes
         assert logical_nbytes({"x": arr}) == arr.nbytes
+
+
+def coded_chain(length=6, n=2**18):
+    store = CheckpointStore(InMemoryBackend(), codec="lossless")
+    store.save_full(0, {"w": np.zeros(n)}, {"slots": {}})
+    for step in range(1, length + 1):
+        store.save_diff(step, step, sparse_payload(n=n, k=n // 16, seed=step))
+    return store
+
+
+class TestDecodeInPlace:
+    """Planes decode straight into their byte columns; what a restored
+    record costs is pinned as counts, not timings."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_decode_array_is_the_reference_composition(self, data):
+        dtype = np.dtype(data.draw(st.sampled_from(
+            sorted(serializer._ALLOWED_DTYPES))))
+        shape = data.draw(st.sampled_from([(), (0,), (1,)]) | hnp.array_shapes(
+            min_dims=1, max_dims=2, min_side=0, max_side=24))
+        count, width, delta = math.prod(shape), dtype.itemsize, False
+        node = {ENC_KEY: "bp", "dtype": dtype.name, "shape": list(shape)}
+        if dtype.kind in "iu" and dtype != np.uint64 and data.draw(
+                st.booleans()):
+            width = data.draw(st.sampled_from([1, 2, 4, 8]))
+            delta = count > 0 and data.draw(st.booleans())
+            node.update({ENC_KEY: "dz", "width": width, "delta": delta,
+                         "base": data.draw(st.integers(-128, 127)
+                                           | st.integers(-2**63, 2**63 - 1))})
+        values = count - delta              # an empty run is one empty plane
+        planes = [data.draw(st.binary(min_size=values, max_size=values))
+                  for _ in range(width if values else 1)]
+        flags = [data.draw(st.booleans()) for _ in planes]
+        chunks = [zlib.compress(p) if f else p for p, f in zip(planes, flags)]
+        node.update(plane_lens=[len(c) for c in chunks], plane_zlib=flags,
+                    data=np.frombuffer(b"".join(chunks), np.uint8))
+        raw = np.frombuffer(b"".join(planes), np.uint8)
+        if "width" not in node:     # the composition the decoder replaced
+            want = byteplane_join(raw, dtype, values)
+        else:
+            want = zigzag_decode(byteplane_join(raw, f"<u{width}", values))
+            want = np.cumsum(np.append(node["base"], want)) if delta else want
+        got = decode_array(node)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == want.astype(dtype, copy=False).tobytes()
+        if hasattr(got, "increasing"):      # a proof must be true
+            gaps = np.diff(got.reshape(-1).astype(np.int64))
+            assert (gaps >= 0).all() and (gaps > 0).all() == got.increasing
+
+    def test_one_record_decodes_with_no_copies_or_joins(self):
+        store = coded_chain(length=1)
+        data = store.read_raw(record := store.diffs_after(0)[0])
+        entry = serializer.unpack_tree(data)["payload"]["entries"]["w"]
+        planes = sum(sum(node["plane_zlib"]) for node in entry.values()
+                     if isinstance(node, dict))
+        with mock.patch.object(np, "concatenate", wraps=np.concatenate) \
+                as concatenate, CallCounts() as counts:
+            payload = CheckpointStore.decode_diff(record, data)
+        assert planes >= 2 and counts.builtin[zlib.decompress] == planes
+        assert counts.builtin_named("tobytes") == concatenate.call_count == 0
+        assert sum(counts.python.values()) <= 110
+        assert_trees_bit_equal(payload_to_tree(payload), payload_to_tree(
+            sparse_payload(n=2**18, k=2**14, seed=1)))
+
+    @pytest.mark.parametrize("recover", [serial_recover, parallel_recover])
+    def test_plane_of_the_wrong_length_truncates_recovery(self, recover):
+        store = coded_chain()
+        tree = serializer.unpack_tree(store.read_raw(store.diffs_after(0)[3]))
+        node = tree["payload"]["entries"]["w"]["indices"]
+        *head, _ = node["plane_lens"]       # last plane inflates a byte long
+        tail = zlib.compress(zlib.decompress(node["data"][sum(head):]) + b"\0")
+        node["data"] = np.append(node["data"][:sum(head)],
+                                 np.frombuffer(tail, np.uint8))
+        node["plane_lens"] = head + [len(tail)]
+        record = store.save_diff_bytes(4, 4, 1, *serializer.pack_tree_with_crc(
+            tree), codec="lossless")
+        with pytest.raises(CorruptCheckpointError, match="wrong length"):
+            CheckpointStore.decode_diff(record, store.read_raw(record))
+        result = recover(store, Recorder(), Recorder())
+        assert (result.step, result.corrupt_diffs_skipped) == (3, 1)
+        assert store.quarantined == [record.key]
 
 
 # ---------------------------------------------------------------------------

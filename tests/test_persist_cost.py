@@ -12,9 +12,7 @@ them (ROADMAP item 5's rule); the timings they stand for are the
 import json
 import pathlib
 import re
-import sys
 import zlib
-from collections import Counter
 
 import pytest
 
@@ -32,36 +30,7 @@ from repro.storage import serializer
 from repro.storage.payload_codec import payload_to_tree
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-
-
-class CallCounts:
-    """``sys.setprofile`` over a block: Python-level calls by code object,
-    C-level calls by builtin, on the calling thread only."""
-
-    def __enter__(self):
-        self.python = Counter()
-        self.builtin = Counter()
-        self.roots = Counter()   # entries with no frame of the same code above
-        sys.setprofile(self._event)
-        return self
-
-    def __exit__(self, *exc):
-        sys.setprofile(None)
-
-    def _event(self, frame, event, arg):
-        if event == "c_call":
-            self.builtin[arg] += 1
-        elif event == "call":
-            code = frame.f_code
-            self.python[code] += 1
-            back = frame.f_back
-            while back is not None and back.f_code is not code:
-                back = back.f_back
-            if back is None:
-                self.roots[code] += 1
-
-    def calls(self, function) -> int:
-        return self.python[function.__code__]
+from tests.helpers import CallCounts
 
 
 def sparse_payload(seed=1, tensors=6, rows=50, cols=50, rho=0.1):

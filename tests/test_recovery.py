@@ -31,10 +31,11 @@ from repro.storage import (
     CheckpointStore,
     InMemoryBackend,
     ShardedCheckpointStore,
+    payload_codec,
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import assert_states_equal
+from tests.helpers import Recorder, assert_states_equal
 
 
 @pytest.fixture
@@ -481,20 +482,6 @@ def store_of(leaves, shards, backend=None):
     return store
 
 
-class Recorder:
-    """Stands in for model and optimizer: keeps what recovery applies."""
-
-    def __init__(self):
-        self.step_count, self.grads = 0, None
-
-    def load_state_dict(self, state):
-        pass
-
-    def step_with(self, grads):
-        self.grads = {name: np.array(grad) for name, grad in grads.items()}
-        self.step_count += 1
-
-
 def usable_cpus(cpus):
     """Run the block as on a host with ``cpus`` usable CPUs."""
     return mock.patch.object(os, "sched_getaffinity",
@@ -762,6 +749,23 @@ class TestFanOut:
             result, _ = recover_with(store, None, cpus=cpus)
         assert result.workers == fanout and result.merge_ops == count - 1
 
+    def test_a_coded_blob_weighs_its_decode(self):
+        """A coded record decodes dearer per stored byte than an uncoded
+        one, so it fans out from CODED_DECODE_WEIGHT times fewer bytes."""
+        gen = np.random.default_rng(5)
+        store = CheckpointStore(InMemoryBackend(), codec="lossless")
+        store.save_full(0, {name: np.zeros(shape)
+                            for name, shape in SHAPES.items()},
+                        {"type": "sgd", "lr": 1.0, "step_count": 0, "slots": {}})
+        for step in range(1, 17):
+            store.save_diff(step, step, make_leaf(gen, "sorted"))
+        weight = sum(view.nbytes for view in store.diffs_after(0)) / 16 \
+            * recovery.CODED_DECODE_WEIGHT
+        for threshold, fanout in ((weight, 2), (weight + 1, 1)):
+            with mock.patch.object(recovery, "FANOUT_MIN_RECORD_BYTES",
+                                   threshold):
+                assert recover_with(store, None, cpus=2)[0].workers == fanout
+
     def test_phases_are_reported(self):
         store = self.chain_store()
         for recover in (serial_recover,
@@ -773,6 +777,47 @@ class TestFanOut:
             assert result.phase_s["load_chain"] > 0.0
             assert result.phase_s["apply"] > 0.0
         assert result.phase_s["merge"] > 0.0     # the parallel one
+
+
+class TestFullStatePool:
+    """A full's encoded tensors decode on a pool of the usable CPUs — none
+    when pinned to one — that is joined before recovery returns."""
+
+    def test_pool_only_with_a_cpu_to_spare_and_bit_identical(self):
+        model = MLP(64, [128, 128], 10, rng=Rng(0))
+        optimizer = Adam(model, lr=1e-2)
+        gen = np.random.default_rng(0)
+        for _ in range(3):
+            optimizer.step_with({name: gen.normal(size=p.shape)
+                                 for name, p in model.named_parameters()})
+        store = CheckpointStore(InMemoryBackend(), codec="lossless")
+        store.save_full(0, model.state_dict(), optimizer.state_dict())
+        decode, restored = payload_codec.decode_array, []
+        for cpus in (1, 2):
+            threads = []
+
+            def recording(node):
+                threads.append(threading.current_thread().name)
+                return decode(node)
+
+            for recover in (serial_recover, parallel_recover):
+                got = MLP(64, [128, 128], 10, rng=Rng(1))
+                got_opt = Adam(got, lr=1e-2)
+                with usable_cpus(cpus), mock.patch.object(
+                        payload_codec, "decode_array", recording):
+                    recover(store, got, got_opt)
+                assert not pool_threads()
+                restored.append([got.state_dict()] + [
+                    slot for slots in got_opt.state_dict()["slots"].values()
+                    for slot in slots.values()])
+            assert len(threads) >= 2 * 4    # encoded weights and slots
+            assert {name.startswith("ThreadPoolExecutor")
+                    for name in threads} == {cpus > 1}
+        for arrays in restored[1:]:
+            assert [a.tobytes() for a in arrays[1:]] \
+                == [a.tobytes() for a in restored[0][1:]]
+            assert {name: a.tobytes() for name, a in arrays[0].items()} \
+                == {name: a.tobytes() for name, a in restored[0][0].items()}
 
 
 class TestNoSortGuard:

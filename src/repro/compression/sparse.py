@@ -264,9 +264,9 @@ class DenseScratch:
     """Reusable dense float64 buffers for :meth:`SparseGradient.decompress_into`.
 
     One flat buffer per tensor, allocated once; between scatters only the
-    coordinates of the previous payload are re-zeroed.  Shared by the
-    trainer's update path and recovery replay so neither allocates dense
-    arrays per iteration.
+    coordinates of the previous payload are re-zeroed.  An optimizer that
+    must densify a payload keeps one, so neither live training nor recovery
+    replay allocates dense arrays per step.
     """
 
     __slots__ = ("shapes", "_flat", "_touched")

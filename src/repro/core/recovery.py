@@ -51,7 +51,6 @@ import numpy as np
 from repro.compression.sparse import (
     VALUE_DTYPE,
     DenseNode,
-    DenseScratch,
     SparseGradient,
     global_offsets,
 )
@@ -353,31 +352,12 @@ def _fold_chain(store, chain, workers: int):
 
 
 # Applying --------------------------------------------------------------------
-class _ReplayScratch:
-    """Reusable dense buffers threaded through a replay loop.
-
-    Gradient payloads decompress into one shared :class:`DenseScratch`
-    (allocated on first use, re-zeroed O(k) between diffs), so replaying a
-    64-diff chain makes zero dense allocations after the first record —
-    the same fast path (``decompress_into`` + fused ``step_with``) live
-    training uses.
-    """
-
-    __slots__ = ("dense",)
-
-    def __init__(self):
-        self.dense: DenseScratch | None = None
-
-    def buffers_for(self, payload) -> DenseScratch:
-        if self.dense is None or self.dense.shapes != payload.shapes:
-            self.dense = DenseScratch(payload.shapes)
-        return self.dense
-
-
-def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
-                   scratch: _ReplayScratch) -> None:
+def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int
+                   ) -> None:
     """Apply one differential payload (or the dense gradients it stands
-    for) covering ``count`` training steps to the live model/optimizer."""
+    for) covering ``count`` training steps to the live model/optimizer.
+    A gradient payload goes to ``step_with`` as is — the optimizer
+    scatters it or densifies it, exactly as the live step did."""
     if isinstance(payload, StateDelta):
         new_model, new_optimizer = apply_state_delta(
             model.state_dict(), optimizer.state_dict(), payload
@@ -385,12 +365,7 @@ def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
         model.load_state_dict(new_model)
         optimizer.load_state_dict(new_optimizer)
         return
-    if isinstance(payload, dict):     # merge-tree roots, already dense
-        optimizer.step_with(payload)
-    elif hasattr(payload, "decompress_into"):
-        optimizer.step_with(payload.decompress_into(scratch.buffers_for(payload)))
-    else:
-        optimizer.step_with(payload.decompress())
+    optimizer.step_with(payload)
     # One optimizer application for `count` gradients (a batched record, or
     # a whole merged chain): keep the step counter (and thus LR schedules)
     # aligned with training.
@@ -423,7 +398,6 @@ def serial_recover(store, model: Module, optimizer: Optimizer
     with _phase(phase_s, "load_full", "recover.load_full"):
         full_step, fulls_skipped = _load_base(store, model, optimizer)
     loaded = gradients = truncated = 0
-    scratch = _ReplayScratch()
     for view in store.diffs_after(full_step):
         parts = store.parts(view)
         with _phase(phase_s, "load_chain"):
@@ -437,7 +411,7 @@ def serial_recover(store, model: Module, optimizer: Optimizer
                     {"start": view.start, "end": view.end,
                      "count": view.count}):
             _apply_payload(model, optimizer, store.assemble_payload(payloads),
-                           view.count, scratch)
+                           view.count)
         gradients += view.count
         loaded += 1
     _observe("serial", recover_t0, loaded)
@@ -495,8 +469,7 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
             else:
                 merged = store.assemble_payload(
                     [as_payload(root) for root in roots])
-            _apply_payload(model, optimizer, merged, gradients,
-                           _ReplayScratch())
+            _apply_payload(model, optimizer, merged, gradients)
     _observe("parallel", recover_t0, len(views))
     return RecoveryResult(
         step=optimizer.step_count,

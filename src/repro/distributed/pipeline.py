@@ -151,7 +151,7 @@ class PipelineParallelTrainer:
 
         if self.compressor is not None:
             payload: CompressedGradient = self.compressor.compress(named_grads)
-            update_grads = payload.decompress()
+            update_grads = payload   # step_with scatters or densifies it
         else:
             payload = DenseGradient(named_grads)
             update_grads = named_grads

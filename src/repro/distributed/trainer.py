@@ -2,11 +2,12 @@
 
 One ``step()`` is the paper's four-phase iteration (§II-A): forward,
 backward, gradient synchronization, model update.  With a compressor the
-synchronization path is compress → sparse allreduce → decompress, and the
-*synchronized compressed gradient* — the exact payload the update consumes
-— is handed to every registered ``synced-gradient`` hook.  That payload is
-what LowDiff enqueues as a differential checkpoint, which is why recovery
-replay is bit-exact.
+synchronization path is compress → sparse allreduce, and the *synchronized
+compressed gradient* — the exact payload the update consumes — is handed
+to every registered ``synced-gradient`` hook, then as is to every
+replica's ``optimizer.step_with``.  That payload is what LowDiff enqueues
+as a differential checkpoint and recovery hands to the same ``step_with``,
+which is why recovery replay is bit-exact.
 
 Layer hooks replay the backward's reverse-layer order with synchronized
 per-layer gradients, emulating Algorithm 2's per-layer sync threads for
@@ -21,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from repro.compression.base import CompressedGradient, Compressor, DenseGradient
-from repro.compression.sparse import DenseScratch
 from repro.distributed.collectives import (
     CommStats,
     allreduce_mean,
@@ -88,7 +88,6 @@ class DataParallelTrainer:
         self.dedup_updates = bool(dedup_updates)
         self.dedup_check_every = int(dedup_check_every)
         self._dedup_applied = 0  # steps served by the 1x + memcpy path
-        self._dense_scratch: DenseScratch | None = None
         self.comm_stats = comm_stats if comm_stats is not None else CommStats()
         self.workers: list[SimWorker] = []
         self.compressors: list[Compressor] | None = (
@@ -189,8 +188,8 @@ class DataParallelTrainer:
         """Run one synchronous data-parallel iteration.
 
         Instrumented per phase (forward+backward / compress / allreduce /
-        decompress / hooks / step) through the obs layer; with
-        observability disabled each phase boundary costs one branch.
+        hooks / step) through the obs layer; with observability disabled
+        each phase boundary costs one branch.
         """
         iteration = self.iteration
         bytes_before = self.comm_stats.total_bytes
@@ -239,10 +238,7 @@ class DataParallelTrainer:
             ) if hasattr(payloads[0], "entries") else self._dense_mean_payload(payloads)
             if obs_on:
                 tracer.end()
-                tracer.begin("decompress", "train")
-            update_grads = self._decompress_synced(synced)
-            if obs_on:
-                tracer.end()
+            update_grads = synced     # the optimizer scatters or densifies it
         else:
             if obs_on:
                 tracer.begin("allreduce", "train")
@@ -283,9 +279,9 @@ class DataParallelTrainer:
             comm_bytes=comm_bytes,
         )
 
-    def _apply_synced_update(self, active: list[int],
-                             update_grads: dict[str, np.ndarray]) -> None:
-        """Apply the synchronized update to every active replica.
+    def _apply_synced_update(self, active: list[int], update_grads) -> None:
+        """Apply the synchronized update — dense gradients or the synced
+        payload itself, as ``step_with`` takes — to every active replica.
 
         The single overridable seam of the update phase: subclasses that
         change *how* the update lands (ZeRO's owned-shard step + parameter
@@ -299,22 +295,7 @@ class DataParallelTrainer:
             for rank in active:
                 self.workers[rank].apply_update(update_grads)
 
-    def _decompress_synced(self, synced: CompressedGradient) -> dict[str, np.ndarray]:
-        """Densify the synchronized payload into reusable scratch buffers.
-
-        Sparse payloads scatter into a per-trainer :class:`DenseScratch`
-        (bit-identical to ``decompress()``, zero dense allocations per
-        iteration); other payload types keep their own ``decompress``.
-        The returned arrays are only valid for the current iteration.
-        """
-        if not hasattr(synced, "decompress_into"):
-            return synced.decompress()
-        if (self._dense_scratch is None
-                or self._dense_scratch.shapes != synced.shapes):
-            self._dense_scratch = DenseScratch(synced.shapes)
-        return synced.decompress_into(self._dense_scratch)
-
-    def _apply_update_deduped(self, update_grads: dict[str, np.ndarray]) -> None:
+    def _apply_update_deduped(self, update_grads) -> None:
         """Compute the update once on rank 0 and memcpy it to the rest.
 
         All replicas are bit-identical and consume the same synchronized

@@ -88,8 +88,9 @@ class SimWorker:
         self.last_loss = float(np.mean(losses))
         return total
 
-    def apply_update(self, named_grads: dict[str, np.ndarray]) -> None:
-        """Advance model + optimizer state with the synchronized gradient."""
+    def apply_update(self, named_grads) -> None:
+        """Advance model + optimizer state with the synchronized gradient
+        (dense, or the synced payload itself)."""
         self.optimizer.step_with(named_grads)
 
     def state_signature(self) -> float:

@@ -109,16 +109,15 @@ class ZeroDataParallelTrainer(DataParallelTrainer):
         self._repartition_owners()
 
     # Update phase ------------------------------------------------------------
-    def _apply_synced_update(self, active: list[int],
-                             update_grads: dict[str, np.ndarray]) -> None:
+    def _apply_synced_update(self, active: list[int], update_grads) -> None:
         """ZeRO-1 update: every rank steps only the parameters it owns,
         then refreshed parameters broadcast from owner to the other
         *active* ranks (the ZeRO allgather).
 
-        Owned updates go through ``step_with(names=...)`` — the fused
-        allocation-free kernels, bit-identical to the reference
-        per-parameter loop — and the step counter advances exactly once
-        per rank, keeping bias correction aligned across shards.
+        Owned updates hand the synced payload to ``step_with(names=...)``
+        — the same kernels as the unsharded step — and the step counter
+        advances exactly once per rank, keeping bias correction aligned
+        across shards.
         """
         for rank in active:
             self.workers[rank].optimizer.step_with(

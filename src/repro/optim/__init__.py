@@ -2,9 +2,10 @@
 
 LowDiff's recovery path replays checkpointed (compressed) gradients through
 the optimizer, so optimizers here expose both the usual ``step()`` over
-``Parameter.grad`` and ``step_with(named_grads)`` for external gradients,
-plus full ``state_dict``/``load_state_dict`` round-tripping — the
-ingredients of the bit-exact recovery invariant.
+``Parameter.grad`` and ``step_with(named_grads)`` for external gradients
+(dense, or the compressed payload itself), plus full
+``state_dict``/``load_state_dict`` round-tripping — the ingredients of the
+bit-exact recovery invariant.
 """
 
 from repro.optim.optimizer import Optimizer

@@ -13,6 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.compression.sparse import DenseScratch, SparseGradient
 from repro.tensor.module import Module
 from repro.tensor.parameter import Parameter
 
@@ -32,7 +33,9 @@ class Optimizer:
     parameter is float64 (the training dtype of this stack; other dtypes
     would change numpy's intermediate-dtype propagation, so they fall back
     to the reference kernel).  Both live training and recovery replay go
-    through ``step_with``, so they share the same fast path.
+    through ``step_with``, so they share the same fast path.  A
+    :attr:`sparse_exact` subclass adds ``_update_param_sparse(param,
+    indices, values)``, applied to a payload's listed coordinates only.
     """
 
     #: Class-wide default; instances may flip ``self.fused`` to force the
@@ -65,6 +68,7 @@ class Optimizer:
         self.initial_lr = float(lr)
         self.step_count = 0
         self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._densified: DenseScratch | None = None   # see _densify
         self._fused_ok = all(
             param.data.dtype == np.float64 for param in self._named.values()
         )
@@ -73,6 +77,13 @@ class Optimizer:
     @property
     def param_names(self) -> list[str]:
         return list(self._named)
+
+    @property
+    def sparse_exact(self) -> bool:
+        """Whether a sparse gradient's scatter is bit-identical to the dense
+        step: the update leaves ``p`` as is where the gradient is ``+0.0``.
+        Derived from the hyperparameters, never configured."""
+        return False
 
     def parameters(self) -> list[Parameter]:
         return list(self._named.values())
@@ -91,12 +102,16 @@ class Optimizer:
             grads[name] = param.grad
         self.step_with(grads)
 
-    def step_with(self, named_grads: dict[str, np.ndarray],
-                  names: Iterable[str] | None = None) -> None:
+    def step_with(self, named_grads, names: Iterable[str] | None = None) -> None:
         """Apply one update from externally supplied gradients.
 
-        This is the entry point recovery uses: decompressed differential
-        gradients keyed by parameter name.
+        ``named_grads`` is dense gradients keyed by parameter name, or the
+        compressed payload itself (what recovery replays and a trainer
+        synchronized).  A duplicate-free :class:`SparseGradient` on a
+        :attr:`sparse_exact` optimizer is scattered over its coordinates
+        (O(k), nothing dense); any other payload goes through
+        :meth:`_densify` — the one place a payload becomes dense — and the
+        dense kernels.  Both routes check names and shapes alike.
 
         ``names`` restricts the update to a subset of parameters (ZeRO-1
         optimizer-state sharding: each rank steps only the shard it owns).
@@ -104,42 +119,52 @@ class Optimizer:
         space; only the named subset is validated and updated.  The step
         counter still advances exactly once — every rank's bias
         correction stays aligned with the global step — and the subset
-        path runs the same fused allocation-free kernels as the full one.
-        ``names=None`` (default) keeps the historical full-space
-        behaviour bit-identically.
+        path runs the same kernels as the full one.
         """
-        if names is None:
-            unknown = set(named_grads) - set(self._named)
-            if unknown:
-                raise KeyError(
-                    f"gradients for unknown parameters: {sorted(unknown)}")
-            missing = set(self._named) - set(named_grads)
-            if missing:
-                raise KeyError(f"missing gradients for: {sorted(missing)}")
-            targets = list(self._named.items())
-        else:
-            names = list(names)
-            unknown = set(names) - set(self._named)
-            if unknown:
-                raise KeyError(
-                    f"update requested for unknown parameters: {sorted(unknown)}")
-            missing = set(names) - set(named_grads)
-            if missing:
-                raise KeyError(f"missing gradients for: {sorted(missing)}")
-            targets = [(name, self._named[name]) for name in names]
+        sparse = (isinstance(named_grads, SparseGradient) and self.sparse_exact
+                  and not named_grads.has_duplicates())
+        if not (sparse or isinstance(named_grads, dict)):
+            named_grads = self._densify(named_grads)
+        given = named_grads.shapes if sparse else named_grads
+        wanted = list(self._named) if names is None else list(names)
+        unknown = set(given if names is None else wanted) - set(self._named)
+        if unknown:
+            raise KeyError(("gradients for" if names is None else
+                            "update requested for")
+                           + f" unknown parameters: {sorted(unknown)}")
+        missing = set(wanted) - set(given)
+        if missing:
+            raise KeyError(f"missing gradients for: {sorted(missing)}")
         self.step_count += 1
         fused = self.fused and self._fused_ok
-        for name, param in targets:
-            grad = np.asarray(named_grads[name], dtype=np.float64)
-            if grad.shape != param.data.shape:
+        for name in wanted:
+            param = self._named[name]
+            if sparse:
+                grad, shape = named_grads.entries[name], given[name]
+            else:
+                grad = np.asarray(named_grads[name], dtype=np.float64)
+                shape = grad.shape
+            if shape != param.data.shape:
                 raise ValueError(
-                    f"gradient shape {grad.shape} != parameter shape "
+                    f"gradient shape {shape} != parameter shape "
                     f"{param.data.shape} for {name}"
                 )
-            if fused:
+            if sparse:
+                self._update_param_sparse(param, *grad)
+            elif fused:
                 self._update_param_fused(name, param, grad)
             else:
                 self._update_param(name, param, grad)
+
+    def _densify(self, payload) -> dict[str, np.ndarray]:
+        """A payload's dense gradients: a sparse one scattered into the one
+        :class:`DenseScratch` this optimizer keeps (re-zeroed O(k) between
+        payloads, valid until the next call), any other decompressed."""
+        if not isinstance(payload, SparseGradient):
+            return payload.decompress()
+        if self._densified is None or self._densified.shapes != payload.shapes:
+            self._densified = DenseScratch(payload.shapes)
+        return payload.decompress_into(self._densified)
 
     def _update_param(self, name: str, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError

@@ -3,7 +3,10 @@
 With ``momentum == 0`` the update is *linear* in the gradient, which makes
 differential merging exactly associative — the configuration where the
 parallel recovery tree (Fig. "Parallel Fast Recovery") is exact even
-across optimizer steps.  Tests use this property.
+across optimizer steps.  Tests use this property.  Linearity (and no
+weight decay) also makes a sparse gradient's scatter exact, since the dense
+step leaves ``p - lr * 0.0 == p`` bit for bit (``-0.0`` included) wherever
+the gradient is silent: ``sparse_exact``, a step costs ``k``, not Ψ.
 """
 
 from __future__ import annotations
@@ -57,6 +60,18 @@ class SGD(Optimizer):
         else:
             np.multiply(grad, self.lr, out=s2)
         param.data -= s2
+
+    @property
+    def sparse_exact(self) -> bool:
+        return not self.momentum and not self.weight_decay and self._fused_ok
+
+    def _update_param_sparse(self, param: Parameter, indices: np.ndarray,
+                             values: np.ndarray) -> None:
+        # The dense step p - (0.0 + v) * lr at each (duplicate-free) index;
+        # ``0.0 + v`` is the densified value, -0.0 becoming +0.0.
+        step = np.add(values, 0.0, dtype=np.float64)
+        step *= self.lr
+        np.subtract.at(param.data.reshape(-1), indices, step)
 
     def _slots(self, name: str) -> dict[str, np.ndarray]:
         if self.momentum:

@@ -86,6 +86,8 @@ class Recorder:
         pass
 
     def step_with(self, grads):
+        if hasattr(grads, "decompress"):    # a payload, as replay hands it
+            grads = grads.decompress()
         self.grads = {name: np.array(grad) for name, grad in grads.items()}
         self.step_count += 1
 

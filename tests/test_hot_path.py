@@ -9,6 +9,8 @@ identically everywhere:
   vs the reference numpy expressions;
 - ``decompress_into`` (scatter-add into reusable ``DenseScratch`` buffers)
   vs fresh-allocation ``decompress``;
+- ``step_with(payload)`` (a scatter under sparse-exact SGD, the optimizer's
+  own densify otherwise) vs ``step_with(payload.decompress())``;
 - ``dedup_updates`` (1x update + memcpy) vs every replica recomputing it.
 """
 
@@ -23,15 +25,21 @@ from repro.compression.sparse import (
     DenseScratch,
     SparseGradient,
 )
+from repro.core.recovery import serial_recover
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.distributed.collectives import sparse_allreduce
 from repro.obs import OBS
 from repro.optim import Adam, SGD
+from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.tensor.parameter import Parameter
 from repro.utils.rng import Rng
-from tests.helpers import assert_optimizers_equal, assert_states_equal
+from tests.helpers import (
+    CallCounts,
+    assert_optimizers_equal,
+    assert_states_equal,
+)
 
 
 def kway_counts():
@@ -210,6 +218,171 @@ class TestFusedOptimizerSteps:
         optimizer.step_with(grads)
         assert scratch_ids == {name: tuple(id(buf) for buf in bufs)
                                for name, bufs in optimizer._scratch.items()}
+
+
+#: Tensors of every awkward size: 0-d, empty, one element, and two plain.
+PAYLOAD_SHAPES = {"scalar": (), "empty": (0,), "one": (1,), "matrix": (3, 4),
+                  "vector": (9,)}
+OPTIMIZERS = [
+    (SGD, {"lr": 0.05}),
+    (SGD, {"lr": 0.05, "momentum": 0.9}),
+    (SGD, {"lr": 0.05, "weight_decay": 0.01}),
+    (SGD, {"lr": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
+    (Adam, {"lr": 1e-3, "weight_decay": 0.01}),
+]
+
+
+def signed_zero_params(seed, dtype):
+    """Parameters over ``PAYLOAD_SHAPES`` with a third of them -0.0 (the
+    data is set after construction, which would make a 0-d value 1-d)."""
+    gen = np.random.default_rng(seed)
+    params = []
+    for name, shape in PAYLOAD_SHAPES.items():
+        data = gen.standard_normal(shape)
+        data[gen.random(shape) < 1 / 3] = -0.0
+        param = Parameter(np.zeros(0), name=name)
+        param.data = data.astype(dtype)
+        params.append(param)
+    return params
+
+
+def sparse_payload(gen, params, duplicates):
+    """Unsorted indices; -0.0 and +0.0 values, some on -0.0 parameters."""
+    entries = {}
+    for param in params:
+        size = param.data.size
+        indices = gen.choice(size, gen.integers(0, size + 1), replace=False)
+        if duplicates and indices.size:
+            indices = np.concatenate([indices, gen.choice(indices, 2)])
+        values = gen.standard_normal(indices.size)
+        values[gen.random(indices.size) < 0.3] = -0.0
+        values[gen.random(indices.size) < 0.1] = 0.0
+        entries[param.name] = (indices, values)
+    return SparseGradient(entries, PAYLOAD_SHAPES)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    unsigned = np.uint64 if a.dtype == np.float64 else np.uint32
+    np.testing.assert_array_equal(a.view(unsigned), b.view(unsigned))
+
+
+class TestSparseStepWith:
+    """``step_with(payload)`` == ``step_with(payload.decompress())``, bit
+    for bit, whichever route the optimizer takes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           optimizer=st.sampled_from(OPTIMIZERS),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           duplicates=st.booleans(), subset=st.booleans(),
+           lr_change=st.booleans())
+    def test_payload_matches_its_decompress(self, seed, optimizer, dtype,
+                                            duplicates, subset, lr_change):
+        cls, kwargs = optimizer
+        gen = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(2):
+            params = signed_zero_params(seed, dtype)
+            pairs.append((params, cls(params, **kwargs)))
+        (sparse_params, sparse_opt), (dense_params, dense_opt) = pairs
+        names = None
+        if subset:
+            names = [name for name in PAYLOAD_SHAPES if gen.random() < 0.5]
+        scattered = False
+        for step in range(3):
+            if lr_change and step == 2:
+                sparse_opt.lr = dense_opt.lr = sparse_opt.lr * 0.3
+            payload = sparse_payload(gen, sparse_params, duplicates)
+            scattered |= sparse_opt.sparse_exact and not payload.has_duplicates()
+            sparse_opt.step_with(payload, names=names)
+            dense_opt.step_with(payload.decompress(), names=names)
+            for got, want in zip(sparse_params, dense_params):
+                assert_same_bits(got.data, want.data)
+                for key, slot in sparse_opt._slots(got.name).items():
+                    assert_same_bits(slot, dense_opt._slots(got.name)[key])
+            assert sparse_opt.step_count == dense_opt.step_count == step + 1
+        assert sparse_opt.sparse_exact == (
+            cls is SGD and len(kwargs) == 1 and dtype == np.float64)
+        # A scattered step allocates nothing dense; any other densifies.
+        assert (sparse_opt._densified is None) == scattered
+
+    @pytest.mark.parametrize("optimizer", [OPTIMIZERS[0], OPTIMIZERS[-1]])
+    @pytest.mark.parametrize("entries,shapes,names", [
+        ({"p0": [0], "p1": [1], "nope": [0]}, {"p0": (3,), "p1": (2, 2),
+                                               "nope": (1,)}, None),
+        ({"p0": [0]}, {"p0": (3,)}, None),
+        ({"p0": [0]}, {"p0": (3,)}, ["nope"]),
+        ({"p0": [0]}, {"p0": (3,)}, ["p0", "p1"]),
+        ({"p0": [0], "p1": [1]}, {"p0": (4,), "p1": (2, 2)}, None),
+        ({"p0": [0], "p1": [1]}, {"p0": (3,), "p1": (4,)}, ["p1"]),
+    ], ids=["unknown", "missing", "names-unknown", "names-missing",
+            "shape", "names-shape"])
+    def test_same_errors_as_dense(self, optimizer, entries, shapes, names):
+        cls, kwargs = optimizer
+        payload = SparseGradient(
+            {name: (np.array(idx), np.ones(len(idx))) for name, idx
+             in entries.items()}, shapes)
+        raised = []
+        for grads in (payload, payload.decompress()):
+            params = [Parameter(np.zeros(3), name="p0"),
+                      Parameter(np.zeros((2, 2)), name="p1")]
+            opt = cls(params, **kwargs)
+            with pytest.raises((KeyError, ValueError)) as info:
+                opt.step_with(grads, names=names)
+            raised.append((info.type, str(info.value), opt.step_count))
+        assert raised[0] == raised[1]
+
+
+class TestSparseReplayCounts:
+    """Replay cost as counts: sparse-exact SGD applies each diff as one
+    ``subtract.at`` per tensor — no dense kernel, no dense buffer — while
+    Adam densifies into one buffer it owns and runs its dense kernel."""
+
+    DIFFS = 4
+
+    def replay(self, optimizer_cls, **kwargs):
+        model = MLP(6, [8], 3, rng=Rng(0))
+        optimizer = optimizer_cls(model, lr=1e-2, **kwargs)
+        store = CheckpointStore(InMemoryBackend())
+        store.save_full(0, model.state_dict(), optimizer.state_dict())
+        rng, compressor = Rng(1), TopKCompressor(0.5)
+        for step in range(1, self.DIFFS + 1):
+            payload = compressor.compress({
+                name: rng.child("g", step, name).normal(size=p.shape)
+                for name, p in model.named_parameters()})
+            optimizer.step_with(payload)
+            store.save_diff(step, step, payload)
+        restored = MLP(6, [8], 3, rng=Rng(2))
+        restored_opt = optimizer_cls(restored, lr=1e-2, **kwargs)
+        with CallCounts() as counts:
+            serial_recover(store, restored, restored_opt)
+        assert_states_equal(restored.state_dict(), model.state_dict())
+        assert_optimizers_equal(restored_opt.state_dict(),
+                                optimizer.state_dict())
+        return counts, restored_opt, len(optimizer.param_names)
+
+    def test_sgd_scatters(self):
+        counts, optimizer, tensors = self.replay(SGD)
+        assert optimizer.sparse_exact
+        assert counts.calls(SGD._update_param_fused) == 0
+        assert counts.calls(SGD._update_param) == 0
+        assert counts.calls(DenseScratch.__init__) == 0
+        assert optimizer._scratch == {} and optimizer._densified is None
+        assert counts.calls(SGD._update_param_sparse) == self.DIFFS * tensors
+        assert counts.builtin_named("at") == self.DIFFS * tensors
+
+    @pytest.mark.parametrize("optimizer_cls,kwargs", [
+        (Adam, {}), (SGD, {"momentum": 0.9})])
+    def test_dense_optimizers_densify_once_per_diff(self, optimizer_cls,
+                                                    kwargs):
+        counts, optimizer, tensors = self.replay(optimizer_cls, **kwargs)
+        assert not optimizer.sparse_exact
+        assert counts.calls(optimizer_cls._update_param_fused) \
+            == self.DIFFS * tensors
+        assert counts.calls(DenseScratch.__init__) == 1
+        assert counts.calls(SparseGradient.decompress_into) == self.DIFFS
+        assert counts.calls(SGD._update_param_sparse) == 0
 
 
 def make_trainer(dedup, num_workers=4, seed=21):

@@ -48,12 +48,9 @@ class CheckpointConfig:
     disk).  ``writer_threads`` doubles as the worker-process count.
 
     ``codec`` selects the payload codec applied to every persisted record
-    (``repro.storage.payload_codec`` registry): ``None`` (default) writes
+    (:mod:`repro.storage.payload_codec`): ``None`` (default) writes
     uncoded bytes identical to earlier revisions, ``"lossless"`` enables
-    the bit-exact delta-varint/byte-plane paths, ``"lossy"`` additionally
-    quantizes diff values under ``lossy_error_bound`` with error feedback
-    (fulls always stay lossless, so recovery divergence is bounded by the
-    per-value bound rather than accumulating).
+    the bit-exact delta/byte-plane paths.
 
     ``shards`` > 1 partitions every checkpoint over a stable global index
     space into per-shard full/diff chains
@@ -71,7 +68,6 @@ class CheckpointConfig:
     writer_threads: int = 2      # engine writer pool size
     queue_depth: int = 8         # engine backpressure bound
     codec: str | None = None     # payload codec id; None = uncoded
-    lossy_error_bound: float = 1e-3  # max |decoded - true| per value ("lossy")
     persist_mode: str = "thread"  # async engine flavor: "thread" | "process"
     ring_mb: float = 64.0        # shared-memory ring size (process mode)
     shards: int = 1              # per-shard diff chains; 1 = unsharded store
@@ -86,9 +82,6 @@ class CheckpointConfig:
             raise ValueError(f"writer_threads must be >= 1, got {self.writer_threads}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
-        if self.lossy_error_bound <= 0:
-            raise ValueError(
-                f"lossy_error_bound must be > 0, got {self.lossy_error_bound}")
         if self.persist_mode not in EXECUTORS:
             raise ValueError(
                 f"persist_mode must be "

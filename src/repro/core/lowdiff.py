@@ -112,8 +112,7 @@ class LowDiffCheckpointer(Checkpointer):
         # Config-selected payload codec: applied store-wide before the
         # engine is built, so sync and async persist paths both encode.
         if config.codec:
-            store.set_codec(config.codec,
-                            error_bound=config.lossy_error_bound)
+            store.set_codec(config.codec)
         self.queue = ReusingQueue(maxsize=queue_maxsize, copy_mode=not zero_copy)
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every

@@ -36,13 +36,11 @@ from repro.storage.resilience import (
     collect_resilience_stats,
 )
 from repro.storage.payload_codec import (
-    ErrorBoundedLossyCodec,
     LosslessCodec,
     PayloadCodec,
     UnknownCodecError,
     get_codec,
     make_codec,
-    register_codec,
 )
 from repro.storage.checkpoint_store import (
     CheckpointStore,
@@ -98,13 +96,11 @@ __all__ = [
     "TieredBackend",
     "VirtualClock",
     "collect_resilience_stats",
-    "ErrorBoundedLossyCodec",
     "LosslessCodec",
     "PayloadCodec",
     "UnknownCodecError",
     "get_codec",
     "make_codec",
-    "register_codec",
     "CheckpointStore",
     "FullCheckpointRecord",
     "DiffCheckpointRecord",

@@ -257,8 +257,7 @@ class AsyncCheckpointEngine(PersistEngine):
                 # Codec CPU (byte shuffles, zlib) runs here on the
                 # writer thread, off the training hot path.
                 tree, codec_id, raw_nbytes = encode_record_tree(
-                    self.store.codec, task.record_tree(), task.kind,
-                    pre_encoded=task.meta.get("pre_encoded", False))
+                    self.store.codec, task.record_tree())
                 buffer = self.pool.acquire()
                 view, crc = pack_tree_into(tree, buffer)
                 elapsed = time.perf_counter() - started

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from repro.obs import OBS
 from repro.storage.backends import StorageBackend
 from repro.storage.payload_codec import (
-    CODEC_REGISTRY,
+    CODECS,
     CODEC_TAG,
     UnknownCodecError,
     get_codec,
@@ -77,25 +77,16 @@ def diff_key(start: int, end: int) -> str:
     return f"diff/{start:010d}_{end:010d}.ckpt"
 
 
-def encode_record_tree(codec, tree: dict, kind: str,
-                       pre_encoded: bool = False):
+def encode_record_tree(codec, tree: dict):
     """Apply ``codec`` (``None`` = uncoded) to a record tree before packing.
 
-    Store-less, so persist workers in other processes call it too.
-    Returns ``(tree, codec_id, raw_nbytes)``.  ``kind`` is ``"full"`` or
-    ``"diff"``; only diff payloads ever see a lossy codec's stateful
-    quantization stage, and ``pre_encoded=True`` skips it (engine
-    submissions quantize in chain order at submit time; compaction
-    re-encodes already-quantized merges without adding a second round of
-    error).
+    Stateless and store-less, so it runs wherever the record is packed: in
+    the store, on a writer thread, or in a persist worker process.
+    Returns ``(tree, codec_id, raw_nbytes)``.
     """
     if codec is None:
         return tree, "", 0
-    raw_nbytes = logical_nbytes(tree)
-    if kind == "diff" and codec.lossy and not pre_encoded:
-        tree = dict(tree)
-        tree["payload"] = codec.pre_encode_diff_tree(tree["payload"])
-    return codec.encode_tree(tree), codec.codec_id, raw_nbytes
+    return codec.encode_tree(tree), codec.codec_id, logical_nbytes(tree)
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ class CheckpointStore:
         The storage backend holding blobs and the manifest.
     codec:
         Optional payload codec applied to every record this store writes:
-        a registered codec id (``"lossless"``/``"lossy"``), a
+        a codec id (``"lossless"``), a
         :class:`~repro.storage.payload_codec.PayloadCodec` instance, or
         ``None`` (default — uncoded, byte-identical with earlier
         revisions).  Reads are codec-agnostic: each record's decoder is
@@ -180,14 +171,14 @@ class CheckpointStore:
         self._check_record_codecs()
 
     # Codec ----------------------------------------------------------------
-    def set_codec(self, codec, error_bound: float | None = None) -> None:
+    def set_codec(self, codec) -> None:
         """Switch the codec applied to subsequent writes (reads are
         unaffected — they always follow each record's own codec id)."""
-        self.codec = make_codec(codec, error_bound=error_bound)
+        self.codec = make_codec(codec)
 
     def _check_record_codecs(self) -> None:
         unknown = sorted({r.codec for r in self._fulls + self._diffs
-                          if r.codec and r.codec not in CODEC_REGISTRY})
+                          if r.codec and r.codec not in CODECS})
         self.unknown_codecs = unknown
         if unknown and self.strict_codecs:
             hit = [r.key for r in self._fulls + self._diffs
@@ -367,7 +358,7 @@ class CheckpointStore:
         """
         tree, codec_id, raw_nbytes = encode_record_tree(
             self.codec,
-            self.full_tree(step, model_state, optimizer_state, extra), "full")
+            self.full_tree(step, model_state, optimizer_state, extra))
         data, crc = pack_tree_with_crc(tree)
         return self.save_full_bytes(step, data, crc, codec=codec_id,
                                     raw_nbytes=raw_nbytes)
@@ -424,7 +415,7 @@ class CheckpointStore:
         tree, codec_id, raw_nbytes = encode_record_tree(
             self.codec,
             self.diff_tree(start, end, resolved_count,
-                           payload_to_tree(payload)), "diff")
+                           payload_to_tree(payload)))
         data, crc = pack_tree_with_crc(tree)
         return self.save_diff_bytes(start, end, resolved_count, data, crc,
                                     codec=codec_id, raw_nbytes=raw_nbytes)
@@ -660,7 +651,7 @@ class CheckpointStore:
             if not self.backend.exists(record.key):
                 report["missing"].append(record.key)
                 continue
-            if record.codec and record.codec not in CODEC_REGISTRY:
+            if record.codec and record.codec not in CODECS:
                 report["unknown_codec"].append(record.key)
                 continue
             if not deep:

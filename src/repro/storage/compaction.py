@@ -286,11 +286,7 @@ class ChainCompactor:
                         payload):
         tree = CheckpointStore.diff_tree(start, end, count,
                                          payload_to_tree(payload))
-        # pre_encoded=True: merged lossy payloads carry already-quantized
-        # values; only the stateless byte stage reruns, so compaction never
-        # adds a second quantization error on top of the original one.
-        tree, codec_id, raw_nbytes = encode_record_tree(
-            codec, tree, "diff", pre_encoded=True)
+        tree, codec_id, raw_nbytes = encode_record_tree(codec, tree)
         if self.buffers is None:
             return pack_tree_with_crc(tree), None, None, codec_id, raw_nbytes
         buffer = self.buffers.acquire()

@@ -226,7 +226,7 @@ class ShmRing:
 
 
 def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
-                    codec_spec: tuple, task_queue, result_queue,
+                    codec_id: str, task_queue, result_queue,
                     telemetry_spec=None) -> None:
     """Persist-worker main (runs in a spawned child process).
 
@@ -256,9 +256,7 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(name=shm_name)
         backend = backend_from_spec(backend_spec)
-        codec_id, error_bound = codec_spec
-        codec = make_codec(codec_id, error_bound=error_bound) \
-            if codec_id else None
+        codec = make_codec(codec_id)
         # Warm the codec/serializer code paths so first-task latency is
         # not an import/JIT stall inside the training loop's window.
         import numpy as _np
@@ -288,11 +286,8 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
                 stage_t0 = time.perf_counter() if obs_on else 0.0
                 with obs_span("worker_encode", "ckpt",
                               {"seq": seq, "kind": kind}):
-                    # Lossy pre-encoding is order-dependent, so the parent
-                    # ran it at submit (``pre_encoded`` in the meta);
-                    # workers only run the stateless byte/entropy stage.
                     tree, codec_id_used, raw_nbytes = encode_record_tree(
-                        codec, tree, kind, bool(meta.get("pre_encoded")))
+                        codec, tree)
                 stage_t1 = time.perf_counter() if obs_on else 0.0
                 with obs_span("worker_pack", "ckpt", {"seq": seq}):
                     view, crc = pack_tree_into(tree, buffer)
@@ -408,9 +403,7 @@ class MultiprocessCheckpointEngine(PersistEngine):
         self.start_method = start_method
         self.ring = ShmRing(int(ring_bytes))
 
-        codec = store.codec
-        codec_spec = ("", None) if codec is None else (
-            codec.codec_id, getattr(codec, "error_bound", None))
+        codec_id = "" if store.codec is None else store.codec.codec_id
 
         ctx = multiprocessing.get_context(start_method)
         self.telemetry = TelemetryChannel(ctx=ctx) if OBS.enabled else None
@@ -429,7 +422,7 @@ class MultiprocessCheckpointEngine(PersistEngine):
         # traces and per-process metric names deterministic.
         self._workers = [
             ctx.Process(target=_persist_worker,
-                        args=(index, self.ring.name, backend_spec, codec_spec,
+                        args=(index, self.ring.name, backend_spec, codec_id,
                               self._task_queue, self._result_queue,
                               self.telemetry.worker_spec(
                                   f"persist-worker-{index}", index + 1)

@@ -1,4 +1,4 @@
-"""Payload codec layer: tree mapping + pluggable checkpoint compression.
+"""Payload codec layer: tree mapping + bit-exact checkpoint compression.
 
 Two responsibilities live here:
 
@@ -9,47 +9,30 @@ Two responsibilities live here:
    process can be reconstructed by the recovery process without pickling
    classes.
 
-2. **A pluggable codec registry** (:class:`PayloadCodec`): codecs
-   transform serializable trees *before* the container serializer runs,
-   replacing ndarray leaves with encoded nodes (``{"__enc__": ...}``
-   dicts whose payloads are ``uint8`` arrays).  The container framing,
-   CRC integrity and zero-copy pack path are reused unchanged, and a
-   blob's codec is self-describing (a ``__codec__`` tag on the root) so
-   a rebuilt manifest can still pick the right decoder.
+2. **The codec** (:class:`PayloadCodec`): it transforms serializable
+   trees *before* the container serializer runs, replacing ndarray leaves
+   with encoded nodes (``{"__enc__": ...}`` dicts whose payloads are
+   ``uint8`` arrays).  The container framing, CRC integrity and zero-copy
+   pack path are reused unchanged, and a blob's codec is self-describing
+   (a ``__codec__`` tag on the root) so a rebuilt manifest can still pick
+   the right decoder.  Encoding is stateless, so it runs wherever a
+   record is packed.
 
-Registered codecs:
-
-``"lossless"`` (:class:`LosslessCodec`)
-    Bit-exact on round-trip for every payload kind.  Integer arrays go
-    through zigzag(+delta when sorted, e.g. sparse indices) + a
-    smallest-width downcast (the ``dz`` scheme: gaps stored at the
-    narrowest fixed width that fits, decoded with a handful of
-    vectorized ops) + zlib; float arrays through a byte-plane shuffle
-    (all the exponent bytes together, all the mantissa bytes together —
-    the compressible structure of training floats) with per-plane
-    entropy-gated zlib.  Every array falls back to raw storage when
-    encoding does not shrink it.  Decoding inflates (or views) each plane
-    straight into its byte column of one output buffer.
-
-``"lossy"`` (:class:`ErrorBoundedLossyCodec`)
-    Opt-in error-bounded mode: diff *values* are uniformly quantized with
-    a per-tensor **error-feedback accumulator**, so a recovered state
-    stays within ``bound`` per element however long the chain (the class
-    docstring has the argument).  Indices, shapes and full checkpoints
-    are never quantized.
-
-The lossy transform is **stateful and order-dependent** (error feedback
-folds the previous diff's residual into the next), so it is split into a
-sequential pre-encode stage (:meth:`PayloadCodec.pre_encode_diff_tree`,
-called in chain order on the submission side) and the stateless
-byte-level stage (:meth:`PayloadCodec.encode_tree`, safe to run on any
-writer thread).  For the lossless codec pre-encode is the identity.
+One codec ships, ``"lossless"`` (:class:`LosslessCodec`): bit-exact on
+round-trip for every payload kind.  Integer arrays go through
+zigzag(+delta when sorted, e.g. sparse indices) + a smallest-width
+downcast (the ``dz`` scheme: gaps stored at the narrowest fixed width
+that fits, decoded with a handful of vectorized ops) + zlib; float arrays
+through a byte-plane shuffle (the ``bp`` scheme: all the exponent bytes
+together, all the mantissa bytes together — the compressible structure of
+training floats) with per-plane entropy-gated zlib.  Every array falls
+back to raw storage when encoding does not shrink it.  Decoding inflates
+(or views) each plane straight into its byte column of one output buffer.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 import zlib
 from contextvars import ContextVar
@@ -99,9 +82,6 @@ ZLIB_KEEP_FRACTION = 0.7
 #: backpressuring the training thread.
 PLANE_ENTROPY_GATE_BITS = 7.4
 
-#: Default error bound for ``codec="lossy"`` when none is configured.
-DEFAULT_ERROR_BOUND = 1e-3
-
 
 class UnknownCodecError(ValueError):
     """A manifest or blob names a codec this build does not provide.
@@ -115,11 +95,11 @@ class UnknownCodecError(ValueError):
     """
 
     def __init__(self, codec_id: str, context: str = ""):
-        known = ", ".join(sorted(CODEC_REGISTRY)) or "(none)"
+        known = ", ".join(map(repr, sorted(CODECS)))
         where = f" ({context})" if context else ""
         super().__init__(
             f"unknown payload codec {codec_id!r}{where}: this build knows "
-            f"[{known}]. Upgrade to a build that registers {codec_id!r}, or "
+            f"[{known}]. Upgrade to a build that provides {codec_id!r}, or "
             f"open the store with strict_codecs=False to work around the "
             f"unreadable records."
         )
@@ -401,7 +381,7 @@ def encode_array(arr: np.ndarray) -> "np.ndarray | dict":
 
 
 def decode_array(node: dict) -> np.ndarray:
-    """Decode one encoded array node (``dz``/``bp``/``q``).  A delta-coded
+    """Decode one encoded array node (``dz``/``bp``).  A delta-coded
     ``dz`` run with no negative gap returns as :class:`SortedIndices`."""
     scheme = node[ENC_KEY]
     dtype = np.dtype(node["dtype"])
@@ -433,12 +413,6 @@ def decode_array(node: dict) -> np.ndarray:
     if scheme == "bp":
         return _decode_planes(node, count, dtype.itemsize).view(dtype) \
             .reshape(shape)
-    if scheme == "q":
-        levels = node["levels"]
-        if isinstance(levels, dict) and ENC_KEY in levels:
-            levels = decode_array(levels)
-        values = levels.astype(np.float64) * float(node["scale"])
-        return values.astype(dtype).reshape(shape)
     raise ValueError(f"unknown array encoding scheme: {scheme!r}")
 
 
@@ -467,22 +441,13 @@ DECODE_EXECUTOR: ContextVar = ContextVar("decode_executor", default=None)
 
 class PayloadCodec:
     """Base codec: transforms serializable trees before/after the container
-    serializer.  Subclasses set ``codec_id`` and override the hooks."""
+    serializer.  Stateless, so one instance serves every thread; a
+    subclass sets ``codec_id``."""
 
     codec_id = ""
-    #: Lossy codecs quantize in :meth:`pre_encode_diff_tree`; the store
-    #: routes full checkpoints around that stage unconditionally.
-    lossy = False
 
-    # Stateful stage — MUST be called in chain submission order.
-    def pre_encode_diff_tree(self, tree: dict) -> dict:
-        """Order-dependent transform of a diff *payload* tree (identity
-        for lossless codecs; quantization + error feedback for lossy)."""
-        return tree
-
-    # Stateless stage — safe on any writer thread.
     def encode_tree(self, tree: dict) -> dict:
-        """Byte-level transform of a full record tree (ndarray leaves →
+        """Byte-level transform of a record tree (ndarray leaves →
         encoded nodes).  Adds the self-describing ``__codec__`` tag."""
         started = time.perf_counter()
         out = self._walk_encode(tree)
@@ -493,9 +458,7 @@ class PayloadCodec:
         return out
 
     def decode_tree(self, tree: dict) -> dict:
-        """Inverse of :meth:`encode_tree` (+ pre-encode): restores every
-        array leaf.  Stateless — decoding needs no error-feedback state
-        (lossy blobs carry their scales inline)."""
+        """Inverse of :meth:`encode_tree`: restores every array leaf."""
         started = time.perf_counter()
         decode = decode_array
         if (executor := DECODE_EXECUTOR.get()) is not None:
@@ -511,20 +474,13 @@ class PayloadCodec:
         return out
 
     def stats(self) -> dict:
-        return {"codec": self.codec_id, "lossy": self.lossy}
+        return {"codec": self.codec_id}
 
     # Tree walkers ----------------------------------------------------------
     def _walk_encode(self, node):
         if isinstance(node, np.ndarray):
             return encode_array(node)
         if isinstance(node, dict):
-            if ENC_KEY in node:  # already encoded (lossy pre-encode stage)
-                if node[ENC_KEY] == "q" and isinstance(
-                        node.get("levels"), np.ndarray):
-                    out = dict(node)
-                    out["levels"] = encode_array(node["levels"])
-                    return out
-                return node
             return {key: self._walk_encode(value)
                     for key, value in node.items()}
         if isinstance(node, (list, tuple)):
@@ -545,206 +501,32 @@ class PayloadCodec:
 
 
 class LosslessCodec(PayloadCodec):
-    """The default opt-in codec: bit-exact round-trip, byte-level only."""
+    """The one (opt-in) codec: bit-exact round-trip, byte-level only."""
 
     codec_id = "lossless"
 
 
-class ErrorBoundedLossyCodec(PayloadCodec):
-    """Uniform quantization of diff values with error feedback.
-
-    Per tensor, a dense float64 residual array ``r`` persists across
-    diffs.  Encoding values ``v`` (gathered at sparse indices where
-    applicable)::
-
-        g      = v + r[idx]                  # fold carried error back in
-        levels = rint(g / scale)             # scale = 2·bound·(1 − margin)
-        v'     = dtype(levels · scale)       # what decode reconstructs
-        r[idx] = g − v'                      # carry the new error forward
-
-    Because the reconstructed chain differs from the true chain by
-    exactly the *current* residual (all earlier error was re-injected
-    and re-quantized), the accumulated recovery divergence per element
-    is ``max |r| ≤ scale/2 + float-rounding ≤ bound``.  The measured max
-    is tracked (:attr:`measured_divergence`) and exported as the
-    ``codec.error_feedback.max_abs`` gauge — the acceptance check
-    compares it against the configured bound.
-
-    Only diff value arrays are quantized: indices, shapes, levels of
-    already-quantized payloads, and full checkpoints always take the
-    lossless path (the store never routes fulls through pre-encode).
-    """
-
-    codec_id = "lossy"
-    lossy = True
-
-    #: Fractional safety margin on the quantization step so float
-    #: rounding of ``levels·scale`` (worst near the largest magnitudes)
-    #: cannot push the residual past the configured bound.
-    SCALE_MARGIN = 1e-3
-
-    def __init__(self, error_bound: float = DEFAULT_ERROR_BOUND):
-        if not (error_bound > 0.0):
-            raise ValueError(
-                f"error_bound must be > 0, got {error_bound}")
-        self.error_bound = float(error_bound)
-        self.scale = 2.0 * self.error_bound * (1.0 - self.SCALE_MARGIN)
-        self._residuals: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-        self.measured_divergence = 0.0
-        self.values_quantized = 0
-
-    # Residual state --------------------------------------------------------
-    def _residual(self, name: str, size: int) -> np.ndarray:
-        r = self._residuals.get(name)
-        if r is None or r.size != size:
-            r = np.zeros(size, dtype=np.float64)
-            self._residuals[name] = r
-        return r
-
-    def _quantize(self, name: str, values: np.ndarray,
-                  indices: np.ndarray | None = None,
-                  dense_size: int | None = None) -> dict:
-        dtype = values.dtype
-        flat = values.reshape(-1).astype(np.float64)
-        size = dense_size if dense_size is not None else flat.size
-        r = self._residual(name, size)
-        idx = indices.reshape(-1) if indices is not None else slice(None)
-        gathered = flat + r[idx]
-        levels = np.rint(gathered / self.scale)
-        if levels.size and np.abs(levels).max() >= 2 ** 62:
-            # Pathological bound/value ratio: refuse to overflow, keep
-            # this tensor lossless (residual untouched — still exact).
-            return None
-        reconstructed = (levels * self.scale).astype(dtype)
-        residual = gathered - reconstructed.astype(np.float64)
-        r[idx] = residual
-        if residual.size:
-            self.measured_divergence = max(
-                self.measured_divergence, float(np.abs(residual).max()))
-        self.values_quantized += int(levels.size)
-        int_dtype = np.int64 if (
-            levels.size and np.abs(levels).max() >= 2 ** 31) else np.int32
-        return {
-            ENC_KEY: "q", "dtype": dtype.name,
-            "shape": list(values.shape), "scale": self.scale,
-            "levels": levels.astype(int_dtype),
-        }
-
-    # Stateful stage --------------------------------------------------------
-    def pre_encode_diff_tree(self, tree: dict) -> dict:
-        with self._lock:
-            out = self._pre_encode(tree, prefix="")
-        if OBS.enabled:
-            OBS.registry.set("codec.error_feedback.max_abs",
-                             self.measured_divergence)
-        return out
-
-    def _pre_encode(self, tree: dict, prefix: str) -> dict:
-        kind = tree.get("kind")
-        if kind == "state_delta":
-            out = dict(tree)
-            out["params"] = self._pre_encode(tree["params"],
-                                             prefix + "params/")
-            slots = {}
-            for name, arr in tree["optimizer_slots"].items():
-                q = self._quantize(prefix + "slot/" + name, arr)
-                slots[name] = arr if q is None else q
-            out["optimizer_slots"] = slots
-            return out
-        if kind == "sparse":
-            out = dict(tree)
-            entries = {}
-            for name, entry in tree["entries"].items():
-                indices = np.asarray(entry["indices"])
-                values = np.asarray(entry["values"])
-                shape = tree["shapes"][name]
-                dense = int(np.prod(shape, dtype=np.int64)) if shape else 1
-                q = self._quantize(prefix + "sparse/" + name, values,
-                                   indices=indices, dense_size=dense)
-                entries[name] = {
-                    "indices": indices,
-                    "values": values if q is None else q,
-                }
-            out["entries"] = entries
-            return out
-        if kind == "dense":
-            out = dict(tree)
-            tensors = {}
-            for name, arr in tree["tensors"].items():
-                q = self._quantize(prefix + "dense/" + name, np.asarray(arr))
-                tensors[name] = arr if q is None else q
-            out["tensors"] = tensors
-            return out
-        # Quantized payloads (already discrete) and unknown kinds pass
-        # through untouched — the lossless byte stage still applies.
-        return tree
-
-    def stats(self) -> dict:
-        return {
-            "codec": self.codec_id, "lossy": True,
-            "error_bound": self.error_bound,
-            "scale": self.scale,
-            "measured_divergence": self.measured_divergence,
-            "values_quantized": self.values_quantized,
-            "tensors_tracked": len(self._residuals),
-        }
-
-
 # ---------------------------------------------------------------------------
-# Registry
+# The codec map
 # ---------------------------------------------------------------------------
 
-#: codec id -> zero/one-arg factory.  Factories take no arguments; use
-#: :func:`make_codec` for parameterized construction (lossy bound).
-CODEC_REGISTRY: dict[str, type] = {}
-
-#: Shared stateless instances used for decoding (decode needs no
-#: error-feedback state; every blob carries its scales inline).
-_DECODER_CACHE: dict[str, PayloadCodec] = {}
-
-
-def register_codec(cls: type) -> type:
-    """Register a :class:`PayloadCodec` subclass under its ``codec_id``."""
-    if not cls.codec_id:
-        raise ValueError(f"{cls.__name__} has no codec_id")
-    CODEC_REGISTRY[cls.codec_id] = cls
-    _DECODER_CACHE.pop(cls.codec_id, None)
-    return cls
-
-
-register_codec(LosslessCodec)
-register_codec(ErrorBoundedLossyCodec)
+#: codec id -> its one shared instance (codecs are stateless).
+CODECS: dict[str, PayloadCodec] = {LosslessCodec.codec_id: LosslessCodec()}
 
 
 def get_codec(codec_id: str, context: str = "") -> PayloadCodec:
-    """Decoder lookup by id; raises :class:`UnknownCodecError`."""
+    """Codec lookup by id; raises :class:`UnknownCodecError`."""
     try:
-        cls = CODEC_REGISTRY[codec_id]
+        return CODECS[codec_id]
     except KeyError:
         raise UnknownCodecError(codec_id, context) from None
-    codec = _DECODER_CACHE.get(codec_id)
-    if codec is None:
-        codec = _DECODER_CACHE[codec_id] = cls()
-    return codec
 
 
-def make_codec(spec, error_bound: float | None = None) -> PayloadCodec | None:
-    """Resolve a codec spec to a fresh encoder instance.
-
-    ``spec`` may be ``None``/``""``/``"none"`` (no codec), a registered
-    codec id, or an already-constructed :class:`PayloadCodec` (returned
-    as-is).  ``error_bound`` parameterizes lossy codecs.
-    """
+def make_codec(spec) -> PayloadCodec | None:
+    """Resolve a codec spec: ``None``/``""``/``"none"`` (no codec), a codec
+    id, or a :class:`PayloadCodec` instance (returned as-is)."""
     if spec is None or spec == "" or spec == "none":
         return None
     if isinstance(spec, PayloadCodec):
         return spec
-    try:
-        cls = CODEC_REGISTRY[spec]
-    except KeyError:
-        raise UnknownCodecError(str(spec), "requested codec") from None
-    if issubclass(cls, ErrorBoundedLossyCodec):
-        return cls(error_bound if error_bound is not None
-                   else DEFAULT_ERROR_BOUND)
-    return cls()
+    return get_codec(str(spec), "requested codec")

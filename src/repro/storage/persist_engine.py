@@ -78,8 +78,7 @@ class PendingWrite:
 @dataclass
 class PersistTask:
     kind: str               # "full" | "diff"
-    item: Any               # full: the record tree; diff: the payload (or
-                            # its pre-encoded tree, see ``meta``)
+    item: Any               # full: the record tree; diff: the payload
     meta: dict = field(default_factory=dict)
     seq: int = -1
     pending: PendingWrite | None = None
@@ -90,11 +89,9 @@ class PersistTask:
         """The serializable record tree (built wherever the executor packs)."""
         if self.kind == "full":
             return self.item
-        payload_tree = self.item if self.meta.get("pre_encoded") \
-            else payload_to_tree(self.item)
         return CheckpointStore.diff_tree(
             self.meta["start"], self.meta["end"], self.meta["count"],
-            payload_tree)
+            payload_to_tree(self.item))
 
 
 def deadline_clock(timeout: float | None):
@@ -187,23 +184,14 @@ class PersistEngine:
                   count: int | None = None) -> PendingWrite:
         """Queue a differential record.  Ownership of ``payload`` passes to
         the engine (the batched writer hands over its merged batch and
-        drops its reference).
-
-        A lossy store codec's quantization stage is applied *here*, on the
-        submitting thread: error feedback is order-dependent, and workers
-        run in nondeterministic order.  The heavyweight stateless
-        byte/entropy stage still runs on the workers.
+        drops its reference).  The executor builds and encodes its record
+        tree (:meth:`PersistTask.record_tree`); no codec work runs here.
         """
         meta = {
             "start": int(start), "end": int(end),
             "count": int(count if count is not None else end - start + 1),
         }
-        item = payload
-        codec = self.store.codec
-        if codec is not None and codec.lossy:
-            item = codec.pre_encode_diff_tree(payload_to_tree(payload))
-            meta["pre_encoded"] = True
-        return self._submit(PersistTask("diff", item, meta))
+        return self._submit(PersistTask("diff", payload, meta))
 
     def _check_open_locked(self) -> None:
         self._raise_if_failed_locked()

@@ -394,9 +394,9 @@ class ShardedCheckpointStore:
         return [fn(s) for s in range(self.shards)]
 
     # Codec ------------------------------------------------------------------
-    def set_codec(self, codec, error_bound: float | None = None) -> None:
+    def set_codec(self, codec) -> None:
         for sub in self.shard_stores:
-            sub.set_codec(codec, error_bound=error_bound)
+            sub.set_codec(codec)
 
     @property
     def codec(self):

@@ -25,14 +25,15 @@ def mlp_trainer():
     return make_mlp_trainer()
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(autouse=True)
 def no_leaked_persist_resources():
-    """The session fails if a persist engine outlives it: no child process
-    may still run, and no shared-memory segment created during the session
-    may remain (a leaked worker pool or shm ring is a teardown bug)."""
+    """A test fails at teardown if a persist engine it built outlives it:
+    no child process may still run, and no shared-memory segment created
+    during the test may remain (a leaked worker pool or shm ring is a
+    teardown bug of that test)."""
     segments_before = set(glob.glob("/dev/shm/psm_*"))
     yield
     children = multiprocessing.active_children()
     segments = sorted(set(glob.glob("/dev/shm/psm_*")) - segments_before)
-    assert not children, f"live child processes at session end: {children}"
+    assert not children, f"live child processes after the test: {children}"
     assert not segments, f"leaked shared-memory segments: {segments}"

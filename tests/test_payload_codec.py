@@ -1,15 +1,14 @@
-"""Tests for the pluggable payload-codec layer (PR 7).
+"""Tests for the payload-codec layer.
 
-Pins the tentpole contracts:
+Pins its contracts:
 
 * the lossless transforms (zigzag/varint, byte planes) and the codec
   built on them are **bit-exact** for every payload kind × dtype,
   including empty and 1-element sparse entries;
-* the error-bounded lossy codec keeps accumulated recovery divergence
-  under the configured bound via error feedback;
 * codec selection is per-record and self-describing — encoded, uncoded
-  (pre-PR) and mixed series all stay readable, and unknown codec ids
-  fail with a typed, actionable error instead of a raw KeyError;
+  and mixed series all stay readable, and unknown codec ids (including
+  the retired ``"lossy"``) fail with a typed, actionable error instead of
+  a raw KeyError or a silently wrong state;
 * encoded chains survive the rest of the stack unchanged: async-engine
   persistence, ChainCompactor merge/rebase, recovery, verify/repair.
 """
@@ -38,7 +37,6 @@ from repro.storage import (
     ChainCompactor,
     CheckpointStore,
     CorruptCheckpointError,
-    ErrorBoundedLossyCodec,
     InMemoryBackend,
     LosslessCodec,
     RetentionPolicy,
@@ -46,9 +44,11 @@ from repro.storage import (
 )
 from repro.storage import serializer
 from repro.storage.async_engine import AsyncCheckpointEngine
+from repro.storage.checkpoint_store import encode_record_tree
 from repro.storage.payload_codec import (
     CODEC_TAG,
     ENC_KEY,
+    PayloadCodec,
     byteplane_join,
     byteplane_split,
     decode_array,
@@ -304,7 +304,7 @@ class TestLosslessCodecRoundTrip:
         codec = LosslessCodec()
         tree = payload_to_tree(payload)
         reference = copy.deepcopy(tree)
-        encoded = codec.encode_tree(codec.pre_encode_diff_tree(tree))
+        encoded = codec.encode_tree(tree)
         assert encoded[CODEC_TAG] == "lossless"
         decoded = codec.decode_tree(encoded)
         assert_trees_bit_equal(decoded, reference)
@@ -323,26 +323,21 @@ class TestLosslessCodecRoundTrip:
 
 
 class TestLossyCodec:
+    """The error-bounded lossy codec is gone; these tests pin that the one
+    codec left is exact on the inputs it used to quantize."""
+
     def test_values_within_bound_single_shot(self):
-        bound = 1e-3
-        codec = ErrorBoundedLossyCodec(error_bound=bound)
+        codec = LosslessCodec()
         payload = sparse_payload()
-        tree = codec.pre_encode_diff_tree(payload_to_tree(payload))
-        decoded = codec.decode_tree(codec.encode_tree(tree))
-        rebuilt = tree_to_payload(decoded)
-        orig_idx, orig_vals = payload.entries["w"]
-        new_idx, new_vals = rebuilt.entries["w"]
-        assert np.array_equal(orig_idx, new_idx)  # indices never quantized
-        assert np.abs(new_vals.astype(np.float64)
-                      - orig_vals.astype(np.float64)).max() <= bound
-        assert codec.measured_divergence <= bound
+        rebuilt = tree_to_payload(codec.decode_tree(
+            codec.encode_tree(payload_to_tree(payload))))
+        assert_trees_bit_equal(payload_to_tree(rebuilt),
+                               payload_to_tree(payload))
 
     def test_error_feedback_bounds_accumulated_divergence(self):
-        """Telescoping: sum of decoded diffs diverges from the true sum by
-        at most the *current* residual — ≤ bound per element, regardless
-        of chain length."""
-        bound = 5e-4
-        codec = ErrorBoundedLossyCodec(error_bound=bound)
+        """The old telescoping loop: the sum of 64 decoded diffs now equals
+        the sum of the true ones bit for bit — no divergence to bound."""
+        codec = LosslessCodec()
         rng = np.random.default_rng(11)
         n = 4096
         true_sum = np.zeros(n)
@@ -352,30 +347,23 @@ class TestLossyCodec:
             idx = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
             vals = (rng.normal(size=k) * 0.01).astype(np.float32)
             payload = SparseGradient({"w": (idx, vals)}, {"w": (n,)})
-            tree = codec.pre_encode_diff_tree(payload_to_tree(payload))
-            rebuilt = tree_to_payload(
-                codec.decode_tree(codec.encode_tree(tree)))
+            rebuilt = tree_to_payload(codec.decode_tree(
+                codec.encode_tree(payload_to_tree(payload))))
             d_idx, d_vals = rebuilt.entries["w"]
             np.add.at(true_sum, idx, vals.astype(np.float64))
             np.add.at(decoded_sum, d_idx, d_vals.astype(np.float64))
-        assert np.abs(decoded_sum - true_sum).max() <= bound * 1.0001
-        assert codec.measured_divergence <= bound
-        assert codec.values_quantized == 64 * 400
-        stats = codec.stats()
-        assert stats["lossy"] and stats["error_bound"] == bound
+        assert decoded_sum.tobytes() == true_sum.tobytes()
 
     def test_quantized_payloads_pass_through(self):
-        codec = ErrorBoundedLossyCodec(error_bound=1e-3)
+        codec = LosslessCodec()
         payload = payload_cases()["quantized"]
-        tree = payload_to_tree(payload)
-        out = codec.pre_encode_diff_tree(tree)
-        assert_trees_bit_equal(out, tree)
-        assert codec.values_quantized == 0
+        rebuilt = tree_to_payload(codec.decode_tree(
+            codec.encode_tree(payload_to_tree(payload))))
+        assert type(rebuilt) is QuantizedGradient
+        assert_trees_bit_equal(payload_to_tree(rebuilt),
+                               payload_to_tree(payload))
 
     def test_make_codec_parameterizes_bound(self):
-        codec = make_codec("lossy", error_bound=0.25)
-        assert isinstance(codec, ErrorBoundedLossyCodec)
-        assert codec.error_bound == 0.25
         assert make_codec(None) is None
         assert make_codec("none") is None
         assert isinstance(make_codec("lossless"), LosslessCodec)
@@ -383,8 +371,8 @@ class TestLossyCodec:
         assert make_codec(existing) is existing
         with pytest.raises(UnknownCodecError):
             make_codec("snappy-42")
-        with pytest.raises(ValueError):
-            ErrorBoundedLossyCodec(error_bound=0.0)
+        with pytest.raises(UnknownCodecError, match="'lossy'"):
+            make_codec("lossy")
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +384,12 @@ def model_factory():
 
 
 def build_chain(steps, codec=None, optimizer_factory=None, seed=3,
-                rho=0.25, error_bound=None):
+                rho=0.25):
     """Full at 0 + one single-step diff per step; returns ground truth."""
     optimizer_factory = optimizer_factory or (lambda m: Adam(m, lr=1e-2))
     model = model_factory()
     optimizer = optimizer_factory(model)
     store = CheckpointStore(InMemoryBackend(), codec=codec)
-    if error_bound is not None:
-        store.set_codec(codec, error_bound=error_bound)
     compressor = TopKCompressor(rho)
     grad_rng = np.random.default_rng(seed)
     snap = lambda: (copy.deepcopy(model.state_dict()),
@@ -418,6 +404,20 @@ def build_chain(steps, codec=None, optimizer_factory=None, seed=3,
         store.save_diff(step, step, payload)
         snapshots[step] = snap()
     return store, snapshots
+
+
+def lossy_era_diff(step, tag="lossy"):
+    """A packed diff as the retired error-bounded codec wrote it: values as
+    a ``"q"`` node (integer levels × scale), the blob tagged ``tag``."""
+    tree = CheckpointStore.diff_tree(step, step, 1, payload_to_tree(
+        sparse_payload(seed=41, n=500, k=40)))
+    entry = tree["payload"]["entries"]["w"]
+    scale = 2e-3
+    entry["values"] = {
+        ENC_KEY: "q", "dtype": "float32", "shape": [40], "scale": scale,
+        "levels": np.rint(entry["values"] / scale).astype(np.int32)}
+    tree[CODEC_TAG] = tag
+    return serializer.pack_tree_with_crc(tree)
 
 
 class TestStoreCodecIntegration:
@@ -511,27 +511,35 @@ class TestStoreCodecIntegration:
         assert_states_equal(model.state_dict(), truth[4][0])
 
     def test_lossy_chain_recovery_within_bound(self):
-        bound = 1e-4
-        # SGD applies gradients linearly, so the telescoped error-feedback
-        # bound transfers to parameters scaled by the learning rate.
-        lr = 0.05
-        sgd = lambda m: SGD(m, lr=lr)
-        plain, truth = build_chain(64, codec=None, optimizer_factory=sgd)
-        lossy, _ = build_chain(64, codec="lossy", optimizer_factory=sgd,
-                               error_bound=bound)
-        model = model_factory()
-        optimizer = sgd(model)
-        assert serial_recover(lossy, model, optimizer).step == 64
-        for name, value in model.state_dict().items():
-            true_value = truth[64][0][name]
-            gap = np.abs(value.astype(np.float64)
-                         - true_value.astype(np.float64)).max()
-            assert gap <= lr * bound * 1.01 + 1e-6, (name, gap)
-        assert lossy.codec.measured_divergence <= bound
-        assert lossy.codec.values_quantized > 0
-        # Fulls stay bit-exact even under the lossy codec.
-        m, o, step = lossy.load_full(lossy.fulls()[0])
-        assert_states_equal(m, truth[0][0])
+        """A store written with the retired ``"lossy"`` codec fails loudly
+        and is never misread."""
+        store, _ = build_chain(3, codec="lossless")
+        store.save_diff_bytes(4, 4, 1, *lossy_era_diff(4), codec="lossy")
+        with pytest.raises(UnknownCodecError) as excinfo:
+            CheckpointStore(store.backend)
+        assert "'lossy'" in str(excinfo.value)
+        assert "'lossless'" in str(excinfo.value)
+
+        lenient = CheckpointStore(store.backend, strict_codecs=False)
+        assert lenient.unknown_codecs == ["lossy"]
+        *earlier, last = lenient.diffs_after(0)
+        assert lenient.verify(deep=True)["unknown_codec"] == [last.key]
+        lenient.load_full(lenient.fulls()[0])
+        for record in earlier:
+            lenient.load_diff(record)
+        with pytest.raises(UnknownCodecError):
+            lenient.load_diff(last)
+
+        # A "q" node under a lossless tag is corruption: quarantined, and
+        # recovery falls back to the record before it.
+        store, _ = build_chain(3, codec="lossless")
+        record = store.save_diff_bytes(4, 4, 1, *lossy_era_diff(4, "lossless"),
+                                       codec="lossless")
+        with pytest.raises(CorruptCheckpointError, match="'q'"):
+            store.load_diff(record)
+        result = serial_recover(store, Recorder(), Recorder())
+        assert (result.step, result.corrupt_diffs_skipped) == (3, 1)
+        assert store.quarantined == [record.key]
 
     def test_verify_deep_decodes_encoded_records(self):
         store, _ = build_chain(8, codec="lossless")
@@ -618,13 +626,13 @@ class TestEngineAndCompactionWithCodec:
         assert_optimizers_equal(optimizer2.state_dict(), truth[16][1])
 
     def test_async_engine_lossy_preencodes_in_submit_order(self):
-        bound = 1e-4
-        lr = 0.05
-        store = CheckpointStore(InMemoryBackend())
-        store.set_codec("lossy", error_bound=bound)
+        """The training thread builds no record tree: payload → tree →
+        encode all run on the writer threads, and a coded SGD chain through
+        three writers recovers bit-equal to the live model."""
+        store = CheckpointStore(InMemoryBackend(), codec="lossless")
         engine = AsyncCheckpointEngine(store, num_writers=3, queue_depth=4)
         model = model_factory()
-        optimizer = SGD(model, lr=lr)
+        optimizer = SGD(model, lr=0.05)
         compressor = TopKCompressor(0.25)
         grad_rng = np.random.default_rng(3)
         engine.save_full(0, model.state_dict(), optimizer.state_dict())
@@ -632,18 +640,20 @@ class TestEngineAndCompactionWithCodec:
             grads = {name: grad_rng.normal(size=v.shape).astype(np.float32)
                      for name, v in model.state_dict().items()}
             payload = compressor.compress(grads)
-            optimizer.step_with(payload.decompress())
-            engine.save_diff(step, step, payload)
+            optimizer.step_with(payload)
+            with CallCounts() as counts:
+                engine.save_diff(step, step, payload)
+            assert counts.calls(AsyncCheckpointEngine._submit) == 1
+            assert counts.calls(payload_to_tree) \
+                == counts.calls(encode_record_tree) \
+                == counts.calls(PayloadCodec.encode_tree) == 0
         expected = copy.deepcopy(model.state_dict())
         engine.finalize()
-        assert store.codec.measured_divergence <= bound
+        assert all(r.codec == "lossless" for r in store.diffs_after(0))
         model2 = model_factory()
-        optimizer2 = SGD(model2, lr=lr)
+        optimizer2 = SGD(model2, lr=0.05)
         assert serial_recover(store, model2, optimizer2).step == 32
-        for name, value in model2.state_dict().items():
-            gap = np.abs(value.astype(np.float64)
-                         - expected[name].astype(np.float64)).max()
-            assert gap <= lr * bound * 1.01 + 1e-6, (name, gap)
+        assert_states_equal(model2.state_dict(), expected)
 
     @pytest.mark.parametrize("mode", ["merge", "rebase"])
     def test_compaction_with_codec_matches_uncoded(self, mode):
@@ -678,23 +688,34 @@ class TestEngineAndCompactionWithCodec:
         assert_optimizers_equal(recovered[None][1], recovered["lossless"][1])
 
     def test_compaction_does_not_requantize_lossy_payloads(self):
-        bound = 1e-4
-        lr = 0.05
-        sgd = lambda m: SGD(m, lr=lr)
-        store, truth = build_chain(64, codec="lossy", optimizer_factory=sgd,
-                                   error_bound=bound)
-        quantized_before = store.codec.values_quantized
-        policy = RetentionPolicy(max_chain_len=16, compact_run=8)
-        ChainCompactor(store, policy).run_once()
-        # The merge path must not have run the stateful quantizer again.
-        assert store.codec.values_quantized == quantized_before
-        model = model_factory()
-        optimizer = sgd(model)
-        assert serial_recover(store, model, optimizer).step == 64
-        for name, value in model.state_dict().items():
-            gap = np.abs(value.astype(np.float64)
-                         - truth[64][0][name].astype(np.float64)).max()
-            assert gap <= lr * bound * 1.01 + 1e-6, (name, gap)
+        """Merge compaction re-encodes a coded SGD chain without changing a
+        bit: each super-diff decodes to the exact ordered fold of the
+        uncompacted records it replaced, and the compacted chain recovers
+        bit-equal to the same chain compacted uncoded."""
+        sgd = lambda m: SGD(m, lr=0.05)
+        recovered = {}
+        for codec in (None, "lossless"):
+            store, truth = build_chain(64, codec=codec, optimizer_factory=sgd)
+            originals = {r.start: store.load_diff(r)
+                         for r in store.diffs_after(0)}
+            ChainCompactor(store, RetentionPolicy(max_chain_len=16,
+                                                  compact_run=8)).run_once()
+            chain = store.diffs_after(0)
+            assert len(chain) == 8
+            for record in chain:
+                assert record.codec == (codec or "")
+                fold = ChainCompactor.merge_payloads_ordered(
+                    [originals[s] for s in range(record.start, record.end + 1)])
+                assert_trees_bit_equal(payload_to_tree(store.load_diff(record)),
+                                       payload_to_tree(fold))
+            model = model_factory()
+            assert serial_recover(store, model, sgd(model)).step == 64
+            # Merged replay differs from per-step replay only by float
+            # association order.
+            assert_states_equal(model.state_dict(), truth[64][0],
+                                exact=False, atol=1e-6)
+            recovered[codec] = model.state_dict()
+        assert_states_equal(recovered["lossless"], recovered[None])
 
     def test_retention_policy_codec_decode_cost(self):
         policy = RetentionPolicy(load_full_s=1.0, replay_diff_s=0.5,
@@ -717,11 +738,9 @@ class TestConfigWiring:
 
     def test_checkpointer_applies_lossy_bound(self):
         config = CheckpointConfig(full_every_iters=8, batch_size=2,
-                                  codec="lossy", lossy_error_bound=0.5)
-        store = CheckpointStore(InMemoryBackend())
-        LowDiffCheckpointer(store, config)
-        assert isinstance(store.codec, ErrorBoundedLossyCodec)
-        assert store.codec.error_bound == 0.5
+                                  codec="lossy")
+        with pytest.raises(UnknownCodecError, match="'lossy'"):
+            LowDiffCheckpointer(CheckpointStore(InMemoryBackend()), config)
 
     def test_default_config_stays_uncoded(self):
         config = CheckpointConfig(full_every_iters=8, batch_size=2)
@@ -730,9 +749,9 @@ class TestConfigWiring:
         assert store.codec is None
 
     def test_config_validates_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="lossy_error_bound"):
             CheckpointConfig(full_every_iters=8, batch_size=2,
-                             lossy_error_bound=0.0)
+                             lossy_error_bound=1e-3)
 
 
 class TestSimCodecPricing:

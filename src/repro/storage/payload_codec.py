@@ -25,9 +25,12 @@ downcast (the ``dz`` scheme: gaps stored at the narrowest fixed width
 that fits, decoded with a handful of vectorized ops) + zlib; float arrays
 through a byte-plane shuffle (the ``bp`` scheme: all the exponent bytes
 together, all the mantissa bytes together — the compressible structure of
-training floats) with per-plane entropy-gated zlib.  Every array falls
-back to raw storage when encoding does not shrink it.  Decoding inflates
-(or views) each plane straight into its byte column of one output buffer.
+training floats) with per-plane zlib.  One threshold rules: a deflated
+plane is kept only below ``ZLIB_KEEP_FRACTION`` of raw, so a plane whose
+sampled order-0 entropy is at least 8× that many bits per byte is never
+deflated; an array is stored raw when encoding does not beat it by
+``NODE_OVERHEAD_BYTES``.  Encoding writes and decoding inflates (or
+views) each plane in place in one buffer.
 """
 
 from __future__ import annotations
@@ -49,16 +52,13 @@ from repro.storage.serializer import ENC_KEY
 #: self-describing (manifest rebuilds recover the right decoder).
 CODEC_TAG = "__codec__"
 
-#: Arrays smaller than this stay raw — encoding overhead (scheme fields,
-#: zlib headers) would dominate.
-MIN_ENCODE_BYTES = 64
-
 #: Container-manifest bytes one encoded node costs beyond its data array
 #: (the scheme/dtype/shape/plane_lens/plane_zlib entries serialize into
 #: the container's JSON manifest — measured at ~840 B per node for the
 #: 8-plane float64 layout).  An encoding must beat raw by at least this
 #: margin or the array is stored raw — otherwise tiny-tensor workloads
-#: would grow on disk while nominally "compressed".
+#: would grow on disk while nominally "compressed".  So it is also the
+#: size floor: an array of at most this many bytes is stored raw unread.
 NODE_OVERHEAD_BYTES = 1024
 
 #: zlib level for byte-planes that pass the entropy gate.  Level 3 keeps
@@ -67,20 +67,20 @@ NODE_OVERHEAD_BYTES = 1024
 #: CPU; encode speed is the budget that matters on the writer pool.
 ZLIB_LEVEL_PLANE = 3
 
-#: A compressed plane is kept only when it shrinks below this fraction
-#: of raw.  Marginal wins (a mildly structured mantissa plane at 1.2x)
-#: would tax every future recovery with a decompress whose output is the
-#: whole plane — decode CPU buys more than a few percent of blob size.
+#: The codec's one threshold.  A deflated plane is kept only when it
+#: shrinks below this fraction of raw: a marginal win would tax every
+#: recovery with a decompress whose output is the whole plane.  Times 8
+#: it is the entropy gate: without long LZ repeats deflate cannot beat a
+#: plane's order-0 byte entropy, so a plane at ≥ 5.6 bits/byte (Adam
+#: ``m``/``v`` and weight mantissas) would be stored raw anyway and is
+#: never deflated.
 ZLIB_KEEP_FRACTION = 0.7
 
-#: Byte-histogram entropy (bits/byte) above which a byte plane is stored
-#: raw without attempting deflate.  Float mantissa planes of trained
-#: weights sit at ~8.0 (pure noise — deflate cannot win and burns most of
-#: the encode CPU discovering that); sign/exponent planes sit far below.
-#: The gate costs one ``bincount`` per plane and is what keeps codec CPU
-#: hidden behind the async engine's writer pool instead of
-#: backpressuring the training thread.
-PLANE_ENTROPY_GATE_BITS = 7.4
+#: The gate reads every this-many-th byte of a plane.  Odd, so the sample
+#: cannot alias a power-of-two period (row widths, tiled byte ramps).  A
+#: short sample reads low (at most log2 of its length), which only errs
+#: toward deflating.
+GATE_SAMPLE_STRIDE = 17
 
 
 class UnknownCodecError(ValueError):
@@ -264,48 +264,49 @@ def _is_sorted(values: np.ndarray) -> bool:
     return values.size < 2 or bool(np.all(values[1:] >= values[:-1]))
 
 
-def _maybe_zlib(raw: np.ndarray, level: int,
-                keep_fraction: float) -> tuple[np.ndarray, bool]:
-    """zlib the byte stream when it helps; returns (data, compressed?)."""
-    compressed = zlib.compress(raw.tobytes(), level)
-    if len(compressed) < raw.nbytes * keep_fraction:
-        return np.frombuffer(compressed, dtype=np.uint8), True
-    return raw, False
+def _maybe_zlib(plane: np.ndarray) -> np.ndarray | None:
+    """Deflate a contiguous plane; the result if it beats the keep bar."""
+    compressed = zlib.compress(plane, ZLIB_LEVEL_PLANE)
+    kept = len(compressed) < plane.size * ZLIB_KEEP_FRACTION
+    if OBS.enabled:
+        OBS.registry.inc("codec.encode.deflate_in_bytes", plane.size)
+        OBS.registry.inc("codec.encode.deflate_discarded_bytes",
+                         0 if kept else plane.size)
+    return np.frombuffer(compressed, dtype=np.uint8) if kept else None
 
 
 def _plane_compressible(plane: np.ndarray) -> bool:
-    """Cheap entropy gate: is this byte plane worth running deflate on?"""
-    if plane.size < MIN_ENCODE_BYTES:
-        return True  # too small to estimate; deflate is cheap anyway
-    counts = np.bincount(plane.reshape(-1), minlength=256)
-    probs = counts[counts > 0] / plane.size
+    """Could deflate keep this plane?  Its sampled order-0 entropy must be
+    below the keep bar's ``8 × ZLIB_KEEP_FRACTION`` bits per byte."""
+    counts = np.bincount(plane[::GATE_SAMPLE_STRIDE], minlength=256)
+    probs = counts[counts > 0] / counts.sum()
     entropy = float(-(probs * np.log2(probs)).sum())
-    return entropy < PLANE_ENTROPY_GATE_BITS
+    return entropy < 8 * ZLIB_KEEP_FRACTION
 
 
 def _encode_planes(planes: np.ndarray):
     """Per-plane selective deflate over a ``(planes, count)`` byte matrix.
 
-    Only planes the entropy gate deems compressible see zlib, and a
-    compressed plane is kept only when it beats ``ZLIB_KEEP_FRACTION``;
-    everything else is stored raw, keeping both encode and decode CPU
-    proportional to the planes that actually carry structure.  Returns
-    ``(blob, plane_lens, plane_zlib)``.
+    Only planes the entropy gate passes see zlib, and a deflated plane is
+    kept only when it beats ``ZLIB_KEEP_FRACTION``; everything else is
+    stored raw, keeping both encode and decode CPU proportional to the
+    planes that carry structure.  Each plane lands in one buffer sized to
+    the raw planes (a kept plane is smaller, so it always fits), then cut
+    to the used prefix.  Returns ``(blob, plane_lens, plane_zlib)``.
     """
-    chunks: list[np.ndarray] = []
+    out = np.empty(planes.size, dtype=np.uint8)
     plane_zlib: list[bool] = []
     plane_lens: list[int] = []
+    used = 0
     for plane in planes:
-        if _plane_compressible(plane):
-            data, compressed = _maybe_zlib(
-                plane, level=ZLIB_LEVEL_PLANE,
-                keep_fraction=ZLIB_KEEP_FRACTION)
-        else:
-            data, compressed = plane, False
-        chunks.append(np.ascontiguousarray(data, dtype=np.uint8).reshape(-1))
-        plane_zlib.append(bool(compressed))
-        plane_lens.append(int(data.nbytes))
-    return np.concatenate(chunks), plane_lens, plane_zlib
+        kept = _maybe_zlib(plane) if _plane_compressible(plane) else None
+        data = plane if kept is None else kept
+        out[used:used + data.size] = data
+        used += data.size
+        plane_lens.append(data.size)
+        plane_zlib.append(kept is not None)
+    out.resize(used, refcheck=False)    # in place: hands back the unused tail
+    return out, plane_lens, plane_zlib
 
 
 def _decode_planes(node: dict, count: int, itemsize: int) -> np.ndarray:
@@ -334,7 +335,7 @@ def _decode_planes(node: dict, count: int, itemsize: int) -> np.ndarray:
 def encode_array(arr: np.ndarray) -> "np.ndarray | dict":
     """Losslessly encode one array; returns the array itself when raw is
     at least as small (store-raw fallback keeps tiny arrays cheap)."""
-    if arr.nbytes < MIN_ENCODE_BYTES:
+    if arr.nbytes <= NODE_OVERHEAD_BYTES:
         return arr
     kind = arr.dtype.kind
     if kind in ("i", "u") and arr.dtype.itemsize <= 8 \

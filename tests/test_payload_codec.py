@@ -5,6 +5,9 @@ Pins its contracts:
 * the lossless transforms (zigzag/varint, byte planes) and the codec
   built on them are **bit-exact** for every payload kind × dtype,
   including empty and 1-element sparse entries;
+* the entropy gate skips only planes deflate would not keep, so it moves
+  encode time and never a byte; what encoding and decoding a record cost
+  is pinned as call counts;
 * codec selection is per-record and self-describing — encoded, uncoded
   and mixed series all stay readable, and unknown codec ids (including
   the retired ``"lossy"``) fail with a typed, actionable error instead of
@@ -25,13 +28,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro import obs
 from repro.compression import TopKCompressor
 from repro.compression.base import DenseGradient
-from repro.compression.quantization import QuantizedGradient
+from repro.compression.quantization import QuantizedGradient, UniformQuantizer
 from repro.compression.sparse import SparseGradient
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.core.differential import StateDelta
 from repro.core.recovery import parallel_recover, serial_recover
+from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.optim import SGD, Adam
 from repro.storage import (
     ChainCompactor,
@@ -42,12 +47,14 @@ from repro.storage import (
     RetentionPolicy,
     UnknownCodecError,
 )
-from repro.storage import serializer
+from repro.storage import payload_codec, serializer
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import encode_record_tree
 from repro.storage.payload_codec import (
     CODEC_TAG,
     ENC_KEY,
+    NODE_OVERHEAD_BYTES,
+    ZLIB_LEVEL_PLANE,
     PayloadCodec,
     byteplane_join,
     byteplane_split,
@@ -62,6 +69,7 @@ from repro.storage.payload_codec import (
     zigzag_decode,
     zigzag_encode,
 )
+from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests.helpers import (
@@ -255,6 +263,124 @@ class TestDecodeInPlace:
         result = recover(store, Recorder(), Recorder())
         assert (result.step, result.corrupt_diffs_skipped) == (3, 1)
         assert store.quarantined == [record.key]
+
+
+class TestEncodeInPlace:
+    """The twin of :class:`TestDecodeInPlace`: each plane, kept or raw, is
+    written once into one buffer, and only planes the gate passes see zlib."""
+
+    def test_one_record_encodes_with_no_copies_or_joins(self):
+        tree = CheckpointStore.diff_tree(1, 1, 1, payload_to_tree(
+            sparse_payload(n=2**18, k=2**14, seed=1)))
+        gate, passed = payload_codec._plane_compressible, []
+
+        def spy(plane):
+            passed.append(gate(plane))
+            return passed[-1]
+
+        with mock.patch.object(payload_codec, "_plane_compressible", spy), \
+                mock.patch.object(np, "concatenate", wraps=np.concatenate) \
+                as concatenate, CallCounts() as counts:
+            encoded = LosslessCodec().encode_tree(tree)
+        assert sum(passed) >= 2 and not all(passed)
+        assert counts.builtin[zlib.compress] == sum(passed)
+        assert counts.builtin_named("tobytes") == concatenate.call_count == 0
+        decoded = LosslessCodec().decode_tree(
+            serializer.unpack_tree(serializer.pack_tree(encoded)))
+        assert_trees_bit_equal(decoded, tree)
+
+
+def array_leaves(tree):
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from array_leaves(value)
+
+
+@pytest.fixture(scope="module")
+def adam_records():
+    """Uncoded record trees of a trained Adam job: MLP 64→[256,256]→10, two
+    workers, top-k 5 %, a full every 16 steps, 48 steps."""
+    trainer = DataParallelTrainer(
+        model_builder=lambda rank: MLP(64, [256, 256], 10, rng=Rng(0)),
+        optimizer_builder=lambda model: Adam(model, lr=1e-3),
+        loss_fn=CrossEntropyLoss(),
+        dataset=SyntheticClassification(64, 10, batch_size=16, seed=1),
+        num_workers=2, compressor_builder=lambda: TopKCompressor(0.05))
+    store = CheckpointStore(InMemoryBackend())
+    checkpointer = LowDiffCheckpointer(
+        store, CheckpointConfig(full_every_iters=16, batch_size=1))
+    checkpointer.attach(trainer)
+    for _ in range(48):
+        trainer.step()
+    checkpointer.finalize()
+    read = lambda record: serializer.unpack_tree(store.read_raw(record))
+    return ({record.step: read(record) for record in store.fulls()},
+            [read(record) for record in store.diffs_after(0)])
+
+
+class TestEntropyGate:
+    """The gate skips only planes deflate would not keep: it moves encode
+    time, never a byte."""
+
+    def test_gate_matches_the_deflate_every_plane_oracle(self, adam_records):
+        fulls, diffs = adam_records
+        quantized = UniformQuantizer(127).compress({"w": np.random.default_rng(
+            2).normal(size=2**16)})
+        trees = [fulls[16], fulls[48], *diffs,
+                 payload_to_tree(quantized),
+                 payload_to_tree(payload_cases()["quantized"]),
+                 CheckpointStore.full_tree(0, {"w": np.zeros(2**18)},
+                                           {"slots": {}})]
+        trees += [CheckpointStore.diff_tree(step, step, 1, payload_to_tree(
+            sparse_payload(n=2**18, k=2**14, seed=step))) for step in range(1, 7)]
+
+        def packed():
+            return [serializer.pack_tree(LosslessCodec().encode_tree(tree))
+                    for tree in trees]
+
+        gated = packed()
+        with mock.patch.object(payload_codec, "_plane_compressible",
+                               lambda plane: True):
+            assert packed() == gated
+
+    def test_tiled_byte_ramp_reads_eight_bits_and_stays_raw(self):
+        """The limit the gate shares with its 7.4-bit full-plane predecessor:
+        LZ repeats would deflate a tiled 0..255 ramp to ~1 %, but its
+        order-0 entropy is 8 bits, so it is stored raw."""
+        ramp = np.tile(np.arange(256, dtype=np.uint8), 256)
+        assert len(zlib.compress(ramp, ZLIB_LEVEL_PLANE)) < ramp.size / 50
+        assert not payload_codec._plane_compressible(ramp)
+        arr = ramp.repeat(4).view(np.float32)   # every byte plane is the ramp
+        assert encode_array(arr) is arr
+        with mock.patch.object(payload_codec, "_plane_compressible",
+                               lambda plane: True):
+            assert isinstance(encode_array(arr), dict)
+
+    def test_discarded_deflate_is_counted_and_small(self, adam_records):
+        """Deflate whose output is then stored raw stays ≤ 1 % of a record's
+        bytes, and no array at or below the size floor is deflated.
+
+        Known residue: by step 48 the full still discards ~42 %, from Adam
+        slots that are 30–55 % zero (order-0 entropy ~5.4 bits, deflate gets
+        ~0.76 of raw).  A lower gate would start skipping planes deflate
+        keeps: of 1 389 kept planes measured on trained Adam and SGD
+        records, the most entropic read 4.78 bits."""
+        fulls, diffs = adam_records
+        for tree in (fulls[16], diffs[0]):
+            with obs.capture() as active:
+                LosslessCodec().encode_tree(tree)
+                deflated, discarded = (active.registry.counter(
+                    f"codec.encode.deflate_{name}_bytes").value
+                    for name in ("in", "discarded"))
+            assert deflated > 0
+            assert discarded <= 0.01 * logical_nbytes(tree)
+            small = [arr for arr in array_leaves(tree)
+                     if arr.nbytes <= NODE_OVERHEAD_BYTES]
+            with mock.patch.object(zlib, "compress") as compress:
+                assert all(encode_array(arr) is arr for arr in small)
+            assert small and compress.call_count == 0
 
 
 # ---------------------------------------------------------------------------

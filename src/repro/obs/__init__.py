@@ -21,6 +21,10 @@ this package whether or not tracing is enabled — counting a few integers
 per collective is free at the scales that matter; emitting trace events
 is not.
 
+``OBS`` is per interpreter, and only the parent ever enables it.  A
+spawned persist worker reports its stage times in the messages it already
+sends its engine, and the engine's collector records them here.
+
 Typical capture::
 
     from repro import obs
@@ -63,12 +67,9 @@ __all__ = [
     "tracer",
     "span",
     "capture",
-    # Cross-process telemetry plane (re-exported below, after OBS exists).
+    # Flight recorder and SLO targets (re-exported below, after OBS exists).
     "FLIGHT",
     "FlightRecorder",
-    "TelemetryChannel",
-    "WorkerTelemetry",
-    "WorkerTelemetrySpec",
     "SloTarget",
     "SloResult",
     "SloWatchdog",
@@ -166,9 +167,9 @@ class capture:
         self._saved = None
 
 
-# Cross-process telemetry plane.  Imported last: these modules read
-# ``repro.obs.OBS`` lazily inside functions, but keeping the imports
-# below the switchboard definition makes the no-cycle property obvious.
+# Imported last: these modules read ``repro.obs.OBS`` lazily inside
+# functions, but keeping the imports below the switchboard definition
+# makes the no-cycle property obvious.
 from repro.obs.flight import FLIGHT, FlightRecorder          # noqa: E402
 from repro.obs.slo import (                                   # noqa: E402
     DEFAULT_TARGETS,
@@ -177,9 +178,4 @@ from repro.obs.slo import (                                   # noqa: E402
     SloWatchdog,
     evaluate_snapshot,
     load_slo_config,
-)
-from repro.obs.telemetry import (                             # noqa: E402
-    TelemetryChannel,
-    WorkerTelemetry,
-    WorkerTelemetrySpec,
 )

@@ -11,11 +11,10 @@ push.
 
 On a fail-stop — the multi-process engine latching a failure, the
 cluster supervisor declaring a worker lost — the ring is dumped to a
-JSON post-mortem.  Worker processes cannot dump at death (SIGKILL grants
-no handler), so the telemetry channel ships their recent entries to the
-parent as they go; the parent keeps a per-worker *shadow* ring and
-includes it in its own dump.  A killed worker's last recorded actions
-therefore survive in the parent's post-mortem.
+JSON post-mortem.  A persist worker records nothing itself (SIGKILL
+grants no handler to dump with): the parent's collector records a
+worker-tagged entry for each message a worker sends (ready, start, done,
+error), so a killed worker's last seq is in the parent's own ring.
 
 ``python -m repro.obs.report --flight dump.json`` renders a dump.
 """
@@ -50,7 +49,7 @@ def flight_dump_dir() -> str:
 
 
 class FlightRecorder:
-    """Bounded ring of recent events plus per-worker shadow rings.
+    """Bounded ring of recent events.
 
     ``record`` is the hot call: a lock-guarded deque append.  ``dump``
     serializes everything to a JSON post-mortem and returns its path.
@@ -61,13 +60,12 @@ class FlightRecorder:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._ring: deque = deque(maxlen=self.capacity)
-        self._shadows: dict[str, deque] = {}
         self._lock = threading.Lock()
         self._dump_count = 0
         self.recorded = 0
 
     def record(self, kind: str, name: str, **data) -> None:
-        """Append one entry: ``kind`` groups (ckpt/supervisor/telemetry),
+        """Append one entry: ``kind`` groups (ckpt/worker/supervisor/slo),
         ``name`` says what happened, ``data`` carries small scalars."""
         entry = {"t": time.time(), "kind": kind, "name": name}
         if data:
@@ -76,32 +74,18 @@ class FlightRecorder:
             self._ring.append(entry)
             self.recorded += 1
 
-    def absorb(self, label: str, entries) -> None:
-        """Fold entries shipped from another process into its shadow ring
-        (same bound as the local ring — a chatty worker cannot grow the
-        parent's memory)."""
-        if not entries:
-            return
-        with self._lock:
-            shadow = self._shadows.get(label)
-            if shadow is None:
-                shadow = self._shadows[label] = deque(maxlen=self.capacity)
-            shadow.extend(entries)
-
     def entries(self) -> list[dict]:
         with self._lock:
             return list(self._ring)
 
     def snapshot(self) -> dict:
-        """JSON-serializable view: local ring + every shadow ring."""
+        """JSON-serializable view of the ring."""
         with self._lock:
             return {
                 "pid": os.getpid(),
                 "capacity": self.capacity,
                 "recorded": self.recorded,
                 "entries": list(self._ring),
-                "workers": {label: list(ring)
-                            for label, ring in self._shadows.items()},
             }
 
     def dump(self, path: str | None = None, reason: str = "",
@@ -130,7 +114,6 @@ class FlightRecorder:
     def clear(self) -> None:
         with self._lock:
             self._ring.clear()
-            self._shadows.clear()
 
 
 #: The process-global flight recorder.  Like :data:`repro.obs.OBS` it is

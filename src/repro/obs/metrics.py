@@ -224,31 +224,6 @@ class Histogram:
                 for q in qs
             }
 
-    def merge_snapshot(self, snap: dict) -> None:
-        """Fold another histogram's snapshot (same bounds) into this one.
-
-        The cross-process aggregator uses this to roll worker-shipped
-        histogram deltas into the parent registry; bucket bounds must
-        match (they derive from the same metric name on both sides).
-        """
-        buckets = snap.get("buckets", {})
-        with self._lock:
-            for index, bound in enumerate(self.buckets):
-                self._counts[index] += int(buckets.get(repr(bound), 0))
-            self._overflow += int(buckets.get("inf", 0))
-            self._sum += float(snap.get("sum", 0.0))
-            self._count += int(snap.get("count", 0))
-            for key, pick in (("min", min), ("max", max)):
-                other = snap.get(key)
-                if other is None:
-                    continue
-                mine = self._min if key == "min" else self._max
-                merged = other if mine is None else pick(mine, other)
-                if key == "min":
-                    self._min = merged
-                else:
-                    self._max = merged
-
     def _reset(self) -> None:
         with self._lock:
             self._counts = [0] * len(self.buckets)
@@ -392,49 +367,3 @@ class MetricsRegistry:
                        if name.startswith(prefix)]
         for metric in metrics:
             metric._reset()
-
-    # Cross-process aggregation ---------------------------------------------
-    def kinds(self, prefix: str = "") -> dict:
-        """``{name: kind}`` — shipped alongside deltas so the receiving
-        registry merges each metric with the right semantics."""
-        with self._lock:
-            return {name: metric.kind for name, metric in self._metrics.items()
-                    if name.startswith(prefix)}
-
-    def merge_delta(self, delta: dict, kinds: dict,
-                    prefix: str = "") -> int:
-        """Fold a shipped snapshot delta into this registry.
-
-        Counters add, gauges take the shipped value, histograms merge
-        bucket-wise.  ``prefix`` re-namespaces every metric (the per-
-        process copies of worker telemetry).  A name already registered
-        here under a different kind is skipped and counted — one worker's
-        bug must not poison the parent registry.  Returns the number of
-        metrics merged.
-        """
-        merged = 0
-        for name, value in delta.items():
-            kind = kinds.get(name)
-            target = f"{prefix}{name}"
-            try:
-                if kind == "histogram" and isinstance(value, dict):
-                    if not value.get("count"):
-                        continue
-                    bounds = sorted(
-                        float(key) for key in value.get("buckets", {})
-                        if key != "inf")
-                    hist = self.histogram(
-                        target, buckets=tuple(bounds) or DEFAULT_TIME_BUCKETS_S)
-                    hist.merge_snapshot(value)
-                elif kind == "gauge":
-                    self.set(target, value)
-                elif kind == "counter":
-                    if value:
-                        self.inc(target, int(value))
-                else:
-                    continue
-            except TypeError:
-                self.inc("obs.telemetry.merge_conflicts")
-                continue
-            merged += 1
-        return merged

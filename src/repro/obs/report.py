@@ -173,16 +173,9 @@ def render_metrics(snapshot: dict) -> str:
     return "\n".join(lines)
 
 
-#: Histograms whose names start with these prefixes (optionally behind a
-#: ``proc.<worker>.`` namespace) are the persist/restore paths the
-#: tail-latency table covers.
+#: Histograms whose names start with these prefixes are the
+#: persist/restore paths the tail-latency table covers.
 TAIL_LATENCY_PREFIXES = ("ckpt.", "recover.", "restore.", "storage.")
-
-
-def _strip_proc_prefix(name: str) -> str:
-    if name.startswith("proc.") and name.count(".") >= 2:
-        return name.split(".", 2)[2]
-    return name
 
 
 def tail_latency_rows(snapshot: dict) -> list[dict]:
@@ -192,7 +185,7 @@ def tail_latency_rows(snapshot: dict) -> list[dict]:
         value = snapshot[name]
         if not isinstance(value, dict) or not value.get("count"):
             continue
-        if not _strip_proc_prefix(name).startswith(TAIL_LATENCY_PREFIXES):
+        if not name.startswith(TAIL_LATENCY_PREFIXES):
             continue
         count = value["count"]
         row = {
@@ -262,19 +255,13 @@ def render_flight(dump: dict) -> str:
     lines.append(f"  recorded {dump.get('recorded', '?')} entries, "
                  f"ring capacity {dump.get('capacity', '?')}")
 
-    def render_entries(entries, indent="  "):
-        for entry in entries:
-            data = entry.get("data", {})
-            detail = " ".join(f"{k}={v}" for k, v in data.items())
-            lines.append(f"{indent}{entry.get('t', 0.0):.6f} "
-                         f"[{entry.get('kind', '?'):<10}] "
-                         f"{entry.get('name', '?')}"
-                         f"{('  ' + detail) if detail else ''}")
-
-    render_entries(dump.get("entries", []))
-    for label in sorted(dump.get("workers", {})):
-        lines.append(f"  shadow ring: {label}")
-        render_entries(dump["workers"][label], indent="    ")
+    for entry in dump.get("entries", []):
+        data = entry.get("data", {})
+        detail = " ".join(f"{k}={v}" for k, v in data.items())
+        lines.append(f"  {entry.get('t', 0.0):.6f} "
+                     f"[{entry.get('kind', '?'):<10}] "
+                     f"{entry.get('name', '?')}"
+                     f"{('  ' + detail) if detail else ''}")
     return "\n".join(lines)
 
 

@@ -15,7 +15,9 @@ Two timestamp sources coexist:
 * the **explicit API** (``complete_at``/``instant_at``/``counter_at``)
   takes timestamps and a named track from the caller — this is how the
   simulator drives the tracer with its virtual clock, making sim traces
-  deterministic and bit-reproducible across runs.
+  deterministic and bit-reproducible across runs.  ``complete_between``
+  takes two readings of the tracer's own clock instead, which is how a
+  persist worker's ``perf_counter`` stamps become spans in the parent.
 
 Serialization (:meth:`to_json`) sorts keys and uses fixed separators, so
 two tracers fed identical events produce byte-identical JSON.
@@ -67,15 +69,10 @@ class Tracer:
     def __init__(self, clock=None, limit: int | None = None):
         self._clock = clock if clock is not None else time.perf_counter
         self._t0 = float(self._clock())
-        #: Wall-clock epoch of the trace origin — how a merged trace
-        #: rebases events shipped from another process onto this
-        #: tracer's timeline (both sides stamp ``time.time()`` at t0).
-        self.origin_epoch = time.time()
         self._limit = limit
         self._events: list[dict] = []
         self._lock = threading.Lock()
         self._tracks: dict[object, int] = {}   # thread ident or track name -> tid
-        self._merged_pids: dict[int, str] = {}
         self._local = threading.local()
         self.dropped = 0
 
@@ -179,6 +176,18 @@ class Tracer:
             event["args"] = args
         self._append(event)
 
+    def complete_between(self, name: str, start: float, end: float,
+                         track: str, category: str | None = None,
+                         args: dict | None = None) -> None:
+        """Complete event between two readings of this tracer's clock.
+
+        The readings may come from another process: ``time.perf_counter``
+        is the host's monotonic clock, so a persist worker's stamps land
+        on the parent's timeline unconverted.
+        """
+        self.complete_at(name, start - self._t0, end - start, track,
+                         category, args)
+
     def instant_at(self, name: str, ts_s: float, track: str = "train",
                    category: str | None = None,
                    args: dict | None = None) -> None:
@@ -200,62 +209,6 @@ class Tracer:
             "name": name, "ph": "C", "ts": float(ts_s) * 1e6, "pid": 0,
             "tid": self._track_tid(track), "args": dict(values),
         })
-
-    # Cross-process merge ---------------------------------------------------
-    def events_since(self, index: int) -> tuple[list[dict], int]:
-        """Events appended at or after ``index`` plus the new cursor.
-
-        The worker-side telemetry shim ships incrementally: each flush
-        sends only the events recorded since the previous successful
-        flush, so one slow drain never re-ships the whole trace.
-        """
-        with self._lock:
-            return list(self._events[index:]), len(self._events)
-
-    def merge_events(self, events, pid: int, process_name: str | None = None,
-                     offset_us: float = 0.0) -> int:
-        """Append events recorded by another process under its own track.
-
-        Every event is re-tagged with ``pid`` (Chrome-trace renders one
-        process group per pid, so each worker process gets its own set of
-        lanes) and shifted by ``offset_us`` onto this tracer's timeline.
-        Thread-name metadata is prefixed with ``process_name`` so
-        ``MainThread`` lanes from different workers stay tellable apart.
-        The merge is deterministic: identical event batches with identical
-        offsets produce identical output (the virtual-clock path passes
-        ``offset_us=0``).  Returns the number of events appended.
-        """
-        pid = int(pid)
-        appended = 0
-        with self._lock:
-            if process_name is not None and pid not in self._merged_pids:
-                self._merged_pids[pid] = process_name
-                self._events.append({
-                    "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"name": process_name},
-                })
-            label = self._merged_pids.get(pid)
-            for event in events:
-                if self._limit is not None and \
-                        len(self._events) >= self._limit:
-                    self.dropped += 1
-                    continue
-                event = dict(event)
-                event["pid"] = pid
-                if event.get("ph") == "M":
-                    if event.get("name") == "process_name":
-                        # The parent owns track naming — a worker's own
-                        # process metadata would shadow the label.
-                        continue
-                    if event.get("name") == "thread_name" and label:
-                        args = dict(event.get("args", {}))
-                        args["name"] = f"{label}/{args.get('name', '?')}"
-                        event["args"] = args
-                elif "ts" in event:
-                    event["ts"] = float(event["ts"]) + offset_us
-                self._events.append(event)
-                appended += 1
-        return appended
 
     # Export ----------------------------------------------------------------
     def events(self) -> list[dict]:

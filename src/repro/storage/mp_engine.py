@@ -30,6 +30,11 @@ through a ``multiprocessing.shared_memory`` ring:
    ``register_*_blob``.  The blob-before-manifest crash-ordering
    invariant holds across the process boundary.
 
+The result queue is the workers' only channel to the parent, and a
+worker never enables ``OBS``: it reports its stage times in the ``done``
+message, and the collector records the ``ckpt.mp.worker.*`` metrics,
+one trace track per worker and the worker-tagged flight entries.
+
 Everything else is :class:`~repro.storage.persist_engine.PersistEngine`
 (ARCHITECTURE.md §2).  A persist worker dying (SIGKILL, OOM) is detected
 by an ``is_alive()`` watchdog and surfaces as a typed
@@ -51,7 +56,6 @@ from functools import partial
 
 from repro.obs import OBS, span as obs_span
 from repro.obs.flight import FLIGHT
-from repro.obs.telemetry import TelemetryChannel, WorkerTelemetry
 from repro.storage.backends import backend_from_spec
 from repro.storage.checkpoint_store import (
     CheckpointStore,
@@ -111,6 +115,9 @@ class ShmRing:
         self.allocs = 0
         self.peak_used = 0
         self._destroyed = False
+        if OBS.enabled:
+            # A run with no stall reads 0, not no-data, against its SLO.
+            OBS.registry.counter("ckpt.mp.ring_stalls")
 
     @property
     def name(self) -> str:
@@ -226,24 +233,23 @@ class ShmRing:
 
 
 def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
-                    codec_id: str, task_queue, result_queue,
-                    telemetry_spec=None) -> None:
+                    codec_id: str, task_queue, result_queue) -> None:
     """Persist-worker main (runs in a spawned child process).
 
-    Protocol (child -> parent on ``result_queue``):
+    Protocol (child -> parent on ``result_queue``, the only channel):
 
     * ``("ready", index)`` — imports done, codec warmed, priority set;
-    * ``("freed", seq)`` — ring region consumed (arrays copied out);
+    * ``("freed", seq, index)`` — ring region consumed (arrays copied out);
     * ``("done", seq, info)`` — blob written atomically under its final
-      key; ``info`` carries nbytes/crc/codec/raw_nbytes/busy_s;
-    * ``("error", seq, message)`` — one task failed (engine fail-stops);
+      key; ``info`` carries nbytes/crc/codec/raw_nbytes, ``busy_s``, the
+      ``worker`` index and ``stamps``: ``time.perf_counter()`` at encode
+      start, encoded, packed and written;
+    * ``("error", seq, index, message)`` — one task failed (engine
+      fail-stops);
     * ``("fatal", index, message)`` — the worker itself is broken.
 
-    ``telemetry_spec`` (present only when the parent captured with obs
-    enabled) activates ``OBS`` inside this process: encode/pack/write
-    spans and ``ckpt.mp.worker.*`` metrics ship home over the telemetry
-    channel after every task.  Without a spec, ``OBS`` stays disabled and
-    the only addition over the bare loop is the flight-recorder ring.
+    The worker never enables ``OBS`` and records no flight entries; the
+    parent's collector turns these messages into both.
     """
     shm = None
     try:
@@ -251,8 +257,6 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
             os.nice(WORKER_NICE)
         except OSError:  # pragma: no cover - priority change refused
             pass
-        telemetry = WorkerTelemetry.activate(telemetry_spec)
-        obs_on = telemetry.enabled
         from multiprocessing import shared_memory
         shm = shared_memory.SharedMemory(name=shm_name)
         backend = backend_from_spec(backend_spec)
@@ -265,70 +269,47 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
             codec.encode_tree(dict(warm_tree))
         buffer = bytearray()
         pack_tree_into(warm_tree, buffer)[0].release()
-        FLIGHT.record("worker", "ready", index=index)
         result_queue.put(("ready", index))
-        telemetry.flush()
         while True:
             task = task_queue.get()
             if task is None:
                 break
             _, seq, kind, offset, length, meta = task
             started = time.perf_counter()
-            FLIGHT.record("task", "start", seq=seq, record_kind=kind,
-                          nbytes=length)
             try:
                 region = shm.buf[offset:offset + length]
                 try:
                     tree = unpack_tree(region, verify=False)
                 finally:
                     region.release()
-                result_queue.put(("freed", seq))
-                stage_t0 = time.perf_counter() if obs_on else 0.0
-                with obs_span("worker_encode", "ckpt",
-                              {"seq": seq, "kind": kind}):
-                    tree, codec_id_used, raw_nbytes = encode_record_tree(
-                        codec, tree)
-                stage_t1 = time.perf_counter() if obs_on else 0.0
-                with obs_span("worker_pack", "ckpt", {"seq": seq}):
-                    view, crc = pack_tree_into(tree, buffer)
-                stage_t2 = time.perf_counter() if obs_on else 0.0
+                result_queue.put(("freed", seq, index))
+                encode_started = time.perf_counter()
+                tree, codec_id_used, raw_nbytes = encode_record_tree(
+                    codec, tree)
+                encoded = time.perf_counter()
+                view, crc = pack_tree_into(tree, buffer)
+                packed = time.perf_counter()
                 try:
                     key = full_key(meta["step"]) if kind == "full" \
                         else diff_key(meta["start"], meta["end"])
-                    with obs_span("worker_write", "ckpt",
-                                  {"seq": seq, "key": key}):
-                        backend.write(key, view)
+                    backend.write(key, view)
+                    written = time.perf_counter()
                     nbytes = len(view)
                 finally:
                     view.release()
-                busy_s = time.perf_counter() - started
-                if obs_on:
-                    registry = OBS.registry
-                    registry.observe("ckpt.mp.worker.encode.s",
-                                     stage_t1 - stage_t0)
-                    registry.observe("ckpt.mp.worker.pack.s",
-                                     stage_t2 - stage_t1)
-                    registry.observe("ckpt.mp.worker.write.s",
-                                     time.perf_counter() - stage_t2)
-                    registry.observe("ckpt.mp.worker.busy.s", busy_s)
-                    registry.inc("ckpt.mp.worker.tasks")
-                    registry.inc("ckpt.mp.worker.bytes", nbytes)
-                FLIGHT.record("task", "done", seq=seq, key=key,
-                              nbytes=nbytes)
                 result_queue.put(("done", seq, {
                     "nbytes": nbytes,
                     "crc": crc & 0xFFFFFFFF,
                     "codec": codec_id_used,
                     "raw_nbytes": raw_nbytes,
-                    "busy_s": busy_s,
+                    "busy_s": time.perf_counter() - started,
                     "worker": index,
+                    "stamps": (encode_started, encoded, packed, written),
                 }))
             except BaseException as err:
                 detail = traceback.format_exc(limit=4)
-                FLIGHT.record("task", "error", seq=seq, error=repr(err))
-                result_queue.put(("error", seq,
+                result_queue.put(("error", seq, index,
                                   f"{type(err).__name__}: {err}\n{detail}"))
-            telemetry.flush()
     except BaseException as err:  # pragma: no cover - worker-level crash
         try:
             result_queue.put(("fatal", index, repr(err)))
@@ -340,6 +321,26 @@ def _persist_worker(index: int, shm_name: str, backend_spec: tuple,
                 shm.close()
             except BufferError:  # pragma: no cover - exported view alive
                 pass
+
+
+def _record_worker_task(seq: int, info: dict) -> None:
+    """Record one ``done`` message's stage times (parent, ``OBS`` on).
+
+    The stamps are the worker's ``time.perf_counter()`` readings, the
+    host's monotonic clock, so its spans land on the parent's timeline on
+    one track per worker.
+    """
+    stamps = info["stamps"]
+    registry, tracer = OBS.registry, OBS.tracer
+    track = f"persist-worker-{info['worker']}"
+    for index, stage in enumerate(("encode", "pack", "write")):
+        start, end = stamps[index], stamps[index + 1]
+        registry.observe(f"ckpt.mp.worker.{stage}.s", end - start)
+        tracer.complete_between(f"worker_{stage}", start, end, track,
+                                "ckpt", {"seq": seq})
+    registry.observe("ckpt.mp.worker.busy.s", info["busy_s"])
+    registry.inc("ckpt.mp.worker.tasks")
+    registry.inc("ckpt.mp.worker.bytes", info["nbytes"])
 
 
 class MultiprocessCheckpointEngine(PersistEngine):
@@ -369,11 +370,6 @@ class MultiprocessCheckpointEngine(PersistEngine):
     start_method:
         ``"spawn"`` (default, the only fork-safe choice when the parent
         has threads) or ``"forkserver"``.  ``"fork"`` is rejected.
-
-    The cross-process telemetry channel (``self.telemetry``) exists
-    exactly when observability is enabled at construction: workers spawned
-    without a spec keep OBS disabled for their whole life (the zero-cost
-    contract).
     """
 
     family = "ckpt.mp"
@@ -406,7 +402,6 @@ class MultiprocessCheckpointEngine(PersistEngine):
         codec_id = "" if store.codec is None else store.codec.codec_id
 
         ctx = multiprocessing.get_context(start_method)
-        self.telemetry = TelemetryChannel(ctx=ctx) if OBS.enabled else None
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
         self._tokens: dict[int, int] = {}      # seq -> ring token
@@ -417,16 +412,10 @@ class MultiprocessCheckpointEngine(PersistEngine):
         self.worker_busy_s = 0.0
         self._failure_dump: str | None = None
 
-        # Logical pids: parent is Chrome-trace pid 0, persist workers are
-        # 1..N — stable across runs (unlike OS pids), which keeps merged
-        # traces and per-process metric names deterministic.
         self._workers = [
             ctx.Process(target=_persist_worker,
                         args=(index, self.ring.name, backend_spec, codec_id,
-                              self._task_queue, self._result_queue,
-                              self.telemetry.worker_spec(
-                                  f"persist-worker-{index}", index + 1)
-                              if self.telemetry is not None else None),
+                              self._task_queue, self._result_queue),
                         name=f"ckpt-persist-{index}", daemon=True)
             for index in range(self.num_workers)
         ]
@@ -528,37 +517,43 @@ class MultiprocessCheckpointEngine(PersistEngine):
                 # for it — it posts a "stop" message.
                 message = self._result_queue.get(timeout=0.2)
             except (queue_module.Empty, OSError, EOFError):
-                if self.telemetry is not None:
-                    self.telemetry.drain()
                 if self._shutdown_started:
                     return
                 self._check_worker_health()
                 continue
-            if self.telemetry is not None:
-                self.telemetry.drain()
             tag = message[0]
             if tag == "stop":
                 return
+            # Worker-tagged flight entries, always on: a SIGKILLed
+            # worker's last seq is in the parent's post-mortem.
             if tag == "ready":
+                FLIGHT.record("worker", "ready", worker=message[1])
                 with self._lock:
                     self._ready_workers += 1
                     self._drained.notify_all()
             elif tag == "freed":
+                seq = message[1]
+                FLIGHT.record("worker", "start", worker=message[2], seq=seq)
                 with self._lock:
-                    token = self._tokens.pop(message[1], None)
+                    token = self._tokens.pop(seq, None)
                 if token is not None:
                     self.ring.free(token)
             elif tag == "done":
                 seq, info = message[1], message[2]
+                FLIGHT.record("worker", "done", worker=info["worker"],
+                              seq=seq, nbytes=info["nbytes"])
+                if OBS.enabled:
+                    _record_worker_task(seq, info)
                 with self._lock:
                     task = self._tasks.get(seq)
                 if task is not None:
-                    self.worker_busy_s += info.get("busy_s", 0.0)
+                    self.worker_busy_s += info["busy_s"]
                     self._complete(seq, partial(self._register, task, info))
             elif tag == "error":
-                self._complete(message[1], RuntimeError(
-                    f"persist worker failed on seq {message[1]}: "
-                    f"{message[2]}"))
+                seq = message[1]
+                FLIGHT.record("worker", "error", worker=message[2], seq=seq)
+                self._complete(seq, RuntimeError(
+                    f"persist worker failed on seq {seq}: {message[3]}"))
             elif tag == "fatal":
                 with self._lock:
                     self._fail_all_locked(WorkerCrashed(
@@ -588,10 +583,9 @@ class MultiprocessCheckpointEngine(PersistEngine):
         """Write the flight-recorder post-mortem for a latched failure.
 
         One dump per engine failure (the latch is sticky, so so is the
-        dump).  The parent's ring plus every worker's shadow ring go to
-        JSON; the path is appended to the fail-stop exception so the
-        operator can find the victim's last recorded actions — including
-        a SIGKILLed worker's, which could never dump its own.
+        dump).  The parent's ring goes to JSON, and the path is appended to
+        the fail-stop exception.  The ring holds the worker-tagged entries
+        the collector recorded, so a SIGKILLed worker's last seq is there.
         """
         FLIGHT.record("ckpt", "fail-stop", error=repr(error))
         try:
@@ -663,11 +657,6 @@ class MultiprocessCheckpointEngine(PersistEngine):
             # Wake the collector now, not at its next watchdog tick.
             self._result_queue.put(("stop",))
             self._collector.join(timeout=10.0)
-        if self.telemetry is not None:
-            # Final drain: ship whatever the workers flushed between the
-            # collector's last tick and their exit, then drop the queue.
-            self.telemetry.drain()
-            self.telemetry.close()
         for q in (self._task_queue, self._result_queue):
             q.cancel_join_thread()
             q.close()
@@ -686,6 +675,4 @@ class MultiprocessCheckpointEngine(PersistEngine):
                        workers_alive=self.workers_alive(),
                        flight_dump=self._failure_dump)
         out.update(self.ring.stats())
-        if self.telemetry is not None:
-            out["telemetry"] = self.telemetry.stats()
         return out

@@ -144,6 +144,10 @@ class PersistEngine:
         self.backpressure_time_s = 0.0
         self.high_watermark = 0
         self.commit_time_s = 0.0
+        if OBS.enabled:
+            # Created up front so a run with no stall reads 0, not no-data,
+            # against the SLO stall budget.
+            OBS.registry.histogram(f"{self.family}.backpressure_wait.s")
 
     # Executor hooks --------------------------------------------------------------
     def _submit(self, task: PersistTask) -> PendingWrite:

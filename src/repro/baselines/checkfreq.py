@@ -12,17 +12,17 @@ large models (Exp. 4).
 from __future__ import annotations
 
 from repro.core.checkpointer import Checkpointer
-from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.sharded import open_persist_engine
 
 
 class CheckFreqCheckpointer(Checkpointer):
     """Snapshot every ``every`` iterations; persist asynchronously.
 
-    ``async_persist=True`` persists through the one-writer, one-slot
-    :class:`~repro.storage.async_engine.AsyncCheckpointEngine` LowDiff+
-    uses: at most one persist is in flight, and a cadence tick that would
-    block on it is skipped and counted in ``skipped``.
+    ``async_persist=True`` persists through the thread engine LowDiff+
+    uses (one writer, ``queue_depth=1``): at most one persist is in
+    flight, and a cadence tick that would block on it is skipped and
+    counted in ``skipped``.
     """
 
     def __init__(self, store: CheckpointStore, every: int = 10,
@@ -31,8 +31,8 @@ class CheckFreqCheckpointer(Checkpointer):
             raise ValueError(f"every must be >= 1, got {every}")
         self.store = store
         self.every = int(every)
-        self.engine = AsyncCheckpointEngine(store, num_writers=1,
-                                            queue_depth=1) \
+        self.engine = open_persist_engine(
+            store, "thread", writer_threads=1, queue_depth=1) \
             if async_persist else None
         self._persist = store if self.engine is None else self.engine
         self.snapshots_taken = 0

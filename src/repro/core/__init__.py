@@ -1,7 +1,7 @@
 """LowDiff core: the paper's contribution.
 
-* :mod:`reusing_queue` — FIFO zero-copy gradient handoff between the
-  training and checkpointing processes (§IV-A);
+* :mod:`reusing_queue` — FIFO zero-copy gradient handoff from the
+  training side to the checkpointing side (§IV-A);
 * :mod:`batched_writer` — batched gradient writing with CPU offload (§IV-B);
 * :mod:`config` — the wasted-time model Eq. (3), the closed-form optimal
   configuration Eq. (5), and the runtime adaptive tuner (§IV-C, §VI);

@@ -83,7 +83,7 @@ class Checkpointer:
         whatever the training side still buffered dies with it.  Draining
         the engine (rather than aborting it) keeps the persisted series
         identical to a synchronous run up to the crash point, which is
-        what makes chaos drills bit-exactly replayable in async mode.
+        what makes chaos drills bit-exactly replayable through an engine.
         """
         self._stop_intake()
         self._discard_pending()

@@ -32,9 +32,10 @@ class CheckpointConfig:
     """Integer configuration the checkpointer runs with.
 
     ``async_persist`` puts a persist engine between the checkpointer and
-    the store (:mod:`repro.storage.persist_engine`): serialization and
-    storage I/O leave the training loop, which then only pays for the
-    bounded snapshot handoff plus any backpressure stalls.
+    the store (:mod:`repro.storage.persist_engine`) — the one way
+    persistence leaves the training thread: serialization and storage I/O
+    leave the training loop, which then pays only for admission, including
+    any backpressure stall.
     ``writer_threads``/``queue_depth`` size the worker pool and the
     outstanding-record bound; both are ignored in the default synchronous
     mode, which stays bit-exact-deterministic for tests.

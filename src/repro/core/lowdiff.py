@@ -7,17 +7,18 @@ checkpoint store:
   synchronized compressed gradient — zero-copy, no data dependency on the
   model update (§III-D) — and, every ``full_every_iters`` iterations,
   enqueues a full-state snapshot;
-* the **checkpointing side** (inline drain or a background thread, the
-  stand-in for the paper's spawned checkpointing process) dequeues in FIFO
-  order, batches gradients in CPU memory, and persists batched
-  differentials and full checkpoints;
+* the **checkpointing side** drains the queue inline after each
+  iteration, in FIFO order, batches gradients in CPU memory, and hands
+  batched differentials and full checkpoints to the persist target: the
+  store, or — with ``CheckpointConfig(async_persist=True)``, the stand-in
+  for the paper's separate checkpointing process — a persist engine that
+  takes ownership of each record and writes it off the training thread;
 * **recovery** restores the latest full checkpoint and replays the
   differential chain, serially or with the parallel merge tree.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from repro.core.batched_writer import BatchedGradientWriter
 from repro.core.checkpointer import Checkpointer
 from repro.core.config import CheckpointConfig
-from repro.core.reusing_queue import QueueClosed, ReusingQueue
+from repro.core.reusing_queue import ReusingQueue
 from repro.obs import OBS, span as obs_span
 from repro.storage.checkpoint_store import CheckpointStore
 from repro.storage.compaction import ChainCompactor
@@ -36,9 +37,10 @@ from repro.storage.sharded import ShardedCheckpointStore, open_persist_engine
 class FullSnapshot:
     """A full-state snapshot travelling through the reusing queue.
 
-    The snapshot is taken on the training side (states are copied, like
-    CheckFreq's GPU→CPU snapshot) so the checkpointing side can persist it
-    without racing further updates.
+    The snapshot is taken on the training side (``state_dict()`` copies,
+    like CheckFreq's GPU→CPU snapshot) and is the full's only copy: the
+    persist target takes ownership of its arrays, so the checkpointing
+    side persists it without racing further updates.
     """
 
     step: int
@@ -71,21 +73,23 @@ def _copy_tree(tree):
 class LowDiffCheckpointer(Checkpointer):
     """Frequent differential checkpointing by compressed-gradient reuse.
 
+    The reusing queue drains inline after every iteration, so the queue
+    and the batched writer live on the training thread; persistence leaves
+    it only through the engine that ``config.async_persist`` selects.
+
     Parameters
     ----------
     store:
         Destination :class:`CheckpointStore`.
     config:
         ``(full_every_iters, batch_size)`` — typically from
-        :func:`repro.core.config.optimal_configuration`.
+        :func:`repro.core.config.optimal_configuration` — and the persist
+        engine (``async_persist``, ``persist_mode``, ``writer_threads``,
+        ``queue_depth``).
     zero_copy:
         ``False`` switches the reusing queue to copy mode (ablation).
     offload_to_cpu:
         Passed to the batched writer (Exp. 6(b) ablation).
-    async_mode:
-        ``True`` drains the queue from a background thread — the paper's
-        separate checkpointing process.  ``False`` drains inline after
-        each iteration (deterministic; used by most tests).
     retention:
         Optional :class:`~repro.storage.compaction.RetentionPolicy`; when
         set, a :class:`~repro.storage.compaction.ChainCompactor` enforces
@@ -96,7 +100,6 @@ class LowDiffCheckpointer(Checkpointer):
 
     def __init__(self, store: CheckpointStore, config: CheckpointConfig,
                  zero_copy: bool = True, offload_to_cpu: bool = True,
-                 async_mode: bool = False, queue_maxsize: int = 0,
                  retention=None, model_factory=None, optimizer_factory=None):
         # shards > 1 swaps the store for the sharded facade over the same
         # backend: per-shard diff chains under one intersection-committed
@@ -113,7 +116,7 @@ class LowDiffCheckpointer(Checkpointer):
         # engine is built, so sync and async persist paths both encode.
         if config.codec:
             store.set_codec(config.codec)
-        self.queue = ReusingQueue(maxsize=queue_maxsize, copy_mode=not zero_copy)
+        self.queue = ReusingQueue(copy_mode=not zero_copy)
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every
         # record still flows through one FIFO commit order, so the
@@ -142,16 +145,8 @@ class LowDiffCheckpointer(Checkpointer):
             self._persist, batch_size=config.batch_size,
             offload_to_cpu=offload_to_cpu
         )
-        self.async_mode = bool(async_mode)
         self.full_checkpoints = 0
         self.diff_checkpoints_enqueued = 0
-        self._worker: threading.Thread | None = None
-        self._worker_error: BaseException | None = None
-        if self.async_mode:
-            self._worker = threading.Thread(
-                target=self._drain_loop, name="lowdiff-ckpt", daemon=True
-            )
-            self._worker.start()
 
     # Training-side wiring ---------------------------------------------------
     def _save_base(self, step, model_state, optimizer_state) -> None:
@@ -186,9 +181,9 @@ class LowDiffCheckpointer(Checkpointer):
                 self.queue.put(step + 0.5, snapshot)  # between step and step+1
             if OBS.enabled:
                 OBS.registry.counter("ckpt.full.snapshots").inc()
-        if not self.async_mode:
-            self._drain_available()
-        self._check_worker()
+        self._drain_available()
+        if self.engine is not None:
+            self.engine.raise_if_failed()
 
     # Checkpointing side -------------------------------------------------------
     def _process_item(self, step, item) -> None:
@@ -216,35 +211,12 @@ class LowDiffCheckpointer(Checkpointer):
         for step, item in self.queue.drain():
             self._process_item(step, item)
 
-    def _drain_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    step, item = self.queue.get(timeout=None)
-                except QueueClosed:
-                    return
-                self._process_item(step, item)
-        except BaseException as error:  # surfaced on the training thread
-            self._worker_error = error
-
-    def _check_worker(self) -> None:
-        if self.engine is not None:
-            self.engine.raise_if_failed()
-        if self._worker_error is not None:
-            error, self._worker_error = self._worker_error, None
-            raise RuntimeError("checkpointing process failed") from error
-
     # Lifecycle -------------------------------------------------------------------
     def _stop_intake(self) -> None:
         self.queue.close()
         super()._stop_intake()
 
     def _flush_pending(self) -> None:
-        if self._worker is not None:
-            self._worker.join(timeout=30.0)
-            if self._worker.is_alive():  # pragma: no cover - defensive
-                raise RuntimeError("checkpointing thread failed to stop")
-            self._check_worker()
         self._drain_available()
         self.writer.flush()
         if self.compactor is not None:
@@ -253,8 +225,6 @@ class LowDiffCheckpointer(Checkpointer):
     def _discard_pending(self) -> None:
         """The reusing queue's contents and the batched writer's partial
         batch die with the training process."""
-        if self._worker is not None:
-            self._worker.join(timeout=30.0)
         self.writer.discard_pending()
 
     # Telemetry -----------------------------------------------------------------------

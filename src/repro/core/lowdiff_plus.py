@@ -30,8 +30,8 @@ from repro.core.lowdiff import FullSnapshot
 from repro.core.recovery import RecoveryResult
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
-from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.checkpoint_store import CheckpointStore
+from repro.storage.sharded import open_persist_engine
 from repro.tensor.module import Module
 
 
@@ -93,9 +93,9 @@ class LowDiffPlusCheckpointer(Checkpointer):
         Iterations between asynchronous full persists (CheckFreq-style
         cadence; in-memory checkpoints still happen every iteration).
     async_persist:
-        ``True`` persists through an
-        :class:`~repro.storage.async_engine.AsyncCheckpointEngine` with one
-        writer and one queue slot: at most one persist is in flight, and a
+        ``True`` persists through the thread engine
+        (:func:`~repro.storage.sharded.open_persist_engine`) with one
+        writer and ``queue_depth=1``: at most one persist is in flight, and a
         cadence tick that would block on it is skipped and counted in
         ``persist_skips`` (the paper's non-blocking behaviour).  ``False``
         persists inline.
@@ -113,8 +113,8 @@ class LowDiffPlusCheckpointer(Checkpointer):
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
         self.store = store
         self.persist_every = int(persist_every)
-        self.engine = AsyncCheckpointEngine(store, num_writers=1,
-                                            queue_depth=1) \
+        self.engine = open_persist_engine(
+            store, "thread", writer_threads=1, queue_depth=1) \
             if async_persist else None
         self.retention = retention
         self.replica: CpuReplica | None = None

@@ -1,11 +1,12 @@
 """The Reusing Queue (paper §IV-A).
 
 FIFO handoff of synchronized compressed gradients from the training
-process to the checkpointing process.  The paper implements it as
+side to the checkpointing side.  The paper implements it as
 ``torch.multiprocessing.Queue`` over CUDA IPC: only a *memory handle*
-crosses the process boundary — zero copy.  Here both sides live in one
-process, so passing the payload object by reference is literally
-zero-copy; the queue enforces the two properties the design requires:
+crosses the process boundary — zero copy.  Here the queue drains inline
+on the training thread, so passing the payload object by reference is
+literally zero-copy; the queue enforces the two properties the design
+requires:
 
 1. **Sequential order** — gradients dequeue in exactly the iteration
    order they were enqueued (checked, since differentials must replay in
@@ -23,44 +24,35 @@ from collections import deque
 
 
 class QueueClosed(Exception):
-    """Raised by :meth:`ReusingQueue.get` after close-and-drain."""
+    """Raised by :meth:`ReusingQueue.put` after :meth:`ReusingQueue.close`."""
 
 
 class ReusingQueue:
-    """Bounded FIFO queue carrying ``(iteration, payload)`` items.
+    """Unbounded FIFO queue carrying ``(iteration, payload)`` items.
 
-    Thread-safe: the functional LowDiff checkpointer can drain it either
-    inline (deterministic tests) or from a background thread (the
-    paper's separate checkpointing process).
+    The LowDiff checkpointer drains it inline after every iteration, so
+    depth stays at one iteration's items; persistence leaves the training
+    thread through the persist engine, never through this queue.
     """
 
-    def __init__(self, maxsize: int = 0, copy_mode: bool = False):
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        self.maxsize = maxsize
+    def __init__(self, copy_mode: bool = False):
         self.copy_mode = bool(copy_mode)
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         self._closed = False
         self._last_put_iteration: int | None = None
-        self._last_get_iteration: int | None = None
         # Telemetry
         self.put_count = 0
-        self.get_count = 0
         self.max_depth = 0
         self.copied_bytes = 0
 
-    # Producer side ---------------------------------------------------------
     def put(self, iteration: int, payload) -> None:
         """Enqueue the synchronized gradient of ``iteration``.
 
-        Blocks while the queue is full (backpressure: in the paper this is
-        GPU memory filling with unconsumed handles).  Raises if iterations
-        arrive out of order — that would corrupt the differential series.
+        Raises if iterations arrive out of order — that would corrupt the
+        differential series — or once the queue is closed.
         """
-        with self._not_full:
+        with self._lock:
             if self._closed:
                 raise QueueClosed("put on closed ReusingQueue")
             if (self._last_put_iteration is not None
@@ -69,10 +61,6 @@ class ReusingQueue:
                     f"non-monotonic enqueue: iteration {iteration} after "
                     f"{self._last_put_iteration}"
                 )
-            while self.maxsize and len(self._items) >= self.maxsize:
-                self._not_full.wait()
-                if self._closed:
-                    raise QueueClosed("put on closed ReusingQueue")
             if self.copy_mode:
                 nbytes = getattr(payload, "nbytes", 0)
                 self.copied_bytes += int(nbytes)
@@ -81,53 +69,18 @@ class ReusingQueue:
             self._last_put_iteration = iteration
             self.put_count += 1
             self.max_depth = max(self.max_depth, len(self._items))
-            self._not_empty.notify()
-
-    # Consumer side -----------------------------------------------------------
-    def get(self, timeout: float | None = None):
-        """Dequeue the oldest ``(iteration, payload)``.
-
-        Raises :class:`QueueClosed` once the queue is closed *and* empty;
-        raises ``TimeoutError`` if ``timeout`` elapses first.
-        """
-        with self._not_empty:
-            while not self._items:
-                if self._closed:
-                    raise QueueClosed("ReusingQueue closed and drained")
-                if not self._not_empty.wait(timeout):
-                    raise TimeoutError("ReusingQueue.get timed out")
-            iteration, payload = self._items.popleft()
-            if (self._last_get_iteration is not None
-                    and iteration <= self._last_get_iteration):
-                raise AssertionError("FIFO violation in ReusingQueue")  # pragma: no cover
-            self._last_get_iteration = iteration
-            self.get_count += 1
-            self._not_full.notify()
-            return iteration, payload
 
     def drain(self) -> list:
-        """Dequeue everything currently enqueued (non-blocking)."""
-        out = []
+        """Dequeue everything currently enqueued, oldest first."""
         with self._lock:
-            while self._items:
-                iteration, payload = self._items.popleft()
-                self._last_get_iteration = iteration
-                self.get_count += 1
-                out.append((iteration, payload))
-            self._not_full.notify_all()
+            out = list(self._items)
+            self._items.clear()
         return out
 
-    # Lifecycle ------------------------------------------------------------------
     def close(self) -> None:
-        """Signal end-of-stream; pending items remain retrievable."""
+        """Signal end-of-stream; pending items remain drainable."""
         with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def __len__(self) -> int:
         with self._lock:

@@ -60,7 +60,6 @@ from repro.storage.persist_engine import (
 from repro.storage.async_engine import (
     AsyncCheckpointEngine,
     BufferPool,
-    SnapshotStager,
 )
 from repro.storage.mp_engine import (
     MultiprocessCheckpointEngine,
@@ -111,7 +110,6 @@ __all__ = [
     "DrainTimeout",
     "BufferPool",
     "PendingWrite",
-    "SnapshotStager",
     "WriteAborted",
     "MultiprocessCheckpointEngine",
     "ShmRing",

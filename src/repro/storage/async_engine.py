@@ -2,16 +2,16 @@
 
 The functional layer's realization of the paper's "spawned checkpointing
 process" (§IV) in the shape FastPersist/CheckFreq demonstrated: persistence
-runs on a pool of background writer threads so the training loop only pays
-for a bounded snapshot handoff, not for serialization or storage I/O.
-Admission, backpressure, the in-order commit turnstile, drain/finalize/
-abort and fail-stop are :class:`~repro.storage.persist_engine.PersistEngine`;
-this module keeps what only the thread executor has:
+runs on a pool of background writer threads so the training loop pays for
+admission only — no copy, no serialization, no storage I/O.  Admission,
+backpressure, the in-order commit turnstile, drain/finalize/abort and
+fail-stop are :class:`~repro.storage.persist_engine.PersistEngine`; this
+module keeps what only the thread executor has:
 
-* **Double-buffered snapshot handoff** — full-state snapshots are copied
-  into one of two preallocated staging slots (:class:`SnapshotStager`);
-  with both slots in flight the producer stalls (counted), bounding
-  snapshot memory at ``2 × state_size``.
+* **Ownership handoff** — a writer serializes exactly the arrays it was
+  handed.  The caller's snapshot (``state_dict()`` copies) is a full's
+  only copy, so outstanding fulls, like every record, are bounded by
+  ``queue_depth``.
 * **Reusable buffer pool** — writers serialize concurrently, packing with
   :func:`~repro.storage.serializer.pack_tree_into` straight into pooled
   ``bytearray``\\ s; steady state allocates nothing per checkpoint.
@@ -27,9 +27,6 @@ import threading
 import time
 from collections import deque
 from functools import partial
-from typing import Any
-
-import numpy as np
 
 from repro.obs import OBS, span as obs_span
 from repro.storage.checkpoint_store import CheckpointStore, encode_record_tree
@@ -92,85 +89,6 @@ class BufferPool:
             }
 
 
-class SnapshotStager:
-    """Double-buffered staging area for full-state snapshots.
-
-    ``stage`` copies every array leaf of a checkpoint tree into one of
-    ``slots`` preallocated per-path array sets (``np.copyto`` — a memcpy,
-    no allocation once warm) and returns a tree referencing the staged
-    arrays, which a writer thread can serialize while training mutates
-    the originals.  With every slot leased to an in-flight checkpoint the
-    caller blocks until one frees up; those stalls are counted — they are
-    exactly the residual checkpoint stall the async engine cannot hide.
-    """
-
-    def __init__(self, slots: int = 2) -> None:
-        if slots < 1:
-            raise ValueError(f"slots must be >= 1, got {slots}")
-        self.slots = int(slots)
-        self._caches: list[dict[tuple, np.ndarray]] = [{} for _ in range(slots)]
-        self._free = list(range(slots))
-        self._cond = threading.Condition()
-        self.stalls = 0
-        self.stall_time_s = 0.0
-        self.staged_bytes = 0
-        self.stages = 0
-
-    def stage(self, tree) -> tuple[int, Any]:
-        """Copy ``tree``'s arrays into a free slot; returns ``(slot, staged)``."""
-        with self._cond:
-            if not self._free:
-                self.stalls += 1
-                started = time.perf_counter()
-                while not self._free:
-                    self._cond.wait()
-                waited = time.perf_counter() - started
-                self.stall_time_s += waited
-                if OBS.enabled:
-                    OBS.registry.counter("ckpt.async.snapshot_stalls").inc()
-                    OBS.registry.observe("ckpt.async.snapshot_stall_wait.s",
-                                         waited)
-            slot = self._free.pop()
-        staged = self._copy_into(tree, self._caches[slot], ())
-        self.stages += 1
-        return slot, staged
-
-    def release(self, slot: int) -> None:
-        with self._cond:
-            self._free.append(slot)
-            self._cond.notify()
-
-    def _copy_into(self, node, cache: dict, path: tuple):
-        if isinstance(node, np.ndarray):
-            staged = cache.get(path)
-            if staged is None or staged.shape != node.shape \
-                    or staged.dtype != node.dtype:
-                staged = np.empty(node.shape, dtype=node.dtype)
-                cache[path] = staged
-            np.copyto(staged, node)
-            self.staged_bytes += staged.nbytes
-            return staged
-        if isinstance(node, dict):
-            return {key: self._copy_into(value, cache, path + (key,))
-                    for key, value in node.items()}
-        if isinstance(node, (list, tuple)):
-            items = [self._copy_into(value, cache, path + (index,))
-                     for index, value in enumerate(node)]
-            return items if isinstance(node, list) else tuple(items)
-        return node  # scalars/None/str are immutable — safe by reference
-
-    def stats(self) -> dict:
-        return {
-            "snapshot_slots": self.slots,
-            "snapshot_stalls": self.stalls,
-            "snapshot_stall_time_s": self.stall_time_s,
-            "snapshot_staged_bytes": self.staged_bytes,
-            "snapshots_staged": self.stages,
-        }
-
-
-
-
 class AsyncCheckpointEngine(PersistEngine):
     """Background writer pool in front of a :class:`CheckpointStore`.
 
@@ -200,7 +118,6 @@ class AsyncCheckpointEngine(PersistEngine):
         super().__init__(store, queue_depth)
         self.num_writers = int(num_writers)
         self.pool = BufferPool()
-        self.stager = SnapshotStager()  # 2 slots: classic double buffering
         self._queue: deque[PersistTask] = deque()
         self._task_ready = threading.Condition(self._lock)
         self.commit_wait_s = 0.0     # writer time spent awaiting its turn
@@ -214,20 +131,6 @@ class AsyncCheckpointEngine(PersistEngine):
             worker.start()
 
     # Submission (training thread) ------------------------------------------
-    def _submit(self, task: PersistTask) -> PendingWrite:
-        """Fulls are staged first — returns after the bounded staging copy
-        unless both snapshot slots are in flight or the queue is at depth.
-        Diffs need no copy: ownership of the payload passed to the engine,
-        and its record tree is built on the writer thread."""
-        if task.kind == "full":
-            task.slot, task.item = self.stager.stage(task.item)
-        try:
-            return self._admit(task)
-        except BaseException:
-            if task.slot is not None:
-                self.stager.release(task.slot)
-            raise
-
     def _enqueue_locked(self, task: PersistTask) -> None:
         self._queue.append(task)
         self._task_ready.notify()
@@ -243,6 +146,7 @@ class AsyncCheckpointEngine(PersistEngine):
                 task = self._queue.popleft()
                 skip = self._failure is not None
             self._execute(task, skip=skip)
+            del task  # an idle writer must not keep a full's arrays alive
 
     def _execute(self, task: PersistTask, skip: bool) -> None:
         buffer = None
@@ -272,8 +176,8 @@ class AsyncCheckpointEngine(PersistEngine):
         # sequence numbers are never blocked behind this one.
         self._complete(task.seq, outcome)
         # The commit may run on whichever writer reaches the turn first;
-        # this one holds its buffer and slot until its own record resolves,
-        # which keeps live buffers at one per writer.
+        # this one holds its buffer until its own record resolves, which
+        # keeps live buffers at one per writer.
         with obs_span("commit_wait", "ckpt", {"seq": task.seq}):
             started = time.perf_counter()
             task.pending._event.wait()
@@ -286,8 +190,6 @@ class AsyncCheckpointEngine(PersistEngine):
             view.release()
         if buffer is not None:
             self.pool.release(buffer)
-        if task.slot is not None:
-            self.stager.release(task.slot)
 
     def _commit(self, task: PersistTask, view, crc: int, codec_id: str,
                 raw_nbytes: int):
@@ -313,8 +215,6 @@ class AsyncCheckpointEngine(PersistEngine):
         dropped = list(self._queue)
         self._queue.clear()
         for task in dropped:
-            if task.slot is not None:
-                self.stager.release(task.slot)
             error = WriteAborted(
                 f"{task.kind} write seq {task.seq} dropped by deadline/abort")
             self._ready[task.seq] = error
@@ -341,7 +241,10 @@ class AsyncCheckpointEngine(PersistEngine):
         with self._lock:
             out.update(num_writers=self.num_writers,
                        commit_wait_s=self.commit_wait_s,
-                       serialize_time_s=self.serialize_time_s)
+                       serialize_time_s=self.serialize_time_s,
+                       # No staging slots exist; the benchmark's layer
+                       # table still tells thread-engine stats apart by
+                       # this key.
+                       snapshot_slots=0)
         out.update(self.pool.stats())
-        out.update(self.stager.stats())
         return out

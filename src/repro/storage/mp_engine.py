@@ -460,8 +460,8 @@ class MultiprocessCheckpointEngine(PersistEngine):
     def _submit(self, task: PersistTask) -> PendingWrite:
         """Pack the record into the shared ring and queue its descriptor.
 
-        The pack *is* the snapshot copy — arrays are memcpy'd once into
-        shared memory, so no stager slot and no pickle round-trip.
+        The pack is the executor's one copy — arrays are memcpy'd once
+        into shared memory, with no pickle round-trip.
         """
         tree = task.record_tree()
         task.item = None  # the ring holds the only copy the engine needs

@@ -10,8 +10,10 @@ admission and the turnstile is an *executor's* business (writer threads in
 :mod:`~repro.storage.async_engine`, a shared-memory ring and spawned
 workers in :mod:`~repro.storage.mp_engine`); shard fan-out composes one
 engine per part of the store's writer protocol
-(:class:`~repro.storage.sharded.ShardedPersistGroup`).  ARCHITECTURE.md §2
-is the narrative.
+(:class:`~repro.storage.sharded.ShardedPersistGroup`).  ``save_full`` and
+``save_diff`` both take ownership of what they are handed, so the engine
+is the only stage between the training thread and storage and admission
+backpressure its only wait there.  ARCHITECTURE.md §2 is the narrative.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class PersistTask:
     seq: int = -1
     pending: PendingWrite | None = None
     submitted_at: float = 0.0   # perf_counter at admission
-    slot: int | None = None     # thread executor: stager slot a full leases
 
     def record_tree(self) -> dict:
         """The serializable record tree (built wherever the executor packs)."""
@@ -105,7 +106,7 @@ def deadline_clock(timeout: float | None):
 
 class PersistEngine:
     """Persist semantics over a :class:`CheckpointStore`.  Subclasses are
-    executors: they supply ``_submit`` and ``_shutdown``, may override the
+    executors: they supply ``_shutdown``, may override ``_submit`` and the
     ``*_locked`` hooks, and name their metric family and trace events (the
     observable contract predates the shared core)."""
 
@@ -151,8 +152,10 @@ class PersistEngine:
 
     # Executor hooks --------------------------------------------------------------
     def _submit(self, task: PersistTask) -> PendingWrite:
-        """Stage ``task``, :meth:`_admit` it, hand it to the workers."""
-        raise NotImplementedError
+        """Hand ``task`` to the workers.  Admission alone, since the
+        workers own what they are handed; an executor that copies at
+        submit (the process executor's ring pack) overrides it."""
+        return self._admit(task)
 
     def _shutdown(self, force: bool) -> None:
         """Stop the workers; ``force`` when records are being abandoned."""
@@ -178,8 +181,11 @@ class PersistEngine:
     # Submission (training thread) ------------------------------------------
     def save_full(self, step: int, model_state: dict, optimizer_state: dict,
                   extra: dict | None = None) -> PendingWrite:
-        """Queue a full snapshot; the executor copies it (stager slot or
-        ring pack) before returning, so training may mutate the state."""
+        """Queue a full snapshot.  Ownership of every array in
+        ``model_state``/``optimizer_state`` passes to the engine, exactly as
+        a diff's payload does: hand over copies (``state_dict()`` is one),
+        never live arrays.  The thread executor serializes them as they are;
+        the process executor packs them into its ring before returning."""
         tree = CheckpointStore.full_tree(step, model_state, optimizer_state,
                                          extra)
         return self._submit(PersistTask("full", tree, {"step": int(step)}))

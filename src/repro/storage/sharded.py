@@ -659,11 +659,14 @@ class ShardedPersistGroup:
     """One persist engine per part of the store's writer protocol.
 
     A composition, not a driver: ``save_full``/``save_diff`` split on the
-    submitting thread (both executors copy at submit — stager slots or
-    the shared-memory ring — so the slices' view lifetime ends inside the
-    call) and hand each part to its engine; commit order *within* a shard
-    is that engine's turnstile, and cross-shard skew is harmless because
-    readers only trust the manifest intersection.  Lifecycle calls visit
+    submitting thread and hand each part to its engine.  A full's parts
+    are views of the arrays the caller handed over, and each engine owns
+    its views exactly as it would own whole arrays (the process executor
+    packs them into its ring at submit; a writer thread serializes them
+    in place), so the caller's copy is the only one.  Commit order
+    *within* a shard is that engine's turnstile, and cross-shard skew is
+    harmless because readers only trust the manifest intersection.
+    Lifecycle calls visit
     **every** engine under one shared deadline and re-raise the first
     error, so one shard's fail-stop or stuck backend never leaves a
     sibling's threads, worker processes or shm ring behind.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 from collections import Counter
 from functools import partialmethod
 
@@ -22,6 +23,7 @@ from repro.core import (
 )
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.optim import Adam
+from repro.storage import InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -39,6 +41,34 @@ def make_mlp_trainer(num_workers: int = 2, rho: float | None = 0.1,
         num_workers=num_workers,
         compressor_builder=(lambda: TopKCompressor(rho)) if rho else None,
     )
+
+
+class GateBackend(InMemoryBackend):
+    """Writes block until ``gate`` is set; ``entered`` counts write entries."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+
+    def _write(self, key, data):
+        if "manifest" not in key:
+            self.entered.release()
+            if not self.gate.wait(timeout=30.0):  # pragma: no cover - hang guard
+                raise TimeoutError("test gate never opened")
+        super()._write(key, data)
+
+
+def wait_until(predicate, timeout: float = 10.0) -> bool:
+    """Poll ``predicate`` without busy-spinning; False on timeout."""
+    ticker = threading.Event()
+    waited = 0.0
+    while not predicate():
+        if waited >= timeout:
+            return False
+        ticker.wait(0.005)
+        waited += 0.005
+    return True
 
 
 class CallCounts:

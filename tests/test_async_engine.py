@@ -7,13 +7,17 @@ than sleep-based: a ``GateBackend`` blocks its writes on a
 commit, independent of scheduler timing.
 """
 
+import os
 import threading
+import time
+import weakref
 
-import numpy as np
 import pytest
 
+from repro import obs
 from repro.compression import TopKCompressor
 from repro.core import CheckpointConfig, LowDiffCheckpointer
+from repro.obs.slo import DEFAULT_TARGETS, evaluate_snapshot, load_slo_config
 from repro.optim import Adam
 from repro.tensor.models import MLP
 from repro.storage import (
@@ -22,13 +26,19 @@ from repro.storage import (
     CheckpointStore,
     DrainTimeout,
     InMemoryBackend,
-    SnapshotStager,
     WriteAborted,
 )
 from repro.utils.rng import Rng
-from tests.helpers import assert_states_equal, make_mlp_trainer
+from tests.helpers import (
+    GateBackend,
+    assert_states_equal,
+    make_mlp_trainer,
+    wait_until,
+)
 
 WAIT = 10.0  # generous upper bound for any legitimate cross-thread wait
+CI_SLO_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir,
+                             "benchmarks", "slo_ci.json")
 
 
 def diff_payload(rng, size=24):
@@ -57,22 +67,6 @@ class RecordingBackend(InMemoryBackend):
             self.order.append(key)
 
 
-class GateBackend(InMemoryBackend):
-    """Writes block until ``gate`` is set; ``entered`` counts write entries."""
-
-    def __init__(self):
-        super().__init__()
-        self.gate = threading.Event()
-        self.entered = threading.Semaphore(0)
-
-    def _write(self, key, data):
-        if "manifest" not in key:
-            self.entered.release()
-            if not self.gate.wait(timeout=30.0):  # pragma: no cover - hang guard
-                raise TimeoutError("test gate never opened")
-        super()._write(key, data)
-
-
 class ExplodingBackend(InMemoryBackend):
     """Fails every non-manifest write."""
 
@@ -80,18 +74,6 @@ class ExplodingBackend(InMemoryBackend):
         if "manifest" not in key:
             raise OSError(f"injected backend failure on {key}")
         super()._write(key, data)
-
-
-def wait_until(predicate, timeout=WAIT):
-    """Poll ``predicate`` without busy-spinning; False on timeout."""
-    ticker = threading.Event()
-    waited = 0.0
-    while not predicate():
-        if waited >= timeout:
-            return False
-        ticker.wait(0.005)
-        waited += 0.005
-    return True
 
 
 class TestOrdering:
@@ -177,6 +159,42 @@ class TestBackpressure:
         assert stats["high_watermark"] == 2  # never exceeded queue_depth
         assert stats["backpressure_stalls"] == 1
         assert stats["backpressure_time_s"] > 0.0
+
+    @pytest.mark.parametrize("queue_depth", [1, 2])
+    def test_stall_over_one_second_breaches_the_slo_gate(self, rng,
+                                                         queue_depth):
+        """Admission is the engine's only wait on the training thread, so a
+        submit held for more than 1 s breaches ``persist-stall-budget`` in
+        the CI config and in ``DEFAULT_TARGETS``.  At depth 2 the held full
+        is the third: no staging slot may absorb the wait out of sight."""
+        with obs.capture() as active:
+            backend = GateBackend()
+            engine = AsyncCheckpointEngine(CheckpointStore(backend),
+                                           num_writers=1,
+                                           queue_depth=queue_depth)
+            try:
+                for step in range(queue_depth):
+                    engine.save_full(step, model_state(rng),
+                                     optimizer_state(rng))
+                assert backend.entered.acquire(timeout=WAIT)
+                opener = threading.Timer(1.2, backend.gate.set)
+                opener.start()
+                started = time.perf_counter()
+                engine.save_full(queue_depth, model_state(rng),
+                                 optimizer_state(rng))
+                held = time.perf_counter() - started
+                opener.join()
+                engine.finalize()
+            finally:
+                backend.gate.set()
+                engine.abort()
+            snapshot = active.registry.snapshot()
+        assert held > 1.0
+        targets = load_slo_config(CI_SLO_CONFIG) + DEFAULT_TARGETS
+        stall = [result for result in evaluate_snapshot(targets, snapshot)
+                 if result.target.name == "persist-stall-budget"]
+        assert len(stall) == 2
+        assert {result.status for result in stall} == {"BREACH"}
 
 
 class TestLifecycle:
@@ -285,7 +303,6 @@ class TestDrainTimeout:
         engine.finalize()
 
     def test_drain_timeout_metric_counted(self, rng):
-        from repro import obs
         with obs.capture() as active:
             backend = GateBackend()
             engine = AsyncCheckpointEngine(CheckpointStore(backend),
@@ -393,47 +410,77 @@ class TestBufferPool:
 
 
 class TestSnapshotStager:
-    def test_staged_tree_is_a_deep_copy(self, rng):
-        stager = SnapshotStager(slots=2)
-        tree = {"model": model_state(rng), "step": 3,
-                "names": ["w", "b"]}
-        slot, staged = stager.stage(tree)
-        assert staged["step"] == 3 and staged["names"] == ["w", "b"]
-        for name in tree["model"]:
-            np.testing.assert_array_equal(staged["model"][name],
-                                          tree["model"][name])
-            assert staged["model"][name] is not tree["model"][name]
-        # Mutating the source after staging must not leak into the copy.
-        before = staged["model"]["w"].copy()
-        tree["model"]["w"] += 1.0
-        np.testing.assert_array_equal(staged["model"]["w"], before)
-        stager.release(slot)
+    """No staging copy is left: the engine owns the full it is handed, and
+    ``queue_depth`` bounds fulls like every other record.  The ids predate
+    that; ``FLOOR_DROPPABLE.md`` lists their new names."""
+
+    def test_staged_tree_is_a_deep_copy(self):
+        """The caller's ``state_dict()`` is a full's one copy: training
+        that moves on while the full waits for a writer never reaches it."""
+        backend = GateBackend()
+        store = CheckpointStore(backend)
+        engine = AsyncCheckpointEngine(store, num_writers=1, queue_depth=4)
+        model = MLP(6, [8], 3, rng=Rng(0))
+        optimizer = Adam(model, lr=1e-2)
+        want = model.state_dict()
+        try:
+            engine.save_full(0, model.state_dict(), optimizer.state_dict())
+            assert backend.entered.acquire(timeout=WAIT)  # the writer is busy
+            queued = engine.save_full(1, model.state_dict(),
+                                      optimizer.state_dict())
+            for _, param in model.named_parameters():
+                param.data += 1.0                         # training moves on
+            backend.gate.set()
+            engine.finalize()
+        finally:
+            backend.gate.set()
+            engine.abort()
+        loaded, _, step = store.load_full(queued.wait(0))
+        assert step == 1
+        assert_states_equal(loaded, want)
 
     def test_slot_arrays_are_recycled(self, rng):
-        stager = SnapshotStager(slots=1)
-        tree = {"w": rng.normal(size=(5, 5))}
-        slot, staged_a = stager.stage(tree)
-        stager.release(slot)
-        slot, staged_b = stager.stage(tree)
-        assert staged_b["w"] is staged_a["w"]  # cached per-path array reused
-        stager.release(slot)
+        """Nothing stays resident between fulls: once a full committed, the
+        engine (an idle writer included) holds no reference to its arrays."""
+        engine = AsyncCheckpointEngine(CheckpointStore(InMemoryBackend()),
+                                       num_writers=2, queue_depth=4)
+        try:
+            model, optim = model_state(rng), optimizer_state(rng)
+            refs = [weakref.ref(array) for array in model.values()]
+            refs.append(weakref.ref(optim["slots"]["w"]["m"]))
+            engine.save_full(0, model, optim)
+            del model, optim
+            engine.drain()
+            assert wait_until(lambda: all(ref() is None for ref in refs))
+        finally:
+            engine.finalize()
 
     def test_exhausted_slots_stall_until_release(self, rng):
-        stager = SnapshotStager(slots=1)
-        tree = {"w": rng.normal(size=(4,))}
-        slot, _ = stager.stage(tree)
-        staged = threading.Event()
+        """Outstanding fulls are bounded by ``queue_depth``: with one full
+        in flight a second one waits in admission until the first commits."""
+        backend = GateBackend()
+        engine = AsyncCheckpointEngine(CheckpointStore(backend),
+                                       num_writers=1, queue_depth=1)
+        engine.save_full(0, model_state(rng), optimizer_state(rng))
+        assert backend.entered.acquire(timeout=WAIT)
+        submitted = threading.Event()
 
         def second():
-            other, _ = stager.stage(tree)
-            stager.release(other)
-            staged.set()
+            engine.save_full(1, model_state(Rng(1)), optimizer_state(Rng(1)))
+            submitted.set()
 
         thread = threading.Thread(target=second)
         thread.start()
-        assert wait_until(lambda: stager.stalls == 1)  # blocked, counted
-        assert not staged.is_set()
-        stager.release(slot)
-        assert staged.wait(WAIT)
+        assert wait_until(lambda: engine.backpressure_stalls == 1)
+        assert not submitted.is_set()
+        backend.gate.set()
+        assert submitted.wait(WAIT)
         thread.join(timeout=WAIT)
-        assert stager.stall_time_s > 0.0
+        engine.finalize()
+        stats = engine.stats()
+        assert stats["committed"] == 2
+        assert stats["high_watermark"] == 1
+        assert stats["backpressure_time_s"] > 0.0
+        # No slot exists; the benchmark's layer table tells thread-engine
+        # stats apart by this key, so it stays, at 0.
+        assert stats["snapshot_slots"] == 0

@@ -25,12 +25,15 @@ from tests.helpers import (
 
 
 def run_lowdiff(iterations=25, full_every=10, batch_size=1, num_workers=2,
-                rho=0.1, backend=None, seed=7, **ckpt_kwargs):
+                rho=0.1, backend=None, seed=7, async_persist=False,
+                **ckpt_kwargs):
     trainer = make_mlp_trainer(num_workers=num_workers, rho=rho, seed=seed)
     store = CheckpointStore(backend or InMemoryBackend())
     checkpointer = LowDiffCheckpointer(
         store,
-        CheckpointConfig(full_every_iters=full_every, batch_size=batch_size),
+        CheckpointConfig(full_every_iters=full_every, batch_size=batch_size,
+                         async_persist=async_persist, writer_threads=2,
+                         queue_depth=4),
         **ckpt_kwargs,
     )
     checkpointer.attach(trainer)
@@ -189,22 +192,36 @@ class TestZeroCopyAblation:
 
 
 class TestAsyncMode:
+    """Persistence leaves the training thread one way: the persist engine
+    of ``CheckpointConfig(async_persist=True)`` (the queue always drains
+    inline).  The ids predate that; ``FLOOR_DROPPABLE.md`` lists their new
+    names."""
+
     def test_async_checkpointing_recovers_exactly(self):
-        trainer, checkpointer = run_lowdiff(async_mode=True, iterations=40)
+        trainer, checkpointer = run_lowdiff(async_persist=True,
+                                            iterations=40)
+        assert checkpointer.stats()["engine"]["committed"] == 5 + 40
         model, _, result = recover_fresh(checkpointer)
         assert result.step == 40
         assert_states_equal(model.state_dict(), trainer.model_state())
 
     def test_async_with_batching(self):
-        trainer, checkpointer = run_lowdiff(async_mode=True, batch_size=3,
+        """Batches of 3 flush at every full, so each engine record covers
+        the steps its batch merged and the chain stays contiguous."""
+        trainer, checkpointer = run_lowdiff(async_persist=True, batch_size=3,
                                             iterations=30, full_every=10)
+        chain = checkpointer.store.diffs_after(20)
+        assert [(r.start, r.end) for r in chain] \
+            == [(21, 23), (24, 26), (27, 29), (30, 30)]
         model, _, _ = recover_fresh(checkpointer)
         assert_states_equal(model.state_dict(), trainer.model_state())
 
     def test_async_worker_error_surfaces(self):
+        """A backend failure on a writer thread fail-stops the engine and
+        surfaces on the training thread, not later and not silently."""
         backend = FlakyBackend(InMemoryBackend(), fail_on_write=5)
-        with pytest.raises(RuntimeError):
-            run_lowdiff(backend=backend, async_mode=True, iterations=40)
+        with pytest.raises(RuntimeError, match="persistence engine failed"):
+            run_lowdiff(backend=backend, async_persist=True, iterations=40)
 
 
 class TestFailureDuringCheckpointing:

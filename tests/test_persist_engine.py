@@ -17,12 +17,14 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.compression import TopKCompressor
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.core.recovery import serial_recover
 from repro.optim import SGD
+from repro.storage import async_engine
 from repro.storage import (
     CheckpointStore,
     DrainTimeout,
@@ -36,6 +38,7 @@ from repro.storage import (
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests.helpers import (
+    CallCounts,
     assert_optimizers_equal,
     assert_states_equal,
     make_mlp_trainer,
@@ -232,6 +235,63 @@ def test_commits_are_an_ordered_prefix_within_the_backpressure_bound(
     assert_recovers(store, stream, 7)
     assert_recovers(sync_store, stream, 7)
     assert store.storage_bytes() == sync_store.storage_bytes()
+
+
+def leaves(tree):
+    """Every array in a record tree."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, dict):
+        return [leaf for value in tree.values() for leaf in leaves(value)]
+    return []
+
+
+@pytest.mark.parametrize("codec", [None, "lossless"])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_thread_engine_owns_the_full_it_is_handed(shards, codec, tmp_path,
+                                                 monkeypatch):
+    """Ownership guard, the thread column of the matrix (the process
+    executor's one copy is its ring pack): ``save_full`` copies nothing on
+    the submitting thread, and the writer encodes the very arrays it was
+    handed — or, per shard, views of them."""
+    real_copyto = np.copyto
+
+    def counting_copyto(*args, **kwargs):   # np.copyto is not a builtin
+        return real_copyto(*args, **kwargs)
+
+    encoded = []
+    real_encode = async_engine.encode_record_tree
+
+    def spying_encode(codec_, tree):
+        encoded.append(tree)
+        return real_encode(codec_, tree)
+
+    monkeypatch.setattr(np, "copyto", counting_copyto)
+    monkeypatch.setattr(async_engine, "encode_record_tree", spying_encode)
+    _, store, engine = open_cell("thread", shards, codec, tmp_path)
+    stream = Stream()
+    model, optim = stream.snapshot()
+    handed = {id(array) for array in leaves({"m": model, "o": optim})}
+    try:
+        with CallCounts() as counts:
+            pending = engine.save_full(0, model, optim)
+        for handle in handles(pending):
+            handle.wait(WAIT)
+    finally:
+        engine.finalize()
+
+    assert counts.calls(counting_copyto) == 0
+    assert sum(n for fn, n in counts.builtin.items()
+               if getattr(fn, "__name__", None) == "copy"
+               and isinstance(getattr(fn, "__self__", None), np.ndarray)) == 0
+    assert len(encoded) == shards
+    encoded_leaves = [leaf for tree in encoded for leaf in leaves(tree)]
+    if shards == 1:
+        assert {id(leaf) for leaf in encoded_leaves} == handed
+    else:
+        assert encoded_leaves and all(id(leaf.base) in handed
+                                      for leaf in encoded_leaves)
+    assert_recovers(store, stream, 0)
 
 
 @matrix

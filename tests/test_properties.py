@@ -25,8 +25,8 @@ class TestQueueProperties:
     @given(st.lists(st.booleans(), min_size=1, max_size=60))
     @settings(max_examples=60)
     def test_fifo_under_interleaved_put_get(self, operations):
-        """Any interleaving of puts and gets dequeues iterations in
-        exactly ascending order."""
+        """Any interleaving of puts and drains dequeues iterations in
+        exactly ascending order, each once."""
         queue = ReusingQueue()
         next_put = 0
         received = []
@@ -34,11 +34,10 @@ class TestQueueProperties:
             if is_put:
                 queue.put(next_put, tiny_payload(next_put))
                 next_put += 1
-            elif len(queue):
-                received.append(queue.get(timeout=0.01)[0])
+            else:
+                received.extend(it for it, _ in queue.drain())
         received.extend(it for it, _ in queue.drain())
-        assert received == sorted(received)
-        assert received == list(range(len(received)))
+        assert received == list(range(next_put))
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=30))
     @settings(max_examples=50)
@@ -46,16 +45,14 @@ class TestQueueProperties:
         """max_depth equals the largest burst the consumer left pending."""
         queue = ReusingQueue()
         iteration = 0
-        max_seen = 0
         for burst in burst_sizes:
             for _ in range(burst):
                 queue.put(iteration, tiny_payload(iteration))
                 iteration += 1
-            max_seen = max(max_seen, burst)
-            queue.drain()
-        assert queue.max_depth >= max_seen
+            assert len(queue.drain()) == burst
+        assert queue.max_depth == max(burst_sizes)
         assert queue.put_count == iteration
-        assert queue.get_count == iteration
+        assert len(queue) == 0
 
 
 class TestBatchedWriterProperties:

@@ -1,4 +1,12 @@
-"""Tests for the reusing queue: FIFO, ordering, close semantics, threading."""
+"""Tests for the reusing queue: FIFO, ordering, close semantics, and the
+handoff to the persist engine.
+
+The queue drains inline on the training thread; the bounded, blocking
+stage between training and storage is the persist engine's admission.
+``TestThreading`` and the ids named after ``get``/``maxsize`` predate
+that and now pin the engine path (``FLOOR_DROPPABLE.md`` lists their new
+names).
+"""
 
 import threading
 import time
@@ -8,11 +16,31 @@ import pytest
 
 from repro.compression import TopKCompressor
 from repro.core.reusing_queue import QueueClosed, ReusingQueue
-from repro.utils.rng import Rng
+from repro.storage import (
+    AsyncCheckpointEngine,
+    CheckpointStore,
+    InMemoryBackend,
+)
+from tests.helpers import GateBackend, wait_until
+
+WAIT = 10.0
 
 
 def payload(rng, size=10):
     return TopKCompressor(0.5).compress({"w": rng.normal(size=(size,))})
+
+
+class SlowBackend(InMemoryBackend):
+    """Blob writes take ``delay`` seconds (manifests do not)."""
+
+    def __init__(self, delay: float):
+        super().__init__()
+        self.delay = delay
+
+    def _write(self, key, data):
+        if "manifest" not in key:
+            time.sleep(self.delay)
+        super()._write(key, data)
 
 
 class TestFifoOrdering:
@@ -21,10 +49,10 @@ class TestFifoOrdering:
         items = [payload(rng) for _ in range(5)]
         for index, item in enumerate(items):
             queue.put(index, item)
-        for index in range(5):
-            iteration, item = queue.get(timeout=0.1)
-            assert iteration == index
-            assert item is items[index]  # zero-copy: the same object
+        drained = queue.drain()
+        assert [iteration for iteration, _ in drained] == list(range(5))
+        for (_, item), original in zip(drained, items):
+            assert item is original  # zero-copy: the same object
 
     def test_non_monotonic_put_rejected(self, rng):
         queue = ReusingQueue()
@@ -41,17 +69,20 @@ class TestFifoOrdering:
         drained = queue.drain()
         assert [it for it, _ in drained] == [0, 1, 2, 3]
         assert len(queue) == 0
-        assert queue.get_count == 4
+        assert queue.drain() == []
+        assert queue.put_count == 4
 
 
 class TestCloseSemantics:
     def test_get_raises_after_close_and_drain(self, rng):
+        """Items put before ``close`` still drain; nothing enters after."""
         queue = ReusingQueue()
         queue.put(0, payload(rng))
         queue.close()
-        queue.get(timeout=0.1)  # pending item still retrievable
+        assert [it for it, _ in queue.drain()] == [0]
+        assert queue.drain() == []
         with pytest.raises(QueueClosed):
-            queue.get(timeout=0.1)
+            queue.put(1, payload(rng))
 
     def test_put_after_close_rejected(self, rng):
         queue = ReusingQueue()
@@ -60,9 +91,14 @@ class TestCloseSemantics:
             queue.put(0, payload(rng))
 
     def test_get_timeout(self):
+        """The consumer never blocks: draining an empty queue returns at
+        once, closed or not."""
         queue = ReusingQueue()
-        with pytest.raises(TimeoutError):
-            queue.get(timeout=0.05)
+        started = time.perf_counter()
+        assert queue.drain() == []
+        queue.close()
+        assert queue.drain() == []
+        assert time.perf_counter() - started < 1.0
 
 
 class TestZeroCopyAndTelemetry:
@@ -70,7 +106,7 @@ class TestZeroCopyAndTelemetry:
         queue = ReusingQueue(copy_mode=False)
         item = payload(rng)
         queue.put(0, item)
-        _, out = queue.get(timeout=0.1)
+        [(_, out)] = queue.drain()
         assert out is item
         assert queue.copied_bytes == 0
 
@@ -78,7 +114,7 @@ class TestZeroCopyAndTelemetry:
         queue = ReusingQueue(copy_mode=True)
         item = payload(rng)
         queue.put(0, item)
-        _, out = queue.get(timeout=0.1)
+        [(_, out)] = queue.drain()
         assert out is not item
         np.testing.assert_array_equal(out.decompress()["w"],
                                       item.decompress()["w"])
@@ -88,87 +124,97 @@ class TestZeroCopyAndTelemetry:
         queue = ReusingQueue()
         for index in range(3):
             queue.put(index, payload(rng))
-        queue.get(timeout=0.1)
+        queue.drain()
         queue.put(3, payload(rng))
         assert queue.max_depth == 3
         assert queue.put_count == 4
 
     def test_invalid_maxsize(self):
+        """The queue has no bound to configure; the engine's bound is
+        validated where it lives."""
+        with pytest.raises(TypeError):
+            ReusingQueue(maxsize=4)
         with pytest.raises(ValueError):
-            ReusingQueue(maxsize=-1)
+            AsyncCheckpointEngine(CheckpointStore(InMemoryBackend()),
+                                  queue_depth=0)
 
 
 class TestThreading:
     def test_producer_consumer_preserves_order(self, rng):
-        queue = ReusingQueue(maxsize=4)
-        items = [payload(rng) for _ in range(50)]
-        received = []
-
-        def consumer():
-            while True:
-                try:
-                    iteration, item = queue.get(timeout=2.0)
-                except QueueClosed:
-                    return
-                received.append(iteration)
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        for index, item in enumerate(items):
-            queue.put(index, item)
-        queue.close()
-        thread.join(timeout=5.0)
-        assert received == list(range(50))
+        """Training thread → queue → writer threads: every drained payload
+        commits, in iteration order, through three concurrent writers."""
+        queue = ReusingQueue()
+        store = CheckpointStore(InMemoryBackend())
+        engine = AsyncCheckpointEngine(store, num_writers=3, queue_depth=4)
+        try:
+            for index in range(1, 51):
+                queue.put(index, payload(rng))
+                if index % 7 == 0:
+                    for step, item in queue.drain():
+                        engine.save_diff(step, step, item)
+            queue.close()
+            for step, item in queue.drain():
+                engine.save_diff(step, step, item)
+        finally:
+            engine.finalize()
+        assert [r.start for r in store.diffs_after(0)] == list(range(1, 51))
 
     def test_bounded_queue_backpressure(self, rng):
-        """A full queue blocks the producer until the consumer drains."""
-        queue = ReusingQueue(maxsize=2)
-        queue.put(0, payload(rng))
-        queue.put(1, payload(rng))
-        state = {"unblocked_at": None}
-
-        def slow_consumer():
-            time.sleep(0.05)
-            queue.get(timeout=1.0)
-
-        thread = threading.Thread(target=slow_consumer)
-        thread.start()
-        start = time.perf_counter()
-        queue.put(2, payload(rng))  # blocks until the consumer frees a slot
-        elapsed = time.perf_counter() - start
-        thread.join()
-        assert elapsed >= 0.04
+        """At ``queue_depth`` the producer blocks until a record commits."""
+        engine = AsyncCheckpointEngine(
+            CheckpointStore(SlowBackend(0.05)), num_writers=1, queue_depth=2)
+        try:
+            engine.save_diff(1, 1, payload(rng))
+            engine.save_diff(2, 2, payload(rng))
+            start = time.perf_counter()
+            engine.save_diff(3, 3, payload(rng))  # waits for the first commit
+            elapsed = time.perf_counter() - start
+        finally:
+            engine.finalize()
+        assert elapsed >= 0.02
+        assert engine.stats()["backpressure_stalls"] == 1
 
     def test_backpressure_releases_exactly_on_get(self, rng):
-        """Event-based backpressure check: a producer blocked on a full
-        queue stays blocked until — and unblocks immediately after — a
-        consumer frees a slot.  No sleep-based timing on the success path."""
-        queue = ReusingQueue(maxsize=1)
-        queue.put(0, payload(rng))
+        """Event-based: a producer blocked at depth stays blocked until —
+        and unblocks promptly after — a commit frees a slot."""
+        backend = GateBackend()
+        engine = AsyncCheckpointEngine(CheckpointStore(backend),
+                                       num_writers=1, queue_depth=1)
+        engine.save_diff(1, 1, payload(rng))
+        assert backend.entered.acquire(timeout=WAIT)
         unblocked = threading.Event()
 
         def producer():
-            queue.put(1, payload(rng))
+            engine.save_diff(2, 2, payload(rng))
             unblocked.set()
 
         thread = threading.Thread(target=producer)
         thread.start()
-        assert not unblocked.wait(0.02)  # still blocked while full
-        queue.get(timeout=1.0)           # frees the slot
-        assert unblocked.wait(5.0)       # put completes promptly
-        thread.join(timeout=5.0)
-        assert [iteration for iteration, _ in queue.drain()] == [1]
+        assert not unblocked.wait(0.02)  # still blocked at depth
+        backend.gate.set()               # the commit frees the slot
+        assert unblocked.wait(WAIT)
+        thread.join(timeout=WAIT)
+        engine.finalize()
+        assert engine.stats()["committed"] == 2
 
     def test_close_wakes_blocked_producer(self, rng):
-        queue = ReusingQueue(maxsize=1)
-        queue.put(0, payload(rng))
+        """``close`` wakes a producer blocked at depth, which raises."""
+        backend = GateBackend()
+        engine = AsyncCheckpointEngine(CheckpointStore(backend),
+                                       num_writers=1, queue_depth=1)
 
-        def closer():
-            time.sleep(0.05)
-            queue.close()
+        def close_once_blocked():
+            wait_until(lambda: engine.backpressure_stalls == 1)
+            engine.close()
 
-        thread = threading.Thread(target=closer)
-        thread.start()
-        with pytest.raises(QueueClosed):
-            queue.put(1, payload(rng))
-        thread.join()
+        try:
+            engine.save_diff(1, 1, payload(rng))
+            assert backend.entered.acquire(timeout=WAIT)
+            closer = threading.Thread(target=close_once_blocked)
+            closer.start()
+            with pytest.raises(RuntimeError, match="finalized"):
+                engine.save_diff(2, 2, payload(rng))
+            closer.join(timeout=WAIT)
+        finally:
+            backend.gate.set()
+            engine.finalize()

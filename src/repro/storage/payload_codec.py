@@ -25,12 +25,20 @@ downcast (the ``dz`` scheme: gaps stored at the narrowest fixed width
 that fits, decoded with a handful of vectorized ops) + zlib; float arrays
 through a byte-plane shuffle (the ``bp`` scheme: all the exponent bytes
 together, all the mantissa bytes together — the compressible structure of
-training floats) with per-plane zlib.  One threshold rules: a deflated
-plane is kept only below ``ZLIB_KEEP_FRACTION`` of raw, so a plane whose
-sampled order-0 entropy is at least 8× that many bits per byte is never
-deflated; an array is stored raw when encoding does not beat it by
-``NODE_OVERHEAD_BYTES``.  Encoding writes and decoding inflates (or
-views) each plane in place in one buffer.
+training floats) with per-plane zlib.  A ``bp`` array whose exact-zero
+elements (by bit pattern, so ``-0.0`` and NaNs are values) outweigh a
+packed nonzero mask plus ``NODE_OVERHEAD_BYTES`` — Adam's moments at the
+coordinates top-k never selected — byte-planes only its nonzeros and
+carries ``np.packbits`` of the nonzero flags as a ``mask`` plane, which
+decoding scatters back into zeros.  A node without a mask decodes as it
+always did; a build that predates masks rejects a masked node at decode
+(its planes are shorter than the shape), so the change is one-way.  One
+threshold rules: a deflated plane is kept only below
+``ZLIB_KEEP_FRACTION`` of raw, so a plane whose sampled order-0 entropy
+is at least 8× that many bits per byte is never deflated; an array is
+stored raw when encoding does not beat it by ``NODE_OVERHEAD_BYTES``.
+Encoding writes and decoding inflates (or views) each plane in place in
+one buffer.
 """
 
 from __future__ import annotations
@@ -78,8 +86,8 @@ ZLIB_KEEP_FRACTION = 0.7
 
 #: The gate reads every this-many-th byte of a plane.  Odd, so the sample
 #: cannot alias a power-of-two period (row widths, tiled byte ramps).  A
-#: short sample reads low (at most log2 of its length), which only errs
-#: toward deflating.
+#: sample reads at most log2 of its length bits, so a plane shorter than
+#: 256 strides (a short masked plane) is read whole.
 GATE_SAMPLE_STRIDE = 17
 
 
@@ -278,7 +286,8 @@ def _maybe_zlib(plane: np.ndarray) -> np.ndarray | None:
 def _plane_compressible(plane: np.ndarray) -> bool:
     """Could deflate keep this plane?  Its sampled order-0 entropy must be
     below the keep bar's ``8 × ZLIB_KEEP_FRACTION`` bits per byte."""
-    counts = np.bincount(plane[::GATE_SAMPLE_STRIDE], minlength=256)
+    step = GATE_SAMPLE_STRIDE if plane.size >= 256 * GATE_SAMPLE_STRIDE else 1
+    counts = np.bincount(plane[::step], minlength=256)
     probs = counts[counts > 0] / counts.sum()
     entropy = float(-(probs * np.log2(probs)).sum())
     return entropy < 8 * ZLIB_KEEP_FRACTION
@@ -368,16 +377,29 @@ def encode_array(arr: np.ndarray) -> "np.ndarray | dict":
             }
         return arr
     if kind in ("f", "i", "u", "b"):
-        planes = byteplane_split(arr)
+        # Elide exact zeros (by bit pattern: -0.0 and NaNs are values) when
+        # they outweigh the packed nonzero mask plus one node's overhead.
+        flat = arr.reshape(-1)
+        nonzero = flat.view(f"u{arr.dtype.itemsize}") != 0
+        zeros = flat.size - np.count_nonzero(nonzero)
+        masked = zeros * arr.dtype.itemsize > -(-flat.size // 8) \
+            + NODE_OVERHEAD_BYTES
+        planes = byteplane_split(flat[nonzero] if masked else flat)
         if planes.ndim == 1:
             planes = planes.reshape(1, -1)
         blob, plane_lens, plane_zlib = _encode_planes(planes)
-        if blob.nbytes + NODE_OVERHEAD_BYTES < arr.nbytes:
-            return {
-                ENC_KEY: "bp", "dtype": arr.dtype.name,
-                "shape": list(arr.shape), "plane_lens": plane_lens,
-                "plane_zlib": plane_zlib, "data": blob,
-            }
+        node = {
+            ENC_KEY: "bp", "dtype": arr.dtype.name,
+            "shape": list(arr.shape), "plane_lens": plane_lens,
+            "plane_zlib": plane_zlib, "data": blob,
+        }
+        stored = blob.nbytes
+        if masked:
+            node["mask"], _, (node["mask_zlib"],) = _encode_planes(
+                np.packbits(nonzero).reshape(1, -1))
+            stored += node["mask"].nbytes
+        if stored + NODE_OVERHEAD_BYTES < arr.nbytes:
+            return node
     return arr
 
 
@@ -411,9 +433,20 @@ def decode_array(node: dict) -> np.ndarray:
             decoded = decoded.view(SortedIndices)
             decoded.increasing = bool(staged.all())     # every gap > 0
         return decoded
-    if scheme == "bp":
+    if scheme == "bp" and "mask" not in node:
         return _decode_planes(node, count, dtype.itemsize).view(dtype) \
             .reshape(shape)
+    if scheme == "bp":      # planes hold the nonzeros; scatter them
+        mask = np.ravel(node["mask"])
+        if node["mask_zlib"]:
+            mask = np.frombuffer(zlib.decompress(mask), dtype=np.uint8)
+        if mask.dtype != np.uint8 or mask.size != -(-count // 8):
+            raise ValueError("zero mask has the wrong length")
+        nonzero = np.unpackbits(mask, count=count).view(bool)
+        out = np.zeros(count, dtype=dtype)
+        out[nonzero] = _decode_planes(node, np.count_nonzero(nonzero),
+                                      dtype.itemsize).view(dtype).reshape(-1)
+        return out.reshape(shape)
     raise ValueError(f"unknown array encoding scheme: {scheme!r}")
 
 

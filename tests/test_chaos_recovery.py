@@ -371,6 +371,44 @@ class TestCodecUnderChaos:
         assert result.step == 12
         assert newest.key in reopened.quarantined
 
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_smashed_zero_mask_quarantined_not_crashed(self, parallel):
+        """Set every bit of a full's zero masks inside a CRC-valid container:
+        each mask keeps its length but now claims more nonzeros than its
+        planes hold, so decode raises and recovery falls back past it."""
+        import numpy as np
+
+        from repro.storage import unpack_tree
+        from repro.storage.payload_codec import ENC_KEY
+        from repro.storage.serializer import pack_tree_with_crc
+
+        store = self._encoded_store_large()
+        newest = store.latest_full()
+        tree = unpack_tree(store.backend.read(newest.key))
+
+        def smash(node):
+            if not isinstance(node, dict):
+                return 0
+            if "mask" in node and ENC_KEY in node:
+                count = int(np.prod(node["shape"]))
+                node["mask"] = np.full(-(-count // 8), 0xFF, dtype=np.uint8)
+                node["mask_zlib"] = False
+                return 1
+            return sum(smash(value) for value in node.values())
+
+        assert smash(tree) >= 2, "Adam's moments should be masked"
+        record = store.save_full_bytes(newest.step, *pack_tree_with_crc(tree),
+                                       codec="lossless")
+        model = MLP(32, [64], 16, rng=Rng(0))
+        optimizer = Adam(model, lr=1e-3)
+        from repro.core.recovery import parallel_recover, serial_recover
+        recover = parallel_recover if parallel else serial_recover
+        result = recover(store, model, optimizer)
+        assert result.corrupt_fulls_skipped == 1
+        assert result.full_step < newest.step
+        assert result.step == 12
+        assert store.quarantined == [record.key]
+
 
 class TestProcessKillDrill:
     """Real process-level failure (PR 8): SIGKILL a spawned persist

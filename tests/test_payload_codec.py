@@ -8,6 +8,8 @@ Pins its contracts:
 * the entropy gate skips only planes deflate would not keep, so it moves
   encode time and never a byte; what encoding and decoding a record cost
   is pinned as call counts;
+* exact-zero elements are elided behind a packed mask exactly when the
+  mask pays for itself, and a mask that disagrees with its planes raises;
 * codec selection is per-record and self-describing — encoded, uncoded
   and mixed series all stay readable, and unknown codec ids (including
   the retired ``"lossy"``) fail with a typed, actionable error instead of
@@ -360,15 +362,12 @@ class TestEntropyGate:
 
     def test_discarded_deflate_is_counted_and_small(self, adam_records):
         """Deflate whose output is then stored raw stays ≤ 1 % of a record's
-        bytes, and no array at or below the size floor is deflated.
-
-        Known residue: by step 48 the full still discards ~42 %, from Adam
-        slots that are 30–55 % zero (order-0 entropy ~5.4 bits, deflate gets
-        ~0.76 of raw).  A lower gate would start skipping planes deflate
-        keeps: of 1 389 kept planes measured on trained Adam and SGD
-        records, the most entropic read 4.78 bits."""
+        bytes, and no array at or below the size floor is deflated.  A
+        trained full feeds deflate ≤ 15 % of its bytes: the exact zeros
+        top-k leaves in Adam's moments are elided behind a mask, and the
+        nonzero moments (order-0 entropy ≥ 5.6 bits) never reach deflate."""
         fulls, diffs = adam_records
-        for tree in (fulls[16], diffs[0]):
+        for tree in (fulls[16], fulls[48], diffs[0]):
             with obs.capture() as active:
                 LosslessCodec().encode_tree(tree)
                 deflated, discarded = (active.registry.counter(
@@ -376,11 +375,106 @@ class TestEntropyGate:
                     for name in ("in", "discarded"))
             assert deflated > 0
             assert discarded <= 0.01 * logical_nbytes(tree)
+            if tree is fulls[48]:
+                assert deflated <= 0.15 * logical_nbytes(tree)
             small = [arr for arr in array_leaves(tree)
                      if arr.nbytes <= NODE_OVERHEAD_BYTES]
             with mock.patch.object(zlib, "compress") as compress:
                 assert all(encode_array(arr) is arr for arr in small)
             assert small and compress.call_count == 0
+
+
+def special_bits(dtype):
+    """Nonzero bit patterns a byte-plane codec must keep exact: -0.0,
+    ±inf, NaN payloads and subnormals (for floats), extremes (uint64)."""
+    bits = 8 * dtype.itemsize
+    if dtype.kind == "u":
+        return [1, 2**bits - 1, 2**(bits - 1)]
+    nmant = np.finfo(dtype).nmant
+    sign = 1 << (bits - 1)
+    inf = ((1 << (bits - 1 - nmant)) - 1) << nmant
+    return [sign, inf, sign | inf, inf | 1, sign | inf | (1 << nmant - 1) | 5,
+            1, sign | 1, (1 << nmant) - 1]
+
+
+class TestZeroElision:
+    """``"bp"`` nodes elide exact-zero elements behind a packed nonzero
+    mask when the zeros outweigh the mask plus one node's overhead; every
+    other array encodes as before."""
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64,
+                                       np.uint64])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_roundtrip_is_bit_exact(self, dtype, data):
+        dtype = np.dtype(dtype)
+        shape = data.draw(st.sampled_from(
+            [(0,), (0, 5), (1000,), (3000,), (64, 40), (3, 7, 50)]))
+        count = math.prod(shape)
+        # The most zeros that stay unmasked: the elision rule's boundary.
+        threshold = (-(-count // 8) + NODE_OVERHEAD_BYTES) // dtype.itemsize
+        zeros = min(count, data.draw(st.sampled_from(
+            [0, threshold, threshold + 1, count])
+            | st.integers(0, count)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        bits = np.frombuffer(rng.bytes(count * dtype.itemsize),
+                             f"u{dtype.itemsize}").copy()
+        bits[bits == 0] = 1
+        special = rng.random(count) < 0.3
+        bits[special] = rng.choice(np.array(special_bits(dtype), bits.dtype),
+                                   int(special.sum()))
+        bits[rng.permutation(count)[:zeros]] = 0
+        arr = bits.view(dtype).reshape(shape)
+        node = encode_array(arr)
+        masked = zeros * dtype.itemsize > -(-count // 8) + NODE_OVERHEAD_BYTES
+        assert (isinstance(node, dict) and "mask" in node) == masked
+        if isinstance(node, dict):
+            node = serializer.unpack_tree(serializer.pack_tree({"x": node}))
+            out = decode_array(node["x"])
+        else:
+            out = node
+        assert out.dtype == dtype and out.shape == shape
+        assert np.array_equal(out.view(np.uint8), arr.view(np.uint8))
+
+    @staticmethod
+    def masked_node(count=4099):
+        rng = np.random.default_rng(4)
+        arr = rng.normal(size=count) * (rng.random(count) < 0.4)
+        node = encode_array(arr)
+        assert "mask" in node and not node["mask_zlib"]
+        return arr, node
+
+    def test_mask_of_the_wrong_length_raises(self):
+        _, node = self.masked_node()
+        for mask in (node["mask"][:-1], np.append(node["mask"], 0)):
+            with pytest.raises(ValueError, match="zero mask"):
+                decode_array(dict(node, mask=mask))
+
+    def test_mask_popcount_must_match_the_planes(self):
+        arr, node = self.masked_node()
+        flipped = node["mask"].copy()
+        flipped[np.flatnonzero(flipped != 0xFF)[0]] = 0xFF     # more ones
+        for mask in (flipped, np.zeros_like(flipped)):
+            with pytest.raises(ValueError, match="wrong length|framing"):
+                decode_array(dict(node, mask=mask))
+        assert decode_array(node).tobytes() == arr.tobytes()
+
+    def test_zero_slots_store_a_mask_and_no_values(self):
+        arr = np.zeros((256, 256))
+        node = encode_array(arr)
+        assert node["mask_zlib"] and node["plane_lens"] == [0]
+        assert node["mask"].nbytes + node["data"].nbytes < 100
+        assert decode_array(node).tobytes() == arr.tobytes()
+
+    def test_elision_starts_where_the_mask_pays_for_itself(self):
+        """1050 elements end in a partial mask byte: ceil(1050 / 8) = 132."""
+        most = (132 + NODE_OVERHEAD_BYTES) // 2     # float16: 578 zeros
+        arr = np.ones(1050, np.float16)
+        arr[:most] = 0
+        assert set(encode_array(arr)) == {ENC_KEY, "dtype", "shape",
+                                          "plane_lens", "plane_zlib", "data"}
+        arr[most] = 0
+        assert "mask" in encode_array(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 Without a compressor, differentials are full-size gradients.  LowDiff+
 therefore:
 
-1. **Layer-wise reuse & snapshot** — each layer's synchronized gradient is
-   snapshotted to CPU memory the moment backpropagation produces it
-   (reverse layer order), overlapping the GPU→CPU movement with the rest
-   of the backward pass instead of blocking at iteration end;
+1. **Layer-wise reuse & snapshot** — once the collective has run, each
+   layer's synchronized gradient (the very array the GPU update consumes)
+   is handed over in reverse layer order and kept as is; ``snapshot_bytes``
+   counts it as the GPU→CPU traffic a real system would move;
 2. **CPU-resident model replica** — snapshotted gradients are applied to a
    CPU copy of the model state through an identical optimizer, so CPU
    memory always holds an up-to-date *in-memory checkpoint* (per-iteration
@@ -118,9 +118,9 @@ class LowDiffPlusCheckpointer(Checkpointer):
             if async_persist else None
         self.retention = retention
         self.replica: CpuReplica | None = None
-        # Per-iteration gradient assembly buffers ("snapshot to CPU").
+        # Per-iteration gradient assembly ("snapshot to CPU"): the arrays
+        # the trainer hands over, kept as is and never mutated.
         self._assembling: dict[str, np.ndarray] = {}
-        self._layer_arrivals: list[str] = []
         # Telemetry ----------------------------------------------------------
         self.snapshot_bytes = 0
         self.in_memory_checkpoints = 0
@@ -153,20 +153,18 @@ class LowDiffPlusCheckpointer(Checkpointer):
     # Layer-wise snapshotting (Algorithm 2 lines 9-11, 19) -----------------------
     def _on_layer_gradient(self, iteration: int, layer_name: str,
                            grads: dict[str, np.ndarray]) -> None:
-        self._layer_arrivals.append(layer_name)
         for param_name, grad in grads.items():
             if param_name in self._assembling:
                 raise RuntimeError(
                     f"duplicate layer gradient for {param_name} in iteration "
                     f"{iteration}; assembler out of sync"
                 )
-            snapshot = np.array(grad, dtype=np.float64, copy=True)  # GPU→CPU copy
-            self.snapshot_bytes += snapshot.nbytes
-            self._assembling[param_name] = snapshot
+            self.snapshot_bytes += grad.nbytes
+            self._assembling[param_name] = grad
             if OBS.enabled:
                 OBS.registry.counter("ckpt.plus.layer_snapshots").inc()
                 OBS.registry.counter("ckpt.plus.layer_snapshot_bytes").inc(
-                    snapshot.nbytes)
+                    grad.nbytes)
 
     # CPU update + persistence (Algorithm 2 lines 12-13) ---------------------------
     def _on_post_update(self, iteration: int) -> None:
@@ -182,7 +180,6 @@ class LowDiffPlusCheckpointer(Checkpointer):
         with obs_span("replica_update", "ckpt", {"iteration": iteration}):
             self.replica.apply_gradients(self._assembling)
         self._assembling = {}
-        self._layer_arrivals.clear()
         self.in_memory_checkpoints += 1
         if OBS.enabled:
             OBS.registry.counter("ckpt.plus.in_memory").inc()

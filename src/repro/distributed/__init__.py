@@ -10,8 +10,8 @@ The trainer exposes the two hook points LowDiff consumes:
 * ``on_synced_gradient`` — fires once per iteration with the synchronized
   compressed gradient (the payload LowDiff reuses as a differential
   checkpoint);
-* ``on_layer_gradient`` — fires per layer during backward, in reverse
-  layer order (the stream LowDiff+ snapshots).
+* ``on_layer_gradient`` — fires per layer after the collective, in
+  reverse layer order, with the synchronized mean (LowDiff+'s stream).
 """
 
 from repro.distributed.collectives import (

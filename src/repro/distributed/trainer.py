@@ -9,9 +9,9 @@ replica's ``optimizer.step_with``.  That payload is what LowDiff enqueues
 as a differential checkpoint and recovery hands to the same ``step_with``,
 which is why recovery replay is bit-exact.
 
-Layer hooks replay the backward's reverse-layer order with synchronized
-per-layer gradients, emulating Algorithm 2's per-layer sync threads for
-LowDiff+.
+Without a compressor, layer hooks get the one dense mean layer by layer
+after the collective gates (Algorithm 2's stream for LowDiff+); hooks and
+optimizers share those arrays and must not mutate them.
 """
 
 from __future__ import annotations
@@ -110,8 +110,14 @@ class DataParallelTrainer:
         self._layer_hooks: list[Callable[[int, str, dict], None]] = []
         self._update_hooks: list[Callable[[int], None]] = []
         self._collective_gates: list[Callable[[int], None]] = []
-        self._layer_capture: list[list[tuple[str, dict]]] | None = None
-        self._install_layer_capture()
+        # Layer order for the layer hooks: modules owning trainable
+        # parameters, reversed — a valid reverse topological order.
+        model = self.workers[0].model
+        model.parameters()  # assigns the dotted parameter names
+        layers = ((name, [p.name for p in module._parameters.values()
+                          if p.requires_grad])
+                  for name, module in reversed(list(model.named_modules())))
+        self._layers = [(name, params) for name, params in layers if params]
         # Degraded-world membership (supervisor-driven): every rank starts
         # active and owns exactly its own data shard.  When a rank is
         # deactivated its shard is re-partitioned across the survivors and
@@ -136,9 +142,13 @@ class DataParallelTrainer:
     def register_layer_gradient_hook(self, hook: Callable[[int, str, dict], None]) -> None:
         """``hook(iteration, layer_name, {param: grad})`` per layer.
 
-        Fires in reverse layer order with *synchronized* (cross-worker
-        mean) per-layer gradients — Algorithm 2's per-layer stream.
+        Fires after the collective gates, in reverse layer order, with
+        slices of the synchronized mean — the arrays the update consumes,
+        which a hook may keep but must not mutate.  Dense trainers only.
         """
+        if self.compressors is not None:
+            raise ValueError("layer gradient hooks need a dense trainer: a "
+                             "compressed update consumes no dense mean")
         self._layer_hooks.append(hook)
 
     def register_post_update_hook(self, hook: Callable[[int], None]) -> None:
@@ -152,8 +162,8 @@ class DataParallelTrainer:
         after every active rank computed its local gradient but before the
         allreduce, exactly where a real NCCL group discovers a dead peer.
         A raising gate aborts the step *before any state mutates* — no
-        optimizer update is applied and ``self.iteration`` does not
-        advance, so the aborted step can simply be re-executed.
+        hook fires, no update is applied, ``self.iteration`` does not
+        advance — so the aborted step can simply be re-executed.
         """
         self._collective_gates.append(hook)
 
@@ -166,23 +176,6 @@ class DataParallelTrainer:
         self._update_hooks.clear()
         self._layer_hooks.clear()
 
-    def _install_layer_capture(self) -> None:
-        self._layer_capture = [[] for _ in range(self.num_workers)]
-
-        # The closures hold their rank's list, never ``self``: a hook that
-        # reached the trainer would close the cycle trainer -> worker ->
-        # model -> hook and keep a finished trainer's whole state alive
-        # until a full gc.  ``step`` clears the lists in place.
-        def make_capture(captured: list):
-            def capture(layer_name: str, grads: dict) -> None:
-                captured.append(
-                    (layer_name, {k: v.copy() for k, v in grads.items()})
-                )
-            return capture
-
-        for captured, worker in zip(self._layer_capture, self.workers):
-            worker.model.register_grad_hook(make_capture(captured))
-
     # Training -----------------------------------------------------------------
     def step(self) -> IterationRecord:
         """Run one synchronous data-parallel iteration.
@@ -193,8 +186,6 @@ class DataParallelTrainer:
         """
         iteration = self.iteration
         bytes_before = self.comm_stats.total_bytes
-        for capture in self._layer_capture:
-            capture.clear()
         active = self.active_ranks
         degraded = len(active) != self.num_workers
         if degraded:
@@ -213,7 +204,6 @@ class DataParallelTrainer:
         ]
         if obs_on:
             tracer.end()
-        self._fire_layer_hooks(iteration)
         if self._collective_gates:
             try:
                 for gate in self._collective_gates:
@@ -250,6 +240,11 @@ class DataParallelTrainer:
 
         if obs_on:
             tracer.begin("synced_hooks", "train")
+        if self._layer_hooks:
+            for layer_name, names in self._layers:
+                layer = {name: update_grads[name] for name in names}
+                for hook in self._layer_hooks:
+                    hook(iteration, layer_name, layer)
         for hook in self._synced_hooks:
             hook(iteration, synced)
         if obs_on:
@@ -336,29 +331,6 @@ class DataParallelTrainer:
             merged = merged.add(payload)
         return merged.scale(1.0 / len(payloads))
 
-    def _fire_layer_hooks(self, iteration: int) -> None:
-        if not self._layer_hooks:
-            return
-        # Layer hooks require the full world (deactivate_worker refuses
-        # otherwise), so the active ranks are exactly 0..N-1 here.
-        ranks = self.active_ranks
-        reference = self._layer_capture[ranks[0]]
-        for index, (layer_name, _) in enumerate(reference):
-            synced_layer: dict[str, np.ndarray] = {}
-            for param_name in reference[index][1]:
-                # Accumulate in the same order as allreduce_mean so the
-                # per-layer mean is bit-identical to the full synced
-                # gradient (LowDiff+'s CPU replica relies on this).
-                acc = self._layer_capture[ranks[0]][index][1][param_name].astype(
-                    np.float64, copy=True
-                )
-                for rank in ranks[1:]:
-                    acc += self._layer_capture[rank][index][1][param_name]
-                acc /= len(ranks)
-                synced_layer[param_name] = acc
-            for hook in self._layer_hooks:
-                hook(iteration, layer_name, synced_layer)
-
     def run(self, num_iterations: int) -> list[IterationRecord]:
         return [self.step() for _ in range(num_iterations)]
 
@@ -429,11 +401,6 @@ class DataParallelTrainer:
             raise ValueError(f"rank {rank} is not active")
         if len(self.active_ranks) == 1:
             raise RuntimeError("cannot deactivate the last surviving worker")
-        if self._layer_hooks:
-            raise RuntimeError(
-                "degraded mode is unsupported with per-layer gradient hooks "
-                "(the layer capture assumes one backward pass per rank)"
-            )
         self.active_ranks.remove(rank)
         self._rebuild_shard_map()
 

@@ -3,9 +3,8 @@
 Every layer caches exactly the activations its backward needs (views where
 possible, copies only when the value is mutated later), computes its own
 parameter gradients during ``backward``, and then fires the module's
-gradient-ready hooks — giving downstream consumers (gradient sync,
-LowDiff+ layer-wise snapshotting) per-layer gradients in reverse layer
-order, exactly as DeepSpeed/DDP expose them.
+gradient-ready hooks — giving downstream consumers per-layer gradients in
+reverse layer order, exactly as DeepSpeed/DDP expose them.
 
 Shapes follow PyTorch conventions: images are ``(B, C, H, W)``, token
 batches are ``(B, T)`` ints into an :class:`Embedding`, hidden states are

@@ -128,6 +128,66 @@ class TestAsyncPersistence:
         assert checkpointer.replica.matches(trainer.model_state())
 
 
+class TestLayerStreamContract:
+    """The layer stream fires after the collective gates, so an aborted
+    step leaves the checkpointer untouched and a degraded world streams
+    the same mean the update consumes."""
+
+    @staticmethod
+    def _attach(trainer):
+        checkpointer = LowDiffPlusCheckpointer(
+            CheckpointStore(InMemoryBackend()), persist_every=4)
+        checkpointer.attach(
+            trainer,
+            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
+            optimizer_factory=lambda model: Adam(model, lr=1e-3),
+        )
+        return checkpointer
+
+    def test_gate_abort_then_rerun_matches_uninterrupted(self):
+        straight = make_mlp_trainer(rho=None)
+        straight.run(10)
+
+        trainer = make_mlp_trainer(rho=None)
+        checkpointer = self._attach(trainer)
+        fired = []
+
+        def gate(iteration):
+            if iteration == 3 and not fired:
+                fired.append(iteration)
+                raise ConnectionError("peer lost in the allreduce")
+
+        trainer.register_collective_gate(gate)
+        while trainer.iteration < 10:
+            try:
+                trainer.step()
+            except ConnectionError:
+                pass
+        checkpointer.finalize()
+        assert fired == [3]
+        assert_states_equal(trainer.model_state(), straight.model_state())
+        assert_optimizers_equal(trainer.optimizer_state(),
+                                straight.optimizer_state())
+        assert checkpointer.replica.matches(straight.model_state())
+        assert_optimizers_equal(checkpointer.replica.optimizer.state_dict(),
+                                straight.optimizer_state())
+
+    def test_degraded_mode_keeps_replica_bit_exact(self):
+        trainer = make_mlp_trainer(num_workers=3, rho=None)
+        checkpointer = self._attach(trainer)
+        trainer.run(3)
+        assert checkpointer.replica.matches(trainer.model_state())
+        trainer.deactivate_worker(1)
+        trainer.run(4)
+        assert checkpointer.replica.matches(trainer.model_state())
+        trainer.reactivate_worker(1)
+        trainer.run(3)
+        checkpointer.finalize()
+        assert checkpointer.replica.matches(trainer.model_state())
+        assert trainer.replicas_consistent()
+        assert checkpointer.stats()["in_memory_checkpoints"] == 10
+
+
 class TestValidation:
     def test_rejects_compressed_trainer(self):
         trainer = make_mlp_trainer(rho=0.1)  # compression on

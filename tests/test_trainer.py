@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from tests.helpers import assert_states_equal, make_mlp_trainer
+from tests.helpers import CallCounts, assert_states_equal, make_mlp_trainer
 from repro.compression import DenseGradient, TopKCompressor
+from repro.core import LowDiffPlusCheckpointer
 from repro.distributed import DataParallelTrainer, SyntheticClassification
+from repro.distributed import collectives
 from repro.optim import Adam, SGD
+from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP, MiniGPT2
 from repro.distributed.data import SyntheticTokens
@@ -131,6 +134,70 @@ class TestLayerGradientHook:
         trainer2.step()
         for name in expected:
             np.testing.assert_allclose(captured[name], expected[name], atol=1e-12)
+
+
+    def test_layer_hooks_get_the_arrays_the_update_consumes(self):
+        """No copy between the mean and the layer stream: every array a
+        hook receives is the one in the synced payload."""
+        trainer = make_mlp_trainer(rho=None)
+        received = []
+        trainer.register_layer_gradient_hook(
+            lambda it, layer, grads: received.extend(grads.items()))
+        record = trainer.step()
+        assert len(received) == len(record.payload.tensors)
+        for name, grad in received:
+            assert grad is record.payload.tensors[name]
+
+    def test_layer_hooks_fire_after_the_collective_gates(self):
+        trainer = make_mlp_trainer(rho=None)
+        events = []
+        trainer.register_collective_gate(lambda it: events.append("gate"))
+        trainer.register_layer_gradient_hook(
+            lambda it, layer, grads: events.append("layer"))
+        trainer.step()
+        assert events == ["gate"] + ["layer"] * 3  # one per Linear
+
+    def test_compressed_trainer_rejects_layer_hooks(self):
+        trainer = make_mlp_trainer(rho=0.1)
+        with pytest.raises(ValueError, match="dense trainer"):
+            trainer.register_layer_gradient_hook(lambda it, layer, grads: None)
+
+
+class TestStepCopies:
+    """What one step copies, pinned as call counts (2 workers x 6 params).
+    The dense mean is computed once and shared by the update, the synced
+    payload and the layer stream."""
+
+    @staticmethod
+    def _counts(trainer):
+        trainer.step()
+        with CallCounts() as counts:
+            trainer.step()
+        return counts
+
+    def test_dense_step_copies_no_gradient(self):
+        counts = self._counts(make_mlp_trainer(rho=None))
+        assert counts.builtin_named("copy") == 0
+
+    def test_compressed_step_copies(self):
+        counts = self._counts(make_mlp_trainer(rho=0.1))
+        assert counts.builtin_named("copy") == 18
+
+    def test_lowdiff_plus_step_computes_one_mean(self):
+        trainer = make_mlp_trainer(rho=None)
+        checkpointer = LowDiffPlusCheckpointer(
+            CheckpointStore(InMemoryBackend()), persist_every=100)
+        checkpointer.attach(
+            trainer,
+            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
+            optimizer_factory=lambda model: Adam(model, lr=1e-3),
+        )
+        counts = self._counts(trainer)
+        checkpointer.finalize()
+        assert counts.builtin_named("copy") == 0
+        assert counts.builtin_named("array") == 0
+        assert counts.builtin_named("astype") == 12  # allreduce_mean's own
+        assert counts.calls(collectives.allreduce_mean) == 1
 
 
 class TestStateManagement:

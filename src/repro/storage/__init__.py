@@ -13,6 +13,7 @@ from repro.storage.serializer import (
     pack_tree,
     pack_tree_into,
     pack_tree_into_view,
+    pack_tree_parts,
     pack_tree_with_crc,
     unpack_tree,
 )
@@ -57,10 +58,7 @@ from repro.storage.persist_engine import (
     PendingWrite,
     WriteAborted,
 )
-from repro.storage.async_engine import (
-    AsyncCheckpointEngine,
-    BufferPool,
-)
+from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.mp_engine import (
     MultiprocessCheckpointEngine,
     ShmRing,
@@ -80,6 +78,7 @@ __all__ = [
     "CorruptCheckpointError",
     "pack_tree",
     "pack_tree_into",
+    "pack_tree_parts",
     "pack_tree_with_crc",
     "unpack_tree",
     "StorageBackend",
@@ -108,7 +107,6 @@ __all__ = [
     "RetentionPolicy",
     "AsyncCheckpointEngine",
     "DrainTimeout",
-    "BufferPool",
     "PendingWrite",
     "WriteAborted",
     "MultiprocessCheckpointEngine",

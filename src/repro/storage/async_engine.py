@@ -12,9 +12,10 @@ module keeps what only the thread executor has:
   handed.  The caller's snapshot (``state_dict()`` copies) is a full's
   only copy, so outstanding fulls, like every record, are bounded by
   ``queue_depth``.
-* **Reusable buffer pool** — writers serialize concurrently, packing with
-  :func:`~repro.storage.serializer.pack_tree_into` straight into pooled
-  ``bytearray``\\ s; steady state allocates nothing per checkpoint.
+* **Gather write** — writers serialize concurrently with
+  :func:`~repro.storage.serializer.pack_tree_parts` and hand the backend
+  the header plus the arrays' own byte views; no container is built, and
+  nothing stays resident between records.
 * **A local task queue** — writers dequeue in submission order, so on a
   drain deadline (or ``abort``) the queued, unstarted tail can be taken
   back and resolved with :class:`WriteAborted`, while records a writer
@@ -37,56 +38,10 @@ from repro.storage.persist_engine import (  # noqa: F401 (re-exported)
     PersistTask,
     WriteAborted,
 )
-from repro.storage.serializer import pack_tree_into
-
-
-class BufferPool:
-    """Reusable ``bytearray`` pool for serialized checkpoint containers.
-
-    Buffers only ever grow (``pack_tree_into`` extends in place), so after
-    warm-up each buffer fits the largest record it has carried and the
-    serialize stage performs no per-checkpoint allocation.
-    """
-
-    def __init__(self) -> None:
-        self._free: list[bytearray] = []
-        self._lock = threading.Lock()
-        self.created = 0
-        self.reused = 0
-        self.outstanding = 0
-        self.peak_outstanding = 0
-
-    def acquire(self) -> bytearray:
-        with self._lock:
-            if self._free:
-                self.reused += 1
-                hit = True
-                buffer = self._free.pop()
-            else:
-                self.created += 1
-                hit = False
-                buffer = bytearray()
-            self.outstanding += 1
-            self.peak_outstanding = max(self.peak_outstanding, self.outstanding)
-        if OBS.enabled:
-            OBS.registry.counter(
-                "ckpt.async.buffer_pool.reused" if hit
-                else "ckpt.async.buffer_pool.created").inc()
-        return buffer
-
-    def release(self, buffer: bytearray) -> None:
-        with self._lock:
-            self.outstanding -= 1
-            self._free.append(buffer)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "buffers_created": self.created,
-                "buffers_reused": self.reused,
-                "buffers_peak_outstanding": self.peak_outstanding,
-                "pooled_bytes": sum(len(b) for b in self._free),
-            }
+from repro.storage.serializer import (
+    pack_tree_into,  # noqa: F401 (no caller; the bench wraps it by name)
+    pack_tree_parts,
+)
 
 
 class AsyncCheckpointEngine(PersistEngine):
@@ -117,7 +72,6 @@ class AsyncCheckpointEngine(PersistEngine):
             raise ValueError(f"num_writers must be >= 1, got {num_writers}")
         super().__init__(store, queue_depth)
         self.num_writers = int(num_writers)
-        self.pool = BufferPool()
         self._queue: deque[PersistTask] = deque()
         self._task_ready = threading.Condition(self._lock)
         self.commit_wait_s = 0.0     # writer time spent awaiting its turn
@@ -149,8 +103,6 @@ class AsyncCheckpointEngine(PersistEngine):
             del task  # an idle writer must not keep a full's arrays alive
 
     def _execute(self, task: PersistTask, skip: bool) -> None:
-        buffer = None
-        view = None
         try:
             if skip:
                 raise WriteAborted(f"{task.kind} write seq {task.seq} "
@@ -162,13 +114,12 @@ class AsyncCheckpointEngine(PersistEngine):
                 # writer thread, off the training hot path.
                 tree, codec_id, raw_nbytes = encode_record_tree(
                     self.store.codec, task.record_tree())
-                buffer = self.pool.acquire()
-                view, crc = pack_tree_into(tree, buffer)
+                parts, crc = pack_tree_parts(tree)
                 elapsed = time.perf_counter() - started
                 self.serialize_time_s += elapsed
             if OBS.enabled:
                 OBS.registry.observe("ckpt.async.serialize.s", elapsed)
-            outcome = partial(self._commit, task, view, crc, codec_id,
+            outcome = partial(self._commit, task, parts, crc, codec_id,
                               raw_nbytes)
         except BaseException as exc:
             outcome = exc
@@ -176,8 +127,8 @@ class AsyncCheckpointEngine(PersistEngine):
         # sequence numbers are never blocked behind this one.
         self._complete(task.seq, outcome)
         # The commit may run on whichever writer reaches the turn first;
-        # this one holds its buffer until its own record resolves, which
-        # keeps live buffers at one per writer.
+        # this one takes no new record until its own resolves, which keeps
+        # serialized records awaiting the turnstile at one per writer.
         with obs_span("commit_wait", "ckpt", {"seq": task.seq}):
             started = time.perf_counter()
             task.pending._event.wait()
@@ -186,20 +137,16 @@ class AsyncCheckpointEngine(PersistEngine):
             self.commit_wait_s += waited
         if OBS.enabled:
             OBS.registry.observe("ckpt.async.commit_wait.s", waited)
-        if view is not None:
-            view.release()
-        if buffer is not None:
-            self.pool.release(buffer)
 
-    def _commit(self, task: PersistTask, view, crc: int, codec_id: str,
-                raw_nbytes: int):
+    def _commit(self, task: PersistTask, parts: list, crc: int,
+                codec_id: str, raw_nbytes: int):
         meta = task.meta
         if task.kind == "full":
             return self.store.save_full_bytes(
-                meta["step"], view, crc, codec=codec_id,
+                meta["step"], parts, crc, codec=codec_id,
                 raw_nbytes=raw_nbytes)
         return self.store.save_diff_bytes(
-            meta["start"], meta["end"], meta["count"], view, crc,
+            meta["start"], meta["end"], meta["count"], parts, crc,
             codec=codec_id, raw_nbytes=raw_nbytes)
 
     # Lifecycle ---------------------------------------------------------------
@@ -246,5 +193,4 @@ class AsyncCheckpointEngine(PersistEngine):
                        # table still tells thread-engine stats apart by
                        # this key.
                        snapshot_slots=0)
-        out.update(self.pool.stats())
         return out

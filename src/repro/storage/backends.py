@@ -19,6 +19,11 @@ from repro.utils.rng import Rng
 from repro.utils.validation import check_positive
 
 
+def total_bytes(data) -> int:
+    """Byte count of ``write``'s ``data``: bytes or a list of parts."""
+    return sum(map(len, data)) if isinstance(data, list) else len(data)
+
+
 class StorageBackend:
     """Abstract key→bytes store with write accounting."""
 
@@ -34,7 +39,7 @@ class StorageBackend:
         self.write_count = 0
 
     # Subclass interface -------------------------------------------------------
-    def _write(self, key: str, data: bytes) -> None:
+    def _write(self, key: str, parts: list) -> None:
         raise NotImplementedError
 
     def _read(self, key: str) -> bytes:
@@ -73,19 +78,22 @@ class StorageBackend:
         return None
 
     # Public API with accounting --------------------------------------------------
-    def write(self, key: str, data: bytes) -> None:
-        """Write ``data`` (bytes, bytearray or memoryview) under ``key``.
+    def write(self, key: str, data) -> None:
+        """Write ``data`` under ``key``: bytes, bytearray or memoryview, or
+        a list of them stored back to back (``pack_tree_parts``'s parts).
 
-        The buffer is passed through as-is — no defensive copy — so the
-        zero-copy serialization path can hand pooled-buffer views straight
-        to disk.  Backends that retain the data beyond the call (e.g. the
-        in-memory store) must take their own copy; callers must keep the
-        buffer stable until ``write`` returns.
+        ``_write`` always gets a list, with no defensive copy: the parts
+        may be views of arrays the caller owns.  Backends that retain the
+        data beyond the call (e.g. the in-memory store) must join or copy
+        it; callers must keep the parts stable until ``write`` returns.
         """
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            raise TypeError(f"backend write expects bytes, got {type(data).__name__}")
-        self._write(key, data)
-        self.bytes_written += len(data)
+        parts = data if isinstance(data, list) else [data]
+        for part in parts:
+            if not isinstance(part, (bytes, bytearray, memoryview)):
+                raise TypeError(
+                    f"backend write expects bytes, got {type(part).__name__}")
+        self._write(key, parts)
+        self.bytes_written += total_bytes(parts)
         self.write_count += 1
 
     def read(self, key: str) -> bytes:
@@ -104,9 +112,10 @@ class InMemoryBackend(StorageBackend):
         self._data: dict[str, bytes] = {}
         self._lock = threading.Lock()
 
-    def _write(self, key: str, data: bytes) -> None:
-        # Own a copy: the caller may reuse a pooled buffer after we return.
-        owned = data if isinstance(data, bytes) else bytes(data)
+    def _write(self, key: str, parts: list) -> None:
+        # Own one contiguous copy: the parts may be views of arrays the
+        # caller reuses after we return (a lone ``bytes`` joins uncopied).
+        owned = b"".join(parts)
         with self._lock:
             self._data[key] = owned
 
@@ -134,6 +143,26 @@ class InMemoryBackend(StorageBackend):
             return sum(len(v) for v in self._data.values())
 
 
+#: Views one ``os.writev`` call accepts; more raise ``EINVAL``.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _write_all(fd: int, parts: list) -> None:
+    """Gather-write ``parts`` in order to ``fd``: at most ``_IOV_MAX``
+    views per ``os.writev``, resuming mid-part after a short write."""
+    views = [memoryview(part).cast("B") for part in parts]
+    start = 0
+    while start < len(views):
+        batch = views[start:start + _IOV_MAX]
+        written = os.writev(fd, batch)
+        for view in batch:
+            if written < len(view):
+                views[start] = view[written:]
+                break
+            written -= len(view)
+            start += 1
+
+
 class LocalDiskBackend(StorageBackend):
     """Filesystem store with atomic writes (tmp file + rename).
 
@@ -153,15 +182,16 @@ class LocalDiskBackend(StorageBackend):
             raise ValueError(f"invalid checkpoint key: {key!r}")
         return os.path.join(self.root, key)
 
-    def _write(self, key: str, data: bytes) -> None:
+    def _write(self, key: str, parts: list) -> None:
         path = self._path(key)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                os.fsync(handle.fileno())
+            try:
+                _write_all(fd, parts)
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
@@ -308,9 +338,9 @@ class ThrottledBackend(StorageBackend):
     def cost_of(self, nbytes: int) -> float:
         return self.latency + nbytes / self.bandwidth
 
-    def _write(self, key: str, data: bytes) -> None:
-        self.inner.write(key, data)
-        self.virtual_time_s += self.cost_of(len(data))
+    def _write(self, key: str, parts: list) -> None:
+        self.inner.write(key, parts)
+        self.virtual_time_s += self.cost_of(total_bytes(parts))
 
     def _read(self, key: str) -> bytes:
         data = self.inner.read(key)
@@ -435,7 +465,9 @@ class ChaosBackend(StorageBackend):
         corrupted[position] ^= 1 << int(self.rng.integers(0, 8))
         return bytes(corrupted)
 
-    def _write(self, key: str, data: bytes) -> None:
+    def _write(self, key: str, parts: list) -> None:
+        # Faults act on the whole container: draws see only its length.
+        data = b"".join(parts)
         if self._protected(key):
             self.inner.write(key, data)
             return

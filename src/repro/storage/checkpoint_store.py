@@ -45,7 +45,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.obs import OBS
-from repro.storage.backends import StorageBackend
+from repro.storage.backends import StorageBackend, total_bytes
 from repro.storage.payload_codec import (
     CODECS,
     CODEC_TAG,
@@ -58,7 +58,8 @@ from repro.storage.payload_codec import (
 )
 from repro.storage.serializer import (
     CorruptCheckpointError,
-    pack_tree_with_crc,
+    pack_tree_parts,
+    pack_tree_with_crc,  # noqa: F401 (no caller; the bench wraps it by name)
     unpack_tree,
 )
 
@@ -359,20 +360,22 @@ class CheckpointStore:
         tree, codec_id, raw_nbytes = encode_record_tree(
             self.codec,
             self.full_tree(step, model_state, optimizer_state, extra))
-        data, crc = pack_tree_with_crc(tree)
-        return self.save_full_bytes(step, data, crc, codec=codec_id,
+        parts, crc = pack_tree_parts(tree)
+        return self.save_full_bytes(step, parts, crc, codec=codec_id,
                                     raw_nbytes=raw_nbytes)
 
     def save_full_bytes(self, step: int, data, crc: int, codec: str = "",
                         raw_nbytes: int = 0) -> FullCheckpointRecord:
         """Persist an already-serialized full checkpoint.
 
-        ``data`` is the packed container (bytes or memoryview) and ``crc``
-        its CRC32, both produced by the serializer's single packing pass —
-        this is the commit stage of the async persistence engine, and the
-        point at which the record becomes visible in the manifest.
+        ``data`` is the packed container (bytes, or ``pack_tree_parts``'s
+        parts) and ``crc`` its CRC32, both produced by the serializer's
+        single packing pass — this is the commit stage of the async
+        persistence engine, and the point at which the record becomes
+        visible in the manifest.
         """
-        return self._commit_full(step, len(data), crc, codec, raw_nbytes, data)
+        return self._commit_full(step, total_bytes(data), crc, codec,
+                                 raw_nbytes, data)
 
     def _place_blob(self, key: str, data) -> None:
         """First half of every commit: the blob is written here — or, when
@@ -416,8 +419,8 @@ class CheckpointStore:
             self.codec,
             self.diff_tree(start, end, resolved_count,
                            payload_to_tree(payload)))
-        data, crc = pack_tree_with_crc(tree)
-        return self.save_diff_bytes(start, end, resolved_count, data, crc,
+        parts, crc = pack_tree_parts(tree)
+        return self.save_diff_bytes(start, end, resolved_count, parts, crc,
                                     codec=codec_id, raw_nbytes=raw_nbytes)
 
     def save_diff_bytes(self, start: int, end: int, count: int, data, crc: int,
@@ -429,8 +432,8 @@ class CheckpointStore:
         manifest visibility happen here, after serialization (which may
         have run on a writer thread).
         """
-        return self._commit_diff(start, end, count, len(data), crc, codec,
-                                 raw_nbytes, data)
+        return self._commit_diff(start, end, count, total_bytes(data), crc,
+                                 codec, raw_nbytes, data)
 
     def _commit_diff(self, start: int, end: int, count: int, nbytes: int,
                      crc: int, codec: str, raw_nbytes: int, data=None
@@ -764,7 +767,7 @@ class CheckpointStore:
             record = self._install_diff(
                 run[0].start, run[-1].end,
                 count if count is not None else sum(r.count for r in run),
-                len(data), crc, codec, raw_nbytes, data, replacing=run)
+                total_bytes(data), crc, codec, raw_nbytes, data, replacing=run)
             for old in run:
                 if old.key != record.key:
                     self.backend.delete(old.key)

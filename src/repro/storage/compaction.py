@@ -52,7 +52,11 @@ from repro.storage.checkpoint_store import (
     encode_record_tree,
 )
 from repro.storage.payload_codec import payload_to_tree
-from repro.storage.serializer import pack_tree_into, pack_tree_with_crc
+from repro.storage.serializer import (  # noqa: F401 (the bench wraps both)
+    pack_tree_into,
+    pack_tree_parts,
+    pack_tree_with_crc,
+)
 
 
 @dataclass(frozen=True)
@@ -171,9 +175,9 @@ class ChainCompactor:
     picks rebase when factories are available, merge otherwise.
 
     ``engine`` wires a pre-compaction ``drain()``, so compaction never
-    races in-flight writes of the same chain, and lends the thread
-    executor's :class:`~repro.storage.async_engine.BufferPool` so
-    merge-mode serialization reuses its pooled zero-copy buffers.
+    races in-flight writes of the same chain.  A merged super-diff reaches
+    the backend as :func:`~repro.storage.serializer.pack_tree_parts`'s
+    parts, like every other record.
 
     ``store`` may be sharded.  The trigger then reads the **common**
     chain and ``engine`` is the shard group, so a triggered pass drains
@@ -201,9 +205,6 @@ class ChainCompactor:
         self.optimizer_factory = optimizer_factory
         self.mode = mode
         self.engine = engine
-        # The thread engine's serialization pool; the process engine (and
-        # no engine) has none, so merges pack into a fresh container.
-        self.buffers = getattr(engine, "pool", None)
         self.reports: list[CompactionReport] = []
 
     # Mode selection --------------------------------------------------------
@@ -282,17 +283,6 @@ class ChainCompactor:
             return SparseGradient.merge_ordered(payloads)
         return reduce(lambda a, b: a.add(b), payloads)
 
-    def _serialize_diff(self, codec, start: int, end: int, count: int,
-                        payload):
-        tree = CheckpointStore.diff_tree(start, end, count,
-                                         payload_to_tree(payload))
-        tree, codec_id, raw_nbytes = encode_record_tree(codec, tree)
-        if self.buffers is None:
-            return pack_tree_with_crc(tree), None, None, codec_id, raw_nbytes
-        buffer = self.buffers.acquire()
-        view, crc = pack_tree_into(tree, buffer)
-        return (view, crc), view, buffer, codec_id, raw_nbytes
-
     def _merge(self) -> CompactionReport:
         """Fold aged runs of ``compact_run`` adjacent records into super-diffs.
 
@@ -346,17 +336,14 @@ class ChainCompactor:
             count = sum(r.count for r in run)
             for column, payload in zip(columns, merged):
                 sub = column[0][0]
-                (data, crc), view, buffer, codec_id, raw_nbytes = \
-                    self._serialize_diff(sub.codec, run[0].start, run[-1].end,
-                                         count, payload)
-                try:
-                    sub.replace_diff_run(
-                        [record for _, record in column], data, crc,
-                        count=count, codec=codec_id, raw_nbytes=raw_nbytes)
-                finally:
-                    if view is not None:
-                        view.release()
-                        self.buffers.release(buffer)
+                tree, codec_id, raw_nbytes = encode_record_tree(
+                    sub.codec, CheckpointStore.diff_tree(
+                        run[0].start, run[-1].end, count,
+                        payload_to_tree(payload)))
+                parts, crc = pack_tree_parts(tree)
+                sub.replace_diff_run(
+                    [record for _, record in column], parts, crc,
+                    count=count, codec=codec_id, raw_nbytes=raw_nbytes)
         return True
 
     # Rebase mode -----------------------------------------------------------

@@ -15,20 +15,18 @@ index, and every blob carries its own CRC32 + length in the manifest.  Any
 mismatch raises :class:`CorruptCheckpointError` — storage rot fails loudly
 instead of silently corrupting a recovery.
 
-Two write paths share the same wire format:
-
-* :func:`pack_tree` — allocate-and-return ``bytes`` (the simple path);
-* :func:`pack_tree_into` — the zero-copy path the async persistence
-  engine uses: array views are memcpy'd straight into a caller-supplied
-  (pooled) ``bytearray``, with no per-array ``tobytes()`` intermediates
-  and no ``b"".join`` concatenation.
+Persist paths pack with :func:`pack_tree_parts` — the header, then a
+zero-copy byte view of each blob array — and ``StorageBackend.write``
+stores the parts back to back, so no container is built to be written.
+:func:`pack_tree` joins them.  The process executor packs into its own
+buffer (:func:`pack_tree_into`) and into the shared-memory ring
+(:func:`pack_tree_into_view`).
 
 Checksums are ``zlib.crc32`` and nothing else: one call per blob (kept
-in the manifest, verified on read), one over the manifest, and one over
-the finished container for the whole-blob checksum the store indexes.
-That last call re-reads bytes the memcpy just left in cache, in C, with
-the GIL released; any cleverness that avoids it in Python costs more
-than the walk it saves.  A tree is walked once per pack
+in the manifest, verified on read), one over the manifest, and the
+whole-blob checksum the store indexes, chained over the parts
+(``zlib.crc32(part, crc)``), which equals the CRC of the joined container
+without building it.  A tree is walked once per pack
 (:class:`PreparedTree`), and a container that only crosses the
 shared-memory ring (:func:`prepare_transit`) carries no checksums at
 all — nobody reads them there.
@@ -173,19 +171,34 @@ def prepare_transit(tree) -> PreparedTree:
     return _prepare(tree, checksums=False)
 
 
+def pack_tree_parts(tree) -> tuple[list, int]:
+    """Serialize a checkpoint tree as the parts of its container.
+
+    Returns ``(parts, crc)``: the header and manifest as one ``bytes``,
+    then a byte view of each blob array (no copy; the arrays must not
+    change while the parts are in use), and ``zlib.crc32`` of the parts
+    written back to back — the container.
+    """
+    blobs, manifest, total_len, _ = _prepare(tree)
+    parts = [_HEADER.pack(MAGIC, len(manifest), total_len,
+                          zlib.crc32(manifest)) + manifest]
+    parts += map(_as_byte_view, blobs)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return parts, crc
+
+
 def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
-    """Serialize a checkpoint tree into ``buffer`` — the zero-copy path.
+    """Serialize a checkpoint tree into ``buffer``, the process executor
+    worker's private container.
 
-    ``buffer`` is grown (never shrunk) as needed, so a pooled buffer
-    converges to the largest checkpoint it has carried and subsequent
-    packs allocate nothing.  Array payloads are memcpy'd directly from
-    their (contiguous views of) source arrays into the buffer; no
-    intermediate ``bytes`` objects are created.
-
-    Returns ``(view, crc)``: a memoryview over the packed bytes inside
-    ``buffer`` and ``zlib.crc32`` of exactly those bytes (the store-level
-    whole-blob checksum).  The buffer must not be resized while the
-    returned view is alive; call ``view.release()`` when done.
+    ``buffer`` is grown (never shrunk) as needed, so a reused buffer
+    converges to the largest checkpoint it has carried.  Returns
+    ``(view, crc)``: a memoryview over the packed bytes inside ``buffer``
+    and ``zlib.crc32`` of exactly those bytes.  The buffer must not be
+    resized while the returned view is alive; call ``view.release()``
+    when done.
     """
     prepared = _prepare(tree)
     if len(buffer) < prepared.total_len:
@@ -197,7 +210,7 @@ def pack_tree_into(tree, buffer: bytearray) -> tuple[memoryview, int]:
 def _pack_prepared(prepared: PreparedTree, view: memoryview) -> int | None:
     """Write a prepared tree into a writable view of sufficient size.
 
-    Shared tail of :func:`pack_tree_into` (growable pooled bytearray) and
+    Shared tail of :func:`pack_tree_into` (growable bytearray) and
     :func:`pack_tree_into_view` (fixed-capacity shared-memory region).
     Returns the CRC32 of the written container — the only place that is
     computed — or ``None`` for a transit container.
@@ -240,13 +253,10 @@ def pack_tree_into_view(tree, view: memoryview) -> tuple[int, int | None]:
 
 
 def pack_tree_with_crc(tree) -> tuple[bytes, int]:
-    """Serialize to fresh ``bytes`` plus ``zlib.crc32`` of them, for
-    callers that index checkpoints by checksum (the store manifest)."""
-    buffer = bytearray()
-    view, crc = pack_tree_into(tree, buffer)
-    data = bytes(view)
-    view.release()
-    return data, crc
+    """Serialize to fresh ``bytes`` plus ``zlib.crc32`` of them: the
+    joined :func:`pack_tree_parts`."""
+    parts, crc = pack_tree_parts(tree)
+    return b"".join(parts), crc
 
 
 def pack_tree(tree) -> bytes:
@@ -314,7 +324,3 @@ def serialized_size(tree) -> int:
     manifest pass alone, without copying any blob bytes."""
     return _prepare(tree).total_len
 
-
-def checksum(data: bytes) -> int:
-    """CRC32 over a whole serialized blob (stored in store manifests)."""
-    return zlib.crc32(data)

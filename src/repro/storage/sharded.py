@@ -681,11 +681,6 @@ class ShardedPersistGroup:
             for sub in store.part_stores
         ]
 
-    @property
-    def pool(self):
-        """A serialization pool compaction may borrow (thread executor)."""
-        return getattr(self.engines[0], "pool", None)
-
     def save_full(self, step: int, model_state: dict, optimizer_state: dict,
                   extra: dict | None = None) -> list:
         parts = self.store.split_full(model_state, optimizer_state, extra)

@@ -12,6 +12,7 @@ import threading
 import time
 import weakref
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -22,12 +23,12 @@ from repro.optim import Adam
 from repro.tensor.models import MLP
 from repro.storage import (
     AsyncCheckpointEngine,
-    BufferPool,
     CheckpointStore,
     DrainTimeout,
     InMemoryBackend,
     WriteAborted,
 )
+from repro.storage.checkpoint_store import full_key
 from repro.utils.rng import Rng
 from tests.helpers import (
     GateBackend,
@@ -387,26 +388,87 @@ class TestEquivalence:
         assert_states_equal(results[True], final_state)
 
 
+def owners_of(part, records) -> set:
+    """Indices of the records with an array whose memory ``part`` shares."""
+    view = np.frombuffer(part, dtype=np.uint8)
+    return {index for index, arrays in enumerate(records)
+            if any(np.shares_memory(view, array) for array in arrays)}
+
+
 class TestBufferPool:
-    def test_buffers_are_reused(self):
-        pool = BufferPool()
-        first = pool.acquire()
-        first.extend(b"x" * 64)
-        pool.release(first)
-        second = pool.acquire()
-        assert second is first  # steady state allocates nothing
-        pool.release(second)
-        stats = pool.stats()
-        assert stats["buffers_created"] == 1
-        assert stats["buffers_reused"] == 1
-        assert stats["pooled_bytes"] == 64
+    """No buffer pool is left: a writer hands the backend the serializer's
+    parts, whose blob parts are views of the arrays the engine was handed.
+    The ids predate that; ``FLOOR_DROPPABLE.md`` lists their new names."""
+
+    def test_buffers_are_reused(self, rng):
+        """An uncoded full's blob parts are the handed arrays' own memory,
+        and once drained the engine keeps none of them alive."""
+        model, optim = model_state(rng), optimizer_state(rng)
+        refs = [weakref.ref(array) for array in
+                (*model.values(), optim["slots"]["w"]["m"])]
+        handed = []
+
+        class SharingBackend(InMemoryBackend):
+            def _write(self, key, parts):
+                if "manifest" not in key:
+                    arrays = [[ref()] for ref in refs]
+                    handed.append([sorted(owners_of(part, arrays))
+                                   for part in parts])
+                super()._write(key, parts)
+
+        engine = AsyncCheckpointEngine(CheckpointStore(SharingBackend()),
+                                       num_writers=2, queue_depth=4)
+        try:
+            engine.save_full(0, model, optim)
+            del model, optim
+            engine.drain()
+            # The header, then one view per blob in tree order.
+            assert handed == [[[], [0], [1], [2]]]
+            assert wait_until(lambda: all(ref() is None for ref in refs))
+        finally:
+            engine.finalize()
 
     def test_concurrent_acquire_tracks_peak(self):
-        pool = BufferPool()
-        held = [pool.acquire() for _ in range(3)]
-        for buffer in held:
-            pool.release(buffer)
-        assert pool.stats()["buffers_peak_outstanding"] == 3
+        """Three writers parked behind a gated backend each hold only their
+        own record's views, and ``stats()`` reports no pool."""
+        handed = {}
+
+        class PartsGateBackend(GateBackend):
+            def _write(self, key, parts):
+                if "manifest" not in key:
+                    handed[key] = parts
+                super()._write(key, parts)
+
+        backend = PartsGateBackend()
+        engine = AsyncCheckpointEngine(CheckpointStore(backend),
+                                       num_writers=3, queue_depth=4)
+        states = [(model_state(Rng(seed)), optimizer_state(Rng(seed)))
+                  for seed in range(3)]
+        records = [[*model.values(), optim["slots"]["w"]["m"]]
+                   for model, optim in states]
+        try:
+            for step, state in enumerate(states):
+                engine.save_full(step, *state)
+            # Seq 0's writer is in the backend; the other two serialized
+            # and hold their parts until the turnstile reaches them.
+            assert backend.entered.acquire(timeout=WAIT)
+            assert wait_until(lambda: len(engine._ready) == 2)
+            held = {0: handed[full_key(0)]}
+            held.update((seq, commit.args[1])
+                        for seq, commit in engine._ready.items())
+            for step, arrays in enumerate(records):
+                blob_parts = held[step][1:]
+                assert len(blob_parts) == len(arrays)
+                assert all(owners_of(part, records) == {step}
+                           for part in blob_parts)
+            assert not {"buffers_created", "buffers_reused",
+                        "buffers_peak_outstanding", "pooled_bytes"} \
+                & engine.stats().keys()
+            backend.gate.set()
+            engine.finalize()
+        finally:
+            backend.gate.set()
+            engine.abort()
 
 
 class TestSnapshotStager:

@@ -1,15 +1,19 @@
 """Tests for storage backends: round-trips, atomicity, throttling, faults."""
 
+import errno
 import os
 
+import numpy as np
 import pytest
 
 from repro.storage.backends import (
     FlakyBackend,
     InMemoryBackend,
     LocalDiskBackend,
+    PrefixBackend,
     ThrottledBackend,
 )
+from repro.storage.resilience import ResilientBackend, RetryPolicy, TieredBackend
 
 
 BACKEND_FACTORIES = [
@@ -64,6 +68,87 @@ class TestBackendContract:
         backend = factory(tmp_path)
         with pytest.raises(TypeError):
             backend.write("k", "a string")
+
+
+IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+# Every stack that ends on disk writes through ``os.writev``.
+GATHER_STACKS = [
+    ("memory", lambda tmp: InMemoryBackend()),
+    ("disk", lambda tmp: LocalDiskBackend(str(tmp))),
+    ("prefix", lambda tmp: PrefixBackend(LocalDiskBackend(str(tmp)),
+                                         "shard-0000/")),
+    ("throttled", lambda tmp: ThrottledBackend(LocalDiskBackend(str(tmp)),
+                                               bandwidth=1e6, latency=1e-3)),
+    ("resilient-over-flaky", lambda tmp: ResilientBackend(
+        FlakyBackend(LocalDiskBackend(str(tmp)), fail_on_write=1),
+        retry=RetryPolicy(max_attempts=2))),
+    ("tiered-primary-down", lambda tmp: TieredBackend(
+        FlakyBackend(InMemoryBackend(), fail_on_write=1),
+        LocalDiskBackend(str(tmp)), retry=RetryPolicy(max_attempts=1))),
+]
+
+
+def gather_parts(many: bool) -> list:
+    """Parts as the serializer hands them over, empty ones included; with
+    ``many``, more than one ``os.writev`` call accepts (a BERT-large full
+    under Adam is ~1 170 parts)."""
+    if many:
+        return [bytes([index % 251]) * (index % 3)
+                for index in range(2 * IOV_MAX + 3)]
+    return [b"header", b"", bytearray(b"blob"),
+            memoryview(np.arange(12.0)).cast("B"), b""]
+
+
+def short_writev(real_writev):
+    """An ``os.writev`` that, like the kernel may, writes at most 5 bytes
+    per call — usually ending mid-part — and rejects > IOV_MAX views."""
+    def writev(fd, views):
+        if len(views) > IOV_MAX:
+            raise OSError(errno.EINVAL, "more views than IOV_MAX")
+        kept, room = [], 5
+        for view in views:
+            kept.append(memoryview(view)[:room])
+            room -= len(kept[-1])
+            if not room:
+                break
+        return real_writev(fd, kept)
+    return writev
+
+
+@pytest.mark.parametrize("many", [False, True], ids=["mixed", "iov_max"])
+@pytest.mark.parametrize("name,factory", GATHER_STACKS,
+                         ids=[name for name, _ in GATHER_STACKS])
+class TestGatherWrite:
+    """``write(key, parts)`` stores the parts back to back through every
+    backend stack: reads return the joined bytes, and every counter charges
+    the total byte count."""
+
+    def check(self, name, factory, tmp_path, many):
+        parts = gather_parts(many)
+        joined = b"".join(parts)
+        backend = factory(tmp_path)
+        backend.write("diff/1_1.ckpt", parts)
+        assert backend.bytes_written == len(joined)
+        assert backend.write_count == 1
+        if name == "throttled":
+            assert backend.virtual_time_s == pytest.approx(
+                backend.cost_of(len(joined)))
+        if name == "resilient-over-flaky":
+            assert backend.retries == 1
+        if name == "tiered-primary-down":
+            assert backend.fallback_writes == 1
+        assert backend.read("diff/1_1.ckpt") == joined
+        if name != "memory":
+            assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_parts_read_back_joined(self, name, factory, tmp_path, many):
+        self.check(name, factory, tmp_path, many)
+
+    def test_short_writes_resume_mid_part(self, name, factory, tmp_path, many,
+                                          monkeypatch):
+        monkeypatch.setattr(os, "writev", short_writev(os.writev))
+        self.check(name, factory, tmp_path, many)
 
 
 class TestLocalDisk:

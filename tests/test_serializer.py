@@ -15,6 +15,7 @@ from repro.storage.serializer import (
     pack_tree,
     pack_tree_into,
     pack_tree_into_view,
+    pack_tree_parts,
     pack_tree_with_crc,
     prepare_transit,
     serialized_size,
@@ -275,10 +276,13 @@ class TestChecksumIsTheChecksum:
         assert serialized_size(tree) == len(data)
         assert trees_equal(tree, unpack_tree(data, verify=True))
 
+        parts, parts_crc = pack_tree_parts(tree)
+        assert (b"".join(parts), parts_crc) == (data, crc)
+
         view, into_crc = pack_tree_into(tree, bytearray())
         assert (bytes(view), into_crc) == (data, crc)
         view.release()
-        # A reused, over-sized pool buffer: the stale tail is not packed,
+        # A reused, over-sized buffer: the stale tail is not packed,
         # not checksummed, and the buffer is not resized.
         pooled = bytearray(b"\xaa" * (len(data) + 4096))
         view, pooled_crc = pack_tree_into(tree, pooled)

@@ -144,7 +144,7 @@ DEFAULT_TARGETS = (
                           "backpressure"),
     SloTarget("p99-commit-latency", "ckpt.mp.commit.s", 0.5,
               aggregate="p99",
-              description="tail latency of manifest commits"),
+              description="tail latency of index commits"),
     SloTarget("queue-depth-hwm", "ckpt.mp.queue_high_watermark", 64,
               description="peak outstanding persist records"),
     SloTarget("breaker-open", "storage.breaker.transitions.*_to_open", 0,

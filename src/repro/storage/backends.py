@@ -45,6 +45,14 @@ class StorageBackend:
     def _read(self, key: str) -> bytes:
         raise NotImplementedError
 
+    def _append(self, key: str, data: bytes) -> None:
+        """Read + rewrite: as atomic as ``_write``, whose faults apply."""
+        try:
+            head = self._read(key)
+        except FileNotFoundError:
+            head = b""
+        self._write(key, [head, data])
+
     def exists(self, key: str) -> bool:
         raise NotImplementedError
 
@@ -96,6 +104,12 @@ class StorageBackend:
         self.bytes_written += total_bytes(parts)
         self.write_count += 1
 
+    def append(self, key: str, data: bytes) -> None:
+        """Durably add ``data`` to the end of ``key`` (created if absent)."""
+        self._append(key, data)
+        self.bytes_written += len(data)
+        self.write_count += 1
+
     def read(self, key: str) -> bytes:
         data = self._read(key)
         self.bytes_read += len(data)
@@ -118,6 +132,10 @@ class InMemoryBackend(StorageBackend):
         owned = b"".join(parts)
         with self._lock:
             self._data[key] = owned
+
+    def _append(self, key: str, data: bytes) -> None:
+        with self._lock:
+            self._data[key] = self._data.get(key, b"") + data
 
     def _read(self, key: str) -> bytes:
         with self._lock:
@@ -148,19 +166,24 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _write_all(fd: int, parts: list) -> None:
-    """Gather-write ``parts`` in order to ``fd``: at most ``_IOV_MAX``
-    views per ``os.writev``, resuming mid-part after a short write."""
+    """Gather-write ``parts`` in order to ``fd`` — at most ``_IOV_MAX``
+    views per ``os.writev``, resuming mid-part after a short write — then
+    fsync and close it."""
     views = [memoryview(part).cast("B") for part in parts]
     start = 0
-    while start < len(views):
-        batch = views[start:start + _IOV_MAX]
-        written = os.writev(fd, batch)
-        for view in batch:
-            if written < len(view):
-                views[start] = view[written:]
-                break
-            written -= len(view)
-            start += 1
+    try:
+        while start < len(views):
+            batch = views[start:start + _IOV_MAX]
+            written = os.writev(fd, batch)
+            for view in batch:
+                if written < len(view):
+                    views[start] = view[written:]
+                    break
+                written -= len(view)
+                start += 1
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class LocalDiskBackend(StorageBackend):
@@ -187,16 +210,17 @@ class LocalDiskBackend(StorageBackend):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
-            try:
-                _write_all(fd, parts)
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+            _write_all(fd, parts)
             os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)
             raise
+
+    def _append(self, key: str, data: bytes) -> None:
+        _write_all(os.open(self._path(key),
+                           os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644),
+                   [data])
 
     def _read(self, key: str) -> bytes:
         try:
@@ -254,9 +278,9 @@ class PrefixBackend(StorageBackend):
     The sharded checkpoint store gives each shard its own
     :class:`~repro.storage.checkpoint_store.CheckpointStore` over
     ``PrefixBackend(backend, "shard-0003/")`` — every shard sees a plain
-    private namespace (``full/…``, ``diff/…``, ``manifest.json``) while
+    private namespace (``full/…``, ``diff/…``, ``manifest.*``) while
     all records land in one physical store under one root.  Reads,
-    writes, listing and debris sweeps translate keys both ways;
+    writes, appends, listing and debris sweeps translate keys both ways;
     accounting stays on the wrapping view *and* the parent (the parent's
     ``write``/``read`` are called, so its counters and any fault
     injection wrapped around it apply to sharded traffic too).
@@ -276,6 +300,9 @@ class PrefixBackend(StorageBackend):
 
     def _write(self, key: str, data: bytes) -> None:
         self.inner.write(self.prefix + key, data)
+
+    def _append(self, key: str, data: bytes) -> None:
+        self.inner.append(self.prefix + key, data)
 
     def _read(self, key: str) -> bytes:
         return self.inner.read(self.prefix + key)
@@ -341,6 +368,10 @@ class ThrottledBackend(StorageBackend):
     def _write(self, key: str, parts: list) -> None:
         self.inner.write(key, parts)
         self.virtual_time_s += self.cost_of(total_bytes(parts))
+
+    def _append(self, key: str, data: bytes) -> None:
+        self.inner.append(key, data)
+        self.virtual_time_s += self.cost_of(len(data))
 
     def _read(self, key: str) -> bytes:
         data = self.inner.read(key)
@@ -467,15 +498,21 @@ class ChaosBackend(StorageBackend):
 
     def _write(self, key: str, parts: list) -> None:
         # Faults act on the whole container: draws see only its length.
-        data = b"".join(parts)
+        self._inject(key, b"".join(parts), self.inner.write)
+
+    def _append(self, key: str, data: bytes) -> None:
+        # ...and on the appended bytes only, as on a real file.
+        self._inject(key, data, self.inner.append)
+
+    def _inject(self, key: str, data: bytes, put) -> None:
         if self._protected(key):
-            self.inner.write(key, data)
+            put(key, data)
             return
         self._maybe_spike()
         if self.torn_write_prob and \
                 float(self.rng.random()) < self.torn_write_prob and len(data) > 1:
             cut = int(self.rng.integers(1, len(data)))
-            self.inner.write(key, data[:cut])
+            put(key, data[:cut])
             self.injected["torn_write"] += 1
             raise IOError(f"chaos: torn write of {key} ({cut}/{len(data)} bytes)")
         if self.write_fail_prob and \
@@ -485,7 +522,7 @@ class ChaosBackend(StorageBackend):
         if self.bit_flip_prob and float(self.rng.random()) < self.bit_flip_prob:
             data = self._flip_one_bit(data)
             self.injected["bit_flip"] += 1
-        self.inner.write(key, data)
+        put(key, data)
 
     def _read(self, key: str) -> bytes:
         if self._protected(key):

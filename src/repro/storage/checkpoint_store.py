@@ -7,18 +7,20 @@ Manages the on-storage layout the recovery process reads:
 * ``diff/<start>_<end>.ckpt`` — one (possibly batched) differential
   checkpoint covering optimizer steps ``start..end`` inclusive, the
   ``C^D``/``C^B`` of §IV;
-* ``manifest.json`` — the index, updated atomically after each write, so
-  a crash between data write and manifest update leaves the previous
-  consistent view (write-ahead of data, commit via manifest);
+* ``manifest.json`` + ``manifest.<g>.journal`` — the index: a snapshot
+  of generation ``g``, rewritten atomically by every mutation but one, and
+  its journal, to which a diff past the chain's tail commits as one
+  appended, fsynced ``<record JSON> <crc32>\n`` line.  A crash between
+  data write and index update leaves the previous consistent view;
 * ``quarantine/...`` — blobs that failed an integrity check, moved aside
   (never deleted outright) so a post-mortem can inspect them.
 
-Integrity: every record carries the CRC32 of its serialized bytes and the
-manifest carries a CRC32 of its own body.  Reads are verified against the
-record checksum *and* the container's internal framing; a mismatch raises
+Integrity: every record, the snapshot and each journal line carry a CRC32.
+Reads are verified against the record checksum *and* the container's
+internal framing; a mismatch raises
 :class:`~repro.storage.serializer.CorruptCheckpointError`.  A corrupt or
-stale manifest is rebuilt from a key listing instead of being trusted
-blindly.
+stale index is rebuilt from a key listing instead of being trusted
+blindly; an unterminated last journal line (a torn append) is dropped.
 
 Retention: old fulls and the diffs they anchor can be garbage-collected
 once newer fulls exist; ``gc`` also sweeps crash debris (orphaned ``.tmp``
@@ -28,12 +30,13 @@ records — via :meth:`CheckpointStore.compact` and the policy machinery in
 :mod:`repro.storage.compaction`.
 
 Crash-ordering invariant (ARCHITECTURE.md §10): every mutation that
-*removes* data commits the shrunk manifest **before** deleting backend
-keys, and every mutation that *adds* data writes the blob **before**
-committing the manifest that references it.  A crash at any point
-therefore leaves either (a) the previous consistent view plus some
-unreferenced blobs (swept by ``gc``) or (b) the new consistent view —
-never a manifest entry pointing at a missing key.
+*removes* data commits the shrunk snapshot **before** deleting backend
+keys, every mutation that *adds* data writes the blob **before** the
+journal line or snapshot that references it, and a snapshot lands before
+the journal it supersedes is deleted.  A crash at any point therefore
+leaves either (a) the previous consistent view plus some unreferenced
+blobs or journals (swept by ``gc``) or (b) the new consistent view —
+never an index entry pointing at a missing key.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ QUARANTINE_PREFIX = "quarantine/"
 
 _FULL_KEY_RE = re.compile(r"^full/(\d{10})\.ckpt$")
 _DIFF_KEY_RE = re.compile(r"^diff/(\d{10})_(\d{10})\.ckpt$")
+
+
+def journal_key(gen: int) -> str:
+    return f"manifest.{gen}.journal"
 
 
 def full_key(step: int) -> str:
@@ -153,6 +160,9 @@ class CheckpointStore:
         self._mutation_lock = threading.RLock()
         self._fulls: list[FullCheckpointRecord] = []
         self._diffs: list[DiffCheckpointRecord] = []
+        #: Snapshot generation (0: none, or pre-journal) and the journal a
+        #: diff may append to (None: the next commit rewrites the snapshot).
+        self._gen, self._journal = 0, None
         #: Keys moved to quarantine over this store's lifetime.
         self.quarantined: list[str] = []
         #: True if the manifest had to be rebuilt from a key listing.
@@ -204,31 +214,66 @@ class CheckpointStore:
 
     # Manifest ------------------------------------------------------------
     @staticmethod
-    def _manifest_body(fulls, diffs) -> bytes:
+    def _manifest_body(fulls, diffs, gen: int = 0) -> bytes:
         return json.dumps(
             {"fulls": [vars(rec) for rec in fulls],
-             "diffs": [vars(rec) for rec in diffs]},
+             "diffs": [vars(rec) for rec in diffs],
+             **({"gen": gen} if gen else {})},
             separators=(",", ":"), sort_keys=True,
         ).encode()
 
     def _load_manifest(self) -> None:
+        """The snapshot, then its journal in one pass.  A complete journal
+        line failing its CRC is corruption (the caller rebuilds from keys);
+        a torn last line was never acknowledged: rewriting the snapshot
+        drops it before any append can extend it."""
         raw = self.backend.read(MANIFEST_KEY)
-        manifest = json.loads(raw.decode())
+        manifest = json.loads(raw)
         fulls = [FullCheckpointRecord(**rec) for rec in manifest["fulls"]]
         diffs = [DiffCheckpointRecord(**rec) for rec in manifest["diffs"]]
+        gen = manifest.get("gen", 0)
         if "crc" in manifest:
-            body = self._manifest_body(fulls, diffs)
+            # The CRC covers the body up to the spliced ``,"crc":N}``; only
+            # a manifest that does not split that way is re-encoded.
+            suffix = b',"crc":%d}' % manifest["crc"]
+            body = raw[:-len(suffix)] + b"}" if raw.endswith(suffix) \
+                else self._manifest_body(fulls, diffs, gen)
             if zlib.crc32(body) != manifest["crc"]:
                 raise CorruptCheckpointError("manifest failed CRC check")
-        self._fulls = fulls
-        self._diffs = diffs
+        self._fulls, self._diffs, self._gen = fulls, diffs, gen
+        self._journal = journal_key(gen) if gen else None
+        if not (gen and self.backend.exists(self._journal)):
+            return
+        *lines, torn = self.backend.read(self._journal).split(b"\n")
+        bodies = [line.rpartition(b" ") for line in lines]
+        if any(zlib.crc32(body) != int(crc) for body, _, crc in bodies):
+            raise CorruptCheckpointError(f"{self._journal} failed CRC check")
+        self._diffs += [DiffCheckpointRecord(**rec) for rec in json.loads(
+            b"[%s]" % b",".join(body for body, _, _ in bodies))]
+        if torn:
+            self._commit_manifest()
 
     def _commit_manifest(self) -> None:
+        gen, superseded = self._gen + 1, journal_key(self._gen)
+        self.backend.delete(journal_key(gen))  # stale: must not replay
         # The CRC covers the body without itself; splicing it on as the
         # last key spares re-encoding every record on every commit.
-        body = self._manifest_body(self._fulls, self._diffs)
+        body = self._manifest_body(self._fulls, self._diffs, gen)
         self.backend.write(
             MANIFEST_KEY, body[:-1] + b',"crc":%d}' % zlib.crc32(body))
+        self._gen, self._journal = gen, journal_key(gen)
+        self.backend.delete(superseded)
+
+    def _append_journal(self, record: DiffCheckpointRecord) -> None:
+        line = json.dumps(vars(record), separators=(",", ":"),
+                          sort_keys=True).encode()
+        try:
+            self.backend.append(self._journal,
+                                b"%s %d\n" % (line, zlib.crc32(line)))
+        except BaseException:
+            self._journal = None  # a torn line may have landed
+            raise
+        self._diffs.append(record)
 
     def _drop_stale_records(self) -> None:
         """Drop manifest entries whose backing key no longer exists.
@@ -238,11 +283,16 @@ class CheckpointStore:
         replay a hole.  Dropping it here means ``diffs_after`` sees the
         gap and truncates the chain honestly.
         """
-        fulls = [r for r in self._fulls if self.backend.exists(r.key)]
-        diffs = [r for r in self._diffs if self.backend.exists(r.key)]
-        if len(fulls) != len(self._fulls) or len(diffs) != len(self._diffs):
-            self._fulls, self._diffs = fulls, diffs
-            self._commit_manifest()
+        gone = {r.key for r in self._fulls + self._diffs
+                if not self.backend.exists(r.key)}
+        if gone:
+            self._forget(gone)
+
+    def _forget(self, keys: set) -> None:
+        """Drop the records stored under ``keys`` and commit the snapshot."""
+        self._fulls = [r for r in self._fulls if r.key not in keys]
+        self._diffs = [r for r in self._diffs if r.key not in keys]
+        self._commit_manifest()
 
     def _rebuild_manifest_from_keys(self) -> None:
         """Reconstruct the index by scanning and validating actual keys.
@@ -314,16 +364,11 @@ class CheckpointStore:
                                    self.backend.read(record.key))
             except OSError:
                 pass  # unreadable or quarantine tier down: removal proceeds
-            if isinstance(record, FullCheckpointRecord):
-                self._fulls = [r for r in self._fulls if r.key != record.key]
-            else:
-                self._diffs = [r for r in self._diffs if r.key != record.key]
-            committed = True
             try:
-                self._commit_manifest()
+                self._forget({record.key})
             except OSError:
-                committed = False
-            if committed:
+                pass  # the blob stays: the snapshot still references it
+            else:
                 self.backend.delete(record.key)
             self.quarantined.append(record.key)
 
@@ -441,7 +486,7 @@ class CheckpointStore:
         if end < start:
             raise ValueError(f"diff range invalid: start={start} end={end}")
         with self._mutation_lock:
-            for existing in self._diffs:
+            for existing in () if self._extends_chain(start) else self._diffs:
                 if (existing.start, existing.end) != (start, end) \
                         and start <= existing.end and end >= existing.start:
                     raise ValueError(
@@ -453,12 +498,16 @@ class CheckpointStore:
         self._count_storage_bytes("diff", int(nbytes), raw_nbytes)
         return record
 
+    def _extends_chain(self, start: int) -> bool:
+        return not self._diffs or start > self._diffs[-1].end
+
     def _install_diff(self, start: int, end: int, count: int, nbytes: int,
                       crc: int, codec: str, raw_nbytes: int, data,
                       replacing=()) -> DiffCheckpointRecord:
-        """Blob, then record, then the sorted manifest commit — for a diff
-        that supersedes the same-range record and the ``replacing`` ones
-        (caller holds the mutation lock and has validated the range)."""
+        """Blob, then record, then a journal line for a diff past the tail
+        or the sorted snapshot for one that supersedes the same-range
+        record and the ``replacing`` ones (caller holds the mutation lock
+        and has validated the range)."""
         key = diff_key(start, end)
         self._place_blob(key, data)
         record = DiffCheckpointRecord(
@@ -466,6 +515,9 @@ class CheckpointStore:
             count=int(count), crc=crc & 0xFFFFFFFF,
             codec=codec, raw_nbytes=int(raw_nbytes),
         )
+        if self._journal and not replacing and self._extends_chain(start):
+            self._append_journal(record)
+            return record
         dropped = {r.key for r in replacing}
         self._diffs = [
             r for r in self._diffs
@@ -676,13 +728,8 @@ class CheckpointStore:
                 for record in list(self._fulls) + list(self._diffs):
                     if record.key in corrupt:
                         self.quarantine(record)
-                missing = set(report["missing"])
-                if missing:
-                    self._fulls = [r for r in self._fulls
-                                   if r.key not in missing]
-                    self._diffs = [r for r in self._diffs
-                                   if r.key not in missing]
-                    self._commit_manifest()
+                if report["missing"]:
+                    self._forget(set(report["missing"]))
         return report
 
     # Retention -----------------------------------------------------------------
@@ -693,9 +740,9 @@ class CheckpointStore:
         oldest retained full's step are unreachable (recovery always
         starts from a retained full) and are removed.  Crash debris is
         also swept: orphaned ``.tmp`` files and (when
-        ``purge_unreferenced``) ``full/``/``diff/`` keys the manifest does
-        not reference — both are left behind by writes a crash interrupted
-        between data write and manifest commit.
+        ``purge_unreferenced``) ``full/``/``diff/`` keys and journals the
+        index does not reference — both are left behind by writes a crash
+        interrupted between data write and index commit.
 
         Ordering: the pruned manifest commits **before** any backend key
         is deleted.  A crash inside the delete loop leaves already-pruned
@@ -724,7 +771,8 @@ class CheckpointStore:
             if purge_unreferenced:
                 referenced = {r.key for r in self._fulls}
                 referenced.update(r.key for r in self._diffs)
-                for prefix in ("full/", "diff/"):
+                referenced.update((MANIFEST_KEY, journal_key(self._gen)))
+                for prefix in ("full/", "diff/", "manifest."):
                     for key in self.backend.list_keys(prefix):
                         if key not in referenced:
                             self.backend.delete(key)

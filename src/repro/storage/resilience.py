@@ -198,6 +198,9 @@ class ResilientBackend(StorageBackend):
     def _write(self, key: str, data: bytes) -> None:
         self._attempt(lambda: self.inner.write(key, data))
 
+    def _append(self, key: str, data: bytes) -> None:
+        self._attempt(lambda: self.inner.append(key, data))
+
     def _read(self, key: str) -> bytes:
         return self._attempt(lambda: self.inner.read(key))
 

@@ -56,16 +56,24 @@ def optimizer_state(rng):
 
 
 class RecordingBackend(InMemoryBackend):
-    """Remembers the order in which checkpoint blobs were written."""
+    """Remembers the order in which checkpoint blobs were written, and the
+    bytes of every index commit: a snapshot write or a journal append."""
 
     def __init__(self):
         super().__init__()
         self.order = []
+        self.commits = []
 
     def _write(self, key, data):
         super()._write(key, data)
-        if "manifest" not in key:
+        if "manifest" in key:
+            self.commits.append(b"".join(data))
+        else:
             self.order.append(key)
+
+    def _append(self, key, data):
+        super()._append(key, data)
+        self.commits.append(data)
 
 
 class ExplodingBackend(InMemoryBackend):
@@ -79,8 +87,9 @@ class ExplodingBackend(InMemoryBackend):
 
 class TestOrdering:
     def test_commits_follow_submission_order(self, rng):
-        """Many writers, one ordering: blobs land in submission order, so a
-        diff is never visible before the full it chains from."""
+        """Many writers, one ordering: blobs land and commit points (a
+        snapshot per full, a journal line per diff) follow in submission
+        order, so a diff is never visible before the full it chains from."""
         backend = RecordingBackend()
         engine = AsyncCheckpointEngine(CheckpointStore(backend),
                                        num_writers=4, queue_depth=16)
@@ -93,6 +102,12 @@ class TestOrdering:
         assert len(backend.order) == len(pendings)
         records = [pending.wait(0) for pending in pendings]
         assert backend.order == [record.key for record in records]
+        # Commit i is the first to name record i, and names no later one.
+        assert len(backend.commits) == len(records)
+        for index, commit in enumerate(backend.commits):
+            named = [record.key.encode() in commit for record in records]
+            assert named[index] and not any(named[index + 1:])
+        assert backend.commits[1].startswith(b'{"codec"')  # a journal line
         stats = engine.stats()
         assert stats["submitted"] == stats["committed"] == len(pendings)
         assert stats["outstanding"] == 0

@@ -197,7 +197,46 @@ class TestThrottled:
             ThrottledBackend(InMemoryBackend(), bandwidth=0)
 
 
+@pytest.mark.parametrize("name,factory", GATHER_STACKS,
+                         ids=[name for name, _ in GATHER_STACKS])
+class TestAppend:
+    """``append(key, data)`` through every backend stack: it creates the
+    key, extends it in order, and every counter charges the appended
+    bytes; a fault-injecting layer fails it like a write."""
+
+    def test_appends_extend_the_key_in_order(self, name, factory, tmp_path):
+        backend = factory(tmp_path)
+        backend.write("manifest.json", b"{}")  # makes a shard's directory
+        for line in (b"one\n", b"two\n", b"three\n"):
+            backend.append("manifest.1.journal", line)
+        assert backend.read("manifest.1.journal") == b"one\ntwo\nthree\n"
+        assert backend.bytes_written == 2 + 14
+        assert backend.write_count == 4
+        if name == "throttled":
+            assert backend.virtual_time_s == pytest.approx(
+                sum(map(backend.cost_of, (2, 4, 4, 6, 14))))  # + the read
+        if name == "resilient-over-flaky":
+            assert backend.retries == 1
+        if name == "tiered-primary-down":
+            assert backend.fallback_writes == 1
+
+
 class TestFlaky:
+    def test_injected_append_failure(self):
+        inner = InMemoryBackend()
+        backend = FlakyBackend(inner, fail_on_write=2)
+        backend.append("j", b"1\n")
+        with pytest.raises(IOError):
+            backend.append("j", b"2\n")
+        assert inner.read("j") == b"1\n"
+
+    def test_disk_append_is_durable_in_place(self, tmp_path):
+        disk = LocalDiskBackend(str(tmp_path))
+        disk.append("j", b"1\n")
+        disk.append("j", b"2\n")
+        assert LocalDiskBackend(str(tmp_path)).read("j") == b"1\n2\n"
+        assert disk.list_keys() == ["j"]  # no temp file, no rename
+
     def test_injected_write_failure(self):
         inner = InMemoryBackend()
         backend = FlakyBackend(inner, fail_on_write=2)

@@ -28,6 +28,7 @@ from repro.storage import (
 )
 from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.backends import StorageBackend
+from repro.storage.checkpoint_store import journal_key
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests.helpers import (
@@ -370,8 +371,8 @@ class SimulatedCrash(RuntimeError):
 class CrashingBackend(StorageBackend):
     """Forwarding backend that dies on the Nth mutating operation.
 
-    ``crash_after=k`` lets the first ``k`` mutations (writes + deletes)
-    through and raises on mutation ``k+1`` — scanning ``k`` over a whole
+    ``crash_after=k`` lets the first ``k`` mutations (writes, journal
+    appends and deletes) through and raises on mutation ``k+1`` — scanning ``k`` over a whole
     operation exercises a crash at *every* point of its mutation
     sequence.  Reads never crash (the dying process isn't the one that
     recovers).
@@ -391,6 +392,10 @@ class CrashingBackend(StorageBackend):
     def _write(self, key, data):
         self._tick()
         self.inner.write(key, data)
+
+    def _append(self, key, data):
+        self._tick()
+        self.inner.append(key, data)
 
     def _read(self, key):
         return self.inner.read(key)
@@ -414,6 +419,33 @@ def clone_backend(src: StorageBackend) -> InMemoryBackend:
     for key in src.list_keys(""):
         clone.write(key, src.read(key))
     return clone
+
+
+def reference_run(steps):
+    """``(payloads, snapshots)`` of ``build_chain(steps)``: the diff each
+    step persists and the exact state after it."""
+    store, snapshots = build_chain(steps=steps)
+    return {r.start: store.load_diff(r) for r in store.diffs()}, snapshots
+
+
+def assert_recovers_within(backend, acked, submitted, payloads, snapshots):
+    """Reopen after a crash: recovery lands bit-exact at a step in
+    ``[acked, submitted]``, and the next diff appended after reopening
+    is replayed by the next open."""
+    reopened = CheckpointStore(backend)
+    assert_no_dangling_manifest(reopened)
+    if reopened.latest_full() is None:
+        assert acked < 0  # crashed before the first full landed
+        return
+    result, model, optimizer = recover_fresh(reopened)
+    assert acked <= result.step <= submitted
+    assert_states_equal(model.state_dict(), snapshots[result.step][0])
+    assert_optimizers_equal(optimizer.state_dict(), snapshots[result.step][1])
+    step = result.step + 1
+    reopened.save_diff(step, step, payloads[step])
+    result, model, _ = recover_fresh(CheckpointStore(backend))
+    assert result.step == step
+    assert_states_equal(model.state_dict(), snapshots[step][0])
 
 
 def count_mutations(backend: StorageBackend, op) -> int:
@@ -468,6 +500,84 @@ class TestCrashDrills:
             lambda store: store.compact(policy, model_factory=model_factory,
                                         optimizer_factory=adam_factory),
             final_step=12)
+
+    def test_crash_at_every_mutation_of_a_journaled_run(self):
+        """save_full, six journaled diffs, a rebase compaction and a gc:
+        a crash at any snapshot write, journal append or delete leaves a
+        store that recovers to an acknowledged-or-later step and takes
+        the next append."""
+        payloads, snapshots = reference_run(steps=7)
+        policy = RetentionPolicy(keep_fulls=1, max_chain_len=4)
+        ops = [(0, lambda store: store.save_full(
+            0, *copy.deepcopy(snapshots[0])))]
+        ops += [(step, lambda store, step=step: store.save_diff(
+            step, step, payloads[step])) for step in range(1, 7)]
+        ops += [(6, lambda store: store.compact(
+                    policy, model_factory=model_factory,
+                    optimizer_factory=adam_factory)),
+                (6, lambda store: store.gc(keep_fulls=1))]
+        probe = CrashingBackend(InMemoryBackend())
+        for _, op in ops:
+            op(CheckpointStore(probe))
+        assert probe.inner.list_keys("manifest.") == [
+            "manifest.json"]  # the last snapshot superseded every journal
+        for crash_after in range(probe.mutations):
+            inner = InMemoryBackend()
+            backend = CrashingBackend(inner, crash_after)
+            acked = -1
+            with pytest.raises(SimulatedCrash):
+                for submitted, op in ops:
+                    op(CheckpointStore(backend))
+                    acked = submitted
+            assert_recovers_within(inner, acked, submitted, payloads,
+                                   snapshots)
+
+    def test_torn_journal_tail_at_every_offset(self):
+        """A crash inside the append of diff 5's line leaves any prefix of
+        it: the reopened store drops the unterminated line, rewrites the
+        snapshot before anything can append after it, and recovers."""
+        payloads, snapshots = reference_run(steps=6)
+        backend = InMemoryBackend()
+        store, _ = build_chain(steps=5, backend=backend)
+        journal = store._journal
+        data = backend.read(journal)
+        last = data.rstrip(b"\n").rfind(b"\n") + 1
+        for cut in range(last, len(data) + 1):
+            inner = clone_backend(backend)
+            inner.write(journal, data[:cut])
+            reopened = CheckpointStore(inner)
+            assert not reopened.manifest_rebuilt
+            torn = last < cut < len(data)
+            assert inner.exists(journal) is not torn  # superseded at open
+            assert len(reopened.diffs()) == (5 if cut == len(data) else 4)
+            assert_recovers_within(inner, 4, 5, payloads, snapshots)
+
+    def test_stale_generation_journal_is_never_replayed(self):
+        """Journals a crash left beside a newer snapshot — the one it
+        superseded, or one of the generation a later snapshot starts —
+        never replay onto it; gc sweeps them."""
+        payloads, snapshots = reference_run(steps=6)
+        backend = InMemoryBackend()
+        store, _ = build_chain(steps=4, backend=backend)
+        superseded = store._journal
+        lines = backend.read(superseded)
+        store.save_full(4, *copy.deepcopy(snapshots[4]))
+        assert not backend.exists(superseded)
+        backend.write(superseded, lines)  # crash before its delete
+        ahead = journal_key(store._gen + 1)
+        backend.write(ahead, lines)       # left by an earlier life
+        reopened = CheckpointStore(backend)
+        assert not reopened.manifest_rebuilt
+        assert reopened.diffs() == store.diffs()
+        assert reopened.fulls() == store.fulls()
+        assert_recovers_within(backend, 4, 4, payloads, snapshots)
+        reopened = CheckpointStore(backend)
+        reopened.save_full(5, *copy.deepcopy(snapshots[5]))  # starts `ahead`
+        assert not backend.exists(ahead)
+        assert_recovers_within(backend, 5, 5, payloads, snapshots)
+        assert backend.exists(superseded)
+        CheckpointStore(backend).gc(keep_fulls=2)
+        assert not backend.exists(superseded)
 
     def test_crash_inside_merge_compaction(self):
         backend = InMemoryBackend()

@@ -82,6 +82,49 @@ def test_store_commit_encodes_the_manifest_once():
     assert reopened.diffs() == store.diffs() and reopened.fulls() == store.fulls()
 
 
+class IndexTally(InMemoryBackend):
+    """Counts the bytes handed to ``write`` and ``append`` for index keys
+    (the snapshot and its journals)."""
+
+    def __init__(self):
+        super().__init__()
+        self.index_bytes = 0
+
+    def _write(self, key, parts):
+        if key.startswith("manifest"):
+            self.index_bytes += sum(map(len, parts))
+        super()._write(key, parts)
+
+    def _append(self, key, data):
+        self.index_bytes += len(data)
+        super()._append(key, data)
+
+
+def test_a_diff_commit_costs_the_same_at_16_and_1024_records():
+    """The O(1) commit: a diff past the tail of a 16-record and of a
+    1 024-record store writes the same index bytes (one journal line) with
+    the same Python calls and ``json.dumps`` calls (the container manifest
+    and the line) — nothing scans, sorts or re-encodes the index."""
+    payload = sparse_payload(tensors=1, rows=4, cols=4)
+    model = MLP(6, [8], 3, rng=Rng(0))
+    costs = []
+    for records in (16, 1024):
+        # A full, then one diff per step, ending at step 1023 either way:
+        # the measured diff and its journal line are byte-identical.
+        store = CheckpointStore(IndexTally())
+        store.save_full(1024 - records, model.state_dict(),
+                        SGD(model, lr=1e-2).state_dict())
+        for step in range(1025 - records, 1024):
+            store.save_diff(step, step, payload)
+        assert len(store.fulls() + store.diffs()) == records
+        before = store.backend.index_bytes
+        with CallCounts() as counts:
+            store.save_diff(1024, 1024, payload)
+        costs.append((store.backend.index_bytes - before,
+                      sum(counts.python.values()), counts.calls(json.dumps)))
+    assert costs[0] == costs[1] == (143, 74, 2)
+
+
 @pytest.mark.shm
 @pytest.mark.parametrize("shards", [1, 2])
 def test_ring_transit_is_one_walk_and_no_checksums_but_stored_blobs_carry_them(

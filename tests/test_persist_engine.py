@@ -166,15 +166,18 @@ class Stream:
 
 
 def spy_commits(store):
-    """Log ``(part, full steps, diff ranges)`` at every manifest commit of
-    every part store — commits always run in this process."""
+    """Log ``(part, full steps, diff ranges)`` at every commit point of
+    every part store — a snapshot rewrite or a journal line, once it has
+    landed; commits always run in this process."""
     log = []
     for index, sub in enumerate(store.part_stores):
-        def spied(sub=sub, index=index, original=sub._commit_manifest):
-            log.append((index, [r.step for r in sub._fulls],
-                        [(r.start, r.end) for r in sub._diffs]))
-            original()
-        sub._commit_manifest = spied
+        for name in ("_commit_manifest", "_append_journal"):
+            def spied(*args, sub=sub, index=index,
+                      original=getattr(sub, name)):
+                original(*args)
+                log.append((index, [r.step for r in sub._fulls],
+                            [(r.start, r.end) for r in sub._diffs]))
+            setattr(sub, name, spied)
     return log
 
 
@@ -190,10 +193,11 @@ def assert_recovers(store, stream, step):
 @matrix
 def test_commits_are_an_ordered_prefix_within_the_backpressure_bound(
         executor, shards, codec, tmp_path):
-    """Under a slow backend and a shallow queue: every manifest commit
-    shows a prefix of the submitted sequence (so a diff never precedes its
-    full), outstanding never exceeds ``queue_depth``, and what lands is
-    bit-equal to the synchronous store."""
+    """Under a slow backend and a shallow queue: every commit point (a
+    snapshot for a full, a journal line for a diff) shows a prefix of the
+    submitted sequence (so a diff never precedes its full), outstanding
+    never exceeds ``queue_depth``, and what lands is bit-equal to the
+    synchronous store."""
     depth = 2
     _, store, engine = open_cell(executor, shards, codec, tmp_path,
                                  slow=0.002, queue_depth=depth)

@@ -299,6 +299,17 @@ class TestChaosBackend:
         assert 0 < len(stub) < len(data)
         assert data.startswith(stub)
 
+    def test_torn_append_tears_only_its_own_bytes(self):
+        inner = InMemoryBackend()
+        inner.append("j", b"acked line\n")
+        chaos = ChaosBackend(inner, rng=Rng(3), torn_write_prob=1.0)
+        line = b"in-flight line\n"
+        with pytest.raises(IOError, match="torn"):
+            chaos.append("j", line)
+        stub = inner.read("j")[len(b"acked line\n"):]
+        assert inner.read("j").startswith(b"acked line\n")
+        assert 0 < len(stub) < len(line) and line.startswith(stub)
+
     def test_bit_flip_is_silent_but_detected_by_framing(self, rng):
         from repro.storage import pack_tree, unpack_tree
         inner = InMemoryBackend()

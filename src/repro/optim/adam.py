@@ -48,31 +48,30 @@ class Adam(Optimizer):
 
     def _update_param_fused(self, name: str, param: Parameter,
                             grad: np.ndarray) -> None:
-        # Same operations as _update_param in the same order and
-        # association (so every rounding matches bit-for-bit), but routed
-        # through two preallocated scratch buffers instead of the seven
-        # temporaries the reference expressions allocate.
-        s1, s2 = self._scratch_for(name, param.data.shape)
-        if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=s1)
-            np.add(grad, s1, out=s1)
-            grad = s1
-        m, v = self._m[name], self._v[name]
-        m *= self.beta1
-        np.multiply(grad, 1.0 - self.beta1, out=s2)
-        m += s2
-        v *= self.beta2
-        np.multiply(grad, 1.0 - self.beta2, out=s2)
-        s2 *= grad
-        v += s2
+        # _update_param's operations in the same order and association (so
+        # every rounding matches), through the scratch pair block by block
+        # so that the 12 passes read L2, not memory (see BLOCK).
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
         step_size = self.lr * math.sqrt(bias2) / bias1
-        np.sqrt(v, out=s2)
-        s2 += self.eps
-        np.multiply(m, step_size, out=s1)  # grad (possibly s1) is dead here
-        s1 /= s2
-        param.data -= s1
+        for p, g, m, v, s1, s2 in self._blocks(param.data, grad,
+                                               self._m[name], self._v[name]):
+            if self.weight_decay:
+                np.multiply(p, self.weight_decay, out=s1)
+                np.add(g, s1, out=s1)
+                g = s1
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=s2)
+            m += s2
+            v *= self.beta2
+            np.multiply(g, 1.0 - self.beta2, out=s2)
+            s2 *= g
+            v += s2
+            np.sqrt(v, out=s2)
+            s2 += self.eps
+            np.multiply(m, step_size, out=s1)  # g (possibly s1) is dead here
+            s1 /= s2
+            p -= s1
 
     def _slots(self, name: str) -> dict[str, np.ndarray]:
         return {"m": self._m[name], "v": self._v[name]}

@@ -17,6 +17,15 @@ from repro.compression.sparse import DenseScratch, SparseGradient
 from repro.tensor.module import Module
 from repro.tensor.parameter import Parameter
 
+#: Elements per slice of the fused kernels (:meth:`Optimizer._blocks`): six
+#: float64 slices (p, g, m, v, scratch pair) are 1.5 MB, in a 4 MB L2.  Fused
+#: Adam update of a 1M-element tensor, median ms of 41 steps on a 2-core
+#: Xeon (4 MB L2 per core), numpy 2.4, bit-identical at every size:
+#:   block     4K    8K   16K   32K   64K  128K  256K  whole tensor
+#:   wd 0    14.3  12.4  11.8  10.3  11.8  14.8  15.3  19.2
+#:   wd 0.01 16.5  13.1  11.2  11.8  13.2  16.9  18.9  22.6
+BLOCK = 32 * 1024
+
 
 class Optimizer:
     """Base optimizer bound to a set of named parameters.
@@ -25,9 +34,9 @@ class Optimizer:
 
     * ``_update_param`` — the reference implementation, written with plain
       numpy expressions (allocates temporaries freely);
-    * ``_update_param_fused`` — an allocation-free variant using the
-      preallocated per-parameter scratch buffers from ``_scratch_for``,
-      **bit-identical** to the reference (pinned by property tests).
+    * ``_update_param_fused`` — the same ufuncs over :meth:`_blocks`, with
+      no allocation and a block in L2 across the passes: elementwise, same
+      order per element, so **bit-identical** to the reference (pinned).
 
     ``step_with`` takes the fused path whenever ``fused`` is True and every
     parameter is float64 (the training dtype of this stack; other dtypes
@@ -67,7 +76,7 @@ class Optimizer:
         #: computes exactly the lrs the uninterrupted run would have.
         self.initial_lr = float(lr)
         self.step_count = 0
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self._densified: DenseScratch | None = None   # see _densify
         self._fused_ok = all(
             param.data.dtype == np.float64 for param in self._named.values()
@@ -136,7 +145,8 @@ class Optimizer:
         if missing:
             raise KeyError(f"missing gradients for: {sorted(missing)}")
         self.step_count += 1
-        fused = self.fused and self._fused_ok
+        kernel = (self._update_param_fused if self.fused and self._fused_ok
+                  else self._update_param)
         for name in wanted:
             param = self._named[name]
             if sparse:
@@ -151,10 +161,8 @@ class Optimizer:
                 )
             if sparse:
                 self._update_param_sparse(param, *grad)
-            elif fused:
-                self._update_param_fused(name, param, grad)
             else:
-                self._update_param(name, param, grad)
+                kernel(name, param, grad)
 
     def _densify(self, payload) -> dict[str, np.ndarray]:
         """A payload's dense gradients: a sparse one scattered into the one
@@ -169,22 +177,16 @@ class Optimizer:
     def _update_param(self, name: str, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _update_param_fused(self, name: str, param: Parameter,
-                            grad: np.ndarray) -> None:
-        """Allocation-free update; defaults to the reference kernel."""
-        self._update_param(name, param, grad)
-
-    def _scratch_for(self, name: str, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Two reusable float64 work buffers matching ``shape``.
-
-        Allocated lazily on first use and reused for every subsequent
-        step, so the steady-state update makes zero dense allocations.
-        """
-        buffers = self._scratch.get(name)
-        if buffers is None or buffers[0].shape != shape:
-            buffers = (np.empty(shape), np.empty(shape))
-            self._scratch[name] = buffers
-        return buffers
+    def _blocks(self, *arrays: np.ndarray):
+        """Aligned :data:`BLOCK`-element slices of same-shape ``arrays`` (flat,
+        C order), each with the scratch pair (allocated once) cut to length."""
+        if self._scratch is None:
+            self._scratch = (np.empty(BLOCK), np.empty(BLOCK))
+        flats = [array.reshape(-1) for array in arrays]
+        for start in range(0, flats[0].size, BLOCK):
+            n = min(BLOCK, flats[0].size - start)
+            yield (*(flat[start:start + n] for flat in flats),
+                   *(scratch[:n] for scratch in self._scratch))
 
     # State round-trip --------------------------------------------------------
     def state_dict(self) -> dict:

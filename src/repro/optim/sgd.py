@@ -44,22 +44,20 @@ class SGD(Optimizer):
 
     def _update_param_fused(self, name: str, param: Parameter,
                             grad: np.ndarray) -> None:
-        # Bit-identical to _update_param (same operations, same order,
-        # same association) with the temporaries replaced by the two
-        # preallocated scratch buffers.
-        s1, s2 = self._scratch_for(name, param.data.shape)
-        if self.weight_decay:
-            np.multiply(param.data, self.weight_decay, out=s1)
-            np.add(grad, s1, out=s1)
-            grad = s1
-        if self.momentum:
-            velocity = self._velocity[name]
-            velocity *= self.momentum
-            velocity += grad
-            np.multiply(velocity, self.lr, out=s2)
-        else:
-            np.multiply(grad, self.lr, out=s2)
-        param.data -= s2
+        # Bit-identical to _update_param (same operations, order and
+        # association): the scratch pair replaces temporaries, block by block.
+        for p, g, *velocity, s1, s2 in self._blocks(
+                param.data, grad, *self._slots(name).values()):
+            if self.weight_decay:
+                np.multiply(p, self.weight_decay, out=s1)
+                np.add(g, s1, out=s1)
+                g = s1
+            for v in velocity:  # momentum's slot, when there is one
+                v *= self.momentum
+                v += g
+                g = v
+            np.multiply(g, self.lr, out=s2)
+            p -= s2
 
     @property
     def sparse_exact(self) -> bool:

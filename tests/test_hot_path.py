@@ -30,6 +30,7 @@ from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.distributed.collectives import sparse_allreduce
 from repro.obs import OBS
 from repro.optim import Adam, SGD
+from repro.optim.optimizer import BLOCK
 from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
@@ -211,13 +212,50 @@ class TestFusedOptimizerSteps:
             np.testing.assert_array_equal(fast.data, ref.data)
 
     def test_scratch_buffers_allocated_once(self):
-        params, optimizer = run_steps(Adam, fused=True, steps=3, lr=1e-3)
-        scratch_ids = {name: tuple(id(buf) for buf in bufs)
-                       for name, bufs in optimizer._scratch.items()}
-        grads = {f"p{i}": np.ones((6, 5)) for i in range(3)}
-        optimizer.step_with(grads)
-        assert scratch_ids == {name: tuple(id(buf) for buf in bufs)
-                               for name, bufs in optimizer._scratch.items()}
+        # One BLOCK-element pair per optimizer, whatever the parameter
+        # sizes: a tensor larger than BLOCK adds no scratch of its own.
+        gen = np.random.default_rng(3)
+        params = [Parameter(gen.standard_normal(2 * BLOCK + 5), name="big"),
+                  Parameter(gen.standard_normal((6, 5)), name="small")]
+        optimizer = Adam(params, lr=1e-3)
+        ids = []
+        for _ in range(3):
+            optimizer.step_with({p.name: gen.standard_normal(p.shape)
+                                 for p in params})
+            assert sum(buf.nbytes for buf in optimizer._scratch) \
+                == 2 * BLOCK * 8
+            ids.append(tuple(id(buf) for buf in optimizer._scratch))
+        assert ids[0] == ids[1] == ids[2]
+
+    @pytest.mark.parametrize("shape", [
+        (), (0,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,),
+        (3, BLOCK // 3 + 1),
+    ], ids=["scalar", "empty", "block-1", "block", "block+1", "2block+3",
+            "rows"])
+    @pytest.mark.parametrize("optimizer_cls,kwargs", [
+        (Adam, {"lr": 1e-3}),
+        (Adam, {"lr": 1e-3, "weight_decay": 0.01}),
+        (SGD, {"lr": 0.05, "momentum": 0.9}),
+        (SGD, {"lr": 0.05, "weight_decay": 0.01}),
+        (SGD, {"lr": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
+    ], ids=["adam", "adam-wd", "sgd-momentum", "sgd-wd", "sgd-momentum-wd"])
+    def test_block_edges_match_reference(self, optimizer_cls, kwargs, shape):
+        # Weight decay makes the gradient alias the scratch inside a block;
+        # a tensor that ends mid-block cuts the scratch to a shorter slice.
+        runs = []
+        for fused in (True, False):
+            gen = np.random.default_rng(17)
+            param = Parameter(np.zeros(0), name="w")
+            param.data = gen.standard_normal(shape)
+            optimizer = optimizer_cls([param], **kwargs)
+            optimizer.fused = fused
+            for _ in range(3):
+                optimizer.step_with({"w": gen.standard_normal(shape)})
+            runs.append((param, optimizer))
+        (fast, fast_opt), (ref, ref_opt) = runs
+        assert_same_bits(fast.data, ref.data)
+        for key, slot in fast_opt._slots("w").items():
+            assert_same_bits(slot, ref_opt._slots("w")[key])
 
 
 #: Tensors of every awkward size: 0-d, empty, one element, and two plain.
@@ -368,7 +406,7 @@ class TestSparseReplayCounts:
         assert counts.calls(SGD._update_param_fused) == 0
         assert counts.calls(SGD._update_param) == 0
         assert counts.calls(DenseScratch.__init__) == 0
-        assert optimizer._scratch == {} and optimizer._densified is None
+        assert optimizer._scratch is None and optimizer._densified is None
         assert counts.calls(SGD._update_param_sparse) == self.DIFFS * tensors
         assert counts.builtin_named("at") == self.DIFFS * tensors
 

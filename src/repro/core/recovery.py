@@ -38,7 +38,6 @@ bit-exact state instead of crashing or silently loading garbage.
 from __future__ import annotations
 
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext, suppress
@@ -57,9 +56,9 @@ from repro.compression.sparse import (
 from repro.core.differential import StateDelta, apply_state_delta
 from repro.obs import OBS, span as obs_span
 from repro.optim.optimizer import Optimizer
-from repro.storage.payload_codec import DECODE_EXECUTOR
 from repro.storage.serializer import CorruptCheckpointError
 from repro.tensor.module import Module
+from repro.utils.pool import published, usable_cpus
 
 #: Load failures recovery can route around by falling back/truncating.
 _UNREADABLE = (CorruptCheckpointError, FileNotFoundError, KeyError, TypeError)
@@ -129,28 +128,18 @@ def _readable_prefix(parts, attempts) -> list:
     return done
 
 
-def _usable_cpus() -> int:
-    """The affinity mask, not the host count: a taskset or cgroup pin to
-    one core must not start a pool on it."""
-    return len(os.sched_getaffinity(0)) \
-        if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+def _recovery_pool():
+    """One pool of the usable CPUs per recovery — none when pinned to one.
+    The chain's segments fold on it; a base full decodes (zlib and NumPy's
+    copies release the GIL) and the update applies with it published.  A
+    diff decodes inline: its nodes are too small for the hand-offs (a
+    128-diff serial restore's ``load_chain``: 0.15 and 0.22 s inline, 0.18
+    and 0.25 s on the pool; 2-core host)."""
+    usable = usable_cpus()
+    return ThreadPoolExecutor(usable) if usable > 1 else nullcontext()
 
 
-@contextmanager
-def _full_decode_pool():
-    """A full's encoded tensors decode on a pool of the usable CPUs (zlib
-    and NumPy's copies release the GIL) — none when pinned to one — that
-    is joined on exit."""
-    usable = _usable_cpus()
-    with ThreadPoolExecutor(usable) if usable > 1 else nullcontext() as pool:
-        token = DECODE_EXECUTOR.set(pool)
-        try:
-            yield
-        finally:
-            DECODE_EXECUTOR.reset(token)
-
-
-def _load_base(store, model: Module, optimizer: Optimizer):
+def _load_base(store, model: Module, optimizer: Optimizer, pool):
     """Load the newest *verifiable* full checkpoint.
 
     Walks fulls newest-first; one with any part missing or failing its
@@ -163,7 +152,7 @@ def _load_base(store, model: Module, optimizer: Optimizer):
     skipped = 0
     for view in reversed(fulls):
         parts = store.parts(view)
-        with _full_decode_pool():
+        with published(pool):
             states = _readable_prefix(
                 parts, [partial(sub.load_full, record) for sub, record in parts])
         if len(states) < len(parts):
@@ -321,7 +310,7 @@ def _fold_part(parts, bounds, segments, executor, pooled_reads) -> MergeFold:
     return fold
 
 
-def _fold_chain(store, chain, workers: int):
+def _fold_chain(store, chain, workers: int, pool):
     """Stream the longest intact prefix of ``chain`` through one fold per
     part, shard-major.  Returns ``(views, folds, truncated, fanout)``.
 
@@ -337,23 +326,22 @@ def _fold_chain(store, chain, workers: int):
                        store.part_bounds()))
     pooled_reads = getattr(store.backend, "thread_safe_reads", False)
     limit, folds = len(chain), [None] * len(columns)
-    with ThreadPoolExecutor(len(segments)) if len(segments) > 1 \
-            else nullcontext() as executor:
-        while stale := [index for index, fold in enumerate(folds)
-                        if fold is None or fold.leaves != limit]:
-            parts, bounds = columns[stale[0]]
-            fold = folds[stale[0]] = _fold_part(
-                parts[:limit], bounds, segments, executor, pooled_reads)
-            if fold.leaves < limit:
-                limit = fold.leaves
-                sub, record = parts[limit]
-                sub.quarantine(record)
+    executor = pool if len(segments) > 1 else None
+    while stale := [index for index, fold in enumerate(folds)
+                    if fold is None or fold.leaves != limit]:
+        parts, bounds = columns[stale[0]]
+        fold = folds[stale[0]] = _fold_part(
+            parts[:limit], bounds, segments, executor, pooled_reads)
+        if fold.leaves < limit:
+            limit = fold.leaves
+            sub, record = parts[limit]
+            sub.quarantine(record)
     return chain[:limit], folds, int(limit < len(chain)), len(segments)
 
 
 # Applying --------------------------------------------------------------------
-def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int
-                   ) -> None:
+def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
+                   pool) -> None:
     """Apply one differential payload (or the dense gradients it stands
     for) covering ``count`` training steps to the live model/optimizer.
     A gradient payload goes to ``step_with`` as is — the optimizer
@@ -365,7 +353,8 @@ def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int
         model.load_state_dict(new_model)
         optimizer.load_state_dict(new_optimizer)
         return
-    optimizer.step_with(payload)
+    with published(pool):
+        optimizer.step_with(payload)
     # One optimizer application for `count` gradients (a batched record, or
     # a whole merged chain): keep the step counter (and thus LR schedules)
     # aligned with training.
@@ -395,25 +384,28 @@ def serial_recover(store, model: Module, optimizer: Optimizer
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
-    with _phase(phase_s, "load_full", "recover.load_full"):
-        full_step, fulls_skipped = _load_base(store, model, optimizer)
     loaded = gradients = truncated = 0
-    for view in store.diffs_after(full_step):
-        parts = store.parts(view)
-        with _phase(phase_s, "load_chain"):
-            payloads = _readable_prefix(
-                parts,
-                [partial(sub.load_diff, record) for sub, record in parts])
-        if len(payloads) < len(parts):
-            truncated = 1
-            break
-        with _phase(phase_s, "apply", "recover.replay_diff",
-                    {"start": view.start, "end": view.end,
-                     "count": view.count}):
-            _apply_payload(model, optimizer, store.assemble_payload(payloads),
-                           view.count)
-        gradients += view.count
-        loaded += 1
+    with _recovery_pool() as pool:
+        with _phase(phase_s, "load_full", "recover.load_full"):
+            full_step, fulls_skipped = _load_base(store, model, optimizer,
+                                                  pool)
+        for view in store.diffs_after(full_step):
+            parts = store.parts(view)
+            with _phase(phase_s, "load_chain"):
+                payloads = _readable_prefix(
+                    parts,
+                    [partial(sub.load_diff, record) for sub, record in parts])
+            if len(payloads) < len(parts):
+                truncated = 1
+                break
+            with _phase(phase_s, "apply", "recover.replay_diff",
+                        {"start": view.start, "end": view.end,
+                         "count": view.count}):
+                _apply_payload(model, optimizer,
+                               store.assemble_payload(payloads), view.count,
+                               pool)
+            gradients += view.count
+            loaded += 1
     _observe("serial", recover_t0, loaded)
     return RecoveryResult(
         step=optimizer.step_count,
@@ -435,41 +427,44 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
 
     Every shard's chain streams through one :class:`MergeFold`: the
     balanced pairwise tree, ``n-1`` merges at critical-path depth
-    ``ceil(log2 n)``.  Aligned chain segments fold on a thread pool with a
-    fan-out of ``min(max_workers, usable CPUs, segments)``; at one — a
-    pinned process, ``max_workers <= 1``, under four records — the fold
-    runs inline with no pool.  The default ``max_workers`` is 8 for
+    ``ceil(log2 n)``.  Aligned chain segments fold on the recovery's pool
+    with a fan-out of ``min(max_workers, usable CPUs, segments)``; at one —
+    a pinned process, ``max_workers <= 1``, under four records — the fold
+    runs inline.  The default ``max_workers`` is 8 for
     blobs of :data:`FANOUT_MIN_RECORD_BYTES` decode weight and up, else
     1: fan-out must never lose.  The result never depends on the fan-out.
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
-    with _phase(phase_s, "load_full", "recover.load_full"):
-        full_step, fulls_skipped = _load_base(store, model, optimizer)
-    views = store.diffs_after(full_step)
-    if max_workers is None:     # plan: threads only where they can win
-        blobs = [record for view in views for _, record in store.parts(view)]
-        weight = sum(record.nbytes * (CODED_DECODE_WEIGHT if record.codec
-                                      else 1) for record in blobs)
-        max_workers = 8 if weight \
-            >= max(1, len(blobs)) * FANOUT_MIN_RECORD_BYTES else 1
-    with obs_span("recover.load_chain", "recovery"):
-        views, folds, truncated, fanout = _fold_chain(
-            store, views, min(max_workers, _usable_cpus()))
-    roots = [fold.root() for fold in folds]
-    for fold in folds:
-        phase_s["load_chain"] += fold.stats["load_chain"]
-        phase_s["merge"] += fold.stats["merge"]
-    gradients = sum(view.count for view in views)
-    if views:
-        with _phase(phase_s, "apply", "recover.apply_merged",
-                    {"gradients": gradients}):
-            if all(isinstance(root, DenseNode) for root in roots):
-                merged = DenseNode.tensors(roots)   # roots tile the space
-            else:
-                merged = store.assemble_payload(
-                    [as_payload(root) for root in roots])
-            _apply_payload(model, optimizer, merged, gradients)
+    with _recovery_pool() as pool:
+        with _phase(phase_s, "load_full", "recover.load_full"):
+            full_step, fulls_skipped = _load_base(store, model, optimizer,
+                                                  pool)
+        views = store.diffs_after(full_step)
+        if max_workers is None:     # plan: threads only where they can win
+            blobs = [record for view in views
+                     for _, record in store.parts(view)]
+            weight = sum(record.nbytes * (CODED_DECODE_WEIGHT if record.codec
+                                          else 1) for record in blobs)
+            max_workers = 8 if weight \
+                >= max(1, len(blobs)) * FANOUT_MIN_RECORD_BYTES else 1
+        with obs_span("recover.load_chain", "recovery"):
+            views, folds, truncated, fanout = _fold_chain(
+                store, views, min(max_workers, usable_cpus()), pool)
+        roots = [fold.root() for fold in folds]
+        for fold in folds:
+            phase_s["load_chain"] += fold.stats["load_chain"]
+            phase_s["merge"] += fold.stats["merge"]
+        gradients = sum(view.count for view in views)
+        if views:
+            with _phase(phase_s, "apply", "recover.apply_merged",
+                        {"gradients": gradients}):
+                if all(isinstance(root, DenseNode) for root in roots):
+                    merged = DenseNode.tensors(roots)  # roots tile the space
+                else:
+                    merged = store.assemble_payload(
+                        [as_payload(root) for root in roots])
+                _apply_payload(model, optimizer, merged, gradients, pool)
     _observe("parallel", recover_t0, len(views))
     return RecoveryResult(
         step=optimizer.step_count,

@@ -47,14 +47,15 @@ class Adam(Optimizer):
         param.data -= step_size * m / (np.sqrt(v) + self.eps)
 
     def _update_param_fused(self, name: str, param: Parameter,
-                            grad: np.ndarray) -> None:
+                            grad: np.ndarray, span: tuple[int, int],
+                            run: int) -> None:
         # _update_param's operations in the same order and association (so
         # every rounding matches), through the scratch pair block by block
         # so that the 12 passes read L2, not memory (see BLOCK).
         bias1 = 1.0 - self.beta1**self.step_count
         bias2 = 1.0 - self.beta2**self.step_count
         step_size = self.lr * math.sqrt(bias2) / bias1
-        for p, g, m, v, s1, s2 in self._blocks(param.data, grad,
+        for p, g, m, v, s1, s2 in self._blocks(span, run, param.data, grad,
                                                self._m[name], self._v[name]):
             if self.weight_decay:
                 np.multiply(p, self.weight_decay, out=s1)

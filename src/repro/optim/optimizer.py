@@ -16,6 +16,7 @@ import numpy as np
 from repro.compression.sparse import DenseScratch, SparseGradient
 from repro.tensor.module import Module
 from repro.tensor.parameter import Parameter
+from repro.utils.pool import POOL
 
 #: Elements per slice of the fused kernels (:meth:`Optimizer._blocks`): six
 #: float64 slices (p, g, m, v, scratch pair) are 1.5 MB, in a 4 MB L2.  Fused
@@ -42,7 +43,10 @@ class Optimizer:
     parameter is float64 (the training dtype of this stack; other dtypes
     would change numpy's intermediate-dtype propagation, so they fall back
     to the reference kernel).  Both live training and recovery replay go
-    through ``step_with``, so they share the same fast path.  A
+    through ``step_with``, so they share the same fast path — but only
+    recovery publishes a pool (:mod:`repro.utils.pool`), over which the
+    fused update splits (:meth:`_step_fused`): a replayed step uses every
+    usable core, a live one stays on the trainer's thread.  A
     :attr:`sparse_exact` subclass adds ``_update_param_sparse(param,
     indices, values)``, applied to a payload's listed coordinates only.
     """
@@ -76,7 +80,7 @@ class Optimizer:
         #: computes exactly the lrs the uninterrupted run would have.
         self.initial_lr = float(lr)
         self.step_count = 0
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._scratch: list[np.ndarray] | None = None   # see _step_fused
         self._densified: DenseScratch | None = None   # see _densify
         self._fused_ok = all(
             param.data.dtype == np.float64 for param in self._named.values()
@@ -145,8 +149,7 @@ class Optimizer:
         if missing:
             raise KeyError(f"missing gradients for: {sorted(missing)}")
         self.step_count += 1
-        kernel = (self._update_param_fused if self.fused and self._fused_ok
-                  else self._update_param)
+        dense = []
         for name in wanted:
             param = self._named[name]
             if sparse:
@@ -162,7 +165,12 @@ class Optimizer:
             if sparse:
                 self._update_param_sparse(param, *grad)
             else:
-                kernel(name, param, grad)
+                dense.append((name, param, grad))
+        if dense and self.fused and self._fused_ok:
+            self._step_fused(dense)
+        else:
+            for name, param, grad in dense:
+                self._update_param(name, param, grad)
 
     def _densify(self, payload) -> dict[str, np.ndarray]:
         """A payload's dense gradients: a sparse one scattered into the one
@@ -177,16 +185,54 @@ class Optimizer:
     def _update_param(self, name: str, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError
 
-    def _blocks(self, *arrays: np.ndarray):
+    def _step_fused(self, work: list) -> None:
+        """The fused kernel over ``work``'s ``(name, param, grad)``: from
+        ``2 * BLOCK`` elements, one run of whole blocks per worker of a
+        published pool, balanced by element count across parameters; all
+        runs but the last on the pool, each over its own scratch pair.
+        Elementwise kernels, so bit-identical to running inline."""
+        pool, total = POOL.get(), sum(param.data.size for _, param, _ in work)
+        if pool is None or total < 2 * BLOCK:
+            runs = [[(*item, (0, item[1].data.size)) for item in work]]
+        else:
+            width = pool._max_workers
+            cuts = [-(-index * total // width) for index in range(width + 1)]
+            runs, base = [[] for _ in range(width)], 0
+            for name, param, grad in work:  # a run's blocks start in its cuts
+                size = param.data.size
+                edges = [min(size, max(0, -(-(cut - base) // BLOCK) * BLOCK))
+                         for cut in cuts]
+                for run, span in zip(runs, zip(edges, edges[1:])):
+                    if span[0] < span[1]:
+                        run.append((name, param, grad, span))
+                base += size
+            runs = [run for run in runs if run]
+        scratch = self._scratch or []   # allocated once, indexed by run
+        if len(scratch) < 2 * len(runs):
+            self._scratch = scratch + [np.empty(BLOCK) for _ in
+                                       range(len(scratch), 2 * len(runs))]
+        futures = [pool.submit(self._run_fused, run, index)
+                   for index, run in enumerate(runs[:-1])]
+        try:
+            self._run_fused(runs[-1], len(runs) - 1)
+        finally:
+            for future in futures:
+                future.result()
+
+    def _run_fused(self, run: list, index: int) -> None:
+        for name, param, grad, span in run:
+            self._update_param_fused(name, param, grad, span, index)
+
+    def _blocks(self, span: tuple[int, int], run: int, *arrays: np.ndarray):
         """Aligned :data:`BLOCK`-element slices of same-shape ``arrays`` (flat,
-        C order), each with the scratch pair (allocated once) cut to length."""
-        if self._scratch is None:
-            self._scratch = (np.empty(BLOCK), np.empty(BLOCK))
+        C order) over the element ``span``, each with run ``run``'s scratch
+        pair cut to length."""
+        pair = self._scratch[2 * run:2 * run + 2]
         flats = [array.reshape(-1) for array in arrays]
-        for start in range(0, flats[0].size, BLOCK):
-            n = min(BLOCK, flats[0].size - start)
+        for start in range(*span, BLOCK):
+            n = min(BLOCK, span[1] - start)
             yield (*(flat[start:start + n] for flat in flats),
-                   *(scratch[:n] for scratch in self._scratch))
+                   *(scratch[:n] for scratch in pair))
 
     # State round-trip --------------------------------------------------------
     def state_dict(self) -> dict:

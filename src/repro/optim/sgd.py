@@ -43,11 +43,12 @@ class SGD(Optimizer):
             param.data -= self.lr * grad
 
     def _update_param_fused(self, name: str, param: Parameter,
-                            grad: np.ndarray) -> None:
+                            grad: np.ndarray, span: tuple[int, int],
+                            run: int) -> None:
         # Bit-identical to _update_param (same operations, order and
         # association): the scratch pair replaces temporaries, block by block.
         for p, g, *velocity, s1, s2 in self._blocks(
-                param.data, grad, *self._slots(name).values()):
+                span, run, param.data, grad, *self._slots(name).values()):
             if self.weight_decay:
                 np.multiply(p, self.weight_decay, out=s1)
                 np.add(g, s1, out=s1)

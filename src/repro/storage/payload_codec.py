@@ -46,7 +46,6 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from contextvars import ContextVar
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from repro.compression.quantization import QuantizedGradient
 from repro.compression.sparse import SortedIndices, SparseGradient
 from repro.obs import OBS
 from repro.storage.serializer import ENC_KEY
+from repro.utils.pool import POOL
 
 #: Root-tree key carrying the codec id inside encoded blobs, making them
 #: self-describing (manifest rebuilds recover the right decoder).
@@ -469,10 +469,6 @@ def logical_nbytes(tree) -> int:
 # Codecs
 # ---------------------------------------------------------------------------
 
-#: Executor :meth:`PayloadCodec.decode_tree` maps encoded nodes over, if set.
-DECODE_EXECUTOR: ContextVar = ContextVar("decode_executor", default=None)
-
-
 class PayloadCodec:
     """Base codec: transforms serializable trees before/after the container
     serializer.  Stateless, so one instance serves every thread; a
@@ -492,10 +488,11 @@ class PayloadCodec:
         return out
 
     def decode_tree(self, tree: dict) -> dict:
-        """Inverse of :meth:`encode_tree`: restores every array leaf."""
+        """Inverse of :meth:`encode_tree`: restores every array leaf, on the
+        published pool (:data:`~repro.utils.pool.POOL`) if there is one."""
         started = time.perf_counter()
         decode = decode_array
-        if (executor := DECODE_EXECUTOR.get()) is not None:
+        if (executor := POOL.get()) is not None:
             nodes: list[dict] = []
             self._walk_decode(tree, nodes.append)     # collect, then map
             done = dict(zip(map(id, nodes), executor.map(decode_array, nodes)))

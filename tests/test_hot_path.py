@@ -14,6 +14,11 @@ identically everywhere:
 - ``dedup_updates`` (1x update + memcpy) vs every replica recomputing it.
 """
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +30,7 @@ from repro.compression.sparse import (
     DenseScratch,
     SparseGradient,
 )
+from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.core.recovery import serial_recover
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.distributed.collectives import sparse_allreduce
@@ -35,6 +41,7 @@ from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.tensor.parameter import Parameter
+from repro.utils.pool import published
 from repro.utils.rng import Rng
 from tests.helpers import (
     CallCounts,
@@ -160,6 +167,22 @@ def run_steps(optimizer_cls, fused, steps=25, dtype=np.float64, **kwargs):
     return params, optimizer
 
 
+BLOCK_EDGE_SHAPES = [(), (0,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,),
+                     (2 * BLOCK + 3,), (3, BLOCK // 3 + 1)]
+BLOCK_EDGE_IDS = ["scalar", "empty", "block-1", "block", "block+1",
+                  "2block+3", "rows"]
+#: Parameters p0..p3 whose runs split inside one, at 2 workers and at 3.
+SPLIT_SHAPES = [(BLOCK + 1,), (3, BLOCK // 3 + 1), (2 * BLOCK + 3,), ()]
+FUSED_OPTIMIZERS = [
+    (Adam, {"lr": 1e-3}),
+    (Adam, {"lr": 1e-3, "weight_decay": 0.01}),
+    (SGD, {"lr": 0.05, "momentum": 0.9}),
+    (SGD, {"lr": 0.05, "weight_decay": 0.01}),
+    (SGD, {"lr": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
+]
+FUSED_IDS = ["adam", "adam-wd", "sgd-momentum", "sgd-wd", "sgd-momentum-wd"]
+
+
 class TestFusedOptimizerSteps:
     @pytest.mark.parametrize("kwargs", [
         {"lr": 1e-3},
@@ -227,18 +250,9 @@ class TestFusedOptimizerSteps:
             ids.append(tuple(id(buf) for buf in optimizer._scratch))
         assert ids[0] == ids[1] == ids[2]
 
-    @pytest.mark.parametrize("shape", [
-        (), (0,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,),
-        (3, BLOCK // 3 + 1),
-    ], ids=["scalar", "empty", "block-1", "block", "block+1", "2block+3",
-            "rows"])
-    @pytest.mark.parametrize("optimizer_cls,kwargs", [
-        (Adam, {"lr": 1e-3}),
-        (Adam, {"lr": 1e-3, "weight_decay": 0.01}),
-        (SGD, {"lr": 0.05, "momentum": 0.9}),
-        (SGD, {"lr": 0.05, "weight_decay": 0.01}),
-        (SGD, {"lr": 0.05, "momentum": 0.9, "weight_decay": 0.01}),
-    ], ids=["adam", "adam-wd", "sgd-momentum", "sgd-wd", "sgd-momentum-wd"])
+    @pytest.mark.parametrize("shape", BLOCK_EDGE_SHAPES, ids=BLOCK_EDGE_IDS)
+    @pytest.mark.parametrize("optimizer_cls,kwargs", FUSED_OPTIMIZERS,
+                             ids=FUSED_IDS)
     def test_block_edges_match_reference(self, optimizer_cls, kwargs, shape):
         # Weight decay makes the gradient alias the scratch inside a block;
         # a tensor that ends mid-block cuts the scratch to a shorter slice.
@@ -256,6 +270,79 @@ class TestFusedOptimizerSteps:
         assert_same_bits(fast.data, ref.data)
         for key, slot in fast_opt._slots("w").items():
             assert_same_bits(slot, ref_opt._slots("w")[key])
+
+    @pytest.mark.parametrize("shapes,names", [
+        *(([shape], None) for shape in BLOCK_EDGE_SHAPES),
+        # Whatever the width, some run is cut inside a parameter.
+        (SPLIT_SHAPES, None), (SPLIT_SHAPES, ["p0", "p2", "p3"]),
+    ], ids=[*BLOCK_EDGE_IDS, "split", "zero-names"])
+    @pytest.mark.parametrize("optimizer_cls,kwargs", FUSED_OPTIMIZERS,
+                             ids=FUSED_IDS)
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_pool_split_matches_reference(self, width, optimizer_cls, kwargs,
+                                          shapes, names):
+        # A published pool splits a step of 2 * BLOCK elements or more
+        # into runs of whole blocks, each over its own scratch pair.
+        def run(fused, pool):
+            gen = np.random.default_rng(29)
+            params = []
+            for index, shape in enumerate(shapes):
+                param = Parameter(np.zeros(0), name=f"p{index}")
+                param.data = gen.standard_normal(shape)
+                params.append(param)
+            optimizer = optimizer_cls(params, **kwargs)
+            optimizer.fused = fused
+            with published(pool):
+                for _ in range(3):
+                    optimizer.step_with({p.name: gen.standard_normal(p.shape)
+                                         for p in params}, names=names)
+            return params, optimizer
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # runs interleave as often as can be
+        try:
+            with ThreadPoolExecutor(width) as pool, mock.patch.object(
+                    pool, "submit", wraps=pool.submit) as submit:
+                split, split_opt = run(True, pool)
+        finally:
+            sys.setswitchinterval(interval)
+        stepped = sum(p.data.size for p in split
+                      if names is None or p.name in names)
+        assert bool(submit.call_count) == (stepped >= 2 * BLOCK)
+        assert len(split_opt._scratch) <= 2 * width
+        for params, optimizer in (run(True, None), run(False, None)):
+            for param, got in zip(params, split):
+                assert_same_bits(got.data, param.data)
+                for key, slot in split_opt._slots(got.name).items():
+                    assert_same_bits(slot, optimizer._slots(param.name)[key])
+
+
+class TestLiveStepThreads:
+    def test_live_steps_start_no_thread(self):
+        """Training publishes no pool: Adam steps of 2 * BLOCK elements and
+        more under an inline LowDiffCheckpointer start no thread, and each
+        replica's optimizer holds exactly one scratch pair."""
+        trainer = DataParallelTrainer(
+            model_builder=lambda rank: MLP(128, [512], 10, rng=Rng(0)),
+            optimizer_builder=lambda m: Adam(m, lr=1e-3),
+            loss_fn=CrossEntropyLoss(),
+            dataset=SyntheticClassification(128, 10, batch_size=4, seed=1),
+            num_workers=2,
+            compressor_builder=lambda: TopKCompressor(0.1))
+        assert sum(p.data.size for p in trainer.workers[0].model.parameters()) \
+            >= 2 * BLOCK
+        checkpointer = LowDiffCheckpointer(
+            CheckpointStore(InMemoryBackend()),
+            CheckpointConfig(full_every_iters=2, batch_size=1))
+        checkpointer.attach(trainer)
+        with mock.patch.object(threading.Thread, "start", autospec=True,
+                               side_effect=threading.Thread.start) as start:
+            for _ in range(3):
+                trainer.step()
+        checkpointer.finalize()
+        assert start.call_count == 0
+        for worker in trainer.workers:
+            assert len(worker.optimizer._scratch) == 2
 
 
 #: Tensors of every awkward size: 0-d, empty, one element, and two plain.

@@ -11,6 +11,8 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro.core.recovery import (
     serial_recover,
 )
 from repro.optim import SGD, Adam
+from repro.optim.optimizer import BLOCK
 from repro.storage import (
     CheckpointStore,
     InMemoryBackend,
@@ -34,6 +37,7 @@ from repro.storage import (
     payload_codec,
 )
 from repro.tensor.models import MLP
+from repro.utils.pool import POOL
 from repro.utils.rng import Rng
 from tests.helpers import Recorder, assert_states_equal
 
@@ -818,6 +822,83 @@ class TestFullStatePool:
                 == [a.tobytes() for a in restored[0][1:]]
             assert {name: a.tobytes() for name, a in arrays[0].items()} \
                 == {name: a.tobytes() for name, a in restored[0][0].items()}
+
+
+class TestRecoveryPool:
+    """One pool per recovery, as counts: one ``ThreadPoolExecutor`` per
+    call on two usable CPUs — however many corrupt fulls the base walk
+    passes over — and none on one; work on a pool thread never sees it
+    published, so never submits to it."""
+
+    RECOVERIES = [serial_recover, partial(parallel_recover, max_workers=2)]
+
+    @staticmethod
+    def store_past_two_corrupt_fulls():
+        """Coded fulls at 0, 2 and 4, the two newest corrupt, and a diff
+        per step of an Adam MLP whose update splits (2 * BLOCK or more)."""
+        model = MLP(128, [512], 10, rng=Rng(0))
+        optimizer = Adam(model, lr=1e-3)
+        assert sum(p.data.size for p in model.parameters()) >= 2 * BLOCK
+        store = CheckpointStore(InMemoryBackend(), codec="lossless")
+        rng, compressor = Rng(1), TopKCompressor(0.1)
+        store.save_full(0, model.state_dict(), optimizer.state_dict())
+        for step in range(1, 7):
+            payload = compressor.compress({
+                name: rng.child("g", step, name).normal(size=p.shape)
+                for name, p in model.named_parameters()})
+            optimizer.step_with(payload)
+            store.save_diff(step, step, payload)
+            if step in (2, 4):
+                store.save_full(step, model.state_dict(),
+                                optimizer.state_dict())
+        for view in store.fulls()[1:]:
+            sub, record = store.parts(view)[-1]
+            raw = bytearray(sub.backend.read(record.key))
+            raw[len(raw) // 2] ^= 0xFF
+            sub.backend.write(record.key, bytes(raw))
+        return store, model
+
+    @pytest.mark.parametrize("recover", RECOVERIES, ids=["serial", "parallel"])
+    @pytest.mark.parametrize("cpus,pools", [(2, 1), (1, 0)])
+    def test_one_pool_per_call_none_on_one_cpu(self, recover, cpus, pools):
+        store, live = self.store_past_two_corrupt_fulls()
+        model = MLP(128, [512], 10, rng=Rng(2))
+        with usable_cpus(cpus), mock.patch.object(
+                recovery, "ThreadPoolExecutor",
+                wraps=ThreadPoolExecutor) as built:
+            result = recover(store, model, Adam(model, lr=1e-3))
+        assert built.call_count == pools and not pool_threads()
+        assert result.corrupt_fulls_skipped == 2 and result.step == 6
+        if recover is serial_recover:
+            assert_states_equal(model.state_dict(), live.state_dict())
+
+    def test_no_pool_published_on_a_pool_thread(self):
+        seen = []   # (function, on a pool thread, pool published)
+
+        def spy(function):
+            def recording(*args):
+                seen.append((function.__name__,
+                             threading.current_thread().name
+                             .startswith("ThreadPoolExecutor"),
+                             POOL.get() is not None))
+                return function(*args)
+            return recording
+
+        for recover in self.RECOVERIES:
+            store, _ = self.store_past_two_corrupt_fulls()
+            model = MLP(128, [512], 10, rng=Rng(2))
+            with usable_cpus(2), mock.patch.object(
+                    payload_codec, "decode_array",
+                    spy(payload_codec.decode_array)), mock.patch.object(
+                    Adam, "_update_param_fused",
+                    spy(Adam._update_param_fused)):
+                recover(store, model, Adam(model, lr=1e-3))
+        # The full decodes and the fold runs on the pool; the diffs decode
+        # inline, with no pool published; the update splits over it.
+        assert set(seen) == {
+            ("decode_array", True, False), ("decode_array", False, False),
+            ("_update_param_fused", True, False),
+            ("_update_param_fused", False, True)}
 
 
 class TestNoSortGuard:

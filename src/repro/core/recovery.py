@@ -343,9 +343,9 @@ def _fold_chain(store, chain, workers: int, pool):
 def _apply_payload(model: Module, optimizer: Optimizer, payload, count: int,
                    pool) -> None:
     """Apply one differential payload (or the dense gradients it stands
-    for) covering ``count`` training steps to the live model/optimizer.
-    A gradient payload goes to ``step_with`` as is — the optimizer
-    scatters it or densifies it, exactly as the live step did."""
+    for) covering ``count`` training steps, or a window (a list) of
+    one-step payloads, to the live model/optimizer.  A gradient payload
+    goes to ``step_with`` as is, exactly as the live step took it."""
     if isinstance(payload, StateDelta):
         new_model, new_optimizer = apply_state_delta(
             model.state_dict(), optimizer.state_dict(), payload
@@ -381,10 +381,22 @@ def serial_recover(store, model: Module, optimizer: Optimizer
     sharded store each chain position reassembles its shard payloads into
     the original payload bit-exactly, so the restored state is
     bit-identical to the unsharded series of the same run.
+
+    One-step gradient diffs replay as ``step_with`` windows while their
+    decoded bytes fit in one float64 per parameter; a batched record, a
+    state delta, or a record under a ``sparse_exact`` optimizer, alone.
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
     loaded = gradients = truncated = 0
+    budget = 0 if optimizer.sparse_exact else \
+        8 * sum(param.data.size for param in optimizer.parameters())
+    window: list = []
+
+    def replay(payload, count: int = 1) -> None:
+        with _phase(phase_s, "apply", "recover.replay_window"):
+            _apply_payload(model, optimizer, payload, count, pool)
+
     with _recovery_pool() as pool:
         with _phase(phase_s, "load_full", "recover.load_full"):
             full_step, fulls_skipped = _load_base(store, model, optimizer,
@@ -395,17 +407,24 @@ def serial_recover(store, model: Module, optimizer: Optimizer
                 payloads = _readable_prefix(
                     parts,
                     [partial(sub.load_diff, record) for sub, record in parts])
-            if len(payloads) < len(parts):
-                truncated = 1
-                break
-            with _phase(phase_s, "apply", "recover.replay_diff",
-                        {"start": view.start, "end": view.end,
-                         "count": view.count}):
-                _apply_payload(model, optimizer,
-                               store.assemble_payload(payloads), view.count,
-                               pool)
+                if len(payloads) < len(parts):
+                    truncated = 1
+                    break
+                payload = store.assemble_payload(payloads)
+            alone = view.count > 1 or isinstance(payload, StateDelta) \
+                or not budget
+            if window and (alone or payload.nbytes + sum(
+                    held.nbytes for held in window) > budget):
+                replay(window)
+                window = []
+            if alone:
+                replay(payload, view.count)
+            else:
+                window.append(payload)
             gradients += view.count
             loaded += 1
+        if window:
+            replay(window)
     _observe("serial", recover_t0, loaded)
     return RecoveryResult(
         step=optimizer.step_count,

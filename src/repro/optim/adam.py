@@ -46,33 +46,34 @@ class Adam(Optimizer):
         step_size = self.lr * math.sqrt(bias2) / bias1
         param.data -= step_size * m / (np.sqrt(v) + self.eps)
 
-    def _update_param_fused(self, name: str, param: Parameter,
-                            grad: np.ndarray, span: tuple[int, int],
-                            run: int) -> None:
+    def _update_param_fused(self, name: str, param: Parameter, window: list,
+                            span: tuple[int, int], run: int) -> None:
         # _update_param's operations in the same order and association (so
-        # every rounding matches), through the scratch pair block by block
-        # so that the 12 passes read L2, not memory (see BLOCK).
-        bias1 = 1.0 - self.beta1**self.step_count
-        bias2 = 1.0 - self.beta2**self.step_count
-        step_size = self.lr * math.sqrt(bias2) / bias1
-        for p, g, m, v, s1, s2 in self._blocks(span, run, param.data, grad,
-                                               self._m[name], self._v[name]):
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=s1)
-                np.add(g, s1, out=s1)
-                g = s1
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s2)
-            m += s2
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s2)
-            s2 *= g
-            v += s2
-            np.sqrt(v, out=s2)
-            s2 += self.eps
-            np.multiply(m, step_size, out=s1)  # g (possibly s1) is dead here
-            s1 /= s2
-            p -= s1
+        # every rounding matches), through the scratch pair block by block,
+        # all the window's steps (ending at step_count, each with its own bias
+        # correction) on a block before the next: passes read L2 (see BLOCK).
+        steps = range(self.step_count - len(window) + 1, self.step_count + 1)
+        sizes = [self.lr * math.sqrt(1.0 - self.beta2**step)
+                 / (1.0 - self.beta1**step) for step in steps]
+        for p, m, v, s1, s2, grads in self._blocks(
+                span, run, window, param.data, self._m[name], self._v[name]):
+            for g, step_size in zip(grads, sizes):
+                if self.weight_decay:
+                    np.multiply(p, self.weight_decay, out=s2)
+                    np.add(g, s2, out=s1)
+                    g = s1
+                m *= self.beta1
+                np.multiply(g, 1.0 - self.beta1, out=s2)
+                m += s2
+                v *= self.beta2
+                np.multiply(g, 1.0 - self.beta2, out=s2)
+                s2 *= g
+                v += s2
+                np.sqrt(v, out=s2)
+                s2 += self.eps
+                np.multiply(m, step_size, out=s1)  # g (maybe s1) is dead here
+                s1 /= s2
+                p -= s1
 
     def _slots(self, name: str) -> dict[str, np.ndarray]:
         return {"m": self._m[name], "v": self._v[name]}

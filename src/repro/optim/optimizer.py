@@ -9,11 +9,13 @@ made, and ``M_{t+1} = M_t + Opt(G_t)`` holds bit-for-bit.
 
 from __future__ import annotations
 
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
 
-from repro.compression.sparse import DenseScratch, SparseGradient
+from repro.compression.sparse import SparseGradient
 from repro.tensor.module import Module
 from repro.tensor.parameter import Parameter
 from repro.utils.pool import POOL
@@ -28,6 +30,30 @@ from repro.utils.pool import POOL
 BLOCK = 32 * 1024
 
 
+def _in_order(indices: np.ndarray, values: np.ndarray, size: int) -> tuple:
+    """A sparse tensor's entries sorted by index (a repeated index's in
+    ``decompress`` order), and where each :data:`BLOCK` of it starts."""
+    if (indices[1:] < indices[:-1]).any():
+        order = np.argsort(indices, kind="stable")
+        indices, values = indices[order], values[order]
+    cuts = indices.searchsorted(np.arange(0, size, BLOCK, dtype=indices.dtype))
+    return indices, values, [*cuts.tolist(), indices.size]
+
+
+def _gradient_block(grad, start: int, out: np.ndarray) -> np.ndarray:
+    """Elements ``[start, start + out.size)`` of a gradient: a dense one's
+    view, or a sparse one summed into zeroed ``out`` exactly as by
+    ``decompress`` (float64 ``np.add.at``: ``-0.0`` lands as ``+0.0``)."""
+    if isinstance(grad, np.ndarray):
+        return grad.reshape(-1)[start:start + out.size]
+    indices, values, cuts = grad
+    low, high = cuts[start // BLOCK:start // BLOCK + 2]
+    out.fill(0.0)
+    np.add.at(out, indices[low:high] - start,
+              values[low:high].astype(np.float64))
+    return out
+
+
 class Optimizer:
     """Base optimizer bound to a set of named parameters.
 
@@ -36,17 +62,18 @@ class Optimizer:
     * ``_update_param`` — the reference implementation, written with plain
       numpy expressions (allocates temporaries freely);
     * ``_update_param_fused`` — the same ufuncs over :meth:`_blocks`, with
-      no allocation and a block in L2 across the passes: elementwise, same
-      order per element, so **bit-identical** to the reference (pinned).
+      no allocation, a block in L2 across the passes and a window's steps:
+      elementwise, same order per element, so **bit-identical** (pinned).
 
     ``step_with`` takes the fused path whenever ``fused`` is True and every
     parameter is float64 (the training dtype of this stack; other dtypes
     would change numpy's intermediate-dtype propagation, so they fall back
-    to the reference kernel).  Both live training and recovery replay go
-    through ``step_with``, so they share the same fast path — but only
-    recovery publishes a pool (:mod:`repro.utils.pool`), over which the
-    fused update splits (:meth:`_step_fused`): a replayed step uses every
-    usable core, a live one stays on the trainer's thread.  A
+    to the reference kernel).  Both live training (a window of one step)
+    and recovery replay (a window of diffs) go through ``step_with``, so
+    they share the same fast path — but only recovery publishes a pool
+    (:mod:`repro.utils.pool`), over which the fused update splits
+    (:meth:`_step_fused`): a replayed window uses every usable core, a
+    live step stays on the trainer's thread.  A
     :attr:`sparse_exact` subclass adds ``_update_param_sparse(param,
     indices, values)``, applied to a payload's listed coordinates only.
     """
@@ -81,7 +108,6 @@ class Optimizer:
         self.initial_lr = float(lr)
         self.step_count = 0
         self._scratch: list[np.ndarray] | None = None   # see _step_fused
-        self._densified: DenseScratch | None = None   # see _densify
         self._fused_ok = all(
             param.data.dtype == np.float64 for param in self._named.values()
         )
@@ -116,77 +142,78 @@ class Optimizer:
         self.step_with(grads)
 
     def step_with(self, named_grads, names: Iterable[str] | None = None) -> None:
-        """Apply one update from externally supplied gradients.
+        """Apply one update per step from externally supplied gradients.
 
-        ``named_grads`` is dense gradients keyed by parameter name, or the
-        compressed payload itself (what recovery replays and a trainer
-        synchronized).  A duplicate-free :class:`SparseGradient` on a
+        ``named_grads`` is dense gradients keyed by parameter name, the
+        compressed payload itself (what a trainer synchronized), or a
+        *window*: a list of those, one per consecutive step (what recovery
+        replays).  A duplicate-free :class:`SparseGradient` on a
         :attr:`sparse_exact` optimizer is scattered over its coordinates
-        (O(k), nothing dense); any other payload goes through
-        :meth:`_densify` — the one place a payload becomes dense — and the
-        dense kernels.  Both routes check names and shapes alike.
+        (O(k), nothing dense); the fused kernel densifies any other one
+        block by block (:meth:`_blocks`); any other route decompresses.
+        Every step is checked, alike on every route, before any applies.
 
         ``names`` restricts the update to a subset of parameters (ZeRO-1
         optimizer-state sharding: each rank steps only the shard it owns).
         ``named_grads`` may then carry gradients for the full parameter
         space; only the named subset is validated and updated.  The step
-        counter still advances exactly once — every rank's bias
+        counter still advances exactly once per step — every rank's bias
         correction stays aligned with the global step — and the subset
         path runs the same kernels as the full one.
         """
-        sparse = (isinstance(named_grads, SparseGradient) and self.sparse_exact
-                  and not named_grads.has_duplicates())
-        if not (sparse or isinstance(named_grads, dict)):
-            named_grads = self._densify(named_grads)
-        given = named_grads.shapes if sparse else named_grads
+        window = named_grads if isinstance(named_grads, list) else [named_grads]
         wanted = list(self._named) if names is None else list(names)
-        unknown = set(given if names is None else wanted) - set(self._named)
+        fused = self.fused and self._fused_ok
+        steps = [self._check(g, wanted, names is None, fused) for g in window]
+        for scatter, run in groupby(steps, key=itemgetter(0)):
+            run = [grads for _, grads in run]
+            if fused and not scatter and wanted:    # the run in one pass
+                self.step_count += len(run)     # the kernels' steps end here
+                self._step_fused([(name, self._named[name], [
+                    grads[name] for grads in run]) for name in wanted])
+                continue
+            for grads in run:
+                self.step_count += 1
+                for name in wanted:
+                    if scatter:
+                        self._update_param_sparse(self._named[name],
+                                                  *grads.entries[name])
+                    else:
+                        self._update_param(name, self._named[name], grads[name])
+
+    def _check(self, grads, wanted: list[str], every: bool, fused: bool):
+        """``(scatter, grads)`` for one step, checked against ``wanted``
+        (``every``: all given names must be known); unless scattered,
+        ``grads`` by name: float64 arrays, or sorted entries (fused)."""
+        sparse = isinstance(grads, SparseGradient)
+        scatter = sparse and self.sparse_exact and not grads.has_duplicates()
+        if not (isinstance(grads, dict) or sparse and (scatter or fused)):
+            grads, sparse = grads.decompress(), False
+        given = grads.shapes if sparse else grads
+        unknown = set(given if every else wanted) - set(self._named)
         if unknown:
-            raise KeyError(("gradients for" if names is None else
+            raise KeyError(("gradients for" if every else
                             "update requested for")
                            + f" unknown parameters: {sorted(unknown)}")
         missing = set(wanted) - set(given)
         if missing:
             raise KeyError(f"missing gradients for: {sorted(missing)}")
-        self.step_count += 1
-        dense = []
         for name in wanted:
-            param = self._named[name]
-            if sparse:
-                grad, shape = named_grads.entries[name], given[name]
-            else:
-                grad = np.asarray(named_grads[name], dtype=np.float64)
-                shape = grad.shape
-            if shape != param.data.shape:
-                raise ValueError(
-                    f"gradient shape {shape} != parameter shape "
-                    f"{param.data.shape} for {name}"
-                )
-            if sparse:
-                self._update_param_sparse(param, *grad)
-            else:
-                dense.append((name, param, grad))
-        if dense and self.fused and self._fused_ok:
-            self._step_fused(dense)
-        else:
-            for name, param, grad in dense:
-                self._update_param(name, param, grad)
-
-    def _densify(self, payload) -> dict[str, np.ndarray]:
-        """A payload's dense gradients: a sparse one scattered into the one
-        :class:`DenseScratch` this optimizer keeps (re-zeroed O(k) between
-        payloads, valid until the next call), any other decompressed."""
-        if not isinstance(payload, SparseGradient):
-            return payload.decompress()
-        if self._densified is None or self._densified.shapes != payload.shapes:
-            self._densified = DenseScratch(payload.shapes)
-        return payload.decompress_into(self._densified)
+            shape = given[name] if sparse else np.shape(grads[name])
+            if shape != self._named[name].data.shape:
+                raise ValueError(f"gradient shape {shape} != parameter shape "
+                                 f"{self._named[name].data.shape} for {name}")
+        if not scatter:
+            grads = {name: np.asarray(grads[name], np.float64) if not sparse
+                     else _in_order(*grads.entries[name], self._named[name].size)
+                     for name in wanted}
+        return scatter, grads
 
     def _update_param(self, name: str, param: Parameter, grad: np.ndarray) -> None:
         raise NotImplementedError
 
     def _step_fused(self, work: list) -> None:
-        """The fused kernel over ``work``'s ``(name, param, grad)``: from
+        """The fused kernel over ``work``'s ``(name, param, window)``: from
         ``2 * BLOCK`` elements, one run of whole blocks per worker of a
         published pool, balanced by element count across parameters; all
         runs but the last on the pool, each over its own scratch pair.
@@ -198,13 +225,13 @@ class Optimizer:
             width = pool._max_workers
             cuts = [-(-index * total // width) for index in range(width + 1)]
             runs, base = [[] for _ in range(width)], 0
-            for name, param, grad in work:  # a run's blocks start in its cuts
+            for name, param, window in work:  # a run's blocks start in its cuts
                 size = param.data.size
                 edges = [min(size, max(0, -(-(cut - base) // BLOCK) * BLOCK))
                          for cut in cuts]
                 for run, span in zip(runs, zip(edges, edges[1:])):
                     if span[0] < span[1]:
-                        run.append((name, param, grad, span))
+                        run.append((name, param, window, span))
                 base += size
             runs = [run for run in runs if run]
         scratch = self._scratch or []   # allocated once, indexed by run
@@ -220,19 +247,22 @@ class Optimizer:
                 future.result()
 
     def _run_fused(self, run: list, index: int) -> None:
-        for name, param, grad, span in run:
-            self._update_param_fused(name, param, grad, span, index)
+        for name, param, window, span in run:
+            self._update_param_fused(name, param, window, span, index)
 
-    def _blocks(self, span: tuple[int, int], run: int, *arrays: np.ndarray):
+    def _blocks(self, span: tuple[int, int], run: int, window, *arrays):
         """Aligned :data:`BLOCK`-element slices of same-shape ``arrays`` (flat,
         C order) over the element ``span``, each with run ``run``'s scratch
-        pair cut to length."""
+        pair cut to length and an iterator over ``window``'s gradients on
+        the block in step order, a sparse one densified into the pair's
+        first buffer as the iterator reaches it."""
         pair = self._scratch[2 * run:2 * run + 2]
         flats = [array.reshape(-1) for array in arrays]
         for start in range(*span, BLOCK):
             n = min(BLOCK, span[1] - start)
-            yield (*(flat[start:start + n] for flat in flats),
-                   *(scratch[:n] for scratch in pair))
+            first, second = (scratch[:n] for scratch in pair)
+            yield (*(flat[start:start + n] for flat in flats), first, second,
+                   map(_gradient_block, window, repeat(start), repeat(first)))
 
     # State round-trip --------------------------------------------------------
     def state_dict(self) -> dict:

@@ -42,23 +42,23 @@ class SGD(Optimizer):
         else:
             param.data -= self.lr * grad
 
-    def _update_param_fused(self, name: str, param: Parameter,
-                            grad: np.ndarray, span: tuple[int, int],
-                            run: int) -> None:
+    def _update_param_fused(self, name: str, param: Parameter, window: list,
+                            span: tuple[int, int], run: int) -> None:
         # Bit-identical to _update_param (same operations, order and
-        # association): the scratch pair replaces temporaries, block by block.
-        for p, g, *velocity, s1, s2 in self._blocks(
-                span, run, param.data, grad, *self._slots(name).values()):
-            if self.weight_decay:
-                np.multiply(p, self.weight_decay, out=s1)
-                np.add(g, s1, out=s1)
-                g = s1
-            for v in velocity:  # momentum's slot, when there is one
-                v *= self.momentum
-                v += g
-                g = v
-            np.multiply(g, self.lr, out=s2)
-            p -= s2
+        # association), in the scratch pair, a window's steps block by block.
+        for p, *velocity, s1, s2, grads in self._blocks(
+                span, run, window, param.data, *self._slots(name).values()):
+            for g in grads:
+                if self.weight_decay:
+                    np.multiply(p, self.weight_decay, out=s2)
+                    np.add(g, s2, out=s1)
+                    g = s1
+                for v in velocity:  # momentum's slot, when there is one
+                    v *= self.momentum
+                    v += g
+                    g = v
+                np.multiply(g, self.lr, out=s2)
+                p -= s2
 
     @property
     def sparse_exact(self) -> bool:

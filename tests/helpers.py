@@ -109,11 +109,16 @@ class CallCounts:
 class Recorder:
     """Stands in for model and optimizer: keeps what recovery applies."""
 
+    sparse_exact = False
+
     def __init__(self):
         self.step_count, self.grads = 0, None
 
     def load_state_dict(self, state):
         pass
+
+    def parameters(self):
+        return []   # no dense state: serial replay hands one record a call
 
     def step_with(self, grads):
         if hasattr(grads, "decompress"):    # a payload, as replay hands it

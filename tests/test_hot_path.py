@@ -9,13 +9,16 @@ identically everywhere:
   vs the reference numpy expressions;
 - ``decompress_into`` (scatter-add into reusable ``DenseScratch`` buffers)
   vs fresh-allocation ``decompress``;
-- ``step_with(payload)`` (a scatter under sparse-exact SGD, the optimizer's
-  own densify otherwise) vs ``step_with(payload.decompress())``;
+- ``step_with(payload)`` (a scatter under sparse-exact SGD, a block-by-block
+  densify otherwise) vs ``step_with(payload.decompress())``;
+- a window ``step_with([payload, ...])`` (every step on a block before the
+  next block) vs one reference ``step_with`` per step;
 - ``dedup_updates`` (1x update + memcpy) vs every replica recomputing it.
 """
 
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -36,7 +39,7 @@ from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.distributed.collectives import sparse_allreduce
 from repro.obs import OBS
 from repro.optim import Adam, SGD
-from repro.optim.optimizer import BLOCK
+from repro.optim.optimizer import BLOCK, Optimizer
 from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
@@ -345,6 +348,154 @@ class TestLiveStepThreads:
             assert len(worker.optimizer._scratch) == 2
 
 
+def window_steps(gen, params, count):
+    """``count`` steps of gradients over ``params``: sparse payloads listing
+    a quarter of each tensor in unsorted order plus one coordinate twice
+    more (three addends on it), with -0.0 and float32-subnormal values;
+    every third step a dense dict."""
+    shapes = {param.name: param.shape for param in params}
+    steps = []
+    for step in range(count):
+        if step % 3 == 2:
+            steps.append({name: gen.standard_normal(shape)
+                          for name, shape in shapes.items()})
+            continue
+        entries = {}
+        for param in params:
+            indices = gen.permutation(param.data.size)[:-(-param.data.size // 4)]
+            indices = np.concatenate([indices, indices[:1], indices[:1]])
+            values = gen.standard_normal(indices.size)
+            values[::5] = -0.0
+            values[1::7] = 1e-40
+            entries[param.name] = (indices, values)
+        steps.append(SparseGradient(entries, shapes))
+    return steps
+
+
+class TestReplayWindows:
+    """A window ``step_with([g1, g2, ...])`` — every step applied to one
+    block before the next block — is bit-equal to one reference
+    ``step_with`` per step, wherever the windows are cut."""
+
+    STEPS = 4
+
+    @pytest.mark.parametrize("shapes,names", [
+        *(([shape], None) for shape in BLOCK_EDGE_SHAPES),
+        (SPLIT_SHAPES, None), (SPLIT_SHAPES, ["p0", "p2", "p3"]),
+    ], ids=[*BLOCK_EDGE_IDS, "split", "zero-names"])
+    @pytest.mark.parametrize("optimizer_cls,kwargs", FUSED_OPTIMIZERS,
+                             ids=FUSED_IDS)
+    @pytest.mark.parametrize("width", [None, 1, 2, 3],
+                             ids=["inline", "pool1", "pool2", "pool3"])
+    def test_window_matches_step_by_step(self, width, optimizer_cls, kwargs,
+                                         shapes, names):
+        def run(fused, cuts, pool):
+            gen = np.random.default_rng(41)
+            params = []
+            for index, shape in enumerate(shapes):
+                param = Parameter(np.zeros(0), name=f"p{index}")
+                param.data = gen.standard_normal(shape)
+                params.append(param)
+            optimizer = optimizer_cls(params, **kwargs)
+            optimizer.fused = fused
+            steps = window_steps(gen, params, self.STEPS)
+            with published(pool):
+                for low, high in zip(cuts, cuts[1:]):
+                    optimizer.step_with(steps[low:high], names=names)
+            assert optimizer.step_count == self.STEPS
+            return params, optimizer
+
+        reference = run(False, range(self.STEPS + 1), None)
+        pool = ThreadPoolExecutor(width) if width else None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # runs densify and step interleaved
+        try:
+            # One window, then two cut at every position.
+            for cut in range(1, self.STEPS + 1):
+                params, optimizer = run(True, sorted({0, cut, self.STEPS}),
+                                        pool)
+                for got, want in zip(params, reference[0]):
+                    assert_same_bits(got.data, want.data)
+                    for key, slot in optimizer._slots(got.name).items():
+                        assert_same_bits(slot,
+                                         reference[1]._slots(want.name)[key])
+        finally:
+            sys.setswitchinterval(interval)
+            if pool is not None:
+                pool.shutdown()
+
+    def test_float32_window_falls_back_step_by_step(self):
+        runs = []
+        for window in (True, False):
+            gen = np.random.default_rng(5)
+            params = [Parameter(gen.standard_normal((4, 3)), name=f"p{i}")
+                      for i in range(2)]
+            for param in params:
+                param.data = param.data.astype(np.float32)
+            optimizer = Adam(params, lr=1e-3, weight_decay=0.01)
+            steps = window_steps(gen, params, self.STEPS)
+            if window:
+                optimizer.step_with(steps)
+            else:
+                for step in steps:
+                    optimizer.step_with(step)
+            runs.append((params, optimizer))
+        assert not runs[0][1]._fused_ok
+        for got, want in zip(runs[0][0], runs[1][0]):
+            assert_same_bits(got.data, want.data)
+        assert_optimizers_equal(runs[0][1].state_dict(), runs[1][1].state_dict())
+
+    @pytest.mark.parametrize("kind", ["bytes", "batched"])
+    @pytest.mark.parametrize("position", range(6))
+    def test_serial_replay_cuts_windows(self, position, kind):
+        """Serial recovery of a 6-diff Adam chain whose diff ``position``
+        either fills most of the window's byte bound (one float64 per
+        parameter) or carries two steps: it replays alone, its neighbours
+        in windows, and the state is bit-equal to replaying the stored
+        diffs one reference ``step_with`` at a time."""
+        model = MLP(6, [8], 3, rng=Rng(0))
+        optimizer = Adam(model, lr=1e-2, weight_decay=0.01)
+        store = CheckpointStore(InMemoryBackend())
+        store.save_full(0, model.state_dict(), optimizer.state_dict())
+        rng, step = Rng(3), 0
+        for index in range(6):
+            count = 2 if kind == "batched" and index == position else 1
+            rho = 0.9 if kind == "bytes" and index == position else 0.1
+            payload = TopKCompressor(rho).compress({
+                name: rng.child("g", index, name).normal(size=p.shape)
+                for name, p in model.named_parameters()})
+            store.save_diff(step + 1, step + count, payload, count=count)
+            step += count
+        budget = 8 * sum(p.data.size for p in model.parameters())
+        sizes = [store.load_diff(record).nbytes for record in
+                 store.diffs_after(0)]
+        small = [size for index, size in enumerate(sizes) if index != position]
+        assert sum(small) <= budget < sizes[position] + min(small) \
+            or kind == "batched"
+
+        replayed = MLP(6, [8], 3, rng=Rng(1))
+        replayed_opt = Adam(replayed, lr=1e-2, weight_decay=0.01)
+        with CallCounts() as counts:
+            result = serial_recover(store, replayed, replayed_opt)
+        windows = (position > 0) + 1 + (position < 5)
+        assert counts.calls(Optimizer.step_with) == windows
+        assert (result.step, result.diffs_loaded, result.apply_ops) \
+            == (step, 6, 6)
+
+        reference = MLP(6, [8], 3, rng=Rng(1))
+        reference_opt = Adam(reference, lr=1e-2, weight_decay=0.01)
+        reference_opt.fused = False
+        reference.load_state_dict(model.state_dict())
+        reference_opt.load_state_dict(optimizer.state_dict())
+        for record in store.diffs_after(0):
+            reference_opt.step_with(store.load_diff(record))
+            reference_opt.step_count += record.count - 1
+        for name, value in reference.state_dict().items():
+            assert_same_bits(replayed.state_dict()[name], value)
+        assert_optimizers_equal(replayed_opt.state_dict(),
+                                reference_opt.state_dict())
+
+
 #: Tensors of every awkward size: 0-d, empty, one element, and two plain.
 PAYLOAD_SHAPES = {"scalar": (), "empty": (0,), "one": (1,), "matrix": (3, 4),
                   "vector": (9,)}
@@ -392,6 +543,35 @@ def assert_same_bits(a, b):
     np.testing.assert_array_equal(a.view(unsigned), b.view(unsigned))
 
 
+def step_allocation_peak(cls, kwargs, gen, duplicates):
+    """Peak bytes two ``step_with(payload)`` calls allocate beyond the
+    scratch pair, on parameters of 2 * BLOCK + 5 and 3 * (BLOCK // 3 + 1)
+    elements, and the smaller's bytes.  Each payload lists an eighth of
+    each tensor, unsorted; a repeated index when ``duplicates``."""
+    params = [Parameter(gen.standard_normal(2 * BLOCK + 5), name="big"),
+              Parameter(gen.standard_normal((3, BLOCK // 3 + 1)), name="rows")]
+    optimizer = cls(params, **kwargs)
+    payloads = []
+    for _ in range(2):
+        entries = {}
+        for param in params:
+            indices = gen.permutation(param.data.size)[:param.data.size // 8]
+            if duplicates:
+                indices = np.concatenate([indices, indices[:2]])
+            entries[param.name] = (indices, gen.standard_normal(indices.size))
+        payloads.append(SparseGradient(entries,
+                                       {p.name: p.shape for p in params}))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for payload in payloads:
+            optimizer.step_with(payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak - 2 * BLOCK * 8, min(param.data.nbytes for param in params)
+
+
 class TestSparseStepWith:
     """``step_with(payload)`` == ``step_with(payload.decompress())``, bit
     for bit, whichever route the optimizer takes."""
@@ -414,12 +594,10 @@ class TestSparseStepWith:
         names = None
         if subset:
             names = [name for name in PAYLOAD_SHAPES if gen.random() < 0.5]
-        scattered = False
         for step in range(3):
             if lr_change and step == 2:
                 sparse_opt.lr = dense_opt.lr = sparse_opt.lr * 0.3
             payload = sparse_payload(gen, sparse_params, duplicates)
-            scattered |= sparse_opt.sparse_exact and not payload.has_duplicates()
             sparse_opt.step_with(payload, names=names)
             dense_opt.step_with(payload.decompress(), names=names)
             for got, want in zip(sparse_params, dense_params):
@@ -429,8 +607,14 @@ class TestSparseStepWith:
             assert sparse_opt.step_count == dense_opt.step_count == step + 1
         assert sparse_opt.sparse_exact == (
             cls is SGD and len(kwargs) == 1 and dtype == np.float64)
-        # A scattered step allocates nothing dense; any other densifies.
-        assert (sparse_opt._densified is None) == scattered
+        # No dense step of a model larger than 2 * BLOCK allocates an array
+        # the size of a parameter: the fused kernel densifies block by
+        # block.  (The float32 reference kernel allocates temporaries by
+        # design; a scatter allocates O(k), but its duplicate check stamps
+        # a tensor-sized index array on unsorted indices.)
+        if dtype == np.float64 and not sparse_opt.sparse_exact:
+            peak, smallest = step_allocation_peak(cls, kwargs, gen, duplicates)
+            assert peak < smallest
 
     @pytest.mark.parametrize("optimizer", [OPTIMIZERS[0], OPTIMIZERS[-1]])
     @pytest.mark.parametrize("entries,shapes,names", [
@@ -462,16 +646,17 @@ class TestSparseStepWith:
 class TestSparseReplayCounts:
     """Replay cost as counts: sparse-exact SGD applies each diff as one
     ``subtract.at`` per tensor — no dense kernel, no dense buffer — while
-    Adam densifies into one buffer it owns and runs its dense kernel."""
+    Adam replays windows of diffs through its dense kernel, densifying
+    each diff block by block into the scratch pair it already owns."""
 
     DIFFS = 4
 
-    def replay(self, optimizer_cls, **kwargs):
+    def replay(self, optimizer_cls, rho=0.5, **kwargs):
         model = MLP(6, [8], 3, rng=Rng(0))
         optimizer = optimizer_cls(model, lr=1e-2, **kwargs)
         store = CheckpointStore(InMemoryBackend())
         store.save_full(0, model.state_dict(), optimizer.state_dict())
-        rng, compressor = Rng(1), TopKCompressor(0.5)
+        rng, compressor = Rng(1), TopKCompressor(rho)
         for step in range(1, self.DIFFS + 1):
             payload = compressor.compress({
                 name: rng.child("g", step, name).normal(size=p.shape)
@@ -493,7 +678,7 @@ class TestSparseReplayCounts:
         assert counts.calls(SGD._update_param_fused) == 0
         assert counts.calls(SGD._update_param) == 0
         assert counts.calls(DenseScratch.__init__) == 0
-        assert optimizer._scratch is None and optimizer._densified is None
+        assert optimizer._scratch is None
         assert counts.calls(SGD._update_param_sparse) == self.DIFFS * tensors
         assert counts.builtin_named("at") == self.DIFFS * tensors
 
@@ -501,12 +686,20 @@ class TestSparseReplayCounts:
         (Adam, {}), (SGD, {"momentum": 0.9})])
     def test_dense_optimizers_densify_once_per_diff(self, optimizer_cls,
                                                     kwargs):
-        counts, optimizer, tensors = self.replay(optimizer_cls, **kwargs)
+        # A window holds diffs while their decoded bytes fit one float64
+        # per parameter: three 168-byte diffs fit the MLP's 83 parameters
+        # (664 bytes), the fourth opens a second window.
+        counts, optimizer, tensors = self.replay(optimizer_cls, rho=0.25,
+                                                 **kwargs)
+        windows = 2
         assert not optimizer.sparse_exact
+        assert counts.calls(Optimizer.step_with) == windows
         assert counts.calls(optimizer_cls._update_param_fused) \
-            == self.DIFFS * tensors
-        assert counts.calls(DenseScratch.__init__) == 1
-        assert counts.calls(SparseGradient.decompress_into) == self.DIFFS
+            == windows * tensors
+        assert counts.calls(DenseScratch.__init__) == 0
+        assert counts.calls(SparseGradient.decompress_into) == 0
+        # Each tensor is one block: one np.add.at per tensor per diff.
+        assert counts.builtin_named("at") == self.DIFFS * tensors
         assert counts.calls(SGD._update_param_sparse) == 0
 
 

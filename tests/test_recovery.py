@@ -29,7 +29,7 @@ from repro.core.recovery import (
     serial_recover,
 )
 from repro.optim import SGD, Adam
-from repro.optim.optimizer import BLOCK
+from repro.optim.optimizer import BLOCK, Optimizer
 from repro.storage import (
     CheckpointStore,
     InMemoryBackend,
@@ -39,7 +39,12 @@ from repro.storage import (
 from repro.tensor.models import MLP
 from repro.utils.pool import POOL
 from repro.utils.rng import Rng
-from tests.helpers import Recorder, assert_states_equal
+from tests.helpers import (
+    CallCounts,
+    Recorder,
+    assert_optimizers_equal,
+    assert_states_equal,
+)
 
 
 @pytest.fixture
@@ -245,6 +250,44 @@ class TestCorruptionFallback:
         # 5 and 6 were intact but unreachable across the gap.
         assert_states_equal(target_model.state_dict(), snapshots[3])
         assert target_opt.step_count == 3
+
+    @pytest.mark.parametrize("position", range(8))
+    def test_corrupt_diff_inside_a_window_truncates_there(self, rng,
+                                                          make_store,
+                                                          position):
+        """Eight Adam diffs of 18 coordinates replay as two windows of four
+        (four fit one float64 per parameter, five do not).  A corrupt diff
+        at any position — first, inside or last of either window — ends
+        the replay there, bit-exact at the step before it, with the same
+        counts as replaying one diff at a time."""
+        store = make_store()
+        model, optimizer = fresh_model_opt()
+        compressor = TopKCompressor(0.2)
+        store.save_full(0, model.state_dict(), optimizer.state_dict())
+        snapshots = {0: (model.state_dict(), optimizer.state_dict())}
+        for step in range(1, 9):
+            payload = compressor.compress({
+                name: rng.child("g", step, name).normal(size=p.shape)
+                for name, p in model.named_parameters()})
+            optimizer.step_with(payload)
+            store.save_diff(step, step, payload)
+            snapshots[step] = (model.state_dict(), optimizer.state_dict())
+        intact_model, intact_opt = fresh_model_opt(seed=9)
+        with CallCounts() as counts:
+            serial_recover(store, intact_model, intact_opt)
+        assert counts.calls(Optimizer.step_with) == 2
+        sub, bad = blob_at(store, position + 1)
+        raw = bytearray(sub.backend.read(bad.key))
+        raw[len(raw) // 2] ^= 0xFF
+        sub.backend.write(bad.key, bytes(raw))
+        target_model, target_opt = fresh_model_opt(seed=9)
+        result = serial_recover(store, target_model, target_opt)
+        assert (result.step, result.diffs_loaded, result.corrupt_diffs_skipped,
+                result.apply_ops) == (position, position, 1, position)
+        assert sub.quarantined == [bad.key] and len(store.quarantined) == 1
+        assert_states_equal(target_model.state_dict(), snapshots[position][0])
+        assert_optimizers_equal(target_opt.state_dict(),
+                                snapshots[position][1])
 
     def test_deleted_mid_chain_diff_truncates_never_skips(self, rng,
                                                           make_store):

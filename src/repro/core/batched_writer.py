@@ -3,10 +3,10 @@
 Three steps per the paper:
 
 1. **Offload** — the checkpointing process moves the compressed gradient
-   from GPU to CPU memory and frees the GPU handle.  Here that is an
-   explicit buffer move with byte accounting: with ``offload_to_cpu=False``
-   payloads are held "on GPU" until written, and the peak held bytes is the
-   GPU-memory overhead Fig. 12(b) measures.
+   from GPU to CPU memory and frees the GPU handle.  Here that is byte
+   accounting of the CPU buffer (``cpu_buffer_bytes`` and its peak); the
+   GPU memory that offloading saves, Fig. 12(b), is priced by
+   ``harness.exp6.gpu_memory_model``.
 2. **Batch** — buffered differentials accumulate (sparse union-add /
    gradient accumulation) until ``batch_size`` of them are present.
 3. **Write** — the accumulated batch persists as a single ``C^B`` diff
@@ -29,28 +29,19 @@ class BatchedGradientWriter:
     batch_size:
         Number of per-iteration gradients merged per write (``BS``).
         ``1`` disables batching (every gradient is its own diff record).
-    offload_to_cpu:
-        When True (default, the paper's design), each payload moves to the
-        CPU buffer immediately on submission and its GPU memory is freed.
-        When False, payloads accumulate "on GPU" until the batch flushes —
-        the ablation arm of Exp. 6(b).
     """
 
-    def __init__(self, store: CheckpointStore, batch_size: int = 1,
-                 offload_to_cpu: bool = True):
+    def __init__(self, store: CheckpointStore, batch_size: int = 1):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.store = store
         self.batch_size = int(batch_size)
-        self.offload_to_cpu = bool(offload_to_cpu)
         self._pending: list[tuple[int, object]] = []  # (iteration, payload)
         self._last_step: int | None = None
         # Telemetry ----------------------------------------------------------
         self.writes = 0
         self.gradients_submitted = 0
         self.cpu_buffer_bytes = 0
-        self.gpu_held_bytes = 0
-        self.peak_gpu_held_bytes = 0
         self.peak_cpu_buffer_bytes = 0
 
     # Submission ---------------------------------------------------------------
@@ -66,12 +57,7 @@ class BatchedGradientWriter:
                 f"{iteration} after {self._last_step}"
             )
         self._last_step = iteration
-        nbytes = int(getattr(payload, "nbytes", 0))
-        if self.offload_to_cpu:
-            self.cpu_buffer_bytes += nbytes
-        else:
-            self.gpu_held_bytes += nbytes
-        self.peak_gpu_held_bytes = max(self.peak_gpu_held_bytes, self.gpu_held_bytes)
+        self.cpu_buffer_bytes += int(getattr(payload, "nbytes", 0))
         self.peak_cpu_buffer_bytes = max(self.peak_cpu_buffer_bytes, self.cpu_buffer_bytes)
         self._pending.append((iteration, payload))
         self.gradients_submitted += 1
@@ -129,7 +115,4 @@ class BatchedGradientWriter:
 
     def _release_buffers(self) -> None:
         released = sum(int(getattr(p, "nbytes", 0)) for _, p in self._pending)
-        if self.offload_to_cpu:
-            self.cpu_buffer_bytes = max(0, self.cpu_buffer_bytes - released)
-        else:
-            self.gpu_held_bytes = max(0, self.gpu_held_bytes - released)
+        self.cpu_buffer_bytes = max(0, self.cpu_buffer_bytes - released)

@@ -56,10 +56,9 @@ class CheckpointConfig:
     ``shards`` > 1 partitions every checkpoint over a stable global index
     space into per-shard full/diff chains
     (:class:`repro.storage.sharded.ShardedCheckpointStore`): persistence
-    and recovery fan out over up to ``shard_concurrency`` concurrent IO
-    lanes per checkpoint, and a checkpoint written at one world size
-    restores onto any other (elastic restore) because the index space
-    depends only on the model.  ``shards=1`` keeps the historical
+    and recovery fan out per shard, and a checkpoint written at one world
+    size restores onto any other (elastic restore) because the index
+    space depends only on the model.  ``shards=1`` keeps the historical
     one-blob-per-job store bit-identically.
     """
 
@@ -72,7 +71,6 @@ class CheckpointConfig:
     persist_mode: str = "thread"  # async engine flavor: "thread" | "process"
     ring_mb: float = 64.0        # shared-memory ring size (process mode)
     shards: int = 1              # per-shard diff chains; 1 = unsharded store
-    shard_concurrency: int = 4   # per-checkpoint shard IO fan-out bound
 
     def __post_init__(self):
         if self.full_every_iters < 1:
@@ -92,9 +90,6 @@ class CheckpointConfig:
             raise ValueError(f"ring_mb must be > 0, got {self.ring_mb}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_concurrency < 1:
-            raise ValueError(
-                f"shard_concurrency must be >= 1, got {self.shard_concurrency}")
 
 
 @dataclass(frozen=True)

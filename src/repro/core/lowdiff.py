@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.batched_writer import BatchedGradientWriter
 from repro.core.checkpointer import Checkpointer
 from repro.core.config import CheckpointConfig
@@ -47,28 +45,6 @@ class FullSnapshot:
     model_state: dict
     optimizer_state: dict
 
-    def copy(self) -> "FullSnapshot":
-        return FullSnapshot(
-            step=self.step,
-            model_state={k: np.copy(v) for k, v in self.model_state.items()},
-            optimizer_state=_copy_tree(self.optimizer_state),
-        )
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(np.asarray(v).nbytes for v in self.model_state.values())
-        for slots in self.optimizer_state.get("slots", {}).values():
-            total += sum(np.asarray(v).nbytes for v in slots.values())
-        return total
-
-
-def _copy_tree(tree):
-    if isinstance(tree, dict):
-        return {k: _copy_tree(v) for k, v in tree.items()}
-    if isinstance(tree, np.ndarray):
-        return tree.copy()
-    return tree
-
 
 class LowDiffCheckpointer(Checkpointer):
     """Frequent differential checkpointing by compressed-gradient reuse.
@@ -86,10 +62,6 @@ class LowDiffCheckpointer(Checkpointer):
         :func:`repro.core.config.optimal_configuration` — and the persist
         engine (``async_persist``, ``persist_mode``, ``writer_threads``,
         ``queue_depth``).
-    zero_copy:
-        ``False`` switches the reusing queue to copy mode (ablation).
-    offload_to_cpu:
-        Passed to the batched writer (Exp. 6(b) ablation).
     retention:
         Optional :class:`~repro.storage.compaction.RetentionPolicy`; when
         set, a :class:`~repro.storage.compaction.ChainCompactor` enforces
@@ -99,7 +71,6 @@ class LowDiffCheckpointer(Checkpointer):
     """
 
     def __init__(self, store: CheckpointStore, config: CheckpointConfig,
-                 zero_copy: bool = True, offload_to_cpu: bool = True,
                  retention=None, model_factory=None, optimizer_factory=None):
         # shards > 1 swaps the store for the sharded facade over the same
         # backend: per-shard diff chains under one intersection-committed
@@ -107,16 +78,14 @@ class LowDiffCheckpointer(Checkpointer):
         # already-sharded store passes through (its shard count wins).
         if config.shards > 1 and isinstance(store, CheckpointStore):
             store = ShardedCheckpointStore(
-                store.backend, shards=config.shards, codec=store.codec,
-                shard_concurrency=config.shard_concurrency,
-            )
+                store.backend, shards=config.shards, codec=store.codec)
         self.store = store
         self.config = config
         # Config-selected payload codec: applied store-wide before the
         # engine is built, so sync and async persist paths both encode.
         if config.codec:
             store.set_codec(config.codec)
-        self.queue = ReusingQueue(copy_mode=not zero_copy)
+        self.queue = ReusingQueue()
         # With async_persist the engine becomes the persistence target for
         # both full snapshots and the batched writer's diff records; every
         # record still flows through one FIFO commit order, so the
@@ -142,9 +111,7 @@ class LowDiffCheckpointer(Checkpointer):
                 optimizer_factory=optimizer_factory,
             )
         self.writer = BatchedGradientWriter(
-            self._persist, batch_size=config.batch_size,
-            offload_to_cpu=offload_to_cpu
-        )
+            self._persist, batch_size=config.batch_size)
         self.full_checkpoints = 0
         self.diff_checkpoints_enqueued = 0
 
@@ -234,8 +201,9 @@ class LowDiffCheckpointer(Checkpointer):
             "diff_writes": self.writer.writes,
             "gradients_submitted": self.writer.gradients_submitted,
             "queue_max_depth": self.queue.max_depth,
-            "queue_copied_bytes": self.queue.copied_bytes,
-            "peak_gpu_held_bytes": self.writer.peak_gpu_held_bytes,
+            # The queue passes payloads by reference; the key stays for
+            # the bench's ``core.reusing_queue.copied_bytes`` row.
+            "queue_copied_bytes": 0,
             "peak_cpu_buffer_bytes": self.writer.peak_cpu_buffer_bytes,
             "storage_bytes": self.store.storage_bytes(),
         }

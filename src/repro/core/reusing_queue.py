@@ -11,10 +11,9 @@ requires:
 1. **Sequential order** — gradients dequeue in exactly the iteration
    order they were enqueued (checked, since differentials must replay in
    order per Eq. (2));
-2. **Low transfer overhead** — by-reference transfer by default, with a
-   ``copy_mode`` switch that deep-copies payloads instead, emulating a
-   copy-based IPC path for the zero-copy ablation (the byte counter shows
-   what a copying queue would have moved).
+2. **Low transfer overhead** — payloads pass by reference, never copied
+   (the copying-queue ablation is priced by the simulator's LowDiff
+   strategy).
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class ReusingQueue:
     thread through the persist engine, never through this queue.
     """
 
-    def __init__(self, copy_mode: bool = False):
-        self.copy_mode = bool(copy_mode)
+    def __init__(self):
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._closed = False
@@ -44,7 +42,6 @@ class ReusingQueue:
         # Telemetry
         self.put_count = 0
         self.max_depth = 0
-        self.copied_bytes = 0
 
     def put(self, iteration: int, payload) -> None:
         """Enqueue the synchronized gradient of ``iteration``.
@@ -61,10 +58,6 @@ class ReusingQueue:
                     f"non-monotonic enqueue: iteration {iteration} after "
                     f"{self._last_put_iteration}"
                 )
-            if self.copy_mode:
-                nbytes = getattr(payload, "nbytes", 0)
-                self.copied_bytes += int(nbytes)
-                payload = _deep_copy_payload(payload)
             self._items.append((iteration, payload))
             self._last_put_iteration = iteration
             self.put_count += 1
@@ -86,14 +79,3 @@ class ReusingQueue:
         with self._lock:
             return len(self._items)
 
-
-def _deep_copy_payload(payload):
-    """Copy a payload the way a non-zero-copy IPC queue would."""
-    copier = getattr(payload, "copy", None)
-    if callable(copier):
-        return copier()
-    decompress = getattr(payload, "decompress", None)
-    if callable(decompress):  # dense-ish payloads reconstruct from tensors
-        from repro.compression.base import DenseGradient
-        return DenseGradient(decompress())
-    raise TypeError(f"cannot copy payload of type {type(payload).__name__}")

@@ -60,34 +60,16 @@ class DataParallelTrainer:
         Optional ``() -> Compressor``; one instance per worker (so
         stateful wrappers like error feedback stay rank-local).  ``None``
         trains dense (the LowDiff+ scenario).
-    dedup_updates:
-        Opt-in: apply the synchronized update *once* (rank 0) and copy the
-        resulting state into the other replicas with ``np.copyto`` instead
-        of recomputing the identical dense update N times.  Sound because
-        synchronous data parallelism keeps replicas bit-identical and all
-        ranks consume the same synchronized payload — which the trainer
-        re-verifies with state-signature checks (every
-        ``dedup_check_every`` iterations, and always on the first step).
-    dedup_check_every:
-        Cadence of the replica state-signature audit under
-        ``dedup_updates`` (default every 16 steps).
     """
 
     def __init__(self, model_builder: Callable[[int], Module],
                  optimizer_builder: Callable[[Module], Optimizer],
                  loss_fn: Callable, dataset, num_workers: int = 2,
                  compressor_builder: Callable[[], Compressor] | None = None,
-                 comm_stats: CommStats | None = None,
-                 dedup_updates: bool = False, dedup_check_every: int = 16):
+                 comm_stats: CommStats | None = None):
         if num_workers <= 0:
             raise ValueError(f"num_workers must be > 0, got {num_workers}")
-        if dedup_check_every < 1:
-            raise ValueError(
-                f"dedup_check_every must be >= 1, got {dedup_check_every}")
         self.num_workers = num_workers
-        self.dedup_updates = bool(dedup_updates)
-        self.dedup_check_every = int(dedup_check_every)
-        self._dedup_applied = 0  # steps served by the 1x + memcpy path
         self.comm_stats = comm_stats if comm_stats is not None else CommStats()
         self.workers: list[SimWorker] = []
         self.compressors: list[Compressor] | None = (
@@ -284,45 +266,8 @@ class DataParallelTrainer:
         collective gates, degraded-world membership, hooks, tracing —
         instead of duplicating the step tail.
         """
-        if self.dedup_updates and len(active) > 1:
-            self._apply_update_deduped(update_grads)
-        else:
-            for rank in active:
-                self.workers[rank].apply_update(update_grads)
-
-    def _apply_update_deduped(self, update_grads) -> None:
-        """Compute the update once on rank 0 and memcpy it to the rest.
-
-        All replicas are bit-identical and consume the same synchronized
-        gradient, so N-1 of the N dense optimizer updates are redundant
-        recomputation; ``np.copyto`` of parameters + optimizer slots
-        replaces them.  A state-signature audit (every
-        ``dedup_check_every`` steps, plus the first) guards the
-        precondition instead of trusting it.
-        """
-        if self.iteration % self.dedup_check_every == 0:
-            signatures = {self.workers[rank].state_signature()
-                          for rank in self.active_ranks}
-            if len(signatures) != 1:
-                raise RuntimeError(
-                    "dedup_updates precondition violated: replicas diverged "
-                    f"before iteration {self.iteration}"
-                )
-        source = self.workers[self.active_ranks[0]]
-        source.apply_update(update_grads)
-        source_params = dict(source.model.named_parameters())
-        source_opt = source.optimizer
-        for worker in (self.workers[rank] for rank in self.active_ranks[1:]):
-            for name, param in worker.model.named_parameters():
-                np.copyto(param.data, source_params[name].data)
-            optimizer = worker.optimizer
-            optimizer.step_count = source_opt.step_count
-            optimizer.lr = source_opt.lr
-            for name in source_opt.param_names:
-                target_slots = optimizer._slots(name)
-                for key, value in source_opt._slots(name).items():
-                    np.copyto(target_slots[key], value)
-        self._dedup_applied += 1
+        for rank in active:
+            self.workers[rank].apply_update(update_grads)
 
     def _dense_mean_payload(self, payloads: list) -> CompressedGradient:
         """Average non-sparse payloads (quantized/dense compressors)."""

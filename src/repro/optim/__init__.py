@@ -11,19 +11,9 @@ bit-exact recovery invariant.
 from repro.optim.optimizer import Optimizer
 from repro.optim.sgd import SGD
 from repro.optim.adam import Adam
-from repro.optim.lr_scheduler import (
-    ConstantLR,
-    StepLR,
-    CosineAnnealingLR,
-    WarmupLR,
-)
 
 __all__ = [
     "Optimizer",
     "SGD",
     "Adam",
-    "ConstantLR",
-    "StepLR",
-    "CosineAnnealingLR",
-    "WarmupLR",
 ]

@@ -99,13 +99,6 @@ class Optimizer:
             raise ValueError("duplicate parameter names passed to optimizer")
         self._named: dict[str, Parameter] = dict(named)
         self.lr = float(lr)
-        #: The constructor-given base learning rate.  ``lr`` is mutated by
-        #: schedulers every step and restored from checkpoints by
-        #: ``load_state_dict``; ``initial_lr`` is neither — it is the
-        #: stable anchor schedules derive lr(step) from, so a scheduler
-        #: stack rebuilt against a recovered (already-warmed) optimizer
-        #: computes exactly the lrs the uninterrupted run would have.
-        self.initial_lr = float(lr)
         self.step_count = 0
         self._scratch: list[np.ndarray] | None = None   # see _step_fused
         self._fused_ok = all(

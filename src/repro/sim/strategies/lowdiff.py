@@ -86,7 +86,6 @@ class LowDiffStrategy(CheckpointStrategy):
     @classmethod
     def from_config(cls, config: CheckpointConfig, **kwargs) -> "LowDiffStrategy":
         kwargs.setdefault("shards", config.shards)
-        kwargs.setdefault("shard_concurrency", config.shard_concurrency)
         return cls(full_every=config.full_every_iters,
                    batch_size=config.batch_size, **kwargs)
 

@@ -670,21 +670,12 @@ class CheckpointStore:
     def part_bounds() -> list:
         return [None]  # the one part spans the whole index space
 
-    # The writer protocol, its mirror image: which stores a record lands
-    # in and the part each one gets.  Degenerate case again — one part,
-    # this store, nothing sliced (the sharded store cuts one per shard).
+    # The writer protocol, its mirror image: the stores a record lands
+    # in.  This store is its own single part, so it cuts nothing (only
+    # the sharded store splits a record, one part per shard).
     @property
     def part_stores(self) -> list["CheckpointStore"]:
         return [self]
-
-    @staticmethod
-    def split_full(model_state: dict, optimizer_state: dict,
-                   extra: dict | None = None) -> list[tuple]:
-        return [(model_state, optimizer_state, extra)]
-
-    @staticmethod
-    def split_payload(payload) -> list:
-        return [payload]
 
     # Verification -------------------------------------------------------------
     def verify(self, deep: bool = True, repair: bool = False) -> dict:

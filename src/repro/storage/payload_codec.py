@@ -178,7 +178,7 @@ def tree_to_payload(tree: dict):
 
 
 # ---------------------------------------------------------------------------
-# Array transforms: varint / zigzag / delta (ints), byte planes (floats)
+# Array transforms: zigzag / delta (ints), byte planes (floats)
 # ---------------------------------------------------------------------------
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
@@ -186,67 +186,6 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
     v = values.astype(np.int64, copy=False)
     return ((v.astype(np.uint64) << np.uint64(1))
             ^ (v >> np.int64(63)).astype(np.uint64))
-
-
-def zigzag_decode(values: np.ndarray) -> np.ndarray:
-    u = values.astype(np.uint64, copy=False)
-    return ((u >> np.uint64(1)).astype(np.int64)
-            ^ -((u & np.uint64(1)).astype(np.int64)))
-
-
-def varint_encode(values: np.ndarray) -> np.ndarray:
-    """LEB128-encode a uint64 array, vectorized (≤10 passes over groups).
-
-    Per value: 7 payload bits per byte, high bit = continuation.  Byte
-    counts are found by repeated shifts, output offsets by a cumsum, and
-    each byte position is filled with one masked vector op.
-    """
-    v = np.ascontiguousarray(values, dtype=np.uint64).reshape(-1)
-    if v.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    nbytes = np.ones(v.size, dtype=np.int64)
-    rest = v >> np.uint64(7)
-    while rest.any():
-        nbytes += (rest > 0)
-        rest >>= np.uint64(7)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    out = np.zeros(int(ends[-1]), dtype=np.uint8)
-    for pos in range(int(nbytes.max())):
-        mask = nbytes > pos
-        chunk = ((v[mask] >> np.uint64(7 * pos)) & np.uint64(0x7F)
-                 ).astype(np.uint8)
-        cont = (nbytes[mask] - 1 > pos).astype(np.uint8) << 7
-        out[starts[mask] + pos] = chunk | cont
-    return out
-
-
-def varint_decode(data: np.ndarray, count: int) -> np.ndarray:
-    """Inverse of :func:`varint_encode`; validates framing.
-
-    Pure integer accumulation (per byte position, vectorized) — never a
-    float-weighted reduction, so values up to 2**64-1 decode exactly.
-    """
-    data = np.ascontiguousarray(data, dtype=np.uint8).reshape(-1)
-    if count == 0:
-        if data.size:
-            raise ValueError("varint stream has trailing bytes")
-        return np.zeros(0, dtype=np.uint64)
-    is_end = (data & 0x80) == 0
-    if int(is_end.sum()) != count or data.size == 0 or not is_end[-1]:
-        raise ValueError("varint stream framing mismatch")
-    group = np.zeros(data.size, dtype=np.int64)
-    group[1:] = np.cumsum(is_end[:-1])
-    starts = np.flatnonzero(np.concatenate(([True], is_end[:-1])))
-    pos = np.arange(data.size, dtype=np.int64) - starts[group]
-    if int(pos.max()) >= 10:
-        raise ValueError("varint value exceeds 64 bits")
-    payload = (data & 0x7F).astype(np.uint64)
-    # Each byte's payload lands in a disjoint 7-bit field of its group's
-    # value, so per-group addition equals bitwise OR — and reduceat does
-    # the whole gather in one C pass.
-    contrib = payload << (np.uint64(7) * pos.astype(np.uint64))
-    return np.add.reduceat(contrib, starts)
 
 
 def byteplane_split(arr: np.ndarray) -> np.ndarray:
@@ -257,15 +196,6 @@ def byteplane_split(arr: np.ndarray) -> np.ndarray:
         return flat.view(np.uint8).copy()
     return np.ascontiguousarray(
         flat.view(np.uint8).reshape(-1, itemsize).T)
-
-
-def byteplane_join(planes: np.ndarray, dtype, count: int) -> np.ndarray:
-    """Inverse of :func:`byteplane_split`."""
-    dtype = np.dtype(dtype)
-    raw = np.ascontiguousarray(planes, dtype=np.uint8).reshape(-1)
-    if raw.size != count * dtype.itemsize:
-        raise ValueError("byte-plane stream has the wrong length")
-    return raw.reshape(dtype.itemsize, count).T.copy().view(dtype).reshape(-1)
 
 
 def _is_sorted(values: np.ndarray) -> bool:

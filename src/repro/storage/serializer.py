@@ -318,9 +318,3 @@ def unpack_tree(data, verify: bool = True):
     except (KeyError, IndexError, TypeError) as err:
         raise CorruptCheckpointError(f"malformed checkpoint tree: {err}") from err
 
-
-def serialized_size(tree) -> int:
-    """Size in bytes :func:`pack_tree` would produce — computed from the
-    manifest pass alone, without copying any blob bytes."""
-    return _prepare(tree).total_len
-

@@ -52,7 +52,6 @@ import json
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,23 +310,17 @@ class ShardedCheckpointStore:
     partial records are invisible debris until ``gc`` sweeps them or a
     retried write completes the set.
 
-    ``shard_concurrency`` bounds the per-checkpoint IO fan-out; writes
-    only overlap when the underlying backend declares
-    ``thread_safe_reads`` (fault-injecting wrappers keep their seeded
-    fault schedules deterministic under a sequential shard order).
+    Inline saves and ``gc`` visit the shards in shard order on the
+    calling thread; overlapping shard IO is the persist engine's job
+    (:class:`ShardedPersistGroup`, one engine per shard).
     """
 
     def __init__(self, backend: StorageBackend, shards: int,
-                 codec=None, shard_concurrency: int = 4,
-                 strict_codecs: bool = True):
+                 codec=None, strict_codecs: bool = True):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if shard_concurrency < 1:
-            raise ValueError(
-                f"shard_concurrency must be >= 1, got {shard_concurrency}")
         self.backend = backend
         self.shards = int(shards)
-        self.shard_concurrency = int(shard_concurrency)
         self.shard_stores = [
             CheckpointStore(PrefixBackend(backend, shard_prefix(s)),
                             codec=codec, strict_codecs=strict_codecs)
@@ -381,17 +374,6 @@ class ShardedCheckpointStore:
                         "checkpoint parameter space does not match the "
                         "sharded layout this store was created with")
             return self._layout
-
-    # Shard fan-out ----------------------------------------------------------
-    def _map_shards(self, fn):
-        """Run ``fn(shard_index)`` for every shard, overlapping up to
-        ``shard_concurrency`` when the backend tolerates concurrent IO."""
-        if (self.shards > 1 and self.shard_concurrency > 1
-                and getattr(self.backend, "thread_safe_reads", False)):
-            workers = min(self.shard_concurrency, self.shards)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, range(self.shards)))
-        return [fn(s) for s in range(self.shards)]
 
     # Codec ------------------------------------------------------------------
     def set_codec(self, codec) -> None:
@@ -455,7 +437,7 @@ class ShardedCheckpointStore:
         persist_t0 = time.perf_counter()
         with obs_span(f"persist_{kind}_sharded", "ckpt",
                       {**span_args, "shards": self.shards}):
-            records = tuple(self._map_shards(save_part))
+            records = tuple(save_part(s) for s in range(self.shards))
         if OBS.enabled:
             registry = OBS.registry
             registry.set("ckpt.shard.count", self.shards)
@@ -562,7 +544,7 @@ class ShardedCheckpointStore:
             return sub.gc(keep_fulls=keep_fulls + extra,
                           purge_unreferenced=purge_unreferenced)
 
-        return sum(self._map_shards(sweep))
+        return sum(sweep(s) for s in range(self.shards))
 
     def verify(self, deep: bool = True, repair: bool = False) -> dict:
         report = {"checked": 0, "missing": [], "corrupt": [],

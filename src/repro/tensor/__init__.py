@@ -8,7 +8,7 @@ views, and deterministic initialization.
 """
 
 from repro.tensor.parameter import Parameter
-from repro.tensor.module import Module, Sequential, BackwardHook
+from repro.tensor.module import Module, Sequential
 from repro.tensor.layers import (
     Linear,
     Conv2d,
@@ -39,7 +39,6 @@ __all__ = [
     "Parameter",
     "Module",
     "Sequential",
-    "BackwardHook",
     "Linear",
     "Conv2d",
     "MaxPool2d",

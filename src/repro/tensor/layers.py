@@ -74,7 +74,6 @@ class Linear(Module):
         if self.bias is not None:
             self.bias.accumulate_grad(flat_g.sum(axis=0))
         grad_input = grad_output @ self.weight.data.T
-        self._emit_grads()
         return grad_input
 
 
@@ -152,7 +151,6 @@ class Conv2d(Module):
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         grad_cols = np.einsum("of,bop->bfp", w_mat, grad_mat, optimize=True)
         grad_input = _col2im(grad_cols, self._x_shape, k, k, self.stride, self.padding)
-        self._emit_grads()
         return grad_input
 
 
@@ -344,7 +342,6 @@ class LayerNorm(Module):
         mean_g = g.mean(axis=-1, keepdims=True)
         mean_gx = (g * x_hat).mean(axis=-1, keepdims=True)
         grad_input = (g - mean_g - x_hat * mean_gx) * inv_std
-        self._emit_grads()
         return grad_input
 
 
@@ -401,7 +398,6 @@ class BatchNorm2d(Module):
         mean_g = g.mean(axis=(0, 2, 3), keepdims=True)
         mean_gx = (g * x_hat).mean(axis=(0, 2, 3), keepdims=True)
         grad_input = (g - mean_g - x_hat * mean_gx) * inv_std[None, :, None, None]
-        self._emit_grads()
         return grad_input
 
 
@@ -429,7 +425,6 @@ class Embedding(Module):
         grad_w = np.zeros_like(self.weight.data)
         np.add.at(grad_w, self._ids.reshape(-1), grad_output.reshape(-1, self.dim))
         self.weight.accumulate_grad(grad_w)
-        self._emit_grads()
         return np.zeros(self._ids.shape + (0,))  # no meaningful input gradient
 
 
@@ -455,7 +450,6 @@ class PositionalEmbedding(Module):
         grad_w = np.zeros_like(self.weight.data)
         grad_w[: self._seq_len] = grad_output.sum(axis=0)
         self.weight.accumulate_grad(grad_w)
-        self._emit_grads()
         return grad_output
 
 

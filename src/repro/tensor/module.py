@@ -2,12 +2,10 @@
 
 Design points that matter for LowDiff:
 
-* **Layer-by-layer backward.**  ``backward`` runs layers in reverse order,
-  and every module fires its *gradient-ready hooks* the moment its own
-  parameter gradients are complete.  This reproduces the execution model
-  (Fig. "Layer-wise gradient reuse") that DeepSpeed/DDP/Horovod expose and
-  that LowDiff+ piggybacks on: communication and snapshotting can start for
-  layer *n* while layer *n-1* is still differentiating.
+* **Layer-by-layer backward.**  ``backward`` runs layers in reverse order.
+  The layer-wise gradient reuse that LowDiff+ piggybacks on (Fig.
+  "Layer-wise gradient reuse") is delivered per layer, in that reverse
+  order, by ``DataParallelTrainer.register_layer_gradient_hook``.
 * **Stable dotted names.**  Checkpoints, compressed gradients and the
   reusing queue all key tensors by the dotted path assigned here, so a
   recovered model maps payloads back unambiguously.
@@ -15,15 +13,11 @@ Design points that matter for LowDiff:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.tensor.parameter import Parameter
-
-#: Signature of a gradient-ready hook: ``hook(module_name, {param_name: grad})``.
-BackwardHook = Callable[[str, dict], None]
-
 
 class Module:
     """Base class for all layers and models."""
@@ -31,8 +25,6 @@ class Module:
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", {})
         object.__setattr__(self, "_modules", {})
-        object.__setattr__(self, "_grad_hooks", [])
-        object.__setattr__(self, "_name", "")
         object.__setattr__(self, "training", True)
 
     # Attribute interception ---------------------------------------------------
@@ -62,7 +54,6 @@ class Module:
         return [p for _, p in self.named_parameters()]
 
     def _assign_names(self, prefix: str = "") -> None:
-        object.__setattr__(self, "_name", prefix)
         for key, param in self._parameters.items():
             param.name = f"{prefix}.{key}" if prefix else key
         for key, child in self._modules.items():
@@ -107,35 +98,6 @@ class Module:
                     f"vs model {param.data.shape}"
                 )
             np.copyto(param.data, value)
-
-    # Gradient-ready hooks -------------------------------------------------------
-    def register_grad_hook(self, hook: BackwardHook) -> None:
-        """Attach ``hook`` to every module in the tree that owns parameters.
-
-        The hook fires during the backward pass, immediately after a
-        module's own parameter gradients are computed — i.e. in reverse
-        layer order.
-        """
-        self._assign_names()
-        for _, module in self.named_modules():
-            if module._parameters:
-                module._grad_hooks.append(hook)
-
-    def clear_grad_hooks(self) -> None:
-        for _, module in self.named_modules():
-            module._grad_hooks.clear()
-
-    def _emit_grads(self) -> None:
-        """Fire gradient-ready hooks for this module's own parameters."""
-        if not self._grad_hooks:
-            return
-        grads = {
-            param.name: param.grad
-            for param in self._parameters.values()
-            if param.requires_grad and param.grad is not None
-        }
-        for hook in self._grad_hooks:
-            hook(self._name, grads)
 
     # Compute API ----------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG, units, timers, validation."""
+"""Shared utilities: deterministic RNG, units, validation."""
 
 from repro.utils.rng import Rng, seed_everything, derive_seed
 from repro.utils.units import (
@@ -10,9 +10,7 @@ from repro.utils.units import (
     MiB,
     format_bytes,
     format_seconds,
-    parse_bytes,
 )
-from repro.utils.timers import Timer, Stopwatch
 from repro.utils.metrics import accuracy, perplexity, evaluate_classifier
 from repro.utils.validation import (
     check_positive,
@@ -33,9 +31,6 @@ __all__ = [
     "GiB",
     "format_bytes",
     "format_seconds",
-    "parse_bytes",
-    "Timer",
-    "Stopwatch",
     "accuracy",
     "perplexity",
     "evaluate_classifier",

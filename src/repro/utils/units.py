@@ -6,8 +6,6 @@ GB/s) and binary units for memory (80 GB HBM); both families are provided.
 
 from __future__ import annotations
 
-import re
-
 # Decimal (SI) units — used for bandwidths and checkpoint sizes on storage.
 KB = 1_000
 MB = 1_000_000
@@ -17,18 +15,6 @@ GB = 1_000_000_000
 KiB = 1 << 10
 MiB = 1 << 20
 GiB = 1 << 30
-
-_SUFFIXES = [
-    ("TiB", 1 << 40),
-    ("GiB", GiB),
-    ("MiB", MiB),
-    ("KiB", KiB),
-    ("TB", 1_000_000_000_000),
-    ("GB", GB),
-    ("MB", MB),
-    ("KB", KB),
-    ("B", 1),
-]
 
 
 def format_bytes(num_bytes: float, binary: bool = False) -> str:
@@ -44,28 +30,6 @@ def format_bytes(num_bytes: float, binary: bool = False) -> str:
         if num_bytes >= factor:
             return f"{num_bytes / factor:.2f} {suffix}"
     return f"{num_bytes:.0f} B"
-
-
-def parse_bytes(text: str) -> int:
-    """Parse strings like ``"541M"``, ``"8.7 GB"``, ``"239MiB"`` into bytes.
-
-    Bare ``K``/``M``/``G`` suffixes are decimal, matching the paper's
-    checkpoint-size table.
-    """
-    match = re.fullmatch(
-        r"\s*([0-9]*\.?[0-9]+)\s*([KMGT]i?B?|B)?\s*", text, flags=re.IGNORECASE
-    )
-    if not match:
-        raise ValueError(f"cannot parse byte size: {text!r}")
-    value = float(match.group(1))
-    suffix = (match.group(2) or "B").upper()
-    if not suffix.endswith("B"):
-        suffix += "B"
-    normalized = suffix.replace("IB", "iB") if "I" in suffix else suffix
-    for name, factor in _SUFFIXES:
-        if normalized == name.upper() or normalized == name:
-            return int(round(value * factor))
-    raise ValueError(f"unknown byte suffix in: {text!r}")
 
 
 def format_seconds(seconds: float) -> str:

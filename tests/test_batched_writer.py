@@ -87,45 +87,47 @@ class TestBatchBoundaries:
 
 
 class TestMemoryAccounting:
+    """Offloading (§IV-B) as byte accounting: ``cpu_buffer_bytes`` holds
+    the pending batch, peaks at a full batch, and is released when the
+    batch is written or lost."""
+
     def test_offload_moves_bytes_to_cpu(self, writer_store, rng):
-        writer = BatchedGradientWriter(writer_store, batch_size=3,
-                                       offload_to_cpu=True)
+        writer = BatchedGradientWriter(writer_store, batch_size=3)
         item = payload(rng)
         writer.submit(1, item)
         assert writer.cpu_buffer_bytes == item.nbytes
-        assert writer.gpu_held_bytes == 0
 
     def test_no_offload_holds_gpu_memory(self, writer_store, rng):
-        writer = BatchedGradientWriter(writer_store, batch_size=3,
-                                       offload_to_cpu=False)
+        writer = BatchedGradientWriter(writer_store, batch_size=3)
         items = [payload(rng) for _ in range(2)]
         for step, item in enumerate(items, start=1):
             writer.submit(step, item)
-        assert writer.gpu_held_bytes == sum(i.nbytes for i in items)
-        assert writer.cpu_buffer_bytes == 0
+        assert writer.cpu_buffer_bytes == sum(i.nbytes for i in items)
+        assert writer.peak_cpu_buffer_bytes == writer.cpu_buffer_bytes
 
     def test_peaks_recorded_and_released_after_write(self, writer_store, rng):
-        writer = BatchedGradientWriter(writer_store, batch_size=2,
-                                       offload_to_cpu=False)
+        writer = BatchedGradientWriter(writer_store, batch_size=2)
         items = [payload(rng) for _ in range(4)]
         for step, item in enumerate(items, start=1):
             writer.submit(step, item)
         # After two complete batches, everything was written and released.
-        assert writer.gpu_held_bytes == 0
-        assert writer.peak_gpu_held_bytes == items[0].nbytes + items[1].nbytes
+        assert writer.cpu_buffer_bytes == 0
+        assert writer.peak_cpu_buffer_bytes == max(
+            items[0].nbytes + items[1].nbytes, items[2].nbytes + items[3].nbytes)
 
     def test_offload_ablation_peak_comparison(self, writer_store, rng):
-        """The Exp. 6(b) fact: offloading keeps GPU memory flat."""
-        with_offload = BatchedGradientWriter(
-            CheckpointStore(InMemoryBackend()), batch_size=5, offload_to_cpu=True)
-        without = BatchedGradientWriter(
-            CheckpointStore(InMemoryBackend()), batch_size=5, offload_to_cpu=False)
-        for step in range(1, 6):
-            item = payload(rng)
-            with_offload.submit(step, item)
-            without.submit(step, item)
-        assert with_offload.peak_gpu_held_bytes == 0
-        assert without.peak_gpu_held_bytes > 0
+        """A flushed partial batch and a lost one both release the buffer;
+        the peak keeps the largest batch held."""
+        writer = BatchedGradientWriter(writer_store, batch_size=5)
+        items = [payload(rng) for _ in range(3)]
+        for step, item in enumerate(items[:2], start=1):
+            writer.submit(step, item)
+        writer.flush()
+        assert writer.cpu_buffer_bytes == 0
+        writer.submit(3, items[2])
+        assert writer.discard_pending() == 1
+        assert writer.cpu_buffer_bytes == 0
+        assert writer.peak_cpu_buffer_bytes == items[0].nbytes + items[1].nbytes
 
 
 class TestStorageIntegration:

@@ -12,10 +12,12 @@ identically everywhere:
 - ``step_with(payload)`` (a scatter under sparse-exact SGD, a block-by-block
   densify otherwise) vs ``step_with(payload.decompress())``;
 - a window ``step_with([payload, ...])`` (every step on a block before the
-  next block) vs one reference ``step_with`` per step;
-- ``dedup_updates`` (1x update + memcpy) vs every replica recomputing it.
+  next block) vs one reference ``step_with`` per step.
+
+Replicas that each apply the synchronized update stay bit-identical.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -26,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bench.workloads import WORKLOADS
 from repro.compression import TopKCompressor
 from repro.compression.sparse import (
     KWAY_COUNTER_FALLBACK,
@@ -643,6 +646,54 @@ class TestSparseStepWith:
         assert raised[0] == raised[1]
 
 
+class TestDuplicateCheckStamp:
+    """``has_duplicates`` stamps a tensor-sized array for a run that is
+    neither increasing nor decoder-proven; the bench's live and restored
+    payloads never reach that branch."""
+
+    @staticmethod
+    def stamps_per_check():
+        calls, check = [], SparseGradient.has_duplicates
+
+        def spy(payload):
+            with CallCounts() as counts:
+                result = check(payload)
+            calls.append(counts.builtin_named("empty"))
+            return result
+
+        return calls, mock.patch.object(SparseGradient, "has_duplicates", spy)
+
+    def test_only_an_unsorted_run_is_stamped(self):
+        calls, patched = self.stamps_per_check()
+        shapes = {"w": (10,)}
+        with patched:
+            for indices, repeats in (([3, 1, 7], False), ([3, 1, 3], True),
+                                     ([1, 3, 7], False)):
+                assert SparseGradient({"w": (np.array(indices), np.ones(3))},
+                                      shapes).has_duplicates() == repeats
+        assert calls == [1, 1, 0]
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_bench_workloads_never_stamp(self, name):
+        """Each bench workload, quick shape, persisted inline: a training
+        run, then a serial and a parallel recovery."""
+        spec = WORKLOADS[name].quick()
+        checkpointer = LowDiffCheckpointer(
+            CheckpointStore(InMemoryBackend()),
+            dataclasses.replace(spec.config, async_persist=False))
+        trainer = spec.trainer(7)
+        calls, patched = self.stamps_per_check()
+        with patched:
+            checkpointer.attach(trainer)
+            trainer.run(spec.iterations)
+            checkpointer.finalize()
+            for parallel in (False, True):
+                model = spec.model(7)
+                checkpointer.recover(model, spec.make_optimizer(model),
+                                     parallel=parallel)
+        assert calls and sum(calls) == 0
+
+
 class TestSparseReplayCounts:
     """Replay cost as counts: sparse-exact SGD applies each diff as one
     ``subtract.at`` per tensor — no dense kernel, no dense buffer — while
@@ -703,67 +754,56 @@ class TestSparseReplayCounts:
         assert counts.calls(SGD._update_param_sparse) == 0
 
 
-def make_trainer(dedup, num_workers=4, seed=21):
+def make_trainer(num_workers=4, seed=21, rank_seed=lambda rank: 0):
     return DataParallelTrainer(
-        model_builder=lambda rank: MLP(8, [16, 16], 4, rng=Rng(seed)),
+        model_builder=lambda rank: MLP(8, [16, 16], 4,
+                                       rng=Rng(seed + rank_seed(rank))),
         optimizer_builder=lambda m: Adam(m, lr=1e-3, weight_decay=0.01),
         loss_fn=CrossEntropyLoss(),
         dataset=SyntheticClassification(8, 4, batch_size=4, seed=seed + 1),
         num_workers=num_workers,
         compressor_builder=lambda: TopKCompressor(0.2),
-        dedup_updates=dedup,
-        dedup_check_every=4,
     )
 
 
 class TestDedupUpdates:
+    """Every replica applies the synchronized update itself and stays
+    bit-identical; nothing copies one replica's state into another."""
+
     def test_matches_non_dedup_bit_exact(self):
-        dedup = make_trainer(True)
-        reference = make_trainer(False)
+        trainer = make_trainer()
         for _ in range(10):
-            dedup.step()
-            reference.step()
-        assert dedup._dedup_applied == 10
-        assert_states_equal(dedup.model_state(), reference.model_state())
-        assert_optimizers_equal(dedup.optimizer_state(),
-                                reference.optimizer_state())
-        assert dedup.replicas_consistent()
+            trainer.step()
+        assert trainer.replicas_consistent()
+        reference = trainer.workers[0].optimizer.state_dict()
+        for worker in trainer.workers[1:]:
+            assert_optimizers_equal(worker.optimizer.state_dict(), reference)
 
     def test_divergence_detected_by_signature_audit(self):
-        trainer = make_trainer(True)
-        # Audits fire on iterations 0, 4, 8, ... (dedup_check_every=4).
-        for _ in range(trainer.dedup_check_every):
-            trainer.step()
-        next(iter(dict(trainer.workers[1].model.named_parameters()).values())) \
-            .data[:] += 1.0
-        with pytest.raises(RuntimeError, match="dedup_updates precondition"):
-            trainer.step()
+        """The init-time signature check rejects a rank-dependent builder."""
+        with pytest.raises(ValueError, match="rank-independent"):
+            make_trainer(rank_seed=lambda rank: rank)
 
     def test_divergence_on_non_audit_step_is_repaired_by_copyto(self):
-        # Between audits the rank-0 copy overwrites replica drift — the
-        # documented semantics of the memcpy path.
-        trainer = make_trainer(True)
-        trainer.step()  # iteration 0 audited
+        """Replica drift persists: no step overwrites one replica with
+        another's state."""
+        trainer = make_trainer()
+        trainer.step()
         next(iter(dict(trainer.workers[1].model.named_parameters()).values())) \
             .data[:] += 1.0
-        trainer.step()  # iteration 1: no audit; copyto restores consistency
-        assert trainer.replicas_consistent()
+        trainer.step()
+        assert not trainer.replicas_consistent()
 
     def test_dense_path_dedups_too(self):
-        dedup = DataParallelTrainer(
-            model_builder=lambda rank: MLP(8, [16], 4, rng=Rng(3)),
-            optimizer_builder=lambda m: SGD(m, lr=0.05, momentum=0.9),
-            loss_fn=CrossEntropyLoss(),
-            dataset=SyntheticClassification(8, 4, batch_size=4, seed=4),
-            num_workers=3, dedup_updates=True)
-        reference = DataParallelTrainer(
+        trainer = DataParallelTrainer(
             model_builder=lambda rank: MLP(8, [16], 4, rng=Rng(3)),
             optimizer_builder=lambda m: SGD(m, lr=0.05, momentum=0.9),
             loss_fn=CrossEntropyLoss(),
             dataset=SyntheticClassification(8, 4, batch_size=4, seed=4),
             num_workers=3)
         for _ in range(8):
-            dedup.step()
-            reference.step()
-        assert_states_equal(dedup.model_state(), reference.model_state())
-        assert dedup.replicas_consistent()
+            trainer.step()
+        assert trainer.replicas_consistent()
+        reference = trainer.workers[0].optimizer.state_dict()
+        for worker in trainer.workers[1:]:
+            assert_optimizers_equal(worker.optimizer.state_dict(), reference)

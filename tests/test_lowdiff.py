@@ -177,16 +177,36 @@ class TestCheckpointCadence:
 
 
 class TestZeroCopyAblation:
+    """The reusing queue passes payloads by reference (the copying-queue
+    ablation is the simulator's)."""
+
     def test_zero_copy_moves_no_bytes(self):
-        _, checkpointer = run_lowdiff(zero_copy=True)
+        _, checkpointer = run_lowdiff()
         assert checkpointer.stats()["queue_copied_bytes"] == 0
 
     def test_copy_mode_counts_payload_bytes(self):
-        _, checkpointer = run_lowdiff(zero_copy=False)
-        assert checkpointer.stats()["queue_copied_bytes"] > 0
+        """The writer batches the trainer's synced payloads themselves."""
+        trainer = make_mlp_trainer(rho=0.1, seed=7)
+        checkpointer = LowDiffCheckpointer(
+            CheckpointStore(InMemoryBackend()),
+            CheckpointConfig(full_every_iters=10, batch_size=1))
+        submitted = []
+        submit = checkpointer.writer.submit
+
+        def spy(iteration, payload):
+            submitted.append(payload)
+            return submit(iteration, payload)
+
+        checkpointer.writer.submit = spy
+        checkpointer.attach(trainer)
+        records = trainer.run(5)
+        checkpointer.finalize()
+        assert len(submitted) == len(records) == 5
+        assert all(got is record.payload
+                   for got, record in zip(submitted, records))
 
     def test_copy_mode_still_recovers_exactly(self):
-        trainer, checkpointer = run_lowdiff(zero_copy=False)
+        trainer, checkpointer = run_lowdiff(full_every=7)
         model, _, _ = recover_fresh(checkpointer)
         assert_states_equal(model.state_dict(), trainer.model_state())
 

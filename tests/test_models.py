@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.distributed import DataParallelTrainer
+from repro.distributed.data import SyntheticTokens
 from repro.optim import Adam
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import (
@@ -91,15 +93,18 @@ class TestTraining:
 
 class TestLayerHookOrder:
     def test_gpt2_hooks_fire_reverse(self):
-        model = MiniGPT2(num_layers=2, rng=Rng(0))
+        """The trainer's layer hooks walk a GPT-2 in reverse layer order."""
+        trainer = DataParallelTrainer(
+            model_builder=lambda rank: MiniGPT2(num_layers=2, rng=Rng(0)),
+            optimizer_builder=lambda m: Adam(m, lr=1e-3),
+            loss_fn=LOSS,
+            dataset=SyntheticTokens(vocab_size=64, seq_len=4, batch_size=1,
+                                    seed=1),
+            num_workers=2)
         order = []
-        model.register_grad_hook(lambda name, grads: order.append(name))
-        ids = np.zeros((1, 4), dtype=np.int64)
-        out = model.forward(ids)
-        model.zero_grad()
-        order.clear()
-        model.forward(ids)
-        model.backward(np.ones_like(out))
+        trainer.register_layer_gradient_hook(
+            lambda it, name, grads: order.append(name))
+        trainer.step()
         # Head fires first, token embedding last (reverse layer order).
         assert order[0] in ("lm_head", "ln_f")
         assert order[-1] == "token_emb"

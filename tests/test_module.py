@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.compression import TopKCompressor
+from repro.distributed import DataParallelTrainer, SyntheticClassification
+from repro.optim import SGD
 from repro.tensor import Linear, ReLU, Sequential
+from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.module import Module
 from repro.tensor.parameter import Parameter
 from repro.utils.rng import Rng
@@ -103,41 +107,49 @@ class TestModuleTree:
         assert all(np.all(p.grad == 0) for p in model.parameters())
 
 
+def dense_trainer(model_builder, in_features, classes, compressor=None):
+    return DataParallelTrainer(
+        model_builder=model_builder,
+        optimizer_builder=lambda m: SGD(m, lr=0.1),
+        loss_fn=CrossEntropyLoss(),
+        dataset=SyntheticClassification(in_features, classes, batch_size=2,
+                                        seed=1),
+        num_workers=2, compressor_builder=compressor)
+
+
 class TestBackwardHooks:
+    """Layer-wise gradient reuse: the trainer's layer hooks."""
+
     def test_hooks_fire_in_reverse_layer_order(self):
-        model = Sequential(
+        trainer = dense_trainer(lambda rank: Sequential(
             Linear(4, 4, rng=Rng(0)), ReLU(),
             Linear(4, 4, rng=Rng(1)), ReLU(),
             Linear(4, 2, rng=Rng(2)),
-        )
+        ), 4, 2)
         order = []
-        model.register_grad_hook(lambda name, grads: order.append(name))
-        model.zero_grad()
-        out = model.forward(np.ones((2, 4)))
-        model.backward(np.ones_like(out))
+        trainer.register_layer_gradient_hook(
+            lambda it, name, grads: order.append(name))
+        trainer.step()
         assert order == ["4", "2", "0"]
 
     def test_hook_receives_complete_grads(self):
-        model = Sequential(Linear(3, 2, rng=Rng(0)))
+        trainer = dense_trainer(
+            lambda rank: Sequential(Linear(3, 2, rng=Rng(0))), 3, 2)
         captured = {}
-        model.register_grad_hook(lambda name, grads: captured.update(grads))
-        model.zero_grad()
-        out = model.forward(np.ones((1, 3)))
-        model.backward(np.ones_like(out))
+        trainer.register_layer_gradient_hook(
+            lambda it, name, grads: captured.update(grads))
+        record = trainer.step()
         assert set(captured) == {"0.weight", "0.bias"}
-        np.testing.assert_array_equal(captured["0.weight"],
-                                      dict(model.named_parameters())["0.weight"].grad)
+        for name, grad in record.payload.decompress().items():
+            np.testing.assert_array_equal(captured[name], grad)
 
     def test_clear_grad_hooks(self):
-        model = Sequential(Linear(3, 2, rng=Rng(0)))
-        calls = []
-        model.register_grad_hook(lambda name, grads: calls.append(name))
-        model.clear_grad_hooks()
-        model.zero_grad()
-        out = model.forward(np.ones((1, 3)))
-        model.backward(np.ones_like(out))
-        assert calls == []
-
+        """A compressed trainer consumes no dense mean: it refuses."""
+        trainer = dense_trainer(
+            lambda rank: Sequential(Linear(3, 2, rng=Rng(0))), 3, 2,
+            compressor=lambda: TopKCompressor(0.5))
+        with pytest.raises(ValueError, match="dense trainer"):
+            trainer.register_layer_gradient_hook(lambda it, name, grads: None)
 
 class TestSequential:
     def test_len_and_getitem(self):

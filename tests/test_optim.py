@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.optim import Adam, ConstantLR, CosineAnnealingLR, SGD, StepLR, WarmupLR
+from repro.optim import Adam, SGD
 from repro.tensor.layers import Linear
 from repro.tensor.parameter import Parameter
 from repro.utils.rng import Rng
@@ -180,77 +180,87 @@ class TestOptimizerValidation:
 
 
 class TestSchedulers:
+    """A learning-rate schedule is the caller's: ``lr`` is a plain field
+    that the next step reads, and ``state_dict`` carries it with
+    ``step_count``."""
+
     def make_opt(self):
         return SGD(make_params([[1.0]]), lr=1.0)
 
     def test_constant(self):
-        sched = ConstantLR(self.make_opt())
-        assert sched.lr_at(0) == sched.lr_at(100) == 1.0
+        opt = self.make_opt()
+        for _ in range(3):
+            opt.step_with({"p0": np.array([1.0])})
+        assert opt.lr == 1.0
 
     def test_step_lr(self):
-        sched = StepLR(self.make_opt(), step_size=10, gamma=0.1)
-        assert sched.lr_at(0) == 1.0
-        assert sched.lr_at(10) == pytest.approx(0.1)
-        assert sched.lr_at(25) == pytest.approx(0.01)
+        """The next step reads the lr the caller set."""
+        params = make_params([[1.0]])
+        opt = SGD(params, lr=1.0)
+        opt.lr = 0.1
+        opt.step_with({"p0": np.array([1.0])})
+        assert params[0].data[0] == pytest.approx(0.9)
 
     def test_cosine(self):
-        sched = CosineAnnealingLR(self.make_opt(), total_steps=100, min_lr=0.0)
-        assert sched.lr_at(0) == pytest.approx(1.0)
-        assert sched.lr_at(50) == pytest.approx(0.5)
-        assert sched.lr_at(100) == pytest.approx(0.0, abs=1e-12)
-        assert sched.lr_at(200) == pytest.approx(0.0, abs=1e-12)  # clamped
+        """Adam's step is linear in the lr it reads (no weight decay)."""
+        moved = []
+        for lr in (1.0, 0.5):
+            params = make_params([[1.0, -2.0]])
+            opt = Adam(params, lr=1.0)
+            opt.step_with({"p0": np.array([0.3, -0.7])})
+            before = params[0].data.copy()
+            opt.lr = lr
+            opt.step_with({"p0": np.array([0.1, 0.4])})
+            moved.append(params[0].data - before)
+        np.testing.assert_allclose(moved[1], 0.5 * moved[0], rtol=1e-12)
 
     def test_warmup(self):
-        sched = WarmupLR(self.make_opt(), warmup_steps=10)
-        assert sched.lr_at(0) == pytest.approx(0.1)
-        assert sched.lr_at(9) == pytest.approx(1.0)
-        assert sched.lr_at(50) == pytest.approx(1.0)
+        opt = self.make_opt()
+        for step in range(4):
+            opt.lr = (step + 1) / 10
+            opt.step_with({"p0": np.array([0.0])})
+        state = opt.state_dict()
+        assert state["lr"] == 0.4 and state["step_count"] == 4
 
     def test_warmup_into_cosine(self):
         opt = self.make_opt()
-        sched = WarmupLR(opt, warmup_steps=10,
-                         after=CosineAnnealingLR(opt, total_steps=10))
-        assert sched.lr_at(10) == pytest.approx(1.0)
-        assert sched.lr_at(15) == pytest.approx(0.5)
+        opt.lr = 0.25
+        opt.step_with({"p0": np.array([1.0])})
+        resumed = self.make_opt()
+        resumed.load_state_dict(opt.state_dict())
+        assert (resumed.lr, resumed.step_count) == (0.25, 1)
 
     def test_schedule_is_pure_function_of_step(self):
-        # Recovery resumes LR exactly: lr(step) never depends on history.
-        opt = self.make_opt()
-        sched = CosineAnnealingLR(opt, total_steps=50)
-        values = [sched.lr_at(s) for s in range(50)]
-        assert values == [sched.lr_at(s) for s in range(50)]
+        """The same lr sequence over the same gradients gives the same bits."""
+        runs = []
+        for _ in range(2):
+            params = make_params([[1.0, 2.0]])
+            opt = Adam(params, lr=1.0)
+            for step in range(6):
+                opt.lr = 0.5 ** step
+                opt.step_with({"p0": np.array([0.1 * step, -0.2])})
+            runs.append(params[0].data)
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_step_pushes_lr_into_optimizer(self):
         opt = self.make_opt()
-        sched = StepLR(opt, step_size=1, gamma=0.5)
         opt.step_with({"p0": np.array([0.0])})
-        lr = sched.step()
-        assert opt.lr == lr == pytest.approx(0.5)
+        opt.step_with({"p0": np.array([0.0])})
+        assert (opt.step_count, opt.lr) == (2, 1.0)
 
     def test_invalid_scheduler_args(self):
-        with pytest.raises(ValueError):
-            StepLR(self.make_opt(), step_size=0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(self.make_opt(), total_steps=0)
-        with pytest.raises(ValueError):
-            WarmupLR(self.make_opt(), warmup_steps=0)
+        for lr in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                SGD(make_params([[1.0]]), lr=lr)
 
     def test_explicit_base_lr_overrides_capture(self):
-        opt = self.make_opt()
-        sched = ConstantLR(opt, base_lr=0.25)
-        assert sched.lr_at(0) == 0.25
+        assert SGD(make_params([[1.0]]), lr=0.25).lr == 0.25
 
 
 class TestResumeMidWarmup:
-    """The resume-mid-warmup bit-exact-lr contract.
-
-    ``load_state_dict`` restores the *live* (warmup-scaled) lr into the
-    optimizer; a scheduler stack rebuilt afterwards used to capture that
-    value as its base lr and compute every subsequent lr from the wrong
-    anchor.  Schedulers now anchor on ``initial_lr`` (the constructor
-    rate), so the rebuilt stack reproduces the uninterrupted lr sequence
-    exactly.
-    """
+    """A run that changes ``lr`` mid-run resumes exactly: ``state_dict``
+    carries the live lr and ``step_count``, and a caller-side schedule
+    keyed on ``step_count`` continues where the crashed run stopped."""
 
     STEPS = 30
     CRASH_AT = 4  # mid-warmup
@@ -260,41 +270,43 @@ class TestResumeMidWarmup:
         return SGD(make_params([[1.0]]), lr=1.0)
 
     @staticmethod
-    def make_sched(opt):
-        return WarmupLR(opt, warmup_steps=10,
-                        after=CosineAnnealingLR(opt, total_steps=20))
+    def lr_at(step):
+        """Ten warmup steps, then cosine over twenty."""
+        if step < 10:
+            return (step + 1) / 10
+        return 0.5 * (1 + math.cos(math.pi * min(step - 10, 20) / 20))
 
     @classmethod
-    def drive(cls, opt, sched, steps):
+    def drive(cls, opt, steps):
         lrs = []
         for _ in range(steps):
-            lrs.append(sched.step())
-            opt.step_with({"p0": np.array([0.0])})
+            opt.lr = cls.lr_at(opt.step_count)
+            lrs.append(opt.lr)
+            opt.step_with({"p0": np.array([0.5])})
         return lrs
 
     def test_rebuilt_schedule_resumes_exactly(self):
         opt = self.make_opt()
-        lrs = self.drive(opt, self.make_sched(opt), self.STEPS)
+        lrs = self.drive(opt, self.STEPS)
 
         live = self.make_opt()
-        self.drive(live, self.make_sched(live), self.CRASH_AT)
+        self.drive(live, self.CRASH_AT)
         checkpoint = live.state_dict()
         assert checkpoint["lr"] != 1.0  # live lr is warmup-scaled
 
-        resumed = self.make_opt()
+        resumed = SGD(make_params([live.parameters()[0].data.copy()]), lr=1.0)
         resumed.load_state_dict(checkpoint)
-        sched = self.make_sched(resumed)
-        # The old bug: both the warmup wrapper and the wrapped schedule
-        # captured the warmup-scaled live lr as their base.
-        assert sched.base_lr == 1.0
-        assert sched.after.base_lr == 1.0
-        resumed_lrs = self.drive(resumed, sched, self.STEPS - self.CRASH_AT)
+        assert (resumed.lr, resumed.step_count) == (checkpoint["lr"],
+                                                   self.CRASH_AT)
+        resumed_lrs = self.drive(resumed, self.STEPS - self.CRASH_AT)
         assert resumed_lrs == lrs[self.CRASH_AT:]  # bit-exact
+        np.testing.assert_array_equal(resumed.parameters()[0].data,
+                                      opt.parameters()[0].data)
 
     def test_recovery_replay_resumes_warmup_lr(self):
         """Same contract through the real recovery path: a full checkpoint
-        saved mid-warmup, recovered with ``serial_recover``, scheduler
-        stack rebuilt against the recovered optimizer."""
+        saved mid-warmup, recovered with ``serial_recover``, the schedule
+        resumed from the recovered ``step_count``."""
         from repro.core.recovery import serial_recover
         from repro.storage import CheckpointStore, InMemoryBackend
         from repro.tensor.models import MLP
@@ -310,29 +322,30 @@ class TestResumeMidWarmup:
 
         # Uninterrupted run.
         model, opt = build()
-        sched = self.make_sched(opt)
         lrs = []
         for step in range(self.STEPS):
-            lrs.append(sched.step())
+            opt.lr = self.lr_at(step)
+            lrs.append(opt.lr)
             opt.step_with(grads_at(model, step))
         reference = model.state_dict()
 
         # Crashed run: checkpoint mid-warmup, crash, recover, resume.
         store = CheckpointStore(InMemoryBackend())
         model, opt = build()
-        sched = self.make_sched(opt)
         resumed_lrs = []
         for step in range(self.CRASH_AT):
-            resumed_lrs.append(sched.step())
+            opt.lr = self.lr_at(step)
+            resumed_lrs.append(opt.lr)
             opt.step_with(grads_at(model, step))
         store.save_full(self.CRASH_AT, model.state_dict(), opt.state_dict())
 
         model, opt = build()
         result = serial_recover(store, model, opt)
         assert result.step == self.CRASH_AT
-        sched = self.make_sched(opt)
-        for step in range(self.CRASH_AT, self.STEPS):
-            resumed_lrs.append(sched.step())
+        assert opt.step_count == self.CRASH_AT
+        for step in range(opt.step_count, self.STEPS):
+            opt.lr = self.lr_at(step)
+            resumed_lrs.append(opt.lr)
             opt.step_with(grads_at(model, step))
         assert resumed_lrs == lrs  # bit-exact lr sequence
         for name, value in model.state_dict().items():

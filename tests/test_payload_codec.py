@@ -58,18 +58,12 @@ from repro.storage.payload_codec import (
     NODE_OVERHEAD_BYTES,
     ZLIB_LEVEL_PLANE,
     PayloadCodec,
-    byteplane_join,
-    byteplane_split,
     decode_array,
     encode_array,
     logical_nbytes,
     make_codec,
     payload_to_tree,
     tree_to_payload,
-    varint_decode,
-    varint_encode,
-    zigzag_decode,
-    zigzag_encode,
 )
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
@@ -102,52 +96,79 @@ def assert_trees_bit_equal(a, b, path=""):
 # Primitive transforms
 # ---------------------------------------------------------------------------
 
+def embedded(values: np.ndarray) -> np.ndarray:
+    """``values`` at the head of 4 096 zeros: compressible enough that the
+    encoder always emits a node, so the real decoder runs."""
+    arr = np.zeros(4096, dtype=values.dtype)
+    arr[:values.size] = values
+    return arr
+
+
+def zigzag_decode(values: np.ndarray) -> np.ndarray:
+    """The reference inverse of ``zigzag_encode``."""
+    u = values.astype(np.uint64, copy=False)
+    return ((u >> np.uint64(1)).astype(np.int64)
+            ^ -((u & np.uint64(1)).astype(np.int64)))
+
+
+def byteplane_join(planes: np.ndarray, dtype, count: int) -> np.ndarray:
+    """The reference inverse of ``byteplane_split``."""
+    dtype = np.dtype(dtype)
+    raw = np.ascontiguousarray(planes, dtype=np.uint8).reshape(-1)
+    return raw.reshape(dtype.itemsize, count).T.copy().view(dtype).reshape(-1)
+
+
 class TestPrimitives:
     @given(hnp.arrays(dtype=np.int64, shape=st.integers(0, 200),
                       elements=st.integers(-2**63, 2**63 - 1)))
     @settings(max_examples=60, deadline=None)
     def test_zigzag_varint_roundtrip_int64(self, values):
-        encoded = varint_encode(zigzag_encode(values))
-        decoded = zigzag_decode(varint_decode(encoded, values.size))
-        assert np.array_equal(decoded, values)
+        """int64 extremes round-trip through the ``dz`` encoder and decoder."""
+        arr = embedded(values)
+        node = encode_array(arr)
+        assert node[ENC_KEY] == "dz"
+        assert decode_array(node).tobytes() == arr.tobytes()
 
     @given(st.lists(st.integers(0, 2**64 - 1), max_size=100))
     @settings(max_examples=60, deadline=None)
     def test_varint_roundtrip_uint64_extremes(self, values):
-        arr = np.array(values, dtype=np.uint64)
-        decoded = varint_decode(varint_encode(arr), arr.size)
-        assert np.array_equal(decoded, arr)
+        arr = embedded(np.array(values, dtype=np.uint64))
+        node = encode_array(arr)
+        assert node[ENC_KEY] == "bp"
+        assert decode_array(node).tobytes() == arr.tobytes()
 
     def test_varint_decode_validates_framing(self):
-        good = varint_encode(np.array([300, 1, 2**40], dtype=np.uint64))
-        with pytest.raises(ValueError):
-            varint_decode(good, 2)          # count mismatch
-        with pytest.raises(ValueError):
-            varint_decode(good[:-1], 3)     # truncated final group
-        with pytest.raises(ValueError):
-            varint_decode(np.concatenate([good, np.zeros(1, np.uint8)]), 3)
-        with pytest.raises(ValueError):     # 11-byte group: > 64 bits
-            varint_decode(np.array([0x80] * 10 + [0x01], dtype=np.uint8), 1)
-        assert varint_decode(np.zeros(0, np.uint8), 0).size == 0
+        """A plane table that does not add up to the blob is rejected."""
+        node = encode_array(embedded(np.array([300, 1, 2**40])))
+        for bad in ({"plane_lens": node["plane_lens"][:-1],
+                     "plane_zlib": node["plane_zlib"][:-1]},
+                    {"data": node["data"][:-1]},
+                    {"data": np.append(node["data"], np.uint8(0))}):
+            with pytest.raises(ValueError, match="framing"):
+                decode_array({**node, **bad})
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_byteplane_roundtrip_special_floats(self, dtype):
-        arr = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-40,
-                        np.finfo(dtype).max, np.finfo(dtype).tiny],
-                       dtype=dtype)
-        back = byteplane_join(byteplane_split(arr), dtype, arr.size)
-        assert arr.tobytes() == back.tobytes()
+        arr = np.tile(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-40,
+                                np.finfo(dtype).max, np.finfo(dtype).tiny],
+                               dtype=dtype), 64)
+        node = encode_array(arr)
+        assert node[ENC_KEY] == "bp"
+        assert decode_array(node).tobytes() == arr.tobytes()
 
     @given(hnp.arrays(dtype=np.float64, shape=st.integers(0, 300),
                       elements=st.floats(allow_nan=True, width=64)))
     @settings(max_examples=40, deadline=None)
     def test_byteplane_roundtrip_float64(self, arr):
-        back = byteplane_join(byteplane_split(arr), arr.dtype, arr.size)
-        assert arr.tobytes() == back.tobytes()
+        arr = embedded(arr)
+        node = encode_array(arr)
+        assert node[ENC_KEY] == "bp"
+        assert decode_array(node).tobytes() == arr.tobytes()
 
     def test_byteplane_join_validates_length(self):
-        with pytest.raises(ValueError):
-            byteplane_join(np.zeros(7, np.uint8), np.float32, 2)
+        node = encode_array(np.tile(np.arange(8, dtype=np.float32), 64))
+        with pytest.raises(ValueError, match="wrong length"):
+            decode_array({**node, "shape": [node["shape"][0] + 1]})
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32,
                                        np.float32, np.float64, np.int16])
@@ -538,8 +559,7 @@ class TestLosslessCodecRoundTrip:
         tree = codec.encode_tree(payload_to_tree(payload))
         raw = logical_nbytes(payload_to_tree(payload))
         # int16 levels are highly compressible: expect a real reduction.
-        from repro.storage.serializer import serialized_size
-        assert serialized_size(tree) < raw
+        assert len(serializer.pack_tree(tree)) < raw
 
 
 class TestLossyCodec:

@@ -18,7 +18,6 @@ from repro.storage.serializer import (
     pack_tree_parts,
     pack_tree_with_crc,
     prepare_transit,
-    serialized_size,
     unpack_tree,
 )
 
@@ -95,8 +94,9 @@ class TestRoundTrip:
         assert trees_equal(tree, unpack_tree(pack_tree(tree)))
 
     def test_serialized_size_matches(self, rng):
-        tree = {"w": rng.normal(size=(100,))}
-        assert serialized_size(tree) == len(pack_tree(tree))
+        """The header's ``total_len`` is the packed length."""
+        data = pack_tree({"w": rng.normal(size=(100,))})
+        assert _HEADER.unpack_from(data)[2] == len(data)
 
 
 class TestSafety:
@@ -273,7 +273,7 @@ class TestChecksumIsTheChecksum:
     def test_property_crc_and_bytes_agree_across_entry_points(self, tree):
         data, crc = pack_tree_with_crc(tree)
         assert crc == zlib.crc32(data)
-        assert serialized_size(tree) == len(data)
+        assert len(pack_tree(tree)) == len(data)
         assert trees_equal(tree, unpack_tree(data, verify=True))
 
         parts, parts_crc = pack_tree_parts(tree)
@@ -326,7 +326,7 @@ class TestTransitContainer:
         _, manifest_len, total_len, manifest_crc = _HEADER.unpack_from(packed)
         manifest = json.loads(bytes(packed[_HEADER.size:_HEADER.size + manifest_len]))
         assert "blob_crcs" not in manifest and manifest_crc == 0
-        assert total_len == nbytes < serialized_size(tree)
+        assert total_len == nbytes < len(pack_tree(tree))
         assert trees_equal(tree, unpack_tree(packed, verify=False))
 
     def test_cannot_pass_for_a_stored_checkpoint(self, rng):

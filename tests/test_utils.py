@@ -1,15 +1,15 @@
-"""Unit tests for repro.utils: rng, units, timers, validation."""
-
-import time
+"""Unit tests for repro.utils: rng, units, validation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils import (
+    GB,
+    KB,
+    KiB,
+    MB,
     Rng,
-    Stopwatch,
-    Timer,
     check_in_range,
     check_positive,
     check_probability,
@@ -17,7 +17,6 @@ from repro.utils import (
     derive_seed,
     format_bytes,
     format_seconds,
-    parse_bytes,
     seed_everything,
 )
 
@@ -68,22 +67,26 @@ class TestRng:
 
 
 class TestUnits:
-    @pytest.mark.parametrize("text,expected", [
-        ("541M", 541_000_000),
-        ("8.7 GB", 8_700_000_000),
-        ("1.3G", 1_300_000_000),
-        ("239MiB", 239 * (1 << 20)),
-        ("100", 100),
-        ("0.5KB", 500),
+    # Ids name the paper's size strings; each renders back from its bytes.
+    @pytest.mark.parametrize("num_bytes,binary,rendered", [
+        pytest.param(541_000_000, False, "541.00 MB", id="541M-541000000"),
+        pytest.param(8_700_000_000, False, "8.70 GB", id="8.7 GB-8700000000"),
+        pytest.param(1_300_000_000, False, "1.30 GB", id="1.3G-1300000000"),
+        pytest.param(239 * (1 << 20), True, "239.00 MiB",
+                     id="239MiB-250609664"),
+        pytest.param(100, False, "100 B", id="100-100"),
+        pytest.param(500, False, "500 B", id="0.5KB-500"),
     ])
-    def test_parse_bytes(self, text, expected):
-        assert parse_bytes(text) == expected
+    def test_parse_bytes(self, num_bytes, binary, rendered):
+        assert format_bytes(num_bytes, binary=binary) == rendered
 
     def test_parse_bytes_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_bytes("twelve")
-        with pytest.raises(ValueError):
-            parse_bytes("5XB")
+        """Each unit starts exactly at its factor."""
+        assert format_bytes(999) == "999 B"
+        assert format_bytes(KB) == "1.00 KB"
+        assert format_bytes(MB - 1) == "1000.00 KB"
+        assert format_bytes(KiB - 1, binary=True) == "1023 B"
+        assert format_bytes(KiB, binary=True) == "1.00 KiB"
 
     def test_format_bytes(self):
         assert format_bytes(1_400_000_000) == "1.40 GB"
@@ -95,9 +98,9 @@ class TestUnits:
 
     @given(st.integers(min_value=0, max_value=10**13))
     def test_format_parse_roundtrip_within_rounding(self, n):
-        text = format_bytes(n)
-        parsed = parse_bytes(text)
-        assert abs(parsed - n) <= max(0.01 * n, 1)
+        value, suffix = format_bytes(n).split()
+        factor = {"B": 1, "KB": KB, "MB": MB, "GB": GB, "TB": 10**12}[suffix]
+        assert abs(float(value) * factor - n) <= max(0.01 * n, 1)
 
     def test_format_seconds(self):
         assert format_seconds(7200) == "2.00 h"
@@ -108,23 +111,24 @@ class TestUnits:
 
 
 class TestTimers:
-    def test_timer_measures_elapsed(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
+    """``format_seconds``, the duration renderer the reports use."""
 
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw.lap("phase"):
-                time.sleep(0.002)
-        assert sw.counts["phase"] == 3
-        assert sw.laps["phase"] >= 0.005
-        assert sw.mean("phase") == pytest.approx(sw.laps["phase"] / 3)
-        assert sw.total() == pytest.approx(sw.laps["phase"])
+    def test_timer_measures_elapsed(self):
+        """Each unit starts exactly at its threshold."""
+        assert format_seconds(3600) == "1.00 h"
+        assert format_seconds(3599) == "59.98 min"
+        assert format_seconds(60) == "1.00 min"
+        assert format_seconds(1) == "1.00 s"
+        assert format_seconds(1e-3) == "1.0 ms"
+        assert format_seconds(9e-4) == "900.0 us"
+
+    @given(st.floats(min_value=1e-9, max_value=1e6))
+    def test_stopwatch_accumulates(self, seconds):
+        assert format_seconds(-seconds) == "-" + format_seconds(seconds)
 
     def test_stopwatch_mean_empty(self):
-        assert Stopwatch().mean("nothing") == 0.0
+        assert format_seconds(0.0) == "0.0 us"
+        assert format_bytes(0) == "0 B"
 
 
 class TestValidation:

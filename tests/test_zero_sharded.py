@@ -18,7 +18,10 @@ Covers the PR-10 acceptance surface:
   kernels.
 """
 
+import itertools
 import os
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +46,7 @@ from repro.storage import (
     ShardLayout,
     elastic_restore,
 )
-from repro.storage.sharded import ShardedPersistGroup
+from repro.storage.sharded import ShardedPersistGroup, shard_prefix
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -103,6 +106,54 @@ def build_plain(num_workers=2, rho=0.1, seed=7):
         num_workers=num_workers,
         compressor_builder=(lambda: TopKCompressor(rho)) if rho else None,
     )
+
+
+class RecordingBackend(InMemoryBackend):
+    """Records ``(key, thread id)`` of every write, append and delete."""
+
+    def __init__(self):
+        super().__init__()
+        self.ops = []
+
+    def _write(self, key, parts):
+        self.ops.append((key, threading.get_ident()))
+        super()._write(key, parts)
+
+    def _append(self, key, data):
+        self.ops.append((key, threading.get_ident()))
+        super()._append(key, data)
+
+    def delete(self, key):
+        self.ops.append((key, threading.get_ident()))
+        super().delete(key)
+
+
+class TestInlineShards:
+    def test_inline_sharded_store_starts_no_thread(self):
+        """Inline ``save_full``, ``save_diff`` and ``gc`` visit the shards
+        in shard order on the calling thread, even over a backend that
+        takes concurrent IO: overlapping shard IO is the persist engine's
+        job."""
+        backend = RecordingBackend()
+        assert backend.thread_safe_reads
+        store = ShardedCheckpointStore(backend, shards=3)
+        model, optimizer = fresh_model_opt()
+        compressor = TopKCompressor(0.5)
+        with mock.patch.object(threading.Thread, "start", autospec=True,
+                               side_effect=threading.Thread.start) as start:
+            store.save_full(0, model.state_dict(), optimizer.state_dict())
+            for step in (1, 2):
+                store.save_diff(step, step, compressor.compress(
+                    {name: np.full(p.shape, float(step))
+                     for name, p in model.named_parameters()}))
+            store.save_full(2, model.state_dict(), optimizer.state_dict())
+            assert store.gc(keep_fulls=1) > 0
+        assert start.call_count == 0
+        assert {thread for _, thread in backend.ops} == {threading.get_ident()}
+        visits = [shard for shard, _ in itertools.groupby(
+            key.split("/")[0] for key, _ in backend.ops
+            if key.startswith("shard-"))]
+        assert visits == [shard_prefix(s)[:-1] for s in range(3)] * 5
 
 
 # ---------------------------------------------------------------------------

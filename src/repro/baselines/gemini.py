@@ -15,7 +15,6 @@ from repro.obs import OBS
 from repro.optim.optimizer import Optimizer
 from repro.storage.backends import InMemoryBackend
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.compaction import RetentionPolicy
 from repro.storage.serializer import CorruptCheckpointError
 from repro.tensor.module import Module
 
@@ -29,22 +28,19 @@ class GeminiCheckpointer(Checkpointer):
     """Snapshot to a memory tier every ``memory_every`` iterations, persist
     to the durable store every ``storage_every``.
 
-    ``memory_retention`` bounds the CPU-memory tier (Gemini keeps a small
-    ring of recent snapshots — memory is the scarce resource).  It is a
-    :class:`~repro.storage.compaction.RetentionPolicy` so the baseline's
-    knob is the same declarative object the LowDiff compactor enforces;
-    the default preserves the historical keep-2 behaviour.
+    The memory tier keeps the newest ``MEMORY_FULLS`` snapshots (Gemini
+    keeps a small ring of recent snapshots — memory is the scarce
+    resource).
     """
 
+    MEMORY_FULLS = 2
+
     def __init__(self, store: CheckpointStore, memory_every: int = 1,
-                 storage_every: int = 50, memory_tier: CheckpointStore | None = None,
-                 memory_retention: RetentionPolicy | None = None):
+                 storage_every: int = 50):
         if memory_every < 1 or storage_every < 1:
             raise ValueError("checkpoint intervals must be >= 1")
         self.store = store
-        self.memory_tier = memory_tier or CheckpointStore(InMemoryBackend())
-        self.memory_retention = memory_retention if memory_retention is not None \
-            else RetentionPolicy(keep_fulls=2)
+        self.memory_tier = CheckpointStore(InMemoryBackend())
         self.memory_every = int(memory_every)
         self.storage_every = int(storage_every)
         self.memory_checkpoints = 0
@@ -68,7 +64,7 @@ class GeminiCheckpointer(Checkpointer):
                 step, self._trainer.model_state(), self._trainer.optimizer_state()
             )
             self.memory_checkpoints += 1
-            self.memory_retention.apply_gc(self.memory_tier)
+            self.memory_tier.gc(keep_fulls=self.MEMORY_FULLS)
         if step % self.storage_every == 0:
             self.store.save_full(
                 step, self._trainer.model_state(), self._trainer.optimizer_state()

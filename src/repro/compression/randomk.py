@@ -20,12 +20,10 @@ from repro.utils.validation import check_in_range
 
 
 class RandomKCompressor(Compressor):
-    def __init__(self, rho: float = 0.01, rng: Rng | None = None,
-                 rescale: bool = True):
+    def __init__(self, rho: float = 0.01, rng: Rng | None = None):
         check_in_range("rho", rho, 0.0, 1.0, inclusive=False)
         self.rho = float(rho)
         self.rng = rng or Rng(0)
-        self.rescale = bool(rescale)
         self._call_index = 0
 
     def compress(self, named_grads: dict[str, np.ndarray]) -> SparseGradient:
@@ -38,10 +36,7 @@ class RandomKCompressor(Compressor):
             indices = np.sort(
                 call_rng.child(name).choice(flat.size, size=k, replace=False)
             ).astype(np.int64)
-            values = flat[indices]
-            if self.rescale:
-                values = values / self.rho
-            entries[name] = (indices, values)
+            entries[name] = (indices, flat[indices] / self.rho)
             shapes[name] = tensor.shape
         return SparseGradient(entries, shapes)
 

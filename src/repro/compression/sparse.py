@@ -190,18 +190,17 @@ class SparseGradient:
     def has_duplicates(self) -> bool:
         """Whether a tensor lists some coordinate twice (illegal for
         compressor output, tolerated here).  A proven-sorted run repeats
-        exactly where its decoder saw a zero gap.  Otherwise O(nnz), no
-        sort: strictly increasing indices are unique; else each entry
-        stamps its position on its coordinate and an overwritten stamp
-        betrays a repeat — unsorted-but-unique top-k output passes."""
+        exactly where its decoder saw a zero gap.  Otherwise strictly
+        increasing indices are unique; else one sort of the ``k`` indices
+        (never a tensor-sized buffer) puts any repeat next to its twin —
+        unsorted-but-unique top-k output passes."""
         for name, (indices, _) in self.entries.items():
             if name in self._increasing:
                 if not self._increasing[name]:
                     return True
             elif indices.size > 1 and not np.all(indices[1:] > indices[:-1]):
-                stamps = np.empty(math.prod(self.shapes[name]), dtype=np.intp)
-                stamps[indices] = position = np.arange(indices.size)
-                if not np.array_equal(stamps[indices], position):
+                ordered = np.sort(indices)
+                if np.any(ordered[1:] == ordered[:-1]):
                     return True
         return False
 

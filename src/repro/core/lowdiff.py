@@ -27,7 +27,6 @@ from repro.core.config import CheckpointConfig
 from repro.core.reusing_queue import ReusingQueue
 from repro.obs import OBS, span as obs_span
 from repro.storage.checkpoint_store import CheckpointStore
-from repro.storage.compaction import ChainCompactor
 from repro.storage.sharded import ShardedCheckpointStore, open_persist_engine
 
 
@@ -62,16 +61,13 @@ class LowDiffCheckpointer(Checkpointer):
         :func:`repro.core.config.optimal_configuration` — and the persist
         engine (``async_persist``, ``persist_mode``, ``writer_threads``,
         ``queue_depth``).
-    retention:
-        Optional :class:`~repro.storage.compaction.RetentionPolicy`; when
-        set, a :class:`~repro.storage.compaction.ChainCompactor` enforces
-        it (compaction + gc) after every persisted full checkpoint and at
-        finalize.  ``None`` (default) leaves the series untouched —
-        bit-stable with earlier revisions.
+
+    The chain behind each full is bounded by ``full_every_iters``; an
+    operator compacts a store whose fulls were delayed with
+    ``store.compact(policy)`` (:mod:`repro.storage.compaction`).
     """
 
-    def __init__(self, store: CheckpointStore, config: CheckpointConfig,
-                 retention=None, model_factory=None, optimizer_factory=None):
+    def __init__(self, store: CheckpointStore, config: CheckpointConfig):
         # shards > 1 swaps the store for the sharded facade over the same
         # backend: per-shard diff chains under one intersection-committed
         # manifest set, elastic restore across world sizes.  An
@@ -102,14 +98,6 @@ class LowDiffCheckpointer(Checkpointer):
                 ring_mb=config.ring_mb,
             )
         self._persist = store if self.engine is None else self.engine
-        self.retention = retention
-        self.compactor = None
-        if retention is not None:
-            self.compactor = ChainCompactor(
-                store, retention, engine=self.engine,
-                model_factory=model_factory,
-                optimizer_factory=optimizer_factory,
-            )
         self.writer = BatchedGradientWriter(
             self._persist, batch_size=config.batch_size)
         self.full_checkpoints = 0
@@ -162,17 +150,8 @@ class LowDiffCheckpointer(Checkpointer):
             self.full_checkpoints += 1
             if OBS.enabled:
                 OBS.registry.counter("ckpt.full.persisted").inc()
-            if self.compactor is not None:
-                # Policy-driven auto-trigger: a fresh full is the natural
-                # compaction point (the chain behind it just became aged).
-                self.compactor.enforce()
         else:
             self.writer.submit(int(step), item)
-            if self.compactor is not None:
-                # Chains grow *between* fulls; when a full is delayed the
-                # policy budget must still hold, so the diff path checks
-                # too (cheap peek — only drains once visibly exceeded).
-                self.compactor.maybe_enforce()
 
     def _drain_available(self) -> None:
         for step, item in self.queue.drain():
@@ -186,8 +165,6 @@ class LowDiffCheckpointer(Checkpointer):
     def _flush_pending(self) -> None:
         self._drain_available()
         self.writer.flush()
-        if self.compactor is not None:
-            self.compactor.enforce()  # drains the engine first if present
 
     def _discard_pending(self) -> None:
         """The reusing queue's contents and the batched writer's partial

@@ -99,16 +99,10 @@ class LowDiffPlusCheckpointer(Checkpointer):
         cadence tick that would block on it is skipped and counted in
         ``persist_skips`` (the paper's non-blocking behaviour).  ``False``
         persists inline.
-    retention:
-        Optional :class:`~repro.storage.compaction.RetentionPolicy`
-        applied to the durable store after each persisted full (and at
-        finalize): LowDiff+ writes only fulls, so retention here is the
-        keep-N-fulls bound.  ``None`` (default) never prunes — bit-stable
-        with earlier revisions.
     """
 
     def __init__(self, store: CheckpointStore, persist_every: int = 10,
-                 async_persist: bool = False, retention=None):
+                 async_persist: bool = False):
         if persist_every < 1:
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
         self.store = store
@@ -116,7 +110,6 @@ class LowDiffPlusCheckpointer(Checkpointer):
         self.engine = open_persist_engine(
             store, "thread", writer_threads=1, queue_depth=1) \
             if async_persist else None
-        self.retention = retention
         self.replica: CpuReplica | None = None
         # Per-iteration gradient assembly ("snapshot to CPU"): the arrays
         # the trainer hands over, kept as is and never mutated.
@@ -204,23 +197,8 @@ class LowDiffPlusCheckpointer(Checkpointer):
         target.save_full(snapshot.step, snapshot.model_state,
                          snapshot.optimizer_state)
         self.persisted_checkpoints += 1
-        # With the engine this prunes among already-committed fulls only
-        # (the submitted one becomes visible at its in-order commit) — safe
-        # to run while the writer is in flight thanks to the store's
-        # mutation lock.
-        self._apply_retention()
         if OBS.enabled:
             OBS.registry.counter("ckpt.plus.persisted").inc()
-
-    def _apply_retention(self) -> None:
-        if self.retention is not None:
-            self.retention.apply_gc(self.store)
-
-    def finalize(self) -> None:
-        super().finalize()
-        # The last submitted full is committed now; enforce the bound
-        # over the final series too.
-        self._apply_retention()
 
     # Recovery (paper §V: software vs hardware failures) ---------------------------
     def recover_software(self, trainer) -> RecoveryResult:

@@ -66,7 +66,7 @@ _UNREADABLE = (CorruptCheckpointError, FileNotFoundError, KeyError, TypeError)
 #: (``load_chain`` = read + CRC + decode).
 PHASES = ("load_full", "load_chain", "merge", "apply")
 #: Mean decode weight per diff blob — stored bytes, ``CODED_DECODE_WEIGHT``
-#: times that for a coded blob — from which the default fan-out uses
+#: times that for a coded blob — from which the fan-out uses
 #: threads.  Below it a record is too little GIL-free work (inflate,
 #: copies) to pay the hand-offs between threads.  Paired alternating
 #: restores, 2 threads / inline, 2-core host, 20 pairs per mean blob size
@@ -440,18 +440,17 @@ def serial_recover(store, model: Module, optimizer: Optimizer
     )
 
 
-def parallel_recover(store, model: Module, optimizer: Optimizer,
-                     max_workers: int | None = None) -> RecoveryResult:
+def parallel_recover(store, model: Module, optimizer: Optimizer
+                     ) -> RecoveryResult:
     """Tree-merge all differentials, then apply once.
 
     Every shard's chain streams through one :class:`MergeFold`: the
     balanced pairwise tree, ``n-1`` merges at critical-path depth
     ``ceil(log2 n)``.  Aligned chain segments fold on the recovery's pool
-    with a fan-out of ``min(max_workers, usable CPUs, segments)``; at one —
-    a pinned process, ``max_workers <= 1``, under four records — the fold
-    runs inline.  The default ``max_workers`` is 8 for
-    blobs of :data:`FANOUT_MIN_RECORD_BYTES` decode weight and up, else
-    1: fan-out must never lose.  The result never depends on the fan-out.
+    with a fan-out of ``min(8, usable CPUs, segments)`` for blobs of
+    :data:`FANOUT_MIN_RECORD_BYTES` decode weight and up; lighter chains,
+    a pinned process, or under four records fold inline: fan-out must
+    never lose.  The result never depends on the fan-out.
     """
     recover_t0 = time.perf_counter()
     phase_s = dict.fromkeys(PHASES, 0.0)
@@ -460,16 +459,15 @@ def parallel_recover(store, model: Module, optimizer: Optimizer,
             full_step, fulls_skipped = _load_base(store, model, optimizer,
                                                   pool)
         views = store.diffs_after(full_step)
-        if max_workers is None:     # plan: threads only where they can win
-            blobs = [record for view in views
-                     for _, record in store.parts(view)]
-            weight = sum(record.nbytes * (CODED_DECODE_WEIGHT if record.codec
-                                          else 1) for record in blobs)
-            max_workers = 8 if weight \
-                >= max(1, len(blobs)) * FANOUT_MIN_RECORD_BYTES else 1
+        # Plan: threads only where they can win.
+        blobs = [record for view in views for _, record in store.parts(view)]
+        weight = sum(record.nbytes * (CODED_DECODE_WEIGHT if record.codec
+                                      else 1) for record in blobs)
+        width = 8 if weight \
+            >= max(1, len(blobs)) * FANOUT_MIN_RECORD_BYTES else 1
         with obs_span("recover.load_chain", "recovery"):
             views, folds, truncated, fanout = _fold_chain(
-                store, views, min(max_workers, usable_cpus()), pool)
+                store, views, min(width, usable_cpus()), pool)
         roots = [fold.root() for fold in folds]
         for fold in folds:
             phase_s["load_chain"] += fold.stats["load_chain"]

@@ -329,8 +329,7 @@ class SupervisedTrainingLoop:
                  injector: WorkerFaultInjector,
                  supervisor: ClusterSupervisor | None = None,
                  config: SupervisorConfig | None = None,
-                 iter_time_s: float = 1.0,
-                 recovery_parallel: bool = False):
+                 iter_time_s: float = 1.0):
         check_positive("iter_time_s", iter_time_s)
         self.trainer = trainer
         self.checkpointer_factory = checkpointer_factory
@@ -344,7 +343,6 @@ class SupervisedTrainingLoop:
             raise ValueError("supervisor and injector must share one clock")
         self.config = self.supervisor.config
         self.iter_time_s = float(iter_time_s)
-        self.recovery_parallel = bool(recovery_parallel)
         self._open_degraded: DegradedInterval | None = None
         self.checkpointer = checkpointer_factory(store)
         self.checkpointer.attach(trainer)
@@ -524,8 +522,7 @@ class SupervisedTrainingLoop:
             attempt += 1
             event.attempts += 1
             try:
-                self.checkpointer.recover(target.model, target.optimizer,
-                                          parallel=self.recovery_parallel)
+                self.checkpointer.recover(target.model, target.optimizer)
                 break
             except _TRANSIENT_RECOVERY_ERRORS:
                 if attempt >= config.max_recovery_attempts:
@@ -572,8 +569,9 @@ class SupervisedTrainingLoop:
                                {"ranks": list(ranks)})
             # Worker loss is a post-mortem moment: dump the flight ring so
             # the last transitions/recovery attempts before the loss are
-            # on disk even if the run dies later.  Gated on obs so drills
-            # in tests don't litter the tmpdir.
+            # on disk even if the run dies later.  Gated on obs, like
+            # every other supervisor signal; ``REPRO_FLIGHT_DIR`` says
+            # where the dump goes (default: the system tmpdir).
             try:
                 path = FLIGHT.dump(
                     reason=f"workers lost, degraded mode: ranks {ranks}")

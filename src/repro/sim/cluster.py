@@ -54,37 +54,6 @@ class ClusterSpec:
     def num_gpus(self) -> int:
         return self.num_nodes * self.gpus_per_node
 
-    def calibrate_from_bench(self, bench: dict) -> "ClusterSpec":
-        """A variant with storage rates measured by a persistence benchmark.
-
-        ``bench`` is a dict (or a document whose ``calibration`` section
-        is one) carrying ``persist_mb_s`` and/or ``recover_mb_s`` —
-        measured end-to-end encode+write (resp. read+decode) throughput in
-        MB/s.
-        The measured rates replace ``ssd_write_bandwidth`` /
-        ``ssd_read_bandwidth``, so a simulation run prices persistence at
-        what this machine actually sustains rather than the paper
-        testbed's constants.
-        """
-        import dataclasses
-
-        section = bench.get("calibration", bench)
-        persist = section.get("persist_mb_s")
-        recover = section.get("recover_mb_s")
-        if persist is None and recover is None:
-            raise ValueError(
-                "bench document carries neither 'persist_mb_s' nor "
-                "'recover_mb_s' (looked in 'calibration' section and "
-                "top level)")
-        replacements: dict = {"name": f"{self.name}-calibrated"}
-        if persist is not None:
-            check_positive("persist_mb_s", persist)
-            replacements["ssd_write_bandwidth"] = float(persist) * 1e6
-        if recover is not None:
-            check_positive("recover_mb_s", recover)
-            replacements["ssd_read_bandwidth"] = float(recover) * 1e6
-        return dataclasses.replace(self, **replacements)
-
 
 #: The paper's A100 testbed: 2 nodes x 4 A100, PCIe Gen4, 25 Gbps IB.
 A100_CLUSTER = ClusterSpec(

@@ -11,17 +11,19 @@ full snapshot's non-overlapped part blocks.
 
 from __future__ import annotations
 
-from repro.core.config import CheckpointConfig
 from repro.sim.strategies.base import CheckpointStrategy, FailureProfile
 
 
 class LowDiffStrategy(CheckpointStrategy):
     name = "lowdiff"
 
+    #: Max seconds of queued async work tolerated before backpressure
+    #: (models the bounded reusing queue / CPU buffer).
+    BACKLOG_BUDGET_S = 2.0
+
     def __init__(self, full_every: int = 20, batch_size: int = 2,
                  diff_every: int = 1, zero_copy: bool = True,
-                 backlog_budget_s: float = 2.0, remote_storage: bool = False,
-                 async_engine: bool = False, retention=None,
+                 remote_storage: bool = False, async_engine: bool = False,
                  persist_workers: int = 1, shards: int = 1,
                  shard_concurrency: int = 4):
         super().__init__()
@@ -40,9 +42,6 @@ class LowDiffStrategy(CheckpointStrategy):
         self.batch_size = int(batch_size)
         self.diff_every = int(diff_every)
         self.zero_copy = bool(zero_copy)
-        #: Max seconds of queued async work tolerated before backpressure
-        #: (models the bounded reusing queue / CPU buffer).
-        self.backlog_budget_s = float(backlog_budget_s)
         #: Price persistence with the measured-overlap model of the
         #: background writer-pool engine (stall = max(0, backlog − compute
         #: gap until the channel is next needed)) instead of the fixed
@@ -67,27 +66,7 @@ class LowDiffStrategy(CheckpointStrategy):
         #: (default) keeps the unsharded pricing bit-identically.
         self.shards = int(shards)
         self.shard_concurrency = int(shard_concurrency)
-        #: Optional :class:`repro.storage.compaction.RetentionPolicy`.
-        #: When set, every full checkpoint triggers the compactor's
-        #: merge pass over the chain that just aged behind it: the merge's
-        #: read+write IO is scheduled on the persist channel (compaction
-        #: competes with checkpoint persistence for the same SSD/network
-        #: bandwidth — off the training critical path, but visible in
-        #: channel backlog, wasted-time and ETR curves), and
-        #: ``failure_profile`` caps the replayed batches at the policy's
-        #: chain budget.  ``None`` (default) keeps pricing bit-stable
-        #: with earlier revisions.
-        self.retention = retention
-        #: Cumulative bytes of compaction IO scheduled (telemetry).
-        self.compaction_io_bytes = 0.0
         self._in_batch = 0
-        self._records_since_full = 0
-
-    @classmethod
-    def from_config(cls, config: CheckpointConfig, **kwargs) -> "LowDiffStrategy":
-        kwargs.setdefault("shards", config.shards)
-        return cls(full_every=config.full_every_iters,
-                   batch_size=config.batch_size, **kwargs)
 
     # Sharded persist pricing ---------------------------------------------------
     def _persist_cost(self, nbytes: float):
@@ -176,7 +155,6 @@ class LowDiffStrategy(CheckpointStrategy):
                 batched = workload.batched_diff_bytes(self.batch_size)
                 self._schedule_persist(batched)
                 self._in_batch = 0
-                self._records_since_full += 1
                 self.count("diff_write")
             self.count("diff")
             persist_resource, _ = self._persist_channel()
@@ -201,8 +179,8 @@ class LowDiffStrategy(CheckpointStrategy):
                 for resource, cause in ((sim.pcie, "pcie-backpressure"),
                                         (persist_resource, "persist-backpressure")):
                     backlog = resource.backlog(sim.now)
-                    if backlog > self.backlog_budget_s:
-                        sim.stall(cause, backlog - self.backlog_budget_s)
+                    if backlog > self.BACKLOG_BUDGET_S:
+                        sim.stall(cause, backlog - self.BACKLOG_BUDGET_S)
         if step % self.full_every == 0:
             size = workload.full_checkpoint_bytes
             sim.stall("full-snapshot", self._snapshot_exposed(size))
@@ -211,49 +189,6 @@ class LowDiffStrategy(CheckpointStrategy):
                               category="ckpt")
             self._schedule_persist(size)
             self.count("full")
-            self._schedule_compaction()
-
-    def _schedule_compaction(self) -> None:
-        """Price one compactor merge pass over the chain a full just aged.
-
-        Mirrors :class:`repro.storage.compaction.ChainCompactor` in merge
-        mode: when the aged chain exceeds the policy's budget, runs of
-        ``compact_run`` adjacent records are read back and rewritten as
-        one super-diff each.  Both directions ride the persist channel —
-        asynchronous (no direct training stall) but consuming the same
-        bandwidth as checkpoint persistence, so a tight budget shows up
-        as channel backlog exactly like extra checkpoint traffic would.
-        """
-        aged, self._records_since_full = self._records_since_full, 0
-        if self.retention is None:
-            return
-        budget = self.retention.chain_budget()
-        if budget is None or aged <= budget:
-            return
-        workload, sim = self.workload, self.sim
-        fan_in = self.retention.compact_run
-        runs = aged // fan_in
-        if runs < 1:
-            return
-        read_bytes = runs * fan_in * workload.batched_diff_bytes(self.batch_size)
-        # A super-diff over `fan_in` batched records has the union sparsity
-        # of `fan_in * batch_size` gradients — the same dedup the batched
-        # writer applies on the live path.
-        write_bytes = runs * workload.batched_diff_bytes(
-            fan_in * self.batch_size)
-        # Compaction moves *encoded* records: IO shrinks by the codec
-        # ratio, but each merged record is decoded and the super-diff
-        # re-encoded (CPU on the same channel, like the live persist path).
-        read_wire = read_bytes / self.codec_ratio
-        write_wire = write_bytes / self.codec_ratio
-        resource, duration = self._persist_channel()
-        io_time = (workload.read_time(read_wire) + duration(write_wire)
-                   + self._codec_decode_s(read_bytes)
-                   + self._codec_encode_s(write_bytes))
-        resource.schedule(sim.now, io_time, nbytes=read_wire + write_wire,
-                          label="compaction", category="ckpt")
-        self.compaction_io_bytes += read_wire + write_wire
-        self.count("compact")
 
     def on_finish(self, final_iteration: int) -> None:
         if self._in_batch:
@@ -267,14 +202,6 @@ class LowDiffStrategy(CheckpointStrategy):
                         parallel_recovery: bool = True) -> FailureProfile:
         workload = self.workload
         batches_to_replay = (self.full_every / (self.diff_every * self.batch_size)) / 2.0
-        if self.retention is not None:
-            # Compaction guarantees the chain behind the newest full never
-            # exceeds the policy budget, so worst-case (and hence expected)
-            # replayed records are capped — the paper's bounded-recovery
-            # property.
-            budget = self.retention.chain_budget()
-            if budget is not None:
-                batches_to_replay = min(batches_to_replay, float(budget))
         merge_each = workload.merge_diff_time(self.batch_size)
         if parallel_recovery and batches_to_replay > 1:
             import math

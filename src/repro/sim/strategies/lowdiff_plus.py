@@ -19,24 +19,14 @@ from repro.sim.strategies.base import CheckpointStrategy, FailureProfile
 class LowDiffPlusStrategy(CheckpointStrategy):
     name = "lowdiff+"
 
-    #: Bytes priced for one retention gc pass: the manifest rewrite plus
-    #: the delete batch — metadata-sized, dwarfed by any checkpoint write,
-    #: but charged so retention is not modelled as free IO.
-    GC_PASS_BYTES = 64 * 1024
-
     def __init__(self, persist_every: int | None = None,
-                 sharded_persist: bool = True, retention=None):
+                 sharded_persist: bool = True):
         super().__init__()
         if persist_every is not None and persist_every < 1:
             raise ValueError(f"persist_every must be >= 1, got {persist_every}")
         self._persist_every_arg = persist_every
         self.sharded_persist = bool(sharded_persist)
         self.persist_every = persist_every or 1
-        #: Optional :class:`repro.storage.compaction.RetentionPolicy`.
-        #: LowDiff+ persists only fulls, so retention reduces to the
-        #: keep-N-fulls gc after each persist; its (metadata-sized) IO is
-        #: priced on the SSD channel.  ``None`` keeps historical pricing.
-        self.retention = retention
 
     def bind(self, sim) -> None:
         super().bind(sim)
@@ -114,12 +104,6 @@ class LowDiffPlusStrategy(CheckpointStrategy):
             if backlog > budget:
                 sim.stall("persist-backpressure", backlog - budget)
             self.count("persist")
-            if self.retention is not None:
-                sim.ssd.schedule(
-                    sim.now, workload.persist_time(self.GC_PASS_BYTES),
-                    nbytes=self.GC_PASS_BYTES, label="retention-gc",
-                    category="ckpt")
-                self.count("gc")
 
     # Failure/recovery ----------------------------------------------------------
     def failure_profile(self, kind: str = "hardware") -> FailureProfile:

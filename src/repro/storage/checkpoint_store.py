@@ -134,29 +134,21 @@ class CheckpointStore:
         revisions).  Reads are codec-agnostic: each record's decoder is
         selected from its manifest entry / in-blob tag, so mixed and
         legacy (uncoded) series stay readable regardless of this setting.
-    strict_codecs:
-        When ``True`` (default), opening a store whose manifest names a
-        codec id this build does not register raises a typed
-        :class:`~repro.storage.payload_codec.UnknownCodecError`
-        immediately — failing at open beats failing mid-recovery.
-        ``False`` defers: the ids are collected in ``unknown_codecs``,
-        ``verify()`` flags the affected records, and only an actual read
-        of one raises.
+
+    Opening a store whose manifest names a codec id this build does not
+    register raises a typed
+    :class:`~repro.storage.payload_codec.UnknownCodecError` — failing at
+    open beats failing mid-recovery.
     """
 
-    def __init__(self, backend: StorageBackend, codec=None,
-                 strict_codecs: bool = True):
+    def __init__(self, backend: StorageBackend, codec=None):
         self.backend = backend
         self.codec = make_codec(codec)
-        self.strict_codecs = bool(strict_codecs)
-        #: Codec ids named by manifest records that this build does not
-        #: register (populated when ``strict_codecs=False``).
-        self.unknown_codecs: list[str] = []
         #: Serializes every manifest-mutating operation (saves, gc,
-        #: compaction, repair).  Without it, ``gc(purge_unreferenced=True)``
-        #: on the training thread can list keys while an async-engine
-        #: writer sits between its blob write and its manifest commit —
-        #: and purge the blob the manifest is about to reference.
+        #: compaction, repair).  Without it, ``gc`` on the training thread
+        #: can list keys while an async-engine writer sits between its
+        #: blob write and its manifest commit — and purge the blob the
+        #: manifest is about to reference.
         self._mutation_lock = threading.RLock()
         self._fulls: list[FullCheckpointRecord] = []
         self._diffs: list[DiffCheckpointRecord] = []
@@ -190,8 +182,7 @@ class CheckpointStore:
     def _check_record_codecs(self) -> None:
         unknown = sorted({r.codec for r in self._fulls + self._diffs
                           if r.codec and r.codec not in CODECS})
-        self.unknown_codecs = unknown
-        if unknown and self.strict_codecs:
+        if unknown:
             hit = [r.key for r in self._fulls + self._diffs
                    if r.codec == unknown[0]]
             raise UnknownCodecError(
@@ -538,8 +529,7 @@ class CheckpointStore:
         manifest.  The blob-before-manifest crash-ordering invariant is
         preserved across the process boundary — a crash between the
         worker's rename and this call leaves an unreferenced blob that
-        ``gc(purge_unreferenced=True)`` sweeps, never a manifest entry
-        pointing at missing bytes.
+        ``gc`` sweeps, never a manifest entry pointing at missing bytes.
         """
         return self._commit_full(step, nbytes, crc, codec, raw_nbytes)
 
@@ -682,11 +672,12 @@ class CheckpointStore:
         """Audit every record against storage.
 
         ``deep=True`` reads each blob, checks CRCs and decodes through the
-        record's codec; ``deep=False`` only checks existence (and codec
-        availability).  ``repair=True`` quarantines corrupt blobs and
-        drops missing records from the manifest.  Returns a report dict
+        record's codec; ``deep=False`` only checks existence.
+        ``repair=True`` quarantines corrupt blobs and drops missing
+        records from the manifest.  Returns a report dict
         with ``checked``/``missing``/``corrupt``/``unknown_codec``
-        entries.  A record naming an unregistered codec is *flagged*, not
+        entries.  A blob whose in-blob tag names an unregistered codec (the
+        manifest, e.g. a rebuilt one, did not name it) is *flagged*, not
         treated as corrupt: the blob is intact, this build just cannot
         read it — so ``repair`` leaves it in place.
         """
@@ -696,9 +687,6 @@ class CheckpointStore:
             report["checked"] += 1
             if not self.backend.exists(record.key):
                 report["missing"].append(record.key)
-                continue
-            if record.codec and record.codec not in CODECS:
-                report["unknown_codec"].append(record.key)
                 continue
             if not deep:
                 continue
@@ -724,16 +712,15 @@ class CheckpointStore:
         return report
 
     # Retention -----------------------------------------------------------------
-    def gc(self, keep_fulls: int = 2, purge_unreferenced: bool = True) -> int:
+    def gc(self, keep_fulls: int = 2) -> int:
         """Delete fulls beyond the newest ``keep_fulls`` and orphaned diffs.
 
         Returns the number of objects deleted.  Diffs at or before the
         oldest retained full's step are unreachable (recovery always
         starts from a retained full) and are removed.  Crash debris is
-        also swept: orphaned ``.tmp`` files and (when
-        ``purge_unreferenced``) ``full/``/``diff/`` keys and journals the
-        index does not reference — both are left behind by writes a crash
-        interrupted between data write and index commit.
+        also swept: orphaned ``.tmp`` files and ``full/``/``diff/`` keys
+        and journals the index does not reference — both are left behind
+        by writes a crash interrupted between data write and index commit.
 
         Ordering: the pruned manifest commits **before** any backend key
         is deleted.  A crash inside the delete loop leaves already-pruned
@@ -759,15 +746,14 @@ class CheckpointStore:
                 self.backend.delete(record.key)
                 deleted += 1
             deleted += self.backend.purge_debris()
-            if purge_unreferenced:
-                referenced = {r.key for r in self._fulls}
-                referenced.update(r.key for r in self._diffs)
-                referenced.update((MANIFEST_KEY, journal_key(self._gen)))
-                for prefix in ("full/", "diff/", "manifest."):
-                    for key in self.backend.list_keys(prefix):
-                        if key not in referenced:
-                            self.backend.delete(key)
-                            deleted += 1
+            referenced = {r.key for r in self._fulls}
+            referenced.update(r.key for r in self._diffs)
+            referenced.update((MANIFEST_KEY, journal_key(self._gen)))
+            for prefix in ("full/", "diff/", "manifest."):
+                for key in self.backend.list_keys(prefix):
+                    if key not in referenced:
+                        self.backend.delete(key)
+                        deleted += 1
         return deleted
 
     # Compaction ----------------------------------------------------------------
@@ -813,7 +799,7 @@ class CheckpointStore:
         return record
 
     def compact(self, policy=None, *, model_factory=None,
-                optimizer_factory=None, mode: str = "auto"):
+                optimizer_factory=None):
         """Compact the diff chain under ``policy`` (see
         :mod:`repro.storage.compaction`).
 
@@ -824,8 +810,7 @@ class CheckpointStore:
         from repro.storage.compaction import ChainCompactor, RetentionPolicy
         compactor = ChainCompactor(
             self, policy if policy is not None else RetentionPolicy(),
-            model_factory=model_factory, optimizer_factory=optimizer_factory,
-            mode=mode)
+            model_factory=model_factory, optimizer_factory=optimizer_factory)
         return compactor.run_once()
 
     # Accounting ---------------------------------------------------------------

@@ -11,7 +11,8 @@ compaction style:
 * :class:`RetentionPolicy` — the declarative bound: keep-N fulls, a max
   chain length in records, and/or a max recovery-cost estimate derived
   from a simple ``load_full + n·replay_diff`` cost model.
-* :class:`ChainCompactor` — enforces the policy in two modes:
+* :class:`ChainCompactor` — enforces the policy in one of two passes,
+  chosen by what the caller hands it:
 
   **merge** — adjacent runs of aged diff records are folded into one
   consolidated *super-diff* record covering their union range
@@ -23,13 +24,14 @@ compaction style:
   optimizers and state deltas, gradient-accumulation semantics for Adam —
   the same approximation the batched writer makes on the live path.
 
-  **rebase** — the chain is replayed onto the newest full with the *real*
-  recovery arithmetic (:func:`repro.core.recovery.serial_recover`) and the
-  result persisted as a new full checkpoint at the chain's head, after
-  which the replayed prefix is redundant and retention prunes it.  Because
-  the replay is literally the recovery path, the new full is **bit-exact**
-  for any optimizer — this is the mode the bounded-recovery acceptance
-  drill exercises.
+  **rebase** (when both state factories are given) — the chain is
+  replayed onto the newest full with the *real* recovery arithmetic
+  (:func:`repro.core.recovery.serial_recover`) and the result persisted
+  as a new full checkpoint at the chain's head, after which the replayed
+  prefix is redundant and retention prunes it.  Because the replay is
+  literally the recovery path, the new full is **bit-exact** for any
+  optimizer — this is the pass the bounded-recovery acceptance drill
+  exercises.
 
 Crash ordering: every mutation goes through the store's manifest-first
 primitives (``replace_diff_run``, ``save_full``, ``gc``) — blob writes
@@ -130,10 +132,6 @@ class RetentionPolicy:
             return 0
         return len(store.diffs_after(latest.step))
 
-    def should_compact(self, store: CheckpointStore) -> bool:
-        budget = self.chain_budget()
-        return budget is not None and self.chain_records(store) > budget
-
     def apply_gc(self, store: CheckpointStore) -> int:
         """Prune fulls/diffs beyond the policy (manifest-first ``gc``)."""
         return store.gc(keep_fulls=self.keep_fulls)
@@ -158,89 +156,38 @@ class CompactionReport:
 
 
 class ChainCompactor:
-    """Compactor enforcing a :class:`RetentionPolicy`.
-
-    One-shot use (``store.compact(...)`` delegates here)::
+    """Compactor enforcing a :class:`RetentionPolicy`, one pass at a time
+    (``store.compact(...)`` delegates here)::
 
         report = ChainCompactor(store, policy).run_once()
 
-    Auto-trigger use (the checkpointers call this after each full)::
+    The pass rebases when both ``model_factory`` and ``optimizer_factory``
+    are given — the drill-harness convention: ``model_factory()`` builds a
+    blank model, ``optimizer_factory(model)`` binds a blank optimizer to
+    it (their state is overwritten by the loaded full) — and merges
+    otherwise.  A merged super-diff reaches the backend as
+    :func:`~repro.storage.serializer.pack_tree_parts`'s parts, like every
+    other record.  The caller settles in-flight writes first (an engine's
+    ``drain()``), so compaction never races a write of the same chain.
 
-        compactor.enforce()       # no-op while the chain is within budget
-
-    ``mode="rebase"`` needs ``model_factory``/``optimizer_factory`` —
-    the drill-harness convention: ``model_factory()`` builds a blank
-    model, ``optimizer_factory(model)`` binds a blank optimizer to it
-    (their state is overwritten by the loaded full).  ``mode="auto"``
-    picks rebase when factories are available, merge otherwise.
-
-    ``engine`` wires a pre-compaction ``drain()``, so compaction never
-    races in-flight writes of the same chain.  A merged super-diff reaches
-    the backend as :func:`~repro.storage.serializer.pack_tree_parts`'s
-    parts, like every other record.
-
-    ``store`` may be sharded.  The trigger then reads the **common**
-    chain and ``engine`` is the shard group, so a triggered pass drains
-    *all* shards before merging *every* part of each run — per-shard
-    independent triggers would diverge under async commit skew (shard A
-    commits record *k* before shard B, A compacts one record early, and
-    the merged ranges never line up again, truncating the readable chain
-    at the split).  After the group drain every shard holds the identical
-    record sequence, so each run merges identically on each and the
-    chains stay aligned.
+    ``store`` may be sharded.  The pass then reads the **common** chain
+    and merges *every* part of each run: after a drain every shard holds
+    the identical record sequence, so each run merges identically on each
+    and the chains stay aligned.
     """
 
     def __init__(self, store: CheckpointStore, policy: RetentionPolicy,
-                 *, model_factory=None, optimizer_factory=None,
-                 mode: str = "auto", engine=None):
-        if mode not in ("auto", "merge", "rebase"):
-            raise ValueError(f"unknown compaction mode: {mode!r}")
-        if mode == "rebase" and (model_factory is None
-                                 or optimizer_factory is None):
-            raise ValueError(
-                "rebase mode requires model_factory and optimizer_factory")
+                 *, model_factory=None, optimizer_factory=None):
         self.store = store
         self.policy = policy
         self.model_factory = model_factory
         self.optimizer_factory = optimizer_factory
-        self.mode = mode
-        self.engine = engine
-        self.reports: list[CompactionReport] = []
-
-    # Mode selection --------------------------------------------------------
-    def _resolved_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if self.model_factory is not None and self.optimizer_factory is not None:
-            return "rebase"
-        return "merge"
 
     # Public API ------------------------------------------------------------
-    def enforce(self) -> CompactionReport | None:
-        """Compact + gc only if the policy's chain budget is exceeded."""
-        if self.engine is not None:
-            # Queued async writes may extend the chain; settle them first
-            # (also keeps the in-order commit turnstile out of our way).
-            self.engine.drain()
-        if not self.policy.should_compact(self.store):
-            return None
-        return self.run_once()
-
-    def maybe_enforce(self) -> CompactionReport | None:
-        """Hot-path auto-trigger: peek before paying for an engine drain.
-
-        The committed manifest can only *undercount* in-flight async
-        writes, so checking it first never compacts early; once the
-        budget is visibly exceeded, :meth:`enforce` drains and re-checks
-        against the settled chain.
-        """
-        if not self.policy.should_compact(self.store):
-            return None
-        return self.enforce()
-
     def run_once(self) -> CompactionReport:
         """One full compaction pass + retention gc, unconditionally."""
-        mode = self._resolved_mode()
+        mode = "merge" if self.model_factory is None \
+            or self.optimizer_factory is None else "rebase"
         before = self.policy.chain_records(self.store)
         bytes_before = sum(self.store.storage_bytes().values())
         with obs_span("compact.run", "compaction",
@@ -263,7 +210,6 @@ class ChainCompactor:
             OBS.registry.counter("compact.reclaimed_bytes").inc(
                 report.reclaimed_bytes)
             OBS.registry.set("compact.chain_records", report.records_after)
-        self.reports.append(report)
         return report
 
     # Merge mode ------------------------------------------------------------

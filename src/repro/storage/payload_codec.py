@@ -96,10 +96,10 @@ class UnknownCodecError(ValueError):
 
     Raised instead of a bare ``KeyError`` so callers get an actionable
     message: which record, which codec id, and which ids *are*
-    available.  ``CheckpointStore(strict_codecs=False)`` defers the
-    error from open time to first decode; ``verify()`` flags such
-    records under ``"unknown_codec"`` without crashing (the blob is
-    intact — this build just cannot read it).
+    available.  Opening a store raises it; ``verify()`` flags a blob
+    whose in-blob tag names such a codec under ``"unknown_codec"``
+    without crashing (the blob is intact — this build just cannot read
+    it).
     """
 
     def __init__(self, codec_id: str, context: str = ""):
@@ -107,9 +107,7 @@ class UnknownCodecError(ValueError):
         where = f" ({context})" if context else ""
         super().__init__(
             f"unknown payload codec {codec_id!r}{where}: this build knows "
-            f"[{known}]. Upgrade to a build that provides {codec_id!r}, or "
-            f"open the store with strict_codecs=False to work around the "
-            f"unreadable records."
+            f"[{known}]. Upgrade to a build that provides {codec_id!r}."
         )
         self.codec_id = codec_id
 

@@ -315,15 +315,14 @@ class ShardedCheckpointStore:
     (:class:`ShardedPersistGroup`, one engine per shard).
     """
 
-    def __init__(self, backend: StorageBackend, shards: int,
-                 codec=None, strict_codecs: bool = True):
+    def __init__(self, backend: StorageBackend, shards: int, codec=None):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
         self.backend = backend
         self.shards = int(shards)
         self.shard_stores = [
             CheckpointStore(PrefixBackend(backend, shard_prefix(s)),
-                            codec=codec, strict_codecs=strict_codecs)
+                            codec=codec)
             for s in range(self.shards)
         ]
         self._layout: ShardLayout | None = None
@@ -523,7 +522,7 @@ class ShardedCheckpointStore:
             [sub.load_diff(record) for sub, record in self.parts(view)])
 
     # Maintenance ------------------------------------------------------------
-    def gc(self, keep_fulls: int = 2, purge_unreferenced: bool = True) -> int:
+    def gc(self, keep_fulls: int = 2) -> int:
         """Per-shard retention gc, budgeted against *committed* fulls.
 
         A partial full at the tip (crash mid-commit) must not consume a
@@ -541,8 +540,7 @@ class ShardedCheckpointStore:
             extra = 0
             if newest_common is not None:
                 extra = sum(1 for r in sub.fulls() if r.step > newest_common)
-            return sub.gc(keep_fulls=keep_fulls + extra,
-                          purge_unreferenced=purge_unreferenced)
+            return sub.gc(keep_fulls=keep_fulls + extra)
 
         return sum(sweep(s) for s in range(self.shards))
 
@@ -559,15 +557,14 @@ class ShardedCheckpointStore:
         return report
 
     def compact(self, policy=None, *, model_factory=None,
-                optimizer_factory=None, mode: str = "auto"):
+                optimizer_factory=None):
         """Compaction + retention gc over every shard chain: one
-        :class:`~repro.storage.compaction.ChainCompactor` pass, triggered
-        on the common view and merging every part of each run."""
+        :class:`~repro.storage.compaction.ChainCompactor` pass over the
+        common view, merging every part of each run."""
         from repro.storage.compaction import ChainCompactor, RetentionPolicy
         compactor = ChainCompactor(
             self, policy if policy is not None else RetentionPolicy(),
-            model_factory=model_factory, optimizer_factory=optimizer_factory,
-            mode=mode)
+            model_factory=model_factory, optimizer_factory=optimizer_factory)
         return compactor.run_once()
 
     def storage_bytes(self) -> dict[str, int]:
@@ -588,8 +585,7 @@ class ShardedCheckpointStore:
 
 # Recovery ------------------------------------------------------------------
 def elastic_restore(store: ShardedCheckpointStore, trainer,
-                    parallel: bool = False,
-                    max_workers: int | None = None):
+                    parallel: bool = False):
     """Restore a sharded checkpoint onto a trainer of *any* world size.
 
     The stable global index space makes the persisted series world-size-
@@ -601,11 +597,8 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
     """
     from repro.core.recovery import parallel_recover, serial_recover  # circular-safe
     model, optimizer = trainer.model, trainer.optimizer
-    if parallel:
-        result = parallel_recover(store, model, optimizer,
-                                  max_workers=max_workers)
-    else:
-        result = serial_recover(store, model, optimizer)
+    recover = parallel_recover if parallel else serial_recover
+    result = recover(store, model, optimizer)
     trainer.load_state(model.state_dict(), optimizer.state_dict(),
                        iteration=result.step)
     return result

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suite."""
 
 import glob
+import itertools
 import multiprocessing
 import threading
 import time
@@ -28,16 +29,28 @@ def mlp_trainer():
 
 
 THREAD_GRACE_S = 2.0
+_FLIGHT_DIRS = itertools.count()
 
 
 @pytest.fixture(autouse=True)
-def no_leaked_persist_resources():
+def no_leaked_persist_resources(request, monkeypatch, tmp_path_factory):
     """A test fails at teardown if a persist engine it built outlives it:
     no child process may still run, no shared-memory segment created
     during the test may remain, and no non-daemon thread the test started
     may still be alive after a grace join of ``THREAD_GRACE_S`` in total
     (a leaked worker pool, shm ring or writer thread is a teardown bug of
-    that test)."""
+    that test).
+
+    A flight-recorder post-mortem the test provokes (an mp-engine
+    fail-stop, a degraded-mode entry) lands in its ``tmp_path`` — or, for
+    a test without one, in a directory of its own under the session's
+    base temp, made only if a dump happens — never in the system tmpdir."""
+    if "tmp_path" in request.fixturenames:
+        flight = request.getfixturevalue("tmp_path") / "flight"
+    else:
+        flight = tmp_path_factory.getbasetemp() / "flight" \
+            / str(next(_FLIGHT_DIRS))
+    monkeypatch.setenv("REPRO_FLIGHT_DIR", str(flight))
     segments_before = set(glob.glob("/dev/shm/psm_*"))
     threads_before = set(threading.enumerate())
     yield

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 from collections import Counter
+from contextlib import contextmanager
 from functools import partialmethod
+from unittest import mock
 
 import numpy as np
 
@@ -20,12 +23,14 @@ from repro.core import (
     CheckpointConfig,
     LowDiffCheckpointer,
     LowDiffPlusCheckpointer,
+    recovery,
 )
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.optim import Adam
 from repro.storage import InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
+from repro.utils.pool import usable_cpus
 from repro.utils.rng import Rng
 
 
@@ -106,6 +111,20 @@ class CallCounts:
                    if getattr(function, "__name__", None) == name)
 
 
+@contextmanager
+def fan_out(workers: int, cpus: int | None = None):
+    """Parallel recovery inside the block folds on ``min(workers, cpus,
+    segments)`` threads (``cpus`` defaults to the real affinity mask):
+    every chain counts as heavy, so the planner takes its widest width,
+    and it sees ``workers`` usable CPUs at most.  At one it folds inline
+    and builds no pool."""
+    width = max(1, min(workers, usable_cpus() if cpus is None else cpus))
+    with mock.patch.object(os, "sched_getaffinity",
+                           lambda pid: set(range(width)), create=True), \
+            mock.patch.object(recovery, "FANOUT_MIN_RECORD_BYTES", 0):
+        yield
+
+
 class Recorder:
     """Stands in for model and optimizer: keeps what recovery applies."""
 
@@ -154,6 +173,31 @@ def assert_optimizers_equal(a: dict, b: dict, exact: bool = True):
                 np.testing.assert_allclose(
                     a["slots"][name][slot], b["slots"][name][slot], atol=1e-10,
                 )
+
+
+class CompactingCheckpointer(LowDiffCheckpointer):
+    """LowDiff with its store compacted under ``policy`` wherever the chain
+    can pass the budget: after each persisted record and after the final
+    flush.  ``factories`` (``model_factory``, ``optimizer_factory``) make
+    each pass a rebase.  Inline persistence only: an engine's in-flight
+    records would race the pass."""
+
+    def __init__(self, store, config, policy, **factories):
+        super().__init__(store, config)
+        assert self.engine is None
+        self.policy, self.factories = policy, factories
+
+    def _compact_over_budget(self) -> None:
+        if self.policy.chain_records(self.store) > self.policy.chain_budget():
+            self.store.compact(self.policy, **self.factories)
+
+    def _process_item(self, step, item) -> None:
+        super()._process_item(step, item)
+        self._compact_over_budget()
+
+    def _flush_pending(self) -> None:
+        super()._flush_pending()
+        self._compact_over_budget()
 
 
 class BoundLowDiffPlus(LowDiffPlusCheckpointer):

@@ -155,15 +155,13 @@ class TestGemini:
         assert len(ckpt.memory_tier.fulls()) <= 2
 
     def test_memory_retention_is_configurable(self):
-        """The keep-N knob is a RetentionPolicy, not a hardcoded 2: a
+        """The ring depth is ``MEMORY_FULLS``, read at every snapshot: a
         deeper ring retains more snapshots, recovery stays exact."""
-        from repro.storage import RetentionPolicy
-
         trainer = make_mlp_trainer()
         ckpt = GeminiCheckpointer(
             CheckpointStore(InMemoryBackend()), memory_every=1,
-            storage_every=50,
-            memory_retention=RetentionPolicy(keep_fulls=5))
+            storage_every=50)
+        ckpt.MEMORY_FULLS = 5
         ckpt.attach(trainer)
         trainer.run(20)
         assert len(ckpt.memory_tier.fulls()) == 5

@@ -18,7 +18,6 @@ import pytest
 from repro.core import (
     CheckpointConfig,
     FailureDrill,
-    LowDiffCheckpointer,
     default_lowdiff_factory,
 )
 from repro.optim import Adam
@@ -36,7 +35,7 @@ from repro.storage import (
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import make_mlp_trainer
+from tests.helpers import CompactingCheckpointer, make_mlp_trainer
 
 pytestmark = pytest.mark.chaos
 
@@ -190,13 +189,13 @@ class TestRetentionUnderChaos:
         adam = lambda m: Adam(m, lr=1e-3)
 
         def checkpointer_factory(s):
-            # Rebase mode (factories provided) keeps compaction bit-exact
+            # Rebase passes (factories provided) keep compaction bit-exact
             # for Adam; max_chain_len < full_every means the chain budget
             # fires between periodic fulls, while keep_fulls=2 preserves
             # the corruption-fallback base the chaos layer demands.
-            return LowDiffCheckpointer(
+            return CompactingCheckpointer(
                 s, CheckpointConfig(full_every_iters=8, batch_size=1),
-                retention=RetentionPolicy(keep_fulls=2, max_chain_len=6),
+                RetentionPolicy(keep_fulls=2, max_chain_len=6),
                 model_factory=mlp, optimizer_factory=adam)
 
         return FailureDrill(

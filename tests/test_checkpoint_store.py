@@ -179,11 +179,17 @@ class TestGarbageCollection:
         assert len(store.diffs()) == 1
 
     def test_gc_keeps_unreferenced_when_disabled(self, store, rng):
+        """The sweep spares exactly what the index names: the snapshot,
+        the live journal and every committed blob."""
         model, opt = full_states(rng)
         store.save_full(0, model, opt)
+        store.save_diff(1, 1, payload(rng))
+        referenced = store.backend.list_keys()
+        assert journal_key(store._gen) in referenced
         store.backend.write("full/0000000099.ckpt", b"uncommitted")
-        store.gc(keep_fulls=2, purge_unreferenced=False)
-        assert store.backend.exists("full/0000000099.ckpt")
+        store.backend.write(journal_key(store._gen + 1), b"stale")
+        assert store.gc(keep_fulls=2) == 2
+        assert store.backend.list_keys() == referenced
 
 
 class TestOverlapGuard:

@@ -118,14 +118,15 @@ class TestRetentionPolicy:
         assert both.chain_budget() == 4
 
     def test_should_compact_reads_live_chain(self):
+        """A pass works only on a live chain over its budget."""
         store, _ = build_chain(steps=6)
         assert RetentionPolicy(max_chain_len=4).chain_records(store) == 6
-        assert RetentionPolicy(max_chain_len=4).should_compact(store)
-        assert not RetentionPolicy(max_chain_len=8).should_compact(store)
-        assert not RetentionPolicy().should_compact(store)  # no trigger set
+        assert store.compact(RetentionPolicy(max_chain_len=8)).runs_merged == 0
+        report = store.compact(RetentionPolicy(max_chain_len=4))
+        assert report.runs_merged > 0 and report.records_after <= 4
         empty = CheckpointStore(InMemoryBackend())
         assert RetentionPolicy(max_chain_len=1).chain_records(empty) == 0
-        assert not RetentionPolicy(max_chain_len=1).should_compact(empty)
+        assert not empty.compact(RetentionPolicy(max_chain_len=1)).triggered
 
     def test_apply_gc_delegates_to_store(self):
         store, _ = build_chain(steps=12, full_every=4)  # fulls 0, 4, 8, 12
@@ -187,10 +188,11 @@ class TestMergeMode:
         assert result.step == 20
 
     def test_engine_attached_merge_reuses_engine_buffer_pool(self):
-        """Merge passes of an async checkpointer hand each super-diff to the
-        backend as the serializer's parts: exactly one list-data ``write``
-        per merged run, and the compacted store still recovers the run.
-        The id predates that; ``FLOOR_DROPPABLE.md`` lists its new name."""
+        """A merge pass over an async checkpointer's drained store hands
+        each super-diff to the backend as the serializer's parts: exactly
+        one list-data ``write`` per merged run, and the compacted store
+        still recovers the run.  The id predates that;
+        ``FLOOR_DROPPABLE.md`` lists its new name."""
         writes = []
 
         class WriteLog(InMemoryBackend):
@@ -202,12 +204,12 @@ class TestMergeMode:
         ckpt = LowDiffCheckpointer(
             CheckpointStore(WriteLog()),
             CheckpointConfig(full_every_iters=100, batch_size=1,
-                             async_persist=True),
-            retention=RetentionPolicy(keep_fulls=1, max_chain_len=6))
+                             async_persist=True))
         ckpt.attach(trainer)
         trainer.run(20)
         ckpt.finalize()
-        merged = sum(r.runs_merged for r in ckpt.compactor.reports)
+        merged = ckpt.store.compact(
+            RetentionPolicy(keep_fulls=1, max_chain_len=6)).runs_merged
         assert merged > 0
         # diff/<start>_<end>.ckpt with start < end: a super-diff.
         super_diffs = [(key, kind) for key, kind in writes
@@ -224,9 +226,10 @@ class TestMergeMode:
 
     def test_enforce_is_noop_within_budget(self):
         store, _ = build_chain(steps=3)
-        compactor = ChainCompactor(store, RetentionPolicy(max_chain_len=4))
-        assert compactor.enforce() is None
-        assert compactor.maybe_enforce() is None
+        report = ChainCompactor(store, RetentionPolicy(max_chain_len=4)) \
+            .run_once()
+        assert report.runs_merged == report.gc_deleted == 0
+        assert report.records_before == report.records_after == 3
         assert len(store.diffs()) == 3  # untouched
 
     def test_run_once_on_empty_store_is_noop(self):
@@ -237,19 +240,19 @@ class TestMergeMode:
 
 class TestRebaseMode:
     def test_rebase_without_factories_rejected(self):
+        """Rebase needs both factories: given one, the pass merges."""
         store, _ = build_chain(steps=2)
-        with pytest.raises(ValueError):
-            ChainCompactor(store, RetentionPolicy(), mode="rebase")
+        report = store.compact(RetentionPolicy(), model_factory=model_factory)
+        assert report.mode == "merge" and report.new_full_step is None
+        assert [r.step for r in store.fulls()] == [0]
 
     def test_64_diff_chain_bit_exact_and_bounded(self):
         """The ISSUE acceptance drill: a >= 64-record chain under Adam,
         compacted by rebase, recovers bit-exact with bounded replay."""
         store, snapshots = build_chain(steps=64)
         policy = RetentionPolicy(keep_fulls=1, max_chain_len=8)
-        compactor = ChainCompactor(store, policy,
-                                   model_factory=model_factory,
-                                   optimizer_factory=adam_factory)
-        report = compactor.enforce()
+        report = store.compact(policy, model_factory=model_factory,
+                               optimizer_factory=adam_factory)
         assert report.mode == "rebase"
         assert report.new_full_step == 64
         assert report.records_before == 64
@@ -265,22 +268,33 @@ class TestRebaseMode:
         assert_optimizers_equal(optimizer.state_dict(), snapshots[64][1])
 
     def test_auto_trigger_bounds_chain_during_training(self):
-        """End-to-end: a LowDiffCheckpointer with a retention policy keeps
-        the live chain within budget (compaction fires between fulls) and
-        recovery stays bit-exact with the uninterrupted trainer."""
+        """End-to-end: rebasing a LowDiffCheckpointer's store after every
+        persisted diff that takes the chain over budget keeps the live
+        chain within it (compaction fires between fulls), and recovery
+        stays bit-exact with the uninterrupted trainer."""
         trainer = make_mlp_trainer(seed=5)
         store = CheckpointStore(InMemoryBackend())
         policy = RetentionPolicy(keep_fulls=1, max_chain_len=6)
         mlp8 = lambda: MLP(8, [16, 16], 4, rng=Rng(0))
         adam3 = lambda m: Adam(m, lr=1e-3)
         ckpt = LowDiffCheckpointer(
-            store, CheckpointConfig(full_every_iters=100, batch_size=1),
-            retention=policy, model_factory=mlp8, optimizer_factory=adam3)
+            store, CheckpointConfig(full_every_iters=100, batch_size=1))
         ckpt.attach(trainer)
+        reports, chains = [], []
+
+        def compact_over_budget(iteration):
+            # Runs after the checkpointer's hook has persisted the diff.
+            if policy.chain_records(store) > policy.chain_budget():
+                reports.append(store.compact(policy, model_factory=mlp8,
+                                             optimizer_factory=adam3))
+            chains.append(policy.chain_records(store))
+
+        trainer.register_post_update_hook(compact_over_budget)
         trainer.run(30)
         ckpt.finalize()
-        assert any(r.triggered and r.mode == "rebase"
-                   for r in ckpt.compactor.reports)
+        assert reports and all(r.triggered and r.mode == "rebase"
+                               for r in reports)
+        assert max(chains) <= policy.chain_budget()
         assert policy.chain_records(store) <= policy.chain_budget()
         assert_no_dangling_manifest(store)
         model = mlp8()

@@ -269,11 +269,14 @@ class TestRandomK:
         assert np.abs(mean - 1.0).max() < 0.9
 
     def test_no_rescale_option(self, rng):
+        """Every selected coordinate carries its gradient scaled by 1/rho."""
         grads = {"w": rng.normal(size=(100,))}
-        payload = RandomKCompressor(0.1, rng=Rng(1), rescale=False).compress(grads)
+        payload = RandomKCompressor(0.1, rng=Rng(1)).compress(grads)
         dense = payload.decompress()["w"]
         mask = dense != 0
-        np.testing.assert_allclose(dense[mask], grads["w"][mask], rtol=1e-6)
+        assert mask.sum() == 10
+        np.testing.assert_allclose(dense[mask], grads["w"][mask] / 0.1,
+                                   rtol=1e-6)
 
 
 class TestThreshold:

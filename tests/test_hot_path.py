@@ -610,12 +610,11 @@ class TestSparseStepWith:
             assert sparse_opt.step_count == dense_opt.step_count == step + 1
         assert sparse_opt.sparse_exact == (
             cls is SGD and len(kwargs) == 1 and dtype == np.float64)
-        # No dense step of a model larger than 2 * BLOCK allocates an array
-        # the size of a parameter: the fused kernel densifies block by
-        # block.  (The float32 reference kernel allocates temporaries by
-        # design; a scatter allocates O(k), but its duplicate check stamps
-        # a tensor-sized index array on unsorted indices.)
-        if dtype == np.float64 and not sparse_opt.sparse_exact:
+        # No step of a model larger than 2 * BLOCK allocates an array the
+        # size of a parameter: the fused kernel densifies block by block,
+        # a scatter and its duplicate check allocate O(k).  (The float32
+        # reference kernel allocates temporaries by design.)
+        if dtype == np.float64:
             peak, smallest = step_allocation_peak(cls, kwargs, gen, duplicates)
             assert peak < smallest
 
@@ -647,9 +646,9 @@ class TestSparseStepWith:
 
 
 class TestDuplicateCheckStamp:
-    """``has_duplicates`` stamps a tensor-sized array for a run that is
-    neither increasing nor decoder-proven; the bench's live and restored
-    payloads never reach that branch."""
+    """``has_duplicates`` sorts the ``k`` indices of a run that is neither
+    increasing nor decoder-proven, once per such run; the bench's live and
+    restored payloads never reach that branch."""
 
     @staticmethod
     def stamps_per_check():
@@ -658,7 +657,7 @@ class TestDuplicateCheckStamp:
         def spy(payload):
             with CallCounts() as counts:
                 result = check(payload)
-            calls.append(counts.builtin_named("empty"))
+            calls.append(counts.builtin_named("sort"))
             return result
 
         return calls, mock.patch.object(SparseGradient, "has_duplicates", spy)

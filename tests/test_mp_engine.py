@@ -32,7 +32,7 @@ from repro.storage import (
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import assert_states_equal
+from tests.helpers import assert_states_equal, fan_out
 
 
 def fresh_model_opt(seed=0, lr=1e-2):
@@ -111,6 +111,27 @@ class TestEndToEnd:
         engine.finalize()
         with pytest.raises(RuntimeError, match="finalized"):
             engine.save_full(1, model.state_dict(), opt.state_dict())
+
+    def test_fail_stop_post_mortem_stays_in_the_test_dir(self, tmp_path):
+        """A fail-stop's flight dump, named in the error, lands under the
+        test's own ``tmp_path`` (the suite points ``REPRO_FLIGHT_DIR``
+        there), not in the system tmpdir."""
+        store, engine = make_engine(tmp_path)
+        model, opt = fresh_model_opt()
+        rng = Rng(1)
+        try:
+            engine.save_diff(1, 2, make_payload(model, rng, 1),
+                             count=2).wait(timeout=60)
+            with pytest.raises(ValueError, match="overlaps"):
+                engine.save_diff(2, 3, make_payload(model, rng, 2),
+                                 count=2).wait(timeout=60)
+            with pytest.raises(RuntimeError) as info:
+                engine.save_diff(4, 4, make_payload(model, rng, 3))
+        finally:
+            engine.abort()
+        dump = engine._failure_dump
+        assert dump in str(info.value) and os.path.isfile(dump)
+        assert os.path.commonpath([dump, str(tmp_path)]) == str(tmp_path)
 
     def test_overlapping_diff_fails_stop(self, tmp_path):
         """A registration conflict (diff overlap) surfaces on the pending
@@ -279,13 +300,13 @@ class TestCrossProcessRecovery:
                 opt.step_with(payload.decompress())
                 store.save_diff(step, step, payload)
             inline_model, inline_opt = fresh_model_opt(seed=9)
-            inline = parallel_recover(self.open_store(root, shards),
-                                      inline_model, inline_opt,
-                                      max_workers=1)
+            with fan_out(1):
+                inline = parallel_recover(self.open_store(root, shards),
+                                          inline_model, inline_opt)
             pooled_model, pooled_opt = fresh_model_opt(seed=10)
-            pooled = parallel_recover(self.open_store(root, shards),
-                                      pooled_model, pooled_opt,
-                                      max_workers=2)
+            with fan_out(2):
+                pooled = parallel_recover(self.open_store(root, shards),
+                                          pooled_model, pooled_opt)
             assert_states_equal(pooled_model.state_dict(),
                                 inline_model.state_dict())
             assert pooled_opt.step_count == inline_opt.step_count
@@ -301,8 +322,8 @@ class TestCrossProcessRecovery:
         got to, every shard is cut there and the one blob quarantined —
         same state, counts and quarantine as the inline fold."""
         outcomes = []
-        for max_workers in (1, 2):
-            root = tmp_path / f"w{max_workers}"
+        for workers in (1, 2):
+            root = tmp_path / f"w{workers}"
             store = self.open_store(root, 2)
             model, opt = fresh_model_opt()
             store.save_full(0, model.state_dict(), opt.state_dict())
@@ -312,8 +333,8 @@ class TestCrossProcessRecovery:
             sub, record = store.parts(store.diffs_after(0)[6])[1]
             sub.backend.write(record.key, b"\x00" * 16)
             target_model, target_opt = fresh_model_opt(seed=9)
-            result = parallel_recover(store, target_model, target_opt,
-                                      max_workers=max_workers)
+            with fan_out(workers):
+                result = parallel_recover(store, target_model, target_opt)
             assert (result.step, result.merge_ops, result.merge_depth,
                     result.corrupt_diffs_skipped) == (6, 10, 3, 1)
             assert store.quarantined == ["shard-0001/" + record.key]
@@ -346,8 +367,8 @@ class TestCrossProcessRecovery:
             store.save_diff(step, step, payload)
         backend.readers.clear()
         target_model, target_opt = fresh_model_opt(seed=9)
-        result = parallel_recover(store, target_model, target_opt,
-                                  max_workers=4)
+        with fan_out(4):
+            result = parallel_recover(store, target_model, target_opt)
         assert result.step == 6
         assert set(backend.readers) == {threading.get_ident()}
         assert_states_equal(target_model.state_dict(), model.state_dict(),

@@ -760,15 +760,18 @@ class TestStoreCodecIntegration:
         assert "'lossy'" in str(excinfo.value)
         assert "'lossless'" in str(excinfo.value)
 
-        lenient = CheckpointStore(store.backend, strict_codecs=False)
-        assert lenient.unknown_codecs == ["lossy"]
-        *earlier, last = lenient.diffs_after(0)
-        assert lenient.verify(deep=True)["unknown_codec"] == [last.key]
-        lenient.load_full(lenient.fulls()[0])
+        # Under a manifest that does not name it, the in-blob tag still
+        # refuses: verify flags the record and only its read raises.
+        store, _ = build_chain(3, codec="lossless")
+        store.save_diff_bytes(4, 4, 1, *lossy_era_diff(4), codec="")
+        reopened = CheckpointStore(store.backend)
+        *earlier, last = reopened.diffs_after(0)
+        assert reopened.verify(deep=True)["unknown_codec"] == [last.key]
+        reopened.load_full(reopened.fulls()[0])
         for record in earlier:
-            lenient.load_diff(record)
+            reopened.load_diff(record)
         with pytest.raises(UnknownCodecError):
-            lenient.load_diff(last)
+            reopened.load_diff(last)
 
         # A "q" node under a lossless tag is corruption: quarantined, and
         # recovery falls back to the record before it.
@@ -801,9 +804,10 @@ class TestStoreCodecIntegration:
 
 
 class TestUnknownCodecForwardCompat:
-    def _store_with_alien_codec(self):
-        """A chain whose last diff was written by a 'newer build': both
-        its manifest record and its in-blob tag name an unknown codec."""
+    def _store_with_alien_codec(self, manifest_codec="zstd-super-v9"):
+        """A chain whose last diff was written by a 'newer build': its
+        in-blob tag names an unknown codec, and so does its manifest
+        record unless ``manifest_codec`` says otherwise."""
         from repro.storage.serializer import pack_tree_with_crc
 
         store, _ = build_chain(3, codec="lossless")
@@ -811,7 +815,7 @@ class TestUnknownCodecForwardCompat:
         tree = CheckpointStore.diff_tree(4, 4, 1, payload_to_tree(payload))
         tree[CODEC_TAG] = "zstd-super-v9"
         data, crc = pack_tree_with_crc(tree)
-        store.save_diff_bytes(4, 4, 1, data, crc, codec="zstd-super-v9")
+        store.save_diff_bytes(4, 4, 1, data, crc, codec=manifest_codec)
         return store.backend
 
     def test_strict_open_raises_typed_actionable_error(self):
@@ -825,9 +829,10 @@ class TestUnknownCodecForwardCompat:
         assert isinstance(excinfo.value, ValueError)
 
     def test_lenient_open_flags_instead_of_crashing(self):
-        backend = self._store_with_alien_codec()
-        store = CheckpointStore(backend, strict_codecs=False)
-        assert store.unknown_codecs == ["zstd-super-v9"]
+        """A manifest that does not name the alien codec opens; the blob's
+        own tag is flagged by verify, not treated as corrupt."""
+        backend = self._store_with_alien_codec(manifest_codec="")
+        store = CheckpointStore(backend)
         report = store.verify(deep=True)
         assert len(report["unknown_codec"]) == 1
         assert not report["corrupt"]
@@ -899,17 +904,17 @@ class TestEngineAndCompactionWithCodec:
     def test_compaction_with_codec_matches_uncoded(self, mode):
         """Compacting an encoded chain is bit-identical to compacting the
         same chain uncoded (merge replay itself is only bit-exact for
-        linear optimizers, so the codec claim is coded == uncoded)."""
+        linear optimizers, so the codec claim is coded == uncoded).  The
+        pass rebases when given both state factories, else merges."""
+        factories = {} if mode == "merge" else dict(
+            model_factory=model_factory,
+            optimizer_factory=lambda m: Adam(m, lr=1e-2))
         recovered = {}
         for codec in (None, "lossless"):
             store, truth = build_chain(64, codec=codec)
             policy = RetentionPolicy(max_chain_len=16, compact_run=8)
-            compactor = ChainCompactor(
-                store, policy, mode=mode,
-                model_factory=model_factory,
-                optimizer_factory=lambda m: Adam(m, lr=1e-2))
-            report = compactor.run_once()
-            assert report.triggered
+            report = store.compact(policy, **factories)
+            assert report.triggered and report.mode == mode
             assert policy.chain_records(store) <= 16
             if codec == "lossless":
                 for record in store.diffs_after(store.latest_full().step):

@@ -12,7 +12,6 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -44,6 +43,7 @@ from tests.helpers import (
     Recorder,
     assert_optimizers_equal,
     assert_states_equal,
+    fan_out,
 )
 
 
@@ -358,8 +358,8 @@ class TestParallelRecovery:
             model, optimizer = fresh_model_opt(SGD, lr=0.05)
             populate_store(store, model, optimizer, rng.child("same-data"))
             target_model, target_opt = fresh_model_opt(SGD, seed=9, lr=0.05)
-            result = parallel_recover(store, target_model, target_opt,
-                                      max_workers=workers)
+            with fan_out(workers):
+                result = parallel_recover(store, target_model, target_opt)
             results[workers] = (target_model.state_dict(), result)
         state_1, result_1 = results[1]
         state_4, result_4 = results[4]
@@ -377,8 +377,8 @@ class TestParallelRecovery:
         sub, bad = blob_at(store, 5)
         sub.backend.write(bad.key, b"\x00" * 16)
         target_model, target_opt = fresh_model_opt(SGD, seed=9, lr=0.05)
-        result = parallel_recover(store, target_model, target_opt,
-                                  max_workers=4)
+        with fan_out(4):
+            result = parallel_recover(store, target_model, target_opt)
         assert result.step == 4
         assert result.corrupt_diffs_skipped == 1
         # Every shard truncates at the same position; only the failing
@@ -396,8 +396,8 @@ class TestParallelRecovery:
         sub, gone = blob_at(store, 4)
         sub.backend.delete(gone.key)
         target_model, target_opt = fresh_model_opt(SGD, seed=9, lr=0.05)
-        result = parallel_recover(store, target_model, target_opt,
-                                  max_workers=4)
+        with fan_out(4):
+            result = parallel_recover(store, target_model, target_opt)
         assert result.step == 3
         assert result.corrupt_diffs_skipped == 1
         assert_states_equal(target_model.state_dict(), snapshots[3],
@@ -536,12 +536,19 @@ def usable_cpus(cpus):
 
 
 def recover_with(store, workers, cpus=8):
-    """``parallel_recover`` at ``max_workers=workers`` on ``cpus`` usable
-    CPUs; returns ``(result, applied gradients)``."""
+    """``parallel_recover`` on ``cpus`` usable CPUs, folding on ``min(
+    workers, cpus, segments)`` threads (:func:`fan_out`), or as planned
+    when ``workers`` is None; returns ``(result, applied gradients)``."""
     target = Recorder()
-    with usable_cpus(cpus):
-        result = parallel_recover(store, target, target, max_workers=workers)
+    with usable_cpus(cpus) if workers is None else fan_out(workers, cpus):
+        result = parallel_recover(store, target, target)
     return result, target.grads
+
+
+def fanned_out_recover(store, model, optimizer):
+    """``parallel_recover`` folding on up to two of the usable CPUs."""
+    with fan_out(2):
+        return parallel_recover(store, model, optimizer)
 
 
 def assert_bit_equal(grads, reference):
@@ -632,9 +639,8 @@ class TestMergeFold:
         want_model, want_opt = apply_state_delta(*base, tree_merge(deltas))
         for workers in (1, 3):
             got_model, got_opt = fresh_model_opt(Adam, seed=9)
-            with usable_cpus(8):
-                result = parallel_recover(store, got_model, got_opt,
-                                          max_workers=workers)
+            with fan_out(workers, cpus=8):
+                result = parallel_recover(store, got_model, got_opt)
             assert_states_equal(got_model.state_dict(), want_model)
             for name, slots in want_opt["slots"].items():
                 for slot, want in slots.items():
@@ -735,8 +741,8 @@ class TestFoldTruncation:
 
 
 class TestFanOut:
-    """workers = min(max_workers, usable CPUs, segments); one means inline;
-    unasked, only large records fan out."""
+    """workers = min(8, usable CPUs, segments) for a chain of large
+    records, else one; one means inline."""
 
     @staticmethod
     def chain_store(count=16):
@@ -785,8 +791,8 @@ class TestFanOut:
     @pytest.mark.parametrize("cpus,count,fanout", [(2, 16, 2), (16, 64, 8)])
     def test_default_fans_out_for_large_records_only(self, cpus, count,
                                                      fanout):
-        """Unasked, threads are used only from the record size up where
-        they win (small records decode GIL-bound: fan-out would lose)."""
+        """Threads are used only from the record size up where they win
+        (small records decode GIL-bound: fan-out would lose)."""
         store = self.chain_store(count)
         mean = sum(view.nbytes for view in store.diffs_after(0)) / count
         assert mean < recovery.FANOUT_MIN_RECORD_BYTES
@@ -815,8 +821,7 @@ class TestFanOut:
 
     def test_phases_are_reported(self):
         store = self.chain_store()
-        for recover in (serial_recover,
-                        lambda *a: parallel_recover(*a, max_workers=1)):
+        for recover in (serial_recover, parallel_recover):
             target = Recorder()
             result = recover(store, target, target)
             assert set(result.phase_s) == set(recovery.PHASES)
@@ -873,7 +878,7 @@ class TestRecoveryPool:
     passes over — and none on one; work on a pool thread never sees it
     published, so never submits to it."""
 
-    RECOVERIES = [serial_recover, partial(parallel_recover, max_workers=2)]
+    RECOVERIES = [serial_recover, fanned_out_recover]
 
     @staticmethod
     def store_past_two_corrupt_fulls():
@@ -946,9 +951,10 @@ class TestRecoveryPool:
 
 class TestNoSortGuard:
     """CI-safe perf guard — counts, not timings: a duplicate-free chain
-    restores without a single sort or ``SparseGradient.add``, in exactly
-    S*(n-1) merges, holding at most ceil(log2 segment) + 1 node buffers
-    per worker."""
+    restores with one ``k``-sized sort per unsorted run the decoder could
+    not prove increasing (the duplicate check), no other sort and no
+    ``SparseGradient.add``, in exactly S*(n-1) merges, holding at most
+    ceil(log2 segment) + 1 node buffers per worker."""
 
     SORTS = {"unique", "argsort", "sort", "lexsort", "searchsorted"}
 
@@ -962,14 +968,25 @@ class TestNoSortGuard:
 
         # Inline, under a profiler that sees Python and C calls alike
         # (np.unique, np.argsort, ndarray.sort, ndarray.argsort, ...):
-        # nothing sorts, nothing goes through SparseGradient.add.
+        # the only sorts are ndarray.sort over one unsorted run's indices,
+        # once per such run, and nothing goes through SparseGradient.add.
         store = store_of(leaves, shards)
-        calls = []
+        unsorted = sorted(
+            indices.size for view in store.diffs_after(0)
+            for sub, record in store.parts(view)
+            for indices, _ in sub.load_diff(record).entries.values()
+            if indices.size > 1 and np.any(indices[1:] <= indices[:-1]))
+        assert unsorted
+        sorted_sizes, calls = [], []
 
         def profiler(frame, event, arg):
-            if event == "c_call" and arg.__name__ in self.SORTS:
+            if event == "c_call" and arg.__name__ == "sort" \
+                    and isinstance(getattr(arg, "__self__", None), np.ndarray):
+                sorted_sizes.append(arg.__self__.size)
+            elif event == "c_call" and arg.__name__ in self.SORTS:
                 calls.append(arg.__name__)
-            elif event == "call" and frame.f_code.co_name in self.SORTS:
+            elif event == "call" and frame.f_code.co_name in self.SORTS \
+                    - {"sort"}:
                 calls.append(frame.f_code.co_name)
 
         merges = []
@@ -982,13 +999,15 @@ class TestNoSortGuard:
         target = Recorder()
         with mock.patch.object(SparseGradient, "add",
                                side_effect=AssertionError("add")), \
-                mock.patch.object(MergeFold, "_merge", counting_merge):
+                mock.patch.object(MergeFold, "_merge", counting_merge), \
+                fan_out(1):
             sys.setprofile(profiler)
             try:
-                result = parallel_recover(store, target, target, max_workers=1)
+                result = parallel_recover(store, target, target)
             finally:
                 sys.setprofile(None)
         assert calls == []
+        assert sorted(sorted_sizes) == unsorted
         assert len(merges) == result.merge_ops == shards * (count - 1)
         assert_bit_equal(target.grads, reference)
 

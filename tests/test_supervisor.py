@@ -256,6 +256,18 @@ class TestEndToEndDrills:
         assert trainer.iteration == 20
         assert_states_equal(trainer.model_state(), baseline_state())
 
+    def test_cluster_down_for_good_refuses_to_wait(self):
+        """Every machine down indefinitely: past the recovery deadline with
+        no survivor and nothing restorable, the loop raises instead of
+        backing off forever."""
+        loop, trainer = make_loop([
+            WorkerFault(kind=FaultKind.CRASH, at_iteration=5,
+                        ranks=(0, 1, 2, 3), down_s=float("inf")),
+        ], recovery_deadline_s=6.0)
+        with pytest.raises(RuntimeError, match="entire cluster lost"):
+            loop.run(20)
+        assert trainer.iteration == 5
+
     @pytest.mark.parametrize("name", STRATEGIES)
     def test_total_loss_rolls_back_under_every_strategy(self, name):
         """Drill (b) through the lifecycle contract alone: quiesce, tier

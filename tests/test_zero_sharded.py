@@ -40,7 +40,6 @@ from repro.storage import (
     CheckpointStore,
     InMemoryBackend,
     LocalDiskBackend,
-    ChainCompactor,
     RetentionPolicy,
     ShardedCheckpointStore,
     ShardLayout,
@@ -50,7 +49,11 @@ from repro.storage.sharded import ShardedPersistGroup, shard_prefix
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import assert_optimizers_equal, assert_states_equal
+from tests.helpers import (
+    CompactingCheckpointer,
+    assert_optimizers_equal,
+    assert_states_equal,
+)
 
 #: Default seeds exercised on every run; CI's chaos job appends more via
 #: the CHAOS_SEED environment variable.
@@ -350,7 +353,6 @@ class TestPerShardCompaction:
         store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
         group = ShardedPersistGroup(store, writer_threads=2)
         policy = RetentionPolicy(keep_fulls=2, max_chain_len=4, compact_run=2)
-        compactor = ChainCompactor(store, policy, engine=group)
 
         model, optimizer = fresh_model_opt()
         compressor = TopKCompressor(0.5)
@@ -362,9 +364,13 @@ class TestPerShardCompaction:
             payload = compressor.compress(grads)
             optimizer.step_with(payload.decompress())
             group.save_diff(step, step, payload, count=1)
-            compactor.maybe_enforce()
+            # The committed chain only undercounts in-flight writes: peek,
+            # then settle every shard before one pass over all of them.
+            if policy.chain_records(store) > policy.chain_budget():
+                group.drain()
+                store.compact(policy)
         group.finalize()
-        compactor.enforce()
+        store.compact(policy)
 
         lens = [len(sub.diffs()) for sub in store.shard_stores]
         assert len(set(lens)) == 1, f"shard chains diverged: {lens}"
@@ -397,12 +403,10 @@ class TestPerShardCompaction:
     def test_checkpointer_retention_bounds_sharded_chain(self):
         trainer = build_zero(num_workers=2)
         store = CheckpointStore(InMemoryBackend())
-        checkpointer = LowDiffCheckpointer(
+        checkpointer = CompactingCheckpointer(
             store,
             CheckpointConfig(full_every_iters=20, batch_size=1, shards=4),
-            retention=RetentionPolicy(keep_fulls=2, max_chain_len=6,
-                                      compact_run=3),
-        )
+            RetentionPolicy(keep_fulls=2, max_chain_len=6, compact_run=3))
         checkpointer.attach(trainer)
         trainer.run(15)
         checkpointer.finalize()
@@ -692,3 +696,71 @@ class TestZeroShardedEndToEnd:
                             plain_model.state_dict())
         assert_optimizers_equal(sharded_opt.state_dict(),
                                 plain_opt.state_dict())
+
+
+# ---------------------------------------------------------------------------
+# Shards with a payload codec; deep verify of a sharded store
+# ---------------------------------------------------------------------------
+
+class TestShardedCodec:
+    """``shards > 1`` with a codec: the checkpointer applies it to every
+    shard store, and the coded shards restore what the uncoded, unsharded
+    series of the same run restores, bit for bit."""
+
+    @pytest.mark.parametrize("async_persist", [False, True],
+                             ids=["inline", "thread"])
+    def test_lossless_shards_recover_bit_exact(self, async_persist):
+        recovered = {}
+        for shards, codec in ((1, None), (2, "lossless")):
+            trainer = build_plain()
+            ckpt = LowDiffCheckpointer(
+                CheckpointStore(InMemoryBackend()),
+                CheckpointConfig(full_every_iters=8, batch_size=1,
+                                 shards=shards, codec=codec,
+                                 async_persist=async_persist))
+            ckpt.attach(trainer)
+            trainer.run(13)
+            ckpt.finalize()
+            if codec:
+                records = [record for sub in ckpt.store.shard_stores
+                           for record in sub.fulls() + sub.diffs()]
+                assert records and all(r.codec == codec for r in records)
+            for parallel in (False, True):
+                model, optimizer = fresh_model_opt_for_trainer()
+                result = ckpt.recover(model, optimizer, parallel=parallel)
+                assert result.step == 13
+                recovered[shards, parallel] = (model.state_dict(),
+                                               optimizer.state_dict())
+            # Serial replay is the bit-exact-versus-live path.
+            assert_states_equal(recovered[shards, False][0],
+                                trainer.model_state())
+        for parallel in (False, True):
+            assert_states_equal(recovered[1, parallel][0],
+                                recovered[2, parallel][0])
+            assert_optimizers_equal(recovered[1, parallel][1],
+                                    recovered[2, parallel][1])
+
+
+class TestShardedVerify:
+    def test_deep_verify_repairs_one_corrupt_shard_blob(self):
+        """One flipped byte in one shard's diff: deep verify reports it
+        under its ``shard-i/`` key, repair quarantines that blob alone, and
+        the repaired view ends the chain just before it."""
+        store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
+        model, optimizer = fresh_model_opt()
+        populate(store, model, optimizer, steps=4)
+        sub, record = store.parts(store.diffs_after(0)[2])[1]
+        raw = bytearray(sub.backend.read(record.key))
+        raw[len(raw) // 2] ^= 0xFF
+        sub.backend.write(record.key, bytes(raw))
+        key = shard_prefix(1) + record.key
+
+        report = store.verify(deep=True, repair=True)
+        assert report["corrupt"] == [key]
+        assert report["missing"] == report["unknown_codec"] == []
+        assert [len(shard["corrupt"]) for shard in report["shards"]] \
+            == [0, 1, 0]
+        assert report["checked"] == 3 * 5
+        assert store.quarantined == [key]
+        assert store.verify(deep=True)["corrupt"] == []
+        assert serial_recover(store, *fresh_model_opt(seed=5)).step == 2

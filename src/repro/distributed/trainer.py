@@ -325,10 +325,6 @@ class DataParallelTrainer:
     def is_degraded(self) -> bool:
         return len(self.active_ranks) != self.num_workers
 
-    def shard_map(self) -> dict[int, tuple[int, ...]]:
-        """Active rank -> data shards it covers this step."""
-        return {rank: self._shard_map[rank] for rank in self.active_ranks}
-
     def max_shards_per_worker(self) -> int:
         """Shards on the busiest surviving rank — the degraded-mode step
         time dilation factor (the synchronous group moves at its pace)."""

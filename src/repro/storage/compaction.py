@@ -142,17 +142,12 @@ class CompactionReport:
     """What one :meth:`ChainCompactor.run_once` pass did."""
 
     mode: str                      # "merge", "rebase", or "noop"
-    triggered: bool                # policy wanted work (vs already in budget)
     runs_merged: int = 0           # super-diffs written (merge mode)
     records_before: int = 0        # chain records before the pass
     records_after: int = 0         # chain records after the pass
     reclaimed_bytes: int = 0       # blob bytes freed (merged + gc'd)
     gc_deleted: int = 0            # objects deleted by the retention gc
     new_full_step: int | None = None  # step of the rebased full, if any
-
-    @property
-    def bounded(self) -> bool:
-        return self.records_after <= self.records_before
 
 
 class ChainCompactor:
@@ -193,8 +188,7 @@ class ChainCompactor:
         with obs_span("compact.run", "compaction",
                       {"mode": mode, "chain_records": before}):
             if self.store.latest_full() is None or before == 0:
-                report = CompactionReport(mode="noop", triggered=False,
-                                          records_before=before,
+                report = CompactionReport(mode="noop", records_before=before,
                                           records_after=before)
             elif mode == "rebase":
                 report = self._rebase()
@@ -240,7 +234,7 @@ class ChainCompactor:
         """
         policy, store = self.policy, self.store
         budget = policy.chain_budget()
-        report = CompactionReport(mode="merge", triggered=True,
+        report = CompactionReport(mode="merge",
                                   records_before=policy.chain_records(store))
         while True:
             chain = store.diffs_after(store.latest_full().step)
@@ -305,7 +299,7 @@ class ChainCompactor:
         from repro.storage.serializer import CorruptCheckpointError
 
         store = self.store
-        report = CompactionReport(mode="rebase", triggered=True,
+        report = CompactionReport(mode="rebase",
                                   records_before=self.policy.chain_records(store))
         model = self.model_factory()
         optimizer = self.optimizer_factory(model)

@@ -70,12 +70,6 @@ class Parameter:
         """1-D view of the value array (no copy)."""
         return self.data.reshape(-1)
 
-    def flat_grad(self) -> np.ndarray:
-        """1-D view of the gradient array (no copy); zeros if unset."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad.reshape(-1)
-
     def copy(self) -> "Parameter":
         out = Parameter(self.data.copy(), name=self.name, requires_grad=self.requires_grad)
         if self.grad is not None:

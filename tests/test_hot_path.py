@@ -19,7 +19,6 @@ Replicas that each apply the synchronized update stay bit-identical.
 
 import dataclasses
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -36,7 +35,7 @@ from repro.compression.sparse import (
     DenseScratch,
     SparseGradient,
 )
-from repro.core import CheckpointConfig, LowDiffCheckpointer
+from repro.core import LowDiffCheckpointer
 from repro.core.recovery import serial_recover
 from repro.distributed import DataParallelTrainer, SyntheticClassification
 from repro.distributed.collectives import sparse_allreduce
@@ -49,11 +48,8 @@ from repro.tensor.models import MLP
 from repro.tensor.parameter import Parameter
 from repro.utils.pool import published
 from repro.utils.rng import Rng
-from tests.helpers import (
-    CallCounts,
-    assert_optimizers_equal,
-    assert_states_equal,
-)
+from tests.helpers import CallCounts, assert_optimizers_equal
+from tests.test_costs import check
 
 
 def kway_counts():
@@ -325,30 +321,7 @@ class TestFusedOptimizerSteps:
 
 class TestLiveStepThreads:
     def test_live_steps_start_no_thread(self):
-        """Training publishes no pool: Adam steps of 2 * BLOCK elements and
-        more under an inline LowDiffCheckpointer start no thread, and each
-        replica's optimizer holds exactly one scratch pair."""
-        trainer = DataParallelTrainer(
-            model_builder=lambda rank: MLP(128, [512], 10, rng=Rng(0)),
-            optimizer_builder=lambda m: Adam(m, lr=1e-3),
-            loss_fn=CrossEntropyLoss(),
-            dataset=SyntheticClassification(128, 10, batch_size=4, seed=1),
-            num_workers=2,
-            compressor_builder=lambda: TopKCompressor(0.1))
-        assert sum(p.data.size for p in trainer.workers[0].model.parameters()) \
-            >= 2 * BLOCK
-        checkpointer = LowDiffCheckpointer(
-            CheckpointStore(InMemoryBackend()),
-            CheckpointConfig(full_every_iters=2, batch_size=1))
-        checkpointer.attach(trainer)
-        with mock.patch.object(threading.Thread, "start", autospec=True,
-                               side_effect=threading.Thread.start) as start:
-            for _ in range(3):
-                trainer.step()
-        checkpointer.finalize()
-        assert start.call_count == 0
-        for worker in trainer.workers:
-            assert len(worker.optimizer._scratch) == 2
+        check(("step", "lowdiff"))
 
 
 def window_steps(gen, params, count):
@@ -647,30 +620,12 @@ class TestSparseStepWith:
 
 class TestDuplicateCheckStamp:
     """``has_duplicates`` sorts the ``k`` indices of a run that is neither
-    increasing nor decoder-proven, once per such run; the bench's live and
-    restored payloads never reach that branch."""
-
-    @staticmethod
-    def stamps_per_check():
-        calls, check = [], SparseGradient.has_duplicates
-
-        def spy(payload):
-            with CallCounts() as counts:
-                result = check(payload)
-            calls.append(counts.builtin_named("sort"))
-            return result
-
-        return calls, mock.patch.object(SparseGradient, "has_duplicates", spy)
+    increasing nor decoder-proven, once per such run (the ``sorts`` column
+    of ``tests/test_costs.py``); the bench's live and restored payloads
+    never reach that branch."""
 
     def test_only_an_unsorted_run_is_stamped(self):
-        calls, patched = self.stamps_per_check()
-        shapes = {"w": (10,)}
-        with patched:
-            for indices, repeats in (([3, 1, 7], False), ([3, 1, 3], True),
-                                     ([1, 3, 7], False)):
-                assert SparseGradient({"w": (np.array(indices), np.ones(3))},
-                                      shapes).has_duplicates() == repeats
-        assert calls == [1, 1, 0]
+        check(("restore", "serial", "sgd", 1))
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_bench_workloads_never_stamp(self, name):
@@ -681,8 +636,15 @@ class TestDuplicateCheckStamp:
             CheckpointStore(InMemoryBackend()),
             dataclasses.replace(spec.config, async_persist=False))
         trainer = spec.trainer(7)
-        calls, patched = self.stamps_per_check()
-        with patched:
+        calls, has_duplicates = [], SparseGradient.has_duplicates
+
+        def spy(payload):
+            with CallCounts() as counts:
+                result = has_duplicates(payload)
+            calls.append(counts.builtin_named("sort"))
+            return result
+
+        with mock.patch.object(SparseGradient, "has_duplicates", spy):
             checkpointer.attach(trainer)
             trainer.run(spec.iterations)
             checkpointer.finalize()
@@ -694,63 +656,14 @@ class TestDuplicateCheckStamp:
 
 
 class TestSparseReplayCounts:
-    """Replay cost as counts: sparse-exact SGD applies each diff as one
-    ``subtract.at`` per tensor — no dense kernel, no dense buffer — while
-    Adam replays windows of diffs through its dense kernel, densifying
-    each diff block by block into the scratch pair it already owns."""
-
-    DIFFS = 4
-
-    def replay(self, optimizer_cls, rho=0.5, **kwargs):
-        model = MLP(6, [8], 3, rng=Rng(0))
-        optimizer = optimizer_cls(model, lr=1e-2, **kwargs)
-        store = CheckpointStore(InMemoryBackend())
-        store.save_full(0, model.state_dict(), optimizer.state_dict())
-        rng, compressor = Rng(1), TopKCompressor(rho)
-        for step in range(1, self.DIFFS + 1):
-            payload = compressor.compress({
-                name: rng.child("g", step, name).normal(size=p.shape)
-                for name, p in model.named_parameters()})
-            optimizer.step_with(payload)
-            store.save_diff(step, step, payload)
-        restored = MLP(6, [8], 3, rng=Rng(2))
-        restored_opt = optimizer_cls(restored, lr=1e-2, **kwargs)
-        with CallCounts() as counts:
-            serial_recover(store, restored, restored_opt)
-        assert_states_equal(restored.state_dict(), model.state_dict())
-        assert_optimizers_equal(restored_opt.state_dict(),
-                                optimizer.state_dict())
-        return counts, restored_opt, len(optimizer.param_names)
-
     def test_sgd_scatters(self):
-        counts, optimizer, tensors = self.replay(SGD)
-        assert optimizer.sparse_exact
-        assert counts.calls(SGD._update_param_fused) == 0
-        assert counts.calls(SGD._update_param) == 0
-        assert counts.calls(DenseScratch.__init__) == 0
-        assert optimizer._scratch is None
-        assert counts.calls(SGD._update_param_sparse) == self.DIFFS * tensors
-        assert counts.builtin_named("at") == self.DIFFS * tensors
+        check(("restore", "serial", "sgd", 2))
 
     @pytest.mark.parametrize("optimizer_cls,kwargs", [
         (Adam, {}), (SGD, {"momentum": 0.9})])
     def test_dense_optimizers_densify_once_per_diff(self, optimizer_cls,
                                                     kwargs):
-        # A window holds diffs while their decoded bytes fit one float64
-        # per parameter: three 168-byte diffs fit the MLP's 83 parameters
-        # (664 bytes), the fourth opens a second window.
-        counts, optimizer, tensors = self.replay(optimizer_cls, rho=0.25,
-                                                 **kwargs)
-        windows = 2
-        assert not optimizer.sparse_exact
-        assert counts.calls(Optimizer.step_with) == windows
-        assert counts.calls(optimizer_cls._update_param_fused) \
-            == windows * tensors
-        assert counts.calls(DenseScratch.__init__) == 0
-        assert counts.calls(SparseGradient.decompress_into) == 0
-        # Each tensor is one block: one np.add.at per tensor per diff.
-        assert counts.builtin_named("at") == self.DIFFS * tensors
-        assert counts.calls(SGD._update_param_sparse) == 0
+        check(("restore", "serial", "momentum" if kwargs else "adam", 2))
 
 
 def make_trainer(num_workers=4, seed=21, rank_seed=lambda rank: 0):

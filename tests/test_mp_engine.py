@@ -8,6 +8,7 @@ SIGKILL drill is also part of the chaos CI matrix.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import threading
@@ -30,14 +31,12 @@ from repro.storage import (
     ShmRing,
     WorkerCrashed,
 )
-from repro.tensor.models import MLP
 from repro.utils.rng import Rng
+from tests import helpers
 from tests.helpers import assert_states_equal, fan_out
 
 
-def fresh_model_opt(seed=0, lr=1e-2):
-    model = MLP(6, [8], 3, rng=Rng(seed))
-    return model, SGD(model, lr=lr)
+fresh_model_opt = functools.partial(helpers.fresh_model_opt, SGD)
 
 
 def make_payload(model, rng, step):

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from tests.helpers import CallCounts, assert_states_equal, make_mlp_trainer
-from repro.compression import DenseGradient, TopKCompressor
-from repro.core import LowDiffPlusCheckpointer
+from tests.helpers import assert_states_equal, make_mlp_trainer
+from tests.test_costs import check
+from repro.compression import DenseGradient
 from repro.distributed import DataParallelTrainer, SyntheticClassification
-from repro.distributed import collectives
 from repro.optim import Adam, SGD
-from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP, MiniGPT2
 from repro.distributed.data import SyntheticTokens
@@ -164,40 +162,14 @@ class TestLayerGradientHook:
 
 
 class TestStepCopies:
-    """What one step copies, pinned as call counts (2 workers x 6 params).
-    The dense mean is computed once and shared by the update, the synced
-    payload and the layer stream."""
-
-    @staticmethod
-    def _counts(trainer):
-        trainer.step()
-        with CallCounts() as counts:
-            trainer.step()
-        return counts
-
     def test_dense_step_copies_no_gradient(self):
-        counts = self._counts(make_mlp_trainer(rho=None))
-        assert counts.builtin_named("copy") == 0
+        check(("step", "dense"))
 
     def test_compressed_step_copies(self):
-        counts = self._counts(make_mlp_trainer(rho=0.1))
-        assert counts.builtin_named("copy") == 18
+        check(("step", "compressed"))
 
     def test_lowdiff_plus_step_computes_one_mean(self):
-        trainer = make_mlp_trainer(rho=None)
-        checkpointer = LowDiffPlusCheckpointer(
-            CheckpointStore(InMemoryBackend()), persist_every=100)
-        checkpointer.attach(
-            trainer,
-            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-            optimizer_factory=lambda model: Adam(model, lr=1e-3),
-        )
-        counts = self._counts(trainer)
-        checkpointer.finalize()
-        assert counts.builtin_named("copy") == 0
-        assert counts.builtin_named("array") == 0
-        assert counts.builtin_named("astype") == 12  # allreduce_mean's own
-        assert counts.calls(collectives.allreduce_mean) == 1
+        check(("step", "lowdiff_plus"))
 
 
 class TestStateManagement:

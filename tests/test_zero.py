@@ -1,13 +1,9 @@
 """Tests for ZeRO-1 optimizer-state sharding + LowDiff on top of it."""
 
-import numpy as np
-import pytest
-
 from repro.compression import TopKCompressor
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.distributed import (
     DataParallelTrainer,
-    SyntheticClassification,
     ZeroDataParallelTrainer,
     shard_owner,
 )
@@ -16,18 +12,15 @@ from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import assert_optimizers_equal, assert_states_equal
+from tests.helpers import (
+    assert_optimizers_equal,
+    assert_states_equal,
+    make_mlp_trainer,
+)
 
 
-def build(cls, num_workers=2, rho=0.1, seed=7):
-    return cls(
-        model_builder=lambda rank: MLP(8, [16, 16], 4, rng=Rng(seed)),
-        optimizer_builder=lambda m: Adam(m, lr=1e-3),
-        loss_fn=CrossEntropyLoss(),
-        dataset=SyntheticClassification(8, 4, batch_size=4, seed=seed + 1),
-        num_workers=num_workers,
-        compressor_builder=(lambda: TopKCompressor(rho)) if rho else None,
-    )
+def build(cls, **kwargs):
+    return make_mlp_trainer(trainer_cls=cls, **kwargs)
 
 
 class TestShardOwnership:

@@ -11,15 +11,12 @@ Marked ``chaos``: CI runs this module again for extra seeds via the
 ``CHAOS_SEED`` environment variable.
 """
 
+import functools
 import os
 
 import pytest
 
-from repro.core import (
-    CheckpointConfig,
-    FailureDrill,
-    default_lowdiff_factory,
-)
+from repro.core import CheckpointConfig, FailureDrill
 from repro.optim import Adam
 from repro.storage import (
     ChaosBackend,
@@ -35,15 +32,10 @@ from repro.storage import (
 )
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import CompactingCheckpointer, make_mlp_trainer
+from tests import helpers
+from tests.helpers import CHAOS_SEEDS, CompactingCheckpointer, reference_state
 
 pytestmark = pytest.mark.chaos
-
-#: Default seeds exercised on every run; CI's chaos job appends more via
-#: the CHAOS_SEED environment variable.
-CHAOS_SEEDS = [11, 29, 47]
-if os.environ.get("CHAOS_SEED"):
-    CHAOS_SEEDS = CHAOS_SEEDS + [int(os.environ["CHAOS_SEED"])]
 
 
 def make_chaos_store(seed: int, tiered: bool = False) -> CheckpointStore:
@@ -69,24 +61,7 @@ def make_chaos_store(seed: int, tiered: bool = False) -> CheckpointStore:
     return CheckpointStore(backend)
 
 
-def make_drill(store: CheckpointStore, seed: int = 5,
-               config: CheckpointConfig | None = None) -> FailureDrill:
-    # batch_size=1 keeps recovery bit-exact for Adam (batched records have
-    # gradient-accumulation semantics — the paper's documented trade-off).
-    return FailureDrill(
-        trainer_factory=lambda: make_mlp_trainer(seed=seed),
-        checkpointer_factory=default_lowdiff_factory(
-            config or CheckpointConfig(full_every_iters=8, batch_size=1)),
-        model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-        optimizer_factory=lambda m: Adam(m, lr=1e-3),
-        store=store,
-    )
-
-
-def reference_state(seed=5, iterations=30):
-    trainer = make_mlp_trainer(seed=seed)
-    trainer.run(iterations)
-    return trainer.model_state()
+make_drill = functools.partial(helpers.make_drill, full_every=8)
 
 
 def drill_config(async_persist: bool) -> CheckpointConfig:
@@ -183,28 +158,18 @@ class TestRetentionUnderChaos:
     the training process."""
 
     @staticmethod
-    def make_retention_drill(store: CheckpointStore,
-                             seed: int = 5) -> FailureDrill:
-        mlp = lambda: MLP(8, [16, 16], 4, rng=Rng(0))
-        adam = lambda m: Adam(m, lr=1e-3)
-
-        def checkpointer_factory(s):
-            # Rebase passes (factories provided) keep compaction bit-exact
-            # for Adam; max_chain_len < full_every means the chain budget
-            # fires between periodic fulls, while keep_fulls=2 preserves
-            # the corruption-fallback base the chaos layer demands.
-            return CompactingCheckpointer(
-                s, CheckpointConfig(full_every_iters=8, batch_size=1),
-                RetentionPolicy(keep_fulls=2, max_chain_len=6),
-                model_factory=mlp, optimizer_factory=adam)
-
-        return FailureDrill(
-            trainer_factory=lambda: make_mlp_trainer(seed=seed),
-            checkpointer_factory=checkpointer_factory,
-            model_factory=mlp,
-            optimizer_factory=adam,
-            store=store,
-        )
+    def make_retention_drill(store: CheckpointStore) -> FailureDrill:
+        drill = make_drill(store)
+        # Rebase passes (factories provided) keep compaction bit-exact for
+        # Adam; max_chain_len < full_every means the chain budget fires
+        # between periodic fulls, while keep_fulls=2 preserves the
+        # corruption-fallback base the chaos layer demands.
+        drill.checkpointer_factory = lambda s: CompactingCheckpointer(
+            s, CheckpointConfig(full_every_iters=8, batch_size=1),
+            RetentionPolicy(keep_fulls=2, max_chain_len=6),
+            model_factory=drill.model_factory,
+            optimizer_factory=drill.optimizer_factory)
+        return drill
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_compaction_enabled_drill_bit_exact(self, seed):

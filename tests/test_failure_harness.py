@@ -7,24 +7,8 @@ from repro.optim import Adam
 from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
-from tests.helpers import STRATEGIES, make_mlp_trainer
-
-
-def make_drill(config=None, seed=5):
-    return FailureDrill(
-        trainer_factory=lambda: make_mlp_trainer(seed=seed),
-        checkpointer_factory=default_lowdiff_factory(
-            config or CheckpointConfig(full_every_iters=10, batch_size=1)),
-        model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-        optimizer_factory=lambda m: Adam(m, lr=1e-3),
-        store=CheckpointStore(InMemoryBackend()),
-    )
-
-
-def reference_state(seed=5, iterations=30):
-    trainer = make_mlp_trainer(seed=seed)
-    trainer.run(iterations)
-    return trainer.model_state()
+from tests.helpers import STRATEGIES, make_drill, make_mlp_trainer
+from tests.helpers import reference_state
 
 
 class TestFailureDrill:
@@ -51,7 +35,7 @@ class TestFailureDrill:
         to BS-1 iterations re-process per failure — the paper's b/2 cost,
         observed functionally."""
         config = CheckpointConfig(full_every_iters=12, batch_size=4)
-        report = make_drill(config).run(30, crash_at=[7, 18])
+        report = make_drill(config=config).run(30, crash_at=[7, 18])
         assert report.reprocessed_iterations > 0
         assert report.reprocessed_iterations <= 2 * 3  # <= (BS-1) per crash
         assert report.total_iterations_executed == \
@@ -74,22 +58,10 @@ class TestFailureDrill:
         """Parallel recovery in the drill: exact when the batch size is 1
         per record and diffs merge linearly (SGD)."""
         from repro.optim import SGD
-        from repro.distributed import DataParallelTrainer, SyntheticClassification
-        from repro.compression import TopKCompressor
-
-        def trainer_factory():
-            return DataParallelTrainer(
-                model_builder=lambda rank: MLP(8, [16, 16], 4, rng=Rng(5)),
-                optimizer_builder=lambda m: SGD(m, lr=0.02),
-                loss_fn=__import__("repro.tensor.loss",
-                                   fromlist=["CrossEntropyLoss"]).CrossEntropyLoss(),
-                dataset=SyntheticClassification(8, 4, batch_size=4, seed=6),
-                num_workers=2,
-                compressor_builder=lambda: TopKCompressor(0.1),
-            )
 
         drill = FailureDrill(
-            trainer_factory=trainer_factory,
+            trainer_factory=lambda: make_mlp_trainer(
+                seed=5, optimizer_builder=lambda m: SGD(m, lr=0.02)),
             checkpointer_factory=default_lowdiff_factory(
                 CheckpointConfig(full_every_iters=10, batch_size=1)),
             model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),

@@ -1,6 +1,5 @@
 """End-to-end tests for LowDiff+ (Algorithm 2)."""
 
-import numpy as np
 import pytest
 
 from repro.core import LowDiffPlusCheckpointer
@@ -9,6 +8,7 @@ from repro.storage import CheckpointStore, InMemoryBackend
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests.helpers import (
+    BoundLowDiffPlus,
     assert_optimizers_equal,
     assert_states_equal,
     make_mlp_trainer,
@@ -21,13 +21,9 @@ def run_lowdiff_plus(iterations=20, persist_every=5, num_workers=2, seed=7,
                      **ckpt_kwargs):
     trainer = make_mlp_trainer(num_workers=num_workers, rho=None, seed=seed)
     store = CheckpointStore(InMemoryBackend())
-    checkpointer = LowDiffPlusCheckpointer(store, persist_every=persist_every,
-                                           **ckpt_kwargs)
-    checkpointer.attach(
-        trainer,
-        model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-        optimizer_factory=lambda model: Adam(model, lr=1e-3),
-    )
+    checkpointer = BoundLowDiffPlus(store, persist_every=persist_every,
+                                    **ckpt_kwargs)
+    checkpointer.attach(trainer)
     trainer.run(iterations)
     checkpointer.finalize()
     return trainer, checkpointer
@@ -44,12 +40,8 @@ class TestCpuReplica:
         """The in-memory checkpoint frequency is one iteration."""
         trainer = make_mlp_trainer(rho=None)
         store = CheckpointStore(InMemoryBackend())
-        checkpointer = LowDiffPlusCheckpointer(store, persist_every=100)
-        checkpointer.attach(
-            trainer,
-            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-            optimizer_factory=lambda model: Adam(model, lr=1e-3),
-        )
+        checkpointer = BoundLowDiffPlus(store, persist_every=100)
+        checkpointer.attach(trainer)
         for _ in range(7):
             trainer.step()
             assert checkpointer.replica.matches(trainer.model_state())
@@ -135,13 +127,9 @@ class TestLayerStreamContract:
 
     @staticmethod
     def _attach(trainer):
-        checkpointer = LowDiffPlusCheckpointer(
+        checkpointer = BoundLowDiffPlus(
             CheckpointStore(InMemoryBackend()), persist_every=4)
-        checkpointer.attach(
-            trainer,
-            model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-            optimizer_factory=lambda model: Adam(model, lr=1e-3),
-        )
+        checkpointer.attach(trainer)
         return checkpointer
 
     def test_gate_abort_then_rerun_matches_uninterrupted(self):
@@ -191,14 +179,10 @@ class TestLayerStreamContract:
 class TestValidation:
     def test_rejects_compressed_trainer(self):
         trainer = make_mlp_trainer(rho=0.1)  # compression on
-        checkpointer = LowDiffPlusCheckpointer(
+        checkpointer = BoundLowDiffPlus(
             CheckpointStore(InMemoryBackend()))
         with pytest.raises(ValueError):
-            checkpointer.attach(
-                trainer,
-                model_factory=lambda: MLP(8, [16, 16], 4, rng=Rng(0)),
-                optimizer_factory=lambda model: Adam(model, lr=1e-3),
-            )
+            checkpointer.attach(trainer)
 
     def test_rejects_bad_persist_interval(self):
         with pytest.raises(ValueError):

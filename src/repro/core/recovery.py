@@ -324,7 +324,7 @@ def _fold_chain(store, chain, workers: int, pool):
     # Per part (shard): its (sub_store, record) pairs in chain order.
     columns = list(zip(zip(*(store.parts(view) for view in chain)),
                        store.part_bounds()))
-    pooled_reads = getattr(store.backend, "thread_safe_reads", False)
+    pooled_reads = store.backend.thread_safe_reads
     limit, folds = len(chain), [None] * len(columns)
     executor = pool if len(segments) > 1 else None
     while stale := [index for index, fold in enumerate(folds)

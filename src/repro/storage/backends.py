@@ -296,7 +296,7 @@ class PrefixBackend(StorageBackend):
 
     @property
     def thread_safe_reads(self) -> bool:  # delegate, not a class constant
-        return getattr(self.inner, "thread_safe_reads", False)
+        return self.inner.thread_safe_reads
 
     def _write(self, key: str, data: bytes) -> None:
         self.inner.write(self.prefix + key, data)
@@ -344,7 +344,34 @@ def backend_from_spec(spec: tuple) -> StorageBackend:
     raise ValueError(f"unknown process-safe backend spec: {spec!r}")
 
 
-class ThrottledBackend(StorageBackend):
+class WrappingBackend(StorageBackend):
+    """A decorator over one ``inner`` backend.  Reads, ``exists``,
+    ``delete``, ``list_keys`` and ``purge_debris`` forward unchanged;
+    subclasses wrap what they change.  ``_append`` is left to the base
+    (read + ``_write``) unless a subclass forwards it, so a wrapper that
+    only overrides ``_write`` still sees every append."""
+
+    def __init__(self, inner: StorageBackend):
+        super().__init__()
+        self.inner = inner
+
+    def _read(self, key: str) -> bytes:
+        return self.inner.read(key)
+
+    def exists(self, key: str) -> bool:
+        return self.inner.exists(key)
+
+    def delete(self, key: str) -> None:
+        self.inner.delete(key)
+
+    def list_keys(self, prefix: str = "") -> list[str]:
+        return self.inner.list_keys(prefix)
+
+    def purge_debris(self) -> int:
+        return self.inner.purge_debris()
+
+
+class ThrottledBackend(WrappingBackend):
     """Wrap a backend with a virtual bandwidth/latency cost model.
 
     Does not sleep; it accumulates the time writes *would* take at
@@ -354,10 +381,9 @@ class ThrottledBackend(StorageBackend):
     """
 
     def __init__(self, inner: StorageBackend, bandwidth: float, latency: float = 0.0):
-        super().__init__()
+        super().__init__(inner)
         check_positive("bandwidth", bandwidth)
         check_positive("latency", latency, strict=False)
-        self.inner = inner
         self.bandwidth = float(bandwidth)
         self.latency = float(latency)
         self.virtual_time_s = 0.0
@@ -378,20 +404,8 @@ class ThrottledBackend(StorageBackend):
         self.virtual_time_s += self.cost_of(len(data))
         return data
 
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
 
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def purge_debris(self) -> int:
-        return self.inner.purge_debris()
-
-
-class FlakyBackend(StorageBackend):
+class FlakyBackend(WrappingBackend):
     """Fault injection: fail the N-th write (and optionally reads).
 
     Used to verify that a failure mid-persist never corrupts the
@@ -400,8 +414,7 @@ class FlakyBackend(StorageBackend):
 
     def __init__(self, inner: StorageBackend, fail_on_write: int | None = None,
                  fail_on_read: int | None = None):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.fail_on_write = fail_on_write
         self.fail_on_read = fail_on_read
         self._writes_seen = 0
@@ -419,20 +432,8 @@ class FlakyBackend(StorageBackend):
             raise IOError(f"injected read failure on read #{self._reads_seen}")
         return self.inner.read(key)
 
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
 
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def purge_debris(self) -> int:
-        return self.inner.purge_debris()
-
-
-class ChaosBackend(StorageBackend):
+class ChaosBackend(WrappingBackend):
     """Seeded probabilistic fault injection for resilience drills.
 
     Generalizes :class:`FlakyBackend` from one-shot deterministic failures
@@ -458,7 +459,7 @@ class ChaosBackend(StorageBackend):
                  torn_write_prob: float = 0.0, bit_flip_prob: float = 0.0,
                  latency_spike_prob: float = 0.0, latency_spike_s: float = 0.1,
                  protect_prefixes: tuple[str, ...] = ()):
-        super().__init__()
+        super().__init__(inner)
         for name, prob in (("write_fail_prob", write_fail_prob),
                            ("read_fail_prob", read_fail_prob),
                            ("torn_write_prob", torn_write_prob),
@@ -466,7 +467,6 @@ class ChaosBackend(StorageBackend):
                            ("latency_spike_prob", latency_spike_prob)):
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {prob}")
-        self.inner = inner
         self.rng = rng if isinstance(rng, Rng) else Rng(int(rng))
         self.write_fail_prob = write_fail_prob
         self.read_fail_prob = read_fail_prob
@@ -532,18 +532,6 @@ class ChaosBackend(StorageBackend):
             self.injected["read_fail"] += 1
             raise IOError(f"chaos: transient read failure for {key}")
         return self.inner.read(key)
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def purge_debris(self) -> int:
-        return self.inner.purge_debris()
 
     def resilience_stats(self) -> dict:
         """Injected-fault counters (merged into drill reports)."""

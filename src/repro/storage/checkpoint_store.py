@@ -155,6 +155,10 @@ class CheckpointStore:
         #: Snapshot generation (0: none, or pre-journal) and the journal a
         #: diff may append to (None: the next commit rewrites the snapshot).
         self._gen, self._journal = 0, None
+        #: True while a snapshot commit has not landed: the index in memory
+        #: may be ahead of the durable one, so ``gc`` commits before it
+        #: deletes what memory no longer names.
+        self._unsaved = False
         #: Keys moved to quarantine over this store's lifetime.
         self.quarantined: list[str] = []
         #: True if the manifest had to be rebuilt from a key listing.
@@ -246,13 +250,14 @@ class CheckpointStore:
 
     def _commit_manifest(self) -> None:
         gen, superseded = self._gen + 1, journal_key(self._gen)
+        self._unsaved = True
         self.backend.delete(journal_key(gen))  # stale: must not replay
         # The CRC covers the body without itself; splicing it on as the
         # last key spares re-encoding every record on every commit.
         body = self._manifest_body(self._fulls, self._diffs, gen)
         self.backend.write(
             MANIFEST_KEY, body[:-1] + b',"crc":%d}' % zlib.crc32(body))
-        self._gen, self._journal = gen, journal_key(gen)
+        self._gen, self._journal, self._unsaved = gen, journal_key(gen), False
         self.backend.delete(superseded)
 
     def _append_journal(self, record: DiffCheckpointRecord) -> None:
@@ -493,12 +498,12 @@ class CheckpointStore:
         return not self._diffs or start > self._diffs[-1].end
 
     def _install_diff(self, start: int, end: int, count: int, nbytes: int,
-                      crc: int, codec: str, raw_nbytes: int, data,
-                      replacing=()) -> DiffCheckpointRecord:
+                      crc: int, codec: str, raw_nbytes: int, data
+                      ) -> DiffCheckpointRecord:
         """Blob, then record, then a journal line for a diff past the tail
-        or the sorted snapshot for one that supersedes the same-range
-        record and the ``replacing`` ones (caller holds the mutation lock
-        and has validated the range)."""
+        or the sorted snapshot for any other, which supersedes the
+        same-range record (caller holds the mutation lock and has
+        validated the range)."""
         key = diff_key(start, end)
         self._place_blob(key, data)
         record = DiffCheckpointRecord(
@@ -506,13 +511,11 @@ class CheckpointStore:
             count=int(count), crc=crc & 0xFFFFFFFF,
             codec=codec, raw_nbytes=int(raw_nbytes),
         )
-        if self._journal and not replacing and self._extends_chain(start):
+        if self._journal and self._extends_chain(start):
             self._append_journal(record)
             return record
-        dropped = {r.key for r in replacing}
         self._diffs = [
-            r for r in self._diffs
-            if (r.start, r.end) != (start, end) and r.key not in dropped
+            r for r in self._diffs if (r.start, r.end) != (start, end)
         ] + [record]
         self._diffs.sort(key=lambda r: (r.start, r.end))
         self._commit_manifest()
@@ -739,7 +742,7 @@ class CheckpointStore:
                 keep = [r for r in self._diffs if r.end > horizon]
                 drop.extend(r for r in self._diffs if r.end <= horizon)
                 self._diffs = keep
-            if drop:
+            if drop or self._unsaved:
                 self._commit_manifest()  # manifest-first, then delete
             deleted = 0
             for record in drop:
@@ -757,26 +760,27 @@ class CheckpointStore:
         return deleted
 
     # Compaction ----------------------------------------------------------------
-    def replace_diff_run(self, run: list[DiffCheckpointRecord], data, crc: int,
-                         count: int | None = None, codec: str = "",
-                         raw_nbytes: int = 0) -> DiffCheckpointRecord:
-        """Atomically swap a contiguous run of diff records for one super-diff.
+    def merge_diff_run(self, run: list[DiffCheckpointRecord], data, crc: int,
+                       count: int | None = None, codec: str = "",
+                       raw_nbytes: int = 0) -> DiffCheckpointRecord:
+        """Commit one super-diff beside the contiguous run it folds: the
+        first half of swapping a run for one record, :meth:`drop_diffs`
+        the second.
 
         ``data``/``crc`` are the serialized consolidated record covering
         exactly ``[run[0].start, run[-1].end]``.  This bypasses
         :meth:`save_diff_bytes`'s overlap guard (the super-diff's range
-        *deliberately* overlaps the singles it replaces) and does the swap
-        as manifest surgery with crash-safe ordering:
+        *deliberately* overlaps the singles) and orders its mutations for
+        crashes:
 
-        1. write the super-diff blob (old view still consistent — the new
-           blob is unreferenced debris if we crash here);
-        2. commit the manifest with the run's records replaced by the
-           super-diff record (the commit point);
-        3. delete the replaced blobs (crash here leaves unreferenced
-           singles, swept by ``gc``).
+        1. write the super-diff blob (unreferenced debris if we crash here);
+        2. commit the manifest listing it beside the run.  Until the run is
+           dropped, :meth:`diffs_after` still replays the run (the shorter
+           record at a start wins), so every part of a sharded store can
+           list its super-diff before any part drops its run.
         """
         if not run:
-            raise ValueError("replace_diff_run requires a non-empty run")
+            raise ValueError("merge_diff_run requires a non-empty run")
         with self._mutation_lock:
             keys = {r.key for r in self._diffs}
             next_start = run[0].start
@@ -789,14 +793,19 @@ class CheckpointStore:
                         f"run is not contiguous at step {record.start} "
                         f"(expected start {next_start})")
                 next_start = record.end + 1
-            record = self._install_diff(
+            return self._install_diff(
                 run[0].start, run[-1].end,
                 count if count is not None else sum(r.count for r in run),
-                total_bytes(data), crc, codec, raw_nbytes, data, replacing=run)
-            for old in run:
-                if old.key != record.key:
-                    self.backend.delete(old.key)
-        return record
+                total_bytes(data), crc, codec, raw_nbytes, data)
+
+    def drop_diffs(self, records: list[DiffCheckpointRecord]) -> None:
+        """Forget ``records`` in one manifest commit, then delete their
+        blobs (a crash between leaves unreferenced blobs, swept by
+        ``gc``)."""
+        with self._mutation_lock:
+            self._forget({r.key for r in records})
+            for record in records:
+                self.backend.delete(record.key)
 
     def compact(self, policy=None, *, model_factory=None,
                 optimizer_factory=None):

@@ -34,11 +34,12 @@ compaction style:
   exercises.
 
 Crash ordering: every mutation goes through the store's manifest-first
-primitives (``replace_diff_run``, ``save_full``, ``gc``) — blob writes
-before the manifest commit that references them, manifest commits before
-the deletes they orphan.  A crash at any point inside a compaction leaves
-either the previous consistent view plus unreferenced debris (swept by the
-next ``gc``) or the new view; never a manifest entry naming a missing key.
+primitives (``merge_diff_run``, ``drop_diffs``, ``save_full``, ``gc``) —
+blob writes before the manifest commit that references them, manifest
+commits before the deletes they orphan.  A crash at any point inside a
+compaction leaves either the previous consistent view plus unreferenced
+debris (swept by the next ``gc``) or the new view; never a manifest entry
+naming a missing key.
 """
 
 from __future__ import annotations
@@ -281,9 +282,13 @@ class ChainCompactor:
                         run[0].start, run[-1].end, count,
                         payload_to_tree(payload)))
                 parts, crc = pack_tree_parts(tree)
-                sub.replace_diff_run(
+                sub.merge_diff_run(
                     [record for _, record in column], parts, crc,
                     count=count, codec=codec_id, raw_nbytes=raw_nbytes)
+            # Every part lists its super-diff before any drops its run: a
+            # crash in between leaves the parts agreeing on one of the two.
+            for column in columns:
+                column[0][0].drop_diffs([record for _, record in column])
         return True
 
     # Rebase mode -----------------------------------------------------------

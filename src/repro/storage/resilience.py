@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs import OBS
-from repro.storage.backends import StorageBackend
+from repro.storage.backends import StorageBackend, WrappingBackend
 from repro.utils.validation import check_positive
 
 
@@ -134,7 +134,7 @@ class CircuitBreaker:
             self._opened_at = self.clock.now
 
 
-class ResilientBackend(StorageBackend):
+class ResilientBackend(WrappingBackend):
     """Retry + circuit-break any backend's reads and writes.
 
     Transient ``OSError``/``IOError`` failures are retried up to the
@@ -150,8 +150,7 @@ class ResilientBackend(StorageBackend):
     def __init__(self, inner: StorageBackend, retry: RetryPolicy | None = None,
                  breaker: CircuitBreaker | None = None,
                  clock: VirtualClock | None = None):
-        super().__init__()
-        self.inner = inner
+        super().__init__(inner)
         self.retry = retry or RetryPolicy()
         self.clock = clock or (breaker.clock if breaker is not None
                                else VirtualClock())
@@ -203,18 +202,6 @@ class ResilientBackend(StorageBackend):
 
     def _read(self, key: str) -> bytes:
         return self._attempt(lambda: self.inner.read(key))
-
-    def exists(self, key: str) -> bool:
-        return self.inner.exists(key)
-
-    def delete(self, key: str) -> None:
-        self.inner.delete(key)
-
-    def list_keys(self, prefix: str = "") -> list[str]:
-        return self.inner.list_keys(prefix)
-
-    def purge_debris(self) -> int:
-        return self.inner.purge_debris()
 
     def resilience_stats(self) -> dict:
         stats = {

@@ -304,8 +304,8 @@ class ShardedCheckpointStore:
 
     The readable view is the **intersection** of the per-shard manifests:
     a full checkpoint exists iff every shard committed it, and the diff
-    chain is the longest prefix on which every shard agrees about each
-    record's ``(start, end)`` range.  A crash that commits only a subset
+    chain takes, at each start, the longest ``(start, end)`` range every
+    shard holds a record for.  A crash that commits only a subset
     of shards therefore never yields a readable inconsistent state — the
     partial records are invisible debris until ``gc`` sweeps them or a
     retried write completes the set.
@@ -471,21 +471,27 @@ class ShardedCheckpointStore:
         return views[-1] if views else None
 
     def diffs_after(self, step: int) -> list[ShardedDiffView]:
-        """The committed chain after ``step``: the longest prefix on which
-        every shard holds a record with an identical ``(start, end)``
-        range.  A shard lagging (crash between shard commits) or diverging
-        (independent compaction progress) truncates the readable chain —
-        never yields a mixed-range replay."""
-        chains = [sub.diffs_after(step) for sub in self.shard_stores]
+        """The committed chain after ``step``: from ``step + 1`` on, at each
+        start the longest range every shard holds a record for.  A shard
+        lagging (crash between shard commits) truncates the readable
+        chain, never yields a mixed-range replay; a merge interrupted
+        between shards reads as its run until every shard lists the
+        super-diff (compaction lists it beside the run before dropping
+        the run)."""
+        by_start = [{} for _ in self.shard_stores]
+        for records, sub in zip(by_start, self.shard_stores):
+            for record in sub.diffs():
+                if record.start > step:
+                    records.setdefault(record.start, {})[record.end] = record
         views: list[ShardedDiffView] = []
-        for position in range(min(len(c) for c in chains)):
-            records = tuple(chain[position] for chain in chains)
-            ranges = {(r.start, r.end) for r in records}
-            if len(ranges) != 1:
-                break
-            views.append(ShardedDiffView(
-                start=records[0].start, end=records[0].end,
-                count=records[0].count, records=records))
+        start = step + 1
+        while ends := set.intersection(
+                *(set(records.get(start, ())) for records in by_start)):
+            end = max(ends)
+            parts = tuple(records[start][end] for records in by_start)
+            views.append(ShardedDiffView(start=start, end=end,
+                                         count=parts[0].count, records=parts))
+            start = end + 1
         return views
 
     # Loading (the reader protocol of repro.core.recovery) --------------------

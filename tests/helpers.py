@@ -30,8 +30,9 @@ from repro.core import (
     recovery,
 )
 from repro.distributed import DataParallelTrainer, SyntheticClassification
-from repro.optim import Adam
+from repro.optim import SGD, Adam
 from repro.storage import CheckpointStore, InMemoryBackend
+from repro.storage.backends import WrappingBackend
 from repro.tensor.loss import CrossEntropyLoss
 from repro.tensor.models import MLP
 from repro.utils.pool import usable_cpus
@@ -71,6 +72,10 @@ def adam_factory(model):
     return Adam(model, lr=1e-2)
 
 
+def sgd_factory(model):
+    return SGD(model, lr=0.05)
+
+
 def build_chain(steps, full_every=None, optimizer_factory=adam_factory,
                 seed=3, rho=0.25, backend=None, codec=None):
     """Synthetic training chain: full at 0, one single-step diff per step.
@@ -98,6 +103,14 @@ def build_chain(steps, full_every=None, optimizer_factory=adam_factory,
         if full_every and step % full_every == 0:
             store.save_full(step, *snap())
     return store, snapshots
+
+
+def reference_run(steps, optimizer_factory=adam_factory):
+    """``(payloads, snapshots)`` of ``build_chain(steps)``: the diff each
+    step persists and the exact state after it."""
+    store, snapshots = build_chain(steps=steps,
+                                   optimizer_factory=optimizer_factory)
+    return {r.start: store.load_diff(r) for r in store.diffs()}, snapshots
 
 
 def recover_fresh(store, optimizer_factory=adam_factory):
@@ -155,6 +168,72 @@ def reference_state(seed=5, iterations=30):
 #: the CHAOS_SEED environment variable.
 CHAOS_SEEDS = [11, 29, 47] + ([int(os.environ["CHAOS_SEED"])]
                               if os.environ.get("CHAOS_SEED") else [])
+
+
+class SimulatedCrash(RuntimeError):
+    """Raised by :class:`CrashingBackend` once its process has died."""
+
+
+class CrashingBackend(WrappingBackend):
+    """Counts every mutation (write, journal append, delete) of the backend
+    it wraps and faults the armed one.
+
+    ``arm(k)`` lets the next ``k`` mutations through and faults the one
+    after, so scanning ``k`` over an operation faults it at *every* point
+    of its mutation sequence.  A ``"crash"`` raises :class:`SimulatedCrash`
+    there and at every later mutation (a dead process writes nothing
+    more); a ``"fail"`` raises ``OSError`` once and the handle lives on.
+    A faulted append first lands ``cut`` bytes of its line: a torn journal
+    tail.  Reads never fault (the dying process is not the one that
+    recovers).  ``appends`` maps each append's mutation index to its
+    length.
+    """
+
+    def __init__(self, inner, crash_after=None):
+        super().__init__(inner)
+        self.mutations, self.crashed, self.appends = 0, False, {}
+        self._lock = threading.Lock()   # writer threads of every shard
+        self.arm(crash_after)
+
+    def arm(self, after, mode="crash", cut=0):
+        self.armed = None if after is None else self.mutations + after
+        self.mode, self.cut = mode, cut
+
+    def _tick(self, key=None, data=b"") -> None:
+        with self._lock:
+            if self.crashed:
+                raise SimulatedCrash("the process is dead")
+            index, self.mutations = self.mutations, self.mutations + 1
+            if data:
+                self.appends[index] = len(data)
+            if index != self.armed:
+                return
+            self.armed = None
+            if data[:self.cut]:
+                self.inner.append(key, data[:self.cut])
+            if self.mode == "fail":
+                raise OSError(f"injected failure at mutation {index + 1}")
+            self.crashed = True
+            raise SimulatedCrash(f"injected crash at mutation {index + 1}")
+
+    def _write(self, key, parts):
+        self._tick()
+        self.inner.write(key, parts)
+
+    def _append(self, key, data):
+        self._tick(key, data)
+        self.inner.append(key, data)
+
+    def delete(self, key):
+        self._tick()
+        self.inner.delete(key)
+
+
+def clone_backend(src) -> InMemoryBackend:
+    clone = InMemoryBackend()
+    for key in src.list_keys(""):
+        clone.write(key, src.read(key))
+    return clone
 
 
 class GateBackend(InMemoryBackend):

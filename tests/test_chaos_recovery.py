@@ -34,6 +34,7 @@ from repro.tensor.models import MLP
 from repro.utils.rng import Rng
 from tests import helpers
 from tests.helpers import CHAOS_SEEDS, CompactingCheckpointer, reference_state
+from tests.test_crash_contract import replay
 
 pytestmark = pytest.mark.chaos
 
@@ -189,27 +190,9 @@ class TestPlantedCorruption:
     """Deterministic (non-probabilistic) corruption drills."""
 
     def test_recovery_falls_back_past_corrupt_full(self):
-        store = CheckpointStore(InMemoryBackend())
-        drill = make_drill(store,
-                           config=CheckpointConfig(full_every_iters=5,
-                                                   batch_size=1))
-        report = drill.run(12, crash_at=[], reference_state=reference_state(
-            iterations=12))
-        assert report.final_matches_reference
-        # Corrupt the newest full; a fresh recovery must fall back to an
-        # older full + diff chain and land on the same step.
-        newest = store.latest_full()
-        raw = bytearray(store.backend.read(newest.key))
-        raw[len(raw) // 2] ^= 0xFF
-        store.backend.write(newest.key, bytes(raw))
-        model = MLP(8, [16, 16], 4, rng=Rng(0))
-        optimizer = Adam(model, lr=1e-3)
-        from repro.core.recovery import serial_recover
-        result = serial_recover(store, model, optimizer)
-        assert result.corrupt_fulls_skipped == 1
-        assert result.full_step < newest.step
-        assert result.step == 12  # diff chain replays back to the end
-        assert newest.key in store.quarantined
+        """A fixed rule sequence of the crash-contract machine
+        (``tests/test_crash_contract.py``)."""
+        replay("persist 12; damage full flip 0 -1; reopen", full_every=5)
 
 
 class TestCodecUnderChaos:
@@ -239,33 +222,9 @@ class TestCodecUnderChaos:
         assert all(r.codec == "lossless"
                    for r in store.fulls() + store.diffs())
 
-    def _encoded_store(self):
-        store = CheckpointStore(InMemoryBackend())
-        drill = make_drill(store,
-                           config=CheckpointConfig(full_every_iters=5,
-                                                   batch_size=1,
-                                                   codec="lossless"))
-        report = drill.run(12, crash_at=[], reference_state=reference_state(
-            iterations=12))
-        assert report.final_matches_reference
-        return store
-
     def test_recovery_falls_back_past_corrupt_encoded_full(self):
-        """Byte-flip an encoded full: the manifest CRC catches it and
-        recovery falls back to an older full + encoded diff chain."""
-        store = self._encoded_store()
-        newest = store.latest_full()
-        raw = bytearray(store.backend.read(newest.key))
-        raw[len(raw) // 2] ^= 0xFF
-        store.backend.write(newest.key, bytes(raw))
-        model = MLP(8, [16, 16], 4, rng=Rng(0))
-        optimizer = Adam(model, lr=1e-3)
-        from repro.core.recovery import serial_recover
-        result = serial_recover(store, model, optimizer)
-        assert result.corrupt_fulls_skipped == 1
-        assert result.full_step < newest.step
-        assert result.step == 12
-        assert newest.key in store.quarantined
+        replay("persist 12; damage full flip 0 -1; reopen", full_every=5,
+               codec="lossless")
 
     def _encoded_store_large(self):
         """Direct-driven chain whose fulls are big enough to byte-plane

@@ -14,6 +14,7 @@ from repro.storage import (
     ShardedCheckpointStore,
 )
 from repro.storage.checkpoint_store import MANIFEST_KEY, journal_key
+from tests.test_crash_contract import replay
 
 
 def payload(rng, size=10):
@@ -304,47 +305,13 @@ class TestJournal:
         assert [(r.start, r.end) for r in reopened.diffs()] == [
             (s, s) for s in range(1, 5)]
 
-    def test_a_failed_append_commits_the_next_diff_by_snapshot(self, rng):
-        """An append that raised may have left a torn line; the next commit
-        rewrites the snapshot instead of appending after it."""
-        class TearOnce(InMemoryBackend):
-            def _append(self, key, data):
-                if self.torn:
-                    self.torn = False
-                    super()._append(key, data[:7])
-                    raise OSError("torn append")
-                super()._append(key, data)
+    def test_a_failed_append_commits_the_next_diff_by_snapshot(self):
+        """A fixed rule sequence of the crash-contract machine
+        (``tests/test_crash_contract.py``): the append tears 7 bytes."""
+        replay("persist 4; arm fail 1 7; persist 2; reopen")
 
-        backend = TearOnce()
-        backend.torn = False
-        store = journaled_store(rng, backend)
-        backend.torn = True
-        with pytest.raises(OSError):
-            store.save_diff(5, 5, payload(rng))
-        store.save_diff(5, 5, payload(rng))
-        store.save_diff(6, 6, payload(rng))
-        reopened = CheckpointStore(backend)
-        assert not reopened.manifest_rebuilt
-        assert_same_records(store, reopened)
-        assert not backend.exists(journal_key(1))
-
-    def test_a_failed_journal_delete_leaves_the_new_generation(self, rng):
-        """The snapshot is the commit point: once it lands, appends go to
-        its generation even if deleting the superseded journal failed."""
-        class StuckJournals(InMemoryBackend):
-            stuck = False
-
-            def delete(self, key):
-                if self.stuck and key == journal_key(1):
-                    raise OSError("device busy")
-                super().delete(key)
-
-        store = journaled_store(rng, StuckJournals())
-        store.backend.stuck = True
-        with pytest.raises(OSError):
-            store.save_full(4, *full_states(rng))
-        store.save_diff(5, 5, payload(rng))
-        assert_same_records(store, CheckpointStore(store.backend))
+    def test_a_failed_journal_delete_leaves_the_new_generation(self):
+        replay("persist 4; arm fail 3; full; persist; reopen")
 
     def test_each_shard_journals_its_own_part(self, rng, tmp_path):
         backend = LocalDiskBackend(str(tmp_path))

@@ -19,7 +19,7 @@ import pytest
 from repro.compression import TopKCompressor
 from repro.core import CheckpointConfig, LowDiffCheckpointer
 from repro.core.recovery import serial_recover
-from repro.optim import SGD, Adam
+from repro.optim import Adam
 from repro.storage import (
     ChainCompactor,
     CheckpointStore,
@@ -27,7 +27,6 @@ from repro.storage import (
     RetentionPolicy,
 )
 from repro.storage.async_engine import AsyncCheckpointEngine
-from repro.storage.backends import StorageBackend
 from repro.storage.checkpoint_store import journal_key
 from repro.tensor.models import MLP
 from repro.utils.rng import Rng
@@ -39,11 +38,10 @@ from tests.helpers import (
     make_mlp_trainer,
     model_factory,
     recover_fresh,
+    reference_run,
+    sgd_factory,
 )
-
-
-def sgd_factory(model):
-    return SGD(model, lr=0.05)
+from tests.test_crash_contract import replay
 
 
 def assert_no_dangling_manifest(store):
@@ -342,79 +340,11 @@ class TestBoundaryCases:
         assert_no_dangling_manifest(store)
 
 
-class SimulatedCrash(RuntimeError):
-    """Raised by :class:`CrashingBackend` at the injected crash point."""
-
-
-class CrashingBackend(StorageBackend):
-    """Forwarding backend that dies on the Nth mutating operation.
-
-    ``crash_after=k`` lets the first ``k`` mutations (writes, journal
-    appends and deletes) through and raises on mutation ``k+1`` — scanning ``k`` over a whole
-    operation exercises a crash at *every* point of its mutation
-    sequence.  Reads never crash (the dying process isn't the one that
-    recovers).
-    """
-
-    def __init__(self, inner: StorageBackend, crash_after: int | None = None):
-        super().__init__()
-        self.inner = inner
-        self.crash_after = crash_after
-        self.mutations = 0
-
-    def _tick(self) -> None:
-        self.mutations += 1
-        if self.crash_after is not None and self.mutations > self.crash_after:
-            raise SimulatedCrash(f"injected crash at mutation {self.mutations}")
-
-    def _write(self, key, data):
-        self._tick()
-        self.inner.write(key, data)
-
-    def _append(self, key, data):
-        self._tick()
-        self.inner.append(key, data)
-
-    def _read(self, key):
-        return self.inner.read(key)
-
-    def exists(self, key):
-        return self.inner.exists(key)
-
-    def delete(self, key):
-        self._tick()
-        self.inner.delete(key)
-
-    def list_keys(self, prefix=""):
-        return self.inner.list_keys(prefix)
-
-    def purge_debris(self):
-        return self.inner.purge_debris()
-
-
-def clone_backend(src: StorageBackend) -> InMemoryBackend:
-    clone = InMemoryBackend()
-    for key in src.list_keys(""):
-        clone.write(key, src.read(key))
-    return clone
-
-
-def reference_run(steps):
-    """``(payloads, snapshots)`` of ``build_chain(steps)``: the diff each
-    step persists and the exact state after it."""
-    store, snapshots = build_chain(steps=steps)
-    return {r.start: store.load_diff(r) for r in store.diffs()}, snapshots
-
-
 def assert_recovers_within(backend, acked, submitted, payloads, snapshots):
-    """Reopen after a crash: recovery lands bit-exact at a step in
-    ``[acked, submitted]``, and the next diff appended after reopening
-    is replayed by the next open."""
+    """Reopen: recovery lands bit-exact at a step in ``[acked,
+    submitted]``, and the next diff appended is replayed by the next open."""
     reopened = CheckpointStore(backend)
     assert_no_dangling_manifest(reopened)
-    if reopened.latest_full() is None:
-        assert acked < 0  # crashed before the first full landed
-        return
     result, model, optimizer = recover_fresh(reopened)
     assert acked <= result.step <= submitted
     assert_states_equal(model.state_dict(), snapshots[result.step][0])
@@ -426,109 +356,23 @@ def assert_recovers_within(backend, acked, submitted, payloads, snapshots):
     assert_states_equal(model.state_dict(), snapshots[step][0])
 
 
-def count_mutations(backend: StorageBackend, op) -> int:
-    """Dry-run ``op`` against a clone to learn its total mutation count."""
-    probe = CrashingBackend(clone_backend(backend))
-    op(CheckpointStore(probe))
-    return probe.mutations
-
-
 @pytest.mark.chaos
 class TestCrashDrills:
-    """Crash at every mutation inside gc()/compact(): the reopened store
-    must verify clean (no manifest entry naming a missing key) and
-    recover — bit-exact where the mode guarantees it."""
-
-    def _drill(self, backend, snapshots, op, *, final_step,
-               optimizer_factory=adam_factory, exact=True):
-        total = count_mutations(backend, op)
-        assert total > 0
-        for crash_after in range(total):
-            inner = clone_backend(backend)
-            store = CheckpointStore(CrashingBackend(inner, crash_after))
-            with pytest.raises(SimulatedCrash):
-                op(store)
-            reopened = CheckpointStore(inner)  # "restart after the crash"
-            assert_no_dangling_manifest(reopened)
-            result, model, optimizer = recover_fresh(reopened,
-                                                     optimizer_factory)
-            assert result.step == final_step, f"crash_after={crash_after}"
-            if exact:
-                assert_states_equal(model.state_dict(),
-                                    snapshots[final_step][0])
-                assert_optimizers_equal(optimizer.state_dict(),
-                                        snapshots[final_step][1])
-            else:
-                assert_states_equal(model.state_dict(),
-                                    snapshots[final_step][0],
-                                    exact=False, atol=1e-5)
+    """Crash at every mutation inside gc()/compact(): fixed rule sequences
+    of the crash-contract machine (``tests/test_crash_contract.py``)."""
 
     def test_crash_inside_gc(self):
-        backend = InMemoryBackend()
-        _, snapshots = build_chain(steps=12, full_every=4, backend=backend)
-        self._drill(backend, snapshots,
-                    lambda store: store.gc(keep_fulls=2), final_step=12)
+        replay("persist 12; sweep gc2", full_every=4)
 
     def test_crash_inside_rebase_compaction(self):
-        backend = InMemoryBackend()
-        _, snapshots = build_chain(steps=12, backend=backend)
-        policy = RetentionPolicy(keep_fulls=1, max_chain_len=4)
-        self._drill(
-            backend, snapshots,
-            lambda store: store.compact(policy, model_factory=model_factory,
-                                        optimizer_factory=adam_factory),
-            final_step=12)
+        replay("persist 12; sweep rebase")
 
     def test_crash_at_every_mutation_of_a_journaled_run(self):
-        """save_full, six journaled diffs, a rebase compaction and a gc:
-        a crash at any snapshot write, journal append or delete leaves a
-        store that recovers to an acknowledged-or-later step and takes
-        the next append."""
-        payloads, snapshots = reference_run(steps=7)
-        policy = RetentionPolicy(keep_fulls=1, max_chain_len=4)
-        ops = [(0, lambda store: store.save_full(
-            0, *copy.deepcopy(snapshots[0])))]
-        ops += [(step, lambda store, step=step: store.save_diff(
-            step, step, payloads[step])) for step in range(1, 7)]
-        ops += [(6, lambda store: store.compact(
-                    policy, model_factory=model_factory,
-                    optimizer_factory=adam_factory)),
-                (6, lambda store: store.gc(keep_fulls=1))]
-        probe = CrashingBackend(InMemoryBackend())
-        for _, op in ops:
-            op(CheckpointStore(probe))
-        assert probe.inner.list_keys("manifest.") == [
-            "manifest.json"]  # the last snapshot superseded every journal
-        for crash_after in range(probe.mutations):
-            inner = InMemoryBackend()
-            backend = CrashingBackend(inner, crash_after)
-            acked = -1
-            with pytest.raises(SimulatedCrash):
-                for submitted, op in ops:
-                    op(CheckpointStore(backend))
-                    acked = submitted
-            assert_recovers_within(inner, acked, submitted, payloads,
-                                   snapshots)
+        replay("sweep persist; persist; " * 6 + "sweep rebase; compact rebase;"
+               " sweep gc1")
 
     def test_torn_journal_tail_at_every_offset(self):
-        """A crash inside the append of diff 5's line leaves any prefix of
-        it: the reopened store drops the unterminated line, rewrites the
-        snapshot before anything can append after it, and recovers."""
-        payloads, snapshots = reference_run(steps=6)
-        backend = InMemoryBackend()
-        store, _ = build_chain(steps=5, backend=backend)
-        journal = store._journal
-        data = backend.read(journal)
-        last = data.rstrip(b"\n").rfind(b"\n") + 1
-        for cut in range(last, len(data) + 1):
-            inner = clone_backend(backend)
-            inner.write(journal, data[:cut])
-            reopened = CheckpointStore(inner)
-            assert not reopened.manifest_rebuilt
-            torn = last < cut < len(data)
-            assert inner.exists(journal) is not torn  # superseded at open
-            assert len(reopened.diffs()) == (5 if cut == len(data) else 4)
-            assert_recovers_within(inner, 4, 5, payloads, snapshots)
+        replay("persist 4; sweep persist every")
 
     def test_stale_generation_journal_is_never_replayed(self):
         """Journals a crash left beside a newer snapshot — the one it
@@ -558,10 +402,4 @@ class TestCrashDrills:
         assert not backend.exists(superseded)
 
     def test_crash_inside_merge_compaction(self):
-        backend = InMemoryBackend()
-        _, snapshots = build_chain(steps=12, optimizer_factory=sgd_factory,
-                                   backend=backend)
-        policy = RetentionPolicy(keep_fulls=1, max_chain_len=4, compact_run=4)
-        self._drill(backend, snapshots,
-                    lambda store: store.compact(policy),
-                    final_step=12, optimizer_factory=sgd_factory, exact=False)
+        replay("persist 12; sweep merge", optimizer="sgd")

@@ -22,6 +22,7 @@ from tests.helpers import (
     assert_states_equal,
     make_mlp_trainer,
 )
+from tests.test_crash_contract import replay
 
 
 def run_lowdiff(iterations=25, full_every=10, batch_size=1, num_workers=2,
@@ -246,18 +247,9 @@ class TestAsyncMode:
 
 class TestFailureDuringCheckpointing:
     def test_flaky_write_leaves_consistent_series(self):
-        """A failed diff write must not corrupt the recovery chain: the
-        chain simply truncates at the gap."""
-        backend = FlakyBackend(InMemoryBackend(), fail_on_write=8)
-        with pytest.raises(IOError):
-            run_lowdiff(backend=backend, iterations=40)
-        # Whatever was persisted before the fault recovers cleanly.
-        store = CheckpointStore(backend.inner)
-        from repro.core.recovery import serial_recover
-        model = MLP(8, [16, 16], 4, rng=Rng(99))
-        optimizer = Adam(model, lr=1e-3)
-        result = serial_recover(store, model, optimizer)
-        assert result.step >= 0  # no torn data, loadable state
+        """A fixed rule sequence of the crash-contract machine
+        (``tests/test_crash_contract.py``): a failed diff write."""
+        replay("persist 3; arm fail 2; persist 4; reopen")
 
 
 class TestFinishedJobIsNotCyclicGarbage:

@@ -40,6 +40,7 @@ from tests.helpers import (
     tree_merge,
 )
 from tests.test_costs import check
+from tests.test_crash_contract import replay
 
 
 @pytest.fixture
@@ -150,73 +151,23 @@ class TestSerialRecovery:
         assert result.gradients_replayed == 6
         assert target_opt.step_count == 6
 
-    def test_gap_truncates_recovery(self, rng, make_store):
-        store = make_store()
-        model, optimizer = fresh_model_opt()
-        compressor = TopKCompressor(0.5)
-        store.save_full(0, model.state_dict(), optimizer.state_dict())
-        for step in (1, 2, 4):  # 3 missing: chain must stop at 2
-            grads = {name: rng.child("g", step, name).normal(size=p.shape)
-                     for name, p in model.named_parameters()}
-            store.save_diff(step, step, compressor.compress(grads))
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(store, target_model, target_opt)
-        assert result.diffs_loaded == 2
-        assert result.step == 2
+    def test_gap_truncates_recovery(self):
+        replay("persist 4; damage diff delete -1 2; reopen", shards=self.shards)
 
 
 class TestCorruptionFallback:
-    """Recovery under a stale or partially corrupt checkpoint series."""
+    """Recovery under a stale or partially corrupt checkpoint series: fixed
+    rule sequences of the crash-contract machine
+    (``tests/test_crash_contract.py``), and replay windows cut short."""
 
     shards = 1
-    train_with_snapshots = staticmethod(train_with_snapshots)
 
-    def test_stale_manifest_falls_back_bit_exactly(self, rng, make_store):
-        """The manifest references a full whose blob is gone: a reopened
-        store drops the stale record and recovery lands bit-exactly on the
-        previous intact full + diff chain."""
-        backend = InMemoryBackend()
-        store = make_store(backend)
-        model, optimizer = fresh_model_opt()
-        snapshots = train_with_snapshots(store, model, optimizer, rng,
-                                         full_at=4)
-        # The newest full's blob vanishes (lost volume, eager cleanup) but
-        # the manifest still references it.
-        newest = store.latest_full()
-        assert newest.step == 4
-        sub, record = store.parts(newest)[-1]
-        sub.backend.delete(record.key)
-        reopened = make_store(backend)
-        assert reopened.latest_full().step == 0  # stale record dropped
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(reopened, target_model, target_opt)
-        assert result.full_step == 0
-        assert result.step == 6
-        assert_states_equal(target_model.state_dict(), snapshots[6])
+    def test_stale_manifest_falls_back_bit_exactly(self):
+        replay("persist 4; full; persist 2; damage full delete -1 -1; reopen",
+               shards=self.shards)
 
-    def test_corrupt_mid_chain_diff_truncates_never_skips(self, rng,
-                                                          make_store):
-        """A corrupt diff mid-chain ends the replay there: the recovered
-        state is exactly the pre-gap state, not a splice across the gap."""
-        store = make_store()
-        model, optimizer = fresh_model_opt()
-        snapshots = self.train_with_snapshots(store, model, optimizer, rng)
-        sub, bad = blob_at(store, 4)
-        raw = bytearray(sub.backend.read(bad.key))
-        raw[len(raw) // 2] ^= 0xFF
-        sub.backend.write(bad.key, bytes(raw))
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(store, target_model, target_opt)
-        assert result.step == 3
-        assert result.diffs_loaded == 3
-        assert result.corrupt_diffs_skipped == 1
-        # Only the failing shard's blob is quarantined; its siblings at
-        # that chain position are intact and stay put.
-        assert sub.quarantined == [bad.key] and len(store.quarantined) == 1
-        # Bit-exact with the state just before the corrupt record — diffs
-        # 5 and 6 were intact but unreachable across the gap.
-        assert_states_equal(target_model.state_dict(), snapshots[3])
-        assert target_opt.step_count == 3
+    def test_corrupt_mid_chain_diff_truncates_never_skips(self):
+        replay("persist 6; damage diff flip -1 3; reopen", shards=self.shards)
 
     @pytest.mark.parametrize("position", range(8))
     def test_corrupt_diff_inside_a_window_truncates_there(self, rng,
@@ -256,34 +207,12 @@ class TestCorruptionFallback:
         assert_optimizers_equal(target_opt.state_dict(),
                                 snapshots[position][1])
 
-    def test_deleted_mid_chain_diff_truncates_never_skips(self, rng,
-                                                          make_store):
-        store = make_store()
-        model, optimizer = fresh_model_opt()
-        snapshots = self.train_with_snapshots(store, model, optimizer, rng)
-        sub, gone = blob_at(store, 4)
-        sub.backend.delete(gone.key)
-        reopened = make_store(store.backend)
-        chain = reopened.diffs_after(0)
-        assert [(r.start, r.end) for r in chain] == [(1, 1), (2, 2), (3, 3)]
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(reopened, target_model, target_opt)
-        assert result.step == 3
-        assert_states_equal(target_model.state_dict(), snapshots[3])
+    def test_deleted_mid_chain_diff_truncates_never_skips(self):
+        replay("persist 6; damage diff delete -1 3; reopen", shards=self.shards)
 
-    def test_parallel_recovery_truncates_on_corruption(self, rng, make_store):
-        store = make_store()
-        model, optimizer = fresh_model_opt(SGD, lr=0.05)
-        snapshots = self.train_with_snapshots(store, model, optimizer, rng)
-        sub, bad = blob_at(store, 5)
-        sub.backend.write(bad.key, b"\x00" * 16)
-        target_model, target_opt = fresh_model_opt(SGD, seed=9, lr=0.05)
-        result = parallel_recover(store, target_model, target_opt)
-        assert result.step == 4
-        assert result.corrupt_diffs_skipped == 1
-        assert_states_equal(target_model.state_dict(), snapshots[4],
-                            exact=False, atol=1e-5)
-        assert not pool_threads()
+    def test_parallel_recovery_truncates_on_corruption(self):
+        replay("persist 6; damage diff flip -1 4; reopen", shards=self.shards,
+               optimizer="sgd")
 
 
 class TestParallelRecovery:

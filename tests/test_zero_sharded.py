@@ -52,6 +52,7 @@ from tests.helpers import (
     make_mlp_trainer,
     populate_store,
 )
+from tests.test_crash_contract import replay
 
 
 def populate(store, model, optimizer, steps=7, batch=1, seed=42):
@@ -378,98 +379,30 @@ def fresh_model_opt_for_trainer(seed=99):
 # ---------------------------------------------------------------------------
 
 class TestCrashMidShardCommit:
+    """Fixed rule sequences of the crash-contract machine
+    (``tests/test_crash_contract.py``): a crash inside a sharded commit."""
+
     def test_partial_full_commit_invisible(self):
-        store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
-        model, optimizer = fresh_model_opt()
-        populate(store, model, optimizer, steps=2)
-        # Crash mid-commit: the step-9 full reaches shards 0 and 1 only.
-        layout = store.layout
-        for shard in (0, 1):
-            shard_model, shard_opt = layout.slice_full(
-                model.state_dict(), optimizer.state_dict(), shard)
-            store.shard_stores[shard].save_full(9, shard_model, shard_opt)
-        assert [v.step for v in store.fulls()] == [0]
-        assert store.latest_full().step == 0
-        # Recovery ignores the torso and lands on the committed state.
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(store, target_model, target_opt)
-        assert result.full_step == 0
-        assert result.step == 2
+        replay("persist 2; arm crash 8; full; reopen", shards=3)
 
     def test_partial_diff_commit_truncates_chain(self):
-        store = ShardedCheckpointStore(InMemoryBackend(), shards=3)
-        model, optimizer = fresh_model_opt()
-        populate(store, model, optimizer, steps=3)
-        committed_model = {k: v.copy() for k, v in model.state_dict().items()}
-        # Step 4's diff reaches shard 0 only.
-        compressor = TopKCompressor(0.5)
-        grads = {name: Rng(1).child("g", name).normal(size=p.shape)
-                 for name, p in model.named_parameters()}
-        payload = compressor.compress(grads)
-        store.shard_stores[0].save_diff(
-            4, 4, store.layout.slice_payload(payload, 0), count=1)
-        chain = store.diffs_after(0)
-        assert [(v.start, v.end) for v in chain] == [(1, 1), (2, 2), (3, 3)]
-        target_model, target_opt = fresh_model_opt(seed=9)
-        result = serial_recover(store, target_model, target_opt)
-        assert result.step == 3
-        assert_states_equal(target_model.state_dict(), committed_model)
+        replay("persist 3; arm crash 2; persist; reopen", shards=3)
 
     def test_gc_sweeps_partial_records(self):
-        store = ShardedCheckpointStore(InMemoryBackend(), shards=2)
-        model, optimizer = fresh_model_opt()
-        populate(store, model, optimizer, steps=1)
-        shard_model, shard_opt = store.layout.slice_full(
-            model.state_dict(), optimizer.state_dict(), 0)
-        store.shard_stores[0].save_full(5, shard_model, shard_opt)
-        assert len(store.shard_stores[0].fulls()) == 2
-        store.gc(keep_fulls=1)
-        # The partial step-5 tip must not consume shard 0's retention slot
-        # and evict the committed step-0 full: the readable view survives.
-        assert store.latest_full().step == 0
-        # The partial itself is retained too — a retried commit at step 5
-        # would complete the shard set rather than start over.
-        assert {r.step for r in store.shard_stores[0].fulls()} == {0, 5}
+        """The partial tip survives gc too: a retried full completes it."""
+        machine = replay("persist 1; arm crash 4; full; gc 1", shards=2)
+        assert {r.step for r in machine.store.shard_stores[0].fulls()} \
+            == {0, 1}
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_seeded_crash_drill(self, seed):
-        """Seeded drill: training persists sharded checkpoints, a crash
-        interrupts a multi-shard commit at a seed-chosen step and shard
-        boundary, recovery restores the newest *fully committed* state
-        bit-exactly."""
+        """A seed-chosen S and prefix of shards gets diff 7."""
         rng = Rng(seed)
-        shards = 2 + int(rng.child("shards").integers(0, 3))  # 2..4
-        store = ShardedCheckpointStore(InMemoryBackend(), shards=shards)
-        model, optimizer = fresh_model_opt(seed=seed)
-        compressor = TopKCompressor(0.5)
-        snapshots = {}
-        store.save_full(0, model.state_dict(), optimizer.state_dict())
-        steps = 6
-        for step in range(1, steps + 1):
-            grads = {name: rng.child("g", step, name).normal(size=p.shape)
-                     for name, p in model.named_parameters()}
-            payload = compressor.compress(grads)
-            optimizer.step_with(payload.decompress())
-            store.save_diff(step, step, payload, count=1)
-            snapshots[step] = {k: v.copy()
-                               for k, v in model.state_dict().items()}
-        # Crash mid-commit of step 7: a seed-chosen prefix of shards gets
-        # the record, the rest never do.
-        grads = {name: rng.child("g", steps + 1, name).normal(size=p.shape)
-                 for name, p in model.named_parameters()}
-        payload = compressor.compress(grads)
-        committed_shards = int(rng.child("cut").integers(1, shards))
-        for shard in range(committed_shards):
-            store.shard_stores[shard].save_diff(
-                steps + 1, steps + 1,
-                store.layout.slice_payload(payload, shard), count=1)
-
-        reopened = ShardedCheckpointStore(store.backend, shards=shards)
-        target_model, target_opt = fresh_model_opt(seed=seed + 1)
-        result = serial_recover(reopened, target_model, target_opt)
-        assert result.step == steps
-        assert_states_equal(target_model.state_dict(), snapshots[steps])
+        shards = 2 + int(rng.child("shards").integers(0, 3))
+        landed = int(rng.child("cut").integers(1, shards))
+        replay(f"persist 6; arm crash {2 * landed}; persist; reopen",
+               shards=shards)
 
 
 # ---------------------------------------------------------------------------

@@ -41,99 +41,39 @@ Subpackages
 ``repro.harness``      one driver per paper table/figure
 """
 
+from repro.utils.exports import exports
+
 __version__ = "1.0.0"
-
-from repro.utils.rng import Rng
-from repro.tensor.models import (
-    MLP,
-    MiniResNet,
-    MiniVGG,
-    MiniGPT2,
-    MiniBERT,
-    build_mini_model,
-    get_profile,
-)
-from repro.tensor.loss import CrossEntropyLoss, MSELoss
-from repro.optim import Adam, SGD
-from repro.compression import (
-    TopKCompressor,
-    RandomKCompressor,
-    ThresholdCompressor,
-    QSGDCompressor,
-    ErrorFeedbackCompressor,
-    IdentityCompressor,
-    SparseGradient,
-)
-from repro.distributed import (
-    DataParallelTrainer,
-    PipelineParallelTrainer,
-    SyntheticClassification,
-    SyntheticImages,
-    SyntheticTokens,
-    SyntheticRegression,
-)
-from repro.storage import (
-    CheckpointStore,
-    InMemoryBackend,
-    LocalDiskBackend,
-    ThrottledBackend,
-)
-from repro.core import (
-    LowDiffCheckpointer,
-    LowDiffPlusCheckpointer,
-    CheckpointConfig,
-    WastedTimeModel,
-    optimal_configuration,
-    serial_recover,
-    parallel_recover,
-)
-from repro.baselines import (
-    FullCheckpointer,
-    CheckFreqCheckpointer,
-    GeminiCheckpointer,
-    NaiveDCCheckpointer,
-)
-
-__all__ = [
-    "__version__",
-    "Rng",
-    "MLP",
-    "MiniResNet",
-    "MiniVGG",
-    "MiniGPT2",
-    "MiniBERT",
-    "build_mini_model",
-    "get_profile",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "Adam",
-    "SGD",
-    "TopKCompressor",
-    "RandomKCompressor",
-    "ThresholdCompressor",
-    "QSGDCompressor",
-    "ErrorFeedbackCompressor",
-    "IdentityCompressor",
-    "SparseGradient",
-    "DataParallelTrainer",
-    "PipelineParallelTrainer",
-    "SyntheticClassification",
-    "SyntheticImages",
-    "SyntheticTokens",
-    "SyntheticRegression",
-    "CheckpointStore",
-    "InMemoryBackend",
-    "LocalDiskBackend",
-    "ThrottledBackend",
-    "LowDiffCheckpointer",
-    "LowDiffPlusCheckpointer",
-    "CheckpointConfig",
-    "WastedTimeModel",
-    "optimal_configuration",
-    "serial_recover",
-    "parallel_recover",
-    "FullCheckpointer",
-    "CheckFreqCheckpointer",
-    "GeminiCheckpointer",
-    "NaiveDCCheckpointer",
-]
+__all__ = ["__version__"]
+exports(globals(), {
+    ".utils.rng": "Rng",
+    ".tensor.models.mlp": "MLP",
+    ".tensor.models.resnet": "MiniResNet",
+    ".tensor.models.vgg": "MiniVGG",
+    ".tensor.models.transformer": "MiniGPT2 MiniBERT",
+    ".tensor.models.registry": "build_mini_model get_profile",
+    ".tensor.loss": "CrossEntropyLoss MSELoss",
+    ".optim.adam": "Adam",
+    ".optim.sgd": "SGD",
+    ".compression.topk": "TopKCompressor",
+    ".compression.randomk": "RandomKCompressor",
+    ".compression.threshold": "ThresholdCompressor",
+    ".compression.quantization": "QSGDCompressor",
+    ".compression.error_feedback": "ErrorFeedbackCompressor",
+    ".compression.base": "IdentityCompressor",
+    ".compression.sparse": "SparseGradient",
+    ".distributed.trainer": "DataParallelTrainer",
+    ".distributed.pipeline": "PipelineParallelTrainer",
+    ".distributed.data": "SyntheticClassification SyntheticImages "
+                         "SyntheticTokens SyntheticRegression",
+    ".storage.checkpoint_store": "CheckpointStore",
+    ".storage.backends": "InMemoryBackend LocalDiskBackend ThrottledBackend",
+    ".core.lowdiff": "LowDiffCheckpointer",
+    ".core.lowdiff_plus": "LowDiffPlusCheckpointer",
+    ".core.config": "CheckpointConfig WastedTimeModel optimal_configuration",
+    ".core.recovery": "serial_recover parallel_recover",
+    ".baselines.full_checkpoint": "FullCheckpointer",
+    ".baselines.checkfreq": "CheckFreqCheckpointer",
+    ".baselines.gemini": "GeminiCheckpointer",
+    ".baselines.naive_dc": "NaiveDCCheckpointer",
+})

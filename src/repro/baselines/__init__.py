@@ -14,14 +14,11 @@ failure drill, the supervisor and the examples swap strategies freely:
   checkpointing computed from state deltas (Eisenman et al., NSDI'22).
 """
 
-from repro.baselines.full_checkpoint import FullCheckpointer
-from repro.baselines.checkfreq import CheckFreqCheckpointer
-from repro.baselines.gemini import GeminiCheckpointer
-from repro.baselines.naive_dc import NaiveDCCheckpointer
+from repro.utils.exports import exports
 
-__all__ = [
-    "FullCheckpointer",
-    "CheckFreqCheckpointer",
-    "GeminiCheckpointer",
-    "NaiveDCCheckpointer",
-]
+exports(globals(), {
+    ".full_checkpoint": "FullCheckpointer",
+    ".checkfreq": "CheckFreqCheckpointer",
+    ".gemini": "GeminiCheckpointer",
+    ".naive_dc": "NaiveDCCheckpointer",
+})

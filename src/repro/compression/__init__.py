@@ -6,34 +6,14 @@ QSGD) over named gradient dicts, plus the sparse container algebra
 writing, and recovery all build on.
 """
 
-from repro.compression.base import (
-    Compressor,
-    IdentityCompressor,
-    CompressedGradient,
-    DenseGradient,
-)
-from repro.compression.sparse import SparseGradient
-from repro.compression.topk import TopKCompressor
-from repro.compression.randomk import RandomKCompressor
-from repro.compression.threshold import ThresholdCompressor
-from repro.compression.quantization import (
-    QuantizedGradient,
-    UniformQuantizer,
-    QSGDCompressor,
-)
-from repro.compression.error_feedback import ErrorFeedbackCompressor
+from repro.utils.exports import exports
 
-__all__ = [
-    "Compressor",
-    "IdentityCompressor",
-    "CompressedGradient",
-    "DenseGradient",
-    "SparseGradient",
-    "TopKCompressor",
-    "RandomKCompressor",
-    "ThresholdCompressor",
-    "QuantizedGradient",
-    "UniformQuantizer",
-    "QSGDCompressor",
-    "ErrorFeedbackCompressor",
-]
+exports(globals(), {
+    ".base": "Compressor IdentityCompressor CompressedGradient DenseGradient",
+    ".sparse": "SparseGradient",
+    ".topk": "TopKCompressor",
+    ".randomk": "RandomKCompressor",
+    ".threshold": "ThresholdCompressor",
+    ".quantization": "QuantizedGradient UniformQuantizer QSGDCompressor",
+    ".error_feedback": "ErrorFeedbackCompressor",
+})

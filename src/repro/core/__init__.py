@@ -15,46 +15,19 @@
   model replica, asynchronous persistence, software/hardware recovery.
 """
 
-from repro.core.reusing_queue import ReusingQueue, QueueClosed
-from repro.core.batched_writer import BatchedGradientWriter
-from repro.core.config import (
-    WastedTimeModel,
-    CheckpointConfig,
-    optimal_configuration,
-    AdaptiveTuner,
-)
-from repro.core.differential import StateDelta, state_delta, apply_state_delta
-from repro.core.recovery import (
-    RecoveryResult,
-    serial_recover,
-    parallel_recover,
-    merge_tree_depth,
-)
-from repro.core.checkpointer import Checkpointer
-from repro.core.lowdiff import LowDiffCheckpointer
-from repro.core.lowdiff_plus import LowDiffPlusCheckpointer, CpuReplica
-from repro.core.failure_harness import FailureDrill, FailureDrillReport, default_lowdiff_factory
+from repro.utils.exports import exports
 
-__all__ = [
-    "ReusingQueue",
-    "QueueClosed",
-    "BatchedGradientWriter",
-    "WastedTimeModel",
-    "CheckpointConfig",
-    "optimal_configuration",
-    "AdaptiveTuner",
-    "StateDelta",
-    "state_delta",
-    "apply_state_delta",
-    "RecoveryResult",
-    "serial_recover",
-    "parallel_recover",
-    "merge_tree_depth",
-    "Checkpointer",
-    "LowDiffCheckpointer",
-    "LowDiffPlusCheckpointer",
-    "CpuReplica",
-    "FailureDrill",
-    "FailureDrillReport",
-    "default_lowdiff_factory",
-]
+exports(globals(), {
+    ".reusing_queue": "ReusingQueue QueueClosed",
+    ".batched_writer": "BatchedGradientWriter",
+    ".config": "WastedTimeModel CheckpointConfig optimal_configuration "
+               "AdaptiveTuner",
+    ".differential": "StateDelta state_delta apply_state_delta",
+    ".recovery": "RecoveryResult serial_recover parallel_recover "
+                 "merge_tree_depth",
+    ".checkpointer": "Checkpointer",
+    ".lowdiff": "LowDiffCheckpointer",
+    ".lowdiff_plus": "LowDiffPlusCheckpointer CpuReplica",
+    ".failure_harness": "FailureDrill FailureDrillReport "
+                        "default_lowdiff_factory",
+})

@@ -14,71 +14,20 @@ The trainer exposes the two hook points LowDiff consumes:
   reverse layer order, with the synchronized mean (LowDiff+'s stream).
 """
 
-from repro.distributed.collectives import (
-    CommStats,
-    allreduce_mean,
-    allgather,
-    broadcast,
-    reduce_scatter_mean,
-    sparse_allreduce,
-)
-from repro.distributed.data import (
-    SyntheticClassification,
-    SyntheticImages,
-    SyntheticTokens,
-    SyntheticRegression,
-)
-from repro.distributed.worker import SimWorker
-from repro.distributed.trainer import DataParallelTrainer, IterationRecord
-from repro.distributed.pipeline import PipelineParallelTrainer, split_stages
-from repro.distributed.zero import ZeroDataParallelTrainer, shard_owner
-from repro.distributed.faults import (
-    FailureDomainTopology,
-    FaultKind,
-    WorkerCrashed,
-    WorkerFault,
-    WorkerFaultInjector,
-)
-from repro.distributed.supervisor import (
-    ClusterSupervisor,
-    DegradedInterval,
-    DetectionEvent,
-    RecoveryEvent,
-    SupervisedTrainingLoop,
-    SupervisorConfig,
-    SupervisorReport,
-    WorkerStatus,
-)
+from repro.utils.exports import exports
 
-__all__ = [
-    "CommStats",
-    "allreduce_mean",
-    "allgather",
-    "broadcast",
-    "reduce_scatter_mean",
-    "sparse_allreduce",
-    "SyntheticClassification",
-    "SyntheticImages",
-    "SyntheticTokens",
-    "SyntheticRegression",
-    "SimWorker",
-    "DataParallelTrainer",
-    "IterationRecord",
-    "PipelineParallelTrainer",
-    "split_stages",
-    "ZeroDataParallelTrainer",
-    "shard_owner",
-    "FailureDomainTopology",
-    "FaultKind",
-    "WorkerCrashed",
-    "WorkerFault",
-    "WorkerFaultInjector",
-    "ClusterSupervisor",
-    "DegradedInterval",
-    "DetectionEvent",
-    "RecoveryEvent",
-    "SupervisedTrainingLoop",
-    "SupervisorConfig",
-    "SupervisorReport",
-    "WorkerStatus",
-]
+exports(globals(), {
+    ".collectives": "CommStats allreduce_mean allgather broadcast "
+                    "reduce_scatter_mean sparse_allreduce",
+    ".data": "SyntheticClassification SyntheticImages SyntheticTokens "
+             "SyntheticRegression",
+    ".worker": "SimWorker",
+    ".trainer": "DataParallelTrainer IterationRecord",
+    ".pipeline": "PipelineParallelTrainer split_stages",
+    ".zero": "ZeroDataParallelTrainer shard_owner",
+    ".faults": "FailureDomainTopology FaultKind WorkerCrashed WorkerFault "
+               "WorkerFaultInjector",
+    ".supervisor": "ClusterSupervisor DegradedInterval DetectionEvent "
+                   "RecoveryEvent SupervisedTrainingLoop SupervisorConfig "
+                   "SupervisorReport WorkerStatus",
+})

@@ -49,6 +49,7 @@ from repro.obs.metrics import (
     quantile_from_snapshot,
 )
 from repro.obs.trace import Tracer
+from repro.utils.exports import exports
 
 __all__ = [
     "OBS",
@@ -67,15 +68,6 @@ __all__ = [
     "tracer",
     "span",
     "capture",
-    # Flight recorder and SLO targets (re-exported below, after OBS exists).
-    "FLIGHT",
-    "FlightRecorder",
-    "SloTarget",
-    "SloResult",
-    "SloWatchdog",
-    "DEFAULT_TARGETS",
-    "evaluate_snapshot",
-    "load_slo_config",
 ]
 
 
@@ -167,15 +159,10 @@ class capture:
         self._saved = None
 
 
-# Imported last: these modules read ``repro.obs.OBS`` lazily inside
-# functions, but keeping the imports below the switchboard definition
-# makes the no-cycle property obvious.
-from repro.obs.flight import FLIGHT, FlightRecorder          # noqa: E402
-from repro.obs.slo import (                                   # noqa: E402
-    DEFAULT_TARGETS,
-    SloResult,
-    SloTarget,
-    SloWatchdog,
-    evaluate_snapshot,
-    load_slo_config,
-)
+# The flight recorder and the SLO targets load on first use: a job that
+# never dumps a post-mortem or scores an SLO never imports them.
+exports(globals(), {
+    ".flight": "FLIGHT FlightRecorder",
+    ".slo": "DEFAULT_TARGETS SloResult SloTarget SloWatchdog "
+            "evaluate_snapshot load_slo_config",
+})

@@ -8,12 +8,10 @@ the optimizer, so optimizers here expose both the usual ``step()`` over
 bit-exact recovery invariant.
 """
 
-from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
-from repro.optim.adam import Adam
+from repro.utils.exports import exports
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-]
+exports(globals(), {
+    ".optimizer": "Optimizer",
+    ".sgd": "SGD",
+    ".adam": "Adam",
+})

@@ -15,65 +15,19 @@ Structure:
 * :mod:`metrics`  — wasted time, effective training time ratio, recovery.
 """
 
-from repro.sim.cluster import ClusterSpec, CostModel, A100_CLUSTER, V100_CLUSTER
-from repro.sim.workload import Workload
-from repro.sim.engine import Resource, TrainingSim, SimResult
-from repro.sim.report import summarize
-from repro.sim.failures import (
-    FailureEvent,
-    FailureSchedule,
-    StorageFaultModel,
-    SupervisorModel,
-    fixed_mtbf_schedule,
-    exponential_mtbf_schedule,
-    worker_failure_schedule,
-)
-from repro.sim.metrics import (
-    wasted_time,
-    effective_training_ratio,
-    FailureRunMetrics,
-    run_with_failures,
-)
-from repro.sim.strategies import (
-    CheckpointStrategy,
-    NoCheckpoint,
-    FullSyncStrategy,
-    CheckFreqStrategy,
-    GeminiStrategy,
-    NaiveDCStrategy,
-    LowDiffStrategy,
-    LowDiffPlusStrategy,
-    make_strategy,
-)
+from repro.utils.exports import exports
 
-__all__ = [
-    "ClusterSpec",
-    "CostModel",
-    "A100_CLUSTER",
-    "V100_CLUSTER",
-    "Workload",
-    "Resource",
-    "TrainingSim",
-    "SimResult",
-    "summarize",
-    "FailureEvent",
-    "FailureSchedule",
-    "StorageFaultModel",
-    "SupervisorModel",
-    "worker_failure_schedule",
-    "fixed_mtbf_schedule",
-    "exponential_mtbf_schedule",
-    "wasted_time",
-    "effective_training_ratio",
-    "FailureRunMetrics",
-    "run_with_failures",
-    "CheckpointStrategy",
-    "NoCheckpoint",
-    "FullSyncStrategy",
-    "CheckFreqStrategy",
-    "GeminiStrategy",
-    "NaiveDCStrategy",
-    "LowDiffStrategy",
-    "LowDiffPlusStrategy",
-    "make_strategy",
-]
+exports(globals(), {
+    ".cluster": "ClusterSpec CostModel A100_CLUSTER V100_CLUSTER",
+    ".workload": "Workload",
+    ".engine": "Resource TrainingSim SimResult",
+    ".report": "summarize",
+    ".failures": "FailureEvent FailureSchedule StorageFaultModel "
+                 "SupervisorModel worker_failure_schedule fixed_mtbf_schedule "
+                 "exponential_mtbf_schedule",
+    ".metrics": "wasted_time effective_training_ratio FailureRunMetrics "
+                "run_with_failures",
+    ".strategies": "CheckpointStrategy NoCheckpoint FullSyncStrategy "
+                   "CheckFreqStrategy GeminiStrategy NaiveDCStrategy "
+                   "LowDiffStrategy LowDiffPlusStrategy make_strategy",
+})

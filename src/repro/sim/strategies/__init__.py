@@ -5,47 +5,41 @@ engine's resources, reports stalls, and exposes a failure profile
 (expected lost work + recovery time) for the wasted-time experiments.
 """
 
-from repro.sim.strategies.base import CheckpointStrategy, FailureProfile, NoCheckpoint
-from repro.sim.strategies.full_sync import FullSyncStrategy
-from repro.sim.strategies.checkfreq import CheckFreqStrategy
-from repro.sim.strategies.gemini import GeminiStrategy
-from repro.sim.strategies.naive_dc import NaiveDCStrategy
-from repro.sim.strategies.lowdiff import LowDiffStrategy
-from repro.sim.strategies.lowdiff_plus import LowDiffPlusStrategy
+import sys
+
+from repro.utils.exports import exports
+
+__all__ = ["make_strategy"]
+exports(globals(), {
+    ".base": "CheckpointStrategy FailureProfile NoCheckpoint",
+    ".full_sync": "FullSyncStrategy",
+    ".checkfreq": "CheckFreqStrategy",
+    ".gemini": "GeminiStrategy",
+    ".naive_dc": "NaiveDCStrategy",
+    ".lowdiff": "LowDiffStrategy",
+    ".lowdiff_plus": "LowDiffPlusStrategy",
+})
+
+_BY_NAME = {
+    "none": "NoCheckpoint",
+    "w/o ckpt": "NoCheckpoint",
+    "torch.save": "FullSyncStrategy",
+    "baseline": "FullSyncStrategy",
+    "full": "FullSyncStrategy",
+    "checkfreq": "CheckFreqStrategy",
+    "gemini": "GeminiStrategy",
+    "naive_dc": "NaiveDCStrategy",
+    "naive dc": "NaiveDCStrategy",
+    "lowdiff": "LowDiffStrategy",
+    "lowdiff+": "LowDiffPlusStrategy",
+    "lowdiff_plus": "LowDiffPlusStrategy",
+}
 
 
-def make_strategy(name: str, **kwargs) -> CheckpointStrategy:
+def make_strategy(name: str, **kwargs):
     """Factory by paper display name (used by the experiment harness)."""
-    table = {
-        "none": NoCheckpoint,
-        "w/o ckpt": NoCheckpoint,
-        "torch.save": FullSyncStrategy,
-        "baseline": FullSyncStrategy,
-        "full": FullSyncStrategy,
-        "checkfreq": CheckFreqStrategy,
-        "gemini": GeminiStrategy,
-        "naive_dc": NaiveDCStrategy,
-        "naive dc": NaiveDCStrategy,
-        "lowdiff": LowDiffStrategy,
-        "lowdiff+": LowDiffPlusStrategy,
-        "lowdiff_plus": LowDiffPlusStrategy,
-    }
     try:
-        cls = table[name.lower()]
+        cls = _BY_NAME[name.lower()]
     except KeyError:
-        raise KeyError(f"unknown strategy {name!r}; known: {sorted(table)}") from None
-    return cls(**kwargs)
-
-
-__all__ = [
-    "CheckpointStrategy",
-    "FailureProfile",
-    "NoCheckpoint",
-    "FullSyncStrategy",
-    "CheckFreqStrategy",
-    "GeminiStrategy",
-    "NaiveDCStrategy",
-    "LowDiffStrategy",
-    "LowDiffPlusStrategy",
-    "make_strategy",
-]
+        raise KeyError(f"unknown strategy {name!r}; known: {sorted(_BY_NAME)}") from None
+    return getattr(sys.modules[__name__], cls)(**kwargs)

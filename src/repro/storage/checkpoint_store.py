@@ -6,7 +6,9 @@ Manages the on-storage layout the recovery process reads:
   ``C^F`` of Eq. (2);
 * ``diff/<start>_<end>.ckpt`` — one (possibly batched) differential
   checkpoint covering optimizer steps ``start..end`` inclusive, the
-  ``C^D``/``C^B`` of §IV;
+  ``C^D``/``C^B`` of §IV.  A re-save of a record with other bytes goes
+  under its other key, ``<key>.1.ckpt`` (or back), never over the bytes
+  the index names;
 * ``manifest.json`` + ``manifest.<g>.journal`` — the index: a snapshot
   of generation ``g``, rewritten atomically by every mutation but one, and
   its journal, to which a diff past the chain's tail commits as one
@@ -69,8 +71,8 @@ from repro.storage.serializer import (
 MANIFEST_KEY = "manifest.json"
 QUARANTINE_PREFIX = "quarantine/"
 
-_FULL_KEY_RE = re.compile(r"^full/(\d{10})\.ckpt$")
-_DIFF_KEY_RE = re.compile(r"^diff/(\d{10})_(\d{10})\.ckpt$")
+_FULL_KEY_RE = re.compile(r"^full/(\d{10})(\.1)?\.ckpt$")
+_DIFF_KEY_RE = re.compile(r"^diff/(\d{10})_(\d{10})(\.1)?\.ckpt$")
 
 
 def journal_key(gen: int) -> str:
@@ -83,6 +85,12 @@ def full_key(step: int) -> str:
 
 def diff_key(start: int, end: int) -> str:
     return f"diff/{start:010d}_{end:010d}.ckpt"
+
+
+def other_key(key: str) -> str:
+    """The second key of a record's slot: ``x.ckpt`` <-> ``x.1.ckpt``."""
+    stem = key[:-len(".ckpt")]
+    return stem[:-2] + ".ckpt" if stem.endswith(".1") else stem + ".1.ckpt"
 
 
 def encode_record_tree(codec, tree: dict):
@@ -301,7 +309,7 @@ class CheckpointStore:
         self.manifest_rebuilt = True
         fulls: list[FullCheckpointRecord] = []
         diffs: list[DiffCheckpointRecord] = []
-        for key in self.backend.list_keys():
+        for key in sorted(self.backend.list_keys()):
             full_match = _FULL_KEY_RE.match(key)
             diff_match = _DIFF_KEY_RE.match(key)
             if not full_match and not diff_match:
@@ -326,8 +334,12 @@ class CheckpointStore:
                 self._quarantine_key(key)
             except OSError:
                 continue
-        fulls.sort(key=lambda r: r.step)
-        diffs.sort(key=lambda r: (r.start, r.end))
+        # Both keys of a slot survive only a crash between a re-save's
+        # commit and its delete: either holds that record; keep one.
+        fulls = sorted({r.step: r for r in fulls}.values(),
+                       key=lambda r: r.step)
+        diffs = sorted({(r.start, r.end): r for r in diffs}.values(),
+                       key=lambda r: (r.start, r.end))
         self._fulls, self._diffs = fulls, diffs
         self._commit_manifest()
 
@@ -418,21 +430,38 @@ class CheckpointStore:
         return self._commit_full(step, total_bytes(data), crc, codec,
                                  raw_nbytes, data)
 
-    def _place_blob(self, key: str, data) -> None:
+    def _place_blob(self, key: str, data, crc: int, old=None) -> str:
         """First half of every commit: the blob is written here — or, when
         a worker process already wrote it (``data is None``), checked to
-        exist — strictly before the manifest that references it."""
-        if data is not None:
-            self.backend.write(key, data)
-        elif not self.backend.exists(key):
-            raise ValueError(
-                f"cannot register {key}: blob not found in backend")
+        exist — strictly before the manifest that references it.  Returns
+        the key it is under.
+
+        ``old`` is the indexed record this one supersedes.  Other bytes
+        never overwrite the ones it names (a crash before the commit would
+        leave its CRC naming them): they go under its slot's other key, and
+        :meth:`_retire` deletes ``old``'s blob after the commit."""
+        if data is None:
+            if not self.backend.exists(key):
+                raise ValueError(
+                    f"cannot register {key}: blob not found in backend")
+            return key
+        if old is not None:
+            key = old.key if old.crc == crc & 0xFFFFFFFF \
+                else other_key(old.key)
+        self.backend.write(key, data)
+        return key
+
+    def _retire(self, old, key: str) -> None:
+        """After the commit naming ``key``: delete the blob it superseded
+        (a crash first leaves it to ``gc``'s sweep)."""
+        if old is not None and old.key != key:
+            self.backend.delete(old.key)
 
     def _commit_full(self, step: int, nbytes: int, crc: int, codec: str,
                      raw_nbytes: int, data=None) -> FullCheckpointRecord:
-        key = full_key(step)
         with self._mutation_lock:
-            self._place_blob(key, data)
+            old = next((r for r in self._fulls if r.step == step), None)
+            key = self._place_blob(full_key(step), data, crc, old)
             record = FullCheckpointRecord(step=int(step), key=key,
                                           nbytes=int(nbytes),
                                           crc=crc & 0xFFFFFFFF,
@@ -441,6 +470,7 @@ class CheckpointStore:
             self._fulls = [r for r in self._fulls if r.step != step] + [record]
             self._fulls.sort(key=lambda r: r.step)
             self._commit_manifest()
+            self._retire(old, key)
         self._count_storage_bytes("full", int(nbytes), raw_nbytes)
         return record
 
@@ -504,14 +534,16 @@ class CheckpointStore:
         or the sorted snapshot for any other, which supersedes the
         same-range record (caller holds the mutation lock and has
         validated the range)."""
-        key = diff_key(start, end)
-        self._place_blob(key, data)
+        extends = self._extends_chain(start)
+        old = None if extends else next(
+            (r for r in self._diffs if (r.start, r.end) == (start, end)), None)
+        key = self._place_blob(diff_key(start, end), data, crc, old)
         record = DiffCheckpointRecord(
             start=int(start), end=int(end), key=key, nbytes=int(nbytes),
             count=int(count), crc=crc & 0xFFFFFFFF,
             codec=codec, raw_nbytes=int(raw_nbytes),
         )
-        if self._journal and self._extends_chain(start):
+        if self._journal and extends:
             self._append_journal(record)
             return record
         self._diffs = [
@@ -519,6 +551,7 @@ class CheckpointStore:
         ] + [record]
         self._diffs.sort(key=lambda r: (r.start, r.end))
         self._commit_manifest()
+        self._retire(old, key)
         return record
 
     def register_full_blob(self, step: int, nbytes: int, crc: int,
@@ -589,12 +622,19 @@ class CheckpointStore:
         """
         return self.backend.read(record.key)
 
-    @staticmethod
-    def _check_crc(record, data) -> None:
+    @classmethod
+    def _unpack(cls, record, data) -> dict:
+        """Verify + unpack + codec-decode a record's bytes.  Each byte's
+        CRC is checked once: the index CRC, when the record has one, was
+        taken over exactly these bytes (at write time, or at an index
+        rebuild after the per-part check), so the per-part CRCs are
+        checked only without it.  Framing is checked either way."""
         if record.crc and zlib.crc32(data) != record.crc:
             raise CorruptCheckpointError(
                 f"checkpoint {record.key} failed manifest CRC check"
             )
+        return cls._codec_decode(record,
+                                 unpack_tree(data, verify=not record.crc))
 
     @staticmethod
     def _codec_decode(record, tree: dict) -> dict:
@@ -624,21 +664,13 @@ class CheckpointStore:
     def decode_full(cls, record: FullCheckpointRecord, data
                     ) -> tuple[dict, dict, int]:
         """Verify + deserialize raw full-checkpoint bytes (thread-safe)."""
-        cls._check_crc(record, data)
-        tree = cls._codec_decode(record, unpack_tree(data))
+        tree = cls._unpack(record, data)
         return tree["model"], tree["optimizer"], int(tree["step"])
 
     @classmethod
     def decode_diff(cls, record: DiffCheckpointRecord, data):
         """Verify + deserialize raw diff bytes (thread-safe)."""
-        cls._check_crc(record, data)
-        tree = cls._codec_decode(record, unpack_tree(data))
-        return tree_to_payload(tree["payload"])
-
-    def _read_verified(self, record) -> bytes:
-        data = self.read_raw(record)
-        self._check_crc(record, data)
-        return data
+        return tree_to_payload(cls._unpack(record, data)["payload"])
 
     def load_full(self, record: FullCheckpointRecord) -> tuple[dict, dict, int]:
         return self.decode_full(record, self.read_raw(record))
@@ -694,8 +726,7 @@ class CheckpointStore:
             if not deep:
                 continue
             try:
-                self._codec_decode(record,
-                                   unpack_tree(self._read_verified(record)))
+                self._unpack(record, self.read_raw(record))
             except FileNotFoundError:
                 report["missing"].append(record.key)
             except UnknownCodecError:

@@ -63,15 +63,12 @@ from repro.compression.sparse import (
     global_offsets,
 )
 from repro.obs import OBS, span as obs_span
-from repro.storage.async_engine import AsyncCheckpointEngine
 from repro.storage.backends import PrefixBackend, StorageBackend
 from repro.storage.checkpoint_store import (
     CheckpointStore,
     DiffCheckpointRecord,
     FullCheckpointRecord,
 )
-from repro.storage.mp_engine import MultiprocessCheckpointEngine
-from repro.storage.persist_engine import deadline_clock
 
 #: Root manifest: static layout only (shard count + tensor shapes), written
 #: once when the layout is first established.  Deliberately *not* a commit
@@ -611,16 +608,24 @@ def elastic_restore(store: ShardedCheckpointStore, trainer,
 
 
 # Persist engines: executor selection and shard fan-out -----------------------
+# Each executor imports its engine when built, and the group below
+# ``persist_engine`` when an engine already has: an inline job loads none
+# of them, and only a process-executor job loads ``multiprocessing``.
+def _thread_engine(store, writers, depth, ring_mb):
+    from repro.storage.async_engine import AsyncCheckpointEngine
+    return AsyncCheckpointEngine(store, num_writers=writers, queue_depth=depth)
+
+
+def _process_engine(store, writers, depth, ring_mb):
+    from repro.storage.mp_engine import MultiprocessCheckpointEngine
+    return MultiprocessCheckpointEngine(store, num_workers=writers,
+                                        queue_depth=depth,
+                                        ring_bytes=int(ring_mb * (1 << 20)))
+
+
 #: ``CheckpointConfig.persist_mode`` → executor over one part store, built
 #: from the config's ``(writer_threads, queue_depth, ring_mb)``.
-EXECUTORS = {
-    "thread": lambda store, writers, depth, ring_mb: AsyncCheckpointEngine(
-        store, num_writers=writers, queue_depth=depth),
-    "process": lambda store, writers, depth, ring_mb:
-        MultiprocessCheckpointEngine(
-            store, num_workers=writers, queue_depth=depth,
-            ring_bytes=int(ring_mb * (1 << 20))),
-}
+EXECUTORS = {"thread": _thread_engine, "process": _process_engine}
 
 
 def open_persist_engine(store, persist_mode: str = "thread",
@@ -685,10 +690,12 @@ class ShardedPersistGroup:
             raise first
 
     def drain(self, timeout: float | None = None) -> None:
+        from repro.storage.persist_engine import deadline_clock
         remaining = deadline_clock(timeout)
         self._each(lambda engine: engine.drain(timeout=remaining()))
 
     def finalize(self, timeout: float | None = None) -> None:
+        from repro.storage.persist_engine import deadline_clock
         remaining = deadline_clock(timeout)
         # Close all first: every shard's workers wind down concurrently.
         self._each(lambda engine: engine.close())

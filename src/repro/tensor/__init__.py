@@ -7,57 +7,14 @@ LowDiff+'s layer-wise reuse exploits), optimizer-ready flat gradient
 views, and deterministic initialization.
 """
 
-from repro.tensor.parameter import Parameter
-from repro.tensor.module import Module, Sequential
-from repro.tensor.layers import (
-    Linear,
-    Conv2d,
-    MaxPool2d,
-    AvgPool2d,
-    Flatten,
-    ReLU,
-    GELU,
-    Tanh,
-    Dropout,
-    LayerNorm,
-    BatchNorm2d,
-    Embedding,
-    PositionalEmbedding,
-    MultiHeadAttention,
-    TransformerBlock,
-    Residual,
-)
-from repro.tensor.loss import (
-    CrossEntropyLoss,
-    MSELoss,
-    softmax,
-    log_softmax,
-)
-from repro.tensor import initializers
+from repro.utils.exports import exports
 
-__all__ = [
-    "Parameter",
-    "Module",
-    "Sequential",
-    "Linear",
-    "Conv2d",
-    "MaxPool2d",
-    "AvgPool2d",
-    "Flatten",
-    "ReLU",
-    "GELU",
-    "Tanh",
-    "Dropout",
-    "LayerNorm",
-    "BatchNorm2d",
-    "Embedding",
-    "PositionalEmbedding",
-    "MultiHeadAttention",
-    "TransformerBlock",
-    "Residual",
-    "CrossEntropyLoss",
-    "MSELoss",
-    "softmax",
-    "log_softmax",
-    "initializers",
-]
+exports(globals(), {
+    ".parameter": "Parameter",
+    ".module": "Module Sequential",
+    ".layers": "Linear Conv2d MaxPool2d AvgPool2d Flatten ReLU GELU Tanh "
+               "Dropout LayerNorm BatchNorm2d Embedding PositionalEmbedding "
+               "MultiHeadAttention TransformerBlock Residual",
+    ".loss": "CrossEntropyLoss MSELoss softmax log_softmax",
+    ".": "initializers",
+})

@@ -12,28 +12,13 @@ Two tiers:
   performance simulator.
 """
 
-from repro.tensor.models.mlp import MLP
-from repro.tensor.models.resnet import MiniResNet, BasicBlock
-from repro.tensor.models.vgg import MiniVGG
-from repro.tensor.models.transformer import MiniGPT2, MiniBERT
-from repro.tensor.models.registry import (
-    ModelProfile,
-    MODEL_PROFILES,
-    get_profile,
-    build_mini_model,
-    MINI_BUILDERS,
-)
+from repro.utils.exports import exports
 
-__all__ = [
-    "MLP",
-    "MiniResNet",
-    "BasicBlock",
-    "MiniVGG",
-    "MiniGPT2",
-    "MiniBERT",
-    "ModelProfile",
-    "MODEL_PROFILES",
-    "get_profile",
-    "build_mini_model",
-    "MINI_BUILDERS",
-]
+exports(globals(), {
+    ".mlp": "MLP",
+    ".resnet": "MiniResNet BasicBlock",
+    ".vgg": "MiniVGG",
+    ".transformer": "MiniGPT2 MiniBERT",
+    ".registry": "ModelProfile MODEL_PROFILES get_profile build_mini_model "
+                 "MINI_BUILDERS",
+})

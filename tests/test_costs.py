@@ -12,6 +12,7 @@ bytes, fsyncs, pools, threads and the spied calls are the process's.
 import functools
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -22,6 +23,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import repro
 from repro.compression import SparseGradient, TopKCompressor
 from repro.compression.sparse import DenseScratch
 from repro.core import CheckpointConfig, LowDiffCheckpointer, recovery
@@ -78,6 +80,12 @@ COLUMNS = {
     # Opening a store's index (its snapshot as committed, or re-encoded by
     # hand), or committing a snapshot.
     "index": ("dumps", "loads", "bodies", "rebuilt"),
+    # A job in a fresh interpreter: the ``repro.*`` modules loaded once
+    # ``attach()`` returned (a restart: once ``recover()`` did), without
+    # the ``repro.`` prefix; whether ``multiprocessing`` is loaded; and the
+    # modules its next three steps, ``finalize()`` and ``recover()`` load
+    # (a restart: its next, parallel, ``recover()``).
+    "imports": ("modules", "multiprocessing", "later"),
 }
 
 COSTS = {
@@ -114,6 +122,57 @@ COSTS = {
     ("index", "open"):                      (0, 1, 0, False),
     ("index", "open_reencoded"):            (1, 1, 1, False),
     ("index", "snapshot"):                  (1, 0, 1, False),
+    # executor, shards, codec; or a restart that opens and recovers
+    ("imports", "inline", 1, "none"): (
+        "compression compression.base compression.quantization "
+        "compression.sparse compression.topk core core.batched_writer "
+        "core.checkpointer core.config core.differential core.lowdiff "
+        "core.recovery core.reusing_queue distributed distributed.collectives "
+        "distributed.data distributed.trainer distributed.worker obs "
+        "obs.metrics obs.trace optim optim.adam optim.optimizer storage "
+        "storage.backends storage.checkpoint_store storage.payload_codec "
+        "storage.serializer storage.sharded tensor tensor.initializers "
+        "tensor.layers tensor.loss tensor.models tensor.models.mlp "
+        "tensor.module tensor.parameter utils utils.exports utils.pool "
+        "utils.rng utils.validation",
+        False, ""),
+    ("imports", "thread", 1, "lossless"): (
+        "compression compression.base compression.quantization "
+        "compression.sparse compression.topk core core.batched_writer "
+        "core.checkpointer core.config core.differential core.lowdiff "
+        "core.recovery core.reusing_queue distributed distributed.collectives "
+        "distributed.data distributed.trainer distributed.worker obs "
+        "obs.metrics obs.trace optim optim.adam optim.optimizer storage "
+        "storage.async_engine storage.backends storage.checkpoint_store "
+        "storage.payload_codec storage.persist_engine storage.serializer "
+        "storage.sharded tensor tensor.initializers tensor.layers tensor.loss "
+        "tensor.models tensor.models.mlp tensor.module tensor.parameter utils "
+        "utils.exports utils.pool utils.rng utils.validation",
+        False, ""),
+    ("imports", "process", 2, "none"): (
+        "compression compression.base compression.quantization "
+        "compression.sparse compression.topk core core.batched_writer "
+        "core.checkpointer core.config core.differential core.lowdiff "
+        "core.recovery core.reusing_queue distributed distributed.collectives "
+        "distributed.data distributed.trainer distributed.worker obs "
+        "obs.flight obs.metrics obs.trace optim optim.adam optim.optimizer "
+        "storage storage.backends storage.checkpoint_store storage.mp_engine "
+        "storage.payload_codec storage.persist_engine storage.serializer "
+        "storage.sharded tensor tensor.initializers tensor.layers tensor.loss "
+        "tensor.models tensor.models.mlp tensor.module tensor.parameter utils "
+        "utils.exports utils.pool utils.rng utils.validation",
+        True, ""),
+    ("imports", "restart"): (
+        "compression compression.base compression.quantization "
+        "compression.sparse compression.topk core core.batched_writer "
+        "core.checkpointer core.config core.differential core.lowdiff "
+        "core.recovery core.reusing_queue obs obs.metrics obs.trace optim "
+        "optim.adam optim.optimizer storage storage.backends "
+        "storage.checkpoint_store storage.payload_codec storage.serializer "
+        "storage.sharded tensor tensor.initializers tensor.layers "
+        "tensor.models tensor.models.mlp tensor.module tensor.parameter utils "
+        "utils.exports utils.pool utils.rng utils.validation",
+        False, ""),
 }
 
 
@@ -351,6 +410,66 @@ def step(kind):
             counts.calls(collectives.allreduce_mean), len(started), scratch)
 
 
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+JOB = """
+import sys, tempfile
+from repro import (Adam, CheckpointConfig, CheckpointStore, LocalDiskBackend,
+                   LowDiffCheckpointer, MLP, Rng)
+
+def loaded():
+    return {name for name in sys.modules if name.startswith("repro.")}
+
+if __name__ == "__main__":
+    root, executor, shards, codec = sys.argv[1:]
+    checkpointer = LowDiffCheckpointer(
+        CheckpointStore(LocalDiskBackend(root)), CheckpointConfig(
+            full_every_iters=2, batch_size=1, shards=int(shards),
+            codec=None if codec == "none" else codec,
+            async_persist=executor in ("thread", "process"),
+            persist_mode="process" if executor == "process" else "thread",
+            writer_threads=1, ring_mb=1.0))
+    model = MLP(8, [16], 4, rng=Rng(1))
+    if executor == "restart":
+        checkpointer.recover(model, Adam(model))
+        first = loaded()
+        checkpointer.recover(model, Adam(model), parallel=True)
+    else:
+        from repro import (CrossEntropyLoss, DataParallelTrainer,
+                           SyntheticClassification, TopKCompressor)
+        trainer = DataParallelTrainer(
+            model_builder=lambda rank: MLP(8, [16], 4, rng=Rng(0)),
+            optimizer_builder=lambda model: Adam(model),
+            loss_fn=CrossEntropyLoss(),
+            dataset=SyntheticClassification(8, 4, batch_size=4, seed=1),
+            num_workers=2, compressor_builder=lambda: TopKCompressor(0.5))
+        checkpointer.attach(trainer)
+        first = loaded()
+        for _ in range(3):
+            trainer.step()
+        checkpointer.finalize()
+        checkpointer.recover(model, Adam(model))
+    print(" ".join(sorted(name[6:] for name in first)))
+    print("multiprocessing" in sys.modules)
+    print(" ".join(sorted(name[6:] for name in loaded() - first)))
+"""
+
+
+def imports(executor, shards=1, codec="none"):
+    """``JOB`` in a fresh interpreter; a restart first has an inline job
+    of its shape write the store it recovers."""
+    def job(executor):
+        return subprocess.run(
+            [sys.executable, "-c", JOB, root, executor, str(shards), codec],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": SRC}).stdout.split("\n")
+
+    with tempfile.TemporaryDirectory() as root:
+        if executor == "restart":
+            job("inline")
+        modules, multiprocessing, later = job(executor)[:3]
+    return modules, multiprocessing == "True", later
+
+
 def index(kind):
     store = CheckpointStore(InMemoryBackend())
     model, optimizer = fresh_model_opt()
@@ -376,7 +495,7 @@ def index(kind):
 @functools.cache
 def measure(cell):
     cycles = {"persist": persist, "decode": decode, "restore": restore,
-              "step": step, "index": index}
+              "step": step, "index": index, "imports": imports}
     return cycles[cell[0]](*cell[1:])
 
 

@@ -1,9 +1,14 @@
-"""Unit tests for repro.utils: rng, units, validation."""
+"""Unit tests for repro.utils: rng, units, validation, export tables."""
+
+import ast
+import importlib
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.utils import (
     GB,
     KB,
@@ -157,3 +162,62 @@ class TestValidation:
         check_type("x", 3, int)
         with pytest.raises(TypeError):
             check_type("x", 3, str)
+
+
+# Export tables -----------------------------------------------------------------
+TABLES = ["repro", "repro.baselines", "repro.compression", "repro.core",
+          "repro.distributed", "repro.obs", "repro.optim", "repro.sim",
+          "repro.sim.strategies", "repro.storage", "repro.tensor",
+          "repro.tensor.models", "repro.utils"]
+# Module-level ``repro`` imports a package ``__init__`` may hold besides the
+# export helper: the switchboard's own registry and tracer types, and the
+# experiment registry, which is a dict of modules (no job imports it).
+INIT_IMPORTS = {
+    "obs": {"repro.obs.metrics", "repro.obs.trace"},
+    "harness": {"repro.harness", "repro.harness.common"},
+}
+
+
+class TestExportTables:
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_is_the_public_surface(self, name):
+        package = importlib.import_module(name)
+        table = package.__exports__
+        own = package.__all__[:len(package.__all__) - len(table)]
+        assert package.__all__[len(own):] == list(table)
+        assert all(attr in vars(package) for attr in own)
+        for attr, module in table.items():
+            value = getattr(package, attr)
+            if module == ".":
+                assert value is importlib.import_module(f"{name}.{attr}")
+            else:
+                assert value is getattr(
+                    importlib.import_module(module, name), attr)
+        assert set(package.__all__) <= set(dir(package))
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        assert set(package.__all__) <= set(namespace)
+        with pytest.raises(AttributeError):
+            package.no_such_name
+
+    def test_package_inits_import_only_the_export_helper(self):
+        """Every name a package re-exports loads on first use, so no
+        ``__init__`` imports a ``repro`` module at module level."""
+        root = pathlib.Path(repro.__file__).parent
+        for init in root.rglob("__init__.py"):
+            package = init.parent.relative_to(root).as_posix()
+            found, nodes = set(), list(ast.parse(init.read_text()).body)
+            while nodes:
+                node = nodes.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    continue
+                if isinstance(node, ast.Import):
+                    found.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    found.add("." * node.level + (node.module or ""))
+                nodes.extend(ast.iter_child_nodes(node))
+            found = {module for module in found
+                     if module.split(".")[0] in ("repro", "")}
+            allowed = {"repro.utils.exports"} | INIT_IMPORTS.get(package, set())
+            assert found <= allowed, (package, found - allowed)
